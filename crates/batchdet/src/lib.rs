@@ -18,16 +18,17 @@
 //!    (clipped at the boundary). Total partition work is O(n + straddlers),
 //!    not the O(K·n) of the historical clip-per-shard design where every
 //!    shard re-scanned the whole stream.
-//! 3. **Fan the per-shard event vectors out** as fork-join tasks on the
+//! 3. **Drain the per-shard inboxes** as fork-join tasks on the
 //!    `stint-cilkrt` work-stealing pool; each shard replays its
 //!    pre-clipped subsequence through a private STINT interval detector.
 //!
-//! For traces saved in the compressed chunked `STINT-TRACE v2` format (see
-//! `stint::ctrace`), [`batch_detect_chunked`] streams the file chunk by
-//! chunk — the whole `PortableTrace` is never resident — keeping one
-//! persistent detector per shard across chunks and consuming contiguous
-//! run-length runs **wholesale** (one coalesced range access per run, not
-//! one per decoded event).
+//! Steps 2 and 3 are software-pipelined, one batch of events at a time
+//! ([`pipeline`]): batch *n+1* is routed while batch *n* drains. For traces
+//! saved in the compressed chunked `STINT-TRACE v2` format (see
+//! `stint::ctrace`), [`batch_detect_chunked`] feeds that pipeline one file
+//! chunk per batch — the whole `PortableTrace` is never resident — and
+//! consumes contiguous run-length runs **wholesale** (one coalesced range
+//! access per run, not one per decoded event).
 //!
 //! # Why address sharding preserves the race set
 //!
@@ -83,7 +84,7 @@ use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use stint::ctrace::{partition_index, CompressedTraceReader, EventRun};
+use stint::ctrace::{partition_index, CompressedTraceReader, EventRun, DEFAULT_CHUNK_EVENTS};
 use stint::{
     Detector, DetectorError, DetectorStats, EventSpans, PortableTrace, Race, RaceKind, RaceReport,
     Resource, ResourceBudget, StintDetector, TraceEvent, TraceOp, Witness,
@@ -110,10 +111,17 @@ static OBS_SHARD_BYTES: Gauge = Gauge::new("batchdet.shard.bytes");
 static OBS_INGEST_BYTES: Counter = Counter::new("batchdet.ingest.bytes");
 static OBS_INGEST_CHUNKS: Counter = Counter::new("batchdet.ingest.chunks");
 static OBS_INGEST_RUNS: Counter = Counter::new("batchdet.ingest.runs");
-/// In-flight decoded-but-undetected event-buffer bytes of the streaming
-/// path. Reconciled to zero after every chunk, so it reads 0 after each
-/// chunked run; the high-water mark is the peak buffered footprint.
+/// Routed-but-undetected inbox bytes handed to the drain arm of the
+/// pipelined driver. Reconciled per batch and to zero when the run ends; the
+/// high-water mark is the largest batch (the producer fills at most one
+/// more of that size meanwhile).
 static OBS_INGEST_BUF: Gauge = Gauge::new("batchdet.ingest.buf_bytes");
+/// Batches drained by the pipelined driver, split by where the drain arm of
+/// the step's `join` ran: `stolen` by another worker (the stages
+/// overlapped) or popped back `inline` by the producer's own worker.
+static OBS_PIPE_BATCHES: Counter = Counter::new("batchdet.pipeline.batches");
+static OBS_PIPE_STOLEN: Counter = Counter::new("batchdet.pipeline.stolen");
+static OBS_PIPE_INLINE: Counter = Counter::new("batchdet.pipeline.inline");
 
 /// Configuration for a batch detection run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -148,14 +156,13 @@ impl Default for BatchConfig {
 /// every tenant: a [`ResourceBudget`] applied to **each** shard detector,
 /// plus an optional wall-clock deadline.
 ///
-/// The deadline is checked at chunk boundaries on the streaming path (and
-/// before the fan-out on the in-memory path) — detectors are not
-/// interruptible mid-chunk, so a session overruns its deadline by at most
-/// one chunk's worth of work. A tripped deadline does **not** abort the
-/// run: the shards that already replayed are flushed and merged, and the
-/// outcome carries `degraded = ResourceExhausted(WallClock)` — the report
-/// is sound up to the point detection stopped, exactly like a memory
-/// budget.
+/// The deadline is checked between pipeline steps — detectors are not
+/// interruptible mid-batch, so a session overruns its deadline by at most
+/// the batch in flight plus the batch being routed. A tripped deadline does
+/// **not** abort the run: ingestion stops, what was routed is drained,
+/// flushed and merged, and the outcome carries `degraded =
+/// ResourceExhausted(WallClock)` — the report is sound up to the point
+/// detection stopped, exactly like a memory budget.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SessionLimits {
     /// Budget applied to every shard detector (shadow bytes cap the
@@ -322,25 +329,24 @@ pub fn load_trace<R: std::io::BufRead>(r: R) -> Result<PortableTrace, DetectorEr
     Ok(pt)
 }
 
-fn pool_for(cfg: &BatchConfig) -> ThreadPool {
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.workers
+/// A pool of `workers` workers (`0` = one per hardware thread) whose steal
+/// schedule is perturbed by `steal_seed`.
+fn new_pool(workers: usize, steal_seed: u64) -> ThreadPool {
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     };
-    ThreadPool::with_seed(workers, cfg.steal_seed)
+    ThreadPool::with_seed(workers, steal_seed)
 }
 
 /// Batch-detect on a fresh pool built from `cfg` (worker count and steal
 /// seed). See [`batch_detect_on`].
 pub fn batch_detect(pt: &PortableTrace, cfg: &BatchConfig) -> Result<BatchOutcome, DetectorError> {
-    batch_detect_on(&pool_for(cfg), pt, cfg)
+    batch_detect_on(&new_pool(cfg.workers, cfg.steal_seed), pt, cfg)
 }
 
-/// Partition the trace's events over `cfg.shards` address shards in one
-/// O(n) pass, fan the per-shard vectors out on `pool`, then merge
+/// Partition the trace's events over `cfg.shards` address shards, detect
+/// them on `pool` through the pipelined driver ([`pipeline`]), then merge
 /// deterministically.
 ///
 /// The trace is validated first — a syntactically well-formed file whose
@@ -356,12 +362,8 @@ pub fn batch_detect_on(
     batch_detect_limited_on(pool, pt, cfg, &SessionLimits::default())
 }
 
-/// [`batch_detect_on`] under per-session [`SessionLimits`]: every shard
-/// detector gets the session's [`ResourceBudget`], and a deadline that has
-/// already passed when the fan-out would start skips replay entirely and
-/// reports the structured wall-clock degradation instead (the in-memory
-/// path has no chunk boundaries to preempt at; the streaming path in
-/// [`batch_detect_chunked_limited_on`] is the precise one).
+/// [`batch_detect_on`] under per-session [`SessionLimits`]; the hand-off
+/// batches are [`DEFAULT_CHUNK_EVENTS`] events each.
 pub fn batch_detect_limited_on(
     pool: &ThreadPool,
     pt: &PortableTrace,
@@ -375,85 +377,27 @@ pub fn batch_detect_limited_on(
     let spans = cfg.witnesses.then(|| EventSpans::from_trace(&pt.trace));
     let (bounds, hist) = partition_index(&pt.trace);
     let shards = plan_shards(bounds, &hist, cfg.shards);
-    let reach = &pt.reach;
     let t0 = Instant::now();
-
-    // The single partition pass: O(n) over the stream, plus one extra
-    // clipped copy per boundary straddler. Pre-size each shard's buffer to
-    // its quantile-planned share so absorbing millions of routed events
-    // doesn't pay log(n) doubling reallocations of a multi-hundred-MB Vec.
-    let mut states: Vec<ShardState> = shards
-        .iter()
-        .map(|&s| ShardState::new(s, limits.budget))
-        .collect();
-    let mut last = StrandId(0);
-    if states.len() == 1 {
-        // One shard owns the whole span: every clip is the identity and
-        // every strand end is its own, so routing would be pure per-event
-        // overhead. One memcpy reproduces exactly the sequential stream.
-        states[0].buf.extend_from_slice(&pt.trace.events);
-        states[0].events = pt.trace.events.len() as u64;
-        last = pt.trace.events.last().map_or(last, |e| e.strand);
-    } else {
-        let share = pt.trace.events.len() / shards.len().max(1) + 1024;
-        for st in &mut states {
-            st.buf.reserve(share);
-        }
-        let mut router = Router::new(&shards);
-        for e in &pt.trace.events {
-            last = e.strand;
-            route_event(&mut router, *e, &mut states);
-        }
-    }
-
-    let timed_out = limits.exceeded();
-    if timed_out {
-        // Deadline already blown before any replay: drop the routed buffers
-        // (finish() expects drained shards) and report the partial-but-sound
-        // empty verdict below instead of wedging a worker on a session whose
-        // client has already given up.
-        for st in &mut states {
-            st.buf.clear();
-        }
-    } else {
-        catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| fan_out(pool, reach, &mut states));
-        }))
-        .map_err(DetectorError::from_panic)?;
-        take_poison(&mut states)?;
-    }
-    // The final per-shard flush runs sequentially here, after every worker
-    // is quiescent, so a panic in it may unwind — but still surfaces as the
-    // structured error, not an escaping panic.
-    let outs: Vec<ShardOutcome> = catch_unwind(AssertUnwindSafe(|| {
-        states
-            .into_iter()
-            .map(|st| st.finish(reach, last))
-            .collect()
-    }))
-    .map_err(DetectorError::from_panic)?;
-    let wall = t0.elapsed();
-    let mut out = finish_outcome(outs, reach, pt.trace.len(), wall, None, spans.as_ref())?;
-    if timed_out && out.degraded.is_none() {
-        out.degraded = Some(limits.timeout_error());
-    }
-    Ok(out)
+    let mut src = pt.trace.events.chunks(DEFAULT_CHUNK_EVENTS);
+    let piped = pipeline(pool, &pt.reach, &shards, &mut src, limits)?;
+    let (events, spans) = (pt.trace.len(), spans.as_ref());
+    Ok(finish_outcome(piped, &pt.reach, events, t0, None, spans))
 }
 
 /// Streaming batch detection over a compressed chunked `STINT-TRACE v2`
-/// stream: decode one chunk at a time, route its runs to per-shard buffers
-/// (consuming contiguous runs wholesale), and fan each chunk's buffers out
-/// over persistent per-shard detectors. Peak memory is one chunk plus the
-/// shard detectors — the full event stream is never resident.
-pub fn batch_detect_chunked<R: BufRead>(
+/// stream: each file chunk is decoded and routed to per-shard inboxes
+/// (contiguous runs consumed wholesale) while the previous chunk drains
+/// through the persistent per-shard detectors. Peak memory is two chunks
+/// plus the shard detectors — the full event stream is never resident.
+pub fn batch_detect_chunked<R: BufRead + Send>(
     r: R,
     cfg: &BatchConfig,
 ) -> Result<BatchOutcome, DetectorError> {
-    batch_detect_chunked_on(&pool_for(cfg), r, cfg)
+    batch_detect_chunked_on(&new_pool(cfg.workers, cfg.steal_seed), r, cfg)
 }
 
 /// [`batch_detect_chunked`] on an existing pool.
-pub fn batch_detect_chunked_on<R: BufRead>(
+pub fn batch_detect_chunked_on<R: BufRead + Send>(
     pool: &ThreadPool,
     r: R,
     cfg: &BatchConfig,
@@ -461,152 +405,222 @@ pub fn batch_detect_chunked_on<R: BufRead>(
     batch_detect_chunked_limited_on(pool, r, cfg, &SessionLimits::default())
 }
 
-/// [`batch_detect_chunked_on`] under per-session [`SessionLimits`]. The
-/// wall-clock deadline is checked at every chunk boundary: a tripped
-/// deadline stops ingesting, flushes the shards that already replayed, and
-/// returns the partial-but-sound outcome with the structured
-/// `ResourceExhausted(WallClock)` degradation marker — never an abort, and
-/// never an unbounded stall on a worker.
-pub fn batch_detect_chunked_limited_on<R: BufRead>(
+/// [`batch_detect_chunked_on`] under per-session [`SessionLimits`].
+pub fn batch_detect_chunked_limited_on<R: BufRead + Send>(
     pool: &ThreadPool,
-    r: R,
+    mut r: R,
     cfg: &BatchConfig,
     limits: &SessionLimits,
 ) -> Result<BatchOutcome, DetectorError> {
+    // Compiled once, not per reader type: a chunk costs a handful of reads.
+    let r: &mut (dyn BufRead + Send) = &mut r;
     let mut reader = CompressedTraceReader::open(r).map_err(|e| corrupt(e.to_string()))?;
-    let n_strands = reader.reach.strand_count();
     let bounds = (reader.word_hi > reader.word_lo).then_some((reader.word_lo, reader.word_hi));
-    let hist = std::mem::take(&mut reader.hist);
-    let shards = plan_shards(bounds, &hist, cfg.shards);
+    let shards = plan_shards(bounds, &std::mem::take(&mut reader.hist), cfg.shards);
     let reach = reader.reach.clone();
-    let total_events = reader.total_events;
-
-    let mut states: Vec<ShardState> = shards
-        .iter()
-        .map(|&s| ShardState::new(s, limits.budget))
-        .collect();
-    let mut router = Router::new(&shards);
-    let mut last = StrandId(0);
-    let mut ingest = IngestStats::default();
-    let mut runs: Vec<EventRun> = Vec::new();
-    // Incremental span table: decoded event ids equal original trace
-    // indices (runs expand in order), so a run by strand `s` covers ids
-    // `[ev_id, ev_id + count)`.
-    let mut spans = cfg.witnesses.then(EventSpans::default);
-    let mut ev_id = 0u64;
-    let mut timed_out = false;
+    let events = reader.total_events as usize;
     let t0 = Instant::now();
-    let streamed = catch_unwind(AssertUnwindSafe(|| -> Result<(), DetectorError> {
-        loop {
-            if limits.exceeded() {
-                // Chunk-boundary preemption: stop ingesting, keep what the
-                // shards already saw. The unread remainder of the stream is
-                // the client's loss, not a corruption — skip the trailer
-                // check below.
-                timed_out = true;
-                break;
-            }
-            let more = reader
-                .next_chunk(&mut runs)
-                .map_err(|e| corrupt(e.to_string()))?;
-            if !more {
-                break;
-            }
-            for run in &runs {
-                if run.strand.index() >= n_strands {
-                    return Err(corrupt(format!(
-                        "run strand {} out of range (trace has {n_strands} strands)",
-                        run.strand.0
-                    )));
-                }
-                if !run_addr_ok(run) {
-                    return Err(corrupt(format!(
-                        "run at {:#x} stride {} overflows the address space",
-                        run.addr, run.stride
-                    )));
-                }
-                last = run.strand;
-                ingest.events += run.count;
-                if let Some(sp) = spans.as_mut() {
-                    if run.count > 0 {
-                        sp.note(run.strand, ev_id);
-                        sp.note(run.strand, ev_id + run.count - 1);
-                    }
-                }
-                ev_id += run.count;
-                route_run(&mut router, run, &mut states, &mut ingest);
-            }
-            let chunk_bytes = reader.bytes_read() - ingest.bytes;
-            ingest.bytes = reader.bytes_read();
-            ingest.chunks += 1;
-            ingest.runs += runs.len() as u64;
-            OBS_INGEST_BYTES.add(chunk_bytes);
-            OBS_INGEST_CHUNKS.incr();
-            OBS_INGEST_RUNS.add(runs.len() as u64);
-            let buffered: u64 = states
-                .iter()
-                .map(|st| (st.buf.len() * std::mem::size_of::<TraceEvent>()) as u64)
-                .sum();
-            let mut owned = 0u64;
-            OBS_INGEST_BUF.reconcile(&mut owned, buffered);
-            pool.install(|| fan_out(pool, &reach, &mut states));
-            OBS_INGEST_BUF.reconcile(&mut owned, 0);
-            take_poison(&mut states)?;
+    let mut src = StreamSource {
+        reader,
+        runs: Vec::new(),
+        ingest: IngestStats::default(),
+        spans: cfg.witnesses.then(EventSpans::default),
+        ev_id: 0,
+    };
+    let piped = pipeline(pool, &reach, &shards, &mut src, limits)?;
+    let (ingest, spans) = (Some(src.ingest), src.spans.as_ref());
+    Ok(finish_outcome(piped, &reach, events, t0, ingest, spans))
+}
+
+/// Where [`pipeline`] gets its events: one `produce` call is the producer
+/// arm of one step — decode (if need be), validate and route the next
+/// hand-off batch into the shards' inboxes. `Ok(false)` means the source
+/// ended cleanly and routed nothing; one that ends short of what it declared
+/// is an error here, so a run cut off by its deadline never asks.
+trait EventSource: Send {
+    fn produce(
+        &mut self,
+        router: &mut Router,
+        inboxes: &mut [Inbox],
+    ) -> Result<bool, DetectorError>;
+}
+
+/// An in-memory, already validated event stream.
+impl EventSource for std::slice::Chunks<'_, TraceEvent> {
+    fn produce(
+        &mut self,
+        router: &mut Router,
+        inboxes: &mut [Inbox],
+    ) -> Result<bool, DetectorError> {
+        let batch = self.next();
+        for e in batch.into_iter().flatten() {
+            route_event(router, *e, inboxes);
         }
-        if timed_out {
-            Ok(())
-        } else {
-            reader.finished().map_err(|e| corrupt(e.to_string()))
-        }
-    }))
-    .map_err(DetectorError::from_panic)?;
-    streamed?;
-    let outs: Vec<ShardOutcome> = catch_unwind(AssertUnwindSafe(|| {
-        states
-            .into_iter()
-            .map(|st| st.finish(&reach, last))
-            .collect()
-    }))
-    .map_err(DetectorError::from_panic)?;
-    let wall = t0.elapsed();
-    let mut out = finish_outcome(
-        outs,
-        &reach,
-        total_events as usize,
-        wall,
-        Some(ingest),
-        spans.as_ref(),
-    )?;
-    if timed_out && out.degraded.is_none() {
-        out.degraded = Some(limits.timeout_error());
+        Ok(batch.is_some())
     }
-    Ok(out)
+}
+
+/// A compressed v2 stream, one file chunk per batch, detected in its
+/// encoded shape (see [`route_run`]).
+struct StreamSource<'a> {
+    reader: CompressedTraceReader<&'a mut (dyn BufRead + Send)>,
+    runs: Vec<EventRun>,
+    ingest: IngestStats,
+    /// Incremental span table: decoded event ids equal original trace
+    /// indices (runs expand in order), so a run by strand `s` covers ids
+    /// `[ev_id, ev_id + count)`.
+    spans: Option<EventSpans>,
+    ev_id: u64,
+}
+
+impl EventSource for StreamSource<'_> {
+    fn produce(
+        &mut self,
+        router: &mut Router,
+        inboxes: &mut [Inbox],
+    ) -> Result<bool, DetectorError> {
+        let io = |e: std::io::Error| corrupt(e.to_string());
+        if !self.reader.next_chunk(&mut self.runs).map_err(io)? {
+            return self.reader.finished().map(|()| false).map_err(io);
+        }
+        let n_strands = self.reader.reach.strand_count();
+        for run in &self.runs {
+            if run.strand.index() >= n_strands {
+                return Err(corrupt(format!(
+                    "run strand {} out of range (trace has {n_strands} strands)",
+                    run.strand.0
+                )));
+            }
+            if !run_addr_ok(run) {
+                return Err(corrupt(format!(
+                    "run at {:#x} stride {} overflows the address space",
+                    run.addr, run.stride
+                )));
+            }
+            self.ingest.events += run.count;
+            if let Some(sp) = self.spans.as_mut() {
+                if run.count > 0 {
+                    sp.note(run.strand, self.ev_id);
+                    sp.note(run.strand, self.ev_id + run.count - 1);
+                }
+            }
+            self.ev_id += run.count;
+            route_run(router, run, inboxes, &mut self.ingest);
+        }
+        let chunk_bytes = self.reader.bytes_read() - self.ingest.bytes;
+        self.ingest.bytes = self.reader.bytes_read();
+        self.ingest.chunks += 1;
+        self.ingest.runs += self.runs.len() as u64;
+        OBS_INGEST_BYTES.add(chunk_bytes);
+        OBS_INGEST_CHUNKS.incr();
+        OBS_INGEST_RUNS.add(self.runs.len() as u64);
+        Ok(true)
+    }
+}
+
+/// The one batch driver: a software-pipelined loop over `src`, run inside a
+/// single `pool.install`. Each step is `join(produce batch n+1, drain batch
+/// n)`: the producer arm routes into the `back` inboxes while the other arm
+/// replays the `front` ones through the persistent shard detectors, and the
+/// two sets swap after the join — a depth-1 double buffer, so memory stays
+/// O(batch). The hand-off is a work-stealing `join`: an idle worker steals
+/// the drain and the stages overlap; on a saturated pool nobody does, and
+/// the producer's worker pops it back and runs it inline. The join is also
+/// the backpressure — the producer never runs more than one batch ahead.
+///
+/// Each shard still sees its events in stream order (batch n drains before
+/// batch n+1 is handed over), so per-word histories, and with them the
+/// merged report, are those of a serial loop.
+///
+/// Returns the finished shards and, if the deadline cut the run short, its
+/// degradation marker. The deadline is checked between steps; everything
+/// routed before the check is still drained.
+fn pipeline(
+    pool: &ThreadPool,
+    reach: &FrozenReach,
+    shards: &[Shard],
+    src: &mut dyn EventSource,
+    limits: &SessionLimits,
+) -> Result<(Vec<ShardOutcome>, Option<DetectorError>), DetectorError> {
+    let set = ShardSet::new(shards, limits.budget);
+    let (mut router, mut dets, mut front) = (set.router, set.dets, set.inboxes);
+    let mut back = front.clone();
+    let mut timed_out = false;
+    let mut buffered = 0u64;
+    let piped = catch_unwind(AssertUnwindSafe(|| {
+        pool.install(|| -> Result<(), DetectorError> {
+            let mut pending = false;
+            loop {
+                timed_out = limits.exceeded();
+                let home = stint_obs::is_enabled().then(|| std::thread::current().id());
+                // Neither arm may unwind across the join while the other is
+                // stolen and in flight (see `fan_out`).
+                let (produced, ()) = pool.join(
+                    || {
+                        if timed_out {
+                            return Ok(false);
+                        }
+                        let _span = stint_obs::span("batchdet.produce");
+                        catch_unwind(AssertUnwindSafe(|| src.produce(&mut router, &mut back)))
+                            .unwrap_or_else(|p| Err(DetectorError::from_panic(p)))
+                    },
+                    || {
+                        if !pending {
+                            return;
+                        }
+                        let _span = stint_obs::span("batchdet.drain");
+                        OBS_PIPE_BATCHES.incr();
+                        match home {
+                            Some(h) if h != std::thread::current().id() => OBS_PIPE_STOLEN.incr(),
+                            _ => OBS_PIPE_INLINE.incr(),
+                        }
+                        fan_out(pool, reach, &mut dets, &mut front);
+                    },
+                );
+                take_poison(&mut dets)?;
+                pending = produced?;
+                if !pending {
+                    return Ok(());
+                }
+                std::mem::swap(&mut front, &mut back);
+                let bytes: usize = front.iter().map(|b| std::mem::size_of_val(&b[..])).sum();
+                OBS_INGEST_BUF.reconcile(&mut buffered, bytes as u64);
+            }
+        })
+    }));
+    OBS_INGEST_BUF.reconcile(&mut buffered, 0);
+    piped.map_err(DetectorError::from_panic)??;
+    // The final per-shard flush runs sequentially here, after every worker
+    // is quiescent, so a panic in it may unwind — but still surfaces as the
+    // structured error, not an escaping panic.
+    let outs = catch_unwind(AssertUnwindSafe(|| {
+        let finish = |d: ShardDetector| d.finish(reach, router.last);
+        dets.into_iter().map(finish).collect()
+    }))
+    .map_err(DetectorError::from_panic)?;
+    Ok((outs, timed_out.then(|| limits.timeout_error())))
 }
 
 fn finish_outcome(
-    outs: Vec<ShardOutcome>,
+    (outs, timeout): (Vec<ShardOutcome>, Option<DetectorError>),
     reach: &FrozenReach,
     events: usize,
-    wall: Duration,
+    t0: Instant,
     ingest: Option<IngestStats>,
     spans: Option<&EventSpans>,
-) -> Result<BatchOutcome, DetectorError> {
-    let merged = merge_shards(&outs, reach, spans);
-    let mut stats = DetectorStats::default();
-    for o in &outs {
-        stats.merge(&o.stats);
-    }
-    let degraded = outs.iter().find_map(|o| o.failure.clone());
-    Ok(BatchOutcome {
+) -> BatchOutcome {
+    let wall = t0.elapsed();
+    let (merged, stats, failure) = merge_shards(&outs, reach, spans);
+    BatchOutcome {
         merged,
         stats,
         events,
         strands: reach.strand_count(),
         wall,
         ingest,
-        degraded,
+        degraded: failure.or(timeout),
         shards: outs,
-    })
+    }
 }
 
 /// Every address the run expands to (plus the `word_range` rounding slack)
@@ -686,6 +700,8 @@ struct Router {
     /// by a free; drained and deduplicated at each strand end). Keeps
     /// strand-end routing O(shards the strand touched), not O(K).
     dirty_list: Vec<u32>,
+    /// Strand of the last event routed (the final flush's strand).
+    last: StrandId,
 }
 
 impl Router {
@@ -697,6 +713,7 @@ impl Router {
             ends,
             dirty: vec![false; k],
             dirty_list: Vec::new(),
+            last: StrandId(0),
         }
     }
 
@@ -741,13 +758,30 @@ impl Router {
     }
 }
 
-/// A shard's accumulated work: its private detector plus the buffer of
-/// routed events not yet replayed (drained per chunk in streaming mode,
-/// once in in-memory mode).
-struct ShardState {
+/// One batch's routed, not yet replayed events of one shard.
+type Inbox = Vec<TraceEvent>;
+
+/// Push the access/free of `[lo, hi)` (words) as a word-aligned byte range
+/// that `word_range` maps back to exactly that clipped range; a strand end
+/// is the empty range at 0.
+#[inline]
+fn push(inbox: &mut Inbox, op: TraceOp, strand: StrandId, lo: u64, hi: u64) {
+    inbox.push(TraceEvent {
+        op,
+        strand,
+        addr: (lo * 4) as usize,
+        bytes: ((hi - lo) * 4) as usize,
+    });
+}
+
+/// A shard's private detector, persistent across batches. Neighbours are
+/// drained by different workers, so each gets cache lines of its own (two:
+/// the prefetcher pairs them): with the detectors packed, the end of one and
+/// the start of the next share a line, and `online_w2` pays 10% for it.
+#[repr(align(128))]
+struct ShardDetector {
     shard: Shard,
     det: StintDetector,
-    buf: Vec<TraceEvent>,
     events: u64,
     /// A panic payload captured while draining on the pool. Unwinding
     /// through `ThreadPool::join` while the sibling job is stolen and in
@@ -757,50 +791,25 @@ struct ShardState {
     poison: Option<Box<dyn std::any::Any + Send>>,
 }
 
-impl ShardState {
-    fn new(shard: Shard, budget: ResourceBudget) -> ShardState {
-        ShardState {
+impl ShardDetector {
+    fn new(shard: Shard, budget: ResourceBudget) -> ShardDetector {
+        ShardDetector {
             shard,
             det: StintDetector::new(RaceReport::unbounded(true)).with_budget(budget),
-            buf: Vec::new(),
             events: 0,
             poison: None,
         }
     }
 
-    #[inline]
-    fn push(&mut self, op: TraceOp, strand: StrandId, lo: u64, hi: u64) {
-        // Synthesize a word-aligned byte range that `word_range` maps back
-        // to exactly the clipped `[lo, hi)`.
-        self.buf.push(TraceEvent {
-            op,
-            strand,
-            addr: (lo * 4) as usize,
-            bytes: ((hi - lo) * 4) as usize,
-        });
-        self.events += 1;
-    }
-
-    #[inline]
-    fn push_strand_end(&mut self, strand: StrandId) {
-        self.buf.push(TraceEvent {
-            op: TraceOp::StrandEnd,
-            strand,
-            addr: 0,
-            bytes: 0,
-        });
-        self.events += 1;
-    }
-
-    /// Replay the buffered events through the shard's detector (runs on the
-    /// pool). Generic over the reachability substrate: the batch paths
+    /// Replay (and clear) one inbox through the shard's detector (runs on
+    /// the pool). Generic over the reachability substrate: the batch paths
     /// replay against a [`FrozenReach`] snapshot, the parallel-online path
     /// against the live relabel-free `DePaReach` (immutable timestamps, so
     /// sharing `&R` across workers is race-free by construction).
-    fn drain<R: Reachability>(&mut self, reach: &R) {
+    fn drain<R: Reachability>(&mut self, inbox: &mut Inbox, reach: &R) {
         let _span = stint_obs::span("batchdet.shard");
         OBS_SHARD_RUNS.incr();
-        for e in &self.buf {
+        for e in inbox.iter() {
             match e.op {
                 TraceOp::Load => self.det.load(e.strand, e.addr, e.bytes, reach),
                 TraceOp::Store => self.det.store(e.strand, e.addr, e.bytes, reach),
@@ -810,12 +819,12 @@ impl ShardState {
                 TraceOp::StrandEnd => self.det.strand_end(e.strand, reach),
             }
         }
-        OBS_SHARD_EVENTS.add(self.buf.len() as u64);
-        self.buf.clear();
+        self.events += inbox.len() as u64;
+        OBS_SHARD_EVENTS.add(inbox.len() as u64);
+        inbox.clear();
     }
 
     fn finish<R: Reachability>(mut self, reach: &R, last: StrandId) -> ShardOutcome {
-        debug_assert!(self.buf.is_empty(), "finish before draining the buffer");
         self.det.finish(last, reach);
         let mut owned = 0u64;
         OBS_SHARD_BYTES.reconcile(
@@ -838,90 +847,105 @@ impl ShardState {
     }
 }
 
-/// Route one discrete trace event (the in-memory partition pass).
+/// `K` shards' routing state and private detectors, plus one set of inboxes.
+struct ShardSet {
+    router: Router,
+    dets: Vec<ShardDetector>,
+    inboxes: Vec<Inbox>,
+}
+
+impl ShardSet {
+    fn new(shards: &[Shard], budget: ResourceBudget) -> ShardSet {
+        ShardSet {
+            router: Router::new(shards),
+            dets: shards
+                .iter()
+                .map(|&s| ShardDetector::new(s, budget))
+                .collect(),
+            inboxes: vec![Inbox::new(); shards.len()],
+        }
+    }
+}
+
+/// Route one discrete trace event (the in-memory and online sources).
 #[inline]
-fn route_event(router: &mut Router, e: TraceEvent, states: &mut [ShardState]) {
+fn route_event(router: &mut Router, e: TraceEvent, inboxes: &mut [Inbox]) {
+    router.last = e.strand;
     if e.op == TraceOp::StrandEnd {
-        router.on_strand_end(|i| states[i].push_strand_end(e.strand));
-        return;
+        return router.on_strand_end(|i| push(&mut inboxes[i], e.op, e.strand, 0, 0));
     }
     let (lo, hi) = word_range(e.addr, e.bytes);
     router.route(e.op == TraceOp::Free, lo, hi, |i, clo, chi| {
-        states[i].push(e.op, e.strand, clo, chi)
+        push(&mut inboxes[i], e.op, e.strand, clo, chi)
     });
 }
 
-/// Route one decoded run (the streaming pass). A contiguous word-aligned
+/// Route one decoded run (the streaming source). A contiguous word-aligned
 /// run is consumed wholesale: its whole footprint goes in as ONE coalesced
 /// range access per overlapped shard, which covers exactly the same shadow
 /// words as the expanded events — detection directly on the compressed
 /// form. Other runs expand event by event without materializing a vector.
 #[inline]
-fn route_run(
-    router: &mut Router,
-    run: &EventRun,
-    states: &mut [ShardState],
-    ingest: &mut IngestStats,
-) {
-    match run.op {
-        TraceOp::StrandEnd => {
-            router.on_strand_end(|i| states[i].push_strand_end(run.strand));
-        }
-        _ => {
-            if let Some((op, addr, total)) = run.as_wholesale_range() {
-                ingest.wholesale_runs += 1;
-                let (lo, hi) = word_range(addr, total);
-                router.route(false, lo, hi, |i, clo, chi| {
-                    states[i].push(op, run.strand, clo, chi)
-                });
-                return;
-            }
-            let is_free = run.op == TraceOp::Free;
-            let mut addr = run.addr;
-            for j in 0..run.count {
-                let (lo, hi) = word_range(addr, run.bytes);
-                router.route(is_free, lo, hi, |i, clo, chi| {
-                    states[i].push(run.op, run.strand, clo, chi)
-                });
-                if j + 1 < run.count {
-                    addr = (addr as i64).wrapping_add(run.stride) as usize;
-                }
-            }
+fn route_run(router: &mut Router, run: &EventRun, inboxes: &mut [Inbox], ingest: &mut IngestStats) {
+    router.last = run.strand;
+    if run.op == TraceOp::StrandEnd {
+        return router.on_strand_end(|i| push(&mut inboxes[i], run.op, run.strand, 0, 0));
+    }
+    if let Some((op, addr, total)) = run.as_wholesale_range() {
+        ingest.wholesale_runs += 1;
+        let (lo, hi) = word_range(addr, total);
+        return router.route(false, lo, hi, |i, clo, chi| {
+            push(&mut inboxes[i], op, run.strand, clo, chi)
+        });
+    }
+    let mut addr = run.addr;
+    for j in 0..run.count {
+        let (lo, hi) = word_range(addr, run.bytes);
+        router.route(run.op == TraceOp::Free, lo, hi, |i, clo, chi| {
+            push(&mut inboxes[i], run.op, run.strand, clo, chi)
+        });
+        if j + 1 < run.count {
+            addr = (addr as i64).wrapping_add(run.stride) as usize;
         }
     }
 }
 
-/// Recursive binary fan-out of the shard states over the pool's `join`:
-/// each shard drains its buffered events through its private detector. A
-/// leaf panic is captured into the shard's `poison` slot — never unwound
-/// across a `join` frame — and rethrown by [`take_poison`] afterwards.
-fn fan_out<R: Reachability + Sync>(pool: &ThreadPool, reach: &R, states: &mut [ShardState]) {
-    match states.len() {
+/// Recursive binary fan-out of the shards over the pool's `join`: each
+/// shard drains its inbox through its private detector. A leaf panic is
+/// captured into the shard's `poison` slot — never unwound across a `join`
+/// frame — and rethrown by [`take_poison`] afterwards.
+fn fan_out<R: Reachability + Sync>(
+    pool: &ThreadPool,
+    reach: &R,
+    dets: &mut [ShardDetector],
+    inboxes: &mut [Inbox],
+) {
+    match dets.len() {
         0 => {}
         1 => {
-            let st = &mut states[0];
-            if st.poison.is_none() {
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| st.drain(reach))) {
-                    st.poison = Some(p);
+            let (det, inbox) = (&mut dets[0], &mut inboxes[0]);
+            if det.poison.is_none() {
+                if let Err(p) = catch_unwind(AssertUnwindSafe(|| det.drain(inbox, reach))) {
+                    det.poison = Some(p);
                 }
             }
         }
         n => {
-            let (a, b) = states.split_at_mut(n / 2);
-            pool.join(|| fan_out(pool, reach, a), || fan_out(pool, reach, b));
+            let (da, db) = dets.split_at_mut(n / 2);
+            let (ia, ib) = inboxes.split_at_mut(n / 2);
+            pool.join(
+                || fan_out(pool, reach, da, ia),
+                || fan_out(pool, reach, db, ib),
+            );
         }
     }
 }
 
 /// Rethrow the first captured shard panic as the structured error the typed
 /// panic protocol encodes (an injected flush panic becomes `Poisoned`).
-fn take_poison(states: &mut [ShardState]) -> Result<(), DetectorError> {
-    for st in states.iter_mut() {
-        if let Some(p) = st.poison.take() {
-            return Err(DetectorError::from_panic(p));
-        }
-    }
-    Ok(())
+fn take_poison(dets: &mut [ShardDetector]) -> Result<(), DetectorError> {
+    let first = dets.iter_mut().find_map(|d| d.poison.take());
+    first.map_or(Ok(()), |p| Err(DetectorError::from_panic(p)))
 }
 
 fn kind_code(k: RaceKind) -> u8 {
@@ -942,17 +966,20 @@ fn kind_from(c: u8) -> RaceKind {
 
 /// Normalize per-shard race records per word, re-coalesce into maximal
 /// runs, and sort by address then SP rank. See the module docs for why this
-/// (and not the raw records) is the `K`-invariant object.
+/// (and not the raw records) is the `K`-invariant object. Also returns the
+/// summed detector statistics and the first shard failure by shard index.
 fn merge_shards(
     shards: &[ShardOutcome],
     reach: &FrozenReach,
     spans: Option<&EventSpans>,
-) -> MergedReport {
+) -> (MergedReport, DetectorStats, Option<DetectorError>) {
     let _span = stint_obs::span("batchdet.merge");
     OBS_MERGES.incr();
     let mut triples: Vec<(u8, u32, u32, u64)> = Vec::new();
     let mut words: BTreeSet<u64> = BTreeSet::new();
+    let mut stats = DetectorStats::default();
     for sh in shards {
+        stats.merge(&sh.stats);
         for r in sh.report.races() {
             for w in r.word_lo..r.word_hi {
                 triples.push((kind_code(r.kind), r.prev.0, r.cur.0, w));
@@ -998,10 +1025,11 @@ fn merge_shards(
             r.witness = Some(Box::new(w.clone()));
         }
     }
-    MergedReport {
+    let merged = MergedReport {
         regions,
         racy_words: words.into_iter().collect(),
-    }
+    };
+    (merged, stats, shards.iter().find_map(|o| o.failure.clone()))
 }
 
 #[cfg(test)]

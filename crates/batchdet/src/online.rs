@@ -53,8 +53,8 @@ use stint_obs::Counter;
 use stint_sporder::StrandId;
 
 use crate::{
-    fan_out, merge_shards, plan_shards, route_event, take_poison, MergedReport, Router,
-    ShardOutcome, ShardState,
+    fan_out, merge_shards, plan_shards, route_event, take_poison, MergedReport, ShardOutcome,
+    ShardSet,
 };
 
 /// Bulk-synchronous merge cycles completed by the parallel-online engine
@@ -118,13 +118,6 @@ pub struct OnlineOutcome {
     pub degraded: Option<DetectorError>,
 }
 
-/// Shard plan materialized lazily at the first flush, once the first
-/// chunk's address histogram is known.
-struct Plan {
-    router: Router,
-    states: Vec<ShardState>,
-}
-
 /// A [`Detector`] over the live [`DePaReach`] that buffers the
 /// instrumentation stream and fans each chunk out over persistent per-shard
 /// [`stint::StintDetector`]s on a work-stealing pool.
@@ -141,7 +134,9 @@ pub struct OnlineEngine {
     spans: Option<EventSpans>,
     ev_id: u64,
     events: usize,
-    plan: Option<Plan>,
+    /// Materialized lazily at the first flush, once the first chunk's
+    /// address histogram is known.
+    plan: Option<ShardSet>,
     chunks: u64,
     /// Poison captured from a fan-out: the engine is dead from here on
     /// (hooks no-op, finish publishes nothing) and [`online_detect`]
@@ -152,15 +147,8 @@ pub struct OnlineEngine {
 
 impl OnlineEngine {
     pub fn new(cfg: OnlineConfig) -> OnlineEngine {
-        let workers = if cfg.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.workers
-        };
         OnlineEngine {
-            pool: ThreadPool::with_seed(workers, cfg.steal_seed),
+            pool: crate::new_pool(cfg.workers, cfg.steal_seed),
             buf: Vec::with_capacity(cfg.chunk_events.min(1 << 16)),
             spans: cfg.witnesses.then(EventSpans::default),
             ev_id: 0,
@@ -219,29 +207,22 @@ impl OnlineEngine {
             let (bounds, hist) = partition_index(&probe);
             std::mem::swap(&mut probe.events, &mut self.buf);
             let shards = plan_shards(bounds, &hist, self.cfg.shards);
-            let states = shards
-                .iter()
-                .map(|&s| ShardState::new(s, self.cfg.budget))
-                .collect();
-            self.plan = Some(Plan {
-                router: Router::new(&shards),
-                states,
-            });
+            self.plan = Some(ShardSet::new(&shards, self.cfg.budget));
         }
         let plan = self.plan.as_mut().expect("planned above");
         for e in self.buf.drain(..) {
-            route_event(&mut plan.router, e, &mut plan.states);
+            route_event(&mut plan.router, e, &mut plan.inboxes);
         }
         let pool = &self.pool;
-        let states = &mut plan.states;
+        let (dets, inboxes) = (&mut plan.dets, &mut plan.inboxes);
         let res = catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| fan_out(pool, reach, states));
+            pool.install(|| fan_out(pool, reach, dets, inboxes));
         }));
         OBS_DEPA_MERGES.incr();
         self.chunks += 1;
         self.poisoned = match res {
             Err(p) => Some(DetectorError::from_panic(p)),
-            Ok(()) => take_poison(states).err(),
+            Ok(()) => take_poison(dets).err(),
         };
     }
 }
@@ -274,32 +255,16 @@ impl Detector<DePaReach> for OnlineEngine {
         if self.poisoned.is_some() {
             return;
         }
-        let plan = match self.plan.take() {
-            Some(p) => p,
-            // No instrumented accesses at all: synthesize the empty shard
-            // set so the outcome shape matches what was asked for.
-            None => Plan {
-                router: Router::new(&plan_shards(None, &[], self.cfg.shards)),
-                states: plan_shards(None, &[], self.cfg.shards)
-                    .iter()
-                    .map(|&sh| ShardState::new(sh, self.cfg.budget))
-                    .collect(),
-            },
-        };
+        // No instrumented accesses at all: synthesize the empty shard set so
+        // the outcome shape matches what was asked for.
+        let plan = self.plan.take().unwrap_or_else(|| {
+            ShardSet::new(&plan_shards(None, &[], self.cfg.shards), self.cfg.budget)
+        });
         let frozen = reach.freeze();
-        let outs: Vec<ShardOutcome> = plan
-            .states
-            .into_iter()
-            .map(|st| st.finish(reach, s))
-            .collect();
-        let merged = merge_shards(&outs, &frozen, self.spans.as_ref());
+        let outs: Vec<ShardOutcome> = plan.dets.into_iter().map(|d| d.finish(reach, s)).collect();
+        let (merged, stats, degraded) = merge_shards(&outs, &frozen, self.spans.as_ref());
         OBS_DEPA_MERGES.incr();
         self.chunks += 1;
-        let mut stats = DetectorStats::default();
-        for o in &outs {
-            stats.merge(&o.stats);
-        }
-        let degraded = outs.iter().find_map(|o| o.failure.clone());
         self.outcome = Some(OnlineOutcome {
             merged,
             stats,

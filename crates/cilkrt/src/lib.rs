@@ -45,7 +45,8 @@ use std::cell::{Cell, UnsafeCell};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 /// A type-erased pointer to a job plus its execute function.
 #[derive(Clone, Copy)]
@@ -70,14 +71,19 @@ struct StackJob<F, R> {
     f: UnsafeCell<Option<F>>,
     result: UnsafeCell<Option<std::thread::Result<R>>>,
     done: AtomicBool,
+    /// The external `install` caller, unparked once `done` is set (it may
+    /// have parked — see [`ThreadPool::install`]). `None` for `join`'s
+    /// jobs, whose owner is a worker that helps instead of sleeping.
+    waiter: Option<Thread>,
 }
 
 impl<F: FnOnce() -> R + Send, R: Send> StackJob<F, R> {
-    fn new(f: F) -> Self {
+    fn new(f: F, waiter: Option<Thread>) -> Self {
         StackJob {
             f: UnsafeCell::new(Some(f)),
             result: UnsafeCell::new(None),
             done: AtomicBool::new(false),
+            waiter,
         }
     }
 
@@ -93,7 +99,13 @@ impl<F: FnOnce() -> R + Send, R: Send> StackJob<F, R> {
         let f = (*this.f.get()).take().expect("job executed twice");
         let res = panic::catch_unwind(AssertUnwindSafe(f));
         *this.result.get() = Some(res);
+        // The owner may return — and pop the frame this job lives in — the
+        // moment it sees `done`, so the waiter handle is cloned out first.
+        let waiter = this.waiter.clone();
         this.done.store(true, Ordering::Release);
+        if let Some(t) = waiter {
+            t.unpark();
+        }
     }
 
     unsafe fn take_result(&self) -> R {
@@ -130,9 +142,10 @@ struct Shared {
     injector: Injector<JobRef>,
     stealers: Vec<Stealer<JobRef>>,
     shutdown: AtomicBool,
-    /// Workers currently running their main loop. Decremented on any exit,
-    /// including unwinds, via a drop guard in `worker_main`; `install` falls
-    /// back to draining the injector inline when this reaches zero.
+    /// Workers spawned and not yet exited. Incremented by the spawner,
+    /// decremented on any exit, including unwinds, via a drop guard in
+    /// `worker_main`; `install` falls back to draining the injector inline
+    /// when this reaches zero.
     alive: AtomicUsize,
     /// Count of sleeping workers plus the condvar they sleep on.
     sleepers: AtomicUsize,
@@ -155,6 +168,8 @@ impl Shared {
 static OBS_SPAWNS: stint_obs::Counter = stint_obs::Counter::new("cilkrt.spawns");
 static OBS_STEALS: stint_obs::Counter = stint_obs::Counter::new("cilkrt.steals");
 static OBS_JOBS_INJECTED: stint_obs::Counter = stint_obs::Counter::new("cilkrt.jobs_injected");
+/// `install` calls whose wait outlived [`INSTALL_SPIN`] and parked.
+static OBS_INSTALL_PARKS: stint_obs::Counter = stint_obs::Counter::new("cilkrt.install_parks");
 static OBS_WORKERS_SPAWNED: stint_obs::Counter = stint_obs::Counter::new("cilkrt.workers_spawned");
 static OBS_DEGRADATIONS: stint_obs::Counter = stint_obs::Counter::new("cilkrt.degradations");
 /// Live heap bytes held by injected [`HeapJob`]s (added at boxing, returned
@@ -177,6 +192,13 @@ fn log_degradation_once(what: &str) {
         eprintln!("cilkrt: degraded: {what}");
     }
 }
+
+/// How long an external [`ThreadPool::install`] caller spins and yields
+/// before it parks: several times a 4096-event chunk fan-out (50–100 us on
+/// the reference box), a small fraction of a whole detection session.
+const INSTALL_SPIN: Duration = Duration::from_micros(400);
+/// Upper bound of one park of an `install` waiter (see there).
+const INSTALL_PARK: Duration = Duration::from_millis(2);
 
 thread_local! {
     /// (pool shared ptr, worker index) when the current thread is a worker.
@@ -251,7 +273,6 @@ impl ThreadPool {
                 continue;
             }
             let panic_at_start = faults && stint_faults::worker_panics(i);
-            let shared = Arc::clone(&shared);
             // Each worker's first steal victim: the next worker by default,
             // shuffled per-worker when a seed is given. The steal loop wraps
             // modulo the worker count, so any usize works.
@@ -260,14 +281,22 @@ impl ThreadPool {
             } else {
                 splitmix64(seed ^ (i as u64 + 1)) as usize % threads
             };
+            // Counted here, not by the worker: a pool whose workers are
+            // still starting is not a dead pool, and an `install` racing the
+            // start-up must wait for them rather than run its job inline.
+            shared.alive.fetch_add(1, Ordering::AcqRel);
+            let worker_shared = Arc::clone(&shared);
             // A dropped deque's Stealer just reports Empty, so the stealers
             // registered for failed workers stay safe to probe.
             match std::thread::Builder::new()
                 .name(format!("cilkrt-worker-{i}"))
-                .spawn(move || worker_main(shared, i, deque, panic_at_start, start_victim))
+                .spawn(move || worker_main(worker_shared, i, deque, panic_at_start, start_victim))
             {
                 Ok(h) => handles.push(h),
-                Err(_) => failed += 1,
+                Err(_) => {
+                    shared.alive.fetch_sub(1, Ordering::AcqRel);
+                    failed += 1;
+                }
             }
         }
         OBS_WORKERS_SPAWNED.add(handles.len() as u64);
@@ -321,6 +350,14 @@ impl ThreadPool {
 
     /// Run `f` inside the pool and return its result. If called from one of
     /// this pool's workers, runs inline.
+    ///
+    /// The external caller does not help. It waits in two phases: it spins
+    /// and yields for [`INSTALL_SPIN`] — long enough for a chunk fan-out, so
+    /// a caller issuing thousands of short installs never pays a futex wake
+    /// — then parks until [`StackJob::execute`] unparks it, so a caller that
+    /// installs a whole detection session does not compete with the workers
+    /// running it. Parks are bounded by [`INSTALL_PARK`]: nobody unparks a
+    /// waiter whose workers all died, and its inline drain must still fire.
     pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         if on_this_pool(&self.shared) {
             return f();
@@ -329,19 +366,21 @@ impl ThreadPool {
             // Degraded pool with no workers at all: sequential execution.
             return f();
         }
-        let job = StackJob::new(f);
+        let job = StackJob::new(f, Some(std::thread::current()));
         OBS_JOBS_INJECTED.incr();
         self.shared.injector.push(job.as_job_ref());
         self.shared.notify();
         // Wait without helping: the caller is not a worker.
         let mut spins = 0u32;
+        let mut spin_until: Option<Instant> = None;
+        let mut parked = false;
         while !job.done.load(Ordering::Acquire) {
             if self.shared.alive.load(Ordering::Acquire) == 0 {
-                // Every worker died (or none started yet). Injected jobs can
-                // only be waiting in the injector — a worker that popped one
-                // executes it immediately and `StackJob::execute` survives
-                // panics — so draining the injector inline is complete: our
-                // job either runs here or `done` was already set.
+                // Every worker died. Injected jobs can only be waiting in the
+                // injector — a worker that popped one executes it immediately
+                // and `StackJob::execute` survives panics — so draining the
+                // injector inline is complete: our job either runs here or
+                // `done` was already set.
                 loop {
                     match self.shared.injector.steal() {
                         crossbeam::deque::Steal::Success(j) => unsafe { j.execute() },
@@ -363,8 +402,18 @@ impl ThreadPool {
             spins += 1;
             if spins < 64 {
                 std::hint::spin_loop();
-            } else {
+            } else if Instant::now()
+                < *spin_until.get_or_insert_with(|| Instant::now() + INSTALL_SPIN)
+            {
                 std::thread::yield_now();
+            } else {
+                if !parked {
+                    parked = true;
+                    OBS_INSTALL_PARKS.incr();
+                }
+                // A stale token from an earlier install's unpark only makes
+                // this return early; `done` is re-checked either way.
+                std::thread::park_timeout(INSTALL_PARK);
             }
         }
         // SAFETY: done is set, result is present, we are the only consumer.
@@ -476,7 +525,7 @@ where
                 return (ra, rb);
             }
         };
-        let bjob = StackJob::new(b);
+        let bjob = StackJob::new(b, None);
         OBS_SPAWNS.incr();
         ctx.deque.push(bjob.as_job_ref());
         ctx.shared.notify();
@@ -581,7 +630,6 @@ fn worker_main(
     panic_at_start: bool,
     start_victim: usize,
 ) {
-    shared.alive.fetch_add(1, Ordering::AcqRel);
     let _alive = AliveGuard {
         shared: Arc::clone(&shared),
     };
@@ -763,5 +811,82 @@ mod tests {
     fn single_thread_pool_works() {
         let pool = ThreadPool::new(1);
         assert_eq!(fib(&pool, 18), fib_seq(18));
+    }
+
+    /// Enables the obs counters for one test at a time: the registry is
+    /// process-global, and enabling resets it. Fields drop in order, so obs
+    /// is restored before the lock is released.
+    fn obs_counters() -> (stint_obs::ScopedObs, std::sync::MutexGuard<'static, ()>) {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        (
+            stint_obs::ScopedObs::enable(stint_obs::ObsConfig::COUNTERS),
+            guard,
+        )
+    }
+
+    /// Spin until `cond` holds; panics (instead of hanging the suite) if it
+    /// never does.
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let t0 = Instant::now();
+        while !cond() {
+            assert!(t0.elapsed().as_secs() < 10, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn install_spins_through_short_jobs_and_parks_on_a_long_one() {
+        let _obs = obs_counters();
+        let pool = ThreadPool::new(2);
+        for i in 0..10_000u64 {
+            assert_eq!(pool.install(|| i + 1), i + 1);
+        }
+        // The long job ends only once its waiter has parked, so the return
+        // below went through `StackJob::execute`'s unpark.
+        let before = OBS_INSTALL_PARKS.get();
+        pool.install(|| {
+            wait_for("the install waiter to park", || {
+                OBS_INSTALL_PARKS.get() > before
+            })
+        });
+        assert!(OBS_INSTALL_PARKS.get() > before);
+    }
+
+    #[test]
+    fn parked_install_waiter_drains_inline_once_every_worker_is_dead() {
+        let _obs = obs_counters();
+        let pool = ThreadPool::new(1);
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (pool, busy) = (&pool, &AtomicBool::new(false));
+        std::thread::scope(|s| {
+            // Dropped with this closure, so a failed assertion below
+            // releases the worker instead of deadlocking the scope.
+            let release = release;
+            // Occupy the only worker, so the second job stays in the
+            // injector and its waiter parks.
+            s.spawn(move || {
+                pool.install(move || {
+                    busy.store(true, Ordering::Release);
+                    let _ = held.recv();
+                })
+            });
+            wait_for("the worker to pick up the first job", || {
+                busy.load(Ordering::Acquire)
+            });
+            let before = OBS_INSTALL_PARKS.get();
+            let second = s.spawn(|| pool.install(|| WORKER.with(|w| w.get().is_none())));
+            wait_for("the second waiter to park", || {
+                OBS_INSTALL_PARKS.get() > before
+            });
+            // Workers can only die while starting up, before they take
+            // work; stand in for that here. Nobody unparks the waiter — its
+            // bounded park must notice on its own and run the job inline.
+            pool.shared.alive.store(0, Ordering::Release);
+            let ran_on_caller = second.join().expect("second install returns");
+            assert!(ran_on_caller, "job ran on a worker, not inline");
+            pool.shared.alive.store(1, Ordering::Release);
+            release.send(()).expect("worker still holds the first job");
+        });
     }
 }

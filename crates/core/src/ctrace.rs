@@ -92,13 +92,15 @@ fn get_zigzag(buf: &[u8], pos: &mut usize) -> io::Result<i64> {
 }
 
 /// Read one varint directly from a stream (chunk framing lives outside the
-/// checksummed payloads, so it is read byte by byte).
-fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
+/// checksummed payloads, so it is read byte by byte), adding the bytes it
+/// consumed to `consumed`.
+fn read_varint<R: Read>(r: &mut R, consumed: &mut u64) -> io::Result<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
         let mut byte = [0u8; 1];
         r.read_exact(&mut byte)?;
+        *consumed += 1;
         if shift >= 64 {
             return Err(bad("varint overflow"));
         }
@@ -439,11 +441,12 @@ impl<R: BufRead> CompressedTraceReader<R> {
     /// Like [`Self::open`] for a stream whose magic line was already
     /// consumed (format sniffing reads it first).
     pub fn open_after_magic(mut r: R) -> io::Result<Self> {
-        let header_len = read_varint(&mut r)?;
+        let mut framing = 0u64;
+        let header_len = read_varint(&mut r, &mut framing)?;
         if header_len > 64 << 20 {
             return Err(bad("unreasonable header length"));
         }
-        let want_sum = read_varint(&mut r)?;
+        let want_sum = read_varint(&mut r, &mut framing)?;
         let mut header = vec![0u8; header_len as usize];
         r.read_exact(&mut header)
             .map_err(|_| bad("truncated header"))?;
@@ -545,9 +548,12 @@ impl<R: BufRead> CompressedTraceReader<R> {
         if self.events_seen >= self.total_events {
             return Ok(false);
         }
-        let run_count = read_varint(&mut self.r).map_err(|_| bad("truncated chunk frame"))?;
-        let payload_len = read_varint(&mut self.r).map_err(|_| bad("truncated chunk frame"))?;
-        let want_sum = read_varint(&mut self.r).map_err(|_| bad("truncated chunk frame"))?;
+        let mut framing = 0u64;
+        let mut frame_varint =
+            || read_varint(&mut self.r, &mut framing).map_err(|_| bad("truncated chunk frame"));
+        let run_count = frame_varint()?;
+        let payload_len = frame_varint()?;
+        let want_sum = frame_varint()?;
         if payload_len > 64 << 20 {
             return Err(bad("unreasonable chunk length"));
         }
@@ -586,7 +592,7 @@ impl<R: BufRead> CompressedTraceReader<R> {
             self.scratch = framed;
             return Err(bad("chunk yields more events than the header declared"));
         }
-        self.bytes_read += payload_len + 3; // framing varints are >= 3 bytes
+        self.bytes_read += framing + payload_len;
         self.chunks_read += 1;
         self.scratch = framed;
         Ok(true)

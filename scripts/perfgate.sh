@@ -73,6 +73,13 @@ for key in gauges_zero_after_drain obs_off_registry_untouched flight_idle_obs_of
         || { echo "FAIL: BENCH_serve.json: $key is not true"; exit 1; }
 done
 
+# Two alternated pairs on the three workloads the batch driver and the pool
+# serve say nothing about a gain; they catch a change that breaks a verdict or
+# blows an end-to-end bound. `scripts/bench_pair.sh REF 10` is the measurement.
+echo "== paired repo-benchmark smoke (parent vs working tree)"
+if git diff --quiet HEAD; then PAIR_REF=HEAD~1; else PAIR_REF=HEAD; fi
+scripts/bench_pair.sh --quick "$PAIR_REF"
+
 echo "== perfgate"
 if [ "$DIFF" = 1 ]; then
     # Leave the committed JSON in place so perfgate prints the comparison,

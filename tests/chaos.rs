@@ -671,6 +671,270 @@ fn online_survives_worker_startup_panics() {
     }
 }
 
+/// A racy loop whose every iteration flushes: the root strand stores before
+/// each spawn, so even a 16-event chunk holds several strand flushes and a
+/// race of its own.
+struct RacyLoop(usize);
+impl CilkProgram for RacyLoop {
+    fn run<C: stint_repro::Cilk>(&mut self, ctx: &mut C) {
+        for i in 0..self.0 {
+            let a = 0x1000 + i * 64;
+            ctx.store(a, 4);
+            ctx.spawn(move |c| c.store(a + 8, 8));
+            ctx.store(a + 8, 4);
+            ctx.sync();
+        }
+    }
+}
+
+/// `RacyLoop` as a v2 stream in 16-event chunks, with the byte offset at
+/// which each chunk starts (and the stream ends) and each chunk's decoded
+/// event count.
+fn racy_loop_v2() -> (stint_repro::PortableTrace, Vec<u8>, Vec<usize>, Vec<u64>) {
+    let pt = stint_repro::PortableTrace::record(&mut RacyLoop(64));
+    let mut v2 = Vec::new();
+    pt.save_compressed(&mut v2, 16).expect("compressed save");
+    let mut cur = std::io::Cursor::new(&v2[..]);
+    let mut reader =
+        stint_repro::ctrace::CompressedTraceReader::open(&mut cur).expect("header parses");
+    // Chunk ends relative to the first chunk; everything before is header.
+    let (mut ends, mut events, mut runs) = (Vec::new(), Vec::new(), Vec::new());
+    while reader.next_chunk(&mut runs).expect("chunk decodes") {
+        ends.push(reader.bytes_read() as usize);
+        events.push(runs.iter().map(|r| r.count).sum());
+    }
+    let header = v2.len() - ends.last().expect("at least one chunk");
+    let mut starts = vec![header];
+    starts.extend(ends.iter().map(|e| header + e));
+    assert!(events.len() > 8, "{} chunks", events.len());
+    (pt, v2, starts, events)
+}
+
+/// A `BufRead` over a byte slice that hands out the bytes before `gate_at`
+/// freely and runs `wait` once before the first byte past it — the seam the
+/// pipeline tests use to hold the producer arm mid-decode.
+struct GatedReader<'a, W> {
+    data: &'a [u8],
+    pos: usize,
+    gate_at: usize,
+    wait: Option<W>,
+}
+
+impl<W: FnOnce() -> std::io::Result<()>> std::io::BufRead for GatedReader<'_, W> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.pos < self.gate_at {
+            return Ok(&self.data[self.pos..self.gate_at]);
+        }
+        if let Some(wait) = self.wait.take() {
+            wait()?;
+        }
+        Ok(&self.data[self.pos..])
+    }
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+    }
+}
+
+impl<W: FnOnce() -> std::io::Result<()>> std::io::Read for GatedReader<'_, W> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        use std::io::BufRead;
+        let avail = self.fill_buf()?;
+        let n = avail.len().min(buf.len());
+        buf[..n].copy_from_slice(&avail[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+fn two_shards() -> stint_repro::batchdet::BatchConfig {
+    stint_repro::batchdet::BatchConfig {
+        shards: 2,
+        workers: 2,
+        ..Default::default()
+    }
+}
+
+/// The pipelined driver under an injected flush panic, with the interleaving
+/// forced: the producer arm is held one byte into chunk 1 until the drain of
+/// batch 0 — necessarily stolen by the other worker — has panicked. The run
+/// is `Poisoned` (exit 4), does not hang, and the same pool then completes a
+/// clean detection.
+#[test]
+fn pipeline_flush_panic_while_producer_is_mid_decode_is_poisoned() {
+    let _g = lock();
+    use stint_repro::batchdet::batch_detect_chunked_on;
+    let (_, v2, starts, _) = racy_loop_v2();
+    let pool = ThreadPool::new(2);
+    let healthy = batch_detect_chunked_on(&pool, &v2[..], &two_shards())
+        .expect("healthy run")
+        .merged
+        .render();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let tx = Mutex::new(tx);
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.to_string().contains("injected flush panic") {
+            let _ = tx.lock().unwrap_or_else(|e| e.into_inner()).send(());
+        }
+    }));
+    let reader = GatedReader {
+        data: &v2,
+        pos: 0,
+        gate_at: starts[1] + 1,
+        wait: Some(move || {
+            rx.recv_timeout(std::time::Duration::from_secs(10))
+                .map_err(|_| std::io::Error::other("no drain panicked while chunk 1 was decoding"))
+        }),
+    };
+    let res = {
+        let _plan = ScopedPlan::install(FaultPlan {
+            panic_at_flush: Some(1),
+            ..Default::default()
+        });
+        batch_detect_chunked_on(&pool, reader, &two_shards())
+    };
+    std::panic::set_hook(prev_hook);
+    let e = res.expect_err("injected shard panic must surface as an error");
+    assert!(matches!(e, DetectorError::Poisoned { .. }), "{e}");
+    assert_eq!(e.exit_code(), 4);
+    assert!(e.to_string().contains("injected flush panic"), "{e}");
+
+    let again = batch_detect_chunked_on(&pool, &v2[..], &two_shards())
+        .expect("the pool must survive a poisoned run");
+    assert_eq!(again.merged.render(), healthy);
+}
+
+/// A corrupt or truncated chunk met by the producer arm while the previous
+/// batch drains is `CorruptTrace` (exit 4) for any worker count — the `join`
+/// finishes the in-flight drain before the error is acted on. That order is
+/// observable: when the in-flight drain also panics, its verdict (earlier in
+/// stream order) wins over the corruption behind it.
+#[test]
+fn pipeline_corrupt_chunk_behind_an_inflight_drain_is_structured() {
+    let _g = lock();
+    use stint_repro::batchdet::batch_detect_chunked_on;
+    let (_, v2, starts, _) = racy_loop_v2();
+    let mut flipped = v2.clone();
+    flipped[starts[2] - 1] ^= 0x20; // last payload byte of chunk 1
+    let truncated = &v2[..starts[1] + 5];
+    for workers in [1usize, 2, 4] {
+        let pool = ThreadPool::new(workers);
+        let healthy = batch_detect_chunked_on(&pool, &v2[..], &two_shards())
+            .expect("healthy run")
+            .merged
+            .render();
+        for (what, bad) in [("bit flip", &flipped[..]), ("truncation", truncated)] {
+            let e = batch_detect_chunked_on(&pool, bad, &two_shards())
+                .expect_err("damaged stream must be rejected");
+            assert!(
+                matches!(e, DetectorError::CorruptTrace { .. }),
+                "workers={workers} {what}: {e}"
+            );
+            assert_eq!(e.exit_code(), 4);
+            let e = {
+                let _plan = ScopedPlan::install(FaultPlan {
+                    panic_at_flush: Some(1),
+                    ..Default::default()
+                });
+                batch_detect_chunked_on(&pool, bad, &two_shards())
+                    .expect_err("damaged stream under a flush panic must be rejected")
+            };
+            assert!(
+                matches!(e, DetectorError::Poisoned { .. }),
+                "workers={workers} {what}: batch 0's drain did not finish first: {e}"
+            );
+        }
+        let again = batch_detect_chunked_on(&pool, &v2[..], &two_shards())
+            .expect("the pool must survive rejected runs");
+        assert_eq!(again.merged.render(), healthy, "workers={workers}");
+    }
+}
+
+/// A deadline that trips between two batches degrades the run as
+/// `ResourceExhausted(WallClock)` and still drains everything routed before
+/// the check: the verdict is exactly that of the ingested prefix, races of
+/// the last routed chunk included. The reader holds the producer inside
+/// chunk 3 until the deadline has passed, so the trip lands between batches.
+#[test]
+fn pipeline_deadline_between_batches_drains_what_was_routed() {
+    let _g = lock();
+    use stint_repro::batchdet::{batch_detect, batch_detect_chunked_limited_on, SessionLimits};
+    let (pt, v2, starts, events) = racy_loop_v2();
+    let pool = ThreadPool::new(2);
+    let limits = SessionLimits::default().timeout_after(std::time::Duration::from_millis(300));
+    let deadline = limits.deadline.expect("set above");
+    let reader = GatedReader {
+        data: &v2,
+        pos: 0,
+        gate_at: starts[3] + 1,
+        wait: Some(move || {
+            while std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            Ok(())
+        }),
+    };
+    let out = batch_detect_chunked_limited_on(&pool, reader, &two_shards(), &limits)
+        .expect("a tripped deadline degrades, it does not fail");
+    match &out.degraded {
+        Some(DetectorError::ResourceExhausted { resource, .. }) => {
+            assert_eq!(*resource, Resource::WallClock)
+        }
+        other => panic!("expected the wall-clock degradation, got {other:?}"),
+    }
+    let ingest = out.ingest.expect("chunked runs report ingest stats");
+    assert!(
+        ingest.chunks >= 4 && (ingest.chunks as usize) < events.len(),
+        "{ingest:?}"
+    );
+    let prefix = |chunks: usize| {
+        let n: u64 = events[..chunks].iter().sum();
+        let mut cut = pt.clone();
+        cut.trace.events.truncate(n as usize);
+        batch_detect(&cut, &two_shards())
+            .expect("prefix detects")
+            .merged
+    };
+    let routed = prefix(ingest.chunks as usize);
+    assert_eq!(out.merged.render(), routed.render());
+    assert!(
+        routed.racy_words.len() > prefix(ingest.chunks as usize - 1).racy_words.len(),
+        "the last routed chunk holds no race of its own"
+    );
+}
+
+/// Fault class 4 composed with the pipelined driver: every worker dies at
+/// start-up while the session's `install` job sits in the injector. The
+/// waiter — spinning or already parked — notices, runs the whole pipeline
+/// inline (each `join` a serial elision), and the verdict is exact for both
+/// sources.
+#[test]
+fn pipeline_survives_worker_startup_panics() {
+    let _g = lock();
+    use stint_repro::batchdet::{batch_detect_chunked_on, batch_detect_on};
+    let (pt, v2, _, _) = racy_loop_v2();
+    let healthy = batch_detect_on(&ThreadPool::new(2), &pt, &two_shards())
+        .expect("healthy run")
+        .merged
+        .render();
+    let pool = {
+        let _plan = ScopedPlan::install(FaultPlan {
+            worker_panic_from: Some(0),
+            ..Default::default()
+        });
+        ThreadPool::new(2)
+    };
+    for round in 0..2 {
+        let mem = batch_detect_on(&pool, &pt, &two_shards()).expect("in-memory on a dead pool");
+        let chunked =
+            batch_detect_chunked_on(&pool, &v2[..], &two_shards()).expect("chunked on a dead pool");
+        assert!(mem.degraded.is_none() && chunked.degraded.is_none());
+        assert_eq!(mem.merged.render(), healthy, "round {round}");
+        assert_eq!(chunked.merged.render(), healthy, "round {round}");
+    }
+}
+
 /// Adversarial short reads (satellite): zero-length input, EOF straight
 /// after the magic, EOF mid-header, and EOF mid-varint must all surface as
 /// a structured `CorruptTrace` from the ingest seams — never a panic, and

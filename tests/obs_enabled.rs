@@ -46,6 +46,20 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     assert!(forked, "no join ever ran on a pool worker");
+    // An `install` that outlives the spin phase parks: this job ends only
+    // once its own waiter was counted.
+    let parks = || counter(&obs::metrics_json(), "cilkrt.install_parks").unwrap_or(0);
+    let before = parks();
+    pool.install(|| {
+        let t0 = std::time::Instant::now();
+        while parks() == before {
+            assert!(
+                t0.elapsed().as_secs() < 10,
+                "the install waiter never parked"
+            );
+            std::thread::yield_now();
+        }
+    });
     drop(pool);
 
     // batchdet: a sharded batch run over a recorded trace. Its per-shard
@@ -107,6 +121,16 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     assert!(obs::registry_initialized());
     let metrics = obs::metrics_json();
 
+    // The pipelined driver: every drained batch is accounted to exactly one
+    // of the two places its drain arm can run.
+    let pipe = |name: &str| counter(&metrics, &format!("batchdet.pipeline.{name}")).unwrap_or(0);
+    assert!(pipe("batches") >= ingest.chunks, "{metrics}");
+    assert_eq!(
+        pipe("stolen") + pipe("inline"),
+        pipe("batches"),
+        "{metrics}"
+    );
+
     // At least one counter from every instrumented layer.
     for name in [
         "om.inserts",
@@ -117,6 +141,8 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         "shadow.filter_elisions",
         "cilkrt.workers_spawned",
         "cilkrt.spawns",
+        "cilkrt.install_parks",
+        "batchdet.pipeline.batches",
         "batchdet.shard.runs",
         "batchdet.shard.events",
         "batchdet.merges",
@@ -155,6 +181,8 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     assert!(trace.contains("\"name\": \"stint.flush\""), "{trace}");
     assert!(trace.contains("\"name\": \"batchdet.shard\""), "{trace}");
     assert!(trace.contains("\"name\": \"batchdet.merge\""), "{trace}");
+    assert!(trace.contains("\"name\": \"batchdet.produce\""), "{trace}");
+    assert!(trace.contains("\"name\": \"batchdet.drain\""), "{trace}");
 
     // serve: a multi-session engine run covering every verdict, including a
     // timed-out and a poisoned session. The per-verdict counters must sum

@@ -6,7 +6,12 @@
 //! deterministic merge guarantees).
 
 use proptest::prelude::*;
-use stint_repro::batchdet::{batch_detect, batch_detect_chunked, BatchConfig};
+use stint_repro::batchdet::{
+    batch_detect, batch_detect_chunked, batch_detect_chunked_on, batch_detect_on, BatchConfig,
+    BatchOutcome,
+};
+use stint_repro::cilkrt::ThreadPool;
+use stint_repro::suite::{Scale, Workload};
 use stint_repro::{detect, PortableTrace, Variant};
 
 mod common;
@@ -18,6 +23,91 @@ fn cfg(shards: usize, workers: usize, steal_seed: u64) -> BatchConfig {
         workers,
         steal_seed,
         ..BatchConfig::default()
+    }
+}
+
+/// Bytes of a v2 stream before its first chunk: magic line, header framing
+/// and header.
+fn v2_header_len(buf: &[u8]) -> u64 {
+    let mut cur = std::io::Cursor::new(buf);
+    stint_repro::ctrace::CompressedTraceReader::open(&mut cur).expect("header parses");
+    cur.position()
+}
+
+/// What must not depend on the schedule or on the source: the rendered
+/// report and the merged detector statistics behind `history_mb`.
+fn fingerprint(out: &BatchOutcome) -> (String, [u64; 4]) {
+    let s = &out.stats;
+    (
+        out.merged.render(),
+        [s.ah_bytes, s.coalesce_bytes, s.treap.ops, s.strands_flushed],
+    )
+}
+
+/// The pipeline battery: for K in {1,2,7} x workers in {1,2,4} x three steal
+/// seeds, the in-memory source and the chunked source at chunk sizes
+/// {1,16,4096} all give the render of K=1/one worker, and per K the same
+/// merged statistics — which batches a stream is cut into, and which worker
+/// drains them, changes nothing a shard detector sees.
+fn assert_sources_and_schedules_agree(pt: &PortableTrace) -> Result<(), String> {
+    let encoded: Vec<(Vec<u8>, u64)> = [1usize, 16, 4096]
+        .iter()
+        .map(|&chunk| {
+            let mut buf = Vec::new();
+            pt.save_compressed(&mut buf, chunk)
+                .expect("compressed save");
+            let header = v2_header_len(&buf);
+            (buf, header)
+        })
+        .collect();
+    let mut want: Vec<Option<(String, [u64; 4])>> = vec![None; 3];
+    for workers in [1usize, 2, 4] {
+        for seed in [0u64, 0xDEAD_BEEF, 42] {
+            let pool = ThreadPool::with_seed(workers, seed);
+            for (ki, k) in [1usize, 2, 7].into_iter().enumerate() {
+                let c = cfg(k, workers, seed);
+                let mem = batch_detect_on(&pool, pt, &c).map_err(|e| e.to_string())?;
+                let mut got = vec![("in-memory".to_string(), fingerprint(&mem))];
+                for (buf, header) in &encoded {
+                    let out =
+                        batch_detect_chunked_on(&pool, &buf[..], &c).map_err(|e| e.to_string())?;
+                    let ingest = out.ingest.expect("chunked run reports ingest stats");
+                    if ingest.bytes + header != buf.len() as u64 {
+                        return Err(format!(
+                            "ingest.bytes {} + header {header} != file {}",
+                            ingest.bytes,
+                            buf.len()
+                        ));
+                    }
+                    got.push((format!("chunked/{}B", buf.len()), fingerprint(&out)));
+                }
+                let first = want[ki].get_or_insert_with(|| got[0].1.clone()).clone();
+                for (what, fp) in got {
+                    if fp != first {
+                        return Err(format!(
+                            "K={k} workers={workers} seed={seed:#x} {what}: {:?} != {:?}",
+                            fp.1, first.1
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    let render = |i: usize| &want[i].as_ref().expect("filled above").0;
+    if render(0) != render(1) || render(0) != render(2) {
+        return Err("render differs across K".into());
+    }
+    Ok(())
+}
+
+/// The battery on recorded suite kernels: long enough that the in-memory
+/// source hands over more than one batch too, one clean and one racy.
+#[test]
+fn pipeline_sources_and_schedules_agree_on_suite_kernels() {
+    for bench in ["sort", "buggy-mmul"] {
+        let pt = PortableTrace::record(&mut Workload::by_name(bench, Scale::Test));
+        assert!(pt.trace.len() > 4096, "{bench}: {}", pt.trace.len());
+        assert_sources_and_schedules_agree(&pt).unwrap_or_else(|e| panic!("{bench}: {e}"));
     }
 }
 
@@ -106,13 +196,20 @@ proptest! {
                 chunk_events, sa.index, sb.events, sa.events
             );
         }
-        // Ingest telemetry: chunk framing + payload bytes fit inside the
-        // file (the header is accounted separately), and every decoded
-        // trace event is counted.
+        // Ingest telemetry: chunk framing + payload bytes are exactly the
+        // file minus its header, and every decoded trace event is counted.
         let ingest = b.ingest.expect("chunked run reports ingest stats");
-        prop_assert!(ingest.bytes <= buf.len() as u64);
+        prop_assert_eq!(ingest.bytes + v2_header_len(&buf), buf.len() as u64);
         if ingest.events > 0 {
             prop_assert!(ingest.bytes > 0 && ingest.chunks > 0);
+        }
+    }
+
+    #[test]
+    fn pipeline_sources_and_schedules_agree(f in func_strategy(3)) {
+        let pt = PortableTrace::record(&mut AstProgram(&f));
+        if let Err(e) = assert_sources_and_schedules_agree(&pt) {
+            prop_assert!(false, "{}", e);
         }
     }
 }
