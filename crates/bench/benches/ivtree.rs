@@ -1,8 +1,10 @@
 //! Ablation A: interval-store implementations head to head — the paper's
 //! treap vs the `BTreeMap` flat store ("any balanced BST would work") — on
 //! the workload shapes the detectors generate: disjoint streams (deep
-//! trees), replacing streams (serial reuse), and covering writes
-//! (REMOVEOVERLAP-heavy).
+//! trees), replacing streams (serial reuse), covering writes
+//! (REMOVEOVERLAP-heavy), and strand-flush batches into a large store (the
+//! bulk entry points: the treap splices a batch through one split–join cut,
+//! a `BTreeMap` has no such seam and pays a full descent per run).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -104,9 +106,62 @@ fn bench_query(c: &mut Criterion) {
     g.finish();
 }
 
+/// 128-run sorted batches, one per "strand", into a store of 0.5M one-word
+/// intervals (4096 strands x 128 runs, one stored word per 4-word cell of a
+/// strand's 512-word region). `in_cover`: each batch lands inside its
+/// strand's region, on words still free (the second round of the repo
+/// benchmark's scatter workloads). `append`: every batch lies beyond
+/// everything stored. One iteration is 256 batches on addresses no earlier
+/// iteration of the same sample touched.
+fn bench_batch(c: &mut Criterion) {
+    const STRANDS: u64 = 4096;
+    fn flush<S: IntervalStore<u32>>(store: &mut S, buf: &mut Vec<(u64, u64)>, s: u64, word: u64) {
+        buf.clear();
+        buf.extend((0..128).map(|i| (s * 512 + i * 4 + word, s * 512 + i * 4 + word + 1)));
+        store.insert_writes_for(s as u32, buf, |_, _, _| {});
+    }
+    fn run<S: IntervalStore<u32>>(b: &mut criterion::Bencher, mut store: S, append: bool) {
+        let mut buf = Vec::new();
+        let base = 1;
+        for s in 0..STRANDS {
+            flush(&mut store, &mut buf, base + s, 0);
+        }
+        // 2^19 nodes fill the treap's arena to the brim; one more batch (in
+        // front, so `append` stays beyond everything) doubles it here, where
+        // no measured iteration pays for the 16 MiB `Vec` growth. The room
+        // lasts 15 iterations.
+        flush(&mut store, &mut buf, 0, 0);
+        let mut round = 0;
+        b.iter(|| {
+            // In-cover rounds walk the 16 blocks of 256 strands, then move on
+            // to the next free word of every cell.
+            let (first, word) = if append {
+                (base + STRANDS + round * 256, 0)
+            } else {
+                (base + round % 16 * 256, 1 + round / 16 % 3)
+            };
+            round += 1;
+            for s in first..first + 256 {
+                flush(&mut store, &mut buf, s, word);
+            }
+            black_box(store.len())
+        })
+    }
+    let mut g = c.benchmark_group("ivtree/batch");
+    for (label, append) in [("in_cover", false), ("append", true)] {
+        g.bench_function(&format!("treap/{label}"), |b| {
+            run(b, Treap::with_seed(42), append)
+        });
+        g.bench_function(&format!("btreemap/{label}"), |b| {
+            run(b, FlatStore::new(), append)
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_stores, bench_serial_reuse, bench_query
+    targets = bench_stores, bench_serial_reuse, bench_query, bench_batch
 }
 criterion_main!(benches);

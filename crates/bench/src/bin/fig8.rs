@@ -1,7 +1,10 @@
 //! Figure 8: scaling study on fft, mmul and sort at three input sizes each —
 //! baseline / comp+rts / STINT times, access-history-only times (hash oh,
 //! treap oh), operation counts, and the treap's average visited nodes and
-//! overlaps per operation (the O(h+k) decomposition of Lemma 4.2).
+//! overlaps per operation (the O(h+k) decomposition of Lemma 4.2). `#nodes`
+//! counts every node an operation touched: for a flush spliced through a
+//! split–join cut that is the cut's four spine walks plus the runs' descents
+//! in the middle tree, averaged over the runs.
 
 use stint::Variant;
 use stint_bench::*;

@@ -82,7 +82,9 @@ impl<A> Interval<A> {
 pub struct OpStats {
     /// Top-level operations (inserts + queries).
     pub ops: u64,
-    /// Tree nodes visited across all operations.
+    /// Tree nodes visited across all operations — for the treap's bulk
+    /// entry points that includes the nodes its splits and joins walk, so
+    /// `visited / ops` is the whole cost of a run, cut included.
     pub visited: u64,
     /// Overlapping stored intervals encountered across all operations.
     pub overlaps: u64,
@@ -146,8 +148,9 @@ pub trait IntervalStore<A: Copy> {
     /// Bulk-record a strand's pre-coalesced write runs: `runs` is the sorted,
     /// pairwise-disjoint word-interval list a coalescing shadow produces at
     /// strand end, all accessed by `who`. Semantically identical to one
-    /// [`IntervalStore::insert_write`] per run (the default implementation);
-    /// stores may override with a batched fast path.
+    /// [`IntervalStore::insert_write`] per run (the default implementation,
+    /// which [`FlatStore`] keeps); [`Treap`] splices the whole batch through
+    /// one split–join cut of the tree.
     fn insert_writes_for(
         &mut self,
         who: A,

@@ -15,6 +15,11 @@
 use crate::{Interval, IntervalStore, OpStats};
 
 const NIL: u32 = u32::MAX;
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Fewest runs worth a cut: two splits and two joins walk four root-to-leaf
+/// spines, what four per-run descents cost, so a shorter batch cannot win.
+const MIN_BULK_RUNS: usize = 4;
 
 // Observability (no-ops costing one relaxed load while `stint-obs` is
 // disabled). `ivtree.op_visited` buckets the nodes visited per top-level
@@ -26,6 +31,11 @@ static OBS_ROTATIONS: stint_obs::Counter = stint_obs::Counter::new("ivtree.rotat
 static OBS_NODES: stint_obs::Gauge = stint_obs::Gauge::new("ivtree.nodes");
 static OBS_BYTES: stint_obs::Gauge = stint_obs::Gauge::new("ivtree.bytes");
 static OBS_OP_VISITED: stint_obs::Histogram = stint_obs::Histogram::new("ivtree.op_visited");
+// Fast path, counted: batches spliced through a cut, the runs in them, and
+// those of them built in O(n) because the middle of the cut was empty.
+static OBS_BULK_BATCHES: stint_obs::Counter = stint_obs::Counter::new("ivtree.bulk.batches");
+static OBS_BULK_RUNS: stint_obs::Counter = stint_obs::Counter::new("ivtree.bulk.runs");
+static OBS_BULK_BUILT: stint_obs::Counter = stint_obs::Counter::new("ivtree.bulk.built");
 static OBS_DEPTH: stint_obs::Histogram = stint_obs::Histogram::new("ivtree.depth");
 
 #[derive(Clone, Debug)]
@@ -33,10 +43,13 @@ struct Node<A> {
     start: u64,
     end: u64,
     who: A,
-    prio: u64,
+    prio: u32,
     left: u32,
     right: u32,
 }
+
+// With a 4-byte accessor a node is half a cache line and never straddles one.
+const _: () = assert!(std::mem::size_of::<Node<u32>>() == 32);
 
 /// Treap-based interval store. See the crate docs for the semantics.
 ///
@@ -76,7 +89,7 @@ pub struct Treap<A> {
     /// intervals ever inserted is `[lo_bound, hi_bound)` (trims and removals
     /// only shrink coverage, so the cover never under-estimates). An insert
     /// or query entirely outside it cannot overlap anything — the
-    /// key-compare early-out and the bulk append fast path key off this.
+    /// key-compare early-out keys off this.
     lo_bound: u64,
     hi_bound: u64,
     /// Heap bytes last reported to the `ivtree.bytes`/`ivtree.nodes` gauges
@@ -97,16 +110,14 @@ impl<A: Copy> Treap<A> {
     /// Samples the installed fault plan (if any): under `treap-degenerate`
     /// the priorities become monotone and the treap degrades to a list.
     pub fn with_seed(seed: u64) -> Self {
+        let degenerate = stint_faults::is_active() && stint_faults::treap_degenerate();
         Treap {
             nodes: Vec::new(),
             free: Vec::new(),
             root: NIL,
-            rng: if stint_faults::is_active() && stint_faults::treap_degenerate() {
-                0 // monotone counter start; see `next_prio`
-            } else {
-                seed ^ 0x9E37_79B9_7F4A_7C15
-            },
-            degenerate: stint_faults::is_active() && stint_faults::treap_degenerate(),
+            // Degenerate: monotone counter start; see `next_prio`.
+            rng: if degenerate { 0 } else { seed ^ GOLDEN },
+            degenerate,
             len: 0,
             len_hw: 0,
             stats: OpStats::default(),
@@ -159,26 +170,25 @@ impl<A: Copy> Treap<A> {
     }
 
     #[inline]
-    fn next_prio(&mut self) -> u64 {
+    fn next_prio(&mut self) -> u32 {
         if self.degenerate {
             // Worst-case fault: each new node outranks every older one, so
             // insertion rotates it all the way to the root and the tree is a
-            // list. The rng field doubles as the monotone counter.
-            self.rng = self.rng.wrapping_add(1);
-            return self.rng;
+            // list. The rng field doubles as the monotone counter, which
+            // saturates (ties keep the heap order valid) instead of wrapping.
+            self.rng = (self.rng + 1).min(u32::MAX as u64);
+            return self.rng as u32;
         }
-        // splitmix64
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        // splitmix64; a priority is the upper half of its output
+        self.rng = self.rng.wrapping_add(GOLDEN);
         let mut z = self.rng;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        ((z ^ (z >> 31)) >> 32) as u32
     }
 
     #[inline]
-    fn alloc(&mut self, iv: Interval<A>, prio: u64) -> u32 {
-        self.len += 1;
-        self.len_hw = self.len_hw.max(self.len);
+    fn alloc(&mut self, iv: Interval<A>, prio: u32) -> u32 {
         let node = Node {
             start: iv.start,
             end: iv.end,
@@ -198,6 +208,9 @@ impl<A: Copy> Treap<A> {
             self.nodes.push(node);
             i
         };
+        // Counted only once the slot exists: `exhausted` unwinds.
+        self.len += 1;
+        self.len_hw = self.len_hw.max(self.len);
         self.note_mem();
         slot
     }
@@ -257,11 +270,13 @@ impl<A: Copy> Treap<A> {
     /// recursive insert. The child subtree is internally heap-consistent but
     /// its nodes may outrank `t`; rotating the child up leaves `t` with a new
     /// left child that may outrank it in turn, so the fix recurses down the
-    /// spine (a sift).
+    /// spine (a sift). Of two equal priorities the smaller key ranks higher
+    /// (`>=` here, `>` in `fix_right`; `join` and `spine_push` agree), so the
+    /// shape is a function of the (key, priority) set even when draws tie.
     #[inline]
     fn fix_left(&mut self, t: u32) -> u32 {
         let l = self.n(t).left;
-        if l != NIL && self.n(l).prio > self.n(t).prio {
+        if l != NIL && self.n(l).prio >= self.n(t).prio {
             let top = self.rotate_right(t);
             let fixed = self.fix_left(t);
             self.nm(top).right = fixed;
@@ -285,24 +300,52 @@ impl<A: Copy> Treap<A> {
         }
     }
 
-    /// Plain treap insertion of an interval known not to overlap anything in
-    /// this subtree (used for the split pieces of case C).
+    /// Plain treap insertion of the unlinked node `x`, whose interval is
+    /// known not to overlap anything in this subtree (the split pieces of
+    /// case C, an insert that misses the cover, a re-link after an unwind).
     #[inline]
-    fn insert_disjoint(&mut self, t: u32, iv: Interval<A>, prio: u64) -> u32 {
+    fn insert_disjoint(&mut self, t: u32, x: u32) -> u32 {
         if t == NIL {
-            return self.alloc(iv, prio);
+            return x;
         }
         self.stats.visited += 1;
-        debug_assert!(iv.end <= self.n(t).start || iv.start >= self.n(t).end);
-        if iv.start < self.n(t).start {
-            let nl = self.insert_disjoint(self.n(t).left, iv, prio);
+        debug_assert!(self.n(x).end <= self.n(t).start || self.n(x).start >= self.n(t).end);
+        if self.n(x).start < self.n(t).start {
+            let nl = self.insert_disjoint(self.n(t).left, x);
             self.nm(t).left = nl;
             self.fix_left(t)
         } else {
-            let nr = self.insert_disjoint(self.n(t).right, iv, prio);
+            let nr = self.insert_disjoint(self.n(t).right, x);
             self.nm(t).right = nr;
             self.fix_right(t)
         }
+    }
+
+    /// Draw a priority for `iv`, give it a node and insert that.
+    #[inline]
+    fn insert_new(&mut self, t: u32, iv: Interval<A>) -> u32 {
+        let p = self.next_prio();
+        let x = self.alloc(iv, p);
+        self.insert_disjoint(t, x)
+    }
+
+    /// Case C with the new accessor recorded: `x` lies inside the interval
+    /// `y` stored at `t`. Keep the middle (= `x`) here; the side remnants of
+    /// `y` are re-inserted from this subtree's root, where they cannot overlap
+    /// anything (each is a classic single-node treap insert).
+    #[inline]
+    fn carve(&mut self, t: u32, x: Interval<A>) -> u32 {
+        let node = self.nm(t);
+        let (ys, ye, y_who) = (node.start, node.end, node.who);
+        (node.start, node.end, node.who) = (x.start, x.end, x.who);
+        let mut t = t;
+        if ys < x.start {
+            t = self.insert_new(t, Interval::new(ys, x.start, y_who));
+        }
+        if x.end < ye {
+            t = self.insert_new(t, Interval::new(x.end, ye, y_who));
+        }
+        t
     }
 
     /// Report every interval in the subtree as fully overlapped and free the
@@ -431,40 +474,18 @@ impl<A: Copy> Treap<A> {
         let y_who = self.n(t).who;
         cb(y_who, x.start.max(ys), x.end.min(ye));
         if x.start <= ys && ye <= x.end {
-            // Case D: x fully covers y. Replace y's payload in place (keeping
-            // its priority) and flush remaining overlaps out of both subtrees.
-            {
-                let node = self.nm(t);
-                node.start = x.start;
-                node.end = x.end;
-                node.who = x.who;
-            }
+            // Case D: x fully covers y. Flush the remaining overlaps out of
+            // both subtrees, then replace y's payload in place (keeping its
+            // priority): the live nodes stay disjoint even if `cb` unwinds.
             let nl = self.remove_overlap_left(self.n(t).left, x.start, cb);
             self.nm(t).left = nl;
             let nr = self.remove_overlap_right(self.n(t).right, x.end, cb);
-            self.nm(t).right = nr;
+            let node = self.nm(t);
+            (node.right, node.start, node.end, node.who) = (nr, x.start, x.end, x.who);
             t
         } else if ys <= x.start && x.end <= ye {
             // Case C: y fully covers x (strictly on at least one side).
-            // Keep the middle (= x) here; the side remnants of y are
-            // re-inserted from this subtree's root, where they cannot overlap
-            // anything (each is a classic single-node treap insert).
-            {
-                let node = self.nm(t);
-                node.start = x.start;
-                node.end = x.end;
-                node.who = x.who;
-            }
-            let mut t = t;
-            if ys < x.start {
-                let p = self.next_prio();
-                t = self.insert_disjoint(t, Interval::new(ys, x.start, y_who), p);
-            }
-            if x.end < ye {
-                let p = self.next_prio();
-                t = self.insert_disjoint(t, Interval::new(x.end, ye, y_who), p);
-            }
-            t
+            self.carve(t, x)
         } else if x.start > ys {
             // Case B: partial overlap, x to the right: trim y and recurse.
             self.nm(t).end = x.start;
@@ -520,24 +541,7 @@ impl<A: Copy> Treap<A> {
         } else if ys <= x.start && x.end <= ye {
             // Case C: y fully covers x.
             if keep_new(y_who) {
-                // Split y: keep x here, re-insert y's remnants from this
-                // subtree's root.
-                {
-                    let node = self.nm(t);
-                    node.start = x.start;
-                    node.end = x.end;
-                    node.who = x.who;
-                }
-                let mut t = t;
-                if ys < x.start {
-                    let p = self.next_prio();
-                    t = self.insert_disjoint(t, Interval::new(ys, x.start, y_who), p);
-                }
-                if x.end < ye {
-                    let p = self.next_prio();
-                    t = self.insert_disjoint(t, Interval::new(x.end, ye, y_who), p);
-                }
-                t
+                self.carve(t, x)
             } else {
                 // Old reader stays leftmost everywhere; x contributes nothing.
                 t
@@ -614,7 +618,7 @@ impl<A: Copy> Treap<A> {
         fn walk<A: Copy>(
             tr: &Treap<A>,
             t: u32,
-            min_prio: Option<u64>,
+            min_prio: Option<u32>,
             prev_end: &mut u64,
             count: &mut usize,
         ) {
@@ -665,37 +669,149 @@ impl<A: Copy> Treap<A> {
         self.root == NIL || hi <= self.lo_bound || lo >= self.hi_bound
     }
 
-    /// `runs` is sorted, pairwise disjoint, and non-empty per run — the
-    /// shape a coalescing shadow's extract produces.
-    fn runs_are_sorted_disjoint(runs: &[(u64, u64)]) -> bool {
-        runs.iter().all(|&(lo, hi)| lo < hi) && runs.windows(2).all(|w| w[0].1 <= w[1].0)
+    /// One step of the O(n) rightmost-spine Cartesian construction: `t`, whose
+    /// key follows every key on `spine`, displaces the spine suffix it
+    /// outranks as its left child. `spine[0]` is the root of what was built.
+    fn spine_push(&mut self, spine: &mut Vec<u32>, t: u32) {
+        self.stats.visited += 1;
+        let mut displaced = NIL;
+        while let Some(&top) = spine.last() {
+            if self.n(top).prio >= self.n(t).prio {
+                break;
+            }
+            displaced = top;
+            spine.pop();
+        }
+        self.nm(t).left = displaced;
+        if let Some(&top) = spine.last() {
+            self.nm(top).right = t;
+        }
+        spine.push(t);
     }
 
-    /// Build a valid treap from sorted disjoint runs in O(n) via the
-    /// rightmost-spine Cartesian construction: each new node (random
-    /// priority) displaces the spine suffix it outranks as its left child.
-    fn build_sorted(&mut self, who: A, runs: &[(u64, u64)]) -> u32 {
-        let mut spine: Vec<u32> = Vec::new();
-        for &(lo, hi) in runs {
-            let p = self.next_prio();
-            let t = self.alloc(Interval::new(lo, hi, who), p);
-            self.stats.visited += 1;
-            let mut displaced = NIL;
-            while let Some(&top) = spine.last() {
-                if self.n(top).prio < p {
-                    displaced = top;
-                    spine.pop();
-                } else {
-                    break;
-                }
-            }
-            self.nm(t).left = displaced;
-            if let Some(&top) = spine.last() {
-                self.nm(top).right = t;
-            }
-            spine.push(t);
+    /// Split `t` into the nodes before `key` and the rest. A node is before
+    /// `key` when its `end <= key` (`by_end`) or its `start < key`; stored
+    /// intervals are disjoint, hence sorted by start and by end alike, so
+    /// either test is monotone in tree order and the cut is a BST cut.
+    fn split(&mut self, t: u32, key: u64, by_end: bool) -> (u32, u32) {
+        if t == NIL {
+            return (NIL, NIL);
         }
-        spine.first().copied().unwrap_or(NIL)
+        self.stats.visited += 1;
+        let n = self.n(t);
+        if (by_end && n.end <= key) || (!by_end && n.start < key) {
+            let (before, rest) = self.split(n.right, key, by_end);
+            self.nm(t).right = before;
+            (t, rest)
+        } else {
+            let (before, rest) = self.split(n.left, key, by_end);
+            self.nm(t).left = rest;
+            (before, t)
+        }
+    }
+
+    /// Re-link every live arena node into a valid treap, one plain insert
+    /// each: the recovery for an unwind out of the case analysis (a callback,
+    /// or `alloc` on a full arena), which can leave links to freed or
+    /// rotated-away nodes. The slots off the free list hold pairwise-disjoint
+    /// intervals at every point that can unwind, so they determine the tree.
+    #[cold]
+    fn relink_live(&mut self) {
+        let mut live = vec![true; self.nodes.len()];
+        for &f in &self.free {
+            live[f as usize] = false;
+        }
+        (self.root, self.len) = (NIL, 0);
+        for x in (0..live.len() as u32).filter(|&x| live[x as usize]) {
+            (self.nm(x).left, self.nm(x).right) = (NIL, NIL);
+            self.root = self.insert_disjoint(self.root, x);
+            self.len += 1;
+        }
+        self.note_mem();
+    }
+
+    /// Count one finished insert and bucket the nodes visited since `*since`.
+    #[inline]
+    fn observe_insert(&self, since: &mut u64) {
+        if stint_obs::is_enabled() {
+            OBS_INSERTS.incr();
+            OBS_OP_VISITED.observe(self.stats.visited - *since);
+            *since = self.stats.visited;
+        }
+    }
+
+    /// One top-level insert of `x`; `one(self, root)` is its case analysis.
+    #[inline]
+    fn insert_one(&mut self, x: Interval<A>, one: impl FnOnce(&mut Self, u32) -> u32) {
+        debug_assert!(x.start < x.end);
+        self.stats.ops += 1;
+        self.inserts += 1;
+        let mut seen = self.stats.visited;
+        self.root = if self.misses_cover(x.start, x.end) {
+            // Key-compare early-out: nothing stored can overlap `x`, so it
+            // goes in as a plain disjoint insert — the tree the case analysis
+            // would build (same position, same priority draw), unanalysed.
+            self.insert_new(self.root, x)
+        } else {
+            one(self, self.root)
+        };
+        self.note_extent(x.start, x.end);
+        self.observe_insert(&mut seen);
+    }
+
+    /// Record a strand's sorted disjoint `runs` as one splice: cut the tree
+    /// into `L | M | R` around the batch's span, run the batch against `M`
+    /// alone — `one(self, root, x)` is the per-run case analysis; an empty `M`
+    /// overlaps nothing and the batch is built in O(n) — and join the three
+    /// back. Same draws in the same order on the same keys: the tree is the
+    /// one the per-run path builds (DESIGN.md §17). Returns false, having
+    /// done nothing, for a batch too short or not sorted.
+    fn splice(
+        &mut self,
+        who: A,
+        runs: &[(u64, u64)],
+        mut one: impl FnMut(&mut Self, u32, Interval<A>) -> u32,
+    ) -> bool {
+        // Sorted, disjoint, no empty run: what a coalescing shadow extracts.
+        let sorted = runs.iter().all(|r| r.0 < r.1) && runs.windows(2).all(|w| w[0].1 <= w[1].0);
+        if runs.len() < MIN_BULK_RUNS || !sorted {
+            return false;
+        }
+        let (first_lo, last_hi) = (runs[0].0, runs[runs.len() - 1].1);
+        let n = runs.len() as u64;
+        self.stats.ops += n;
+        self.inserts += n;
+        self.note_extent(first_lo, last_hi);
+        // The first run's observation carries the two splits.
+        let mut seen = self.stats.visited;
+        let (l, rest) = self.split(self.root, first_lo, true);
+        let (m, r) = self.split(rest, last_hi, false);
+        let build = m == NIL;
+        // The cut is open until the joins below: an unwind out of `one` or
+        // `alloc` must not leave `L` and `R` detached.
+        let open_cut = RelinkOnUnwind(self);
+        let (t, mut m, mut spine) = (&mut *open_cut.0, m, Vec::new());
+        for &(lo, hi) in runs {
+            let x = Interval::new(lo, hi, who);
+            m = if build {
+                let p = t.next_prio();
+                let node = t.alloc(x, p);
+                t.spine_push(&mut spine, node);
+                spine[0]
+            } else {
+                one(t, m, x)
+            };
+            t.observe_insert(&mut seen);
+        }
+        std::mem::forget(open_cut);
+        let lm = self.join(l, m);
+        self.root = self.join(lm, r);
+        if stint_obs::is_enabled() {
+            OBS_BULK_BATCHES.incr();
+            OBS_BULK_RUNS.add(n);
+            OBS_BULK_BUILT.add(if build { n } else { 0 });
+        }
+        true
     }
 
     /// Join two treaps where every key in `a` precedes every key in `b`
@@ -740,59 +856,32 @@ impl<A> Drop for Treap<A> {
     }
 }
 
+/// Held while [`Treap::splice`] has the tree cut open and forgotten once it
+/// is whole again, so this runs only when the batch unwinds.
+struct RelinkOnUnwind<'a, A: Copy>(&'a mut Treap<A>);
+
+impl<A: Copy> Drop for RelinkOnUnwind<'_, A> {
+    fn drop(&mut self) {
+        self.0.relink_live();
+    }
+}
+
 impl<A: Copy> IntervalStore<A> for Treap<A> {
     fn insert_write(&mut self, x: Interval<A>, mut conflict: impl FnMut(A, u64, u64)) {
-        debug_assert!(x.start < x.end);
-        self.stats.ops += 1;
-        self.inserts += 1;
-        let visited_before = self.stats.visited;
-        if self.misses_cover(x.start, x.end) {
-            // Key-compare early-out: nothing stored can overlap `x`, so the
-            // overlap case analysis is skipped and `x` goes in as a plain
-            // disjoint insert (identical resulting tree: same BST position,
-            // same priority draw, no conflicts to report).
-            let p = self.next_prio();
-            self.root = self.insert_disjoint(self.root, x, p);
-        } else {
-            self.root = self.iw(self.root, x, &mut conflict);
-        }
-        self.note_extent(x.start, x.end);
-        if stint_obs::is_enabled() {
-            OBS_INSERTS.incr();
-            OBS_OP_VISITED.observe(self.stats.visited - visited_before);
-        }
+        self.insert_one(x, |t, root| t.iw(root, x, &mut conflict));
     }
 
     fn insert_read(&mut self, x: Interval<A>, mut is_new_left_of: impl FnMut(A) -> bool) {
-        debug_assert!(x.start < x.end);
-        self.stats.ops += 1;
-        self.inserts += 1;
-        let visited_before = self.stats.visited;
-        if self.misses_cover(x.start, x.end) {
-            let p = self.next_prio();
-            self.root = self.insert_disjoint(self.root, x, p);
-        } else {
-            self.root = self.ir(self.root, x, &mut is_new_left_of);
-        }
-        self.note_extent(x.start, x.end);
-        if stint_obs::is_enabled() {
-            OBS_INSERTS.incr();
-            OBS_OP_VISITED.observe(self.stats.visited - visited_before);
-        }
+        self.insert_one(x, |t, root| t.ir(root, x, &mut is_new_left_of));
     }
 
     fn query_overlaps(&mut self, lo: u64, hi: u64, mut f: impl FnMut(A, u64, u64)) {
         self.stats.ops += 1;
-        if self.misses_cover(lo, hi) {
-            // Query miss early-out: zero nodes visited.
-            if stint_obs::is_enabled() {
-                OBS_QUERIES.incr();
-                OBS_OP_VISITED.observe(0);
-            }
-            return;
-        }
         let visited_before = self.stats.visited;
-        self.qo(self.root, lo, hi, &mut f);
+        // Query miss early-out: zero nodes visited.
+        if !self.misses_cover(lo, hi) {
+            self.qo(self.root, lo, hi, &mut f);
+        }
         if stint_obs::is_enabled() {
             OBS_QUERIES.incr();
             OBS_OP_VISITED.observe(self.stats.visited - visited_before);
@@ -815,37 +904,10 @@ impl<A: Copy> IntervalStore<A> for Treap<A> {
         runs: &[(u64, u64)],
         mut conflict: impl FnMut(A, u64, u64),
     ) {
-        if let Some(&(first_lo, _)) = runs.first() {
-            let last_hi = runs[runs.len() - 1].1;
-            // Bulk fast path: the whole batch lies beyond (or before) the
-            // conservative cover, so no overlap with stored intervals — or
-            // between runs — is possible. Build a treap from the sorted
-            // batch in O(n) and join it onto the tree in O(lg n), instead
-            // of n root-to-leaf insertions.
-            let append = self.root == NIL || first_lo >= self.hi_bound;
-            let prepend = !append && last_hi <= self.lo_bound;
-            if (append || prepend) && Self::runs_are_sorted_disjoint(runs) {
-                let n = runs.len() as u64;
-                self.stats.ops += n;
-                self.inserts += n;
-                let visited_before = self.stats.visited;
-                let built = self.build_sorted(who, runs);
-                let root = self.root;
-                self.root = if append {
-                    self.join(root, built)
-                } else {
-                    self.join(built, root)
-                };
-                self.note_extent(first_lo, last_hi);
-                if stint_obs::is_enabled() {
-                    OBS_INSERTS.add(n);
-                    OBS_OP_VISITED.observe(self.stats.visited - visited_before);
-                }
-                return;
+        if !self.splice(who, runs, |t, m, x| t.iw(m, x, &mut conflict)) {
+            for &(lo, hi) in runs {
+                self.insert_write(Interval::new(lo, hi, who), &mut conflict);
             }
-        }
-        for &(lo, hi) in runs {
-            self.insert_write(Interval::new(lo, hi, who), &mut conflict);
         }
     }
 
@@ -855,32 +917,10 @@ impl<A: Copy> IntervalStore<A> for Treap<A> {
         runs: &[(u64, u64)],
         mut is_new_left_of: impl FnMut(A) -> bool,
     ) {
-        if let Some(&(first_lo, _)) = runs.first() {
-            let last_hi = runs[runs.len() - 1].1;
-            let append = self.root == NIL || first_lo >= self.hi_bound;
-            let prepend = !append && last_hi <= self.lo_bound;
-            if (append || prepend) && Self::runs_are_sorted_disjoint(runs) {
-                let n = runs.len() as u64;
-                self.stats.ops += n;
-                self.inserts += n;
-                let visited_before = self.stats.visited;
-                let built = self.build_sorted(who, runs);
-                let root = self.root;
-                self.root = if append {
-                    self.join(root, built)
-                } else {
-                    self.join(built, root)
-                };
-                self.note_extent(first_lo, last_hi);
-                if stint_obs::is_enabled() {
-                    OBS_INSERTS.add(n);
-                    OBS_OP_VISITED.observe(self.stats.visited - visited_before);
-                }
-                return;
+        if !self.splice(who, runs, |t, m, x| t.ir(m, x, &mut is_new_left_of)) {
+            for &(lo, hi) in runs {
+                self.insert_read(Interval::new(lo, hi, who), &mut is_new_left_of);
             }
-        }
-        for &(lo, hi) in runs {
-            self.insert_read(Interval::new(lo, hi, who), &mut is_new_left_of);
         }
     }
 
@@ -1198,43 +1238,279 @@ mod tests {
     }
 
     #[test]
-    fn bulk_prepend_and_overlapping_fall_through() {
+    fn bulk_prepend_then_overlapping_batches() {
         let mut t = Treap::new();
-        t.insert_writes_for(1, &[(100, 110), (120, 130)], |_, _, _| {});
-        // Entirely below the cover: prepend fast path.
-        t.insert_writes_for(2, &[(0, 10), (20, 30)], |_, _, _| {});
+        let runs = |base: u64| -> Vec<(u64, u64)> {
+            (0..6)
+                .map(|i| (base + 20 * i, base + 20 * i + 10))
+                .collect()
+        };
+        t.insert_writes_for(1, &runs(1000), |_, _, _| panic!("no overlap expected"));
+        // Entirely below everything stored: the middle of the cut is empty.
+        t.insert_writes_for(2, &runs(0), |_, _, _| panic!("no overlap expected"));
         t.check_invariants();
-        assert_eq!(
-            contents(&t),
-            vec![(0, 10, 2), (20, 30, 2), (100, 110, 1), (120, 130, 1)]
-        );
-        // Overlapping batch must fall back to the per-run case analysis and
-        // report conflicts exactly as single inserts would.
+        assert_eq!(t.len(), 12);
+        assert_eq!(contents(&t)[5], (100, 110, 2));
+        assert_eq!(contents(&t)[6], (1000, 1010, 1));
+        // A batch bridging both groups runs the case analysis on the middle
+        // and reports conflicts exactly as single inserts would.
         let mut hits = Vec::new();
-        t.insert_writes_for(3, &[(25, 105)], |w, lo, hi| hits.push((w, lo, hi)));
+        t.insert_writes_for(
+            3,
+            &[(85, 105), (106, 107), (500, 600), (995, 1005)],
+            |w, lo, hi| hits.push((w, lo, hi)),
+        );
         hits.sort_unstable();
-        assert_eq!(hits, vec![(1, 100, 105), (2, 25, 30)]);
+        assert_eq!(
+            hits,
+            vec![(1, 1000, 1005), (2, 85, 90), (2, 100, 105), (2, 106, 107)]
+        );
         t.check_invariants();
+        assert_eq!(t.len(), 17);
     }
 
     #[test]
     fn bulk_read_append_then_overlap_resolves_leftmost() {
         let mut t = Treap::new();
-        t.insert_reads_for(1, &[(0, 10), (20, 30)], |_| panic!("no overlap expected"));
+        let stored: Vec<(u64, u64)> = (0..8).map(|i| (20 * i, 20 * i + 10)).collect();
+        t.insert_reads_for(1, &stored, |_| panic!("no overlap expected"));
         t.check_invariants();
-        // Overlapping read batch falls back and resolves left-of per region.
-        t.insert_reads_for(2, &[(5, 25)], |_| false);
+        // An overlapping read batch resolves left-of per region: the old
+        // reader stays, the new one fills the gaps.
+        let gaps: Vec<(u64, u64)> = (0..7).map(|i| (20 * i + 5, 20 * i + 25)).collect();
+        t.insert_reads_for(2, &gaps, |_| false);
         t.check_invariants();
-        assert_eq!(contents(&t), vec![(0, 10, 1), (10, 20, 2), (20, 30, 1)]);
+        assert_eq!(
+            crate::normalize(t.to_vec())[..3],
+            [iv(0, 10, 1), iv(10, 20, 2), iv(20, 30, 1)]
+        );
+        assert_eq!(t.len(), 15);
     }
 
     #[test]
-    fn unsorted_bulk_batch_falls_back_correctly() {
+    fn short_and_unsorted_batches_take_the_per_run_path() {
         let mut t = Treap::new();
-        // Not sorted: fast path must reject it and loop.
-        t.insert_writes_for(1, &[(50, 60), (0, 10)], |_, _, _| {});
+        // Not sorted: the splice must reject it and loop.
+        t.insert_writes_for(1, &[(50, 60), (0, 10), (70, 80), (20, 30)], |_, _, _| {});
         t.check_invariants();
-        assert_eq!(contents(&t), vec![(0, 10, 1), (50, 60, 1)]);
+        assert_eq!(
+            contents(&t),
+            vec![(0, 10, 1), (20, 30, 1), (50, 60, 1), (70, 80, 1)]
+        );
+        // Fewer than MIN_BULK_RUNS runs: no cut, so no split or join visits.
+        let mut hits = Vec::new();
+        t.insert_writes_for(3, &[(25, 55)], |w, lo, hi| hits.push((w, lo, hi)));
+        hits.sort_unstable();
+        assert_eq!(hits, vec![(1, 25, 30), (1, 50, 55)]);
+        t.check_invariants();
+    }
+
+    #[test]
+    fn tied_priorities_build_the_same_shape_on_both_paths() {
+        // Saturate the degenerate counter so that every draw ties: `join`,
+        // the rotations and the O(n) build must all rank the smaller key
+        // higher, or the spliced and the per-run tree differ in shape.
+        let tied = || {
+            let mut t: Treap<u32> = Treap::new();
+            (t.degenerate, t.rng) = (true, u32::MAX as u64 - 3);
+            t
+        };
+        let (mut bulk, mut looped) = (tied(), tied());
+        let batches: [Vec<(u64, u64)>; 4] = [
+            (0..40).map(|i| (100 + 10 * i, 106 + 10 * i)).collect(),
+            (0..9).map(|i| (143 + 20 * i, 158 + 20 * i)).collect(),
+            (0..12).map(|i| (4 * i, 4 * i + 2)).collect(),
+            (0..30).map(|i| (90 + 14 * i, 97 + 14 * i)).collect(),
+        ];
+        for (w, runs) in batches.iter().enumerate() {
+            let (mut hb, mut hl) = (Vec::new(), Vec::new());
+            if w % 2 == 0 {
+                bulk.insert_writes_for(w as u32, runs, |a, lo, hi| hb.push((a, lo, hi)));
+                for &(lo, hi) in runs {
+                    looped.insert_write(iv(lo, hi, w as u32), |a, lo, hi| hl.push((a, lo, hi)));
+                }
+            } else {
+                bulk.insert_reads_for(w as u32, runs, |old| old % 2 == 0);
+                for &(lo, hi) in runs {
+                    looped.insert_read(iv(lo, hi, w as u32), |old| old % 2 == 0);
+                }
+            }
+            bulk.check_invariants();
+            assert_eq!(hb, hl, "conflict order follows the shape");
+            assert_eq!(contents(&bulk), contents(&looped));
+            assert_eq!(bulk.height(), looped.height());
+        }
+        assert!(bulk.nodes.iter().filter(|n| n.prio == u32::MAX).count() > 50);
+    }
+
+    #[test]
+    fn splice_visits_the_middle_not_the_whole_tree() {
+        // 4096 stored intervals; a 64-run batch confined to one corner must
+        // descend a 64-node middle, not the whole tree, once per run.
+        let stored: Vec<(u64, u64)> = (0..4096).map(|i| (10 * i, 10 * i + 6)).collect();
+        let runs: Vec<(u64, u64)> = (100..164).map(|i| (10 * i + 2, 10 * i + 4)).collect();
+        let (mut bulk, mut looped) = (Treap::new(), Treap::new());
+        bulk.insert_writes_for(1, &stored, |_, _, _| {});
+        looped.insert_writes_for(1, &stored, |_, _, _| {});
+        let (b0, l0) = (bulk.stats().visited, looped.stats().visited);
+        bulk.insert_writes_for(2, &runs, |_, _, _| {});
+        for &(lo, hi) in &runs {
+            looped.insert_write(iv(lo, hi, 2), |_, _, _| {});
+        }
+        bulk.check_invariants();
+        assert_eq!(contents(&bulk), contents(&looped));
+        assert_eq!(bulk.height(), looped.height());
+        assert_eq!(bulk.stats().ops, looped.stats().ops);
+        assert_eq!(bulk.stats().overlaps, looped.stats().overlaps);
+        let (b, l) = (bulk.stats().visited - b0, looped.stats().visited - l0);
+        assert!(4 * b < 3 * l, "bulk visited {b}, per-run {l}");
+    }
+
+    /// After an unwind out of a bulk write batch at run `failed`: the tree
+    /// is valid, the runs before `failed` are recorded, every interval of
+    /// `before` that `runs[..=failed]` do not touch is still there, and the
+    /// tree still takes inserts.
+    fn assert_survived(
+        t: &mut Treap<u32>,
+        before: &[(u64, u64, u32)],
+        runs: &[(u64, u64)],
+        failed: usize,
+        who: u32,
+    ) {
+        t.check_invariants();
+        let now = contents(t);
+        assert_eq!(t.len(), now.len());
+        for &(lo, hi) in &runs[..failed] {
+            assert!(
+                now.contains(&(lo, hi, who)),
+                "completed run {lo}..{hi} lost"
+            );
+        }
+        for b in before {
+            if runs[..=failed]
+                .iter()
+                .all(|&(lo, hi)| hi <= b.0 || b.1 <= lo)
+            {
+                assert!(now.contains(b), "untouched interval {b:?} lost");
+            }
+        }
+        let s = t.stats();
+        assert_eq!(s.len_hw, t.len_high_water() as u64);
+        t.insert_writes_for(who + 1, runs, |_, _, _| {});
+        t.check_invariants();
+        t.insert_write(iv(0, u64::MAX, who + 2), |_, _, _| {});
+        t.check_invariants();
+        assert_eq!(contents(t), vec![(0, u64::MAX, who + 2)]);
+    }
+
+    #[test]
+    fn arena_exhausted_mid_batch_leaves_a_valid_tree() {
+        let stored: Vec<(u64, u64)> = (0..64).map(|i| (10 * i, 10 * i + 6)).collect();
+        // In the gaps (the case analysis on a non-empty middle) and beyond
+        // the cover (the O(n) build): every run allocates one node.
+        for base in [6u64, 5000] {
+            let runs: Vec<(u64, u64)> = (0..40)
+                .map(|i| (10 * i + base, 10 * i + base + 2))
+                .collect();
+            for room in [0usize, 1, 17, 39] {
+                let mut t = Treap::new();
+                t.insert_writes_for(1, &stored, |_, _, _| {});
+                let before = contents(&t);
+                t.set_node_cap(stored.len() + room);
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    t.insert_writes_for(2, &runs, |_, _, _| panic!("gaps only"));
+                }))
+                .expect_err("the cap must trip mid-batch");
+                assert!(payload.is::<stint_faults::DetectorError>());
+                assert_eq!(t.len(), stored.len() + room);
+                t.set_node_cap(usize::MAX);
+                assert_survived(&mut t, &before, &runs, room, 2);
+            }
+        }
+    }
+
+    /// 200 stored intervals plus one wide one; the batch's first twelve runs
+    /// each clip one stored interval and bury three (cases B and D with
+    /// REMOVEOVERLAP on both sides), the last three sit strictly inside the
+    /// wide one (case C).
+    fn conflicting_batch() -> [Vec<(u64, u64)>; 2] {
+        let mut stored: Vec<(u64, u64)> = (0..200).map(|i| (10 * i, 10 * i + 6)).collect();
+        stored.push((5000, 6000));
+        let mut runs: Vec<(u64, u64)> = (0..12).map(|j| (103 + 40 * j, 138 + 40 * j)).collect();
+        runs.extend([(5100, 5110), (5200, 5210), (5300, 5310)]);
+        [stored, runs]
+    }
+
+    #[test]
+    fn conflict_callback_unwinding_on_any_call_leaves_a_valid_tree() {
+        let [stored, runs] = conflicting_batch();
+        let mut k = 0;
+        loop {
+            k += 1;
+            let mut t = Treap::new();
+            for (i, &(lo, hi)) in stored.iter().enumerate() {
+                t.insert_write(iv(lo, hi, i as u32 % 5 + 10), |_, _, _| {});
+            }
+            let before = contents(&t);
+            let (mut calls, mut failed) = (0, None);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                t.insert_writes_for(2, &runs, |_, lo, _| {
+                    calls += 1;
+                    if calls == k {
+                        failed = runs.iter().position(|r| r.0 <= lo && lo < r.1);
+                        panic!("conflict callback {k}");
+                    }
+                });
+            }));
+            if caught.is_ok() {
+                assert_eq!(calls, 12 * 4 + 3, "every conflict reported once");
+                t.check_invariants();
+                break;
+            }
+            assert_survived(&mut t, &before, &runs, failed.expect("inside a run"), 2);
+        }
+    }
+
+    #[test]
+    fn left_of_callback_unwinding_on_any_call_leaves_a_valid_tree() {
+        let [stored, runs] = conflicting_batch();
+        let mut k = 0;
+        loop {
+            k += 1;
+            let mut t = Treap::new();
+            for (i, &(lo, hi)) in stored.iter().enumerate() {
+                t.insert_read(iv(lo, hi, i as u32 % 5 + 10), |_| true);
+            }
+            let before = contents(&t);
+            let mut calls = 0;
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                t.insert_reads_for(2, &runs, |old| {
+                    calls += 1;
+                    if calls == k {
+                        panic!("left-of callback {k}");
+                    }
+                    old % 2 == 0
+                });
+            }));
+            t.check_invariants();
+            assert_eq!(t.len(), t.to_vec().len());
+            // A read re-labels or trims what it overlaps and then covers the
+            // trimmed part itself, so only the run that unwound half-way can
+            // have left words of `before` uncovered.
+            let now = crate::normalize(t.to_vec().iter().map(|i| iv(i.start, i.end, 0)).collect());
+            let harmed = |r: &&(u64, u64)| {
+                before.iter().any(|b| {
+                    b.0 < r.1 && r.0 < b.1 && !now.iter().any(|n| n.start <= b.0 && b.1 <= n.end)
+                })
+            };
+            assert!(runs.iter().filter(harmed).count() <= 1, "callback {k}");
+            t.insert_reads_for(3, &runs, |_| true);
+            t.check_invariants();
+            if caught.is_ok() {
+                break;
+            }
+        }
+        assert!(k > 12 * 4, "the loop reached every callback");
     }
 
     #[test]

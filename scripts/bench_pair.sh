@@ -7,8 +7,9 @@
 #
 # Usage: scripts/bench_pair.sh [--quick] PARENT_REF [N]
 #   N        pairs per workload (default 10)
-#   --quick  N=2 on replay_stream, serve_closed and online_w2 — the smoke
-#            scripts/perfgate.sh runs; two pairs support no claim
+#   --quick  N=2 on replay_stream, serve_closed, online_w2 and the two
+#            treap-bound scatter workloads — the smoke scripts/perfgate.sh
+#            runs; two pairs support no claim
 #
 # Both sides are exported (`git archive` of PARENT_REF; the tracked and
 # untracked-but-not-ignored files of the working tree) into sibling
@@ -28,7 +29,7 @@ WORKLOADS=$(grep -o '{"name": "[a-z_0-9]*", "why"' BENCHMARK.json | cut -d'"' -f
 METRICS=$(grep -o '{"name": "[a-z_0-9]*", "unit": "[A-Za-z]*", "better": "lower", "bound"' BENCHMARK.json | cut -d'"' -f4)
 if [ "$QUICK" = 1 ]; then
     N=2
-    WORKLOADS="replay_stream serve_closed online_w2"
+    WORKLOADS="replay_stream serve_closed online_w2 scatter_writes scatter_reads"
 fi
 
 WORK=$PWD/.bench_build/pair

@@ -74,8 +74,9 @@ for key in gauges_zero_after_drain obs_off_registry_untouched flight_idle_obs_of
 done
 
 # Two alternated pairs on the three workloads the batch driver and the pool
-# serve say nothing about a gain; they catch a change that breaks a verdict or
-# blows an end-to-end bound. `scripts/bench_pair.sh REF 10` is the measurement.
+# serve, and on the two the treap's bulk splice decides, say nothing about a
+# gain; they catch a change that breaks a verdict or blows an end-to-end
+# bound. `scripts/bench_pair.sh REF 10` is the measurement.
 echo "== paired repo-benchmark smoke (parent vs working tree)"
 if git diff --quiet HEAD; then PAIR_REF=HEAD~1; else PAIR_REF=HEAD; fi
 scripts/bench_pair.sh --quick "$PAIR_REF"

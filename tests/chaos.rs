@@ -227,6 +227,66 @@ fn treap_node_cap_raises_structured_error() {
     assert_eq!(e.exit_code(), 3);
 }
 
+/// Two siblings whose flushes are long enough to be spliced through the
+/// treap's split–join cut: the spawned child stores 160 scattered words; the
+/// continuation stores the same 160 (every one a write–write race) plus 160
+/// more elsewhere, so its 320-run flush lands half inside the stored cover.
+struct ScatterSiblings;
+const SCATTER_RACES: usize = 160;
+
+impl CilkProgram for ScatterSiblings {
+    fn run<C: stint_repro::Cilk>(&mut self, ctx: &mut C) {
+        ctx.spawn(|c| {
+            for i in 0..SCATTER_RACES {
+                c.store(0x1000 + 12 * i, 4);
+            }
+        });
+        for i in 0..SCATTER_RACES {
+            ctx.store(0x1000 + 12 * i, 4);
+            ctx.store(0x9000 + 12 * i, 4);
+        }
+        ctx.sync();
+    }
+}
+
+/// Fault class 3 (`ivtree`) on the bulk path: a list-shaped treap, and an
+/// interval budget that trips inside a >=128-run flush, cut open. The budget
+/// is checked after the flush that crosses it, so that flush's races are all
+/// reported and the run ends in the documented exit-3 degradation; the
+/// legacy per-run path must reach the same verdict.
+#[test]
+fn long_flush_through_the_cut_degrades_without_losing_a_race() {
+    let _g = lock();
+    for degenerate in [false, true] {
+        let _plan = ScopedPlan::install(FaultPlan {
+            treap_degenerate: degenerate,
+            ..Default::default()
+        });
+        for hot in [
+            stint_repro::HotPath::default(),
+            stint_repro::HotPath::LEGACY,
+        ] {
+            for budget in [None, Some(200)] {
+                let mut cfg = Config::new(Variant::Stint);
+                cfg.hot = hot;
+                cfg.budget.max_intervals = budget;
+                let o = try_detect_with(&mut ScatterSiblings, cfg)
+                    .unwrap_or_else(|e| panic!("degenerate={degenerate} {budget:?}: {e}"));
+                assert_eq!(
+                    o.report.racy_words().len(),
+                    SCATTER_RACES,
+                    "degenerate={degenerate} {budget:?}: a seeded race was lost"
+                );
+                match (budget, o.degraded) {
+                    (None, None) => {}
+                    (Some(_), Some(e)) => assert_eq!(e.exit_code(), 3, "{e}"),
+                    (b, d) => panic!("budget {b:?} but degraded {d:?}"),
+                }
+            }
+        }
+    }
+}
+
 /// Fault class 4 (`cilkrt`): worker spawn failures and startup deaths leave
 /// the pool correct (degraded to fewer workers, ultimately sequential).
 #[test]

@@ -31,6 +31,32 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     let comprts_run = detect(&mut w, Variant::CompRts);
     assert!(comprts_run.report.is_race_free());
 
+    // ivtree, fast path against slow path, counted: a six-run batch into an
+    // empty tree meets an empty middle and is built; a five-run batch inside
+    // it runs the case analysis on the middle; three runs are below the
+    // minimum batch length and take the per-run path. Every run is one
+    // `ivtree.inserts`, whichever way it went.
+    {
+        use stint_repro::{IntervalStore, Treap};
+        let read = |name: &str| counter(&obs::metrics_json(), name).unwrap_or(0);
+        let names = [
+            "ivtree.bulk.batches",
+            "ivtree.bulk.runs",
+            "ivtree.bulk.built",
+            "ivtree.inserts",
+        ];
+        let before = names.map(read);
+        let mut t: Treap<u32> = Treap::new();
+        let built = [(0, 2), (10, 12), (20, 22), (30, 32), (40, 42), (50, 52)];
+        t.insert_writes_for(1, &built, |_, _, _| {});
+        let inside = [(11, 13), (21, 23), (31, 33), (41, 43), (44, 45)];
+        t.insert_writes_for(2, &inside, |_, _, _| {});
+        t.insert_reads_for(3, &[(0, 1), (5, 6), (100, 101)], |_| true);
+        let after = names.map(read);
+        let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(delta, [2, 11, 6, 14], "{names:?}");
+    }
+
     // cilkrt: fork-join on a real pool. A join landing before any worker
     // thread is up gets drained inline (serial elision, no fork recorded),
     // so retry until one actually runs on a worker deque.
@@ -137,6 +163,9 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         "sporder.parallel_queries",
         "sporder.reach_cache_hits",
         "ivtree.inserts",
+        "ivtree.bulk.batches",
+        "ivtree.bulk.runs",
+        "ivtree.bulk.built",
         "shadow.page_allocs",
         "shadow.filter_elisions",
         "cilkrt.workers_spawned",
