@@ -13,12 +13,16 @@
 //! * `--reps N` — minimum rep pairs per (bench, variant) cell (default 5);
 //! * `--bench NAME` — run only that workload (investigating one bench);
 //! * `--out PATH` — output file (default `BENCH_perfgate.json`);
-//! * `--check` — exit nonzero if any variant's geomean speedup < 1.0
-//!   (the optimized path must never lose to the legacy path), or if a
-//!   previous JSON is present and any geomean fell more than
+//! * `--check` — exit nonzero if a word-granularity variant's geomean
+//!   speedup < 1.0 (the optimized path must never lose to the legacy path),
+//!   or if a previous JSON is present and any geomean fell more than
 //!   [`BASELINE_NOISE`] below it — the fault-injection layer must be free
 //!   when no plan is installed, so a fresh run may only differ from the
-//!   committed baseline by benchmark noise.
+//!   committed baseline by benchmark noise. STINT's hot and legacy paths
+//!   share the hook lane, so their ratio sits at 1.0 by construction; STINT
+//!   is gated instead on the hot path's absolute `hot_ns_per_hook`: each
+//!   bench is compared with its row in the previous JSON, and the geomean of
+//!   those ratios must stay within the same noise band.
 //!
 //! Access-history flush timing is forced off ([`TimingMode::Off`]) so the
 //! wall times contain no clock-read overhead.
@@ -148,6 +152,12 @@ impl Row {
     fn speedup(&self) -> f64 {
         self.legacy.as_secs_f64() / self.hot.wall.as_secs_f64().max(1e-9)
     }
+
+    /// Wall time of the hot path per instrumentation hook delivered.
+    fn hot_ns_per_hook(&self) -> f64 {
+        let s = &self.hot.stats;
+        self.hot.wall.as_secs_f64() * 1e9 / (s.read.hooks + s.write.hooks).max(1) as f64
+    }
 }
 
 fn json_escape_free(s: &str) -> &str {
@@ -168,6 +178,7 @@ fn write_json(path: &str, scale: Scale, reps: u32, rows: &[Row], geomeans: &[(Va
             concat!(
                 "    {{\"bench\": \"{}\", \"variant\": \"{}\", ",
                 "\"legacy_secs\": {:.6}, \"hot_secs\": {:.6}, \"speedup\": {:.4}, ",
+                "\"hot_ns_per_hook\": {:.3}, ",
                 "\"intervals\": {}, \"words\": {}, \"strands_flushed\": {}, ",
                 "\"hash_ops\": {}, \"treap_ops\": {}, ",
                 "\"reach_hits\": {}, \"reach_misses\": {}, \"reach_hit_rate\": {:.4}, ",
@@ -179,6 +190,7 @@ fn write_json(path: &str, scale: Scale, reps: u32, rows: &[Row], geomeans: &[(Va
             r.legacy.as_secs_f64(),
             r.hot.wall.as_secs_f64(),
             r.speedup(),
+            r.hot_ns_per_hook(),
             s.total_intervals(),
             s.total_words(),
             s.strands_flushed,
@@ -219,6 +231,14 @@ fn previous_geomean(content: &str, key: &str) -> Option<f64> {
         .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
         .collect();
     num.parse().ok()
+}
+
+/// Pull one bench row's `hot_ns_per_hook` out of a previous (parsed) report.
+fn previous_ns_per_hook(doc: &stint_bench::json::Value, bench: &str, variant: &str) -> Option<f64> {
+    doc.get("benches")?.as_array()?.iter().find_map(|b| {
+        let same = b.get("bench")?.as_str()? == bench && b.get("variant")?.as_str()? == variant;
+        same.then(|| b.get("hot_ns_per_hook")?.as_f64())?
+    })
 }
 
 /// Gate the space study's report (regenerated by the `space` binary; see
@@ -702,6 +722,7 @@ fn main() {
         "legacy",
         "hot",
         "speedup",
+        "hot ns/hook",
         "reach hit%",
         "batch avg",
     ]);
@@ -713,6 +734,7 @@ fn main() {
             secs(r.legacy),
             secs(r.hot.wall),
             format!("{:.2}x", r.speedup()),
+            format!("{:.2}", r.hot_ns_per_hook()),
             format!("{:.1}", 100.0 * s.reach_hit_rate()),
             format!("{:.1}", s.avg_page_batch_words()),
         ]);
@@ -745,7 +767,7 @@ fn main() {
     if args.check {
         let losers: Vec<String> = geomeans
             .iter()
-            .filter(|(_, g)| *g < 1.0)
+            .filter(|(v, g)| *v != Variant::Stint && *g < 1.0)
             .map(|(v, g)| format!("{v} ({g:.2}x)"))
             .collect();
         if !losers.is_empty() {
@@ -755,7 +777,44 @@ fn main() {
             );
             std::process::exit(1);
         }
-        println!("check passed: hot path no slower than legacy for every variant");
+        println!("check passed: hot path no slower than legacy for every word-granularity variant");
+
+        // STINT: the hot path's own per-hook price must hold. Judged, like
+        // every timing here, by the geomean over benches, never one cell.
+        if let Some(doc) = previous
+            .as_deref()
+            .and_then(|c| stint_bench::json::parse(c).ok())
+        {
+            let ratios: Vec<(&str, f64)> = rows
+                .iter()
+                .filter(|r| r.variant == Variant::Stint)
+                .filter_map(|r| {
+                    let prev = previous_ns_per_hook(&doc, r.bench, r.variant.name())?;
+                    Some((r.bench, r.hot_ns_per_hook() / prev))
+                })
+                .collect();
+            if ratios.is_empty() {
+                println!("note: previous JSON has no STINT hot_ns_per_hook; nothing to gate it on");
+            } else {
+                let g = geomean(&ratios.iter().map(|(_, x)| *x).collect::<Vec<_>>());
+                let cells: Vec<String> =
+                    ratios.iter().map(|(b, x)| format!("{b} {x:.2}x")).collect();
+                println!("STINT hot ns/hook vs previous run: {}", cells.join(", "));
+                if g > 1.0 + BASELINE_NOISE {
+                    eprintln!(
+                        "FAIL: STINT hot-path ns/hook is {g:.2}x the previous baseline \
+                         (geomean over benches; allowed {:.2}x)",
+                        1.0 + BASELINE_NOISE
+                    );
+                    std::process::exit(1);
+                }
+                println!(
+                    "check passed: STINT hot-path ns/hook at {g:.2}x the previous baseline \
+                     (geomean over benches; allowed {:.2}x)",
+                    1.0 + BASELINE_NOISE
+                );
+            }
+        }
 
         // Zero-overhead guard: with no plan installed, this run must sit
         // within noise of the committed baseline geomeans.

@@ -10,7 +10,7 @@
 //! top-level calls plus deduplication; the per-word hashmap cost remains.
 
 use crate::report::RaceReport;
-use crate::stats::DetectorStats;
+use crate::stats::{DetectorStats, Sided};
 use crate::timing::FlushTimer;
 use crate::word_logic::{replay_interval, WordOp};
 use crate::{HotPath, ResourceBudget};
@@ -19,12 +19,64 @@ use stint_faults::DetectorError;
 use stint_shadow::{BitShadow, SetFilter, WordIv, WordShadow};
 use stint_sporder::{ReachCache, Reachability, StrandId};
 
+/// One access kind's runtime coalescer, shared by `comp+rts` and STINT: the
+/// strand's bit table and the hook-side filter that is only valid until the
+/// table is next extracted.
+pub(crate) struct Coalescer {
+    pub(crate) table: BitShadow,
+    pub(crate) filter: SetFilter,
+}
+
+impl Coalescer {
+    pub(crate) fn new() -> Self {
+        Coalescer {
+            table: BitShadow::new(),
+            filter: SetFilter::new(),
+        }
+    }
+
+    /// The load/store hook body: count the hook on its `side` and set its
+    /// words, inline when the range is on the table's lane.
+    #[inline(always)]
+    pub(crate) fn hook(&mut self, side: &mut Sided, filtered: bool, addr: usize, bytes: usize) {
+        let (lo, hi) = word_range(addr, bytes);
+        side.hooks += 1;
+        side.hook_bytes += bytes as u64;
+        side.words += hi - lo;
+        if !self.table.set_in_lane(lo, hi) {
+            self.set_off_lane(filtered, lo, hi);
+        }
+    }
+
+    /// A hook that left the lane. Only a range over several bitmap groups —
+    /// where one elision saves a loop over the table — asks the filter (a
+    /// one-group range is cheaper set than asked about): the table is
+    /// monotone until the strand-end flush, so a range the filter has seen
+    /// set this strand can skip it entirely.
+    #[cold]
+    #[inline(never)]
+    fn set_off_lane(&mut self, filtered: bool, lo: u64, hi: u64) {
+        if filtered && lo < hi && lo >> 6 != (hi - 1) >> 6 {
+            if !self.filter.covers(lo, hi) {
+                self.table.set_range(lo, hi);
+                self.filter.record(lo, hi);
+            }
+        } else {
+            self.table.set_range(lo, hi);
+        }
+    }
+
+    /// Strand end: append the strand's maximal intervals to `out` and clear.
+    pub(crate) fn extract(&mut self, out: &mut Vec<WordIv>) {
+        self.table.extract_and_clear(out);
+        self.filter.reset();
+    }
+}
+
 /// Runtime-coalescing detector over the word-granularity access history.
 pub struct CompRtsDetector {
-    reads: BitShadow,
-    writes: BitShadow,
-    read_filter: SetFilter,
-    write_filter: SetFilter,
+    reads: Coalescer,
+    writes: Coalescer,
     shadow: WordShadow,
     scratch: Vec<WordIv>,
     hot: HotPath,
@@ -40,10 +92,8 @@ pub struct CompRtsDetector {
 impl CompRtsDetector {
     pub fn new(report: RaceReport) -> Self {
         CompRtsDetector {
-            reads: BitShadow::new(),
-            writes: BitShadow::new(),
-            read_filter: SetFilter::new(),
-            write_filter: SetFilter::new(),
+            reads: Coalescer::new(),
+            writes: Coalescer::new(),
             shadow: WordShadow::new(),
             scratch: Vec::new(),
             hot: HotPath::default(),
@@ -78,7 +128,7 @@ impl CompRtsDetector {
     /// `finish`. Internal callers must NOT `observe` (only real hook
     /// invocations are trace events).
     fn flush<R: Reachability>(&mut self, s: StrandId, reach: &R) {
-        if self.reads.is_clear() && self.writes.is_clear() {
+        if self.reads.table.is_clear() && self.writes.table.is_clear() {
             return;
         }
         self.stats.strands_flushed += 1;
@@ -93,8 +143,7 @@ impl CompRtsDetector {
         // with — see DESIGN.md §3).
         let mut ivs = std::mem::take(&mut self.scratch);
         ivs.clear();
-        self.reads.extract_and_clear(&mut ivs);
-        self.read_filter.reset();
+        self.reads.extract(&mut ivs);
         for &(lo, hi) in &ivs {
             self.stats.read.intervals += 1;
             self.stats.read.interval_bytes += (hi - lo) * 4;
@@ -111,8 +160,7 @@ impl CompRtsDetector {
             );
         }
         ivs.clear();
-        self.writes.extract_and_clear(&mut ivs);
-        self.write_filter.reset();
+        self.writes.extract(&mut ivs);
         for &(lo, hi) in &ivs {
             self.stats.write.intervals += 1;
             self.stats.write.interval_bytes += (hi - lo) * 4;
@@ -140,53 +188,27 @@ impl CompRtsDetector {
     pub fn with_budget(mut self, b: ResourceBudget) -> Self {
         if let Some(bytes) = b.max_shadow_bytes {
             self.shadow.set_page_cap(bytes / WordShadow::BYTES_PER_PAGE);
-            self.reads.set_chunk_cap(bytes / BitShadow::BYTES_PER_CHUNK);
-            self.writes
-                .set_chunk_cap(bytes / BitShadow::BYTES_PER_CHUNK);
+            for c in [&mut self.reads, &mut self.writes] {
+                c.table.set_chunk_cap(bytes / BitShadow::BYTES_PER_CHUNK);
+            }
         }
         self
     }
 }
 
 impl<R: Reachability> Detector<R> for CompRtsDetector {
-    #[inline]
+    #[inline(always)]
     fn load(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
         self.report.observe(s, true);
-        let (lo, hi) = word_range(addr, bytes);
-        self.stats.read.hooks += 1;
-        self.stats.read.hook_bytes += bytes as u64;
-        self.stats.read.words += hi - lo;
-        // The bit table is monotone until the strand-end flush, so a range
-        // the filter has seen set this strand can skip it entirely.
-        if self.hot.batched {
-            if !self.read_filter.covers(lo, hi) {
-                self.reads.set_range(lo, hi);
-                if lo < hi {
-                    self.read_filter.record(lo, hi);
-                }
-            }
-        } else {
-            self.reads.set_range(lo, hi);
-        }
+        self.reads
+            .hook(&mut self.stats.read, self.hot.batched, addr, bytes);
     }
 
-    #[inline]
+    #[inline(always)]
     fn store(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
         self.report.observe(s, true);
-        let (lo, hi) = word_range(addr, bytes);
-        self.stats.write.hooks += 1;
-        self.stats.write.hook_bytes += bytes as u64;
-        self.stats.write.words += hi - lo;
-        if self.hot.batched {
-            if !self.write_filter.covers(lo, hi) {
-                self.writes.set_range(lo, hi);
-                if lo < hi {
-                    self.write_filter.record(lo, hi);
-                }
-            }
-        } else {
-            self.writes.set_range(lo, hi);
-        }
+        self.writes
+            .hook(&mut self.stats.write, self.hot.batched, addr, bytes);
     }
 
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
@@ -213,16 +235,16 @@ impl<R: Reachability> Detector<R> for CompRtsDetector {
         self.stats.reach_flushes = self.cache.flushes;
         self.stats.page_batches = self.shadow.batches;
         self.stats.page_batch_words = self.shadow.batched_words;
-        self.stats.hook_filter_hits = self.read_filter.hits + self.write_filter.hits;
+        self.stats.hook_filter_hits = self.reads.filter.hits + self.writes.filter.hits;
         self.stats.ah_bytes = self.shadow.heap_bytes();
-        self.stats.coalesce_bytes = self.reads.heap_bytes() + self.writes.heap_bytes();
+        self.stats.coalesce_bytes = self.reads.table.heap_bytes() + self.writes.table.heap_bytes();
     }
 
     fn failure(&self) -> Option<DetectorError> {
         self.shadow
             .exhausted()
-            .or_else(|| self.reads.exhausted())
-            .or_else(|| self.writes.exhausted())
+            .or_else(|| self.reads.table.exhausted())
+            .or_else(|| self.writes.table.exhausted())
     }
 }
 
@@ -274,6 +296,49 @@ mod tests {
         // The hashmap saw each deduplicated word once.
         assert_eq!(d.stats.hash_ops, 8);
         assert!(d.report.is_race_free());
+    }
+
+    /// The edges of the bit table's hook lane, through both coalescing
+    /// detectors and both hook settings.
+    struct LaneEdges;
+    impl CilkProgram for LaneEdges {
+        fn run<C: Cilk>(&mut self, ctx: &mut C) {
+            const CHUNK: usize = 1 << 16; // words per bit-table chunk
+            ctx.store(0, 0); // zero-length at word 0
+            ctx.store(64 * 4, 256); // 64 words fill a bitmap group exactly
+            ctx.store(63 * 4, 8); // 63|64 straddles two groups
+            ctx.store((CHUNK - 1) * 4, 4); // last word of a chunk ...
+            ctx.store(CHUNK * 4, 4); // ... and the first of the next
+            for i in 0..50 {
+                // Two chunks take turns in the table's one-entry chunk cache.
+                ctx.load(i * 4, 4);
+                ctx.load((CHUNK + 1000 + i) * 4, 4);
+            }
+            ctx.spawn(|_| {});
+            ctx.sync();
+        }
+    }
+
+    #[test]
+    fn lane_edges_count_and_coalesce() {
+        for hot in [HotPath::default(), HotPath::LEGACY] {
+            let comprts = CompRtsDetector::new(RaceReport::default()).with_hot_path(hot);
+            let (ex, _) = run_with_detector(&mut LaneEdges, comprts);
+            let stint = crate::StintDetector::new(RaceReport::default()).with_hot_path(hot);
+            let (ex2, _) = run_with_detector(&mut LaneEdges, stint);
+            for (stats, report) in [
+                (ex.det.stats, &ex.det.report),
+                (ex2.det.stats, &ex2.det.report),
+            ] {
+                let (r, w) = (stats.read, stats.write);
+                assert_eq!((w.hooks, w.hook_bytes, w.words), (5, 272, 68), "{hot:?}");
+                // [63, 128) and the two words around the chunk boundary.
+                assert_eq!((w.intervals, w.interval_bytes), (2, 67 * 4), "{hot:?}");
+                assert_eq!((r.hooks, r.hook_bytes, r.words), (100, 400, 100), "{hot:?}");
+                assert_eq!((r.intervals, r.interval_bytes), (2, 400), "{hot:?}");
+                assert!(report.is_race_free());
+            }
+        }
     }
 
     /// A strand that reads a word before writing it must still race with an

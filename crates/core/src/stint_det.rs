@@ -21,6 +21,7 @@
 //! paper's treap by default ([`StintDetector`]), or the `BTreeMap` reference
 //! store ([`StintFlatDetector`]) as the "any balanced BST" ablation.
 
+use crate::comprts::Coalescer;
 use crate::report::{RaceKind, RaceReport};
 use crate::stats::DetectorStats;
 use crate::timing::FlushTimer;
@@ -28,7 +29,7 @@ use crate::{HotPath, ResourceBudget};
 use stint_cilk::{word_range, Detector};
 use stint_faults::{DetectorError, Resource};
 use stint_ivtree::{FlatStore, Interval, IntervalStore, Treap};
-use stint_shadow::{BitShadow, SetFilter, WordIv};
+use stint_shadow::{BitShadow, WordIv};
 use stint_sporder::{ReachCache, Reachability, StrandId};
 
 /// Pseudo-accessor recorded over freed regions: it conflicts with nothing
@@ -42,10 +43,8 @@ pub type StintFlatDetector = IntervalDetector<FlatStore<StrandId>>;
 
 /// Interval-based detector, generic over the access-history store.
 pub struct IntervalDetector<S> {
-    reads: BitShadow,
-    writes: BitShadow,
-    read_filter: SetFilter,
-    write_filter: SetFilter,
+    reads: Coalescer,
+    writes: Coalescer,
     read_tree: S,
     write_tree: S,
     scratch_r: Vec<WordIv>,
@@ -111,10 +110,8 @@ impl IntervalDetector<FlatStore<StrandId>> {
 impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
     pub fn with_stores(read_tree: S, write_tree: S, report: RaceReport) -> Self {
         IntervalDetector {
-            reads: BitShadow::new(),
-            writes: BitShadow::new(),
-            read_filter: SetFilter::new(),
-            write_filter: SetFilter::new(),
+            reads: Coalescer::new(),
+            writes: Coalescer::new(),
             read_tree,
             write_tree,
             scratch_r: Vec::new(),
@@ -136,10 +133,12 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
 
     /// Select which hot-path optimizations to use (default: all on). The
     /// interval detector has no word-replay loop; here [`HotPath::batched`]
-    /// enables the hook-side redundant-`set_range` filter (a load/store
-    /// whose word range is already set in the bit table this strand skips
-    /// the table entirely), while [`HotPath::reach_cache`] and
-    /// [`HotPath::gated_timing`] work as in the word-granularity detectors.
+    /// gates the redundant-`set_range` filter on hooks that span several
+    /// bitmap groups (one-group hooks take the bit table's inlined lane
+    /// under every setting) and the batched strand-end flush (all cross-tree
+    /// checks, then one bulk insert per tree), while
+    /// [`HotPath::reach_cache`] and [`HotPath::gated_timing`] work as in the
+    /// word-granularity detectors.
     pub fn with_hot_path(mut self, hot: HotPath) -> Self {
         self.hot = hot;
         if !hot.gated_timing {
@@ -154,9 +153,9 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
     /// the detector goes dead with its history frozen at that point.
     pub fn with_budget(mut self, b: ResourceBudget) -> Self {
         if let Some(bytes) = b.max_shadow_bytes {
-            self.reads.set_chunk_cap(bytes / BitShadow::BYTES_PER_CHUNK);
-            self.writes
-                .set_chunk_cap(bytes / BitShadow::BYTES_PER_CHUNK);
+            for c in [&mut self.reads, &mut self.writes] {
+                c.table.set_chunk_cap(bytes / BitShadow::BYTES_PER_CHUNK);
+            }
         }
         self.max_intervals = b.max_intervals;
         self
@@ -184,50 +183,24 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
 }
 
 impl<S: IntervalStore<StrandId>, R: Reachability> Detector<R> for IntervalDetector<S> {
-    #[inline]
+    #[inline(always)]
     fn load(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
         self.report.observe(s, true);
         if self.failure.is_some() {
             return; // dead: history frozen at the failure point
         }
-        let (lo, hi) = word_range(addr, bytes);
-        self.stats.read.hooks += 1;
-        self.stats.read.hook_bytes += bytes as u64;
-        self.stats.read.words += hi - lo;
-        // The bit table is monotone until the strand-end flush, so a range
-        // the filter has seen set this strand can skip it entirely.
-        if self.hot.batched {
-            if !self.read_filter.covers(lo, hi) {
-                self.reads.set_range(lo, hi);
-                if lo < hi {
-                    self.read_filter.record(lo, hi);
-                }
-            }
-        } else {
-            self.reads.set_range(lo, hi);
-        }
+        self.reads
+            .hook(&mut self.stats.read, self.hot.batched, addr, bytes);
     }
 
-    #[inline]
+    #[inline(always)]
     fn store(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
         self.report.observe(s, true);
         if self.failure.is_some() {
             return; // dead: history frozen at the failure point
         }
-        let (lo, hi) = word_range(addr, bytes);
-        self.stats.write.hooks += 1;
-        self.stats.write.hook_bytes += bytes as u64;
-        self.stats.write.words += hi - lo;
-        if self.hot.batched {
-            if !self.write_filter.covers(lo, hi) {
-                self.writes.set_range(lo, hi);
-                if lo < hi {
-                    self.write_filter.record(lo, hi);
-                }
-            }
-        } else {
-            self.writes.set_range(lo, hi);
-        }
+        self.writes
+            .hook(&mut self.stats.write, self.hot.batched, addr, bytes);
     }
 
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
@@ -261,9 +234,9 @@ impl<S: IntervalStore<StrandId>, R: Reachability> Detector<R> for IntervalDetect
         self.stats.reach_hits = self.cache.hits;
         self.stats.reach_misses = self.cache.misses;
         self.stats.reach_flushes = self.cache.flushes;
-        self.stats.hook_filter_hits = self.read_filter.hits + self.write_filter.hits;
+        self.stats.hook_filter_hits = self.reads.filter.hits + self.writes.filter.hits;
         self.stats.ah_bytes = t.bytes;
-        self.stats.coalesce_bytes = self.reads.heap_bytes() + self.writes.heap_bytes();
+        self.stats.coalesce_bytes = self.reads.table.heap_bytes() + self.writes.table.heap_bytes();
         self.stats.treap_inserts = t.inserts;
         self.stats.treap_len_hw = t.len_hw;
     }
@@ -271,8 +244,8 @@ impl<S: IntervalStore<StrandId>, R: Reachability> Detector<R> for IntervalDetect
     fn failure(&self) -> Option<DetectorError> {
         self.failure
             .clone()
-            .or_else(|| self.reads.exhausted())
-            .or_else(|| self.writes.exhausted())
+            .or_else(|| self.reads.table.exhausted())
+            .or_else(|| self.writes.table.exhausted())
     }
 }
 
@@ -281,7 +254,7 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
     /// `finish`. Internal callers must NOT `observe` (only real hook
     /// invocations are trace events).
     fn flush<R: Reachability>(&mut self, s: StrandId, reach: &R) {
-        if self.failure.is_some() || (self.reads.is_clear() && self.writes.is_clear()) {
+        if self.failure.is_some() || (self.reads.table.is_clear() && self.writes.table.is_clear()) {
             return;
         }
         self.stats.strands_flushed += 1;
@@ -302,10 +275,8 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
         let mut writes = std::mem::take(&mut self.scratch_w);
         reads.clear();
         writes.clear();
-        self.reads.extract_and_clear(&mut reads);
-        self.writes.extract_and_clear(&mut writes);
-        self.read_filter.reset();
-        self.write_filter.reset();
+        self.reads.extract(&mut reads);
+        self.writes.extract(&mut writes);
         for &(lo, hi) in &reads {
             self.stats.read.intervals += 1;
             self.stats.read.interval_bytes += (hi - lo) * 4;

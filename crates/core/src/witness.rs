@@ -242,8 +242,10 @@ pub struct Provenance {
 impl Provenance {
     /// Advance the sequence number for one hook invocation by strand `s`.
     /// `access` is true for load/store/load_range/store_range, false for
-    /// free/strand_end.
-    #[inline]
+    /// free/strand_end. Out of line: [`crate::RaceReport::observe`] sits in
+    /// every hook site, and a run without witness capture never gets here.
+    #[cold]
+    #[inline(never)]
     pub fn on_event(&mut self, s: StrandId, access: bool) {
         let id = self.seq;
         self.seq += 1;

@@ -58,16 +58,12 @@ const DROPPED: u32 = u32::MAX;
 /// ```
 pub struct BitShadow {
     map: PageMap,
-    chunks: Vec<Box<[u64]>>,
+    chunks: Vec<Box<[u64; GROUPS_PER_CHUNK]>>,
     /// Global bitmap-group ids (`word >> 6`) that became non-zero during the
     /// current strand, in first-touch order.
     dirty: Vec<u64>,
     /// Cache of the last (chunk_no, slot) to skip the map on sequential hits.
     last_chunk: (u64, u32),
-    /// Total `set_range` invocations (hook-level operations).
-    pub set_calls: u64,
-    /// Total bitmap groups made dirty across all strands.
-    pub groups_touched: u64,
     /// Maximum number of chunks that may be allocated (`u64::MAX` when
     /// unbounded; set by a budget or a `shadow-pages` fault).
     chunk_cap: u64,
@@ -222,8 +218,6 @@ impl BitShadow {
             chunks: Vec::new(),
             dirty: Vec::new(),
             last_chunk: (u64::MAX, 0),
-            set_calls: 0,
-            groups_touched: 0,
             chunk_cap: u64::MAX,
             oom_at: u64::MAX,
             exhausted: None,
@@ -249,7 +243,7 @@ impl BitShadow {
     /// dirty list and the first-level map.
     pub fn heap_bytes(&self) -> u64 {
         (self.chunks.len() * GROUPS_PER_CHUNK * 8
-            + self.chunks.capacity() * std::mem::size_of::<Box<[u64]>>()
+            + self.chunks.capacity() * std::mem::size_of::<Box<[u64; GROUPS_PER_CHUNK]>>()
             + self.dirty.capacity() * std::mem::size_of::<u64>()) as u64
             + self.map.heap_bytes()
     }
@@ -312,7 +306,8 @@ impl BitShadow {
         let chunks = &mut self.chunks;
         let slot = self.map.get_or_insert_with(chunk_no, || {
             let idx = chunks.len() as u32;
-            chunks.push(vec![0u64; GROUPS_PER_CHUNK].into_boxed_slice());
+            let chunk = vec![0u64; GROUPS_PER_CHUNK].into_boxed_slice();
+            chunks.push(chunk.try_into().expect("GROUPS_PER_CHUNK groups"));
             idx
         });
         self.last_chunk = (chunk_no, slot);
@@ -321,12 +316,49 @@ impl BitShadow {
     }
 
     /// Mark the words `[start, end)` as accessed in the current strand.
-    #[inline]
+    #[inline(always)]
     pub fn set_range(&mut self, start: u64, end: u64) {
+        if !self.set_in_lane(start, end) {
+            self.set_range_slow(start, end);
+        }
+    }
+
+    /// The *lane* nearly all hooks take: a non-empty range inside one bitmap
+    /// group of the cached chunk, in a cell some earlier hook of the strand
+    /// already made dirty, is set with one branch-free mask and one
+    /// load/OR/store on the cell (the array chunk makes the masked index
+    /// check-free). Returns false, having done nothing, for any other range;
+    /// the caller then owes a [`set_range`](Self::set_range), whose general
+    /// loop is kept out of line so hook sites stay small and their callers'
+    /// loops keep values in registers.
+    #[inline(always)]
+    pub fn set_in_lane(&mut self, start: u64, end: u64) -> bool {
+        let g = start >> 6;
+        let (chunk_no, slot) = self.last_chunk;
+        // A cached `DROPPED` slot never takes the lane: its bits are dropped.
+        if start < end
+            && g == (end - 1) >> 6
+            && g >> GROUPS_PER_CHUNK_BITS == chunk_no
+            && slot != DROPPED
+        {
+            let cell = &mut self.chunks[slot as usize][(g as usize) & (GROUPS_PER_CHUNK - 1)];
+            if *cell != 0 {
+                *cell |= (!0u64 >> (64 - (end - start))) << (start & 63);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The general loop: empty ranges, ranges over several groups, a group's
+    /// first touch in the strand (the dirty list), a chunk other than the
+    /// cached one (first-level map, allocation, exhaustion).
+    #[cold]
+    #[inline(never)]
+    fn set_range_slow(&mut self, start: u64, end: u64) {
         if start >= end {
             return;
         }
-        self.set_calls += 1;
         let first_group = start >> 6;
         let last_group = (end - 1) >> 6;
         for g in first_group..=last_group {
@@ -348,7 +380,6 @@ impl BitShadow {
             let cell = &mut self.chunks[slot as usize][(g as usize) & (GROUPS_PER_CHUNK - 1)];
             if *cell == 0 {
                 self.dirty.push(g);
-                self.groups_touched += 1;
             }
             *cell |= mask;
         }
@@ -420,6 +451,25 @@ mod tests {
         v
     }
 
+    /// Set `ranges` in order and check the extracted intervals against a
+    /// `BTreeSet` of the words they cover.
+    fn check_vs_reference(b: &mut BitShadow, ranges: &[WordIv]) {
+        let mut reference = BTreeSet::new();
+        for &(start, end) in ranges {
+            b.set_range(start, end);
+            reference.extend(start..end);
+        }
+        let mut want: Vec<WordIv> = Vec::new();
+        for &w in &reference {
+            match want.last_mut() {
+                Some((_, e)) if *e == w => *e = w + 1,
+                _ => want.push((w, w + 1)),
+            }
+        }
+        assert_eq!(extract(b), want, "ranges {ranges:?}");
+        assert!(b.is_clear());
+    }
+
     #[test]
     fn single_word() {
         let mut b = BitShadow::new();
@@ -445,7 +495,6 @@ mod tests {
             b.set_range(100, 108);
         }
         assert_eq!(extract(&mut b), vec![(100, 108)]);
-        assert_eq!(b.set_calls, 100);
     }
 
     #[test]
@@ -637,26 +686,83 @@ mod tests {
             state
         };
         for _round in 0..200 {
-            let mut b = BitShadow::new();
-            let mut reference = BTreeSet::new();
             let n = (next() % 40 + 1) as usize;
-            for _ in 0..n {
-                let start = next() % 500;
-                let len = next() % 80 + 1;
-                b.set_range(start, start + len);
-                for w in start..start + len {
-                    reference.insert(w);
-                }
+            let ranges: Vec<WordIv> = (0..n)
+                .map(|_| {
+                    let start = next() % 500;
+                    (start, start + next() % 80 + 1)
+                })
+                .collect();
+            check_vs_reference(&mut BitShadow::new(), &ranges);
+        }
+    }
+
+    /// The edges of the inlined lane, each on a table whose chunk cache is
+    /// cold (first range takes the general loop) and again warm.
+    #[test]
+    fn lane_edges_match_reference() {
+        let chunk = 1u64 << (GROUPS_PER_CHUNK_BITS + 6);
+        let alternating: Vec<WordIv> = (0..200)
+            .map(|i| ((i % 2) * chunk + i, (i % 2) * chunk + i + 1))
+            .collect();
+        let cases: [&[WordIv]; 9] = [
+            &[(64, 128)],                              // n = 64 fills a group exactly
+            &[(0, 64), (64, 128), (128, 192)],         // three full groups coalesce
+            &[(63, 65)],                               // 63|64 straddle: two groups
+            &[(63, 64), (64, 65)],                     // the same words, one group each
+            &[(chunk - 1, chunk), (chunk, chunk + 1)], // last word of a chunk + first of the next
+            &[(chunk - 1, chunk + 1)],                 // one range across the chunk boundary
+            &[(0, 0), (5, 5), (7, 3)],                 // empty: `end - 1` must not underflow
+            &[(0, 0), (0, 1), (0, 0)],                 // empty on a warm cache
+            &alternating,                              // two chunks take turns in the cache
+        ];
+        for ranges in cases {
+            check_vs_reference(&mut BitShadow::new(), ranges);
+            let mut warm = BitShadow::new();
+            check_vs_reference(&mut warm, &[(1, 2), (chunk + 1, chunk + 2), (1, 2)]);
+            check_vs_reference(&mut warm, ranges);
+        }
+    }
+
+    /// Repeated one-group hits on a chunk that could not be allocated: the
+    /// cached `DROPPED` slot never takes the lane, exhaustion is recorded
+    /// once, and nothing of the chunk is ever extracted.
+    #[test]
+    fn dropped_chunk_stays_dropped_under_repeated_hits() {
+        let far = 5u64 << 16;
+        for by_fault in [false, true] {
+            let mut b = BitShadow::new();
+            if by_fault {
+                // What a `shadow-oom-at=1` fault plan sets at construction
+                // (plans are process-wide; unit tests share the process).
+                b.oom_at = 1;
+            } else {
+                b.set_chunk_cap(1);
             }
-            // Expected intervals from the reference set.
-            let mut want: Vec<WordIv> = Vec::new();
-            for &w in &reference {
-                match want.last_mut() {
-                    Some((_, e)) if *e == w => *e = w + 1,
-                    _ => want.push((w, w + 1)),
-                }
+            b.set_range(10, 20);
+            for _ in 0..100 {
+                b.set_range(far + 70, far + 71);
+                b.set_range(far + 64, far + 128);
             }
-            assert_eq!(extract(&mut b), want);
+            // A second dropped chunk does not overwrite the first failure.
+            b.set_range(2 * far + 3, 2 * far + 4);
+            b.set_range(far + 70, far + 71);
+            match b.exhausted().expect("exhaustion must be recorded") {
+                DetectorError::ResourceExhausted {
+                    resource: Resource::ShadowPages,
+                    limit: 1,
+                    at_word: Some(at),
+                } => assert_eq!(at, far),
+                other => panic!("unexpected error {other:?}"),
+            }
+            assert_eq!(extract(&mut b), vec![(10, 20)]);
+            // Next strand: still dropped, and the allocated chunk still works
+            // (cold, then on the lane).
+            b.set_range(far + 70, far + 71);
+            b.set_range(30, 31);
+            b.set_range(31, 32);
+            assert_eq!(extract(&mut b), vec![(30, 32)]);
+            assert_eq!(b.chunks_allocated(), 1);
         }
     }
 }

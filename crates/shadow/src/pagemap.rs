@@ -15,6 +15,8 @@ pub struct PageMap {
     /// (key, value) slots; value == EMPTY marks a free slot.
     slots: Box<[(u64, u32)]>,
     mask: usize,
+    /// `64 - log2(capacity)`: Fibonacci hashing keeps the top bits.
+    shift: u32,
     len: usize,
 }
 
@@ -34,6 +36,7 @@ impl PageMap {
         PageMap {
             slots: vec![(0, EMPTY); cap].into_boxed_slice(),
             mask: cap - 1,
+            shift: 64 - cap.trailing_zeros(),
             len: 0,
         }
     }
@@ -59,7 +62,7 @@ impl PageMap {
     fn bucket(&self, key: u64) -> usize {
         // Fibonacci hashing: multiply by 2^64/φ and take the top bits.
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> (64 - self.mask.count_ones())) as usize & self.mask
+        (h >> self.shift) as usize & self.mask
     }
 
     /// Look up `key`.
@@ -109,6 +112,7 @@ impl PageMap {
             vec![(0, EMPTY); new_cap].into_boxed_slice(),
         );
         self.mask = new_cap - 1;
+        self.shift -= 1;
         for (k, v) in old.iter().copied() {
             if v != EMPTY {
                 let mut i = self.bucket(k);

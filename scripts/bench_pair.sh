@@ -7,9 +7,8 @@
 #
 # Usage: scripts/bench_pair.sh [--quick] PARENT_REF [N]
 #   N        pairs per workload (default 10)
-#   --quick  N=2 on replay_stream, serve_closed, online_w2 and the two
-#            treap-bound scatter workloads — the smoke scripts/perfgate.sh
-#            runs; two pairs support no claim
+#   --quick  N=2 on every workload — the smoke scripts/perfgate.sh runs;
+#            two pairs support no claim
 #
 # Both sides are exported (`git archive` of PARENT_REF; the tracked and
 # untracked-but-not-ignored files of the working tree) into sibling
@@ -27,10 +26,7 @@ PARENT_REF=${1:?usage: scripts/bench_pair.sh [--quick] PARENT_REF [N]}
 N=${2:-10}
 WORKLOADS=$(grep -o '{"name": "[a-z_0-9]*", "why"' BENCHMARK.json | cut -d'"' -f4)
 METRICS=$(grep -o '{"name": "[a-z_0-9]*", "unit": "[A-Za-z]*", "better": "lower", "bound"' BENCHMARK.json | cut -d'"' -f4)
-if [ "$QUICK" = 1 ]; then
-    N=2
-    WORKLOADS="replay_stream serve_closed online_w2 scatter_writes scatter_reads"
-fi
+if [ "$QUICK" = 1 ]; then N=2; fi
 
 WORK=$PWD/.bench_build/pair
 rm -rf "$WORK"

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Performance gate: style checks, release build, then the legacy-vs-hot-path
-# benchmark comparison. Fails if formatting/clippy are dirty, if any variant's
-# geomean speedup drops below 1.0 (--check), or — with --diff — if the
+# benchmark comparison. Fails if formatting/clippy are dirty, if a
+# word-granularity variant's geomean speedup drops below 1.0 or STINT's
+# hot-path ns/hook rises (geomean over benches) more than 15% above the
+# committed BENCH_perfgate.json (--check), or — with --diff — if the
 # regenerated BENCH_perfgate.json differs from the committed one (counts are
 # deterministic; wall times always differ, so --diff compares geomeans only
 # via the perfgate's own previous-run report).
@@ -73,8 +75,7 @@ for key in gauges_zero_after_drain obs_off_registry_untouched flight_idle_obs_of
         || { echo "FAIL: BENCH_serve.json: $key is not true"; exit 1; }
 done
 
-# Two alternated pairs on the three workloads the batch driver and the pool
-# serve, and on the two the treap's bulk splice decides, say nothing about a
+# Two alternated pairs on each of the seven workloads say nothing about a
 # gain; they catch a change that breaks a verdict or blows an end-to-end
 # bound. `scripts/bench_pair.sh REF 10` is the measurement.
 echo "== paired repo-benchmark smoke (parent vs working tree)"

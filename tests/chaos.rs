@@ -176,6 +176,86 @@ fn shadow_exhaustion_degrades_soundly() {
     }
 }
 
+/// Fault class 2 (`shadow`), through the hook lane: two parallel strands each
+/// store one word of an allocatable chunk and then, over and over, one word
+/// and one whole 64-word group of four further chunks. A one-chunk budget
+/// refuses all four; `shadow-oom-at=1` refuses them from one on (which one is
+/// seed-jittered). A cached dropped slot must never take the inlined lane:
+/// the races on tracked chunks are all found, those on a refused chunk are
+/// missed *with* the degradation on record (once, at the first refused
+/// chunk's first word), and nothing is fabricated.
+#[test]
+fn repeated_hits_on_a_dropped_chunk_degrade_soundly() {
+    struct FiveChunks;
+    const FAR: [u64; 4] = [5 << 16, 6 << 16, 7 << 16, 8 << 16];
+    impl CilkProgram for FiveChunks {
+        fn run<C: stint_repro::Cilk>(&mut self, ctx: &mut C) {
+            let strand = |c: &mut C| {
+                c.store(10 * 4, 4);
+                for far in FAR {
+                    for _ in 0..100 {
+                        c.store((far as usize + 70) * 4, 4);
+                        c.store((far as usize + 64) * 4, 256);
+                    }
+                }
+            };
+            ctx.spawn(strand);
+            strand(ctx);
+            ctx.sync();
+        }
+    }
+    let racy_without = |dropped: &[u64]| -> Vec<u64> {
+        let tracked = FAR.iter().filter(|far| !dropped.contains(far));
+        std::iter::once(10)
+            .chain(tracked.flat_map(|far| far + 64..far + 128))
+            .collect()
+    };
+    let _g = lock();
+    let budget = stint_repro::ResourceBudget {
+        max_shadow_bytes: Some(8 << 10), // one 1024-group chunk per bit table
+        ..Default::default()
+    };
+    let fault = FaultPlan {
+        shadow_oom_at: Some(1),
+        ..Default::default()
+    };
+    for by_fault in [false, true] {
+        for v in [Variant::Stint, Variant::StintFlat, Variant::CompRts] {
+            let _plan = by_fault.then(|| ScopedPlan::install(fault.clone()));
+            let mut cfg = Config::new(v);
+            if !by_fault {
+                cfg.budget = budget;
+            }
+            let o = try_detect_with(&mut FiveChunks, cfg).expect("exhaustion must not abort");
+            let ctx = format!("{v}, by_fault={by_fault}");
+            let racy = o.report.racy_words();
+            let Some(DetectorError::ResourceExhausted {
+                resource: Resource::ShadowPages,
+                limit,
+                at_word: Some(at),
+            }) = o.degraded
+            else {
+                panic!("{ctx}: degradation not on record: {:?}", o.degraded);
+            };
+            if v == Variant::CompRts {
+                // The word-granularity history has a cap (or a failing
+                // allocation) of its own: sound, but it may find less.
+                let all = racy_without(&[]);
+                assert!(racy.iter().all(|w| all.contains(w)), "{ctx}: {racy:?}");
+            } else if by_fault {
+                // The allocation count stands still from the failure on, so
+                // every later chunk is refused as well.
+                let k = FAR.iter().position(|&far| far == at).expect("a FAR chunk");
+                assert_eq!(limit, k as u64 + 1, "{ctx}: at {at:#x}");
+                assert_eq!(racy, racy_without(&FAR[k..]), "{ctx}");
+            } else {
+                assert_eq!((limit, at), (1, FAR[0]), "{ctx}");
+                assert_eq!(racy, racy_without(&FAR), "{ctx}");
+            }
+        }
+    }
+}
+
 /// Fault class 3 (`ivtree`): worst-case treap priorities (a list-shaped
 /// tree) are a pure perf fault — verdicts must be identical.
 #[test]

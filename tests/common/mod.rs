@@ -7,7 +7,8 @@ use stint_repro::Cilk;
 use stint_repro::CilkProgram;
 use stint_spdag::{Access, Func, Stmt};
 
-/// Proptest strategy for fork-join programs over a small word space.
+/// Proptest strategy for fork-join programs over a small word space (every
+/// access inside the first 64-word bitmap group of the runtime coalescer).
 pub fn func_strategy(depth: u32) -> BoxedStrategy<Func> {
     let access = (any::<bool>(), 0u64..40, 1u64..10, any::<bool>()).prop_map(
         |(write, word, len, coalesced)| Access {
@@ -17,13 +18,18 @@ pub fn func_strategy(depth: u32) -> BoxedStrategy<Func> {
             coalesced,
         },
     );
-    let compute = proptest::collection::vec(access, 1..4).prop_map(Stmt::Compute);
+    func_strategy_over(depth, access.boxed())
+}
+
+/// As [`func_strategy`], over the given access shapes.
+pub fn func_strategy_over(depth: u32, access: BoxedStrategy<Access>) -> BoxedStrategy<Func> {
+    let compute = proptest::collection::vec(access.clone(), 1..4).prop_map(Stmt::Compute);
     if depth == 0 {
         proptest::collection::vec(prop_oneof![compute, Just(Stmt::Sync)], 1..5)
             .prop_map(Func)
             .boxed()
     } else {
-        let inner = func_strategy(depth - 1);
+        let inner = func_strategy_over(depth - 1, access);
         let stmt = prop_oneof![
             4 => compute,
             1 => Just(Stmt::Sync),

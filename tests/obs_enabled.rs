@@ -24,9 +24,14 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
 
     // Stint exercises om + sporder + ivtree + shadow bit tables; CompRts
     // exercises the word-granularity shadow pages.
-    let mut w = Workload::by_name("sort", Scale::Test);
+    let mut w = Workload::by_name("heat", Scale::Test);
     let stint_run = detect(&mut w, Variant::Stint);
     assert!(stint_run.report.is_race_free());
+    // heat re-touches whole rows through range hooks: one-group hooks bypass
+    // the redundant-set filter, ranges over several groups still ask it.
+    let elided = counter(&obs::metrics_json(), "shadow.filter_elisions").unwrap_or(0);
+    assert!(elided > 0, "no range hook of heat was elided");
+    assert_eq!(elided, stint_run.stats.hook_filter_hits);
     let mut w = Workload::by_name("fft", Scale::Test);
     let comprts_run = detect(&mut w, Variant::CompRts);
     assert!(comprts_run.report.is_race_free());
