@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use stint_om::{OmList, TwoLevelOm};
+use stint_om::OmList;
 
 fn bench_insert(c: &mut Criterion) {
     let mut g = c.benchmark_group("om/insert");
@@ -28,16 +28,6 @@ fn bench_insert(c: &mut Criterion) {
                     l.insert_after(head);
                 }
                 black_box(l.relabels())
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("hotspot_two_level", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut l = TwoLevelOm::new();
-                let head = l.insert_first();
-                for _ in 0..n {
-                    l.insert_after(head);
-                }
-                black_box(l.len())
             })
         });
         g.bench_with_input(BenchmarkId::new("random", n), &n, |b, &n| {

@@ -21,7 +21,11 @@ fn bench_word_shadow(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("ranged", n), &n, |b, &n| {
             b.iter(|| {
                 let mut s = WordShadow::new();
-                s.for_range_mut(0, n, |w, e| e.writer = (w % 97) as u32);
+                s.process_range_on_page(0, n, |w0, entries| {
+                    for (i, e) in entries.iter_mut().enumerate() {
+                        e.writer = ((w0 + i as u64) % 97) as u32;
+                    }
+                });
                 black_box(s.ops)
             })
         });

@@ -23,10 +23,10 @@
 //! every K and both encodings. A mismatch is a detector bug and a hard
 //! failure, not a statistic.
 //!
-//! The emitted JSON records `hw_threads` (`available_parallelism`) so the
-//! gate in `perfgate --check` can enforce the >1.5x speedup bar only on
-//! machines that actually have ≥ 4 hardware threads; the work-count and
-//! compression gates are machine-independent and always enforced.
+//! The emitted JSON records `hw_threads` (`available_parallelism`) so a
+//! reader can tell whether the speedup column means anything; the work-count
+//! and compression gates (`jsoncheck batch`) are machine-independent and
+//! always enforced.
 //!
 //! Flags: `--scale {test|s|m|paper}` (default `s`), `--reps N` (best-of-N
 //! per cell, default 3), `--bench NAME`, `--out PATH` (default
@@ -39,7 +39,7 @@ use stint_bench::*;
 use stint_suite::{Scale, Workload, NAMES};
 
 /// Shard-count axis of the study. Must be strictly increasing — `jsoncheck
-/// batch` and `perfgate --check` verify the emitted axis is monotone.
+/// batch` verifies the emitted axis is monotone.
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
 
 /// Shard count of the streaming-ingest cell.

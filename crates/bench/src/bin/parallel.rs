@@ -10,8 +10,8 @@
 //! length regardless of the worker count (DePa queries are relabel-free, so
 //! adding workers adds no maintenance work). The work-count ratio is the
 //! machine-independent headline on a 1-core box; the wall-clock speedup
-//! geomean at W=4 is recorded but — exactly like `BENCH_batch.json` — only
-//! *gated* by `perfgate --check` when `hw_threads` ≥ 4.
+//! geomean at W=4 is recorded but — exactly like `BENCH_batch.json` — not
+//! gated (`hw_threads` says whether it means anything).
 //!
 //! Every online run is cross-checked against the sequential baseline: the
 //! race verdict and racy-word count must match exactly for every worker
@@ -29,7 +29,7 @@ use stint_bench::*;
 use stint_suite::{Scale, Workload, NAMES};
 
 /// Worker-count axis of the study. Must be strictly increasing — `jsoncheck
-/// parallel` and `perfgate --check` verify the emitted axis is monotone.
+/// parallel` verifies the emitted axis is monotone.
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// Address shards per online run (fixed so the worker axis varies exactly

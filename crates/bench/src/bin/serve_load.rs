@@ -20,8 +20,8 @@
 //!   and their p50/p99 cross-checked against the driver-measured
 //!   latencies (`latency_agree`), the journal is replayed and must be
 //!   clean with an empty in-flight set, and the throughput ratio
-//!   `obs_overhead_ratio = obs_off / obs_full` feeds the perfgate ≤1.10
-//!   gate.
+//!   `obs_overhead_ratio = obs_off / obs_full` feeds the `jsoncheck serve`
+//!   ≤1.10 gate.
 //!
 //! Each phase reports the median sessions/sec across repeated runs (five
 //! obs-off, three obs-full), the driver submits closed-loop (at most 2x

@@ -24,8 +24,8 @@
 //!
 //! Flags: `--scale {test|s|m|paper}` (default `s`), `--bench NAME`,
 //! `--out PATH` (default `BENCH_space.json`). Any Lemma violation is a hard
-//! failure (exit 1) — `scripts/perfgate.sh --check` regenerates and gates
-//! this file.
+//! failure (exit 1) — `scripts/perfgate.sh` regenerates this file and stops
+//! on that exit.
 //!
 //! Build with `--features obs-alloc` to also record the counting-allocator
 //! watermark (`alloc_hw`) as process-level ground truth.

@@ -24,8 +24,7 @@
 //! Detection is sequential by design — the paper's STINT is a sequential
 //! race detector (parallelizing it is listed as future work).
 
-use stint_om::OrderList;
-use stint_sporder::{ReachMaint, Reachability, SpOrder, SpOrderImpl, StrandId};
+use stint_sporder::{ReachMaint, Reachability, SpOrder, StrandId};
 
 /// The instrumented-program interface: parallel control plus memory hooks.
 ///
@@ -208,11 +207,10 @@ pub struct ExecCounters {
 /// order while maintaining a reachability substrate and feeding a
 /// [`Detector`].
 ///
-/// Generic over the substrate via [`ReachMaint`]: SP-Order over either OM
-/// list (`SpOrderImpl<OmList>` — the default — or `TwoLevelOm`), or the
-/// relabel-free `DePaReach`. The executor issues the identical maintenance
-/// call sequence to every substrate, so strand ids, lineage and frozen
-/// ranks are substrate-independent.
+/// Generic over the substrate via [`ReachMaint`]: `SpOrder` (the default)
+/// or the relabel-free `DePaReach`. The executor issues the identical
+/// maintenance call sequence to every substrate, so strand ids, lineage and
+/// frozen ranks are substrate-independent.
 pub struct Executor<D, R = SpOrder>
 where
     R: ReachMaint,
@@ -365,20 +363,6 @@ where
     let start = std::time::Instant::now();
     ex.execute(p);
     (ex, start.elapsed())
-}
-
-/// As [`run_with_detector`], but with an explicit order-maintenance list
-/// behind SP-Order (e.g. `TwoLevelOm` for O(1)-amortized maintenance).
-pub fn run_with_detector_in<P, D, L>(
-    p: &mut P,
-    det: D,
-) -> (Executor<D, SpOrderImpl<L>>, std::time::Duration)
-where
-    P: CilkProgram,
-    L: OrderList,
-    D: Detector<SpOrderImpl<L>>,
-{
-    run_with_detector_r::<P, D, SpOrderImpl<L>>(p, det)
 }
 
 /// Run `p` with reachability maintenance but no detection (the `reach.`

@@ -13,7 +13,7 @@ use crate::report::RaceReport;
 use crate::stats::{DetectorStats, Sided};
 use crate::timing::FlushTimer;
 use crate::word_logic::{replay_interval, WordOp};
-use crate::{HotPath, ResourceBudget};
+use crate::ResourceBudget;
 use stint_cilk::{word_range, Detector};
 use stint_faults::DetectorError;
 use stint_shadow::{BitShadow, SetFilter, WordIv, WordShadow};
@@ -38,13 +38,13 @@ impl Coalescer {
     /// The load/store hook body: count the hook on its `side` and set its
     /// words, inline when the range is on the table's lane.
     #[inline(always)]
-    pub(crate) fn hook(&mut self, side: &mut Sided, filtered: bool, addr: usize, bytes: usize) {
+    pub(crate) fn hook(&mut self, side: &mut Sided, addr: usize, bytes: usize) {
         let (lo, hi) = word_range(addr, bytes);
         side.hooks += 1;
         side.hook_bytes += bytes as u64;
         side.words += hi - lo;
         if !self.table.set_in_lane(lo, hi) {
-            self.set_off_lane(filtered, lo, hi);
+            self.set_off_lane(lo, hi);
         }
     }
 
@@ -55,8 +55,8 @@ impl Coalescer {
     /// set this strand can skip it entirely.
     #[cold]
     #[inline(never)]
-    fn set_off_lane(&mut self, filtered: bool, lo: u64, hi: u64) {
-        if filtered && lo < hi && lo >> 6 != (hi - 1) >> 6 {
+    fn set_off_lane(&mut self, lo: u64, hi: u64) {
+        if lo < hi && lo >> 6 != (hi - 1) >> 6 {
             if !self.filter.covers(lo, hi) {
                 self.table.set_range(lo, hi);
                 self.filter.record(lo, hi);
@@ -79,7 +79,6 @@ pub struct CompRtsDetector {
     writes: Coalescer,
     shadow: WordShadow,
     scratch: Vec<WordIv>,
-    hot: HotPath,
     cache: ReachCache,
     timer: FlushTimer,
     /// Injected fault: panic at the Nth strand-end flush (sampled from the
@@ -96,7 +95,6 @@ impl CompRtsDetector {
             writes: Coalescer::new(),
             shadow: WordShadow::new(),
             scratch: Vec::new(),
-            hot: HotPath::default(),
             cache: ReachCache::new(),
             timer: FlushTimer::default(),
             panic_at_flush: if stint_faults::is_active() {
@@ -107,15 +105,6 @@ impl CompRtsDetector {
             report,
             stats: DetectorStats::default(),
         }
-    }
-
-    /// Select which hot-path optimizations to use (default: all on).
-    pub fn with_hot_path(mut self, hot: HotPath) -> Self {
-        self.hot = hot;
-        if !hot.gated_timing {
-            self.timer = FlushTimer::full();
-        }
-        self
     }
 
     /// Enable verifiable-witness capture (see [`crate::witness`]).
@@ -154,7 +143,6 @@ impl CompRtsDetector {
                 hi,
                 s,
                 reach,
-                self.hot,
                 &mut self.cache,
                 &mut self.report,
             );
@@ -171,7 +159,6 @@ impl CompRtsDetector {
                 hi,
                 s,
                 reach,
-                self.hot,
                 &mut self.cache,
                 &mut self.report,
             );
@@ -200,15 +187,13 @@ impl<R: Reachability> Detector<R> for CompRtsDetector {
     #[inline(always)]
     fn load(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
         self.report.observe(s, true);
-        self.reads
-            .hook(&mut self.stats.read, self.hot.batched, addr, bytes);
+        self.reads.hook(&mut self.stats.read, addr, bytes);
     }
 
     #[inline(always)]
     fn store(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
         self.report.observe(s, true);
-        self.writes
-            .hook(&mut self.stats.write, self.hot.batched, addr, bytes);
+        self.writes.hook(&mut self.stats.write, addr, bytes);
     }
 
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
@@ -299,7 +284,7 @@ mod tests {
     }
 
     /// The edges of the bit table's hook lane, through both coalescing
-    /// detectors and both hook settings.
+    /// detectors.
     struct LaneEdges;
     impl CilkProgram for LaneEdges {
         fn run<C: Cilk>(&mut self, ctx: &mut C) {
@@ -321,23 +306,21 @@ mod tests {
 
     #[test]
     fn lane_edges_count_and_coalesce() {
-        for hot in [HotPath::default(), HotPath::LEGACY] {
-            let comprts = CompRtsDetector::new(RaceReport::default()).with_hot_path(hot);
-            let (ex, _) = run_with_detector(&mut LaneEdges, comprts);
-            let stint = crate::StintDetector::new(RaceReport::default()).with_hot_path(hot);
-            let (ex2, _) = run_with_detector(&mut LaneEdges, stint);
-            for (stats, report) in [
-                (ex.det.stats, &ex.det.report),
-                (ex2.det.stats, &ex2.det.report),
-            ] {
-                let (r, w) = (stats.read, stats.write);
-                assert_eq!((w.hooks, w.hook_bytes, w.words), (5, 272, 68), "{hot:?}");
-                // [63, 128) and the two words around the chunk boundary.
-                assert_eq!((w.intervals, w.interval_bytes), (2, 67 * 4), "{hot:?}");
-                assert_eq!((r.hooks, r.hook_bytes, r.words), (100, 400, 100), "{hot:?}");
-                assert_eq!((r.intervals, r.interval_bytes), (2, 400), "{hot:?}");
-                assert!(report.is_race_free());
-            }
+        let comprts = CompRtsDetector::new(RaceReport::default());
+        let (ex, _) = run_with_detector(&mut LaneEdges, comprts);
+        let stint = crate::StintDetector::new(RaceReport::default());
+        let (ex2, _) = run_with_detector(&mut LaneEdges, stint);
+        for (stats, report) in [
+            (ex.det.stats, &ex.det.report),
+            (ex2.det.stats, &ex2.det.report),
+        ] {
+            let (r, w) = (stats.read, stats.write);
+            assert_eq!((w.hooks, w.hook_bytes, w.words), (5, 272, 68));
+            // [63, 128) and the two words around the chunk boundary.
+            assert_eq!((w.intervals, w.interval_bytes), (2, 67 * 4));
+            assert_eq!((r.hooks, r.hook_bytes, r.words), (100, 400, 100));
+            assert_eq!((r.intervals, r.interval_bytes), (2, 400));
+            assert_eq!(report.racy_words(), Vec::<u64>::new());
         }
     }
 

@@ -35,6 +35,7 @@
 use std::io::{self, BufRead, Read, Write};
 
 use crate::trace::{PortableTrace, Trace, TraceEvent, TraceOp};
+use crate::varint;
 use stint_sporder::{FrozenReach, StrandId};
 
 /// Magic first line of the compressed format (text, so `file`/`head` can
@@ -51,65 +52,15 @@ fn bad(m: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, m.into())
 }
 
-// ---------------------------------------------------------------- varints
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
+// ----------------------------------------------------------------- zigzag
 
 fn put_zigzag(out: &mut Vec<u8>, v: i64) {
-    put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf.get(*pos).ok_or_else(|| bad("truncated varint"))?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err(bad("varint overflow"));
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
+    varint::put(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 fn get_zigzag(buf: &[u8], pos: &mut usize) -> io::Result<i64> {
-    let v = get_varint(buf, pos)?;
+    let v = varint::get(buf, pos)?;
     Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
-}
-
-/// Read one varint directly from a stream (chunk framing lives outside the
-/// checksummed payloads, so it is read byte by byte), adding the bytes it
-/// consumed to `consumed`.
-fn read_varint<R: Read>(r: &mut R, consumed: &mut u64) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        *consumed += 1;
-        if shift >= 64 {
-            return Err(bad("varint overflow"));
-        }
-        v |= u64::from(byte[0] & 0x7f) << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
 }
 
 fn is_permutation(v: &[u32]) -> bool {
@@ -260,12 +211,12 @@ pub struct CompressStats {
 
 fn encode_run(payload: &mut Vec<u8>, r: &EventRun, prev_addr: &mut usize) {
     payload.push(op_tag(r.op));
-    put_varint(payload, u64::from(r.strand.0));
+    varint::put(payload, u64::from(r.strand.0));
     if r.op != TraceOp::StrandEnd {
         put_zigzag(payload, (r.addr as i64).wrapping_sub(*prev_addr as i64));
-        put_varint(payload, r.bytes as u64);
+        varint::put(payload, r.bytes as u64);
         if !matches!(r.op, TraceOp::Free) {
-            put_varint(payload, r.count);
+            varint::put(payload, r.count);
             if r.count > 1 {
                 put_zigzag(payload, r.stride);
             }
@@ -326,19 +277,19 @@ pub fn save_compressed<W: Write>(
 
     // Header: ranks, event count, partition index; checksummed as a block.
     let mut header = Vec::new();
-    put_varint(&mut header, pt.reach.strand_count() as u64);
+    varint::put(&mut header, pt.reach.strand_count() as u64);
     for (e, h) in pt.reach.ranks() {
-        put_varint(&mut header, u64::from(e));
-        put_varint(&mut header, u64::from(h));
+        varint::put(&mut header, u64::from(e));
+        varint::put(&mut header, u64::from(h));
     }
-    put_varint(&mut header, pt.trace.len() as u64);
+    varint::put(&mut header, pt.trace.len() as u64);
     let (bounds, hist) = partition_index(&pt.trace);
     let (lo, hi) = bounds.unwrap_or((0, 0));
-    put_varint(&mut header, lo);
-    put_varint(&mut header, hi - lo);
-    put_varint(&mut header, hist.len() as u64);
+    varint::put(&mut header, lo);
+    varint::put(&mut header, hi - lo);
+    varint::put(&mut header, hist.len() as u64);
     for &c in &hist {
-        put_varint(&mut header, c);
+        varint::put(&mut header, c);
     }
     // Optional lineage block (spawn parents for race witnesses): absent for
     // snapshots without a parent table, so older files — which end at the
@@ -346,7 +297,7 @@ pub fn save_compressed<W: Write>(
     if let Some(parents) = pt.reach.parents() {
         for &par in parents {
             // NO_PARENT → 0, else parent+1: keeps the root a 1-byte varint.
-            put_varint(
+            varint::put(
                 &mut header,
                 if par == stint_sporder::NO_PARENT {
                     0
@@ -357,8 +308,8 @@ pub fn save_compressed<W: Write>(
         }
     }
     let mut framing = Vec::new();
-    put_varint(&mut framing, header.len() as u64);
-    put_varint(&mut framing, fnv1a(&header));
+    varint::put(&mut framing, header.len() as u64);
+    varint::put(&mut framing, fnv1a(&header));
     w.write_all(&framing)?;
     w.write_all(&header)?;
     stats.bytes += (framing.len() + header.len()) as u64;
@@ -379,9 +330,9 @@ pub fn save_compressed<W: Write>(
             return Ok(());
         }
         let mut frame = Vec::new();
-        put_varint(&mut frame, *chunk_runs);
-        put_varint(&mut frame, payload.len() as u64);
-        put_varint(&mut frame, fnv1a(payload));
+        varint::put(&mut frame, *chunk_runs);
+        varint::put(&mut frame, payload.len() as u64);
+        varint::put(&mut frame, fnv1a(payload));
         w.write_all(&frame)?;
         w.write_all(payload)?;
         stats.bytes += (frame.len() + payload.len()) as u64;
@@ -441,12 +392,11 @@ impl<R: BufRead> CompressedTraceReader<R> {
     /// Like [`Self::open`] for a stream whose magic line was already
     /// consumed (format sniffing reads it first).
     pub fn open_after_magic(mut r: R) -> io::Result<Self> {
-        let mut framing = 0u64;
-        let header_len = read_varint(&mut r, &mut framing)?;
+        let header_len = varint::read(&mut r)?;
         if header_len > 64 << 20 {
             return Err(bad("unreasonable header length"));
         }
-        let want_sum = read_varint(&mut r, &mut framing)?;
+        let want_sum = varint::read(&mut r)?;
         let mut header = vec![0u8; header_len as usize];
         r.read_exact(&mut header)
             .map_err(|_| bad("truncated header"))?;
@@ -454,15 +404,15 @@ impl<R: BufRead> CompressedTraceReader<R> {
             return Err(bad("header checksum mismatch"));
         }
         let mut pos = 0usize;
-        let n = get_varint(&header, &mut pos)? as usize;
+        let n = varint::get(&header, &mut pos)? as usize;
         if n == 0 || n > u32::MAX as usize {
             return Err(bad("bad strand count"));
         }
         let mut eng = Vec::with_capacity(n);
         let mut heb = Vec::with_capacity(n);
         for _ in 0..n {
-            let e = get_varint(&header, &mut pos)?;
-            let h = get_varint(&header, &mut pos)?;
+            let e = varint::get(&header, &mut pos)?;
+            let h = varint::get(&header, &mut pos)?;
             if e > u64::from(u32::MAX) || h > u64::from(u32::MAX) {
                 return Err(bad("rank out of range"));
             }
@@ -474,11 +424,11 @@ impl<R: BufRead> CompressedTraceReader<R> {
         if !is_permutation(&eng) || !is_permutation(&heb) {
             return Err(bad("ranks are not a permutation"));
         }
-        let total_events = get_varint(&header, &mut pos)?;
-        let word_lo = get_varint(&header, &mut pos)?;
-        let span = get_varint(&header, &mut pos)?;
+        let total_events = varint::get(&header, &mut pos)?;
+        let word_lo = varint::get(&header, &mut pos)?;
+        let span = varint::get(&header, &mut pos)?;
         let word_hi = word_lo.checked_add(span).ok_or_else(|| bad("bad bounds"))?;
-        let buckets = get_varint(&header, &mut pos)? as usize;
+        let buckets = varint::get(&header, &mut pos)? as usize;
         if buckets != HIST_BUCKETS {
             return Err(bad(format!(
                 "bad histogram size {buckets} (expected {HIST_BUCKETS})"
@@ -486,7 +436,7 @@ impl<R: BufRead> CompressedTraceReader<R> {
         }
         let mut hist = Vec::with_capacity(buckets);
         for _ in 0..buckets {
-            hist.push(get_varint(&header, &mut pos)?);
+            hist.push(varint::get(&header, &mut pos)?);
         }
         // Optional lineage block: headers written without a parent table end
         // at the histogram; otherwise exactly one parent entry per strand.
@@ -494,7 +444,7 @@ impl<R: BufRead> CompressedTraceReader<R> {
         if pos != header.len() {
             parents.reserve(n);
             for i in 0..n {
-                let v = get_varint(&header, &mut pos)?;
+                let v = varint::get(&header, &mut pos)?;
                 let par = if v == 0 {
                     stint_sporder::NO_PARENT
                 } else {
@@ -548,12 +498,18 @@ impl<R: BufRead> CompressedTraceReader<R> {
         if self.events_seen >= self.total_events {
             return Ok(false);
         }
-        let mut framing = 0u64;
+        // Chunk framing lives outside the checksummed payloads. Its three
+        // varints are read through a `Take` whose limit no varint can reach
+        // (the decoder stops by its 11th byte), so what is left of the limit
+        // counts the framing bytes.
+        const FRAME_LIMIT: u64 = 3 * (varint::MAX_LEN as u64 + 1);
+        let mut frame = self.r.by_ref().take(FRAME_LIMIT);
         let mut frame_varint =
-            || read_varint(&mut self.r, &mut framing).map_err(|_| bad("truncated chunk frame"));
+            || varint::read(&mut frame).map_err(|_| bad("truncated chunk frame"));
         let run_count = frame_varint()?;
         let payload_len = frame_varint()?;
         let want_sum = frame_varint()?;
+        let framing = FRAME_LIMIT - frame.limit();
         if payload_len > 64 << 20 {
             return Err(bad("unreasonable chunk length"));
         }
@@ -617,7 +573,7 @@ fn decode_run(buf: &[u8], pos: &mut usize, prev_addr: &mut usize) -> io::Result<
     let op = *OP_TAGS
         .get(tag as usize)
         .ok_or_else(|| bad("unknown event op"))?;
-    let strand = get_varint(buf, pos)?;
+    let strand = varint::get(buf, pos)?;
     if strand > u64::from(u32::MAX) {
         return Err(bad("strand id out of range"));
     }
@@ -632,9 +588,9 @@ fn decode_run(buf: &[u8], pos: &mut usize, prev_addr: &mut usize) -> io::Result<
     if op != TraceOp::StrandEnd {
         let delta = get_zigzag(buf, pos)?;
         run.addr = (*prev_addr as i64).wrapping_add(delta) as usize;
-        run.bytes = get_varint(buf, pos)? as usize;
+        run.bytes = varint::get(buf, pos)? as usize;
         if !matches!(op, TraceOp::Free) {
-            run.count = get_varint(buf, pos)?;
+            run.count = varint::get(buf, pos)?;
             if run.count == 0 {
                 return Err(bad("empty run"));
             }

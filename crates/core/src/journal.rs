@@ -12,11 +12,9 @@
 //! [varint payload_len] [varint fnv1a(payload)] [payload bytes] ...
 //! ```
 //!
-//! LEB128 varints and FNV-1a 64 exactly as in the compressed trace
-//! encoding (`ctrace::fnv1a` is shared; the varint helpers there are
-//! buffer-oriented and private, so this module carries its own
-//! stream-oriented pair). Record payloads are opaque here — the serve
-//! crate defines the session-event codec on top.
+//! LEB128 varints ([`crate::varint`]) and FNV-1a 64 (`ctrace::fnv1a`)
+//! exactly as in the compressed trace encoding. Record payloads are opaque
+//! here — the serve crate defines the session-event codec on top.
 //!
 //! Durability is a knob ([`FsyncPolicy`]): `always` fsyncs every append
 //! (crash loses at most the record being written), `every=N` amortizes,
@@ -32,6 +30,7 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 
 use crate::ctrace::fnv1a;
+use crate::varint;
 
 /// Magic first line of every journal file.
 pub const MAGIC: &str = "STINT-JOURNAL v1";
@@ -40,47 +39,6 @@ pub const MAGIC: &str = "STINT-JOURNAL v1";
 /// varint must not cause a giant allocation: anything larger than this is
 /// reported as corruption.
 pub const MAX_RECORD: u64 = 1 << 20;
-
-fn bad(m: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, m.into())
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Read one varint whose first byte is already in hand (frame-boundary
-/// EOF detection needs the first byte probed separately).
-fn read_varint_cont<R: Read>(r: &mut R, first: u8) -> io::Result<u64> {
-    let mut v = u64::from(first & 0x7f);
-    let mut byte = first;
-    let mut shift = 7u32;
-    while byte & 0x80 != 0 {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        byte = b[0];
-        if shift >= 64 {
-            return Err(bad("varint overflow"));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        shift += 7;
-    }
-    Ok(v)
-}
-
-fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    read_varint_cont(r, b[0])
-}
 
 /// When the journal file is flushed to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -191,8 +149,8 @@ impl JournalWriter {
         }
         let n = self.records + 1;
         let mut frame = Vec::with_capacity(payload.len() + 12);
-        put_varint(&mut frame, payload.len() as u64);
-        put_varint(&mut frame, fnv1a(payload));
+        varint::put(&mut frame, payload.len() as u64);
+        varint::put(&mut frame, fnv1a(payload));
         frame.extend_from_slice(payload);
         if stint_faults::is_active() {
             if stint_faults::serve_journal_kill() == Some(n) {
@@ -289,7 +247,7 @@ pub fn replay<R: Read>(mut r: R) -> io::Result<Replay> {
             Err(e) => return Err(e),
         }
         let rec = out.records.len() + 1;
-        let len = match read_varint_cont(&mut r, first[0]) {
+        let len = match varint::read_cont(&mut r, first[0]) {
             Ok(v) => v,
             Err(e) => {
                 out.corruption = Some(format!("record {rec}: torn length varint ({e})"));
@@ -302,7 +260,7 @@ pub fn replay<R: Read>(mut r: R) -> io::Result<Replay> {
             ));
             return Ok(out);
         }
-        let sum = match read_varint(&mut r) {
+        let sum = match varint::read(&mut r) {
             Ok(v) => v,
             Err(e) => {
                 out.corruption = Some(format!("record {rec}: torn checksum varint ({e})"));
@@ -396,8 +354,8 @@ mod tests {
         let mut boundaries = vec![MAGIC.len() + 1];
         for p in &payloads {
             let mut frame = Vec::new();
-            put_varint(&mut frame, p.len() as u64);
-            put_varint(&mut frame, fnv1a(p));
+            varint::put(&mut frame, p.len() as u64);
+            varint::put(&mut frame, fnv1a(p));
             let prev = *boundaries.last().expect("nonempty");
             boundaries.push(prev + frame.len() + p.len());
         }
@@ -445,11 +403,21 @@ mod tests {
     fn oversized_len_is_structured_not_an_allocation() {
         let mut j = Vec::new();
         writeln!(j, "{MAGIC}").unwrap();
-        put_varint(&mut j, u64::MAX); // absurd length
-        put_varint(&mut j, 0);
+        varint::put(&mut j, u64::MAX); // absurd length
+        varint::put(&mut j, 0);
         let r = replay(&j[..]).expect("replay");
         assert!(!r.is_clean());
         assert!(r.corruption.as_deref().unwrap_or("").contains("oversized"));
+
+        // A tenth byte above 1 does not fit a u64: a torn frame, not a length.
+        let mut j = Vec::new();
+        writeln!(j, "{MAGIC}").unwrap();
+        j.extend([&[0xff; 9][..], &[0x02]].concat());
+        let r = replay(&j[..]).expect("replay");
+        assert_eq!(
+            r.corruption.as_deref(),
+            Some("record 1: torn length varint (varint overflow)")
+        );
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! | [`Variant::CompRts`]  | compile-time + runtime| word-granularity hashmap |
 //! | [`Variant::Stint`]    | compile-time + runtime| **interval treap** |
 //!
-//! plus [`Variant::StintFlat`], an ablation that swaps the treap for a
-//! `BTreeMap`-based store ("any balanced binary search tree would work").
+//! plus [`Variant::StintFlat`], STINT over the `BTreeMap`-based reference
+//! store — the oracle the treap is tested against.
 //!
 //! All variants share the SP-Order reachability component and report the
 //! same set of racy words; they differ (exactly as in the paper) in how much
@@ -52,6 +52,7 @@ pub mod stint_det;
 pub mod timing;
 pub mod trace;
 pub mod vanilla;
+pub mod varint;
 pub mod witness;
 pub mod word_logic;
 
@@ -81,7 +82,7 @@ pub use stint_faults::{DetectorError, FaultPlan, Resource, ScopedPlan};
 pub use stint_ivtree::{FlatStore, Interval, IntervalStore, OpStats, Treap};
 pub use stint_obs as obs;
 pub use stint_sporder::{
-    DePaReach, FrozenReach, ReachCache, ReachMaint, Reachability, SpOrder, SpOrderO1, StrandId,
+    DePaReach, FrozenReach, ReachCache, ReachMaint, Reachability, SpOrder, StrandId,
 };
 pub use timing::{FlushTimer, TimingMode};
 
@@ -98,7 +99,7 @@ pub enum Variant {
     CompRts,
     /// Compile-time + runtime coalescing, interval-treap access history.
     Stint,
-    /// STINT with the `BTreeMap` interval store (ablation).
+    /// STINT with the `BTreeMap` interval store (the test oracle).
     StintFlat,
 }
 
@@ -125,45 +126,6 @@ impl std::fmt::Display for Variant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Hot-path configuration shared by the detectors.
-///
-/// Both knobs are pure optimizations: any combination reports exactly the
-/// same races (enforced by the differential tests in
-/// `tests/cached_reach.rs`). [`HotPath::LEGACY`] selects the historical
-/// unoptimized paths and is what the perf gate uses as its baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HotPath {
-    /// Replay word ranges page run by page run (one page-table resolution
-    /// per up to 4096 words) instead of re-walking the page table per word.
-    pub batched: bool,
-    /// Memoize reachability queries in a strand-local [`ReachCache`].
-    pub reach_cache: bool,
-    /// Gate the per-flush `ah_time` clock reads behind the process timing
-    /// mode (see [`timing`]). When false, every strand-end flush pays two
-    /// `Instant::now` calls regardless of mode — the historical behavior.
-    pub gated_timing: bool,
-}
-
-impl Default for HotPath {
-    fn default() -> Self {
-        HotPath {
-            batched: true,
-            reach_cache: true,
-            gated_timing: true,
-        }
-    }
-}
-
-impl HotPath {
-    /// The unoptimized paths: per-word page walks, uncached reachability,
-    /// unconditional flush timing.
-    pub const LEGACY: HotPath = HotPath {
-        batched: false,
-        reach_cache: false,
-        gated_timing: false,
-    };
 }
 
 /// Resource budgets for a detection run (default: unbounded).
@@ -238,8 +200,6 @@ pub struct Config {
     /// Maintain the exact racy-word set (cheap for race-free programs; can
     /// be large for heavily racy ones).
     pub collect_racy_words: bool,
-    /// Hot-path optimizations (default: all on).
-    pub hot: HotPath,
     /// Resource budgets (default: unbounded).
     pub budget: ResourceBudget,
     /// Capture verifiable race witnesses (see [`witness`]). Off by default;
@@ -254,7 +214,6 @@ impl Config {
             reach: ReachKind::SpOrder,
             race_cap: 10_000,
             collect_racy_words: true,
-            hot: HotPath::default(),
             budget: ResourceBudget::UNLIMITED,
             witnesses: false,
         }
@@ -300,37 +259,27 @@ fn detect_in<P: CilkProgram, R: ReachMaint>(p: &mut P, cfg: Config) -> Outcome {
     report.set_witness_capture(cfg.witnesses);
     match cfg.variant {
         Variant::Vanilla => {
-            let det = VanillaDetector::new(false, report)
-                .with_hot_path(cfg.hot)
-                .with_budget(cfg.budget);
+            let det = VanillaDetector::new(false, report).with_budget(cfg.budget);
             let (ex, wall) = run_traced::<_, _, R>(p, det);
             pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
         }
         Variant::Compiler => {
-            let det = VanillaDetector::new(true, report)
-                .with_hot_path(cfg.hot)
-                .with_budget(cfg.budget);
+            let det = VanillaDetector::new(true, report).with_budget(cfg.budget);
             let (ex, wall) = run_traced::<_, _, R>(p, det);
             pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
         }
         Variant::CompRts => {
-            let det = CompRtsDetector::new(report)
-                .with_hot_path(cfg.hot)
-                .with_budget(cfg.budget);
+            let det = CompRtsDetector::new(report).with_budget(cfg.budget);
             let (ex, wall) = run_traced::<_, _, R>(p, det);
             pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
         }
         Variant::Stint => {
-            let det = StintDetector::new(report)
-                .with_hot_path(cfg.hot)
-                .with_budget(cfg.budget);
+            let det = StintDetector::new(report).with_budget(cfg.budget);
             let (ex, wall) = run_traced::<_, _, R>(p, det);
             pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
         }
         Variant::StintFlat => {
-            let det = StintFlatDetector::new_flat(report)
-                .with_hot_path(cfg.hot)
-                .with_budget(cfg.budget);
+            let det = StintFlatDetector::new_flat(report).with_budget(cfg.budget);
             let (ex, wall) = run_traced::<_, _, R>(p, det);
             pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
         }
@@ -442,22 +391,6 @@ mod tests {
             let got = detect(&mut Fanout { racy: true }, v).report.racy_words();
             assert_eq!(got, expected, "{v} disagrees with vanilla");
         }
-    }
-
-    #[test]
-    fn o1_order_maintenance_agrees() {
-        // Same detection through SP-Order over the two-level O(1) OM list.
-        use stint_cilk::run_with_detector_in;
-        use stint_om::TwoLevelOm;
-        let expected = detect(&mut Fanout { racy: true }, Variant::Stint)
-            .report
-            .racy_words();
-        let det = StintDetector::new(RaceReport::default());
-        let (ex, _) = run_with_detector_in::<_, _, TwoLevelOm>(&mut Fanout { racy: true }, det);
-        assert_eq!(ex.det.report.racy_words(), expected);
-        let det = StintDetector::new(RaceReport::default());
-        let (ex, _) = run_with_detector_in::<_, _, TwoLevelOm>(&mut Fanout { racy: false }, det);
-        assert!(ex.det.report.is_race_free());
     }
 
     #[test]

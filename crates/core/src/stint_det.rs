@@ -19,13 +19,13 @@
 //!
 //! The detector is generic over the [`IntervalStore`] implementation: the
 //! paper's treap by default ([`StintDetector`]), or the `BTreeMap` reference
-//! store ([`StintFlatDetector`]) as the "any balanced BST" ablation.
+//! store ([`StintFlatDetector`]) the treap is tested against.
 
 use crate::comprts::Coalescer;
 use crate::report::{RaceKind, RaceReport};
 use crate::stats::DetectorStats;
 use crate::timing::FlushTimer;
-use crate::{HotPath, ResourceBudget};
+use crate::ResourceBudget;
 use stint_cilk::{word_range, Detector};
 use stint_faults::{DetectorError, Resource};
 use stint_ivtree::{FlatStore, Interval, IntervalStore, Treap};
@@ -38,7 +38,7 @@ pub const TOMBSTONE: StrandId = StrandId(u32::MAX);
 
 /// STINT with the paper's treap access history.
 pub type StintDetector = IntervalDetector<Treap<StrandId>>;
-/// STINT with the `BTreeMap` reference access history (ablation).
+/// STINT with the `BTreeMap` reference access history (the test oracle).
 pub type StintFlatDetector = IntervalDetector<FlatStore<StrandId>>;
 
 /// Interval-based detector, generic over the access-history store.
@@ -49,7 +49,6 @@ pub struct IntervalDetector<S> {
     write_tree: S,
     scratch_r: Vec<WordIv>,
     scratch_w: Vec<WordIv>,
-    hot: HotPath,
     cache: ReachCache,
     timer: FlushTimer,
     /// Interval budget (read tree + write tree); `None` = unbounded.
@@ -62,33 +61,6 @@ pub struct IntervalDetector<S> {
     panic_at_flush: Option<u64>,
     pub report: RaceReport,
     pub stats: DetectorStats,
-}
-
-/// Reachability queries of a strand-end flush, optionally memoized. All
-/// queries during a flush share the current strand `s`, which is what makes
-/// the [`ReachCache`] applicable.
-struct Queries<'a, R> {
-    reach: &'a R,
-    s: StrandId,
-    cache: Option<&'a mut ReachCache>,
-}
-
-impl<R: Reachability> Queries<'_, R> {
-    #[inline]
-    fn parallel(&mut self, old: StrandId) -> bool {
-        match &mut self.cache {
-            Some(c) => c.parallel_with_cur(old, self.reach),
-            None => self.reach.parallel(old, self.s),
-        }
-    }
-
-    #[inline]
-    fn cur_left_of(&mut self, old: StrandId) -> bool {
-        match &mut self.cache {
-            Some(c) => c.cur_left_of(old, self.reach),
-            None => self.reach.left_of(self.s, old),
-        }
-    }
 }
 
 impl IntervalDetector<Treap<StrandId>> {
@@ -116,7 +88,6 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
             write_tree,
             scratch_r: Vec::new(),
             scratch_w: Vec::new(),
-            hot: HotPath::default(),
             cache: ReachCache::new(),
             timer: FlushTimer::default(),
             max_intervals: None,
@@ -129,22 +100,6 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
             report,
             stats: DetectorStats::default(),
         }
-    }
-
-    /// Select which hot-path optimizations to use (default: all on). The
-    /// interval detector has no word-replay loop; here [`HotPath::batched`]
-    /// gates the redundant-`set_range` filter on hooks that span several
-    /// bitmap groups (one-group hooks take the bit table's inlined lane
-    /// under every setting) and the batched strand-end flush (all cross-tree
-    /// checks, then one bulk insert per tree), while
-    /// [`HotPath::reach_cache`] and [`HotPath::gated_timing`] work as in the
-    /// word-granularity detectors.
-    pub fn with_hot_path(mut self, hot: HotPath) -> Self {
-        self.hot = hot;
-        if !hot.gated_timing {
-            self.timer = FlushTimer::full();
-        }
-        self
     }
 
     /// Apply resource budgets. A shadow-byte budget caps the coalescing bit
@@ -189,8 +144,7 @@ impl<S: IntervalStore<StrandId>, R: Reachability> Detector<R> for IntervalDetect
         if self.failure.is_some() {
             return; // dead: history frozen at the failure point
         }
-        self.reads
-            .hook(&mut self.stats.read, self.hot.batched, addr, bytes);
+        self.reads.hook(&mut self.stats.read, addr, bytes);
     }
 
     #[inline(always)]
@@ -199,8 +153,7 @@ impl<S: IntervalStore<StrandId>, R: Reachability> Detector<R> for IntervalDetect
         if self.failure.is_some() {
             return; // dead: history frozen at the failure point
         }
-        self.writes
-            .hook(&mut self.stats.write, self.hot.batched, addr, bytes);
+        self.writes.hook(&mut self.stats.write, addr, bytes);
     }
 
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
@@ -263,14 +216,10 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
         }
         let t0 = self.timer.begin();
         let _span = stint_obs::span("stint.flush");
-        if self.hot.reach_cache {
-            self.cache.begin_strand(s);
-        }
-        let mut q = Queries {
-            reach,
-            s,
-            cache: self.hot.reach_cache.then_some(&mut self.cache),
-        };
+        // Every query of a flush shares the current strand `s`, which is
+        // what makes the strand-local cache applicable.
+        self.cache.begin_strand(s);
+        let cache = &mut self.cache;
         let mut reads = std::mem::take(&mut self.scratch_r);
         let mut writes = std::mem::take(&mut self.scratch_w);
         reads.clear();
@@ -286,75 +235,39 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
             self.stats.write.interval_bytes += (hi - lo) * 4;
         }
 
-        if self.hot.batched {
-            // Batched flush: all cross-tree checks first (they only read the
-            // opposite tree), then the strand's whole sorted disjoint run
-            // list goes into its own tree as ONE bulk insert — the treap's
-            // append fast path turns n root-to-leaf insertions into an O(n)
-            // build plus an O(lg n) join whenever the batch lands beyond the
-            // stored cover. Checks and inserts touch different trees, so the
-            // phase split observes exactly the same history as the
-            // interleaved legacy loop below.
-            for &(lo, hi) in &reads {
-                let report = &mut self.report;
-                self.write_tree.query_overlaps(lo, hi, |old, olo, ohi| {
-                    if old != TOMBSTONE && q.parallel(old) {
-                        report.add_r(RaceKind::WriteRead, olo, ohi, old, s, reach);
-                    }
-                });
-            }
-            self.read_tree
-                .insert_reads_for(s, &reads, |old| old == TOMBSTONE || q.cur_left_of(old));
-            for &(lo, hi) in &writes {
-                let report = &mut self.report;
-                self.read_tree.query_overlaps(lo, hi, |old, olo, ohi| {
-                    if old != TOMBSTONE && q.parallel(old) {
-                        report.add_r(RaceKind::ReadWrite, olo, ohi, old, s, reach);
-                    }
-                });
-            }
+        // All cross-tree checks first (they only read the opposite tree),
+        // then the strand's whole sorted disjoint run list goes into its own
+        // tree as ONE bulk insert — the treap's append fast path turns n
+        // root-to-leaf insertions into an O(n) build plus an O(lg n) join
+        // whenever the batch lands beyond the stored cover. Checks and
+        // inserts touch different trees, so the phase split observes exactly
+        // the history a per-interval check-then-insert loop would.
+        for &(lo, hi) in &reads {
             let report = &mut self.report;
-            self.write_tree
-                .insert_writes_for(s, &writes, |old, olo, ohi| {
-                    if old != TOMBSTONE && q.parallel(old) {
-                        report.add_r(RaceKind::WriteWrite, olo, ohi, old, s, reach);
-                    }
-                });
-        } else {
-            // --- Read intervals: check against write tree, insert into read
-            // tree. Queries on the same address region as the insert that
-            // follows keep the relevant tree paths cache-hot, so the phases
-            // stay interleaved per interval.
-            for &(lo, hi) in &reads {
-                let report = &mut self.report;
-                self.write_tree.query_overlaps(lo, hi, |old, olo, ohi| {
-                    if old != TOMBSTONE && q.parallel(old) {
-                        report.add_r(RaceKind::WriteRead, olo, ohi, old, s, reach);
-                    }
-                });
-                self.read_tree.insert_read(Interval::new(lo, hi, s), |old| {
-                    old == TOMBSTONE || q.cur_left_of(old)
-                });
-            }
-
-            // --- Write intervals: check against read tree, insert into
-            // write tree.
-            for &(lo, hi) in &writes {
-                let report = &mut self.report;
-                self.read_tree.query_overlaps(lo, hi, |old, olo, ohi| {
-                    if old != TOMBSTONE && q.parallel(old) {
-                        report.add_r(RaceKind::ReadWrite, olo, ohi, old, s, reach);
-                    }
-                });
-                let report = &mut self.report;
-                self.write_tree
-                    .insert_write(Interval::new(lo, hi, s), |old, olo, ohi| {
-                        if old != TOMBSTONE && q.parallel(old) {
-                            report.add_r(RaceKind::WriteWrite, olo, ohi, old, s, reach);
-                        }
-                    });
-            }
+            self.write_tree.query_overlaps(lo, hi, |old, olo, ohi| {
+                if old != TOMBSTONE && cache.parallel_with_cur(old, reach) {
+                    report.add_r(RaceKind::WriteRead, olo, ohi, old, s, reach);
+                }
+            });
         }
+        self.read_tree.insert_reads_for(s, &reads, |old| {
+            old == TOMBSTONE || cache.cur_left_of(old, reach)
+        });
+        for &(lo, hi) in &writes {
+            let report = &mut self.report;
+            self.read_tree.query_overlaps(lo, hi, |old, olo, ohi| {
+                if old != TOMBSTONE && cache.parallel_with_cur(old, reach) {
+                    report.add_r(RaceKind::ReadWrite, olo, ohi, old, s, reach);
+                }
+            });
+        }
+        let report = &mut self.report;
+        self.write_tree
+            .insert_writes_for(s, &writes, |old, olo, ohi| {
+                if old != TOMBSTONE && cache.parallel_with_cur(old, reach) {
+                    report.add_r(RaceKind::WriteWrite, olo, ohi, old, s, reach);
+                }
+            });
         reads.clear();
         writes.clear();
         self.scratch_r = reads;

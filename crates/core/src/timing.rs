@@ -6,14 +6,14 @@
 //! strands can flush in well under a microsecond — so the clock reads are
 //! gated behind a process-wide mode:
 //!
-//! * `full` — time every flush (exact, the pre-gate behavior);
+//! * `full` — time every flush (exact);
 //! * `sampled` (default) — time every 64th flush and scale the elapsed time
 //!   by 64, an unbiased estimate when flush cost is stationary;
 //! * `off` — never read the clock; `ah_time` stays zero.
 //!
 //! The mode comes from the `STINT_AH_TIMING` environment variable, read once,
 //! or from [`set_mode`] if a binary calls it before the first detector runs
-//! (the perf gate forces `off`; figure-7 style runs force `full`).
+//! (figure-7 style runs force `full`).
 //!
 //! The mode is a **latch**: whichever of [`mode`] and [`set_mode`] runs first
 //! fixes the mode for the rest of the process, and later [`set_mode`] calls
@@ -87,15 +87,6 @@ impl Default for FlushTimer {
 }
 
 impl FlushTimer {
-    /// A timer that times every flush regardless of the process mode — the
-    /// pre-gate behavior, used by `HotPath { gated_timing: false }`.
-    pub fn full() -> Self {
-        FlushTimer {
-            mode: TimingMode::Full,
-            flushes: 0,
-        }
-    }
-
     /// Start timing a flush. `None` means this flush is not being timed.
     #[inline]
     pub fn begin(&mut self) -> Option<Instant> {

@@ -12,10 +12,8 @@
 
 use crate::report::RaceReport;
 use crate::stats::DetectorStats;
-use crate::word_logic::{
-    read_word, read_word_cached, replay_interval, write_word, write_word_cached, WordOp,
-};
-use crate::{HotPath, ResourceBudget};
+use crate::word_logic::{read_word, replay_interval, write_word, WordOp};
+use crate::ResourceBudget;
 use stint_cilk::{word_range, Detector};
 use stint_faults::DetectorError;
 use stint_shadow::WordShadow;
@@ -26,7 +24,6 @@ pub struct VanillaDetector {
     /// True for the `compiler` variant (exploit coalesced hooks).
     compiler_coalescing: bool,
     shadow: WordShadow,
-    hot: HotPath,
     cache: ReachCache,
     /// Injected fault: panic at the Nth strand-end flush (sampled from the
     /// process fault plan at construction time).
@@ -40,7 +37,6 @@ impl VanillaDetector {
         VanillaDetector {
             compiler_coalescing,
             shadow: WordShadow::new(),
-            hot: HotPath::default(),
             cache: ReachCache::new(),
             panic_at_flush: if stint_faults::is_active() {
                 stint_faults::panic_at_flush()
@@ -50,12 +46,6 @@ impl VanillaDetector {
             report,
             stats: DetectorStats::default(),
         }
-    }
-
-    /// Select which hot-path optimizations to use (default: all on).
-    pub fn with_hot_path(mut self, hot: HotPath) -> Self {
-        self.hot = hot;
-        self
     }
 
     /// Enable verifiable-witness capture (see [`crate::witness`]).
@@ -96,27 +86,16 @@ impl VanillaDetector {
                 hi,
                 s,
                 reach,
-                self.hot,
                 &mut self.cache,
                 report,
             );
-        } else if self.hot.reach_cache {
+        } else {
             // Per-word lookups: each pays its own page-table walk (that cost
             // is the modeled quantity — batching must not hide it), but the
             // reachability cache is detector-internal and still applies.
             for w in lo..hi {
-                read_word_cached(
-                    self.shadow.entry_mut(w),
-                    w,
-                    s,
-                    reach,
-                    &mut self.cache,
-                    report,
-                );
-            }
-        } else {
-            for w in lo..hi {
-                read_word(self.shadow.entry_mut(w), w, s, reach, report);
+                let e = self.shadow.entry_mut(w);
+                read_word(e, w, s, reach, &mut self.cache, report);
             }
         }
     }
@@ -139,24 +118,13 @@ impl VanillaDetector {
                 hi,
                 s,
                 reach,
-                self.hot,
                 &mut self.cache,
                 report,
             );
-        } else if self.hot.reach_cache {
-            for w in lo..hi {
-                write_word_cached(
-                    self.shadow.entry_mut(w),
-                    w,
-                    s,
-                    reach,
-                    &mut self.cache,
-                    report,
-                );
-            }
         } else {
             for w in lo..hi {
-                write_word(self.shadow.entry_mut(w), w, s, reach, report);
+                let e = self.shadow.entry_mut(w);
+                write_word(e, w, s, reach, &mut self.cache, report);
             }
         }
     }

@@ -28,8 +28,7 @@
 //! swapped strand, shifted span — fails the check.
 //!
 //! Capture is **off by default** and costs one `Option` discriminant check
-//! per hook when disabled (the established inertness contract; perfgate's
-//! geomean gates enforce it).
+//! per hook when disabled (the established inertness contract).
 
 use crate::report::{Race, RaceKind};
 use crate::trace::{Trace, TraceOp};

@@ -3,61 +3,14 @@
 //! (`vanilla`, `compiler`, `comp+rts`).
 
 use crate::report::{RaceKind, RaceReport};
-use crate::HotPath;
 use stint_shadow::{WordEntry, WordShadow, NO_STRAND};
 use stint_sporder::{ReachCache, Reachability, StrandId};
 
 /// Process a write by strand `s` to the word `w` with shadow entry `e`.
+/// Reachability answers are memoized in `cache`, which the caller must have
+/// pointed at `s` via [`ReachCache::begin_strand`].
 #[inline]
 pub fn write_word<R: Reachability>(
-    e: &mut WordEntry,
-    w: u64,
-    s: StrandId,
-    reach: &R,
-    report: &mut RaceReport,
-) {
-    if e.reader != NO_STRAND {
-        let r = StrandId(e.reader);
-        if reach.parallel(r, s) {
-            report.add_r(RaceKind::ReadWrite, w, w + 1, r, s, reach);
-        }
-    }
-    if e.writer != NO_STRAND {
-        let wr = StrandId(e.writer);
-        if reach.parallel(wr, s) {
-            report.add_r(RaceKind::WriteWrite, w, w + 1, wr, s, reach);
-        }
-    }
-    // The current strand is always the new last writer (sequential order).
-    e.writer = s.0;
-}
-
-/// Process a read by strand `s` of the word `w` with shadow entry `e`.
-#[inline]
-pub fn read_word<R: Reachability>(
-    e: &mut WordEntry,
-    w: u64,
-    s: StrandId,
-    reach: &R,
-    report: &mut RaceReport,
-) {
-    if e.writer != NO_STRAND {
-        let wr = StrandId(e.writer);
-        if reach.parallel(wr, s) {
-            report.add_r(RaceKind::WriteRead, w, w + 1, wr, s, reach);
-        }
-    }
-    // Keep whichever reader is leftmost. Under sequential execution the new
-    // reader is left of the stored one exactly when they are in series.
-    if e.reader == NO_STRAND || reach.left_of(s, StrandId(e.reader)) {
-        e.reader = s.0;
-    }
-}
-
-/// [`write_word`] with reachability answers memoized in `cache`. The caller
-/// must have pointed the cache at `s` via [`ReachCache::begin_strand`].
-#[inline]
-pub fn write_word_cached<R: Reachability>(
     e: &mut WordEntry,
     w: u64,
     s: StrandId,
@@ -78,13 +31,14 @@ pub fn write_word_cached<R: Reachability>(
             report.add_r(RaceKind::WriteWrite, w, w + 1, wr, s, reach);
         }
     }
+    // The current strand is always the new last writer (sequential order).
     e.writer = s.0;
 }
 
-/// [`read_word`] with reachability answers memoized in `cache`. The caller
-/// must have pointed the cache at `s` via [`ReachCache::begin_strand`].
+/// Process a read by strand `s` of the word `w` with shadow entry `e`; the
+/// cache contract is [`write_word`]'s.
 #[inline]
-pub fn read_word_cached<R: Reachability>(
+pub fn read_word<R: Reachability>(
     e: &mut WordEntry,
     w: u64,
     s: StrandId,
@@ -99,6 +53,8 @@ pub fn read_word_cached<R: Reachability>(
             report.add_r(RaceKind::WriteRead, w, w + 1, wr, s, reach);
         }
     }
+    // Keep whichever reader is leftmost. Under sequential execution the new
+    // reader is left of the stored one exactly when they are in series.
     if e.reader == NO_STRAND || cache.cur_left_of(StrandId(e.reader), reach) {
         e.reader = s.0;
     }
@@ -111,18 +67,12 @@ pub enum WordOp {
     Write,
 }
 
-/// Replay the interval `[lo, hi)` against the word shadow, dispatching on the
-/// hot-path configuration:
-///
-/// * `hot.batched` — walk the range page run by page run
-///   ([`WordShadow::process_range_on_page`]: one page-table resolution per up
-///   to 4096 words) instead of re-walking per word;
-/// * `hot.reach_cache` — answer reachability queries through `cache`.
+/// Replay the interval `[lo, hi)` against the word shadow, page run by page
+/// run ([`WordShadow::process_range_on_page`]: one page-table resolution per
+/// up to 4096 words), answering reachability queries through `cache`.
 ///
 /// Shared by the `compiler` ranged path and the `comp+rts` strand-end replay
-/// so both take the identical fast path. With `HotPath::LEGACY` this is
-/// exactly the historical `for_range_mut` + uncached loop, which the
-/// differential tests (and the perf-gate baseline) run against.
+/// so both take the identical path.
 #[inline]
 #[allow(clippy::too_many_arguments)] // flat arg list keeps the hook path monomorphic and borrow-friendly
 pub fn replay_interval<R: Reachability>(
@@ -132,7 +82,6 @@ pub fn replay_interval<R: Reachability>(
     hi: u64,
     s: StrandId,
     reach: &R,
-    hot: HotPath,
     cache: &mut ReachCache,
     report: &mut RaceReport,
 ) {
@@ -142,74 +91,46 @@ pub fn replay_interval<R: Reachability>(
     // `op` is matched per page run (not per word) so each arm compiles to a
     // monomorphic inner loop over the page slice.
     //
-    // The fully-hot arm also short-circuits uniform runs: consecutive words
-    // of a replayed interval overwhelmingly hold the identical
-    // (reader, writer) pair (a single earlier interval populated them), and
-    // the word protocol's decisions depend only on that pair and `s`. A word
-    // whose entry equals the previous race-free input is rewritten to the
-    // previous output without re-deciding anything; racy inputs are never
-    // memoized (each racy word must reach `report.add` itself).
-    match (hot.batched, hot.reach_cache) {
-        (true, true) => shadow.process_range_on_page(lo, hi, |w0, entries| {
-            let mut memo: Option<(WordEntry, WordEntry)> = None;
-            match op {
-                WordOp::Read => {
-                    for (i, e) in entries.iter_mut().enumerate() {
-                        if let Some((pin, pout)) = memo {
-                            if *e == pin {
-                                *e = pout;
-                                continue;
-                            }
-                        }
-                        let before = *e;
-                        let races = report.total;
-                        read_word_cached(e, w0 + i as u64, s, reach, cache, report);
-                        memo = (report.total == races).then_some((before, *e));
-                    }
-                }
-                WordOp::Write => {
-                    for (i, e) in entries.iter_mut().enumerate() {
-                        if let Some((pin, pout)) = memo {
-                            if *e == pin {
-                                *e = pout;
-                                continue;
-                            }
-                        }
-                        let before = *e;
-                        let races = report.total;
-                        write_word_cached(e, w0 + i as u64, s, reach, cache, report);
-                        memo = (report.total == races).then_some((before, *e));
-                    }
-                }
-            }
-        }),
-        (true, false) => shadow.process_range_on_page(lo, hi, |w0, entries| match op {
+    // Uniform runs are short-circuited: consecutive words of a replayed
+    // interval overwhelmingly hold the identical (reader, writer) pair (a
+    // single earlier interval populated them), and the word protocol's
+    // decisions depend only on that pair and `s`. A word whose entry equals
+    // the previous race-free input is rewritten to the previous output
+    // without re-deciding anything; racy inputs are never memoized (each
+    // racy word must reach `report.add` itself).
+    shadow.process_range_on_page(lo, hi, |w0, entries| {
+        let mut memo: Option<(WordEntry, WordEntry)> = None;
+        match op {
             WordOp::Read => {
                 for (i, e) in entries.iter_mut().enumerate() {
-                    read_word(e, w0 + i as u64, s, reach, report);
+                    if let Some((pin, pout)) = memo {
+                        if *e == pin {
+                            *e = pout;
+                            continue;
+                        }
+                    }
+                    let before = *e;
+                    let races = report.total;
+                    read_word(e, w0 + i as u64, s, reach, cache, report);
+                    memo = (report.total == races).then_some((before, *e));
                 }
             }
             WordOp::Write => {
                 for (i, e) in entries.iter_mut().enumerate() {
-                    write_word(e, w0 + i as u64, s, reach, report);
+                    if let Some((pin, pout)) = memo {
+                        if *e == pin {
+                            *e = pout;
+                            continue;
+                        }
+                    }
+                    let before = *e;
+                    let races = report.total;
+                    write_word(e, w0 + i as u64, s, reach, cache, report);
+                    memo = (report.total == races).then_some((before, *e));
                 }
             }
-        }),
-        (false, true) => match op {
-            WordOp::Read => shadow.for_range_mut(lo, hi, |w, e| {
-                read_word_cached(e, w, s, reach, cache, report)
-            }),
-            WordOp::Write => shadow.for_range_mut(lo, hi, |w, e| {
-                write_word_cached(e, w, s, reach, cache, report)
-            }),
-        },
-        (false, false) => match op {
-            WordOp::Read => shadow.for_range_mut(lo, hi, |w, e| read_word(e, w, s, reach, report)),
-            WordOp::Write => {
-                shadow.for_range_mut(lo, hi, |w, e| write_word(e, w, s, reach, report))
-            }
-        },
-    }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -226,159 +147,173 @@ mod tests {
         (sp, root, s.child, s.continuation, j)
     }
 
+    /// One word's shadow entry driven through the protocol, pointing the
+    /// cache at each accessing strand as the detectors do.
+    struct Word<'a> {
+        sp: &'a SpOrder,
+        w: u64,
+        e: WordEntry,
+        cache: ReachCache,
+        rep: RaceReport,
+    }
+
+    impl<'a> Word<'a> {
+        fn new(sp: &'a SpOrder, w: u64) -> Self {
+            Word {
+                sp,
+                w,
+                e: WordEntry::EMPTY,
+                cache: ReachCache::new(),
+                rep: RaceReport::default(),
+            }
+        }
+        fn write(&mut self, s: StrandId) {
+            self.cache.begin_strand(s);
+            write_word(
+                &mut self.e,
+                self.w,
+                s,
+                self.sp,
+                &mut self.cache,
+                &mut self.rep,
+            );
+        }
+        fn read(&mut self, s: StrandId) {
+            self.cache.begin_strand(s);
+            read_word(
+                &mut self.e,
+                self.w,
+                s,
+                self.sp,
+                &mut self.cache,
+                &mut self.rep,
+            );
+        }
+    }
+
     #[test]
     fn parallel_write_write_races() {
         let (sp, _root, child, cont, _j) = fixture();
-        let mut e = WordEntry::EMPTY;
-        let mut rep = RaceReport::default();
-        write_word(&mut e, 5, child, &sp, &mut rep);
-        assert!(rep.is_race_free());
-        write_word(&mut e, 5, cont, &sp, &mut rep);
-        assert_eq!(rep.total, 1);
-        assert_eq!(rep.races()[0].kind, RaceKind::WriteWrite);
-        assert_eq!(e.writer, cont.0, "new write becomes last writer");
+        let mut x = Word::new(&sp, 5);
+        x.write(child);
+        assert!(x.rep.is_race_free());
+        x.write(cont);
+        assert_eq!(x.rep.total, 1);
+        assert_eq!(x.rep.races()[0].kind, RaceKind::WriteWrite);
+        assert_eq!(x.e.writer, cont.0, "new write becomes last writer");
     }
 
     #[test]
     fn series_accesses_do_not_race() {
         let (sp, root, child, _cont, j) = fixture();
-        let mut e = WordEntry::EMPTY;
-        let mut rep = RaceReport::default();
-        write_word(&mut e, 5, root, &sp, &mut rep);
-        write_word(&mut e, 5, child, &sp, &mut rep); // root ≺ child
-        read_word(&mut e, 5, j, &sp, &mut rep); // child ≺ j
-        assert!(rep.is_race_free());
-        assert_eq!(e.reader, j.0);
+        let mut x = Word::new(&sp, 5);
+        x.write(root);
+        x.write(child); // root ≺ child
+        x.read(j); // child ≺ j
+        assert!(x.rep.is_race_free());
+        assert_eq!(x.e.reader, j.0);
     }
 
     #[test]
     fn parallel_read_then_write_races() {
         let (sp, _root, child, cont, _j) = fixture();
-        let mut e = WordEntry::EMPTY;
-        let mut rep = RaceReport::default();
-        read_word(&mut e, 9, child, &sp, &mut rep);
-        write_word(&mut e, 9, cont, &sp, &mut rep);
-        assert_eq!(rep.total, 1);
-        assert_eq!(rep.races()[0].kind, RaceKind::ReadWrite);
+        let mut x = Word::new(&sp, 9);
+        x.read(child);
+        x.write(cont);
+        assert_eq!(x.rep.total, 1);
+        assert_eq!(x.rep.races()[0].kind, RaceKind::ReadWrite);
     }
 
     #[test]
     fn parallel_write_then_read_races() {
         let (sp, _root, child, cont, _j) = fixture();
-        let mut e = WordEntry::EMPTY;
-        let mut rep = RaceReport::default();
-        write_word(&mut e, 9, child, &sp, &mut rep);
-        read_word(&mut e, 9, cont, &sp, &mut rep);
-        assert_eq!(rep.total, 1);
-        assert_eq!(rep.races()[0].kind, RaceKind::WriteRead);
+        let mut x = Word::new(&sp, 9);
+        x.write(child);
+        x.read(cont);
+        assert_eq!(x.rep.total, 1);
+        assert_eq!(x.rep.races()[0].kind, RaceKind::WriteRead);
     }
 
     #[test]
     fn parallel_reads_do_not_race_and_leftmost_is_kept() {
         let (sp, _root, child, cont, j) = fixture();
-        let mut e = WordEntry::EMPTY;
-        let mut rep = RaceReport::default();
-        read_word(&mut e, 1, child, &sp, &mut rep);
-        read_word(&mut e, 1, cont, &sp, &mut rep);
-        assert!(rep.is_race_free());
+        let mut x = Word::new(&sp, 1);
+        x.read(child);
+        x.read(cont);
+        assert!(x.rep.is_race_free());
         // child executed first and is parallel with cont ⇒ child is leftmost.
-        assert_eq!(e.reader, child.0);
+        assert_eq!(x.e.reader, child.0);
         // A series successor replaces the leftmost reader.
-        read_word(&mut e, 1, j, &sp, &mut rep);
-        assert_eq!(e.reader, j.0);
-        assert!(rep.is_race_free());
+        x.read(j);
+        assert_eq!(x.e.reader, j.0);
+        assert!(x.rep.is_race_free());
     }
 
-    /// Cached word ops must be observationally identical to the plain ones:
-    /// same race reports, same shadow-entry evolution.
+    /// The entry's evolution and the races over a script that revisits
+    /// strands, so memoized answers are reused after the cache was pointed
+    /// elsewhere and back.
     #[test]
-    fn cached_ops_match_uncached() {
+    fn entry_evolution_over_a_mixed_script() {
         let (sp, root, child, cont, j) = fixture();
-        let script: [(bool, StrandId); 7] = [
-            (false, root), // write
-            (true, child), // read
-            (false, cont),
-            (true, cont),
-            (false, child),
-            (true, j),
-            (false, j),
+        let mut x = Word::new(&sp, 7);
+        // (is_read, strand) → (reader, writer, races so far)
+        let script = [
+            ((false, root), (NO_STRAND, root.0, 0)),
+            ((true, child), (child.0, root.0, 0)),
+            ((false, cont), (child.0, cont.0, 1)), // read-write with child
+            ((true, cont), (child.0, cont.0, 1)),  // child stays leftmost
+            ((false, child), (child.0, child.0, 2)), // write-write with cont
+            ((true, j), (j.0, child.0, 2)),
+            ((false, j), (j.0, j.0, 2)),
         ];
-        let mut e_plain = WordEntry::EMPTY;
-        let mut e_cached = WordEntry::EMPTY;
-        let mut rep_plain = RaceReport::default();
-        let mut rep_cached = RaceReport::default();
-        let mut cache = ReachCache::new();
-        for &(is_read, s) in &script {
-            cache.begin_strand(s);
+        for ((is_read, s), (reader, writer, races)) in script {
             if is_read {
-                read_word(&mut e_plain, 7, s, &sp, &mut rep_plain);
-                read_word_cached(&mut e_cached, 7, s, &sp, &mut cache, &mut rep_cached);
+                x.read(s);
             } else {
-                write_word(&mut e_plain, 7, s, &sp, &mut rep_plain);
-                write_word_cached(&mut e_cached, 7, s, &sp, &mut cache, &mut rep_cached);
+                x.write(s);
             }
-            assert_eq!(e_plain.reader, e_cached.reader);
-            assert_eq!(e_plain.writer, e_cached.writer);
+            assert_eq!(
+                (x.e.reader, x.e.writer, x.rep.total),
+                (reader, writer, races)
+            );
         }
-        assert_eq!(rep_plain.racy_words(), rep_cached.racy_words());
-        assert_eq!(rep_plain.total, rep_cached.total);
+        assert_eq!(x.rep.racy_words(), vec![7]);
+        let kinds: Vec<RaceKind> = x.rep.races().iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [RaceKind::ReadWrite, RaceKind::WriteWrite]);
     }
 
-    /// All four (batched × cached) replay configurations agree with each
-    /// other on a cross-page range.
+    /// A replayed range that crosses the 4096-word page boundary reports
+    /// exactly the overlap, one race per word.
     #[test]
-    fn replay_interval_configs_agree() {
+    fn replay_interval_crosses_pages() {
         let (sp, _root, child, cont, _j) = fixture();
-        let configs = [
-            HotPath::LEGACY,
-            HotPath {
-                batched: true,
-                reach_cache: false,
-                ..HotPath::default()
-            },
-            HotPath {
-                batched: false,
-                reach_cache: true,
-                ..HotPath::default()
-            },
-            HotPath::default(),
-        ];
-        let lo = 4000u64;
-        let hi = 4200u64; // crosses the 4096-word page boundary
-        let mut outcomes = Vec::new();
-        for hot in configs {
-            let mut shadow = WordShadow::new();
-            let mut cache = ReachCache::new();
-            let mut rep = RaceReport::default();
-            cache.begin_strand(child);
-            replay_interval(
-                &mut shadow,
-                WordOp::Write,
-                lo,
-                hi,
-                child,
-                &sp,
-                hot,
-                &mut cache,
-                &mut rep,
-            );
-            cache.begin_strand(cont);
-            replay_interval(
-                &mut shadow,
-                WordOp::Read,
-                lo + 50,
-                hi + 50,
-                cont,
-                &sp,
-                hot,
-                &mut cache,
-                &mut rep,
-            );
-            outcomes.push((rep.racy_words(), rep.total));
-        }
-        assert_eq!(outcomes[0].0, (lo + 50..hi).collect::<Vec<u64>>());
-        for o in &outcomes[1..] {
-            assert_eq!(o, &outcomes[0]);
-        }
+        let (lo, hi) = (4000u64, 4200u64);
+        let mut shadow = WordShadow::new();
+        let mut cache = ReachCache::new();
+        let mut rep = RaceReport::default();
+        cache.begin_strand(child);
+        replay_interval(
+            &mut shadow,
+            WordOp::Write,
+            lo,
+            hi,
+            child,
+            &sp,
+            &mut cache,
+            &mut rep,
+        );
+        cache.begin_strand(cont);
+        replay_interval(
+            &mut shadow,
+            WordOp::Read,
+            lo + 50,
+            hi + 50,
+            cont,
+            &sp,
+            &mut cache,
+            &mut rep,
+        );
+        assert_eq!(rep.racy_words(), (lo + 50..hi).collect::<Vec<u64>>());
+        assert_eq!(rep.total, 150);
     }
 }

@@ -21,10 +21,8 @@
 //! tags. Insertion between two elements picks the midpoint tag; when no tag is
 //! available the smallest enclosing power-of-two tag range whose *density* is
 //! below a geometrically decreasing threshold is relabelled uniformly. This
-//! gives O(log n) amortized insertion and O(1) queries, which is
-//! indistinguishable from the O(1)-amortized two-level variant at the scales
-//! exercised here (the OM lists are never the bottleneck — see the `om`
-//! Criterion bench).
+//! gives O(log n) amortized insertion and O(1) queries (the OM lists are
+//! never the bottleneck — see the `om` Criterion bench).
 //!
 //! Elements are never removed (SP-Order never deletes strands), so node
 //! handles are plain indices into an arena and stay valid for the lifetime of
@@ -40,49 +38,6 @@
 //! forever it raises [`stint_faults::DetectorError::ResourceExhausted`] as a
 //! typed panic payload, which the panic-safe detection session upstream
 //! converts into a structured error.
-
-pub mod two_level;
-pub use two_level::{TlNode, TwoLevelOm};
-
-/// Common interface of the order-maintenance implementations, so SP-Order
-/// can be instantiated with either the single-level list (simple, O(log n)
-/// amortized insert) or the two-level one (O(1) amortized insert).
-pub trait OrderList: Default {
-    /// Handle to a list element (stable forever; elements are not removed).
-    type Handle: Copy;
-    /// Insert the first element into an empty list.
-    fn insert_first(&mut self) -> Self::Handle;
-    /// Insert a new element immediately after `x`.
-    fn insert_after(&mut self, x: Self::Handle) -> Self::Handle;
-    /// True if `a` strictly precedes `b`. O(1).
-    fn precedes(&self, a: Self::Handle, b: Self::Handle) -> bool;
-}
-
-impl OrderList for OmList {
-    type Handle = OmNode;
-    fn insert_first(&mut self) -> OmNode {
-        OmList::insert_first(self)
-    }
-    fn insert_after(&mut self, x: OmNode) -> OmNode {
-        OmList::insert_after(self, x)
-    }
-    fn precedes(&self, a: OmNode, b: OmNode) -> bool {
-        OmList::precedes(self, a, b)
-    }
-}
-
-impl OrderList for TwoLevelOm {
-    type Handle = TlNode;
-    fn insert_first(&mut self) -> TlNode {
-        TwoLevelOm::insert_first(self)
-    }
-    fn insert_after(&mut self, x: TlNode) -> TlNode {
-        TwoLevelOm::insert_after(self, x)
-    }
-    fn precedes(&self, a: TlNode, b: TlNode) -> bool {
-        TwoLevelOm::precedes(self, a, b)
-    }
-}
 
 /// Handle to an element of an [`OmList`].
 ///
@@ -107,7 +62,7 @@ const NIL: u32 = u32::MAX;
 // declared exhausted.
 static OBS_INSERTS: stint_obs::Counter = stint_obs::Counter::new("om.inserts");
 static OBS_LEN: stint_obs::Gauge = stint_obs::Gauge::new("om.len");
-pub(crate) static OBS_BYTES: stint_obs::Gauge = stint_obs::Gauge::new("om.bytes");
+static OBS_BYTES: stint_obs::Gauge = stint_obs::Gauge::new("om.bytes");
 static OBS_RELABELS: stint_obs::Counter = stint_obs::Counter::new("om.relabels");
 static OBS_RELABEL_MOVED: stint_obs::Counter = stint_obs::Counter::new("om.relabel_moved");
 static OBS_FULL_RELABELS: stint_obs::Counter = stint_obs::Counter::new("om.full_relabels");

@@ -39,6 +39,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use stint::journal::{replay, FsyncPolicy, JournalWriter, MAGIC};
+use stint::varint;
 use stint_obs::Counter;
 
 /// Journal append I/O failures (the session proceeds; its record is lost).
@@ -99,46 +100,15 @@ pub struct SessionEvent {
     pub payload: u64,
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = buf.get(*pos) else {
-            return Err("short varint".into());
-        };
-        *pos += 1;
-        if shift >= 64 {
-            return Err("varint overflow".into());
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
 impl SessionEvent {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
-        put_varint(&mut out, self.seq);
-        put_varint(&mut out, self.t_ms);
-        put_varint(&mut out, u64::from(self.session));
-        put_varint(&mut out, u64::from(self.kind));
-        put_varint(&mut out, u64::from(self.code));
-        put_varint(&mut out, self.payload);
+        varint::put(&mut out, self.seq);
+        varint::put(&mut out, self.t_ms);
+        varint::put(&mut out, u64::from(self.session));
+        varint::put(&mut out, u64::from(self.kind));
+        varint::put(&mut out, u64::from(self.code));
+        varint::put(&mut out, self.payload);
         out
     }
 
@@ -146,12 +116,13 @@ impl SessionEvent {
     /// compatibility: a later version may append fields).
     pub fn decode(buf: &[u8]) -> Result<SessionEvent, String> {
         let mut pos = 0usize;
-        let seq = get_varint(buf, &mut pos)?;
-        let t_ms = get_varint(buf, &mut pos)?;
-        let session = get_varint(buf, &mut pos)?;
-        let kind = get_varint(buf, &mut pos)?;
-        let code = get_varint(buf, &mut pos)?;
-        let payload = get_varint(buf, &mut pos)?;
+        let mut field = || varint::get(buf, &mut pos).map_err(|e| e.to_string());
+        let seq = field()?;
+        let t_ms = field()?;
+        let session = field()?;
+        let kind = field()?;
+        let code = field()?;
+        let payload = field()?;
         let narrow = |v: u64, what: &str| -> Result<u64, String> {
             if v > u64::from(u32::MAX) {
                 Err(format!("{what} out of range: {v}"))
@@ -435,7 +406,12 @@ mod tests {
         };
         assert_eq!(SessionEvent::decode(&ev.encode()), Ok(ev));
         let short = &ev.encode()[..3];
-        assert!(SessionEvent::decode(short).is_err());
+        assert_eq!(SessionEvent::decode(short), Err("truncated varint".into()));
+        let overlong = [&[0xff; 9][..], &[0x02]].concat();
+        assert_eq!(
+            SessionEvent::decode(&overlong),
+            Err("varint overflow".into())
+        );
     }
 
     #[test]

@@ -240,32 +240,6 @@ impl WordShadow {
         entry
     }
 
-    /// Apply `f` to every word entry in `[start, end)`, traversing each page
-    /// only once (this is what makes the *compiler* variant's coalesced
-    /// hooks cheaper than per-word lookups). Each word counts as one shadow
-    /// operation.
-    #[inline]
-    pub fn for_range_mut(&mut self, start: u64, end: u64, mut f: impl FnMut(u64, &mut WordEntry)) {
-        if start >= end {
-            return;
-        }
-        self.ops += end - start;
-        let mut w = start;
-        while w < end {
-            let page_no = w >> PAGE_BITS;
-            let page_end = ((page_no + 1) << PAGE_BITS).min(end);
-            let slot = self.page_slot(page_no);
-            let page = &mut self.pages[slot];
-            if slot as u32 == self.sink {
-                page.fill(WordEntry::EMPTY);
-            }
-            for word in w..page_end {
-                f(word, &mut page[(word as usize) & (PAGE_WORDS - 1)]);
-            }
-            w = page_end;
-        }
-    }
-
     /// Like [`WordShadow::page_slot`], but checks the one-entry page cache
     /// first — consecutive intervals overwhelmingly land on the same shadow
     /// page, so most batched resolutions skip the [`PageMap`] probe entirely.
@@ -285,7 +259,7 @@ impl WordShadow {
     /// `[start, min(end, page_end))`, together with the word number of its
     /// first element. Returns the first word *not* covered, so callers loop
     /// until the return value reaches `end`. Each covered word counts as one
-    /// shadow operation (same accounting as [`WordShadow::for_range_mut`]).
+    /// shadow operation.
     #[inline]
     pub fn with_page(
         &mut self,
@@ -310,12 +284,12 @@ impl WordShadow {
         run_end
     }
 
-    /// Apply `f` to the entry slice of every page run in `[start, end)` —
-    /// the batched counterpart of [`WordShadow::for_range_mut`]. The second
-    /// level is resolved once per up-to-4096-word page run (with a
-    /// same-page fast path) and `f` iterates each page slice directly, so
-    /// the per-word cost is a slice step instead of an index + mask + bounds
-    /// check through `self.pages`.
+    /// Apply `f` to the entry slice of every page run in `[start, end)`
+    /// (this is what makes the *compiler* variant's coalesced hooks cheaper
+    /// than per-word lookups). The second level is resolved once per
+    /// up-to-4096-word page run (with a same-page fast path) and `f` iterates
+    /// each page slice directly, so the per-word cost is a slice step instead
+    /// of an index + mask + bounds check through `self.pages`.
     #[inline]
     pub fn process_range_on_page(
         &mut self,
@@ -414,29 +388,10 @@ mod tests {
     }
 
     #[test]
-    fn range_spanning_pages() {
-        let mut s = WordShadow::new();
-        let start = (1u64 << PAGE_BITS) - 5;
-        let end = (1u64 << PAGE_BITS) + 5;
-        let mut visited = Vec::new();
-        s.for_range_mut(start, end, |w, e| {
-            visited.push(w);
-            e.writer = 9;
-        });
-        assert_eq!(visited, (start..end).collect::<Vec<_>>());
-        assert_eq!(s.pages_allocated(), 2);
-        for w in start..end {
-            assert_eq!(s.get(w).unwrap().writer, 9);
-        }
-        assert_eq!(s.get(start - 1).unwrap(), WordEntry::EMPTY);
-        assert_eq!(s.get(end).unwrap(), WordEntry::EMPTY);
-    }
-
-    #[test]
     fn empty_range_is_noop() {
         let mut s = WordShadow::new();
-        s.for_range_mut(10, 10, |_, _| panic!("must not be called"));
-        s.for_range_mut(10, 5, |_, _| panic!("must not be called"));
+        s.process_range_on_page(10, 10, |_, _| panic!("must not be called"));
+        s.process_range_on_page(10, 5, |_, _| panic!("must not be called"));
         assert_eq!(s.ops, 0);
         assert_eq!(s.pages_allocated(), 0);
     }
@@ -446,7 +401,7 @@ mod tests {
         let mut s = WordShadow::new();
         s.entry_mut(0);
         s.entry_mut(1);
-        s.for_range_mut(0, 10, |_, _| {});
+        s.process_range_on_page(0, 10, |_, _| {});
         assert_eq!(s.ops, 12);
     }
 
@@ -472,9 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn process_range_matches_for_range_mut() {
-        // Differential: the batched path must visit exactly the words the
-        // per-word path visits, in the same order, with the same entries.
+    fn process_range_visits_each_word_once_in_order() {
         let ranges = [
             (0u64, 10u64),
             ((1 << PAGE_BITS) - 5, (1 << PAGE_BITS) + 5),
@@ -482,26 +435,26 @@ mod tests {
             ((1 << 40) - 1, (1 << 40) + 1),
         ];
         for &(start, end) in &ranges {
-            let mut a = WordShadow::new();
-            let mut b = WordShadow::new();
-            let mut va = Vec::new();
-            let mut vb = Vec::new();
-            a.for_range_mut(start, end, |w, e| {
-                va.push(w);
-                e.writer = (w % 97) as u32;
-            });
-            b.process_range_on_page(start, end, |base, entries| {
+            let mut s = WordShadow::new();
+            let mut visited = Vec::new();
+            s.process_range_on_page(start, end, |base, entries| {
                 for (i, e) in entries.iter_mut().enumerate() {
                     let w = base + i as u64;
-                    vb.push(w);
+                    visited.push(w);
                     e.writer = (w % 97) as u32;
                 }
             });
-            assert_eq!(va, vb, "visit order diverged for {start}..{end}");
-            assert_eq!(a.ops, b.ops, "ops accounting diverged");
+            assert_eq!(visited, (start..end).collect::<Vec<_>>());
+            assert_eq!(s.ops, end - start);
+            assert_eq!(
+                s.pages_allocated() as u64,
+                ((end - 1) >> PAGE_BITS) - (start >> PAGE_BITS) + 1
+            );
             for w in start..end {
-                assert_eq!(a.get(w), b.get(w), "entry diverged at {w}");
+                assert_eq!(s.get(w).unwrap().writer, (w % 97) as u32);
             }
+            // The words either side, when on an allocated page, stay empty.
+            assert!(s.get(end).is_none_or(|e| e == WordEntry::EMPTY));
         }
     }
 

@@ -1,7 +1,7 @@
 //! DePa-style relabel-free reachability for fork-join programs.
 //!
-//! SP-Order ([`SpOrderImpl`]) keeps the English/Hebrew orders in mutable
-//! order-maintenance lists: every insertion may *relabel* existing nodes, so
+//! SP-Order ([`SpOrder`](crate::SpOrder)) keeps the English/Hebrew orders in
+//! mutable order-maintenance lists: every insertion may *relabel* existing nodes, so
 //! a query is only valid while no maintenance runs — the structure is
 //! inherently `&mut`-serialized. DePa (Westrick et al.) removes the mutation:
 //! each strand gets an **immutable depth-vector timestamp** assigned once at
@@ -230,7 +230,7 @@ struct DFrame {
 pub struct DePaReach {
     arena: PathArena,
     /// Per strand: the strand that created it ([`NO_PARENT`] for the root) —
-    /// the same spawn-tree lineage [`SpOrderImpl`](crate::SpOrderImpl)
+    /// the same spawn-tree lineage [`SpOrder`](crate::SpOrder)
     /// records, so race witnesses are substrate-independent.
     parents: Vec<u32>,
     frames: Vec<DFrame>,
@@ -434,7 +434,7 @@ impl DePaReach {
 
     /// Snapshot the English/Hebrew orders into a [`FrozenReach`]
     /// (O(n log n · depth)). The ranks are identical to those an
-    /// [`SpOrderImpl`](crate::SpOrderImpl) maintaining the same execution
+    /// [`SpOrder`](crate::SpOrder) maintaining the same execution
     /// would freeze — the merged-report byte-identity across substrates
     /// rests on this.
     pub fn freeze(&self) -> FrozenReach {
@@ -476,7 +476,7 @@ impl Reachability for DePaReach {
     #[inline]
     fn left_of(&self, a: StrandId, b: StrandId) -> bool {
         // `left_of(a, b) ⟺ b <_H a`: either parallel with `a` sequentially
-        // first, or series with `b` first (see `SpOrderImpl::left_of`).
+        // first, or series with `b` first (see `SpOrder::left_of`).
         matches!(self.cmp_ids(a, b), Rel::SeriesBa | Rel::ParallelAb)
     }
     #[inline]

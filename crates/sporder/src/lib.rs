@@ -38,7 +38,7 @@
 //! brute-force transitive-closure oracle in `stint-spdag` on thousands of
 //! random fork-join programs (see `tests/oracle.rs`).
 
-use stint_om::{OmList, OrderList, TwoLevelOm};
+use stint_om::{OmList, OmNode};
 
 mod cache;
 mod depa;
@@ -46,9 +46,8 @@ pub use cache::ReachCache;
 pub use depa::DePaReach;
 
 // Observability (no-ops costing one relaxed load while `stint-obs` is
-// disabled). Order queries are counted at the `SpOrderImpl` layer so both
-// OM backends report into the same counters; the strand-local cache's
-// hit/miss/flush counters live in `cache.rs`.
+// disabled). The strand-local cache's hit/miss/flush counters live in
+// `cache.rs`.
 static OBS_SERIES_QUERIES: stint_obs::Counter = stint_obs::Counter::new("sporder.series_queries");
 static OBS_PARALLEL_QUERIES: stint_obs::Counter =
     stint_obs::Counter::new("sporder.parallel_queries");
@@ -120,18 +119,18 @@ pub trait Reachability {
     }
 }
 
-impl<L: OrderList> Reachability for SpOrderImpl<L> {
+impl Reachability for SpOrder {
     #[inline]
     fn series(&self, a: StrandId, b: StrandId) -> bool {
-        SpOrderImpl::series(self, a, b)
+        SpOrder::series(self, a, b)
     }
     #[inline]
     fn parallel(&self, a: StrandId, b: StrandId) -> bool {
-        SpOrderImpl::parallel(self, a, b)
+        SpOrder::parallel(self, a, b)
     }
     #[inline]
     fn left_of(&self, a: StrandId, b: StrandId) -> bool {
-        SpOrderImpl::left_of(self, a, b)
+        SpOrder::left_of(self, a, b)
     }
     #[inline]
     fn order_pair(&self, a: StrandId, b: StrandId) -> (bool, bool) {
@@ -148,7 +147,7 @@ impl<L: OrderList> Reachability for SpOrderImpl<L> {
     }
     #[inline]
     fn parent_of(&self, s: StrandId) -> Option<StrandId> {
-        SpOrderImpl::parent_of(self, s)
+        SpOrder::parent_of(self, s)
     }
 }
 
@@ -156,7 +155,7 @@ impl<L: OrderList> Reachability for SpOrderImpl<L> {
 /// sequential executor (`stint-cilk`) needs to grow one alongside the
 /// running program. [`Reachability`] is the query half that detectors see;
 /// this is the construction half. Two substrates implement it:
-/// [`SpOrderImpl`] (mutable order-maintenance lists) and [`DePaReach`]
+/// [`SpOrder`] (mutable order-maintenance lists) and [`DePaReach`]
 /// (immutable depth-vector timestamps, lock-free queries).
 ///
 /// The executor guarantees one call sequence per execution regardless of the
@@ -192,26 +191,26 @@ pub trait ReachMaint: Reachability {
     fn freeze(&self) -> FrozenReach;
 }
 
-impl<L: OrderList> ReachMaint for SpOrderImpl<L> {
+impl ReachMaint for SpOrder {
     fn init() -> (Self, StrandId) {
-        SpOrderImpl::new()
+        SpOrder::new()
     }
     #[inline]
     fn new_sync_strand(&mut self, cur: StrandId) -> StrandId {
-        SpOrderImpl::new_sync_strand(self, cur)
+        SpOrder::new_sync_strand(self, cur)
     }
     #[inline]
     fn spawn(&mut self, cur: StrandId) -> SpawnStrands {
-        SpOrderImpl::spawn(self, cur)
+        SpOrder::spawn(self, cur)
     }
     fn strand_count(&self) -> usize {
-        SpOrderImpl::strand_count(self)
+        SpOrder::strand_count(self)
     }
     fn heap_bytes(&self) -> u64 {
-        SpOrderImpl::heap_bytes(self)
+        SpOrder::heap_bytes(self)
     }
     fn freeze(&self) -> FrozenReach {
-        SpOrderImpl::freeze(self)
+        SpOrder::freeze(self)
     }
 }
 
@@ -223,13 +222,13 @@ pub struct SpawnStrands {
     pub continuation: StrandId,
 }
 
-/// The SP-Order reachability structure, generic over the order-maintenance
-/// implementation.
-pub struct SpOrderImpl<L: OrderList = OmList> {
-    eng: L,
-    heb: L,
+/// The SP-Order reachability structure over two labelled order-maintenance
+/// lists (O(log n) amortized maintenance, O(1) queries).
+pub struct SpOrder {
+    eng: OmList,
+    heb: OmList,
     /// Per strand: (English node, Hebrew node).
-    strands: Vec<(L::Handle, L::Handle)>,
+    strands: Vec<(OmNode, OmNode)>,
     /// Per strand: the strand that created it ([`NO_PARENT`] for the root) —
     /// the spawn-tree lineage race witnesses walk.
     parents: Vec<u32>,
@@ -241,35 +240,27 @@ pub struct SpOrderImpl<L: OrderList = OmList> {
 /// Sentinel parent of the root strand in lineage tables.
 pub const NO_PARENT: u32 = u32::MAX;
 
-impl<L: OrderList> Drop for SpOrderImpl<L> {
+impl Drop for SpOrder {
     fn drop(&mut self) {
         OBS_BYTES.reconcile(&mut self.owned_bytes, 0);
     }
 }
 
-/// SP-Order over the single-level labelled list (the default; O(log n)
-/// amortized maintenance, O(1) queries).
-pub type SpOrder = SpOrderImpl<OmList>;
-
-/// SP-Order over the two-level indirection list — O(1) amortized
-/// maintenance, matching the asymptotics claimed by Bender et al.
-pub type SpOrderO1 = SpOrderImpl<TwoLevelOm>;
-
-impl<L: OrderList> Default for SpOrderImpl<L> {
+impl Default for SpOrder {
     fn default() -> Self {
         Self::new().0
     }
 }
 
-impl<L: OrderList> SpOrderImpl<L> {
+impl SpOrder {
     /// Create the structure together with the root strand of the computation.
     pub fn new() -> (Self, StrandId) {
-        let mut eng = L::default();
-        let mut heb = L::default();
+        let mut eng = OmList::default();
+        let mut heb = OmList::default();
         let e = eng.insert_first();
         let h = heb.insert_first();
         (
-            SpOrderImpl {
+            SpOrder {
                 eng,
                 heb,
                 strands: vec![(e, h)],
@@ -289,11 +280,11 @@ impl<L: OrderList> SpOrderImpl<L> {
     /// Heap bytes owned by the strand table (the OM lists report their own
     /// footprint through `om.bytes`).
     pub fn heap_bytes(&self) -> u64 {
-        (self.strands.capacity() * std::mem::size_of::<(L::Handle, L::Handle)>()
+        (self.strands.capacity() * std::mem::size_of::<(OmNode, OmNode)>()
             + self.parents.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
-    fn push(&mut self, e: L::Handle, h: L::Handle, parent: u32) -> StrandId {
+    fn push(&mut self, e: OmNode, h: OmNode, parent: u32) -> StrandId {
         let id = self.strands.len();
         assert!(id < u32::MAX as usize, "strand count exceeds u32");
         self.strands.push((e, h));
@@ -393,9 +384,7 @@ impl<L: OrderList> SpOrderImpl<L> {
         let be = self.strands[b.index()].0;
         self.eng.precedes(ae, be)
     }
-}
 
-impl<L: OrderList> SpOrderImpl<L> {
     /// Snapshot the current orders into a [`FrozenReach`] (O(n log n)).
     pub fn freeze(&self) -> FrozenReach {
         let n = self.strands.len();
@@ -427,9 +416,7 @@ impl<L: OrderList> SpOrderImpl<L> {
             parents: Some(self.parents.clone()),
         }
     }
-}
 
-impl SpOrderImpl<OmList> {
     /// Statistics about the underlying OM lists (for benchmarks).
     pub fn om_stats(&self) -> OmStats {
         OmStats {
@@ -442,7 +429,7 @@ impl SpOrderImpl<OmList> {
 }
 
 /// A reachability snapshot: each strand's rank in the English and Hebrew
-/// orders. Freezing a [`SpOrderImpl`] yields a compact, serializable
+/// orders. Freezing a [`SpOrder`] yields a compact, serializable
 /// structure that answers the same queries — useful for persisting recorded
 /// traces (see `stint::trace`) and for replaying them in later processes.
 #[derive(Clone, Debug)]

@@ -6,7 +6,7 @@
 # session) — anything else is an escaped panic or crash and fails the gate.
 #
 # Usage: scripts/chaos.sh
-# Invoked from scripts/perfgate.sh before the perf comparison.
+# Invoked from scripts/perfgate.sh.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -1,24 +1,19 @@
 #!/usr/bin/env bash
-# Performance gate: style checks, release build, then the legacy-vs-hot-path
-# benchmark comparison. Fails if formatting/clippy are dirty, if a
-# word-granularity variant's geomean speedup drops below 1.0 or STINT's
-# hot-path ns/hook rises (geomean over benches) more than 15% above the
-# committed BENCH_perfgate.json (--check), or — with --diff — if the
-# regenerated BENCH_perfgate.json differs from the committed one (counts are
-# deterministic; wall times always differ, so --diff compares geomeans only
-# via the perfgate's own previous-run report).
+# The pre-merge gate: style checks, release build, every smoke script, the
+# committed studies regenerated and gated on their machine-independent
+# counts (`jsoncheck batch|parallel|serve`; the `space` binary exits 1 on a
+# Lemma 4.1 violation), then a two-pair smoke of the repo benchmark against
+# the parent commit. No wall time is gated here: `scripts/bench_pair.sh REF
+# 10` is the performance measurement.
 #
-# Usage: scripts/perfgate.sh [--scale s|m|paper] [--reps N] [--diff]
-# Extra args are forwarded to the perfgate binary.
+# Usage: scripts/perfgate.sh [--scale s|m|paper]
+# Arguments are forwarded to the `space`, `batch` and `parallel` studies;
+# each overwrites its BENCH_*.json.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-DIFF=0
-ARGS=()
-for a in "$@"; do
-    if [ "$a" = "--diff" ]; then DIFF=1; else ARGS+=("$a"); fi
-done
+ARGS=("$@")
 
 echo "== cargo fmt --check"
 cargo fmt --check
@@ -61,19 +56,11 @@ cargo run --release -q -p stint-bench --bin jsoncheck -- parallel BENCH_parallel
 echo "== serve smoke (daemon transports, backpressure, ops plane, chaos soak)"
 scripts/serve_smoke.sh
 
-# Telemetry-plane assertions on the soak report serve_smoke just wrote:
-#  (a) the flight recorder and journal left every gauge zero after drain,
-#  (b) the obs-disabled phase never touched the registry or the flight
-#      ring (no journal/recorder work on the disabled path), and
-#  (c) the obs-full soak held within 10% of obs-off throughput.
-# `jsoncheck serve` validates the v2 shape here; `perfgate --check` below
-# re-reads the same file and hard-fails on any of the three gates.
+# The soak report serve_smoke just wrote: every gauge zero after drain, the
+# obs-disabled phase never touched the registry or the flight ring, and the
+# obs-full soak held within 10% of obs-off throughput.
 echo "== telemetry plane gates (BENCH_serve.json v2)"
 cargo run --release -q -p stint-bench --bin jsoncheck -- serve BENCH_serve.json
-for key in gauges_zero_after_drain obs_off_registry_untouched flight_idle_obs_off; do
-    grep -q "\"$key\": true" BENCH_serve.json \
-        || { echo "FAIL: BENCH_serve.json: $key is not true"; exit 1; }
-done
 
 # Two alternated pairs on each of the seven workloads say nothing about a
 # gain; they catch a change that breaks a verdict or blows an end-to-end
@@ -81,18 +68,3 @@ done
 echo "== paired repo-benchmark smoke (parent vs working tree)"
 if git diff --quiet HEAD; then PAIR_REF=HEAD~1; else PAIR_REF=HEAD; fi
 scripts/bench_pair.sh --quick "$PAIR_REF"
-
-echo "== perfgate"
-if [ "$DIFF" = 1 ]; then
-    # Leave the committed JSON in place so perfgate prints the comparison,
-    # then restore it after capturing the fresh numbers next to it.
-    cp BENCH_perfgate.json BENCH_perfgate.prev.json 2>/dev/null || true
-    cargo run --release -q -p stint-bench --bin perfgate -- --check "${ARGS[@]}"
-    if [ -f BENCH_perfgate.prev.json ]; then
-        echo "== diff vs committed JSON (wall times will differ; inspect geomeans)"
-        diff BENCH_perfgate.prev.json BENCH_perfgate.json || true
-        rm -f BENCH_perfgate.prev.json
-    fi
-else
-    cargo run --release -q -p stint-bench --bin perfgate -- --check "${ARGS[@]}"
-fi

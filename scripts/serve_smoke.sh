@@ -151,8 +151,8 @@ grep -q "corruption: " "$OUT/torn.txt" \
     || { echo "FAIL: torn journal not flagged as corrupt"; cat "$OUT/torn.txt"; exit 1; }
 echo "ok: torn tail is flagged, intact prefix still replays"
 
-# The soak refreshes the repo-root BENCH_serve.json that `perfgate --check`
-# validates, the same way the batch study refreshes BENCH_batch.json.
+# The soak refreshes the repo-root BENCH_serve.json that `jsoncheck serve`
+# gates, the same way the batch study refreshes BENCH_batch.json.
 # serve_load runs its own obs-off/obs-full phases, so no STINT_OBS here.
 echo "== chaos soak: 500 mixed sessions x2 phases under injected panics"
 STINT_FAULTS="serve-panic-session=10,seed=7" \

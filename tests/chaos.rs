@@ -333,7 +333,8 @@ impl CilkProgram for ScatterSiblings {
 /// interval budget that trips inside a >=128-run flush, cut open. The budget
 /// is checked after the flush that crosses it, so that flush's races are all
 /// reported and the run ends in the documented exit-3 degradation; the
-/// legacy per-run path must reach the same verdict.
+/// `FlatStore` oracle, whose bulk insert is the per-run loop, must reach the
+/// same verdict.
 #[test]
 fn long_flush_through_the_cut_degrades_without_losing_a_race() {
     let _g = lock();
@@ -342,20 +343,16 @@ fn long_flush_through_the_cut_degrades_without_losing_a_race() {
             treap_degenerate: degenerate,
             ..Default::default()
         });
-        for hot in [
-            stint_repro::HotPath::default(),
-            stint_repro::HotPath::LEGACY,
-        ] {
+        for v in [Variant::Stint, Variant::StintFlat] {
             for budget in [None, Some(200)] {
-                let mut cfg = Config::new(Variant::Stint);
-                cfg.hot = hot;
+                let mut cfg = Config::new(v);
                 cfg.budget.max_intervals = budget;
                 let o = try_detect_with(&mut ScatterSiblings, cfg)
-                    .unwrap_or_else(|e| panic!("degenerate={degenerate} {budget:?}: {e}"));
+                    .unwrap_or_else(|e| panic!("{v} degenerate={degenerate} {budget:?}: {e}"));
                 assert_eq!(
                     o.report.racy_words().len(),
                     SCATTER_RACES,
-                    "degenerate={degenerate} {budget:?}: a seeded race was lost"
+                    "{v} degenerate={degenerate} {budget:?}: a seeded race was lost"
                 );
                 match (budget, o.degraded) {
                     (None, None) => {}

@@ -1,12 +1,13 @@
-//! Hot-path differential property tests: the optimized detector paths (page
-//! batching + hook filter, strand-local reachability memoization) must report
-//! exactly the racy words the legacy paths report, for every variant, on
-//! proptest-generated fork-join programs (with shrinking to a small witness
-//! on failure).
+//! Hook-path property tests: on proptest-generated fork-join programs (with
+//! shrinking to a small witness on failure) every variant reports exactly the
+//! racy words the `stint_spdag::simulate` oracle reports, and STINT over the
+//! treap renders identically to STINT over the `FlatStore` oracle. The four
+//! access strategies steer hooks onto the bit table's inlined lane, off it
+//! into the filtered general loop, or both.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use stint_repro::{detect_with, Config, HotPath, Variant};
+use stint_repro::{detect_with, Config, Variant};
 use stint_spdag::simulate;
 
 mod common;
@@ -21,34 +22,12 @@ const VARIANTS: [Variant; 5] = [
     Variant::StintFlat,
 ];
 
-/// Every knob combination that changes behavior. `gated_timing` only moves
-/// clock reads, so it rides along at its default.
-const HOT_CONFIGS: [HotPath; 3] = [
-    HotPath {
-        batched: true,
-        reach_cache: false,
-        gated_timing: true,
-    },
-    HotPath {
-        batched: false,
-        reach_cache: true,
-        gated_timing: true,
-    },
-    HotPath {
-        batched: true,
-        reach_cache: true,
-        gated_timing: true,
-    },
-];
-
 /// A run's verdict and hook-side statistics in a form that does not depend
 /// on the order or segmentation in which a flush reports races: every
 /// `(word, kind, prev, cur)` it reported, sorted, then the racy words, then
 /// `read/write.{hooks,hook_bytes,words,intervals}`.
-fn render(f: &stint_spdag::Func, v: Variant, hot: HotPath) -> (Vec<u64>, String) {
-    let mut cfg = Config::new(v);
-    cfg.hot = hot;
-    let o = detect_with(&mut AstProgram(f), cfg);
+fn render(f: &stint_spdag::Func, v: Variant) -> (Vec<u64>, String) {
+    let o = detect_with(&mut AstProgram(f), Config::new(v));
     let mut per_word: Vec<String> = o
         .report
         .races()
@@ -72,26 +51,21 @@ fn render(f: &stint_spdag::Func, v: Variant, hot: HotPath) -> (Vec<u64>, String)
     (words, s)
 }
 
-/// Legacy and optimized paths agree (and match the oracle) for every variant
-/// and every hot-path knob combination.
-fn check_hot_matches_legacy(f: &stint_spdag::Func) -> Result<(), TestCaseError> {
+/// Every variant matches the oracle's racy words, and the treap's render
+/// equals the `FlatStore` oracle's.
+fn check_matches_oracle(f: &stint_spdag::Func) -> Result<(), TestCaseError> {
     let sim = simulate(f);
     prop_assume!(sim.strand_count() <= 250);
     let expected = sim.racy_words();
     for v in VARIANTS {
-        let (words, legacy) = render(f, v, HotPath::LEGACY);
-        prop_assert_eq!(&words, &expected, "legacy {} diverged from oracle", v);
-        for hot in HOT_CONFIGS {
-            let (_, got) = render(f, v, hot);
-            prop_assert_eq!(
-                &got,
-                &legacy,
-                "variant {} with {:?} diverged from legacy",
-                v,
-                hot
-            );
-        }
+        let (words, _) = render(f, v);
+        prop_assert_eq!(&words, &expected, "{} diverged from oracle", v);
     }
+    prop_assert_eq!(
+        render(f, Variant::Stint).1,
+        render(f, Variant::StintFlat).1,
+        "treap render diverged from FlatStore's"
+    );
     Ok(())
 }
 
@@ -133,26 +107,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn hot_paths_match_legacy(f in func_strategy(3)) {
-        check_hot_matches_legacy(&f)?;
+    fn hook_paths_match_oracle(f in func_strategy(3)) {
+        check_matches_oracle(&f)?;
     }
 
     /// Every hook takes the lane (or misses only the chunk cache).
     #[test]
-    fn hot_paths_match_legacy_one_group(f in func_strategy_over(3, one_group())) {
-        check_hot_matches_legacy(&f)?;
+    fn hook_paths_match_oracle_one_group(f in func_strategy_over(3, one_group())) {
+        check_matches_oracle(&f)?;
     }
 
     /// Every hook leaves the lane for the filtered general loop.
     #[test]
-    fn hot_paths_match_legacy_multi_group(f in func_strategy_over(3, multi_group())) {
-        check_hot_matches_legacy(&f)?;
+    fn hook_paths_match_oracle_multi_group(f in func_strategy_over(3, multi_group())) {
+        check_matches_oracle(&f)?;
     }
 
     #[test]
-    fn hot_paths_match_legacy_mixed(
+    fn hook_paths_match_oracle_mixed(
         f in func_strategy_over(3, prop_oneof![one_group(), multi_group()].boxed())
     ) {
-        check_hot_matches_legacy(&f)?;
+        check_matches_oracle(&f)?;
     }
 }
