@@ -11,18 +11,6 @@ use stint_suite::{Scale, Workload};
 
 pub mod json;
 
-/// Image ballast for the repo benchmark (`benchmark/` links this crate for
-/// [`json`]), never read. The benchmark's kernels hand the detector real heap
-/// addresses, the heap starts on the page after `.bss`, and a bit-table chunk
-/// covers 256 KiB of addresses, so `history_mb` follows where the image ends
-/// (EXPERIMENTS.md, "One path per detector (PR 17)"). Deleting the legacy
-/// detector paths took 107 KiB out of that image; these bytes put the end of
-/// `.bss` back on the parent's page so the two commits are measured on the
-/// same addresses. A change that re-measures `history_mb` over one 256 KiB
-/// period of heap bases can drop it.
-#[used]
-static IMAGE_BALLAST: [u8; 109_896] = [0; 109_896];
-
 /// Parse `--scale X` from argv (default `S`).
 pub fn scale_from_args() -> Scale {
     let args: Vec<String> = std::env::args().collect();

@@ -32,7 +32,7 @@
 //! its own checksum; [`CompressedTraceReader::open`] validates it before
 //! returning, extending the `validate()` contract to the new format.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Write};
 
 use crate::trace::{PortableTrace, Trace, TraceEvent, TraceOp};
 use crate::varint;
@@ -392,11 +392,11 @@ impl<R: BufRead> CompressedTraceReader<R> {
     /// Like [`Self::open`] for a stream whose magic line was already
     /// consumed (format sniffing reads it first).
     pub fn open_after_magic(mut r: R) -> io::Result<Self> {
-        let header_len = varint::read(&mut r)?;
+        let (header_len, _) = varint::read(&mut r)?;
         if header_len > 64 << 20 {
             return Err(bad("unreasonable header length"));
         }
-        let want_sum = varint::read(&mut r)?;
+        let (want_sum, _) = varint::read(&mut r)?;
         let mut header = vec![0u8; header_len as usize];
         r.read_exact(&mut header)
             .map_err(|_| bad("truncated header"))?;
@@ -498,18 +498,16 @@ impl<R: BufRead> CompressedTraceReader<R> {
         if self.events_seen >= self.total_events {
             return Ok(false);
         }
-        // Chunk framing lives outside the checksummed payloads. Its three
-        // varints are read through a `Take` whose limit no varint can reach
-        // (the decoder stops by its 11th byte), so what is left of the limit
-        // counts the framing bytes.
-        const FRAME_LIMIT: u64 = 3 * (varint::MAX_LEN as u64 + 1);
-        let mut frame = self.r.by_ref().take(FRAME_LIMIT);
-        let mut frame_varint =
-            || varint::read(&mut frame).map_err(|_| bad("truncated chunk frame"));
+        // Chunk framing lives outside the checksummed payloads.
+        let mut framing = 0u64;
+        let mut frame_varint = || {
+            let (v, len) = varint::read(&mut self.r).map_err(|_| bad("truncated chunk frame"))?;
+            framing += len as u64;
+            Ok::<u64, io::Error>(v)
+        };
         let run_count = frame_varint()?;
         let payload_len = frame_varint()?;
         let want_sum = frame_varint()?;
-        let framing = FRAME_LIMIT - frame.limit();
         if payload_len > 64 << 20 {
             return Err(bad("unreasonable chunk length"));
         }

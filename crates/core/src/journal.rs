@@ -261,7 +261,7 @@ pub fn replay<R: Read>(mut r: R) -> io::Result<Replay> {
             return Ok(out);
         }
         let sum = match varint::read(&mut r) {
-            Ok(v) => v,
+            Ok((v, _)) => v,
             Err(e) => {
                 out.corruption = Some(format!("record {rec}: torn checksum varint ({e})"));
                 return Ok(out);

@@ -31,9 +31,9 @@ pub fn put(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// The one decoder: `first` is the varint's first byte, `next` yields the
-/// ones after it.
+/// ones after it. Returns the value and the encoding's length in bytes.
 #[inline]
-fn decode(first: u8, mut next: impl FnMut() -> io::Result<u8>) -> io::Result<u64> {
+fn decode(first: u8, mut next: impl FnMut() -> io::Result<u8>) -> io::Result<(u64, usize)> {
     let mut v = u64::from(first & 0x7f);
     let mut byte = first;
     let mut shift = 7u32;
@@ -45,7 +45,7 @@ fn decode(first: u8, mut next: impl FnMut() -> io::Result<u8>) -> io::Result<u64
         v |= u64::from(byte & 0x7f) << shift;
         shift += 7;
     }
-    Ok(v)
+    Ok((v, (shift / 7) as usize))
 }
 
 /// Decode one varint from `buf` at `*pos`, advancing `*pos` past it.
@@ -57,20 +57,24 @@ pub fn get(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
         Ok(b)
     };
     let first = next()?;
-    decode(first, next)
+    decode(first, next).map(|(v, _)| v)
 }
 
 /// Read one varint from a stream, byte by byte (it never reads past the
-/// varint's last byte).
-pub fn read<R: Read>(r: &mut R) -> io::Result<u64> {
+/// varint's last byte). Returns the value and the number of bytes read.
+pub fn read<R: Read>(r: &mut R) -> io::Result<(u64, usize)> {
     let mut b = [0u8; 1];
     r.read_exact(&mut b)?;
-    read_cont(r, b[0])
+    stream(r, b[0])
 }
 
 /// [`read`] for a varint whose first byte is already in hand (a caller that
 /// probes one byte to tell a clean end of stream from a torn frame).
 pub fn read_cont<R: Read>(r: &mut R, first: u8) -> io::Result<u64> {
+    stream(r, first).map(|(v, _)| v)
+}
+
+fn stream<R: Read>(r: &mut R, first: u8) -> io::Result<(u64, usize)> {
     decode(first, || {
         let mut b = [0u8; 1];
         r.read_exact(&mut b)?;
@@ -91,7 +95,10 @@ mod tests {
         if from_slice.is_ok() {
             assert_eq!(pos, bytes.len(), "slice form must consume the whole varint");
         }
-        let from_stream = read(&mut &bytes[..]);
+        let from_stream = read(&mut &bytes[..]).map(|(v, len)| {
+            assert_eq!(len, bytes.len(), "stream form must count the whole varint");
+            v
+        });
         let cont = match bytes.split_first() {
             Some((&first, mut rest)) => read_cont(&mut rest, first),
             None => Err(io::ErrorKind::UnexpectedEof.into()),
@@ -185,7 +192,7 @@ mod tests {
         assert_eq!(get(&bytes, &mut pos).unwrap(), 0x7f);
         assert_eq!(pos, 3);
         let mut r = &bytes[..];
-        assert_eq!(read(&mut r).unwrap(), 0x85);
+        assert_eq!(read(&mut r).unwrap(), (0x85, 2));
         assert_eq!(r, [0x7f]);
     }
 }
