@@ -375,7 +375,7 @@ pub fn batch_detect_limited_on(
     // the per-strand event spans; a deterministic function of the trace, so
     // the attached witnesses are invariant in K/workers/steal order.
     let spans = cfg.witnesses.then(|| EventSpans::from_trace(&pt.trace));
-    let (bounds, hist) = partition_index(&pt.trace);
+    let (bounds, hist) = partition_index(&pt.trace.events);
     let shards = plan_shards(bounds, &hist, cfg.shards);
     let t0 = Instant::now();
     let mut src = pt.trace.events.chunks(DEFAULT_CHUNK_EVENTS);
@@ -412,8 +412,17 @@ pub fn batch_detect_chunked_limited_on<R: BufRead + Send>(
     cfg: &BatchConfig,
     limits: &SessionLimits,
 ) -> Result<BatchOutcome, DetectorError> {
-    // Compiled once, not per reader type: a chunk costs a handful of reads.
-    let r: &mut (dyn BufRead + Send) = &mut r;
+    detect_stream(pool, &mut r, cfg, limits)
+}
+
+/// Compiled once — not per reader type, and (with the generic [`pipeline`]
+/// under it) not per calling crate: a chunk costs a handful of reads.
+fn detect_stream(
+    pool: &ThreadPool,
+    r: &mut (dyn BufRead + Send),
+    cfg: &BatchConfig,
+    limits: &SessionLimits,
+) -> Result<BatchOutcome, DetectorError> {
     let mut reader = CompressedTraceReader::open(r).map_err(|e| corrupt(e.to_string()))?;
     let bounds = (reader.word_hi > reader.word_lo).then_some((reader.word_lo, reader.word_hi));
     let shards = plan_shards(bounds, &std::mem::take(&mut reader.hist), cfg.shards);
@@ -518,6 +527,10 @@ impl EventSource for StreamSource<'_> {
     }
 }
 
+/// What [`pipeline`] returns: the finished shards and, if the deadline cut
+/// the run short, its degradation marker — or the run's structured failure.
+type Piped = Result<(Vec<ShardOutcome>, Option<DetectorError>), DetectorError>;
+
 /// The one batch driver: a software-pipelined loop over `src`, run inside a
 /// single `pool.install`. Each step is `join(produce batch n+1, drain batch
 /// n)`: the producer arm routes into the `back` inboxes while the other arm
@@ -535,13 +548,13 @@ impl EventSource for StreamSource<'_> {
 /// Returns the finished shards and, if the deadline cut the run short, its
 /// degradation marker. The deadline is checked between steps; everything
 /// routed before the check is still drained.
-fn pipeline(
+fn pipeline<R: Reachability + Sync>(
     pool: &ThreadPool,
-    reach: &FrozenReach,
+    reach: &R,
     shards: &[Shard],
     src: &mut dyn EventSource,
     limits: &SessionLimits,
-) -> Result<(Vec<ShardOutcome>, Option<DetectorError>), DetectorError> {
+) -> Piped {
     let set = ShardSet::new(shards, limits.budget);
     let (mut router, mut dets, mut front) = (set.router, set.dets, set.inboxes);
     let mut back = front.clone();
@@ -803,9 +816,9 @@ impl ShardDetector {
 
     /// Replay (and clear) one inbox through the shard's detector (runs on
     /// the pool). Generic over the reachability substrate: the batch paths
-    /// replay against a [`FrozenReach`] snapshot, the parallel-online path
-    /// against the live relabel-free `DePaReach` (immutable timestamps, so
-    /// sharing `&R` across workers is race-free by construction).
+    /// replay against a [`FrozenReach`] snapshot, the online path against a
+    /// view of the live `DePaReach` (immutable timestamps, so sharing it with
+    /// other workers and the publishing executor is race-free).
     fn drain<R: Reachability>(&mut self, inbox: &mut Inbox, reach: &R) {
         let _span = stint_obs::span("batchdet.shard");
         OBS_SHARD_RUNS.incr();

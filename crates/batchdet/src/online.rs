@@ -1,65 +1,92 @@
 //! Parallel **online** detection against the live DePa substrate.
 //!
 //! The batch paths in this crate replay a *recorded* trace against a
-//! [`stint_sporder::FrozenReach`] snapshot — reachability is immutable because execution is
-//! over. This module removes the recording round-trip: the program executes
-//! once under the sequential fork-join executor maintaining a
-//! [`DePaReach`], and the instrumentation stream is detected **while the
-//! program runs**, fanned out over the work-stealing pool in
-//! bulk-synchronous chunks.
+//! [`stint_sporder::FrozenReach`] snapshot. Here the program executes once
+//! under the sequential executor maintaining a [`DePaReach`], and its
+//! instrumentation stream is detected **while it runs**: the hooks fill a
+//! batch of `chunk_events` events and hand it to a drain side that runs the
+//! crate's one [`pipeline`](crate::pipeline) — routing batch *n+1* while the
+//! persistent shard detectors replay batch *n* — inside one `pool.install`
+//! for the whole run. The executor waits for a free buffer, never a fan-out.
 //!
-//! The move that makes this sound is DePa's relabel-freedom: a strand's
-//! depth-vector timestamp is assigned when the strand is created and never
-//! rewritten, so `series`/`parallel`/`left_of` queries on *published*
-//! strands are plain reads of immutable memory — safe to run from every
-//! pool worker concurrently with no locks, while SP-Order's amortized
-//! OM-list relabeling would invalidate concurrent readers mid-query. The
-//! executor is paused inside a detector hook for the whole fan-out (bulk
-//! synchrony), so no timestamp is *created* while workers query; every
-//! strand id a buffered event mentions is already published.
+//! # Why the overlap is sound
+//!
+//! DePa is relabel-free: a strand's timestamp is assigned when the strand is
+//! created and never rewritten, so queries on *published* strands are plain
+//! reads of immutable memory (SP-Order's relabeling would invalidate a
+//! concurrent reader mid-query). The drain side queries a
+//! [`DePaReach::view`] — an owned handle on the same append-only arena —
+//! while the executor keeps publishing, and only about published strands:
+//!
+//! * **publish before record** — the executor creates a strand (a release
+//!   store into the arena) before it delivers any event naming it;
+//! * **the hand-off is an edge** — a batch crosses threads through a channel
+//!   (release/acquire), so every publication that preceded the send is
+//!   visible to whoever routes and replays the batch.
+//!
+//! Two event buffers, the engine's own and one the drain side allocates, are
+//! recycled for the whole run: nothing is allocated per hand-off, and the
+//! executor blocks (`batchdet.online.producer_stall_ns`) once both are on
+//! the drain side — the backpressure.
 //!
 //! # Determinism
 //!
-//! The merged report is the same [`MergedReport`] normalization the batch
-//! tier renders: per-word race triples, deduplicated, re-coalesced into
-//! maximal runs and sorted by `(address, english rank)`. Chunking, shard
-//! count, worker count and steal seed only change *which detector instance*
-//! observes each per-word subsequence — never the per-word subsequence
-//! itself — so the rendered bytes are identical to a one-worker run for any
-//! `(workers, steal_seed, chunk_events)` choice, and the racy-interval set
-//! equals what sequential STINT computes on the same program (the
-//! differential battery in `tests/prop_detectors.rs` diffs both).
+//! The merged report is the [`MergedReport`] normalization the batch tier
+//! renders. Batches are routed and drained in the order they were filled,
+//! and the shard plan is a function of exactly the first `chunk_events`
+//! events, so chunking, shard count, worker count, steal seed and the timing
+//! of the two sides only change *which detector instance* observes each
+//! per-word subsequence and *when* — never the subsequence: the bytes are a
+//! one-worker run's, the racy-interval set sequential STINT's
+//! (`tests/prop_detectors.rs` diffs both).
 //!
 //! # Degradation
 //!
-//! The exit-code contract matches the sequential and batch tiers exactly:
-//! a per-shard budget trip makes that shard's detector go *dead* (sound but
-//! partial) and surfaces as `degraded = ResourceExhausted` (exit 3); a
-//! worker panic during a fan-out is caught at the leaf, rethrown once the
-//! pool is quiescent, and poisons the whole run as
-//! [`DetectorError::Poisoned`] (exit 4) — no partially-merged report is
-//! published for a poisoned run.
+//! The exit-code contract is the sequential and batch tiers': a per-shard
+//! budget trip makes that shard's detector go *dead* (sound but partial) and
+//! surfaces as `degraded = ResourceExhausted` (exit 3). A panic on the drain
+//! side ends the pipeline, which hangs up both channels: the executor —
+//! blocked on a free buffer, or at its next hand-off — finds them
+//! disconnected and poisons the run ([`DetectorError::Poisoned`], exit 4):
+//! hooks go inert, nothing partial is published. Dropping the engine (the
+//! *program* panicked) hangs up from its end and joins the drain side.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use stint::ctrace::partition_index;
 use stint::{
     run_with_detector_r, CilkProgram, DePaReach, Detector, DetectorError, DetectorStats,
-    EventSpans, ExecCounters, ResourceBudget, Trace, TraceEvent, TraceOp,
+    EventSpans, ExecCounters, ResourceBudget, TraceEvent, TraceOp,
 };
 use stint_cilkrt::ThreadPool;
 use stint_obs::Counter;
 use stint_sporder::StrandId;
 
 use crate::{
-    fan_out, merge_shards, plan_shards, route_event, take_poison, MergedReport, ShardOutcome,
-    ShardSet,
+    merge_shards, pipeline, plan_shards, route_event, EventSource, Inbox, MergedReport, Piped,
+    Router, SessionLimits, Shard, ShardOutcome,
 };
 
-/// Bulk-synchronous merge cycles completed by the parallel-online engine
-/// (one per chunk fan-out plus one for the final flush).
+/// One per hand-off (`batchdet.online.handoffs`) plus one per final merge.
 static OBS_DEPA_MERGES: Counter = Counter::new("depa.merges");
+static OBS_HANDOFFS: Counter = Counter::new("batchdet.online.handoffs");
+/// The executor's waits for a free buffer, the drain side's for a full one.
+static OBS_PRODUCER_STALL: Counter = Counter::new("batchdet.online.producer_stall_ns");
+static OBS_DRAIN_IDLE: Counter = Counter::new("batchdet.online.drain_idle_ns");
+
+/// Run `wait`, charging its wall time to `c` while obs is enabled.
+fn timed_wait<T>(c: &'static Counter, wait: impl FnOnce() -> T) -> T {
+    let t0 = stint_obs::is_enabled().then(Instant::now);
+    let out = wait();
+    if let Some(t0) = t0 {
+        c.add(t0.elapsed().as_nanos() as u64);
+    }
+    out
+}
 
 /// Configuration for a parallel online detection run.
 #[derive(Clone, Copy, Debug)]
@@ -71,8 +98,8 @@ pub struct OnlineConfig {
     /// Steal-victim perturbation seed ([`ThreadPool::with_seed`]). The
     /// rendered report is invariant in this — that is the point of the knob.
     pub steal_seed: u64,
-    /// Events buffered between bulk-synchronous fan-outs. Smaller chunks
-    /// bound the buffered footprint; larger chunks amortize pool wake-ups.
+    /// Events per batch handed to the drain side. Smaller batches bound
+    /// the buffered footprint; larger ones amortize the hand-off.
     pub chunk_events: usize,
     /// Attach merge-time witnesses (see [`crate::BatchConfig::witnesses`]).
     pub witnesses: bool,
@@ -105,7 +132,7 @@ pub struct OnlineOutcome {
     /// Instrumentation events the executor delivered (before routing).
     pub events: usize,
     pub strands: usize,
-    /// Bulk-synchronous merge cycles (chunk fan-outs, final flush included).
+    /// Batches handed to the drain side, plus one for the final merge.
     pub chunks: u64,
     /// Heap bytes held by the DePa substrate at finish.
     pub reach_bytes: u64,
@@ -118,29 +145,108 @@ pub struct OnlineOutcome {
     pub degraded: Option<DetectorError>,
 }
 
-/// A [`Detector`] over the live [`DePaReach`] that buffers the
-/// instrumentation stream and fans each chunk out over persistent per-shard
-/// [`stint::StintDetector`]s on a work-stealing pool.
-///
-/// Bulk-synchronous by construction: flushes happen *inside* a detector
-/// hook, while the executor (and hence all timestamp maintenance) is
-/// paused, so workers only ever query published, immutable timestamps.
+/// One event buffer crossing the hand-off, full one way and empty back.
+type Batch = Vec<TraceEvent>;
+
+/// The drain side's end of the hand-off, the pipeline's third
+/// [`EventSource`]: the producer arm routes a batch — overlapping the
+/// previous batch's drain — and sends its buffer straight back.
+struct LiveSource {
+    full: Receiver<Batch>,
+    free: SyncSender<Batch>,
+}
+
+impl EventSource for LiveSource {
+    fn produce(
+        &mut self,
+        router: &mut Router,
+        inboxes: &mut [Inbox],
+    ) -> Result<bool, DetectorError> {
+        // The executor hanging up is how the stream ends.
+        let Ok(mut batch) = timed_wait(&OBS_DRAIN_IDLE, || self.full.recv()) else {
+            return Ok(false);
+        };
+        for e in batch.drain(..) {
+            route_event(router, e, inboxes);
+        }
+        // Never blocks (two buffers, two slots); a gone executor needs none.
+        let _ = self.free.send(batch);
+        Ok(true)
+    }
+}
+
+/// The executor's end of the hand-off, and the thread that sits in the
+/// run's one `pool.install`.
+struct Drain {
+    /// `None` once hung up.
+    full: Option<SyncSender<Batch>>,
+    free: Receiver<Batch>,
+    thread: Option<JoinHandle<Piped>>,
+}
+
+impl Drain {
+    /// Start the drain side. It allocates the second buffer itself, off the
+    /// executor's heap: the kernels allocate while they run, and what the
+    /// engine allocates beside them moves their addresses (`history_mb`).
+    fn start(engine: &OnlineEngine, view: DePaReach) -> Drain {
+        let (full_tx, full) = sync_channel(2);
+        let (free, free_rx) = sync_channel(2);
+        let (pool, capacity) = (Arc::clone(&engine.pool), engine.buf.capacity());
+        let (shards, limits) = engine.plan(&engine.buf);
+        let thread = std::thread::spawn(move || {
+            let _ = free.send(Batch::with_capacity(capacity));
+            let mut src = LiveSource { full, free };
+            pipeline(&pool, &view, &shards, &mut src, &limits)
+        });
+        Drain {
+            full: Some(full_tx),
+            free: free_rx,
+            thread: Some(thread),
+        }
+    }
+
+    /// Hand `batch` over. `false` if the drain side is gone.
+    fn send(&mut self, batch: Batch) -> bool {
+        self.full.as_ref().is_some_and(|tx| tx.send(batch).is_ok())
+    }
+
+    /// Hang up and wait for the drain side to finish what it was sent.
+    fn join(&mut self) -> Piped {
+        self.full = None;
+        let thread = self.thread.take().expect("joined once");
+        thread
+            .join()
+            .unwrap_or_else(|p| Err(DetectorError::from_panic(p)))
+    }
+}
+
+impl Drop for Drain {
+    /// For every exit that did not `join` — a program panic unwinding
+    /// through the executor — so that no worker outlives the engine.
+    fn drop(&mut self) {
+        if self.thread.is_some() {
+            let _ = self.join();
+        }
+    }
+}
+
+/// A [`Detector`] over the live [`DePaReach`] that batches the
+/// instrumentation stream and hands each batch to the drain side (module
+/// docs): persistent per-shard [`stint::StintDetector`]s on a pool.
 pub struct OnlineEngine {
     cfg: OnlineConfig,
-    pool: ThreadPool,
-    buf: Vec<TraceEvent>,
+    /// Declared (so dropped, so joined) before the pool it runs on.
+    drain: Option<Drain>,
+    pool: Arc<ThreadPool>,
+    /// The batch being filled; handed over at `chunk_events` events.
+    buf: Batch,
     /// Monotone event ids for merge-time witness capture; equal to the
     /// index the event would have in a recorded trace.
     spans: Option<EventSpans>,
     ev_id: u64,
-    events: usize,
-    /// Materialized lazily at the first flush, once the first chunk's
-    /// address histogram is known.
-    plan: Option<ShardSet>,
     chunks: u64,
-    /// Poison captured from a fan-out: the engine is dead from here on
-    /// (hooks no-op, finish publishes nothing) and [`online_detect`]
-    /// rethrows it as the run's structured error.
+    /// The drain side's failure: the engine is dead from here on (hooks
+    /// no-op, finish publishes nothing); [`online_detect`] returns it.
     poisoned: Option<DetectorError>,
     outcome: Option<OnlineOutcome>,
 }
@@ -148,22 +254,16 @@ pub struct OnlineEngine {
 impl OnlineEngine {
     pub fn new(cfg: OnlineConfig) -> OnlineEngine {
         OnlineEngine {
-            pool: crate::new_pool(cfg.workers, cfg.steal_seed),
+            drain: None,
+            pool: Arc::new(crate::new_pool(cfg.workers, cfg.steal_seed)),
             buf: Vec::with_capacity(cfg.chunk_events.min(1 << 16)),
             spans: cfg.witnesses.then(EventSpans::default),
             ev_id: 0,
-            events: 0,
-            plan: None,
             chunks: 0,
             poisoned: None,
             outcome: None,
             cfg,
         }
-    }
-
-    /// The run's structured failure, if the engine was poisoned.
-    pub fn poison(&self) -> Option<&DetectorError> {
-        self.poisoned.as_ref()
     }
 
     /// Take the finished outcome (present after a non-poisoned `finish`).
@@ -186,44 +286,50 @@ impl OnlineEngine {
             sp.note(s, self.ev_id);
         }
         self.ev_id += 1;
-        self.events += 1;
         if self.buf.len() >= self.cfg.chunk_events.max(1) {
-            self.flush(reach);
+            self.hand_off(reach);
         }
     }
 
-    /// Route the buffered chunk and fan it out over the pool against the
-    /// live substrate. The first flush plans the shards from the chunk's
-    /// own partition index; later events outside the planned bounds still
-    /// route deterministically (the router's last cut-point is `u64::MAX`
-    /// and shard 0 extends down to word 0).
-    fn flush(&mut self, reach: &DePaReach) {
-        if self.buf.is_empty() || self.poisoned.is_some() {
-            return;
-        }
-        if self.plan.is_none() {
-            let mut probe = Trace::default();
-            std::mem::swap(&mut probe.events, &mut self.buf);
-            let (bounds, hist) = partition_index(&probe);
-            std::mem::swap(&mut probe.events, &mut self.buf);
-            let shards = plan_shards(bounds, &hist, self.cfg.shards);
-            self.plan = Some(ShardSet::new(&shards, self.cfg.budget));
-        }
-        let plan = self.plan.as_mut().expect("planned above");
-        for e in self.buf.drain(..) {
-            route_event(&mut plan.router, e, &mut plan.inboxes);
-        }
-        let pool = &self.pool;
-        let (dets, inboxes) = (&mut plan.dets, &mut plan.inboxes);
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| fan_out(pool, reach, dets, inboxes));
-        }));
-        OBS_DEPA_MERGES.incr();
-        self.chunks += 1;
-        self.poisoned = match res {
-            Err(p) => Some(DetectorError::from_panic(p)),
-            Ok(()) => take_poison(dets).err(),
+    /// The run's pipeline set-up: the per-shard budget and the shard plan,
+    /// from the first batch alone (later events outside its bounds still
+    /// route: the last cut-point is `u64::MAX`, shard 0 starts at word 0).
+    fn plan(&self, first: &[TraceEvent]) -> (Vec<Shard>, SessionLimits) {
+        let (bounds, hist) = partition_index(first);
+        let limits = SessionLimits {
+            budget: self.cfg.budget,
+            ..SessionLimits::default()
         };
+        (plan_shards(bounds, &hist, self.cfg.shards), limits)
+    }
+
+    /// One more batch goes to the pipeline.
+    fn count_batch(&mut self) {
+        OBS_DEPA_MERGES.incr();
+        OBS_HANDOFFS.incr();
+        self.chunks += 1;
+    }
+
+    /// Hand the full batch to the drain side — started here, by the first
+    /// one — and take an empty buffer back.
+    #[cold]
+    fn hand_off(&mut self, reach: &DePaReach) {
+        if self.drain.is_none() {
+            self.drain = Some(Drain::start(self, reach.view()));
+        }
+        self.count_batch();
+        let drain = self.drain.as_mut().expect("started above");
+        let sent = drain.send(std::mem::take(&mut self.buf));
+        match timed_wait(&OBS_PRODUCER_STALL, || drain.free.recv()) {
+            Ok(empty) if sent => self.buf = empty,
+            // It hangs up before the executor does only by failing.
+            _ => {
+                let Err(e) = drain.join() else {
+                    unreachable!("the drain side hung up with a verdict")
+                };
+                self.poisoned = Some(e);
+            }
+        }
     }
 }
 
@@ -247,28 +353,44 @@ impl Detector<DePaReach> for OnlineEngine {
         self.record(TraceOp::StrandEnd, s, 0, 0, reach);
     }
 
-    /// Final flush, per-shard finish against the live substrate, then the
-    /// deterministic merge against the frozen ranks.
+    /// Deliver the last batch, wait for the per-shard outcomes, then merge
+    /// deterministically against the frozen ranks. A program that never
+    /// filled a batch never started a drain side: same pipeline, run here.
     fn finish(&mut self, s: StrandId, reach: &DePaReach) {
         self.record(TraceOp::StrandEnd, s, 0, 0, reach);
-        self.flush(reach);
         if self.poisoned.is_some() {
             return;
         }
-        // No instrumented accesses at all: synthesize the empty shard set so
-        // the outcome shape matches what was asked for.
-        let plan = self.plan.take().unwrap_or_else(|| {
-            ShardSet::new(&plan_shards(None, &[], self.cfg.shards), self.cfg.budget)
-        });
+        // Empty only if that `StrandEnd` itself filled (and sent) a batch.
+        let last = std::mem::take(&mut self.buf);
+        if !last.is_empty() {
+            self.count_batch();
+        }
+        let piped = match self.drain.as_mut() {
+            Some(drain) => {
+                if !last.is_empty() {
+                    drain.send(last);
+                }
+                drain.join()
+            }
+            None => {
+                let (shards, limits) = self.plan(&last);
+                let mut src = last.chunks(last.len());
+                pipeline(&self.pool, &reach.view(), &shards, &mut src, &limits)
+            }
+        };
+        let outs = match piped {
+            Ok((outs, _no_deadline)) => outs,
+            Err(e) => return self.poisoned = Some(e),
+        };
         let frozen = reach.freeze();
-        let outs: Vec<ShardOutcome> = plan.dets.into_iter().map(|d| d.finish(reach, s)).collect();
         let (merged, stats, degraded) = merge_shards(&outs, &frozen, self.spans.as_ref());
         OBS_DEPA_MERGES.incr();
         self.chunks += 1;
         self.outcome = Some(OnlineOutcome {
             merged,
             stats,
-            events: self.events,
+            events: self.ev_id as usize,
             strands: reach.strand_count(),
             chunks: self.chunks,
             reach_bytes: reach.heap_bytes(),
@@ -358,19 +480,105 @@ mod tests {
         assert!(out.chunks > 1, "chunk=8 must force multiple merge cycles");
     }
 
+    /// A racy loop long enough that small chunks mean dozens of hand-offs.
+    struct RacyLoop(usize);
+    impl CilkProgram for RacyLoop {
+        fn run<C: Cilk>(&mut self, ctx: &mut C) {
+            for i in 0..self.0 {
+                let a = 0x1000 + i * 64;
+                ctx.store(a, 4);
+                ctx.spawn(move |c| c.store_range(a + 8, 24));
+                ctx.load(a + 12, 4);
+                ctx.sync();
+            }
+        }
+    }
+
+    /// ... and equal to `batch_detect` on the recorded trace, witnesses on
+    /// and off.
     #[test]
     fn render_is_invariant_in_workers_seed_and_chunking() {
-        let baseline = online_detect(&mut WideRacy, &cfg(1, 0, usize::MAX))
-            .unwrap()
-            .merged
-            .render();
-        for (w, seed, chunk) in [(1, 0, 4), (2, 0, 16), (4, 0xDEAD_BEEF, 3), (8, 7, 1)] {
-            let got = online_detect(&mut WideRacy, &cfg(w, seed, chunk))
-                .unwrap()
-                .merged
-                .render();
-            assert_eq!(got, baseline, "workers={w} seed={seed} chunk={chunk}");
+        let pt = PortableTrace::record(&mut RacyLoop(40));
+        let words = detect(&mut RacyLoop(40), Variant::Stint)
+            .report
+            .racy_words();
+        for witnesses in [false, true] {
+            let bcfg = BatchConfig {
+                witnesses,
+                ..BatchConfig::default()
+            };
+            let want = batch_detect(&pt, &bcfg).unwrap().merged;
+            assert_eq!(want.racy_words, words);
+            for chunk in [1, 3, 8, 4096, usize::MAX] {
+                for (workers, seed) in [(1, 0), (2, 0xDEAD_BEEF), (4, 7)] {
+                    let ocfg = OnlineConfig {
+                        witnesses,
+                        ..cfg(workers, seed, chunk)
+                    };
+                    let got = online_detect(&mut RacyLoop(40), &ocfg).unwrap();
+                    assert_eq!(
+                        got.merged.render(),
+                        want.render(),
+                        "witnesses={witnesses} chunk={chunk} workers={workers} seed={seed}"
+                    );
+                    let batches = pt.trace.len().div_ceil(chunk) as u64;
+                    assert_eq!(got.chunks, batches + 1, "chunk={chunk}");
+                }
+            }
         }
+    }
+
+    fn run_engine<P: CilkProgram>(p: &mut P, cfg: OnlineConfig) -> OnlineEngine {
+        run_with_detector_r::<P, OnlineEngine, DePaReach>(p, OnlineEngine::new(cfg))
+            .0
+            .into_detector()
+    }
+
+    #[test]
+    fn sub_chunk_and_empty_programs_never_start_a_drain_side() {
+        struct Empty;
+        impl CilkProgram for Empty {
+            fn run<C: Cilk>(&mut self, _: &mut C) {}
+        }
+        let events = PortableTrace::record(&mut WideRacy).trace.len();
+        for chunk in [events + 1, usize::MAX] {
+            let mut engine = run_engine(&mut WideRacy, cfg(2, 0, chunk));
+            assert!(engine.drain.is_none(), "chunk={chunk}");
+            let out = engine.take_outcome().unwrap();
+            assert_eq!((out.shards.len(), out.chunks), (4, 2));
+            assert!(!out.merged.is_race_free());
+        }
+        // One event more and the final strand end fills the only batch.
+        let mut engine = run_engine(&mut WideRacy, cfg(2, 0, events));
+        assert!(engine.drain.is_some());
+        assert_eq!(engine.take_outcome().unwrap().chunks, 2);
+        let mut engine = run_engine(&mut Empty, cfg(2, 0, 64));
+        assert!(engine.drain.is_none());
+        let out = engine.take_outcome().unwrap();
+        assert_eq!((out.shards.len(), out.chunks), (4, 2));
+    }
+
+    #[test]
+    fn a_panicking_program_hangs_up_and_joins_the_drain_side() {
+        struct Dies;
+        impl CilkProgram for Dies {
+            fn run<C: Cilk>(&mut self, ctx: &mut C) {
+                RacyLoop(40).run(ctx);
+                panic!("program bug");
+            }
+        }
+        let engine = OnlineEngine::new(cfg(2, 0, 8));
+        let pool = Arc::clone(&engine.pool);
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            run_with_detector_r::<_, OnlineEngine, DePaReach>(&mut Dies, engine)
+        }));
+        assert!(died.is_err());
+        // The unwind dropped the engine, and the drop joined the drain
+        // thread: nothing but this test holds the pool any more.
+        assert_eq!(Arc::strong_count(&pool), 1);
+        let err = online_detect(&mut Dies, &cfg(2, 0, 8)).unwrap_err();
+        assert_eq!(err.exit_code(), 4);
+        assert!(err.to_string().contains("program bug"), "{err}");
     }
 
     #[test]

@@ -194,8 +194,11 @@ fn log_degradation_once(what: &str) {
 }
 
 /// How long an external [`ThreadPool::install`] caller spins and yields
-/// before it parks: several times a 4096-event chunk fan-out (50–100 us on
-/// the reference box), a small fraction of a whole detection session.
+/// before it parks: several times a short job (a `for_each_chunk` over a
+/// few thousand elements, one `join` — 50–100 us on the reference box), a
+/// small fraction of a whole detection session. Every detection tier now
+/// issues one `install` per run, so this only decides how soon the run's
+/// waiter stops competing with its own workers.
 const INSTALL_SPIN: Duration = Duration::from_micros(400);
 /// Upper bound of one park of an `install` waiter (see there).
 const INSTALL_PARK: Duration = Duration::from_millis(2);
@@ -352,12 +355,12 @@ impl ThreadPool {
     /// this pool's workers, runs inline.
     ///
     /// The external caller does not help. It waits in two phases: it spins
-    /// and yields for [`INSTALL_SPIN`] — long enough for a chunk fan-out, so
-    /// a caller issuing thousands of short installs never pays a futex wake
-    /// — then parks until [`StackJob::execute`] unparks it, so a caller that
-    /// installs a whole detection session does not compete with the workers
-    /// running it. Parks are bounded by [`INSTALL_PARK`]: nobody unparks a
-    /// waiter whose workers all died, and its inline drain must still fire.
+    /// and yields for [`INSTALL_SPIN`] — long enough for a short job, so a
+    /// caller issuing many of them never pays a futex wake — then parks
+    /// until [`StackJob::execute`] unparks it, so a caller that installs a
+    /// whole detection session does not compete with the workers running it.
+    /// Parks are bounded by [`INSTALL_PARK`]: nobody unparks a waiter whose
+    /// workers all died, and its inline drain must still fire.
     pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         if on_this_pool(&self.shared) {
             return f();

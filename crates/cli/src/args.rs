@@ -57,9 +57,10 @@ USAGE:
              strand is published; same races, same report)
   --online-parallel
              detect while the program runs: the instrumented execution
-             maintains the DePa substrate and each chunk of the event
-             stream fans out over address shards on the work-stealing
-             pool, against the live (lock-free) timestamps; the merged
+             maintains the DePa substrate and hands each chunk of the
+             event stream to the work-stealing pool, which routes it over
+             address shards and detects it against the live (lock-free)
+             timestamps while the program runs on; the merged
              report is byte-identical for every worker count, steal seed
              and chunk size, and its racy intervals equal sequential
              STINT's; takes --shards/--chunk-events/--witness, not

@@ -228,9 +228,9 @@ fn encode_run(payload: &mut Vec<u8>, r: &EventRun, prev_addr: &mut usize) {
 /// Word-space bounds and the bucketed access-event histogram used as the
 /// partition index: `bounds` is `(word_lo, word_hi)` over every access/free
 /// event, `hist[b]` counts events whose first word falls in bucket `b`.
-pub fn partition_index(trace: &Trace) -> (Option<(u64, u64)>, Vec<u64>) {
+pub fn partition_index(events: &[TraceEvent]) -> (Option<(u64, u64)>, Vec<u64>) {
     let mut bounds: Option<(u64, u64)> = None;
-    for e in &trace.events {
+    for e in events {
         if e.op == TraceOp::StrandEnd {
             continue;
         }
@@ -243,7 +243,7 @@ pub fn partition_index(trace: &Trace) -> (Option<(u64, u64)>, Vec<u64>) {
     let mut hist = vec![0u64; HIST_BUCKETS];
     if let Some((lo, hi)) = bounds {
         let bw = bucket_width(lo, hi);
-        for e in &trace.events {
+        for e in events {
             if e.op == TraceOp::StrandEnd {
                 continue;
             }
@@ -283,7 +283,7 @@ pub fn save_compressed<W: Write>(
         varint::put(&mut header, u64::from(h));
     }
     varint::put(&mut header, pt.trace.len() as u64);
-    let (bounds, hist) = partition_index(&pt.trace);
+    let (bounds, hist) = partition_index(&pt.trace.events);
     let (lo, hi) = bounds.unwrap_or((0, 0));
     varint::put(&mut header, lo);
     varint::put(&mut header, hi - lo);
@@ -728,7 +728,7 @@ mod tests {
         let mut buf = Vec::new();
         save_compressed(&pt, &mut buf, 64).unwrap();
         let reader = CompressedTraceReader::open(&buf[..]).unwrap();
-        let (bounds, hist) = partition_index(&pt.trace);
+        let (bounds, hist) = partition_index(&pt.trace.events);
         let (lo, hi) = bounds.unwrap();
         assert_eq!((reader.word_lo, reader.word_hi), (lo, hi));
         assert_eq!(reader.hist, hist);

@@ -8,7 +8,8 @@
 //! creation (spawn / sync / call), and every `series`/`parallel` verdict is a
 //! pure comparison of two published vectors. Published timestamps are never
 //! touched again — no relabeling, no locks — so any number of threads may
-//! query a shared `&DePaReach` while it answers in O(depth).
+//! query them in O(depth), through a shared `&DePaReach` or through an owned
+//! [`DePaReach::view`] while the executor keeps publishing new ones.
 //!
 //! # Timestamps
 //!
@@ -53,13 +54,14 @@
 //! Maintenance mirrors the executor's frame stack and is `&mut` (the
 //! executor owns the structure while the program runs); the published
 //! timestamp arena is append-only with stable addresses (a power-of-two
-//! brick spine), so maintenance never invalidates a concurrently held
-//! timestamp reference. Era bumps are *lazy*: a sync block's sync strand is
-//! created (at `era+1`) when the block's first spawn executes, but the frame
-//! commits to the new era only when execution actually continues as that
-//! strand (`resync`), keeping not-taken sync strands harmless.
+//! brick spine) and publishes through `&self`, so maintenance never
+//! invalidates a timestamp a [`DePaReach::view`] reader holds. Era bumps are
+//! *lazy*: a sync block's sync strand is created (at `era+1`) when the
+//! block's first spawn executes, but the frame commits to the new era only
+//! when execution actually continues as that strand (`resync`), keeping
+//! not-taken sync strands harmless.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::{FrozenReach, ReachMaint, Reachability, SpawnStrands, StrandId, NO_PARENT};
 
@@ -155,14 +157,16 @@ fn hebrew_less(a: &[u64], b: &[u64]) -> bool {
 /// Append-only timestamp arena with stable addresses: a spine of
 /// power-of-two *bricks*, each slot published exactly once through a
 /// [`OnceLock`]. Growing the arena allocates a new brick and never moves a
-/// published path, so a reader holding `&DePaReach` across later
-/// publications (a future truly-concurrent runtime) stays valid; reading a
-/// slot costs two acquire loads and no locks.
+/// published path, and publication takes `&self`: the one writer (the
+/// [`DePaReach`] that counts the slots) sets slot `i` with a release store
+/// while [`DePaReach::view`] readers load other slots. A reader may only ask
+/// for a slot it learned of *after* its publication (a strand id that
+/// reached it through a release/acquire edge); reading it then costs two
+/// acquire loads and no locks.
 type Brick = Box<[OnceLock<Box<[u64]>>]>;
 
 struct PathArena {
-    spine: Vec<OnceLock<Brick>>,
-    len: usize,
+    spine: [OnceLock<Brick>; 32],
 }
 
 /// Brick index and offset for slot `i`: brick `b` holds slots
@@ -175,17 +179,10 @@ fn locate(i: usize) -> (usize, usize) {
 }
 
 impl PathArena {
-    fn new() -> Self {
-        PathArena {
-            spine: (0..32).map(|_| OnceLock::new()).collect(),
-            len: 0,
-        }
-    }
-
-    /// Publish `path` at the next slot; returns the heap bytes the push
-    /// added (path storage plus any newly allocated brick).
-    fn push(&mut self, path: Box<[u64]>) -> u64 {
-        let (b, off) = locate(self.len);
+    /// Publish `path` at slot `i`, the writer's next; returns the heap bytes
+    /// that added (path storage plus any newly allocated brick).
+    fn publish(&self, i: usize, path: Box<[u64]>) -> u64 {
+        let (b, off) = locate(i);
         let mut added = (path.len() * std::mem::size_of::<u64>()) as u64;
         if self.spine[b].get().is_none() {
             added += ((1usize << b) * std::mem::size_of::<OnceLock<Box<[u64]>>>()) as u64;
@@ -199,14 +196,12 @@ impl PathArena {
         brick[off]
             .set(path)
             .expect("arena slot is published exactly once");
-        self.len += 1;
         added
     }
 
     /// Read a published path. Lock-free: two acquire loads.
     #[inline]
     fn get(&self, i: usize) -> &[u64] {
-        debug_assert!(i < self.len);
         let (b, off) = locate(i);
         self.spine[b].get().expect("brick published")[off]
             .get()
@@ -228,7 +223,7 @@ struct DFrame {
 /// (module docs). Queries take `&self` and are lock-free; maintenance takes
 /// `&mut self` and never mutates a published timestamp.
 pub struct DePaReach {
-    arena: PathArena,
+    arena: Arc<PathArena>,
     /// Per strand: the strand that created it ([`NO_PARENT`] for the root) —
     /// the same spawn-tree lineage [`SpOrder`](crate::SpOrder)
     /// records, so race witnesses are substrate-independent.
@@ -256,7 +251,9 @@ impl DePaReach {
     /// Create the structure together with the root strand.
     pub fn new() -> (Self, StrandId) {
         let mut r = DePaReach {
-            arena: PathArena::new(),
+            arena: Arc::new(PathArena {
+                spine: std::array::from_fn(|_| OnceLock::new()),
+            }),
             parents: Vec::new(),
             frames: vec![DFrame {
                 base: Vec::new(),
@@ -283,6 +280,23 @@ impl DePaReach {
         self.arena.get(s.index())
     }
 
+    /// An owned, `Send + Sync`, **query-only** handle on the same timestamps,
+    /// for a thread that queries while this structure keeps growing: the
+    /// shared arena and nothing else — no frames (maintenance on it panics),
+    /// no lineage (`parent_of` is `None`), `strand_count` 0. On strands
+    /// published before its holder learned their ids it answers as the owner
+    /// does. A `DePaReach` minus its maintenance state, not a second type
+    /// with a second `Reachability` impl to keep in step.
+    pub fn view(&self) -> DePaReach {
+        DePaReach {
+            arena: Arc::clone(&self.arena),
+            parents: Vec::new(),
+            frames: Vec::new(),
+            bytes: 0,
+            owned_bytes: 0,
+        }
+    }
+
     /// Heap bytes owned by the timestamp arena, lineage table and frame
     /// stack.
     pub fn heap_bytes(&self) -> u64 {
@@ -300,7 +314,7 @@ impl DePaReach {
         let id = self.parents.len();
         assert!(id < u32::MAX as usize, "strand count exceeds u32");
         OBS_TIMESTAMPS.incr();
-        self.bytes += self.arena.push(path);
+        self.bytes += self.arena.publish(id, path);
         self.parents.push(parent);
         if stint_obs::is_enabled() {
             let b = self.heap_bytes();
@@ -425,10 +439,10 @@ impl DePaReach {
         compare(self.arena.get(a.index()), self.arena.get(b.index()))
     }
 
-    /// The strand that created `s` (`None` for the root).
+    /// The strand that created `s` (`None` for the root, and on a view).
     #[inline]
     pub fn parent_of(&self, s: StrandId) -> Option<StrandId> {
-        let p = self.parents[s.index()];
+        let p = *self.parents.get(s.index())?;
         (p != NO_PARENT).then_some(StrandId(p))
     }
 
@@ -847,6 +861,72 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn view_answers_hold_while_the_owner_publishes() {
+        use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+        let mut t = Toy::new();
+        for i in 0..40 {
+            t.spawn(|t| t.call(|t| t.spawn(|_| {})));
+            if i % 3 == 0 {
+                t.sync();
+            }
+        }
+        let n = t.r.strand_count() as u32;
+        let pairs = || (0..n).flat_map(|x| (0..n).map(move |y| (StrandId(x), StrandId(y))));
+        let all = |r: &dyn Reachability, (x, y): (StrandId, StrandId)| {
+            (
+                r.series(x, y),
+                r.parallel(x, y),
+                r.left_of(x, y),
+                r.order_pair(x, y),
+            )
+        };
+        let expected: Vec<_> = pairs().map(|p| all(&t.r, p)).collect();
+        // `published` is the owner's release edge for the ids below it.
+        let (stop, published) = (AtomicBool::new(false), AtomicU32::new(n));
+        let fresh = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (view, expected) = (t.r.view(), &expected);
+                    let (stop, published) = (&stop, &published);
+                    s.spawn(move || {
+                        let mut fresh = Vec::new();
+                        loop {
+                            let done = stop.load(Ordering::Acquire);
+                            for (p, want) in pairs().zip(expected) {
+                                assert_eq!(all(&view, p), *want, "{p:?}");
+                            }
+                            let k = published.load(Ordering::Acquire);
+                            let p = (StrandId(k - 1), StrandId(k / 2));
+                            fresh.push((p, all(&view, p)));
+                            if done {
+                                return fresh;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // ≥100k publications, from brick 7 or so into brick 16.
+            for i in 0..50_000 {
+                t.spawn(|_| {});
+                if i % 1000 == 0 {
+                    t.sync();
+                }
+                published.store(t.r.strand_count() as u32, Ordering::Release);
+            }
+            stop.store(true, Ordering::Release);
+            readers
+                .into_iter()
+                .flat_map(|r| r.join().expect("reader"))
+                .collect::<Vec<_>>()
+        });
+        assert!(t.r.strand_count() as u32 >= n + 100_000);
+        assert!(locate(t.r.strand_count()).0 >= locate(n as usize).0 + 4);
+        for (p, got) in fresh {
+            assert_eq!(got, all(&t.r, p), "{p:?}");
+        }
     }
 
     #[test]

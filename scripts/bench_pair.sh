@@ -43,6 +43,18 @@ for side in parent change; do
     cargo build --release --quiet --offline --manifest-path "$WORK/$side/benchmark/Cargo.toml"
 done
 
+# The layout check (see the header): where each binary's sections end, and
+# how far into its 256 KiB `BitShadow` window the heap (the page after
+# `.bss`, load base 0x555555554000 with ASLR off) therefore starts. Two
+# sides in different windows can read different `history_mb` from identical
+# detector behaviour.
+for side in parent change; do
+    size -A "$WORK/$side/benchmark/target/release/stint-benchmark" | awk -v side="$side" '
+        $1 ~ /^\.(text|data|bss)$/ { printf "%s %-5s size %8d addr %8d\n", side, $1, $2, $3 }
+        $1 == ".bss" { end = $2 + $3 + 81920  # 0x555555554000 mod 256 KiB
+            printf "%s heap base %d KiB into its window\n", side, int((end + 4095) / 4096) * 4 % 256 }'
+done
+
 run_side() { # side workload pair
     (cd "$WORK/$1" && cargo run --release --quiet --offline \
         --manifest-path benchmark/Cargo.toml -- run --workload "$2" \

@@ -824,6 +824,49 @@ impl CilkProgram for RacyLoop {
     }
 }
 
+/// The online hand-off under a flush panic deep in the run: the drain side
+/// dies at some batch in the middle while the executor is still producing —
+/// blocked on a free buffer or about to be. The hang-up must reach it: the
+/// program runs to its end over inert hooks, nothing is published, and the
+/// run is `Poisoned` (exit 4) for any worker count and chunking.
+#[test]
+fn online_flush_panic_mid_run_hangs_up_on_the_executor() {
+    let _g = lock();
+    use stint_repro::batchdet::{OnlineConfig, OnlineEngine};
+    use stint_repro::{run_with_detector_r, DePaReach, NopDetector};
+    let spawns = |c: stint_repro::ExecCounters| (c.spawns, c.syncs);
+    let healthy = run_with_detector_r::<_, _, DePaReach>(&mut RacyLoop(400), NopDetector)
+        .0
+        .counters;
+    for (workers, chunk_events, at) in [(1, 16, 40), (2, 16, 40), (4, 1, 7), (2, 64, 90)] {
+        let _plan = ScopedPlan::install(FaultPlan {
+            panic_at_flush: Some(at),
+            ..Default::default()
+        });
+        let cfg = OnlineConfig {
+            shards: 2,
+            workers,
+            chunk_events,
+            ..Default::default()
+        };
+        let (ex, _) =
+            run_with_detector_r::<_, _, DePaReach>(&mut RacyLoop(400), OnlineEngine::new(cfg));
+        assert_eq!(spawns(ex.counters), spawns(healthy), "the program ran on");
+        let mut engine = ex.into_detector();
+        let e = stint_repro::Detector::failure(&engine)
+            .expect("the drain side's panic poisons the run");
+        assert!(matches!(e, DetectorError::Poisoned { .. }), "{e}");
+        assert!(e.to_string().contains("injected flush panic"), "{e}");
+        assert!(
+            engine.take_outcome().is_none(),
+            "a poisoned run publishes nothing"
+        );
+        let e = stint_repro::batchdet::online_detect(&mut RacyLoop(400), &cfg)
+            .expect_err("workers={workers} chunk={chunk_events}");
+        assert_eq!(e.exit_code(), 4);
+    }
+}
+
 /// `RacyLoop` as a v2 stream in 16-event chunks, with the byte offset at
 /// which each chunk starts (and the stream ends) and each chunk's decoded
 /// event count.

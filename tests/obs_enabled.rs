@@ -149,6 +149,29 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         assert!(g.2 > 0, "{name} watermark never rose above zero");
     }
 
+    // The online tier: every batch handed to the drain side is counted, and
+    // the whole run costs one `install` — so at most one park — however many
+    // batches there are.
+    let read = |name: &str| counter(&obs::metrics_json(), name).unwrap_or(0);
+    let before = (read("batchdet.online.handoffs"), parks());
+    let online = stint_repro::batchdet::online_detect(
+        &mut Workload::by_name("sort", Scale::Test),
+        &stint_repro::batchdet::OnlineConfig {
+            shards: 3,
+            workers: 2,
+            chunk_events: 64,
+            ..Default::default()
+        },
+    )
+    .expect("clean online run");
+    assert_eq!(online.merged.render(), batch.merged.render());
+    assert!(online.chunks > 10, "{} chunks", online.chunks);
+    assert_eq!(
+        read("batchdet.online.handoffs") - before.0,
+        online.chunks - 1
+    );
+    assert!(parks() - before.1 <= 1, "an install per hand-off is back");
+
     assert!(obs::registry_initialized());
     let metrics = obs::metrics_json();
 
@@ -183,6 +206,9 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         "batchdet.ingest.bytes",
         "batchdet.ingest.chunks",
         "batchdet.ingest.runs",
+        "batchdet.online.handoffs",
+        "batchdet.online.producer_stall_ns",
+        "batchdet.online.drain_idle_ns",
     ] {
         assert!(
             counter(&metrics, name).is_some_and(|v| v > 0),
