@@ -107,7 +107,7 @@ static OBS_MERGES: Counter = Counter::new("batchdet.merges");
 /// peak.
 static OBS_SHARD_BYTES: Gauge = Gauge::new("batchdet.shard.bytes");
 /// Compressed bytes ingested by the chunked streaming path (chunk framing +
-/// payload; the throughput axis of `BENCH_batch.json`).
+/// payload; the numerator of the benchmark's `batchdet.ingest_mib_s`).
 static OBS_INGEST_BYTES: Counter = Counter::new("batchdet.ingest.bytes");
 static OBS_INGEST_CHUNKS: Counter = Counter::new("batchdet.ingest.chunks");
 static OBS_INGEST_RUNS: Counter = Counter::new("batchdet.ingest.runs");

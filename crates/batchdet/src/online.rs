@@ -523,6 +523,15 @@ mod tests {
                     );
                     let batches = pt.trace.len().div_ceil(chunk) as u64;
                     assert_eq!(got.chunks, batches + 1, "chunk={chunk}");
+                    // Workers add queries, never work: the shards replay at
+                    // most 1.5x the stream whatever W and the batch size.
+                    assert_eq!(got.events, pt.trace.len());
+                    let work: u64 = got.shards.iter().map(|s| s.events).sum();
+                    assert!(
+                        work * 2 <= got.events as u64 * 3,
+                        "chunk={chunk} workers={workers}: {work} of {} events",
+                        got.events
+                    );
                 }
             }
         }

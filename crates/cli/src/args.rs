@@ -1,123 +1,20 @@
-//! Hand-rolled argument parsing (no external dependencies). Every malformed
-//! input is a `Result` error surfaced as exit code 2 — parsing never panics.
+//! Argument parsing from one flag table (no external dependencies): every
+//! option is a row of [`FLAGS`] — its name, its value parser (range
+//! included), the commands and detection strategies it applies to, and its
+//! help text. [`parse`] is one loop over the table and [`usage`] prints it,
+//! so an option given where it means nothing is a usage error by
+//! construction. Every malformed input is a `Result` error surfaced as exit
+//! code 2 — parsing never panics.
 
+use std::fmt::{Display, Write as _};
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 use stint::obs::ObsConfig;
 use stint::{FaultPlan, ReachKind, Variant};
 use stint_suite::Scale;
 
-pub const USAGE: &str = "\
-stint-cli — STINT race detector (SPAA 2021 reproduction)
-
-USAGE:
-  stint-cli detect <bench> [--variant V] [--scale S] [--shards K]
-                   [--compress] [--chunk-events N] [--witness]
-                   [--reach R] [--online-parallel] [--workers W]
-                   [--steal-seed N]
-  stint-cli bugs
-  stint-cli trace record <bench> <file> [--scale S] [--compress]
-                   [--chunk-events N]
-  stint-cli trace info <file>
-  stint-cli trace replay <file> [--variant V] [--shards K] [--compress]
-                   [--chunk-events N] [--witness]
-  stint-cli witness verify <trace-file> <report.json>
-  stint-cli grid [n]
-  stint-cli help
-
-  <bench>    chol | fft | heat | mmul | sort | stra | straz, plus the
-             seeded-bug variants buggy-heat | buggy-merge | buggy-mmul
-             (deterministically racy — for recording racy traces and
-             witness smoke tests)
-  --variant  vanilla | compiler | comp+rts | stint (default) | stint-btree;
-             detect also accepts 'all' (every variant, run in parallel on a
-             work-stealing pool); detect and trace replay also accept
-             'batch' (two-phase batch mode: record/load the trace, then
-             fan detection out over contiguous address shards on the
-             work-stealing pool; the merged report is identical to the
-             sequential one for every shard count)
-  --scale    test (default) | s | m | paper
-  --shards   address shards for --variant batch (1..=4096, default 4)
-  --compress trace record: save the compressed chunked STINT-TRACE v2
-             format (delta+run-length coded, per-chunk checksums) instead
-             of the v1 text format; trace replay --variant batch: force
-             streaming chunked detection (a v1 input is transcoded first;
-             v2 inputs always stream, flag or not); detect --variant
-             batch: run the recorded trace through the compressed
-             streaming path instead of in-memory partitioning
-  --chunk-events N
-             events per compressed chunk (1..=16777216, default 4096);
-             both the record-side chunk size and the streaming replay's
-             per-chunk working-set bound
-  --witness  capture verifiable witnesses with each reported race (event
-             spans of both accesses, SP-Order tag evidence, spawn-tree
-             lineage); off by default and free when off; re-validate with
-             'stint-cli witness verify'
-  --reach    sporder (default) | depa — reachability substrate for
-             sequential detect: SP-Order over the labelled OM list, or
-             relabel-free DePa depth-vector timestamps (immutable once a
-             strand is published; same races, same report)
-  --online-parallel
-             detect while the program runs: the instrumented execution
-             maintains the DePa substrate and hands each chunk of the
-             event stream to the work-stealing pool, which routes it over
-             address shards and detects it against the live (lock-free)
-             timestamps while the program runs on; the merged
-             report is byte-identical for every worker count, steal seed
-             and chunk size, and its racy intervals equal sequential
-             STINT's; takes --shards/--chunk-events/--witness, not
-             --variant batch/all or --compress
-  --workers  pool workers for --online-parallel (0 = one per hardware
-             thread, default; max 256)
-  --steal-seed N
-             perturb each pool worker's initial steal victim (determinism
-             knob for --online-parallel; the report must not change)
-
-  witness verify re-runs the independent WitnessChecker on every race in a
-  --report-json report card against the recorded trace it came from: order
-  bits are recomputed from the frozen rank permutations, lineage from the
-  parent table, and each claimed span must hold a concretely conflicting
-  access. A tampered witness exits 4.
-
-GLOBAL OPTIONS (any command):
-  --fault-plan SPEC   install a deterministic fault plan (key=value,flag,...;
-                      e.g. 'seed=7,om-tags=16,shadow-pages=4'); also read
-                      from the STINT_FAULTS environment variable
-  --max-shadow-mb N   shadow-memory budget per structure, in MiB; on
-                      exhaustion detection degrades soundly and exits 3
-  --max-intervals N   interval-store budget (read + write trees); on
-                      exhaustion detection degrades soundly and exits 3
-  --obs SPEC          observability: off | counters | on | full |
-                      spans=off|sampled|full | sample=MS (comma-composed);
-                      also read from the STINT_OBS environment variable
-                      (flag wins); sample=MS starts the periodic memory
-                      sampler
-  --metrics-out PATH  after the run, write all counters/gauges/histograms as
-                      JSON (implies --obs on if observability is otherwise
-                      off); PATH '-' writes to stdout
-  --trace-out PATH    after the run, write recorded spans and gauge counter
-                      tracks as Chrome trace_event JSON (load in
-                      chrome://tracing or Perfetto; implies --obs on);
-                      PATH '-' writes to stdout
-  --mem-series-out PATH
-                      after the run, write the sampled gauge time series as
-                      JSON (implies --obs on with a 10 ms sample interval
-                      unless --obs sample=MS chose one); PATH '-' writes to
-                      stdout
-  --stats-json PATH   (detect) write the run's DetectorStats as JSON,
-                      including a process-wide gauge watermark snapshot
-  --report-json PATH  (detect, trace replay) write the race-report-card as
-                      JSON (schema stint-report-v1): totals, an explicit
-                      truncated marker, coalesced racy intervals, and —
-                      with --witness — the structured witness of every
-                      kept race; PATH '-' writes to stdout
-
-EXIT CODE: 0 = no races, 1 = races found, 2 = usage/IO error,
-           3 = detector resource budget exhausted (report sound up to the
-               failure point), 4 = internal detector failure or corrupt
-               trace file (batch replay validates before detecting).";
-
-/// Process/run-level options valid with every command: fault injection,
-/// resource budgets and observability (budgets and `--stats-json` only
-/// affect commands that run detection).
+/// Process/run-level options: fault injection, resource budgets,
+/// observability and the JSON exports.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct RunOpts {
     pub fault_plan: Option<FaultPlan>,
@@ -143,92 +40,29 @@ pub enum VariantSel {
     Batch,
 }
 
-#[derive(Debug, PartialEq)]
-pub enum Parsed {
-    Help,
-    Detect {
-        bench: String,
-        variant: VariantSel,
-        scale: Scale,
-        shards: usize,
-        compress: bool,
-        chunk_events: usize,
-        witness: bool,
-        /// Reachability substrate for the sequential path (`--reach`).
-        reach: ReachKind,
-        /// `--online-parallel`: parallel online detection over live DePa.
-        online: bool,
-        /// Pool workers for `--online-parallel` (0 = hardware threads).
-        workers: usize,
-        /// Steal-victim seed for `--online-parallel`.
-        steal_seed: u64,
-    },
-    Bugs,
-    TraceRecord {
-        bench: String,
-        file: String,
-        scale: Scale,
-        compress: bool,
-        chunk_events: usize,
-    },
-    TraceInfo {
-        file: String,
-    },
-    TraceReplay {
-        file: String,
-        variant: VariantSel,
-        shards: usize,
-        compress: bool,
-        chunk_events: usize,
-        witness: bool,
-    },
-    /// `witness verify <trace> <report.json>`: re-validate every witness in
-    /// a report card against the trace it was captured from.
-    WitnessVerify {
-        trace: String,
-        report: String,
-    },
-    Grid {
-        n: usize,
-    },
-}
-
-fn parse_variant(s: &str) -> Result<VariantSel, String> {
-    match s {
-        "vanilla" => Ok(VariantSel::One(Variant::Vanilla)),
-        "compiler" => Ok(VariantSel::One(Variant::Compiler)),
-        "comp+rts" | "comprts" => Ok(VariantSel::One(Variant::CompRts)),
-        "stint" => Ok(VariantSel::One(Variant::Stint)),
-        "stint-btree" | "btree" => Ok(VariantSel::One(Variant::StintFlat)),
-        "all" => Ok(VariantSel::All),
-        "batch" => Ok(VariantSel::Batch),
-        _ => Err(format!("unknown variant {s:?}")),
-    }
-}
-
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    Scale::parse(s).ok_or_else(|| format!("unknown scale {s:?}"))
-}
-
-/// The subcommand-level options `split_opts` pulls out of the argument
-/// list.
+/// The options of the commands that record or detect (`detect`, `trace
+/// record`, `trace replay`); a command reads the ones [`FLAGS`] lets it take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SubOpts {
-    variant: VariantSel,
-    scale: Scale,
-    shards: usize,
-    compress: bool,
-    chunk_events: usize,
-    witness: bool,
-    reach: ReachKind,
-    online: bool,
-    workers: usize,
-    steal_seed: u64,
+pub struct CmdOpts {
+    pub variant: VariantSel,
+    pub scale: Scale,
+    pub shards: usize,
+    pub compress: bool,
+    pub chunk_events: usize,
+    pub witness: bool,
+    /// Reachability substrate for the sequential path (`--reach`).
+    pub reach: ReachKind,
+    /// `--online-parallel`: parallel online detection over live DePa.
+    pub online: bool,
+    /// Pool workers for `--online-parallel` (0 = hardware threads).
+    pub workers: usize,
+    /// Steal-victim seed for `--online-parallel`.
+    pub steal_seed: u64,
 }
 
-impl Default for SubOpts {
+impl Default for CmdOpts {
     fn default() -> Self {
-        SubOpts {
+        CmdOpts {
             variant: VariantSel::One(Variant::Stint),
             scale: Scale::Test,
             shards: 4,
@@ -243,326 +77,454 @@ impl Default for SubOpts {
     }
 }
 
-/// Pull `--variant`/`--scale`/`--shards`/`--compress`/`--chunk-events`/
-/// `--witness` options out of `rest`, leaving positionals.
-fn split_opts(rest: &[String]) -> Result<(Vec<String>, SubOpts), String> {
-    let mut pos = Vec::new();
-    let mut o = SubOpts::default();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--variant" => {
-                let v = rest.get(i + 1).ok_or("--variant needs a value")?;
-                o.variant = parse_variant(v)?;
-                i += 2;
-            }
-            "--scale" => {
-                let v = rest.get(i + 1).ok_or("--scale needs a value")?;
-                o.scale = parse_scale(v)?;
-                i += 2;
-            }
-            "--shards" => {
-                let v = rest.get(i + 1).ok_or("--shards needs a value")?;
-                o.shards = v.parse().map_err(|_| format!("bad --shards {v:?}"))?;
-                if o.shards == 0 || o.shards > 4096 {
-                    return Err("--shards must be in 1..=4096".into());
-                }
-                i += 2;
-            }
-            "--compress" => {
-                o.compress = true;
-                i += 1;
-            }
-            "--witness" => {
-                o.witness = true;
-                i += 1;
-            }
-            "--chunk-events" => {
-                let v = rest.get(i + 1).ok_or("--chunk-events needs a value")?;
-                o.chunk_events = v.parse().map_err(|_| format!("bad --chunk-events {v:?}"))?;
-                if o.chunk_events == 0 || o.chunk_events > 16_777_216 {
-                    return Err("--chunk-events must be in 1..=16777216".into());
-                }
-                i += 2;
-            }
-            "--reach" => {
-                let v = rest.get(i + 1).ok_or("--reach needs a value")?;
-                o.reach = match v.as_str() {
-                    "sporder" => ReachKind::SpOrder,
-                    "depa" => ReachKind::DePa,
-                    _ => return Err(format!("unknown reach substrate {v:?}")),
-                };
-                i += 2;
-            }
-            "--online-parallel" => {
-                o.online = true;
-                i += 1;
-            }
-            "--workers" => {
-                let v = rest.get(i + 1).ok_or("--workers needs a value")?;
-                o.workers = v.parse().map_err(|_| format!("bad --workers {v:?}"))?;
-                if o.workers > 256 {
-                    return Err("--workers must be in 0..=256".into());
-                }
-                i += 2;
-            }
-            "--steal-seed" => {
-                let v = rest.get(i + 1).ok_or("--steal-seed needs a value")?;
-                o.steal_seed = v.parse().map_err(|_| format!("bad --steal-seed {v:?}"))?;
-                i += 2;
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown option {other:?}"));
-            }
-            _ => {
-                pos.push(rest[i].clone());
-                i += 1;
-            }
-        }
-    }
-    Ok((pos, o))
+#[derive(Debug, PartialEq)]
+pub enum Parsed {
+    Help,
+    Detect {
+        bench: String,
+        opts: CmdOpts,
+    },
+    Bugs,
+    TraceRecord {
+        bench: String,
+        file: String,
+        opts: CmdOpts,
+    },
+    TraceInfo {
+        file: String,
+    },
+    TraceReplay {
+        file: String,
+        opts: CmdOpts,
+    },
+    /// `witness verify <trace> <report.json>`: re-validate every witness in
+    /// a report card against the trace it was captured from.
+    WitnessVerify {
+        trace: String,
+        report: String,
+    },
+    Grid {
+        n: usize,
+    },
 }
 
-/// Strip the global options (valid anywhere on the command line) out of
-/// `argv` before command dispatch.
-fn extract_run_opts(argv: &[String]) -> Result<(Vec<String>, RunOpts), String> {
-    let mut rest = Vec::new();
-    let mut opts = RunOpts::default();
-    let mut i = 0;
-    while i < argv.len() {
-        let take_value = |name: &str| {
-            argv.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match argv[i].as_str() {
-            "--fault-plan" => {
-                let spec = take_value("--fault-plan")?;
-                opts.fault_plan = Some(
-                    FaultPlan::parse(&spec).map_err(|e| format!("--fault-plan {spec:?}: {e}"))?,
-                );
-                i += 2;
-            }
-            "--max-shadow-mb" => {
-                let v = take_value("--max-shadow-mb")?;
-                opts.max_shadow_mb = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --max-shadow-mb {v:?}"))?,
-                );
-                i += 2;
-            }
-            "--max-intervals" => {
-                let v = take_value("--max-intervals")?;
-                opts.max_intervals = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --max-intervals {v:?}"))?,
-                );
-                i += 2;
-            }
-            "--obs" => {
-                let spec = take_value("--obs")?;
-                opts.obs =
-                    Some(ObsConfig::parse(&spec).map_err(|e| format!("--obs {spec:?}: {e}"))?);
-                i += 2;
-            }
-            "--metrics-out" => {
-                opts.metrics_out = Some(take_value("--metrics-out")?);
-                i += 2;
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(take_value("--trace-out")?);
-                i += 2;
-            }
-            "--mem-series-out" => {
-                opts.mem_series_out = Some(take_value("--mem-series-out")?);
-                i += 2;
-            }
-            "--stats-json" => {
-                opts.stats_json = Some(take_value("--stats-json")?);
-                i += 2;
-            }
-            "--report-json" => {
-                opts.report_json = Some(take_value("--report-json")?);
-                i += 2;
-            }
-            _ => {
-                rest.push(argv[i].clone());
-                i += 1;
-            }
-        }
+// Where an option can mean something: one bit per command, and per
+// detection strategy for the two commands that detect.
+const SEQ: u8 = 1;
+const BATCH: u8 = 2;
+const ONLINE: u8 = 4;
+const RECORD: u8 = 8;
+const REPLAY: u8 = 16;
+const REPLAY_BATCH: u8 = 32;
+/// `help`, `bugs`, `trace info`, `witness verify`, `grid`.
+const OTHER: u8 = 64;
+const DETECT: u8 = SEQ | BATCH | ONLINE;
+const ANY: u8 = DETECT | RECORD | REPLAY | REPLAY_BATCH | OTHER;
+
+const CONTEXTS: [(u8, &str); 6] = [
+    (SEQ, "detect"),
+    (BATCH, "detect --variant batch"),
+    (ONLINE, "detect --online-parallel"),
+    (RECORD, "trace record"),
+    (REPLAY, "trace replay"),
+    (REPLAY_BATCH, "trace replay --variant batch"),
+];
+
+/// The names of the contexts in `mask`, comma-separated.
+fn contexts(mask: u8) -> String {
+    if mask == ANY {
+        return "any command".into();
     }
-    Ok((rest, opts))
+    let names: Vec<&str> = CONTEXTS
+        .iter()
+        .filter(|(bit, _)| bit & mask != 0)
+        .map(|&(_, name)| name)
+        .collect();
+    names.join(", ")
 }
 
-/// The online/substrate knobs are detect-only; trace subcommands reject
-/// them rather than silently ignoring them.
-fn reject_online_opts(o: &SubOpts, ctx: &str) -> Result<(), String> {
-    if o.online {
-        return Err(format!("--online-parallel does not apply to {ctx}"));
-    }
-    if o.reach != ReachKind::SpOrder {
-        return Err(format!("--reach does not apply to {ctx}"));
-    }
-    if o.workers != 0 || o.steal_seed != 0 {
-        return Err(format!("--workers/--steal-seed do not apply to {ctx}"));
-    }
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the usage text; `None` for a switch.
+    value: Option<&'static str>,
+    /// Where the option applies: a set of the context bits above.
+    applies: u8,
+    /// Parse the value, range included, into its field.
+    set: fn(&mut CmdOpts, &mut RunOpts, &str) -> Result<(), String>,
+    help: &'static str,
+}
+
+/// `*slot = value?`, as an expression a table row can end in.
+fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
     Ok(())
 }
 
-pub fn parse(argv: &[String]) -> Result<(Parsed, RunOpts), String> {
-    let (argv, opts) = extract_run_opts(argv)?;
-    Ok((parse_cmd(&argv)?, opts))
+/// A number inside `range`.
+fn num<T: FromStr + PartialOrd + Display>(v: &str, range: RangeInclusive<T>) -> Result<T, String> {
+    match v.parse::<T>() {
+        Ok(n) if range.contains(&n) => Ok(n),
+        Ok(_) => Err(format!("must be in {}..={}", range.start(), range.end())),
+        Err(_) => Err("not a non-negative integer".into()),
+    }
 }
 
-fn parse_cmd(argv: &[String]) -> Result<Parsed, String> {
-    let cmd = argv.first().map(String::as_str).unwrap_or("help");
-    match cmd {
-        "help" | "--help" | "-h" => Ok(Parsed::Help),
-        "detect" => {
-            let (pos, o) = split_opts(&argv[1..])?;
-            let [bench] = pos.as_slice() else {
-                return Err("detect takes exactly one benchmark name".into());
+fn parse_variant(s: &str) -> Result<VariantSel, String> {
+    match s {
+        "vanilla" => Ok(VariantSel::One(Variant::Vanilla)),
+        "compiler" => Ok(VariantSel::One(Variant::Compiler)),
+        "comp+rts" | "comprts" => Ok(VariantSel::One(Variant::CompRts)),
+        "stint" => Ok(VariantSel::One(Variant::Stint)),
+        "stint-btree" | "btree" => Ok(VariantSel::One(Variant::StintFlat)),
+        "all" => Ok(VariantSel::All),
+        "batch" => Ok(VariantSel::Batch),
+        _ => Err("unknown variant".into()),
+    }
+}
+
+fn parse_reach(s: &str) -> Result<ReachKind, String> {
+    match s {
+        "sporder" => Ok(ReachKind::SpOrder),
+        "depa" => Ok(ReachKind::DePa),
+        _ => Err("unknown reach substrate".into()),
+    }
+}
+
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--variant",
+        value: Some("V"),
+        applies: SEQ | BATCH | REPLAY | REPLAY_BATCH,
+        set: |c, _, v| put(&mut c.variant, parse_variant(v)),
+        help: "vanilla | compiler | comp+rts | stint (default) | stint-btree; detect\n\
+               also accepts 'all' (every variant, run in parallel on a work-stealing\n\
+               pool); detect and trace replay also accept 'batch' (two-phase batch\n\
+               mode: record/load the trace, then fan detection out over contiguous\n\
+               address shards on the work-stealing pool; the merged report is\n\
+               identical to the sequential one for every shard count)",
+    },
+    Flag {
+        name: "--scale",
+        value: Some("S"),
+        applies: DETECT | RECORD,
+        set: |c, _, v| put(&mut c.scale, Scale::parse(v).ok_or("unknown scale".into())),
+        help: "test (default) | s | m | paper",
+    },
+    Flag {
+        name: "--shards",
+        value: Some("K"),
+        applies: BATCH | ONLINE | REPLAY_BATCH,
+        set: |c, _, v| put(&mut c.shards, num(v, 1..=4096)),
+        help: "address shards of the batch and online strategies (1..=4096,\n\
+               default 4)",
+    },
+    Flag {
+        name: "--compress",
+        value: None,
+        applies: BATCH | RECORD | REPLAY_BATCH,
+        set: |c, _, _| put(&mut c.compress, Ok(true)),
+        help: "trace record: save the compressed chunked STINT-TRACE v2 format\n\
+               (delta+run-length coded, per-chunk checksums) instead of the v1 text\n\
+               format; trace replay --variant batch: force streaming chunked\n\
+               detection (a v1 input is transcoded first; v2 inputs always stream,\n\
+               flag or not); detect --variant batch: run the recorded trace through\n\
+               the compressed streaming path instead of in-memory partitioning",
+    },
+    Flag {
+        name: "--chunk-events",
+        value: Some("N"),
+        applies: BATCH | ONLINE | RECORD | REPLAY_BATCH,
+        set: |c, _, v| put(&mut c.chunk_events, num(v, 1..=16_777_216)),
+        help: "events per compressed chunk (1..=16777216, default 4096): the\n\
+               record-side chunk size, the streaming replay's per-chunk working-set\n\
+               bound, and the online strategy's hand-off size",
+    },
+    Flag {
+        name: "--witness",
+        value: None,
+        applies: DETECT | REPLAY | REPLAY_BATCH,
+        set: |c, _, _| put(&mut c.witness, Ok(true)),
+        help: "capture verifiable witnesses with each reported race (event spans of\n\
+               both accesses, SP-Order tag evidence, spawn-tree lineage); off by\n\
+               default and free when off; re-validate with 'stint-cli witness verify'",
+    },
+    Flag {
+        name: "--reach",
+        value: Some("R"),
+        applies: SEQ,
+        set: |c, _, v| put(&mut c.reach, parse_reach(v)),
+        help: "sporder (default) | depa — reachability substrate of sequential\n\
+               detect: SP-Order over the labelled OM list, or relabel-free DePa\n\
+               depth-vector timestamps (immutable once a strand is published; same\n\
+               races, same report)",
+    },
+    Flag {
+        name: "--online-parallel",
+        value: None,
+        applies: ONLINE,
+        set: |c, _, _| put(&mut c.online, Ok(true)),
+        help: "detect while the program runs: the instrumented execution maintains\n\
+               the DePa substrate and hands each chunk of the event stream to the\n\
+               work-stealing pool, which routes it over address shards and detects\n\
+               it against the live (lock-free) timestamps while the program runs\n\
+               on; the merged report is byte-identical for every worker count,\n\
+               steal seed and chunk size, and its racy intervals equal sequential\n\
+               STINT's; its own strategy, so it takes no --variant",
+    },
+    Flag {
+        name: "--workers",
+        value: Some("W"),
+        applies: ONLINE,
+        set: |c, _, v| put(&mut c.workers, num(v, 0..=256)),
+        help: "pool workers (0 = one per hardware thread, default; max 256)",
+    },
+    Flag {
+        name: "--steal-seed",
+        value: Some("N"),
+        applies: ONLINE,
+        set: |c, _, v| put(&mut c.steal_seed, num(v, 0..=u64::MAX)),
+        help: "perturb each pool worker's initial steal victim (determinism knob;\n\
+               the report must not change)",
+    },
+    Flag {
+        name: "--fault-plan",
+        value: Some("SPEC"),
+        applies: ANY,
+        set: |_, r, v| {
+            put(
+                &mut r.fault_plan,
+                FaultPlan::parse(v).map(Some).map_err(|e| e.to_string()),
+            )
+        },
+        help: "install a deterministic fault plan (key=value,flag,...; e.g.\n\
+               'seed=7,om-tags=16,shadow-pages=4'); also read from the STINT_FAULTS\n\
+               environment variable",
+    },
+    Flag {
+        name: "--max-shadow-mb",
+        value: Some("N"),
+        applies: SEQ | ONLINE,
+        set: |_, r, v| put(&mut r.max_shadow_mb, num(v, 0..=u64::MAX).map(Some)),
+        help: "shadow-memory budget per structure, in MiB; on exhaustion detection\n\
+               degrades soundly and exits 3",
+    },
+    Flag {
+        name: "--max-intervals",
+        value: Some("N"),
+        applies: SEQ | ONLINE,
+        set: |_, r, v| put(&mut r.max_intervals, num(v, 0..=u64::MAX).map(Some)),
+        help: "interval-store budget (read + write trees); on exhaustion detection\n\
+               degrades soundly and exits 3",
+    },
+    Flag {
+        name: "--obs",
+        value: Some("SPEC"),
+        applies: ANY,
+        set: |_, r, v| {
+            put(
+                &mut r.obs,
+                ObsConfig::parse(v).map(Some).map_err(|e| e.to_string()),
+            )
+        },
+        help: "observability: off | counters | on | full | spans=off|sampled|full |\n\
+               sample=MS (comma-composed); also read from the STINT_OBS environment\n\
+               variable (flag wins); sample=MS starts the periodic memory sampler",
+    },
+    Flag {
+        name: "--metrics-out",
+        value: Some("PATH"),
+        applies: ANY,
+        set: |_, r, v| put(&mut r.metrics_out, Ok(Some(v.into()))),
+        help: "after the run, write all counters/gauges/histograms as JSON (implies\n\
+               --obs on if observability is otherwise off); PATH '-' writes to stdout",
+    },
+    Flag {
+        name: "--trace-out",
+        value: Some("PATH"),
+        applies: ANY,
+        set: |_, r, v| put(&mut r.trace_out, Ok(Some(v.into()))),
+        help: "after the run, write recorded spans and gauge counter tracks as\n\
+               Chrome trace_event JSON (load in chrome://tracing or Perfetto; implies\n\
+               --obs on); PATH '-' writes to stdout",
+    },
+    Flag {
+        name: "--mem-series-out",
+        value: Some("PATH"),
+        applies: ANY,
+        set: |_, r, v| put(&mut r.mem_series_out, Ok(Some(v.into()))),
+        help: "after the run, write the sampled gauge time series as JSON (implies\n\
+               --obs on with a 10 ms sample interval unless --obs sample=MS chose\n\
+               one); PATH '-' writes to stdout",
+    },
+    Flag {
+        name: "--stats-json",
+        value: Some("PATH"),
+        applies: SEQ,
+        set: |_, r, v| put(&mut r.stats_json, Ok(Some(v.into()))),
+        help: "write the run's DetectorStats as JSON, including a process-wide\n\
+               gauge watermark snapshot",
+    },
+    Flag {
+        name: "--report-json",
+        value: Some("PATH"),
+        applies: DETECT | REPLAY | REPLAY_BATCH,
+        set: |_, r, v| put(&mut r.report_json, Ok(Some(v.into()))),
+        help: "write the race-report-card as JSON (schema stint-report-v1): totals,\n\
+               an explicit truncated marker, coalesced racy intervals, and — with\n\
+               --witness — the structured witness of every kept race; PATH '-'\n\
+               writes to stdout",
+    },
+];
+
+/// The usage text; its options half is printed from [`FLAGS`].
+pub fn usage() -> String {
+    let mut s = String::from(
+        "stint-cli — STINT race detector (SPAA 2021 reproduction)
+
+USAGE:
+  stint-cli detect <bench> [options]
+  stint-cli bugs
+  stint-cli trace record <bench> <file> [options]
+  stint-cli trace info <file>
+  stint-cli trace replay <file> [options]
+  stint-cli witness verify <trace-file> <report.json>
+  stint-cli grid [n]
+  stint-cli help
+
+  <bench>    chol | fft | heat | mmul | sort | stra | straz, plus the
+             seeded-bug variants buggy-heat | buggy-merge | buggy-mmul
+             (deterministically racy — for recording racy traces and
+             witness smoke tests)
+
+  witness verify re-runs the independent WitnessChecker on every race in a
+  --report-json report card against the recorded trace it came from: order
+  bits are recomputed from the frozen rank permutations, lineage from the
+  parent table, and each claimed span must hold a concretely conflicting
+  access. A tampered witness exits 4.
+
+OPTIONS (anywhere on the command line; one given where it does not apply is
+a usage error):
+",
+    );
+    for f in FLAGS {
+        let _ = writeln!(
+            s,
+            "  {}",
+            [f.name, f.value.unwrap_or("")].join(" ").trim_end()
+        );
+        for line in f.help.lines() {
+            let _ = writeln!(s, "        {line}");
+        }
+        let _ = writeln!(s, "        applies to: {}", contexts(f.applies));
+    }
+    s += "
+EXIT CODE: 0 = no races, 1 = races found, 2 = usage/IO error,
+           3 = detector resource budget exhausted (report sound up to the
+               failure point), 4 = internal detector failure or corrupt
+               trace file (batch replay validates before detecting).";
+    s
+}
+
+/// One loop over [`FLAGS`]: options may stand anywhere on the command line,
+/// what is left are the command words, and every option seen must apply to
+/// the command and strategy they select.
+pub fn parse(argv: &[String]) -> Result<(Parsed, RunOpts), String> {
+    let (mut cmd, mut run) = (CmdOpts::default(), RunOpts::default());
+    let (mut seen, mut words) = (Vec::new(), Vec::new());
+    let mut it = argv.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+            if arg.starts_with("--") && arg != "--help" {
+                return Err(format!("unknown option {arg:?}"));
+            }
+            words.push(arg);
+            continue;
+        };
+        let value = match flag.value {
+            Some(_) => it.next().ok_or_else(|| format!("{arg} needs a value"))?,
+            None => "",
+        };
+        (flag.set)(&mut cmd, &mut run, value).map_err(|e| format!("{arg} {value:?}: {e}"))?;
+        seen.push(flag);
+    }
+    let (parsed, ctx) = command(&words, cmd)?;
+    if let Some(f) = seen.iter().find(|f| f.applies & ctx == 0) {
+        let here = match ctx {
+            OTHER if words.is_empty() => "help".into(),
+            OTHER => words.join(" "),
+            _ => contexts(ctx),
+        };
+        return Err(format!(
+            "{} does not apply to {here} (it applies to: {})",
+            f.name,
+            contexts(f.applies)
+        ));
+    }
+    Ok((parsed, run))
+}
+
+/// The command the words name, and the context its options are checked in.
+fn command(words: &[&str], opts: CmdOpts) -> Result<(Parsed, u8), String> {
+    let bench = |name: &str| {
+        if crate::known_bench(name) {
+            Ok(name.to_string())
+        } else {
+            Err(format!("unknown benchmark {name:?}"))
+        }
+    };
+    let batch = opts.variant == VariantSel::Batch;
+    Ok(match words {
+        [] | ["help" | "--help" | "-h", ..] => (Parsed::Help, OTHER),
+        ["detect", name] => {
+            let bench = bench(name)?;
+            let ctx = match (opts.online, batch) {
+                (true, _) => ONLINE,
+                (false, true) => BATCH,
+                (false, false) => SEQ,
             };
-            if !crate::known_bench(bench) {
-                return Err(format!("unknown benchmark {bench:?}"));
-            }
-            if o.online {
-                if o.variant != VariantSel::One(Variant::Stint) {
-                    return Err(
-                        "--online-parallel is its own detection strategy (STINT shard \
-                         detectors over live DePa); drop --variant"
-                            .into(),
-                    );
-                }
-                if o.compress {
-                    return Err("--compress does not apply to --online-parallel \
-                                (nothing is recorded)"
-                        .into());
-                }
-            } else {
-                if o.workers != 0 {
-                    return Err("--workers needs --online-parallel".into());
-                }
-                if o.steal_seed != 0 {
-                    return Err("--steal-seed needs --online-parallel".into());
-                }
-            }
-            if o.reach == ReachKind::DePa && o.variant == VariantSel::Batch {
+            (Parsed::Detect { bench, opts }, ctx)
+        }
+        ["detect", ..] => return Err("detect takes exactly one benchmark name".into()),
+        ["bugs", ..] => (Parsed::Bugs, OTHER),
+        ["witness", "verify", trace, report] => {
+            let (trace, report) = (trace.to_string(), report.to_string());
+            (Parsed::WitnessVerify { trace, report }, OTHER)
+        }
+        ["witness", "verify", ..] => {
+            return Err("witness verify takes <trace-file> <report.json>".into())
+        }
+        ["witness", sub, ..] => return Err(format!("unknown witness subcommand {sub:?}")),
+        ["witness"] => return Err("witness needs a subcommand (verify)".into()),
+        ["trace", "record", name, file] => {
+            let (bench, file) = (bench(name)?, file.to_string());
+            (Parsed::TraceRecord { bench, file, opts }, RECORD)
+        }
+        ["trace", "record", ..] => return Err("trace record takes <bench> <file>".into()),
+        ["trace", "info", file] => {
+            let file = file.to_string();
+            (Parsed::TraceInfo { file }, OTHER)
+        }
+        ["trace", "info", ..] => return Err("trace info takes <file>".into()),
+        ["trace", "replay", file] => {
+            if opts.variant == VariantSel::All {
                 return Err(
-                    "--reach does not apply to --variant batch (batch replays a frozen \
-                     snapshot); use --online-parallel for live DePa detection"
-                        .into(),
+                    "trace replay needs one concrete --variant (or 'batch'), not 'all'".into(),
                 );
             }
-            if o.compress && !o.online && o.variant != VariantSel::Batch {
-                return Err("detect --compress needs --variant batch".into());
-            }
-            Ok(Parsed::Detect {
-                bench: bench.clone(),
-                variant: o.variant,
-                scale: o.scale,
-                shards: o.shards,
-                compress: o.compress,
-                chunk_events: o.chunk_events,
-                witness: o.witness,
-                reach: o.reach,
-                online: o.online,
-                workers: o.workers,
-                steal_seed: o.steal_seed,
-            })
+            let file = file.to_string();
+            let ctx = if batch { REPLAY_BATCH } else { REPLAY };
+            (Parsed::TraceReplay { file, opts }, ctx)
         }
-        "bugs" => Ok(Parsed::Bugs),
-        "witness" => {
-            let sub = argv
-                .get(1)
-                .map(String::as_str)
-                .ok_or("witness needs a subcommand (verify)")?;
-            if sub != "verify" {
-                return Err(format!("unknown witness subcommand {sub:?}"));
-            }
-            let [_, _, trace, report] = argv else {
-                return Err("witness verify takes <trace-file> <report.json>".into());
-            };
-            Ok(Parsed::WitnessVerify {
-                trace: trace.clone(),
-                report: report.clone(),
-            })
+        ["trace", "replay", ..] => return Err("trace replay takes <file>".into()),
+        ["trace", sub, ..] => return Err(format!("unknown trace subcommand {sub:?}")),
+        ["trace"] => return Err("trace needs a subcommand".into()),
+        ["grid"] => (Parsed::Grid { n: 40 }, OTHER),
+        ["grid", n, ..] => {
+            let n = num(n, 1..=4000).map_err(|e| format!("grid size {n:?}: {e}"))?;
+            (Parsed::Grid { n }, OTHER)
         }
-        "trace" => {
-            let sub = argv
-                .get(1)
-                .map(String::as_str)
-                .ok_or("trace needs a subcommand")?;
-            match sub {
-                "record" => {
-                    let (pos, o) = split_opts(&argv[2..])?;
-                    reject_online_opts(&o, "trace record")?;
-                    let [bench, file] = pos.as_slice() else {
-                        return Err("trace record takes <bench> <file>".into());
-                    };
-                    if !crate::known_bench(bench) {
-                        return Err(format!("unknown benchmark {bench:?}"));
-                    }
-                    if o.witness {
-                        return Err(
-                            "--witness applies at detection time (detect, trace replay), \
-                             not trace record"
-                                .into(),
-                        );
-                    }
-                    Ok(Parsed::TraceRecord {
-                        bench: bench.clone(),
-                        file: file.clone(),
-                        scale: o.scale,
-                        compress: o.compress,
-                        chunk_events: o.chunk_events,
-                    })
-                }
-                "info" => {
-                    let [_, _, file] = argv else {
-                        return Err("trace info takes <file>".into());
-                    };
-                    Ok(Parsed::TraceInfo { file: file.clone() })
-                }
-                "replay" => {
-                    let (pos, o) = split_opts(&argv[2..])?;
-                    reject_online_opts(&o, "trace replay")?;
-                    let [file] = pos.as_slice() else {
-                        return Err("trace replay takes <file>".into());
-                    };
-                    if o.variant == VariantSel::All {
-                        return Err(
-                            "trace replay needs one concrete --variant (or 'batch'), not 'all'"
-                                .into(),
-                        );
-                    }
-                    if o.compress && o.variant != VariantSel::Batch {
-                        return Err("trace replay --compress needs --variant batch".into());
-                    }
-                    Ok(Parsed::TraceReplay {
-                        file: file.clone(),
-                        variant: o.variant,
-                        shards: o.shards,
-                        compress: o.compress,
-                        chunk_events: o.chunk_events,
-                        witness: o.witness,
-                    })
-                }
-                _ => Err(format!("unknown trace subcommand {sub:?}")),
-            }
-        }
-        "grid" => {
-            let n = match argv.get(1) {
-                None => 40,
-                Some(x) => x.parse().map_err(|_| format!("bad grid size {x:?}"))?,
-            };
-            if n == 0 || n > 4000 {
-                return Err("grid size must be in 1..=4000".into());
-            }
-            Ok(Parsed::Grid { n })
-        }
-        other => Err(format!("unknown command {other:?}")),
-    }
+        [other, ..] => return Err(format!("unknown command {other:?}")),
+    })
 }
 
 #[cfg(test)]
@@ -571,6 +533,10 @@ mod tests {
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse_cmd(argv: &[String]) -> Result<Parsed, String> {
+        parse(argv).map(|(p, _)| p)
     }
 
     const CHUNK: usize = stint::ctrace::DEFAULT_CHUNK_EVENTS;
@@ -590,16 +556,11 @@ mod tests {
             p,
             Parsed::Detect {
                 bench: "sort".into(),
-                variant: VariantSel::One(Variant::CompRts),
-                scale: Scale::S,
-                shards: 4,
-                compress: false,
-                chunk_events: CHUNK,
-                witness: false,
-                reach: ReachKind::SpOrder,
-                online: false,
-                workers: 0,
-                steal_seed: 0,
+                opts: CmdOpts {
+                    variant: VariantSel::One(Variant::CompRts),
+                    scale: Scale::S,
+                    ..CmdOpts::default()
+                },
             }
         );
     }
@@ -611,16 +572,10 @@ mod tests {
             p,
             Parsed::Detect {
                 bench: "fft".into(),
-                variant: VariantSel::All,
-                scale: Scale::Test,
-                shards: 4,
-                compress: false,
-                chunk_events: CHUNK,
-                witness: false,
-                reach: ReachKind::SpOrder,
-                online: false,
-                workers: 0,
-                steal_seed: 0,
+                opts: CmdOpts {
+                    variant: VariantSel::All,
+                    ..CmdOpts::default()
+                },
             }
         );
         // `all` makes no sense for a single-detector replay.
@@ -642,16 +597,11 @@ mod tests {
             p,
             Parsed::Detect {
                 bench: "mmul".into(),
-                variant: VariantSel::Batch,
-                scale: Scale::Test,
-                shards: 7,
-                compress: false,
-                chunk_events: CHUNK,
-                witness: false,
-                reach: ReachKind::SpOrder,
-                online: false,
-                workers: 0,
-                steal_seed: 0,
+                opts: CmdOpts {
+                    variant: VariantSel::Batch,
+                    shards: 7,
+                    ..CmdOpts::default()
+                },
             }
         );
         // Batch replays a saved trace too, unlike 'all'.
@@ -669,11 +619,11 @@ mod tests {
             p,
             Parsed::TraceReplay {
                 file: "/tmp/t".into(),
-                variant: VariantSel::Batch,
-                shards: 16,
-                compress: false,
-                chunk_events: CHUNK,
-                witness: false,
+                opts: CmdOpts {
+                    variant: VariantSel::Batch,
+                    shards: 16,
+                    ..CmdOpts::default()
+                },
             }
         );
         assert!(parse_cmd(&v(&["detect", "mmul", "--shards", "0"])).is_err());
@@ -684,24 +634,101 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let (p, _) = parse(&v(&["detect", "fft"])).unwrap();
+        let (p, run) = parse(&v(&["detect", "fft"])).unwrap();
         assert_eq!(
             p,
             Parsed::Detect {
                 bench: "fft".into(),
-                variant: VariantSel::One(Variant::Stint),
-                scale: Scale::Test,
-                shards: 4,
-                compress: false,
-                chunk_events: CHUNK,
-                witness: false,
-                reach: ReachKind::SpOrder,
-                online: false,
-                workers: 0,
-                steal_seed: 0,
+                opts: CmdOpts {
+                    variant: VariantSel::One(Variant::Stint),
+                    scale: Scale::Test,
+                    shards: 4,
+                    compress: false,
+                    chunk_events: CHUNK,
+                    witness: false,
+                    reach: ReachKind::SpOrder,
+                    online: false,
+                    workers: 0,
+                    steal_seed: 0,
+                },
             }
         );
+        assert_eq!(run, RunOpts::default());
         assert_eq!(parse(&v(&[])).unwrap().0, Parsed::Help);
+    }
+
+    /// The table is the applicability rule: every flag, with a valid value,
+    /// parses in each context it lists and is a usage error naming the flag
+    /// and the command in every other one.
+    #[test]
+    fn every_flag_is_rejected_exactly_where_it_does_not_apply() {
+        let places: [(u8, &str, &[&str]); 8] = [
+            (SEQ, "detect", &["detect", "sort"]),
+            (
+                BATCH,
+                "detect --variant batch",
+                &["detect", "sort", "--variant", "batch"],
+            ),
+            (
+                ONLINE,
+                "detect --online-parallel",
+                &["detect", "sort", "--online-parallel"],
+            ),
+            (
+                RECORD,
+                "trace record",
+                &["trace", "record", "sort", "/tmp/t"],
+            ),
+            (REPLAY, "trace replay", &["trace", "replay", "/tmp/t"]),
+            (
+                REPLAY_BATCH,
+                "trace replay --variant batch",
+                &["trace", "replay", "/tmp/t", "--variant", "batch"],
+            ),
+            (OTHER, "bugs", &["bugs"]),
+            (OTHER, "grid 9", &["grid", "9"]),
+        ];
+        for f in FLAGS {
+            let value = match f.name {
+                "--variant" => "stint",
+                "--scale" => "s",
+                "--reach" => "depa",
+                "--fault-plan" => "seed=7",
+                "--obs" => "full",
+                _ => "5",
+            };
+            for (ctx, name, base) in places {
+                // The two flags that pick the strategy would move the
+                // context; walk them through the commands that have none.
+                if matches!(f.name, "--variant" | "--online-parallel")
+                    && ctx & (DETECT | REPLAY | REPLAY_BATCH) != 0
+                {
+                    continue;
+                }
+                let mut argv = v(base);
+                argv.push(f.name.into());
+                argv.extend(f.value.map(|_| value.to_string()));
+                match parse(&argv) {
+                    Ok(_) => assert!(f.applies & ctx != 0, "{argv:?} accepted"),
+                    Err(e) => {
+                        assert!(f.applies & ctx == 0, "{argv:?}: {e}");
+                        let want = format!("{} does not apply to {name} (", f.name);
+                        assert!(e.starts_with(&want), "{argv:?}: {e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn usage_is_printed_from_the_table() {
+        let text = usage();
+        for f in FLAGS {
+            let entry = text.rsplit_once(&format!("\n  {}", f.name));
+            let places = entry.and_then(|(_, e)| e.split("applies to: ").nth(1));
+            let places = places.unwrap_or_else(|| panic!("{} missing", f.name));
+            assert!(places.starts_with(&contexts(f.applies)), "{}", f.name);
+        }
     }
 
     #[test]
@@ -727,9 +754,7 @@ mod tests {
             Parsed::TraceRecord {
                 bench: "mmul".into(),
                 file: "/tmp/t.trace".into(),
-                scale: Scale::Test,
-                compress: false,
-                chunk_events: CHUNK,
+                opts: CmdOpts::default(),
             }
         );
         assert_eq!(
@@ -750,11 +775,10 @@ mod tests {
             .0,
             Parsed::TraceReplay {
                 file: "/tmp/t.trace".into(),
-                variant: VariantSel::One(Variant::Vanilla),
-                shards: 4,
-                compress: false,
-                chunk_events: CHUNK,
-                witness: false,
+                opts: CmdOpts {
+                    variant: VariantSel::One(Variant::Vanilla),
+                    ..CmdOpts::default()
+                },
             }
         );
     }
@@ -778,16 +802,7 @@ mod tests {
             p,
             Parsed::Detect {
                 bench: "mmul".into(),
-                variant: VariantSel::One(Variant::Stint),
-                scale: Scale::Test,
-                shards: 4,
-                compress: false,
-                chunk_events: CHUNK,
-                witness: false,
-                reach: ReachKind::SpOrder,
-                online: false,
-                workers: 0,
-                steal_seed: 0,
+                opts: CmdOpts::default(),
             }
         );
         assert_eq!(opts.max_intervals, Some(10));
@@ -857,9 +872,11 @@ mod tests {
             Parsed::TraceRecord {
                 bench: "mmul".into(),
                 file: "/tmp/t".into(),
-                scale: Scale::Test,
-                compress: true,
-                chunk_events: 128,
+                opts: CmdOpts {
+                    compress: true,
+                    chunk_events: 128,
+                    ..CmdOpts::default()
+                },
             }
         );
         let p = parse_cmd(&v(&[
@@ -875,11 +892,11 @@ mod tests {
             p,
             Parsed::TraceReplay {
                 file: "/tmp/t".into(),
-                variant: VariantSel::Batch,
-                shards: 4,
-                compress: true,
-                chunk_events: CHUNK,
-                witness: false,
+                opts: CmdOpts {
+                    variant: VariantSel::Batch,
+                    compress: true,
+                    ..CmdOpts::default()
+                },
             }
         );
         let p = parse_cmd(&v(&["detect", "mmul", "--variant", "batch", "--compress"])).unwrap();
@@ -887,16 +904,11 @@ mod tests {
             p,
             Parsed::Detect {
                 bench: "mmul".into(),
-                variant: VariantSel::Batch,
-                scale: Scale::Test,
-                shards: 4,
-                compress: true,
-                chunk_events: CHUNK,
-                witness: false,
-                reach: ReachKind::SpOrder,
-                online: false,
-                workers: 0,
-                steal_seed: 0,
+                opts: CmdOpts {
+                    variant: VariantSel::Batch,
+                    compress: true,
+                    ..CmdOpts::default()
+                },
             }
         );
         // --compress is a batch-mode knob everywhere but trace record.
@@ -939,16 +951,10 @@ mod tests {
             p,
             Parsed::Detect {
                 bench: "buggy-mmul".into(),
-                variant: VariantSel::One(Variant::Stint),
-                scale: Scale::Test,
-                shards: 4,
-                compress: false,
-                chunk_events: CHUNK,
-                witness: true,
-                reach: ReachKind::SpOrder,
-                online: false,
-                workers: 0,
-                steal_seed: 0,
+                opts: CmdOpts {
+                    witness: true,
+                    ..CmdOpts::default()
+                },
             }
         );
         let p = parse_cmd(&v(&[
@@ -964,11 +970,11 @@ mod tests {
             p,
             Parsed::TraceReplay {
                 file: "/tmp/t".into(),
-                variant: VariantSel::Batch,
-                shards: 4,
-                compress: false,
-                chunk_events: CHUNK,
-                witness: true,
+                opts: CmdOpts {
+                    variant: VariantSel::Batch,
+                    witness: true,
+                    ..CmdOpts::default()
+                },
             }
         );
         assert_eq!(
@@ -996,16 +1002,10 @@ mod tests {
             p,
             Parsed::Detect {
                 bench: "mmul".into(),
-                variant: VariantSel::One(Variant::Stint),
-                scale: Scale::Test,
-                shards: 4,
-                compress: false,
-                chunk_events: CHUNK,
-                witness: false,
-                reach: ReachKind::DePa,
-                online: false,
-                workers: 0,
-                steal_seed: 0,
+                opts: CmdOpts {
+                    reach: ReachKind::DePa,
+                    ..CmdOpts::default()
+                },
             }
         );
         let p = parse_cmd(&v(&[
@@ -1027,16 +1027,15 @@ mod tests {
             p,
             Parsed::Detect {
                 bench: "buggy-mmul".into(),
-                variant: VariantSel::One(Variant::Stint),
-                scale: Scale::Test,
-                shards: 3,
-                compress: false,
-                chunk_events: 64,
-                witness: true,
-                reach: ReachKind::SpOrder,
-                online: true,
-                workers: 4,
-                steal_seed: 7,
+                opts: CmdOpts {
+                    shards: 3,
+                    chunk_events: 64,
+                    witness: true,
+                    online: true,
+                    workers: 4,
+                    steal_seed: 7,
+                    ..CmdOpts::default()
+                },
             }
         );
         // Substrate and pool knobs are detect-only and internally coherent.

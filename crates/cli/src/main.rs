@@ -31,7 +31,7 @@ use stint_suite::{Scale, Workload, BUGGY_NAMES, NAMES};
 mod args;
 mod output;
 
-use args::{Parsed, RunOpts, VariantSel};
+use args::{CmdOpts, Parsed, RunOpts, VariantSel};
 use output::{
     print_batch_outcome, print_outcome, print_report, write_report_json, write_stats_json,
 };
@@ -94,7 +94,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
-            eprintln!("{}", args::USAGE);
+            eprintln!("{}", args::usage());
             return ExitCode::from(2);
         }
     };
@@ -200,54 +200,39 @@ fn write_obs_outputs(opts: &RunOpts) -> Result<(), String> {
 fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
     match p {
         Parsed::Help => {
-            println!("{}", args::USAGE);
+            println!("{}", args::usage());
             Ok(false)
         }
-        Parsed::Detect {
-            bench,
-            variant,
-            scale,
-            shards,
-            compress,
-            chunk_events,
-            witness,
-            reach,
-            online,
-            workers,
-            steal_seed,
-        } => {
+        Parsed::Detect { bench, opts: o } => {
             let mut cfg = Config::new(Variant::Stint);
             if let Some(mb) = opts.max_shadow_mb {
                 cfg.budget = cfg.budget.with_shadow_mb(mb);
             }
             cfg.budget.max_intervals = opts.max_intervals;
-            cfg.witnesses = witness;
-            cfg.reach = reach;
-            if online {
+            cfg.witnesses = o.witness;
+            cfg.reach = o.reach;
+            if o.online {
                 let ocfg = OnlineConfig {
-                    shards,
-                    workers,
-                    steal_seed,
-                    chunk_events,
-                    witnesses: witness,
+                    shards: o.shards,
+                    workers: o.workers,
+                    steal_seed: o.steal_seed,
+                    chunk_events: o.chunk_events,
+                    witnesses: o.witness,
                     budget: cfg.budget,
                 };
-                return detect_online(&bench, scale, &ocfg, opts);
+                return detect_online(&bench, o.scale, &ocfg, opts);
             }
-            if variant == VariantSel::Batch {
-                return detect_batch(&bench, scale, shards, compress, chunk_events, witness, opts);
-            }
-            let outcomes = match variant {
-                VariantSel::Batch => unreachable!("handled above"),
+            let outcomes = match o.variant {
+                VariantSel::Batch => return detect_batch(&bench, &o, opts),
                 VariantSel::One(v) => {
                     cfg.variant = v;
-                    let mut w = Workload::by_name(&bench, scale);
+                    let mut w = Workload::by_name(&bench, o.scale);
                     let outcome = try_detect_with(&mut w, cfg).map_err(Failure::Detector)?;
                     w.verify()
                         .map_err(|e| usage(format!("output verification: {e}")))?;
                     vec![outcome]
                 }
-                VariantSel::All => detect_all(&bench, scale, cfg)?,
+                VariantSel::All => detect_all(&bench, o.scale, cfg)?,
             };
             for (i, o) in outcomes.iter().enumerate() {
                 if i > 0 {
@@ -310,16 +295,14 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
         Parsed::TraceRecord {
             bench,
             file,
-            scale,
-            compress,
-            chunk_events,
+            opts: o,
         } => {
-            let mut w = Workload::by_name(&bench, scale);
+            let mut w = Workload::by_name(&bench, o.scale);
             let pt = PortableTrace::record(&mut w);
             let f = File::create(&file).map_err(|e| usage(format!("create {file}: {e}")))?;
-            if compress {
+            if o.compress {
                 let st = pt
-                    .save_compressed(BufWriter::new(f), chunk_events)
+                    .save_compressed(BufWriter::new(f), o.chunk_events)
                     .map_err(usage)?;
                 println!(
                     "recorded {} events over {} strands into {file} \
@@ -355,14 +338,7 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             }
             Ok(false)
         }
-        Parsed::TraceReplay {
-            file,
-            variant,
-            shards,
-            compress,
-            chunk_events,
-            witness,
-        } => match variant {
+        Parsed::TraceReplay { file, opts: o } => match o.variant {
             VariantSel::All => Err(usage("trace replay cannot run 'all'")),
             VariantSel::Batch => {
                 // Batch replay validates the file before detecting: a
@@ -370,26 +346,13 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
                 // structured CorruptTrace failure (exit 4), never a panic.
                 let f = File::open(&file).map_err(|e| usage(format!("open {file}: {e}")))?;
                 let mut r = BufReader::new(f);
-                let bcfg = BatchConfig {
-                    shards,
-                    witnesses: witness,
-                    ..BatchConfig::default()
-                };
                 let out = if sniff_v2(&mut r).map_err(usage)? {
                     // v2 streams chunk-by-chunk straight off the disk —
                     // the full event stream is never resident.
-                    batch_detect_chunked(r, &bcfg).map_err(Failure::Detector)?
+                    batch_detect_chunked(r, &batch_config(&o)).map_err(Failure::Detector)?
                 } else {
                     let pt = stint_batchdet::load_trace(r).map_err(Failure::Detector)?;
-                    if compress {
-                        // Transcode the v1 text trace to the compressed
-                        // chunked form, then run the same streaming path.
-                        let mut buf = Vec::new();
-                        pt.save_compressed(&mut buf, chunk_events).map_err(usage)?;
-                        batch_detect_chunked(&buf[..], &bcfg).map_err(Failure::Detector)?
-                    } else {
-                        batch_detect(&pt, &bcfg).map_err(Failure::Detector)?
-                    }
+                    batch_over(&pt, &o)?
                 };
                 // The header and merged report are invariant in the shard
                 // count, steal schedule, and trace encoding, so scripts can
@@ -420,23 +383,23 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
                 let report = RaceReport::default();
                 let report = match variant {
                     Variant::Vanilla => {
-                        pt.replay(VanillaDetector::new(false, report).with_witnesses(witness))
+                        pt.replay(VanillaDetector::new(false, report).with_witnesses(o.witness))
                             .report
                     }
                     Variant::Compiler => {
-                        pt.replay(VanillaDetector::new(true, report).with_witnesses(witness))
+                        pt.replay(VanillaDetector::new(true, report).with_witnesses(o.witness))
                             .report
                     }
                     Variant::CompRts => {
-                        pt.replay(CompRtsDetector::new(report).with_witnesses(witness))
+                        pt.replay(CompRtsDetector::new(report).with_witnesses(o.witness))
                             .report
                     }
                     Variant::Stint => {
-                        pt.replay(StintDetector::new(report).with_witnesses(witness))
+                        pt.replay(StintDetector::new(report).with_witnesses(o.witness))
                             .report
                     }
                     Variant::StintFlat => {
-                        pt.replay(StintFlatDetector::new_flat(report).with_witnesses(witness))
+                        pt.replay(StintFlatDetector::new_flat(report).with_witnesses(o.witness))
                             .report
                     }
                 };
@@ -467,45 +430,39 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
     }
 }
 
+fn batch_config(o: &CmdOpts) -> BatchConfig {
+    BatchConfig {
+        shards: o.shards,
+        witnesses: o.witness,
+        ..BatchConfig::default()
+    }
+}
+
+/// Batch detection over an in-memory trace: partitioned as it stands, or,
+/// with `--compress`, transcoded to the compressed chunked form and run
+/// through the same streaming path a v2 file takes.
+fn batch_over(pt: &PortableTrace, o: &CmdOpts) -> Result<stint_batchdet::BatchOutcome, Failure> {
+    if o.compress {
+        let mut buf = Vec::new();
+        pt.save_compressed(&mut buf, o.chunk_events)
+            .map_err(usage)?;
+        batch_detect_chunked(&buf[..], &batch_config(o)).map_err(Failure::Detector)
+    } else {
+        batch_detect(pt, &batch_config(o)).map_err(Failure::Detector)
+    }
+}
+
 /// `detect --variant batch`: record the benchmark into a portable trace
 /// (phase 1 — sequential control-flow replay building the frozen SP-Order),
 /// then fan detection out over `shards` address shards on the work-stealing
-/// pool (phase 2) and print the deterministically merged report. With
-/// `--compress`, phase 2 instead transcodes the trace to the compressed
-/// chunked encoding and runs the streaming ingest path end to end.
-fn detect_batch(
-    bench: &str,
-    scale: Scale,
-    shards: usize,
-    compress: bool,
-    chunk_events: usize,
-    witness: bool,
-    opts: &RunOpts,
-) -> Result<bool, Failure> {
-    if opts.max_shadow_mb.is_some() || opts.max_intervals.is_some() {
-        return Err(usage(
-            "resource budgets are not supported with --variant batch",
-        ));
-    }
-    if opts.stats_json.is_some() {
-        return Err(usage("--stats-json is not supported with --variant batch"));
-    }
-    let mut w = Workload::by_name(bench, scale);
+/// pool (phase 2) and print the deterministically merged report. Budgets and
+/// `--stats-json` do not apply to this strategy; `args::FLAGS` rejects them.
+fn detect_batch(bench: &str, o: &CmdOpts, opts: &RunOpts) -> Result<bool, Failure> {
+    let mut w = Workload::by_name(bench, o.scale);
     let pt = PortableTrace::record(&mut w);
     w.verify()
         .map_err(|e| usage(format!("output verification: {e}")))?;
-    let bcfg = BatchConfig {
-        shards,
-        witnesses: witness,
-        ..BatchConfig::default()
-    };
-    let out = if compress {
-        let mut buf = Vec::new();
-        pt.save_compressed(&mut buf, chunk_events).map_err(usage)?;
-        batch_detect_chunked(&buf[..], &bcfg).map_err(Failure::Detector)?
-    } else {
-        batch_detect(&pt, &bcfg).map_err(Failure::Detector)?
-    };
+    let out = batch_over(&pt, o)?;
     print_batch_outcome(bench, &out);
     if let Some(path) = &opts.report_json {
         let report = out.merged.to_report();
@@ -531,11 +488,6 @@ fn detect_online(
     ocfg: &OnlineConfig,
     opts: &RunOpts,
 ) -> Result<bool, Failure> {
-    if opts.stats_json.is_some() {
-        return Err(usage(
-            "--stats-json is not supported with --online-parallel",
-        ));
-    }
     let mut w = Workload::by_name(bench, scale);
     let out = online_detect(&mut w, ocfg).map_err(Failure::Detector)?;
     w.verify()

@@ -52,6 +52,56 @@ fn exit_2_usage_errors() {
     }
 }
 
+/// An option given where it means nothing is a usage error naming the option
+/// and the command — never silently ignored. (The five below exited 0
+/// before the flag table.)
+#[test]
+fn exit_2_option_that_does_not_apply_is_named() {
+    for (args, option, command) in [
+        (
+            &["detect", "sort", "--shards", "7"][..],
+            "--shards",
+            "detect",
+        ),
+        (
+            &["detect", "sort", "--chunk-events", "5"][..],
+            "--chunk-events",
+            "detect",
+        ),
+        (
+            &["trace", "record", "sort", "/nonexistent/t", "--shards", "3"][..],
+            "--shards",
+            "trace record",
+        ),
+        (
+            &[
+                "trace",
+                "record",
+                "sort",
+                "/nonexistent/t",
+                "--variant",
+                "vanilla",
+            ][..],
+            "--variant",
+            "trace record",
+        ),
+        (
+            &["trace", "replay", "/nonexistent/t", "--scale", "paper"][..],
+            "--scale",
+            "trace replay",
+        ),
+    ] {
+        let out = run(args);
+        assert_eq!(code(&out), 2, "args {args:?}, stderr: {}", stderr(&out));
+        let want = format!("error: {option} does not apply to {command} ");
+        assert!(
+            stderr(&out).contains(&want),
+            "args {args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
 /// A malformed fault spec is a usage error that names the offending token
 /// verbatim — both for the flag and for the environment variable — so the
 /// user can find the typo in a long comma-separated plan.

@@ -93,8 +93,22 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, val: Option<&&str>) -> Result<T, String> {
-    let v = val.ok_or_else(|| format!("{flag} needs a value"))?;
+/// The argument after `flag`, or "`flag` needs `what`".
+fn take_value<'a>(
+    flag: &str,
+    what: &str,
+    it: &mut std::slice::Iter<'_, &'a str>,
+) -> Result<&'a str, String> {
+    it.next()
+        .copied()
+        .ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+fn parse_num<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, &str>,
+) -> Result<T, String> {
+    let v = take_value(flag, "a value", it)?;
     v.parse()
         .map_err(|_| format!("{flag}: {v:?} is not a valid number"))
 }
@@ -114,61 +128,23 @@ fn cmd_serve(args: &[&str]) -> Result<ExitCode, String> {
     while let Some(a) = it.next() {
         match *a {
             "--stdio" => stdio = true,
-            "--socket" => {
-                socket = Some(
-                    it.next()
-                        .ok_or_else(|| "--socket needs a path".to_string())?
-                        .to_string(),
-                )
-            }
-            "--session-workers" => cfg.session_workers = parse_num(a, it.next())?,
-            "--queue-depth" => cfg.queue_depth = parse_num(a, it.next())?,
-            "--pool-workers" => cfg.pool_workers = parse_num(a, it.next())?,
-            "--timeout-ms" => cfg.default_timeout_ms = parse_num(a, it.next())?,
-            "--retry-after-ms" => cfg.retry_after_ms = parse_num(a, it.next())?,
-            "--idle-timeout-ms" => idle_timeout_ms = parse_num(a, it.next())?,
-            "--fault-plan" => {
-                fault_plan = Some(
-                    it.next()
-                        .ok_or_else(|| "--fault-plan needs a spec".to_string())?
-                        .to_string(),
-                )
-            }
-            "--obs" => {
-                obs_spec = Some(
-                    it.next()
-                        .ok_or_else(|| "--obs needs a spec".to_string())?
-                        .to_string(),
-                )
-            }
-            "--journal" => {
-                journal_path = Some(
-                    it.next()
-                        .ok_or_else(|| "--journal needs a path".to_string())?
-                        .to_string(),
-                )
-            }
+            "--socket" => socket = Some(take_value(a, "a path", &mut it)?.to_string()),
+            "--session-workers" => cfg.session_workers = parse_num(a, &mut it)?,
+            "--queue-depth" => cfg.queue_depth = parse_num(a, &mut it)?,
+            "--pool-workers" => cfg.pool_workers = parse_num(a, &mut it)?,
+            "--timeout-ms" => cfg.default_timeout_ms = parse_num(a, &mut it)?,
+            "--retry-after-ms" => cfg.retry_after_ms = parse_num(a, &mut it)?,
+            "--idle-timeout-ms" => idle_timeout_ms = parse_num(a, &mut it)?,
+            "--fault-plan" => fault_plan = Some(take_value(a, "a spec", &mut it)?.to_string()),
+            "--obs" => obs_spec = Some(take_value(a, "a spec", &mut it)?.to_string()),
+            "--journal" => journal_path = Some(take_value(a, "a path", &mut it)?.to_string()),
             "--journal-fsync" => {
-                let spec = it
-                    .next()
-                    .ok_or_else(|| "--journal-fsync needs always|off|every=N".to_string())?;
+                let spec = take_value(a, "always|off|every=N", &mut it)?;
                 journal_fsync = stint::journal::FsyncPolicy::parse(spec)
                     .map_err(|e| format!("--journal-fsync {spec:?}: {e}"))?;
             }
-            "--prom-out" => {
-                prom_out = Some(
-                    it.next()
-                        .ok_or_else(|| "--prom-out needs a path".to_string())?
-                        .to_string(),
-                )
-            }
-            "--flight-dump" => {
-                flight_dump = Some(
-                    it.next()
-                        .ok_or_else(|| "--flight-dump needs a path".to_string())?
-                        .to_string(),
-                )
-            }
+            "--prom-out" => prom_out = Some(take_value(a, "a path", &mut it)?.to_string()),
+            "--flight-dump" => flight_dump = Some(take_value(a, "a path", &mut it)?.to_string()),
             other => return Err(format!("unknown serve flag {other:?}")),
         }
     }
@@ -249,12 +225,7 @@ fn cmd_frame(args: &[&str]) -> Result<ExitCode, String> {
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match *a {
-                    "--opts" => {
-                        opts = it
-                            .next()
-                            .ok_or_else(|| "--opts needs a spec".to_string())?
-                            .to_string()
-                    }
+                    "--opts" => opts = take_value(a, "a spec", &mut it)?.to_string(),
                     other => file = Some(other),
                 }
             }
@@ -316,12 +287,7 @@ fn cmd_send(args: &[&str]) -> Result<ExitCode, String> {
     while let Some(a) = it.next() {
         match *a {
             "--socket" => socket = it.next().copied(),
-            "--opts" => {
-                opts = it
-                    .next()
-                    .ok_or_else(|| "--opts needs a spec".to_string())?
-                    .to_string()
-            }
+            "--opts" => opts = take_value(a, "a spec", &mut it)?.to_string(),
             "--stats" => stats = true,
             "--ping" => ping = true,
             "--health" => health = true,

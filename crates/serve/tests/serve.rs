@@ -193,6 +193,78 @@ fn injected_session_panics_poison_only_their_session() {
     engine.drain();
 }
 
+/// Concurrent mixed traffic through a saturated queue while every tenth
+/// session panics: every logical session gets exactly one terminal answer
+/// (`busy` bounces resubmitted), and no racy payload is ever answered `ok`
+/// — degraded and poisoned answers are flagged, a lost race would be silent.
+#[test]
+fn saturated_mixed_traffic_under_panics_loses_no_race_and_no_session() {
+    const SESSIONS: usize = 200;
+    let _g = lock();
+    let _plan = ScopedPlan::install(FaultPlan {
+        serve_panic_session: Some(10),
+        ..FaultPlan::default()
+    });
+    let engine = small_engine();
+    let mut cut = clean_v1();
+    cut.truncate(cut.len() / 2);
+    // (options, payload, holds a race)
+    let mix = [
+        ("", clean_v1(), false),
+        ("shards=2", RACY_V1.as_bytes().to_vec(), true),
+        ("", racy_v2(), true),
+        ("", cut, false),
+        ("timeout-ms=0", racy_v2(), true),
+        ("frobnicate=1", clean_v1(), false),
+    ];
+    let (tx, rx) = mpsc::channel();
+    let submit = |slot: usize| {
+        let (opts, trace, _) = &mix[slot % mix.len()];
+        (
+            engine.try_submit(opts.to_string(), trace.clone(), tx.clone()),
+            slot,
+        )
+    };
+    // Open loop: 200 submissions against 2 workers and 16 queue slots.
+    let mut slot_of: std::collections::HashMap<u32, usize> = (0..SESSIONS).map(submit).collect();
+    let (mut answered, mut busy) = (0, 0u64);
+    while answered < SESSIONS {
+        let resp = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a session was never answered");
+        let slot = slot_of
+            .remove(&resp.session)
+            .expect("reply for an unknown or already answered session");
+        if resp.status == Status::Busy {
+            busy += 1;
+            std::thread::yield_now();
+            let (id, slot) = submit(slot);
+            slot_of.insert(id, slot);
+            continue;
+        }
+        answered += 1;
+        assert_ne!(resp.status, Status::Bye, "slot {slot}");
+        let racy = mix[slot % mix.len()].2;
+        assert!(
+            !(racy && resp.status == Status::Ok),
+            "slot {slot}: a racy payload was answered ok:\n{}",
+            resp.payload
+        );
+    }
+    assert!(slot_of.is_empty(), "unanswered: {slot_of:?}");
+    assert!(busy > 0, "the queue never saturated");
+    let t = engine.totals();
+    assert_eq!(t.sessions, SESSIONS as u64, "admitted != logical sessions");
+    assert_eq!(t.busy, busy);
+    assert_eq!(
+        t.ok + t.racy + t.usage + t.degraded + t.corrupt + t.poisoned,
+        t.sessions
+    );
+    // Ten consecutive ids are admitted before the queue can fill.
+    assert!(t.poisoned > 0 && t.racy > 0, "{t:?}");
+    engine.drain();
+}
+
 #[test]
 fn witness_opt_attaches_counted_witnesses() {
     let _g = lock();

@@ -11,11 +11,14 @@
 #            two pairs support no claim
 #
 # Both sides are exported (`git archive` of PARENT_REF; the tracked and
-# untracked-but-not-ignored files of the working tree) into sibling
-# directories of equal path length under .bench_build/pair/, because the
-# benchmark's recorded heap addresses — and with them history_mb — move with
-# the binary's layout, which embeds the checkout path. Exits non-zero if any
-# pair had a failed operation or a metric worse than its bound.
+# untracked-but-not-ignored files of the working tree) under
+# .bench_build/pair/ and are built and run at ONE path, .bench_build/pair/live,
+# each renamed into it for the duration of a cargo call: the benchmark's
+# recorded heap addresses — and with them history_mb — move with the binary's
+# layout, and cargo hashes the directory of every path dependency into its
+# symbol names, so one source built in two directories gets two layouts
+# (.text differing by 1-2 KiB). Exits non-zero if any pair had a failed
+# operation or a metric worse than its bound.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,29 +39,48 @@ git archive "$PARENT_REF" | tar -x -C "$WORK/parent"
 git ls-files -co --exclude-standard -z \
     | tar --null --ignore-failed-read -T - -cf - 2>/dev/null | tar -x -C "$WORK/change"
 
+at() { # side cargo-args...: run cargo on that side's benchmark, at the shared path
+    local rc=0
+    mv "$WORK/$1" "$WORK/live"
+    (cd "$WORK/live" && cargo "$2" --release --quiet --offline \
+        --manifest-path benchmark/Cargo.toml "${@:3}") || rc=$?
+    mv "$WORK/live" "$WORK/$1"
+    return "$rc"
+}
+
 # The BENCHMARK.json command builds what it runs; build once up front so no
 # measured run pays for it.
 for side in parent change; do
     echo "== build $side"
-    cargo build --release --quiet --offline --manifest-path "$WORK/$side/benchmark/Cargo.toml"
+    at "$side" build
 done
 
 # The layout check (see the header): where each binary's sections end, and
 # how far into its 256 KiB `BitShadow` window the heap (the page after
 # `.bss`, load base 0x555555554000 with ASLR off) therefore starts. Two
 # sides in different windows can read different `history_mb` from identical
-# detector behaviour.
+# detector behaviour; `layout: identical` says the change moved no section.
 for side in parent change; do
     size -A "$WORK/$side/benchmark/target/release/stint-benchmark" | awk -v side="$side" '
         $1 ~ /^\.(text|data|bss)$/ { printf "%s %-5s size %8d addr %8d\n", side, $1, $2, $3 }
         $1 == ".bss" { end = $2 + $3 + 81920  # 0x555555554000 mod 256 KiB
             printf "%s heap base %d KiB into its window\n", side, int((end + 4095) / 4096) * 4 % 256 }'
 done
+sections() { # side -> "name size addr" of .text, .data, .bss
+    size -A "$WORK/$1/benchmark/target/release/stint-benchmark" \
+        | awk '$1 ~ /^\.(text|data|bss)$/ { print $1, $2, $3 }'
+}
+if [ "$(sections parent)" = "$(sections change)" ]; then
+    echo "layout: identical"
+else
+    paste -d' ' <(sections parent) <(sections change) | awk '
+        $1 != ".data" { printf "%s%s %+d", n++ ? ", " : "layout: differs (", $1, $5 - $2 }
+        END { print ")" }'
+fi
 
 run_side() { # side workload pair
-    (cd "$WORK/$1" && cargo run --release --quiet --offline \
-        --manifest-path benchmark/Cargo.toml -- run --workload "$2" \
-        --out "$WORK/out/$1-$2-$3.json" >"$WORK/out/$1-$2-$3.log" 2>&1) \
+    at "$1" run -- run --workload "$2" \
+        --out "$WORK/out/$1-$2-$3.json" >"$WORK/out/$1-$2-$3.log" 2>&1 \
         || { echo "FAIL: $1 run of $2 (pair $3); see $WORK/out/$1-$2-$3.log"; exit 1; }
 }
 
@@ -73,9 +95,8 @@ for i in $(seq 1 "$N"); do
         for side in $order; do run_side "$side" "$w" "$i"; done
         # `agree` walks the whole catalogue; a one-workload set answers for
         # its own workload only.
-        verdicts=$( (cd "$WORK/change" && cargo run --release --quiet --offline \
-            --manifest-path benchmark/Cargo.toml -- agree \
-            "$WORK/out/parent-$w-$i.json" "$WORK/out/change-$w-$i.json") | grep " $w " || true)
+        verdicts=$(at change run -- agree \
+            "$WORK/out/parent-$w-$i.json" "$WORK/out/change-$w-$i.json" | grep " $w " || true)
         echo "-- pair $i $w"
         echo "$verdicts"
         # An exact count that merely differs is not an excess here: parent and

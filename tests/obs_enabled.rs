@@ -266,22 +266,27 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         });
         let (tx, rx) = mpsc::channel();
         let mut expect = std::collections::HashMap::new();
+        // What the clients see: submit → reply, summed over the sessions.
+        let mut driver_ms = 0.0;
         for (opts, trace, want) in [
-            ("", clean_v1.clone(), Status::Ok),
+            ("stall-ms=30", clean_v1.clone(), Status::Ok),
             ("shards=2", cbuf.clone(), Status::Ok),
             ("", racy_v1.as_bytes().to_vec(), Status::Racy),
             ("", clean_v1[..clean_v1.len() / 2].to_vec(), Status::Corrupt),
             ("frobnicate", clean_v1.clone(), Status::Usage),
             ("timeout-ms=0", cbuf.clone(), Status::Degraded),
         ] {
+            let t0 = std::time::Instant::now();
             let id = engine.try_submit(opts.into(), trace, tx.clone());
-            expect.insert(id, want);
+            expect.insert(id, (want, t0));
         }
         for _ in 0..expect.len() {
             let resp = rx
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .expect("session reply");
-            assert_eq!(Some(&resp.status), expect.get(&resp.session), "{resp:?}");
+            let (want, t0) = expect[&resp.session];
+            driver_ms += t0.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(resp.status, want, "{resp:?}");
         }
         // Poisoned session, alone while the chaos plan is installed so no
         // concurrent neighbor trips the knob.
@@ -290,10 +295,12 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
                 serve_panic_session: Some(1),
                 ..Default::default()
             });
+            let t0 = std::time::Instant::now();
             let id = engine.try_submit(String::new(), clean_v1.clone(), tx.clone());
             let resp = rx
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .expect("poisoned session reply");
+            driver_ms += t0.elapsed().as_secs_f64() * 1e3;
             assert_eq!(resp.session, id);
             assert_eq!(resp.status, Status::Corrupt);
             assert!(resp.payload.contains("kind: poisoned"), "{}", resp.payload);
@@ -316,6 +323,22 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         }
         let total: u64 = verdicts.iter().map(|(_, n)| n).sum();
         assert_eq!(counter(&m, "serve.sessions"), Some(total), "{m}");
+        // The daemon's own latency histograms hold one sample per answered
+        // session under its verdict, and each sample (admission → verdict,
+        // whole milliseconds) lies inside the client's submit → reply
+        // interval: their sum is at least the stalled session's 30 ms and
+        // at most what the clients saw.
+        let lat = stint_repro::serve::engine::latency_histograms();
+        for (status, h) in &lat {
+            let name = format!("serve.sessions.{status}");
+            assert_eq!(Some(h.count()), counter(&m, &name), "{name}");
+        }
+        assert_eq!(lat.iter().map(|(_, h)| h.count()).sum::<u64>(), total);
+        let daemon_ms: u64 = lat.iter().map(|(_, h)| h.sum()).sum();
+        assert!(
+            30 <= daemon_ms && daemon_ms as f64 <= driver_ms,
+            "daemon saw {daemon_ms} ms, clients {driver_ms:.1} ms"
+        );
         // Never-ticked counters are not exported at all: no admission was
         // ever bounced, so `serve.busy` must be absent (or explicitly 0).
         assert_eq!(counter(&m, "serve.busy").unwrap_or(0), 0, "{m}");

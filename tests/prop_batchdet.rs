@@ -7,12 +7,14 @@
 
 use proptest::prelude::*;
 use stint_repro::batchdet::{
-    batch_detect, batch_detect_chunked, batch_detect_chunked_on, batch_detect_on, BatchConfig,
-    BatchOutcome,
+    batch_detect, batch_detect_chunked, batch_detect_chunked_on, batch_detect_on, online_detect,
+    BatchConfig, BatchOutcome, OnlineConfig, ShardOutcome,
 };
 use stint_repro::cilkrt::ThreadPool;
 use stint_repro::suite::{Scale, Workload};
-use stint_repro::{detect, PortableTrace, Variant};
+use stint_repro::{
+    detect, PortableTrace, RaceReport, StintDetector, Variant, DEFAULT_CHUNK_EVENTS,
+};
 
 mod common;
 use common::{func_strategy, AstProgram};
@@ -50,14 +52,15 @@ fn fingerprint(out: &BatchOutcome) -> (String, [u64; 4]) {
 /// merged statistics — which batches a stream is cut into, and which worker
 /// drains them, changes nothing a shard detector sees.
 fn assert_sources_and_schedules_agree(pt: &PortableTrace) -> Result<(), String> {
-    let encoded: Vec<(Vec<u8>, u64)> = [1usize, 16, 4096]
+    let encoded: Vec<(Vec<u8>, u64, u64)> = [1usize, 16, 4096]
         .iter()
         .map(|&chunk| {
             let mut buf = Vec::new();
-            pt.save_compressed(&mut buf, chunk)
+            let written = pt
+                .save_compressed(&mut buf, chunk)
                 .expect("compressed save");
             let header = v2_header_len(&buf);
-            (buf, header)
+            (buf, header, written.chunks)
         })
         .collect();
     let mut want: Vec<Option<(String, [u64; 4])>> = vec![None; 3];
@@ -68,7 +71,7 @@ fn assert_sources_and_schedules_agree(pt: &PortableTrace) -> Result<(), String> 
                 let c = cfg(k, workers, seed);
                 let mem = batch_detect_on(&pool, pt, &c).map_err(|e| e.to_string())?;
                 let mut got = vec![("in-memory".to_string(), fingerprint(&mem))];
-                for (buf, header) in &encoded {
+                for (buf, header, chunks) in &encoded {
                     let out =
                         batch_detect_chunked_on(&pool, &buf[..], &c).map_err(|e| e.to_string())?;
                     let ingest = out.ingest.expect("chunked run reports ingest stats");
@@ -77,6 +80,12 @@ fn assert_sources_and_schedules_agree(pt: &PortableTrace) -> Result<(), String> 
                             "ingest.bytes {} + header {header} != file {}",
                             ingest.bytes,
                             buf.len()
+                        ));
+                    }
+                    if ingest.chunks != *chunks {
+                        return Err(format!(
+                            "reader saw {} chunk(s), writer framed {chunks}",
+                            ingest.chunks
                         ));
                     }
                     got.push((format!("chunked/{}B", buf.len()), fingerprint(&out)));
@@ -100,14 +109,63 @@ fn assert_sources_and_schedules_agree(pt: &PortableTrace) -> Result<(), String> 
     Ok(())
 }
 
+/// Events routed to shard detectors over the stream's length: straddler
+/// clips and per-shard markers are the only duplication a partition may add.
+fn work_ratio(shards: &[ShardOutcome], events: usize) -> f64 {
+    shards.iter().map(|s| s.events).sum::<u64>() as f64 / events as f64
+}
+
 /// The battery on recorded suite kernels: long enough that the in-memory
-/// source hands over more than one batch too, one clean and one racy.
+/// source hands over more than one batch too, one clean and one racy. On
+/// these the batch, streamed and online tiers also report sequential STINT's
+/// racy words with shard work inside the bars the retired scalability
+/// studies gated: 1.1x the stream at K=1 (the identity split), 1.5x at any
+/// K or W (no per-shard rescan, no work multiplied by the worker count).
 #[test]
 fn pipeline_sources_and_schedules_agree_on_suite_kernels() {
     for bench in ["sort", "buggy-mmul"] {
         let pt = PortableTrace::record(&mut Workload::by_name(bench, Scale::Test));
         assert!(pt.trace.len() > 4096, "{bench}: {}", pt.trace.len());
         assert_sources_and_schedules_agree(&pt).unwrap_or_else(|e| panic!("{bench}: {e}"));
+
+        // Kernels record real heap addresses: the reference for the two
+        // replayed tiers is sequential STINT over the same recorded trace,
+        // for a fresh online run only the count can be compared.
+        let words = pt
+            .replay(StintDetector::new(RaceReport::unbounded(true)))
+            .report
+            .racy_words();
+        let mut v2 = Vec::new();
+        pt.save_compressed(&mut v2, DEFAULT_CHUNK_EVENTS)
+            .expect("compressed save");
+        for k in [1usize, 2, 4, 8] {
+            let bar = if k == 1 { 1.1 } else { 1.5 };
+            let mem = batch_detect(&pt, &cfg(k, 2, 0)).expect("in-memory run");
+            let streamed = batch_detect_chunked(&v2[..], &cfg(k, 2, 0)).expect("streamed run");
+            for (what, out) in [("in-memory", &mem), ("streamed", &streamed)] {
+                assert!(out.degraded.is_none(), "{bench} K={k} {what}");
+                assert!(out.merged.racy_words == words, "{bench} K={k} {what}");
+                let ratio = work_ratio(&out.shards, pt.trace.len());
+                assert!(ratio <= bar, "{bench} K={k} {what}: work {ratio:.3}x");
+            }
+        }
+        for workers in [1usize, 2, 4] {
+            let ocfg = OnlineConfig {
+                workers,
+                ..OnlineConfig::default()
+            };
+            let out = online_detect(&mut Workload::by_name(bench, Scale::Test), &ocfg)
+                .expect("online run");
+            assert!(out.degraded.is_none(), "{bench} W={workers}");
+            assert_eq!(out.events, pt.trace.len(), "{bench} W={workers}");
+            assert_eq!(
+                out.merged.racy_words.len(),
+                words.len(),
+                "{bench} W={workers}"
+            );
+            let ratio = work_ratio(&out.shards, out.events);
+            assert!(ratio <= 1.5, "{bench} W={workers}: online work {ratio:.3}x");
+        }
     }
 }
 
