@@ -10,46 +10,56 @@
 //!    `series`/`parallel`/`left_of` relation is *read-only*: every query is
 //!    a pair of rank comparisons on immutable vectors, safe to share across
 //!    threads with no synchronization.
-//! 2. **Partition the event stream in one O(n) pass**: the 4-byte-word
-//!    address space touched by the trace is split into `K` contiguous
-//!    shards at *event-weight quantiles* of a bucketed access histogram
-//!    (so shards are load-balanced, not just width-balanced), and a single
-//!    scan routes each event to exactly the shards its word range overlaps
-//!    (clipped at the boundary). Total partition work is O(n + straddlers),
-//!    not the O(K·n) of the historical clip-per-shard design where every
-//!    shard re-scanned the whole stream.
+//! 2. **Coalesce and partition the event stream in one O(n) pass**: the
+//!    4-byte-word address space touched by the trace is split into `K`
+//!    contiguous shards at *event-weight quantiles* of a bucketed access
+//!    histogram (so shards are load-balanced, not just width-balanced). A
+//!    single scan feeds every access into **one** strand coalescer
+//!    ([`stint::StrandCoalescer`], the front half of sequential STINT) and,
+//!    when a strand ends or frees, routes the runs it hands out to exactly
+//!    the shards their word ranges overlap (clipped at the boundary). The
+//!    interval, not the event, is what crosses into the shards. Total
+//!    partition work is O(n + straddlers), not the O(K·n) of the historical
+//!    clip-per-shard design where every shard re-scanned the whole stream.
 //! 3. **Drain the per-shard inboxes** as fork-join tasks on the
-//!    `stint-cilkrt` work-stealing pool; each shard replays its
-//!    pre-clipped subsequence through a private STINT interval detector.
+//!    `stint-cilkrt` work-stealing pool; each shard flushes the runs routed
+//!    to it through a private [`stint::IntervalHistory`] — the back half of
+//!    sequential STINT; a shard owns no coalescing table.
 //!
-//! Steps 2 and 3 are software-pipelined, one batch of events at a time
-//! ([`pipeline`]): batch *n+1* is routed while batch *n* drains. For traces
+//! Steps 2 and 3 are software-pipelined, one batch at a time ([`pipeline`]):
+//! batch *n+1* is coalesced and routed while batch *n* drains. For traces
 //! saved in the compressed chunked `STINT-TRACE v2` format (see
 //! `stint::ctrace`), [`batch_detect_chunked`] feeds that pipeline one file
 //! chunk per batch — the whole `PortableTrace` is never resident — and
-//! consumes contiguous run-length runs **wholesale** (one coalesced range
-//! access per run, not one per decoded event).
+//! consumes contiguous run-length runs **wholesale** (one range set on the
+//! coalescer per run, not one hook per decoded event).
 //!
 //! # Why address sharding preserves the race set
 //!
 //! The access history is keyed by address: whether two accesses race
 //! depends only on the per-word history of that word and the (frozen)
-//! SP-Order relation, never on accesses to other words. Routing each word's
-//! events to exactly one shard therefore preserves, per word, the exact
-//! event subsequence the sequential detector saw — in the same order, with
-//! the same strand boundaries. The only differences are (a) interval
-//! *fragmentation* (a range access straddling a shard boundary becomes two
-//! clipped ranges) and (b) *delayed* strand-end flushes in shards where a
-//! strand was clean (skipped via a dirty flag) — both are per-word no-ops:
-//! same-strand entries never conflict (`parallel(s, s)` is false) and
-//! per-word insert semantics are idempotent for the same strand. Quantile
-//! (instead of equal-width) boundaries keep the shards contiguous, so the
-//! argument is unchanged. A wholesale-consumed run tiles memory
-//! contiguously (`stride == bytes`, word-aligned), so its single coalesced
-//! range access sets exactly the words of its expanded events. Hence the
-//! per-word set of race triples `(word, kind, prev, cur)` is invariant in
-//! `K` and in the encoding, which is exactly what the differential battery
-//! in `tests/prop_batchdet.rs` checks.
+//! SP-Order relation, never on accesses to other words. The coalescer sees
+//! the hooks sequential STINT's sees and is emptied where that one is (every
+//! strand end and free), so the runs it hands out are the intervals
+//! sequential STINT flushes, strand by strand. Routing each run to the
+//! shards it overlaps preserves, per word, that exact sequence of
+//! `(strand, kind)` entries; the only difference is interval *fragmentation*,
+//! which happens when a run is routed (a run straddling a shard boundary
+//! becomes one clipped piece per shard) and is a per-word no-op. A shard
+//! flushes a strand's pieces at the strand's end marker (sent only to the
+//! shards the strand's runs reached) and, before tombstoning, at a free. A
+//! free in mid-strand also sends that marker to every shard still holding
+//! the strand's earlier runs: flushing one strand in two goes unnoticed
+//! (`parallel(s, s)` is false, per-word inserts are idempotent for the same
+//! strand), its later runs appended unsorted behind the earlier ones would
+//! not. Quantile (instead of equal-width) boundaries keep the shards
+//! contiguous, so the argument is unchanged. A wholesale-consumed run tiles
+//! memory contiguously (`stride == bytes`, word-aligned), so its one range
+//! set covers exactly the words of its expanded events. Hence the per-word
+//! set of race triples `(word, kind, prev, cur)` is invariant in `K` and in
+//! the encoding, which is exactly what the differential battery in
+//! `tests/prop_batchdet.rs` checks — against sequential STINT, and against
+//! the per-word expansion of the same program.
 //!
 //! # Deterministic merge
 //!
@@ -84,10 +94,13 @@ use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use stint::ctrace::{partition_index, CompressedTraceReader, EventRun, DEFAULT_CHUNK_EVENTS};
+use stint::ctrace::{
+    partition_index, verify_chunk, CompressedTraceReader, EventRun, DEFAULT_CHUNK_EVENTS,
+};
 use stint::{
-    Detector, DetectorError, DetectorStats, EventSpans, PortableTrace, Race, RaceKind, RaceReport,
-    Resource, ResourceBudget, StintDetector, TraceEvent, TraceOp, Witness,
+    DetectorError, DetectorStats, EventSpans, IntervalHistory, PortableTrace, Race, RaceKind,
+    RaceReport, Resource, ResourceBudget, StrandCoalescer, TraceEvent, TraceOp, Treap, Witness,
+    WordIv,
 };
 use stint_cilk::word_range;
 use stint_cilkrt::ThreadPool;
@@ -97,7 +110,12 @@ use stint_sporder::{FrozenReach, Reachability, StrandId};
 mod online;
 pub use online::{online_detect, OnlineConfig, OnlineEngine, OnlineOutcome};
 
+/// Hooks fed to a source's strand coalescer and the runs it handed out: their
+/// ratio is the coalescing factor at the tier boundary.
+static OBS_FRONT_HOOKS: Counter = Counter::new("batchdet.front.hooks");
+static OBS_FRONT_INTERVALS: Counter = Counter::new("batchdet.front.intervals");
 static OBS_SHARD_RUNS: Counter = Counter::new("batchdet.shard.runs");
+/// Units the shards were handed: clipped runs, frees and strand-end markers.
 static OBS_SHARD_EVENTS: Counter = Counter::new("batchdet.shard.events");
 static OBS_SHARD_RACES: Counter = Counter::new("batchdet.shard.races");
 static OBS_MERGES: Counter = Counter::new("batchdet.merges");
@@ -153,8 +171,8 @@ impl Default for BatchConfig {
 }
 
 /// Per-session limits for a batch run — the knobs `stint-serve` sets for
-/// every tenant: a [`ResourceBudget`] applied to **each** shard detector,
-/// plus an optional wall-clock deadline.
+/// every tenant: a [`ResourceBudget`] split between the source's one strand
+/// coalescer and the shard detectors, plus an optional wall-clock deadline.
 ///
 /// The deadline is checked between pipeline steps — detectors are not
 /// interruptible mid-batch, so a session overruns its deadline by at most
@@ -165,9 +183,9 @@ impl Default for BatchConfig {
 /// detection stopped, exactly like a memory budget.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SessionLimits {
-    /// Budget applied to every shard detector (shadow bytes cap the
-    /// per-shard coalescing tables; the interval cap freezes the per-shard
-    /// access history).
+    /// `max_shadow_bytes` caps each bit table of the run's one strand
+    /// coalescer (there is one per run, not one per shard); `max_intervals`
+    /// freezes each shard's access history.
     pub budget: ResourceBudget,
     /// Absolute wall-clock deadline; `None` = no timeout.
     pub deadline: Option<Instant>,
@@ -214,10 +232,9 @@ pub struct ShardOutcome {
     /// The shard's word range `[word_lo, word_hi)`.
     pub word_lo: u64,
     pub word_hi: u64,
-    /// Events handed to this shard's detector: clipped accesses, frees, and
-    /// dirty strand-end flush markers — the shard's *work count*. A
-    /// run-length run consumed wholesale counts once, not per decoded
-    /// event.
+    /// Units handed to this shard's detector: clipped runs of a strand,
+    /// clipped frees, and strand-end flush markers — the shard's *work
+    /// count*, far below the events those runs coalesce.
     pub events: u64,
     /// Per-shard report (unbounded — see [`RaceReport::unbounded`]).
     pub report: RaceReport,
@@ -287,7 +304,7 @@ pub struct IngestStats {
     pub chunks: u64,
     /// Run-length records decoded.
     pub runs: u64,
-    /// Runs consumed wholesale as one coalesced range access.
+    /// Runs consumed wholesale as one range set on the coalescer.
     pub wholesale_runs: u64,
     /// Decoded (semantic) events the runs expand to.
     pub events: u64,
@@ -299,9 +316,10 @@ pub struct BatchOutcome {
     /// Per-shard outcomes, in shard order.
     pub shards: Vec<ShardOutcome>,
     pub merged: MergedReport,
-    /// Sum of the per-shard detector statistics.
+    /// The per-shard detector statistics summed, plus the source's
+    /// coalescer's hooks, intervals and table bytes.
     pub stats: DetectorStats,
-    /// Total trace events (before routing).
+    /// Total trace events (before coalescing).
     pub events: usize,
     pub strands: usize,
     /// Wall-clock time of the batch phase (partition + fan-out + detection;
@@ -378,17 +396,23 @@ pub fn batch_detect_limited_on(
     let (bounds, hist) = partition_index(&pt.trace.events);
     let shards = plan_shards(bounds, &hist, cfg.shards);
     let t0 = Instant::now();
-    let mut src = pt.trace.events.chunks(DEFAULT_CHUNK_EVENTS);
+    let mut src = RawSource {
+        batches: pt.trace.events.chunks(DEFAULT_CHUNK_EVENTS),
+        front: Front::new(limits.budget),
+    };
     let piped = pipeline(pool, &pt.reach, &shards, &mut src, limits)?;
     let (events, spans) = (pt.trace.len(), spans.as_ref());
-    Ok(finish_outcome(piped, &pt.reach, events, t0, None, spans))
+    Ok(finish_outcome(
+        piped, &src.front, &pt.reach, events, t0, None, spans,
+    ))
 }
 
 /// Streaming batch detection over a compressed chunked `STINT-TRACE v2`
-/// stream: each file chunk is decoded and routed to per-shard inboxes
-/// (contiguous runs consumed wholesale) while the previous chunk drains
-/// through the persistent per-shard detectors. Peak memory is two chunks
-/// plus the shard detectors — the full event stream is never resident.
+/// stream: each file chunk is decoded into the strand coalescer (a
+/// contiguous run wholesale) and the strands it ends are routed to per-shard
+/// inboxes while the previous chunk's drain through the persistent shard
+/// detectors. Peak memory is two chunks plus the coalescer and the shard
+/// detectors — the full event stream is never resident.
 pub fn batch_detect_chunked<R: BufRead + Send>(
     r: R,
     cfg: &BatchConfig,
@@ -432,48 +456,132 @@ fn detect_stream(
     let mut src = StreamSource {
         reader,
         runs: Vec::new(),
+        front: Front::new(limits.budget),
         ingest: IngestStats::default(),
         spans: cfg.witnesses.then(EventSpans::default),
         ev_id: 0,
     };
     let piped = pipeline(pool, &reach, &shards, &mut src, limits)?;
     let (ingest, spans) = (Some(src.ingest), src.spans.as_ref());
-    Ok(finish_outcome(piped, &reach, events, t0, ingest, spans))
+    Ok(finish_outcome(
+        piped, &src.front, &reach, events, t0, ingest, spans,
+    ))
 }
 
-/// Where [`pipeline`] gets its events: one `produce` call is the producer
-/// arm of one step — decode (if need be), validate and route the next
-/// hand-off batch into the shards' inboxes. `Ok(false)` means the source
-/// ended cleanly and routed nothing; one that ends short of what it declared
-/// is an error here, so a run cut off by its deadline never asks.
+/// One hand-off batch: every shard's routed, not yet drained units and — for
+/// a streamed chunk — the payload whose checksum (`sum`) the batch still owes.
+#[derive(Clone, Default)]
+struct Batch {
+    inboxes: Vec<Inbox>,
+    payload: Vec<u8>,
+    sum: Option<u64>,
+}
+
+/// Where [`pipeline`] gets its batches: one `produce` call is the producer
+/// arm of one step — decode (if need be), validate, coalesce and route the
+/// next hand-off batch. `Ok(false)` means the source ended cleanly and routed
+/// nothing; one that ends short of what it declared is an error here, so a
+/// run cut off by its deadline never asks.
 trait EventSource: Send {
-    fn produce(
-        &mut self,
-        router: &mut Router,
-        inboxes: &mut [Inbox],
-    ) -> Result<bool, DetectorError>;
+    fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError>;
+
+    /// The coalescer of a recorded source; when the stream stops — its end,
+    /// or the deadline — what it still holds is routed ([`Front::cut_off`]).
+    fn front(&mut self) -> Option<&mut Front> {
+        None
+    }
 }
 
-/// An in-memory, already validated event stream.
+/// Hand-off units that are a strand's runs already (the online engine's
+/// buffer): routed as they are.
 impl EventSource for std::slice::Chunks<'_, TraceEvent> {
-    fn produce(
-        &mut self,
-        router: &mut Router,
-        inboxes: &mut [Inbox],
-    ) -> Result<bool, DetectorError> {
-        let batch = self.next();
-        for e in batch.into_iter().flatten() {
-            route_event(router, *e, inboxes);
+    fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
+        let units = self.next();
+        for e in units.into_iter().flatten() {
+            route_unit(router, *e, &mut batch.inboxes);
         }
-        Ok(batch.is_some())
+        Ok(units.is_some())
+    }
+}
+
+/// The strand coalescer in front of a source: every decoded or executed hook
+/// lands in it, and what crosses into the shards' inboxes is a strand's
+/// sorted disjoint runs, handed out when the strand ends or frees.
+struct Front {
+    co: StrandCoalescer,
+    /// Strand of the last event fed (whose runs a cut-off stream leaves).
+    last: StrandId,
+}
+
+impl Front {
+    fn new(budget: ResourceBudget) -> Front {
+        Front {
+            co: StrandCoalescer::new().with_max_shadow_bytes(budget.max_shadow_bytes),
+            last: StrandId(0),
+        }
+    }
+
+    /// Hand the current strand's runs to `sink` as hand-off units, reads
+    /// first, and clear the coalescer.
+    fn hand_out(&mut self, strand: StrandId, mut sink: impl FnMut(TraceEvent)) {
+        let [reads, writes] = self.co.take_runs();
+        for (op, runs) in [(TraceOp::LoadRange, reads), (TraceOp::StoreRange, writes)] {
+            runs.iter()
+                .for_each(|&(lo, hi)| sink(unit(op, strand, lo, hi)));
+        }
+    }
+
+    /// Feed one event of a recorded stream: an access goes into the
+    /// coalescer; a strand end or free routes the strand's runs, then itself.
+    #[inline]
+    fn feed(&mut self, e: TraceEvent, router: &mut Router, inboxes: &mut [Inbox]) {
+        self.last = e.strand;
+        match e.op {
+            TraceOp::Load | TraceOp::LoadRange => self.co.load(e.addr, e.bytes),
+            TraceOp::Store | TraceOp::StoreRange => self.co.store(e.addr, e.bytes),
+            TraceOp::Free | TraceOp::StrandEnd => {
+                self.hand_out(e.strand, |u| route_unit(router, u, inboxes));
+                route_unit(router, e, inboxes);
+            }
+        }
+    }
+
+    /// The stream stops in mid-strand: end the strand. `true` if it had
+    /// accessed anything.
+    fn cut_off(&mut self, router: &mut Router, inboxes: &mut [Inbox]) -> bool {
+        let pending = !self.co.is_clear();
+        self.feed(unit(TraceOp::StrandEnd, self.last, 0, 0), router, inboxes);
+        pending
+    }
+}
+
+/// An in-memory, already validated event stream, [`DEFAULT_CHUNK_EVENTS`]
+/// events a batch.
+struct RawSource<'a> {
+    batches: std::slice::Chunks<'a, TraceEvent>,
+    front: Front,
+}
+
+impl EventSource for RawSource<'_> {
+    fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
+        let events = self.batches.next();
+        for e in events.into_iter().flatten() {
+            self.front.feed(*e, router, &mut batch.inboxes);
+        }
+        Ok(events.is_some())
+    }
+
+    fn front(&mut self) -> Option<&mut Front> {
+        Some(&mut self.front)
     }
 }
 
 /// A compressed v2 stream, one file chunk per batch, detected in its
-/// encoded shape (see [`route_run`]).
+/// encoded shape (see [`feed_run`]).
 struct StreamSource<'a> {
     reader: CompressedTraceReader<&'a mut (dyn BufRead + Send)>,
     runs: Vec<EventRun>,
+    front: Front,
     ingest: IngestStats,
     /// Incremental span table: decoded event ids equal original trace
     /// indices (runs expand in order), so a run by strand `s` covers ids
@@ -483,28 +591,36 @@ struct StreamSource<'a> {
 }
 
 impl EventSource for StreamSource<'_> {
-    fn produce(
-        &mut self,
-        router: &mut Router,
-        inboxes: &mut [Inbox],
-    ) -> Result<bool, DetectorError> {
+    fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
         let io = |e: std::io::Error| corrupt(e.to_string());
-        if !self.reader.next_chunk(&mut self.runs).map_err(io)? {
+        batch.sum = (self.reader)
+            .next_chunk_unverified(&mut self.runs, &mut batch.payload)
+            .map_err(io)?;
+        if batch.sum.is_none() {
             return self.reader.finished().map(|()| false).map_err(io);
         }
         let n_strands = self.reader.reach.strand_count();
         for run in &self.runs {
-            if run.strand.index() >= n_strands {
-                return Err(corrupt(format!(
-                    "run strand {} out of range (trace has {n_strands} strands)",
-                    run.strand.0
-                )));
-            }
-            if !run_addr_ok(run) {
-                return Err(corrupt(format!(
-                    "run at {:#x} stride {} overflows the address space",
-                    run.addr, run.stride
-                )));
+            let defect = if run.strand.index() >= n_strands {
+                let s = run.strand.0;
+                Some(format!(
+                    "run strand {s} out of range (trace has {n_strands} strands)"
+                ))
+            } else if !run_addr_ok(run) {
+                let (addr, stride) = (run.addr, run.stride);
+                Some(format!(
+                    "run at {addr:#x} stride {stride} overflows the address space"
+                ))
+            } else {
+                None
+            };
+            if let Some(defect) = defect {
+                // The chunk is not yet known to be what was written: a
+                // defect in it yields to a checksum mismatch, as if that had
+                // been looked for first. A chunk without one goes on to the
+                // next step's drain arm still unverified.
+                verify_owed(batch)?;
+                return Err(corrupt(defect));
             }
             self.ingest.events += run.count;
             if let Some(sp) = self.spans.as_mut() {
@@ -514,7 +630,7 @@ impl EventSource for StreamSource<'_> {
                 }
             }
             self.ev_id += run.count;
-            route_run(router, run, inboxes, &mut self.ingest);
+            feed_run(&mut self.front, run, router, batch, &mut self.ingest);
         }
         let chunk_bytes = self.reader.bytes_read() - self.ingest.bytes;
         self.ingest.bytes = self.reader.bytes_read();
@@ -525,6 +641,42 @@ impl EventSource for StreamSource<'_> {
         OBS_INGEST_RUNS.add(self.runs.len() as u64);
         Ok(true)
     }
+
+    fn front(&mut self) -> Option<&mut Front> {
+        Some(&mut self.front)
+    }
+}
+
+/// Feed one decoded run (the streaming source). A contiguous word-aligned
+/// run is consumed wholesale: its whole footprint is ONE range set on the
+/// coalescer, which covers exactly the words of its expanded events —
+/// detection directly on the compressed form. Other runs expand event by
+/// event without materializing a vector.
+#[inline]
+fn feed_run(
+    front: &mut Front,
+    run: &EventRun,
+    router: &mut Router,
+    batch: &mut Batch,
+    ingest: &mut IngestStats,
+) {
+    let (mut e, mut count) = (run.first(), run.count);
+    if let Some((op, addr, total)) = run.as_wholesale_range() {
+        ingest.wholesale_runs += 1;
+        (e.op, e.addr, e.bytes, count) = (op, addr, total, 1);
+    }
+    for _ in 0..count {
+        front.feed(e, router, &mut batch.inboxes);
+        e.addr = (e.addr as i64).wrapping_add(run.stride) as usize;
+    }
+}
+
+/// Verify the checksum `batch` owes, if any — on the drain arm, before
+/// anything routed from its chunk reaches a shard detector.
+fn verify_owed(batch: &mut Batch) -> Result<(), DetectorError> {
+    let owed = batch.sum.take();
+    owed.map_or(Ok(()), |sum| verify_chunk(&batch.payload, sum))
+        .map_err(|e| corrupt(e.to_string()))
 }
 
 /// What [`pipeline`] returns: the finished shards and, if the deadline cut
@@ -533,21 +685,24 @@ type Piped = Result<(Vec<ShardOutcome>, Option<DetectorError>), DetectorError>;
 
 /// The one batch driver: a software-pipelined loop over `src`, run inside a
 /// single `pool.install`. Each step is `join(produce batch n+1, drain batch
-/// n)`: the producer arm routes into the `back` inboxes while the other arm
-/// replays the `front` ones through the persistent shard detectors, and the
-/// two sets swap after the join — a depth-1 double buffer, so memory stays
-/// O(batch). The hand-off is a work-stealing `join`: an idle worker steals
-/// the drain and the stages overlap; on a saturated pool nobody does, and
-/// the producer's worker pops it back and runs it inline. The join is also
-/// the backpressure — the producer never runs more than one batch ahead.
+/// n)`: the producer arm routes into the `back` batch while the other arm
+/// verifies what the `front` one owes and flushes it through the persistent
+/// shard detectors, and the two swap after the join — a depth-1 double
+/// buffer, so memory stays O(batch). The hand-off is a work-stealing `join`:
+/// an idle worker steals the drain and the stages overlap; on a saturated
+/// pool nobody does, and the producer's worker pops it back and runs it
+/// inline. The join is also the backpressure — the producer never runs more
+/// than one batch ahead.
 ///
-/// Each shard still sees its events in stream order (batch n drains before
+/// Each shard still sees its units in stream order (batch n drains before
 /// batch n+1 is handed over), so per-word histories, and with them the
-/// merged report, are those of a serial loop.
+/// merged report, are those of a serial loop; and a step's drain error — a
+/// chunk that was not what was written — comes before its produce error,
+/// which lies later in the stream.
 ///
 /// Returns the finished shards and, if the deadline cut the run short, its
 /// degradation marker. The deadline is checked between steps; everything
-/// routed before the check is still drained.
+/// fed before the check is still routed ([`Front::cut_off`]) and drained.
 fn pipeline<R: Reachability + Sync>(
     pool: &ThreadPool,
     reach: &R,
@@ -555,31 +710,41 @@ fn pipeline<R: Reachability + Sync>(
     src: &mut dyn EventSource,
     limits: &SessionLimits,
 ) -> Piped {
-    let set = ShardSet::new(shards, limits.budget);
-    let (mut router, mut dets, mut front) = (set.router, set.dets, set.inboxes);
+    let mut router = Router::new(shards);
+    let new_det = |&s| ShardDetector::new(s, limits.budget.max_intervals);
+    let mut dets: Vec<ShardDetector> = shards.iter().map(new_det).collect();
+    let mut front = Batch::default();
+    front.inboxes.resize(shards.len(), Inbox::new());
     let mut back = front.clone();
-    let mut timed_out = false;
+    let (mut timed_out, mut ended) = (false, false);
     let mut buffered = 0u64;
     let piped = catch_unwind(AssertUnwindSafe(|| {
         pool.install(|| -> Result<(), DetectorError> {
             let mut pending = false;
             loop {
-                timed_out = limits.exceeded();
+                timed_out = timed_out || (!ended && limits.exceeded());
                 let home = stint_obs::is_enabled().then(|| std::thread::current().id());
                 // Neither arm may unwind across the join while the other is
                 // stolen and in flight (see `fan_out`).
-                let (produced, ()) = pool.join(
+                let (produced, drained) = pool.join(
                     || {
-                        if timed_out {
+                        if ended {
                             return Ok(false);
                         }
                         let _span = stint_obs::span("batchdet.produce");
-                        catch_unwind(AssertUnwindSafe(|| src.produce(&mut router, &mut back)))
-                            .unwrap_or_else(|p| Err(DetectorError::from_panic(p)))
+                        catch_unwind(AssertUnwindSafe(|| {
+                            if !timed_out && src.produce(&mut router, &mut back)? {
+                                return Ok(true);
+                            }
+                            ended = true;
+                            let front = src.front();
+                            Ok(front.is_some_and(|f| f.cut_off(&mut router, &mut back.inboxes)))
+                        }))
+                        .unwrap_or_else(|p| Err(DetectorError::from_panic(p)))
                     },
                     || {
                         if !pending {
-                            return;
+                            return Ok(());
                         }
                         let _span = stint_obs::span("batchdet.drain");
                         OBS_PIPE_BATCHES.incr();
@@ -587,16 +752,20 @@ fn pipeline<R: Reachability + Sync>(
                             Some(h) if h != std::thread::current().id() => OBS_PIPE_STOLEN.incr(),
                             _ => OBS_PIPE_INLINE.incr(),
                         }
-                        fan_out(pool, reach, &mut dets, &mut front);
+                        verify_owed(&mut front)?;
+                        fan_out(pool, reach, &mut dets, &mut front.inboxes);
+                        Ok(())
                     },
                 );
+                drained?;
                 take_poison(&mut dets)?;
                 pending = produced?;
                 if !pending {
                     return Ok(());
                 }
                 std::mem::swap(&mut front, &mut back);
-                let bytes: usize = front.iter().map(|b| std::mem::size_of_val(&b[..])).sum();
+                let units = front.inboxes.iter();
+                let bytes: usize = units.map(|b| std::mem::size_of_val(&b[..])).sum();
                 OBS_INGEST_BUF.reconcile(&mut buffered, bytes as u64);
             }
         })
@@ -616,6 +785,7 @@ fn pipeline<R: Reachability + Sync>(
 
 fn finish_outcome(
     (outs, timeout): (Vec<ShardOutcome>, Option<DetectorError>),
+    front: &Front,
     reach: &FrozenReach,
     events: usize,
     t0: Instant,
@@ -623,7 +793,7 @@ fn finish_outcome(
     spans: Option<&EventSpans>,
 ) -> BatchOutcome {
     let wall = t0.elapsed();
-    let (merged, stats, failure) = merge_shards(&outs, reach, spans);
+    let (merged, stats, failure) = merge_shards(&outs, front, reach, spans);
     BatchOutcome {
         merged,
         stats,
@@ -730,10 +900,10 @@ impl Router {
         }
     }
 
-    /// Route one access/free word range, invoking `push(shard, lo, hi)`
+    /// Route one run's or free's word range, invoking `push(shard, lo, hi)`
     /// once per overlapped shard with the clipped subrange, and update the
-    /// dirty flags (an access dirties the shard; a free cleans it — the
-    /// detector's `free` flushes pending accesses itself).
+    /// dirty flags (a run dirties the shard; a free cleans it — the shard
+    /// flushes its pending runs at a free itself).
     #[inline]
     fn route(&mut self, is_free: bool, lo: u64, hi: u64, mut push: impl FnMut(usize, u64, u64)) {
         if lo >= hi {
@@ -771,30 +941,34 @@ impl Router {
     }
 }
 
-/// One batch's routed, not yet replayed events of one shard.
+/// One batch's routed, not yet flushed units of one shard: clipped runs
+/// (`LoadRange`/`StoreRange`), clipped frees, and strand-end markers.
 type Inbox = Vec<TraceEvent>;
 
-/// Push the access/free of `[lo, hi)` (words) as a word-aligned byte range
-/// that `word_range` maps back to exactly that clipped range; a strand end
-/// is the empty range at 0.
+/// The run/free of `[lo, hi)` (words) as a hand-off unit: a word-aligned
+/// byte range that `word_range` maps back to exactly those words; a strand
+/// end is the empty range at 0.
 #[inline]
-fn push(inbox: &mut Inbox, op: TraceOp, strand: StrandId, lo: u64, hi: u64) {
-    inbox.push(TraceEvent {
+fn unit(op: TraceOp, strand: StrandId, lo: u64, hi: u64) -> TraceEvent {
+    TraceEvent {
         op,
         strand,
         addr: (lo * 4) as usize,
         bytes: ((hi - lo) * 4) as usize,
-    });
+    }
 }
 
-/// A shard's private detector, persistent across batches. Neighbours are
+/// A shard's private interval history, persistent across batches, and the
+/// current strand's read and write runs routed to it so far — sorted and
+/// disjoint already, so a shard owns no coalescing table. Neighbours are
 /// drained by different workers, so each gets cache lines of its own (two:
 /// the prefetcher pairs them): with the detectors packed, the end of one and
 /// the start of the next share a line, and `online_w2` pays 10% for it.
 #[repr(align(128))]
 struct ShardDetector {
     shard: Shard,
-    det: StintDetector,
+    hist: IntervalHistory<Treap<StrandId>>,
+    runs: [Vec<WordIv>; 2],
     events: u64,
     /// A panic payload captured while draining on the pool. Unwinding
     /// through `ThreadPool::join` while the sibling job is stolen and in
@@ -805,31 +979,36 @@ struct ShardDetector {
 }
 
 impl ShardDetector {
-    fn new(shard: Shard, budget: ResourceBudget) -> ShardDetector {
+    fn new(shard: Shard, max_intervals: Option<u64>) -> ShardDetector {
+        let hist = IntervalHistory::new(RaceReport::unbounded(true));
         ShardDetector {
             shard,
-            det: StintDetector::new(RaceReport::unbounded(true)).with_budget(budget),
+            hist: hist.with_max_intervals(max_intervals),
+            runs: Default::default(),
             events: 0,
             poison: None,
         }
     }
 
-    /// Replay (and clear) one inbox through the shard's detector (runs on
-    /// the pool). Generic over the reachability substrate: the batch paths
-    /// replay against a [`FrozenReach`] snapshot, the online path against a
-    /// view of the live `DePaReach` (immutable timestamps, so sharing it with
-    /// other workers and the publishing executor is race-free).
+    /// Take in (and clear) one inbox (runs on the pool): runs join the
+    /// current strand's, a strand end or free flushes them. Generic over the
+    /// reachability substrate: the batch paths flush against a
+    /// [`FrozenReach`] snapshot, the online path against a view of the live
+    /// `DePaReach` (immutable timestamps, so sharing it with other workers
+    /// and the publishing executor is race-free).
     fn drain<R: Reachability>(&mut self, inbox: &mut Inbox, reach: &R) {
         let _span = stint_obs::span("batchdet.shard");
         OBS_SHARD_RUNS.incr();
         for e in inbox.iter() {
+            let run = word_range(e.addr, e.bytes);
             match e.op {
-                TraceOp::Load => self.det.load(e.strand, e.addr, e.bytes, reach),
-                TraceOp::Store => self.det.store(e.strand, e.addr, e.bytes, reach),
-                TraceOp::LoadRange => self.det.load_range(e.strand, e.addr, e.bytes, reach),
-                TraceOp::StoreRange => self.det.store_range(e.strand, e.addr, e.bytes, reach),
-                TraceOp::Free => self.det.free(e.strand, e.addr, e.bytes, reach),
-                TraceOp::StrandEnd => self.det.strand_end(e.strand, reach),
+                TraceOp::Load | TraceOp::LoadRange => self.runs[0].push(run),
+                TraceOp::Store | TraceOp::StoreRange => self.runs[1].push(run),
+                TraceOp::StrandEnd => self.flush(e.strand, reach),
+                TraceOp::Free => {
+                    self.flush(e.strand, reach);
+                    self.hist.tombstone(run.0, run.1);
+                }
             }
         }
         self.events += inbox.len() as u64;
@@ -837,89 +1016,49 @@ impl ShardDetector {
         inbox.clear();
     }
 
+    fn flush<R: Reachability>(&mut self, s: StrandId, reach: &R) {
+        let [reads, writes] = &mut self.runs;
+        self.hist.flush_runs(s, reads, writes, reach);
+        reads.clear();
+        writes.clear();
+    }
+
     fn finish<R: Reachability>(mut self, reach: &R, last: StrandId) -> ShardOutcome {
-        self.det.finish(last, reach);
+        self.flush(last, reach);
+        self.hist.finish();
         let mut owned = 0u64;
-        OBS_SHARD_BYTES.reconcile(
-            &mut owned,
-            self.det.stats.ah_bytes + self.det.stats.coalesce_bytes,
-        );
-        OBS_SHARD_RACES.add(self.det.report.total);
-        let failure = Detector::<R>::failure(&self.det);
+        OBS_SHARD_BYTES.reconcile(&mut owned, self.hist.stats.ah_bytes);
+        OBS_SHARD_RACES.add(self.hist.report.total);
         let out = ShardOutcome {
             index: self.shard.index,
             word_lo: self.shard.word_lo,
             word_hi: self.shard.word_hi,
             events: self.events,
-            report: self.det.report,
-            stats: self.det.stats,
-            failure,
+            failure: self.hist.failure(),
+            report: self.hist.report,
+            stats: self.hist.stats,
         };
         OBS_SHARD_BYTES.reconcile(&mut owned, 0);
         out
     }
 }
 
-/// `K` shards' routing state and private detectors, plus one set of inboxes.
-struct ShardSet {
-    router: Router,
-    dets: Vec<ShardDetector>,
-    inboxes: Vec<Inbox>,
-}
-
-impl ShardSet {
-    fn new(shards: &[Shard], budget: ResourceBudget) -> ShardSet {
-        ShardSet {
-            router: Router::new(shards),
-            dets: shards
-                .iter()
-                .map(|&s| ShardDetector::new(s, budget))
-                .collect(),
-            inboxes: vec![Inbox::new(); shards.len()],
-        }
-    }
-}
-
-/// Route one discrete trace event (the in-memory and online sources).
+/// Route one hand-off unit. A run is clipped at the shard cuts it crosses; a
+/// strand end becomes a marker to every shard the strand's runs reached. So
+/// does a free, after the free itself: a shard it does not overlap would
+/// otherwise find the strand's later runs appended, unsorted, to the ones it
+/// holds — or, the strand ending clean, be left holding them.
 #[inline]
-fn route_event(router: &mut Router, e: TraceEvent, inboxes: &mut [Inbox]) {
+fn route_unit(router: &mut Router, e: TraceEvent, inboxes: &mut [Inbox]) {
     router.last = e.strand;
-    if e.op == TraceOp::StrandEnd {
-        return router.on_strand_end(|i| push(&mut inboxes[i], e.op, e.strand, 0, 0));
-    }
-    let (lo, hi) = word_range(e.addr, e.bytes);
-    router.route(e.op == TraceOp::Free, lo, hi, |i, clo, chi| {
-        push(&mut inboxes[i], e.op, e.strand, clo, chi)
-    });
-}
-
-/// Route one decoded run (the streaming source). A contiguous word-aligned
-/// run is consumed wholesale: its whole footprint goes in as ONE coalesced
-/// range access per overlapped shard, which covers exactly the same shadow
-/// words as the expanded events — detection directly on the compressed
-/// form. Other runs expand event by event without materializing a vector.
-#[inline]
-fn route_run(router: &mut Router, run: &EventRun, inboxes: &mut [Inbox], ingest: &mut IngestStats) {
-    router.last = run.strand;
-    if run.op == TraceOp::StrandEnd {
-        return router.on_strand_end(|i| push(&mut inboxes[i], run.op, run.strand, 0, 0));
-    }
-    if let Some((op, addr, total)) = run.as_wholesale_range() {
-        ingest.wholesale_runs += 1;
-        let (lo, hi) = word_range(addr, total);
-        return router.route(false, lo, hi, |i, clo, chi| {
-            push(&mut inboxes[i], op, run.strand, clo, chi)
+    if e.op != TraceOp::StrandEnd {
+        let (lo, hi) = word_range(e.addr, e.bytes);
+        router.route(e.op == TraceOp::Free, lo, hi, |i, clo, chi| {
+            inboxes[i].push(unit(e.op, e.strand, clo, chi))
         });
     }
-    let mut addr = run.addr;
-    for j in 0..run.count {
-        let (lo, hi) = word_range(addr, run.bytes);
-        router.route(run.op == TraceOp::Free, lo, hi, |i, clo, chi| {
-            push(&mut inboxes[i], run.op, run.strand, clo, chi)
-        });
-        if j + 1 < run.count {
-            addr = (addr as i64).wrapping_add(run.stride) as usize;
-        }
+    if matches!(e.op, TraceOp::StrandEnd | TraceOp::Free) {
+        router.on_strand_end(|i| inboxes[i].push(unit(TraceOp::StrandEnd, e.strand, 0, 0)));
     }
 }
 
@@ -980,9 +1119,12 @@ fn kind_from(c: u8) -> RaceKind {
 /// Normalize per-shard race records per word, re-coalesce into maximal
 /// runs, and sort by address then SP rank. See the module docs for why this
 /// (and not the raw records) is the `K`-invariant object. Also returns the
-/// summed detector statistics and the first shard failure by shard index.
+/// detector statistics — the shards' summed, plus the source's coalescer's
+/// share — and the first failure: a shard's, by shard index, else the
+/// coalescer's.
 fn merge_shards(
     shards: &[ShardOutcome],
+    front: &Front,
     reach: &FrozenReach,
     spans: Option<&EventSpans>,
 ) -> (MergedReport, DetectorStats, Option<DetectorError>) {
@@ -991,6 +1133,9 @@ fn merge_shards(
     let mut triples: Vec<(u8, u32, u32, u64)> = Vec::new();
     let mut words: BTreeSet<u64> = BTreeSet::new();
     let mut stats = DetectorStats::default();
+    front.co.add_to(&mut stats);
+    OBS_FRONT_HOOKS.add(stats.read.hooks + stats.write.hooks);
+    OBS_FRONT_INTERVALS.add(stats.total_intervals());
     for sh in shards {
         stats.merge(&sh.stats);
         for r in sh.report.races() {
@@ -1042,7 +1187,8 @@ fn merge_shards(
         regions,
         racy_words: words.into_iter().collect(),
     };
-    (merged, stats, shards.iter().find_map(|o| o.failure.clone()))
+    let failure = shards.iter().find_map(|o| o.failure.clone());
+    (merged, stats, failure.or_else(|| front.co.exhausted()))
 }
 
 #[cfg(test)]
@@ -1107,6 +1253,71 @@ mod tests {
             assert_eq!(out.merged.racy_words, expected, "K={k}");
             assert!(out.degraded.is_none());
             assert_eq!(out.shards.len(), k);
+        }
+    }
+
+    /// A strand writes on both sides of every cut, frees a range inside one
+    /// shard, and writes again — below what it wrote before — on the other
+    /// side, racing with a sibling throughout. A shard the free does not
+    /// overlap must flush the strand's earlier runs at the free (the marker
+    /// the router sends after it), or the later ones land unsorted behind
+    /// them.
+    struct FreeBetweenWrites;
+    impl CilkProgram for FreeBetweenWrites {
+        fn run<C: Cilk>(&mut self, ctx: &mut C) {
+            ctx.spawn(|c| {
+                c.store_range(0x40, 0x40);
+                c.store_range(0x4000, 0x400);
+            });
+            ctx.store_range(0x60, 0x10);
+            ctx.store_range(0x4300, 0x80);
+            ctx.free(0x40, 0x10);
+            ctx.store_range(0x4100, 0x80);
+            ctx.store_range(0x4040, 0x20);
+            ctx.sync();
+        }
+    }
+
+    #[test]
+    fn a_free_in_mid_strand_flushes_every_shard_the_strand_reached() {
+        // Sequential STINT's report, through the same normalizing merge.
+        let sequential = detect(&mut FreeBetweenWrites, Variant::Stint);
+        let want: Vec<u64> = [0x18..0x1c, 0x1010..0x1018, 0x1040..0x1060, 0x10c0..0x10e0]
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(sequential.report.racy_words(), want);
+        let pt = PortableTrace::record(&mut FreeBetweenWrites);
+        let whole = ShardOutcome {
+            index: 0,
+            word_lo: 0,
+            word_hi: u64::MAX,
+            events: 0,
+            report: sequential.report,
+            stats: sequential.stats,
+            failure: None,
+        };
+        let nothing = Front::new(ResourceBudget::default());
+        let shards = std::slice::from_ref(&whole);
+        let want = merge_shards(shards, &nothing, &pt.reach, None).0.render();
+        for k in [1, 2, 3, 4, 7, 16] {
+            let out = batch_detect(&pt, &cfg(k, 2, 0)).unwrap();
+            assert_eq!(out.merged.render(), want, "K={k}");
+            // One coalescer, counted once: the shards own no bit table.
+            assert!(out.shards.iter().all(|s| s.stats.coalesce_bytes == 0));
+            assert_eq!(out.stats.coalesce_bytes, whole.stats.coalesce_bytes);
+            assert_eq!(out.stats.write.hooks, whole.stats.write.hooks);
+            assert_eq!(out.stats.write.intervals, whole.stats.write.intervals);
+            let buf = compress(&pt, 3);
+            let out = batch_detect_chunked(&buf[..], &cfg(k, 2, 0)).unwrap();
+            assert_eq!(out.merged.render(), want, "K={k} streamed");
+            let ocfg = OnlineConfig {
+                shards: k,
+                chunk_events: 2,
+                ..OnlineConfig::default()
+            };
+            let out = online_detect(&mut FreeBetweenWrites, &ocfg).unwrap();
+            assert_eq!(out.merged.render(), want, "K={k} online");
         }
     }
 

@@ -3,11 +3,13 @@
 //! The batch paths in this crate replay a *recorded* trace against a
 //! [`stint_sporder::FrozenReach`] snapshot. Here the program executes once
 //! under the sequential executor maintaining a [`DePaReach`], and its
-//! instrumentation stream is detected **while it runs**: the hooks fill a
-//! batch of `chunk_events` events and hand it to a drain side that runs the
-//! crate's one [`pipeline`](crate::pipeline) — routing batch *n+1* while the
-//! persistent shard detectors replay batch *n* — inside one `pool.install`
-//! for the whole run. The executor waits for a free buffer, never a fan-out.
+//! instrumentation stream is detected **while it runs**: the hooks are
+//! sequential STINT's — the inline lane into one strand coalescer — and each
+//! strand end pushes the strand's runs into a batch of `chunk_events` units,
+//! handed to a drain side that runs the crate's one
+//! [`pipeline`](crate::pipeline) — routing batch *n+1* while the persistent
+//! shard detectors flush batch *n* — inside one `pool.install` for the
+//! whole run. The executor waits for a free buffer, never a fan-out.
 //!
 //! # Why the overlap is sound
 //!
@@ -19,12 +21,13 @@
 //! while the executor keeps publishing, and only about published strands:
 //!
 //! * **publish before record** — the executor creates a strand (a release
-//!   store into the arena) before it delivers any event naming it;
+//!   store into the arena) before the strand's first hook, so before any of
+//!   its runs is pushed;
 //! * **the hand-off is an edge** — a batch crosses threads through a channel
 //!   (release/acquire), so every publication that preceded the send is
 //!   visible to whoever routes and replays the batch.
 //!
-//! Two event buffers, the engine's own and one the drain side allocates, are
+//! Two unit buffers, the engine's own and one the drain side allocates, are
 //! recycled for the whole run: nothing is allocated per hand-off, and the
 //! executor blocks (`batchdet.online.producer_stall_ns`) once both are on
 //! the drain side — the backpressure.
@@ -32,24 +35,27 @@
 //! # Determinism
 //!
 //! The merged report is the [`MergedReport`] normalization the batch tier
-//! renders. Batches are routed and drained in the order they were filled,
-//! and the shard plan is a function of exactly the first `chunk_events`
-//! events, so chunking, shard count, worker count, steal seed and the timing
-//! of the two sides only change *which detector instance* observes each
-//! per-word subsequence and *when* — never the subsequence: the bytes are a
+//! renders. The coalescer hands out the runs sequential STINT flushes,
+//! batches are routed and drained in the order they were filled, and the
+//! shard plan is a function of exactly the first `chunk_events` units, so
+//! chunking, shard count, worker count, steal seed and the timing of the
+//! two sides only change *which detector instance* observes each per-word
+//! subsequence and *when* — never the subsequence: the bytes are a
 //! one-worker run's, the racy-interval set sequential STINT's
 //! (`tests/prop_detectors.rs` diffs both).
 //!
 //! # Degradation
 //!
-//! The exit-code contract is the sequential and batch tiers': a per-shard
-//! budget trip makes that shard's detector go *dead* (sound but partial) and
-//! surfaces as `degraded = ResourceExhausted` (exit 3). A panic on the drain
+//! The exit-code contract is the sequential and batch tiers': a shadow-byte
+//! budget makes the coalescer drop bits, an interval budget makes a shard's
+//! history go *dead* (both sound but partial), and either surfaces as
+//! `degraded = ResourceExhausted` (exit 3). A panic on the drain
 //! side ends the pipeline, which hangs up both channels: the executor —
 //! blocked on a free buffer, or at its next hand-off — finds them
 //! disconnected and poisons the run ([`DetectorError::Poisoned`], exit 4):
-//! hooks go inert, nothing partial is published. Dropping the engine (the
-//! *program* panicked) hangs up from its end and joins the drain side.
+//! nothing more is handed over, nothing partial is published. Dropping the
+//! engine (the *program* panicked) hangs up from its end and joins the drain
+//! side.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -62,13 +68,14 @@ use stint::{
     run_with_detector_r, CilkProgram, DePaReach, Detector, DetectorError, DetectorStats,
     EventSpans, ExecCounters, ResourceBudget, TraceEvent, TraceOp,
 };
+use stint_cilk::word_range;
 use stint_cilkrt::ThreadPool;
 use stint_obs::Counter;
 use stint_sporder::StrandId;
 
 use crate::{
-    merge_shards, pipeline, plan_shards, route_event, EventSource, Inbox, MergedReport, Piped,
-    Router, SessionLimits, Shard, ShardOutcome,
+    merge_shards, pipeline, plan_shards, route_unit, unit, Batch, EventSource, Front, MergedReport,
+    Piped, Router, SessionLimits, Shard, ShardOutcome,
 };
 
 /// One per hand-off (`batchdet.online.handoffs`) plus one per final merge.
@@ -98,12 +105,15 @@ pub struct OnlineConfig {
     /// Steal-victim perturbation seed ([`ThreadPool::with_seed`]). The
     /// rendered report is invariant in this — that is the point of the knob.
     pub steal_seed: u64,
-    /// Events per batch handed to the drain side. Smaller batches bound
-    /// the buffered footprint; larger ones amortize the hand-off.
+    /// Hand-off units per batch handed to the drain side — a unit is one run
+    /// of a strand, one free, or the strand end that closes them, so a batch
+    /// stands for far more hooks than it has units. Smaller batches bound the
+    /// buffered footprint; larger ones amortize the hand-off.
     pub chunk_events: usize,
     /// Attach merge-time witnesses (see [`crate::BatchConfig::witnesses`]).
     pub witnesses: bool,
-    /// Budget applied to every shard detector.
+    /// Shadow bytes cap the executor's one strand coalescer; the interval
+    /// cap freezes each shard's access history.
     pub budget: ResourceBudget,
 }
 
@@ -127,12 +137,17 @@ pub struct OnlineOutcome {
     /// Per-shard outcomes, in shard order.
     pub shards: Vec<ShardOutcome>,
     pub merged: MergedReport,
-    /// Sum of the per-shard detector statistics.
+    /// The per-shard detector statistics summed, plus the executor-side
+    /// coalescer's hooks, intervals and table bytes.
     pub stats: DetectorStats,
-    /// Instrumentation events the executor delivered (before routing).
+    /// Instrumentation events the executor delivered (before coalescing).
     pub events: usize,
     pub strands: usize,
-    /// Batches handed to the drain side, plus one for the final merge.
+    /// Hand-off units those events became (before routing): runs, frees,
+    /// and the strand ends that close them.
+    pub units: u64,
+    /// Batches of at most `chunk_events` units handed to the drain side,
+    /// plus one for the final merge.
     pub chunks: u64,
     /// Heap bytes held by the DePa substrate at finish.
     pub reach_bytes: u64,
@@ -145,32 +160,29 @@ pub struct OnlineOutcome {
     pub degraded: Option<DetectorError>,
 }
 
-/// One event buffer crossing the hand-off, full one way and empty back.
-type Batch = Vec<TraceEvent>;
+/// One buffer of hand-off units crossing to the drain side, full one way
+/// and empty back.
+type Units = Vec<TraceEvent>;
 
 /// The drain side's end of the hand-off, the pipeline's third
 /// [`EventSource`]: the producer arm routes a batch — overlapping the
 /// previous batch's drain — and sends its buffer straight back.
 struct LiveSource {
-    full: Receiver<Batch>,
-    free: SyncSender<Batch>,
+    full: Receiver<Units>,
+    free: SyncSender<Units>,
 }
 
 impl EventSource for LiveSource {
-    fn produce(
-        &mut self,
-        router: &mut Router,
-        inboxes: &mut [Inbox],
-    ) -> Result<bool, DetectorError> {
+    fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
         // The executor hanging up is how the stream ends.
-        let Ok(mut batch) = timed_wait(&OBS_DRAIN_IDLE, || self.full.recv()) else {
+        let Ok(mut units) = timed_wait(&OBS_DRAIN_IDLE, || self.full.recv()) else {
             return Ok(false);
         };
-        for e in batch.drain(..) {
-            route_event(router, e, inboxes);
+        for e in units.drain(..) {
+            route_unit(router, e, &mut batch.inboxes);
         }
         // Never blocks (two buffers, two slots); a gone executor needs none.
-        let _ = self.free.send(batch);
+        let _ = self.free.send(units);
         Ok(true)
     }
 }
@@ -179,8 +191,8 @@ impl EventSource for LiveSource {
 /// run's one `pool.install`.
 struct Drain {
     /// `None` once hung up.
-    full: Option<SyncSender<Batch>>,
-    free: Receiver<Batch>,
+    full: Option<SyncSender<Units>>,
+    free: Receiver<Units>,
     thread: Option<JoinHandle<Piped>>,
 }
 
@@ -194,7 +206,7 @@ impl Drain {
         let (pool, capacity) = (Arc::clone(&engine.pool), engine.buf.capacity());
         let (shards, limits) = engine.plan(&engine.buf);
         let thread = std::thread::spawn(move || {
-            let _ = free.send(Batch::with_capacity(capacity));
+            let _ = free.send(Units::with_capacity(capacity));
             let mut src = LiveSource { full, free };
             pipeline(&pool, &view, &shards, &mut src, &limits)
         });
@@ -206,7 +218,7 @@ impl Drain {
     }
 
     /// Hand `batch` over. `false` if the drain side is gone.
-    fn send(&mut self, batch: Batch) -> bool {
+    fn send(&mut self, batch: Units) -> bool {
         self.full.as_ref().is_some_and(|tx| tx.send(batch).is_ok())
     }
 
@@ -230,23 +242,30 @@ impl Drop for Drain {
     }
 }
 
-/// A [`Detector`] over the live [`DePaReach`] that batches the
-/// instrumentation stream and hands each batch to the drain side (module
-/// docs): persistent per-shard [`stint::StintDetector`]s on a pool.
+/// A [`Detector`] over the live [`DePaReach`] whose hooks are sequential
+/// STINT's — the inline lane into one strand coalescer — and that hands each
+/// strand's runs, a batch at a time, to the drain side (module docs):
+/// persistent per-shard [`stint::IntervalHistory`]s on a pool.
 pub struct OnlineEngine {
     cfg: OnlineConfig,
     /// Declared (so dropped, so joined) before the pool it runs on.
     drain: Option<Drain>,
     pool: Arc<ThreadPool>,
-    /// The batch being filled; handed over at `chunk_events` events.
-    buf: Batch,
-    /// Monotone event ids for merge-time witness capture; equal to the
-    /// index the event would have in a recorded trace.
+    front: Front,
+    /// The batch being filled; handed over at `chunk_events` units.
+    buf: Units,
+    /// One strand's units on their way into `buf`.
+    strand: Units,
+    /// Merge-time witness capture: a strand's span of event ids, noted when
+    /// it ends. An id — hooks so far plus `ends` — is the index the event
+    /// would have in a recorded trace.
     spans: Option<EventSpans>,
-    ev_id: u64,
+    ends: u64,
+    strand_from: u64,
+    units: u64,
     chunks: u64,
-    /// The drain side's failure: the engine is dead from here on (hooks
-    /// no-op, finish publishes nothing); [`online_detect`] returns it.
+    /// The drain side's failure: the engine is dead from here on (nothing
+    /// is handed over, finish publishes nothing); [`online_detect`] returns it.
     poisoned: Option<DetectorError>,
     outcome: Option<OnlineOutcome>,
 }
@@ -256,9 +275,13 @@ impl OnlineEngine {
         OnlineEngine {
             drain: None,
             pool: Arc::new(crate::new_pool(cfg.workers, cfg.steal_seed)),
+            front: Front::new(cfg.budget),
             buf: Vec::with_capacity(cfg.chunk_events.min(1 << 16)),
+            strand: Vec::new(),
             spans: cfg.witnesses.then(EventSpans::default),
-            ev_id: 0,
+            ends: 0,
+            strand_from: 0,
+            units: 0,
             chunks: 0,
             poisoned: None,
             outcome: None,
@@ -271,28 +294,43 @@ impl OnlineEngine {
         self.outcome.take()
     }
 
-    #[inline]
-    fn record(&mut self, op: TraceOp, s: StrandId, addr: usize, bytes: usize, reach: &DePaReach) {
-        if self.poisoned.is_some() {
-            return;
-        }
-        self.buf.push(TraceEvent {
-            op,
-            strand: s,
-            addr,
-            bytes,
-        });
+    /// Events delivered so far.
+    fn events(&self) -> u64 {
+        self.front.co.hooks() + self.ends
+    }
+
+    /// The strand ended, or freed (`end`): push its runs, then `end` itself
+    /// — the same units, in the same order, a recorded stream's `Front`
+    /// routes. A strand end that closes nothing is not worth a unit. The
+    /// strand was published before its first hook, so before any of this.
+    fn end_strand(&mut self, end: TraceEvent, reach: &DePaReach) {
+        let id = self.events();
         if let Some(sp) = self.spans.as_mut() {
-            sp.note(s, self.ev_id);
+            sp.note(end.strand, self.strand_from);
+            sp.note(end.strand, id);
         }
-        self.ev_id += 1;
-        if self.buf.len() >= self.cfg.chunk_events.max(1) {
-            self.hand_off(reach);
+        self.ends += 1;
+        self.strand_from = id + 1;
+        let mut units = std::mem::take(&mut self.strand);
+        self.front.hand_out(end.strand, |u| units.push(u));
+        if end.op == TraceOp::Free || !units.is_empty() {
+            units.push(end);
         }
+        for u in units.drain(..) {
+            if self.poisoned.is_some() {
+                break;
+            }
+            self.buf.push(u);
+            self.units += 1;
+            if self.buf.len() >= self.cfg.chunk_events.max(1) {
+                self.hand_off(reach);
+            }
+        }
+        self.strand = units;
     }
 
     /// The run's pipeline set-up: the per-shard budget and the shard plan,
-    /// from the first batch alone (later events outside its bounds still
+    /// from the first batch alone (later runs outside its bounds still
     /// route: the last cut-point is `u64::MAX`, shard 0 starts at word 0).
     fn plan(&self, first: &[TraceEvent]) -> (Vec<Shard>, SessionLimits) {
         let (bounds, hist) = partition_index(first);
@@ -334,34 +372,31 @@ impl OnlineEngine {
 }
 
 impl Detector<DePaReach> for OnlineEngine {
-    fn load(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &DePaReach) {
-        self.record(TraceOp::Load, s, addr, bytes, reach);
+    #[inline(always)]
+    fn load(&mut self, _: StrandId, addr: usize, bytes: usize, _: &DePaReach) {
+        self.front.co.load(addr, bytes);
     }
-    fn store(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &DePaReach) {
-        self.record(TraceOp::Store, s, addr, bytes, reach);
-    }
-    fn load_range(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &DePaReach) {
-        self.record(TraceOp::LoadRange, s, addr, bytes, reach);
-    }
-    fn store_range(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &DePaReach) {
-        self.record(TraceOp::StoreRange, s, addr, bytes, reach);
+    #[inline(always)]
+    fn store(&mut self, _: StrandId, addr: usize, bytes: usize, _: &DePaReach) {
+        self.front.co.store(addr, bytes);
     }
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &DePaReach) {
-        self.record(TraceOp::Free, s, addr, bytes, reach);
+        let (lo, hi) = word_range(addr, bytes);
+        self.end_strand(unit(TraceOp::Free, s, lo, hi), reach);
     }
     fn strand_end(&mut self, s: StrandId, reach: &DePaReach) {
-        self.record(TraceOp::StrandEnd, s, 0, 0, reach);
+        self.end_strand(unit(TraceOp::StrandEnd, s, 0, 0), reach);
     }
 
     /// Deliver the last batch, wait for the per-shard outcomes, then merge
     /// deterministically against the frozen ranks. A program that never
     /// filled a batch never started a drain side: same pipeline, run here.
     fn finish(&mut self, s: StrandId, reach: &DePaReach) {
-        self.record(TraceOp::StrandEnd, s, 0, 0, reach);
+        self.strand_end(s, reach);
         if self.poisoned.is_some() {
             return;
         }
-        // Empty only if that `StrandEnd` itself filled (and sent) a batch.
+        // Empty if the last unit filled (and sent) a batch, or there is none.
         let last = std::mem::take(&mut self.buf);
         if !last.is_empty() {
             self.count_batch();
@@ -375,7 +410,7 @@ impl Detector<DePaReach> for OnlineEngine {
             }
             None => {
                 let (shards, limits) = self.plan(&last);
-                let mut src = last.chunks(last.len());
+                let mut src = last.chunks(last.len().max(1));
                 pipeline(&self.pool, &reach.view(), &shards, &mut src, &limits)
             }
         };
@@ -384,14 +419,16 @@ impl Detector<DePaReach> for OnlineEngine {
             Err(e) => return self.poisoned = Some(e),
         };
         let frozen = reach.freeze();
-        let (merged, stats, degraded) = merge_shards(&outs, &frozen, self.spans.as_ref());
+        let (merged, stats, degraded) =
+            merge_shards(&outs, &self.front, &frozen, self.spans.as_ref());
         OBS_DEPA_MERGES.incr();
         self.chunks += 1;
         self.outcome = Some(OnlineOutcome {
             merged,
             stats,
-            events: self.ev_id as usize,
+            events: self.events() as usize,
             strands: reach.strand_count(),
+            units: self.units,
             chunks: self.chunks,
             reach_bytes: reach.heap_bytes(),
             counters: ExecCounters::default(),
@@ -521,16 +558,19 @@ mod tests {
                         want.render(),
                         "witnesses={witnesses} chunk={chunk} workers={workers} seed={seed}"
                     );
-                    let batches = pt.trace.len().div_ceil(chunk) as u64;
-                    assert_eq!(got.chunks, batches + 1, "chunk={chunk}");
-                    // Workers add queries, never work: the shards replay at
-                    // most 1.5x the stream whatever W and the batch size.
+                    // Hand-offs count units — a strand's runs, its frees and
+                    // the end that closes them — not the hooks they stand for.
                     assert_eq!(got.events, pt.trace.len());
+                    assert!(0 < got.units && got.units < got.events as u64);
+                    let batches = got.units.div_ceil(chunk as u64);
+                    assert_eq!(got.chunks, batches + 1, "chunk={chunk}");
+                    // Workers add queries, never work: the shards take in at
+                    // most 1.5x the units whatever W and the batch size.
                     let work: u64 = got.shards.iter().map(|s| s.events).sum();
                     assert!(
-                        work * 2 <= got.events as u64 * 3,
-                        "chunk={chunk} workers={workers}: {work} of {} events",
-                        got.events
+                        work * 2 <= got.units * 3,
+                        "chunk={chunk} workers={workers}: {work} of {} units",
+                        got.units
                     );
                 }
             }
@@ -549,22 +589,25 @@ mod tests {
         impl CilkProgram for Empty {
             fn run<C: Cilk>(&mut self, _: &mut C) {}
         }
-        let events = PortableTrace::record(&mut WideRacy).trace.len();
-        for chunk in [events + 1, usize::MAX] {
+        let units = online_detect(&mut WideRacy, &cfg(2, 0, usize::MAX))
+            .unwrap()
+            .units as usize;
+        for chunk in [units + 1, usize::MAX] {
             let mut engine = run_engine(&mut WideRacy, cfg(2, 0, chunk));
             assert!(engine.drain.is_none(), "chunk={chunk}");
             let out = engine.take_outcome().unwrap();
             assert_eq!((out.shards.len(), out.chunks), (4, 2));
             assert!(!out.merged.is_race_free());
         }
-        // One event more and the final strand end fills the only batch.
-        let mut engine = run_engine(&mut WideRacy, cfg(2, 0, events));
+        // One unit more and the last one fills the only batch.
+        let mut engine = run_engine(&mut WideRacy, cfg(2, 0, units));
         assert!(engine.drain.is_some());
         assert_eq!(engine.take_outcome().unwrap().chunks, 2);
+        // No access, no unit: the merge alone.
         let mut engine = run_engine(&mut Empty, cfg(2, 0, 64));
         assert!(engine.drain.is_none());
         let out = engine.take_outcome().unwrap();
-        assert_eq!((out.shards.len(), out.chunks), (4, 2));
+        assert_eq!((out.shards.len(), out.units, out.chunks), (4, 0, 1));
     }
 
     #[test]

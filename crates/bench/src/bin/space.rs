@@ -165,8 +165,8 @@ fn run_lemma_cases(bench: &'static str, scale: Scale) -> [LemmaCase; 2] {
     let mut w = Workload::by_name(bench, scale);
     let det = stint::StintDetector::new(stint::RaceReport::default());
     let (ex, _) = stint::run_with_detector(&mut w, det);
-    let rs = ex.det.read_tree().stats();
-    let ws = ex.det.write_tree().stats();
+    let rs = ex.det.history().read_tree().stats();
+    let ws = ex.det.history().write_tree().stats();
     [
         LemmaCase {
             bench,

@@ -236,8 +236,10 @@ const FLAGS: &[Flag] = &[
         applies: BATCH | ONLINE | RECORD | REPLAY_BATCH,
         set: |c, _, v| put(&mut c.chunk_events, num(v, 1..=16_777_216)),
         help: "events per compressed chunk (1..=16777216, default 4096): the\n\
-               record-side chunk size, the streaming replay's per-chunk working-set\n\
-               bound, and the online strategy's hand-off size",
+               record-side chunk size and the streaming replay's per-chunk\n\
+               working-set bound; for the online strategy, hand-off units per\n\
+               batch (a unit is one interval of a strand, a free, or the strand\n\
+               end closing them, not a hook)",
     },
     Flag {
         name: "--witness",

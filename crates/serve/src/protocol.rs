@@ -352,7 +352,7 @@ impl std::error::Error for OptParseError {}
 /// |--------------------|--------------------------------------------------|
 /// | `shards=K`         | address shards for the batch fan-out (default 4) |
 /// | `timeout-ms=N`     | wall-clock budget; 0 = already expired (testing) |
-/// | `max-shadow-mb=N`  | shadow-memory budget per shard detector          |
+/// | `max-shadow-mb=N`  | shadow-memory budget of the session's coalescer  |
 /// | `max-intervals=N`  | interval-store budget per shard detector         |
 /// | `stall-ms=N`       | sleep before detecting — deterministic slow-     |
 /// |                    | session simulation for backpressure/timeout tests|

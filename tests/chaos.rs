@@ -1201,3 +1201,70 @@ fn short_reads_are_structured_corruption() {
         "dribbled truncation",
     );
 }
+
+/// Which `CorruptTrace` detail a damaged v2 stream reports, pinned on the
+/// eager reader (every chunk checksummed before it is decoded): each
+/// truncation point and each single-bit flip of every byte of a small
+/// multi-chunk file. The streaming tier verifies a chunk's checksum on the
+/// drain arm, one step after decoding and routing it, and must still name
+/// the same first defect — a checksum mismatch before any decode or
+/// validation error of that chunk, and before anything the next chunk holds.
+#[test]
+fn damaged_v2_streams_report_the_pinned_detail() {
+    let _g = lock();
+    use stint_repro::batchdet::batch_detect_chunked_on;
+    let pt = stint_repro::PortableTrace::record(&mut RacyLoop(6));
+    let mut v2 = Vec::new();
+    pt.save_compressed(&mut v2, 8).expect("compressed save");
+    let pool = ThreadPool::new(2);
+    let mut tally = std::collections::BTreeMap::<String, u32>::new();
+    let mut details = String::new();
+    let mut note = |bytes: &[u8]| {
+        let detail = match batch_detect_chunked_on(&pool, bytes, &two_shards()) {
+            Ok(out) => format!("ok, {} racy words", out.merged.racy_words.len()),
+            Err(DetectorError::CorruptTrace { detail }) => detail,
+            Err(e) => panic!("not a structured corruption: {e}"),
+        };
+        details.push_str(&detail);
+        details.push('\n');
+        // The tally groups details that differ only in their numbers.
+        let shape: String = detail
+            .chars()
+            .map(|c| if c.is_ascii_digit() { '#' } else { c })
+            .collect();
+        *tally.entry(shape).or_default() += 1;
+    };
+    for cut in 0..v2.len() {
+        note(&v2[..cut]);
+    }
+    for at in 0..v2.len() {
+        for bit in 0..8 {
+            let mut bad = v2.clone();
+            bad[at] ^= 1 << bit;
+            note(&bad);
+        }
+    }
+    let tally: Vec<(&str, u32)> = tally.iter().map(|(k, &n)| (k.as_str(), n)).collect();
+    let digest = stint_repro::ctrace::fnv1a(details.as_bytes());
+    assert_eq!((v2.len(), tally.as_slice(), digest), PINNED_V2_DAMAGE);
+}
+
+/// File length, details by shape, FNV-1a of every detail in order.
+const PINNED_V2_DAMAGE: (usize, &[(&str, u32)], u64) = (
+    536,
+    &[
+        ("bad magic: expected STINT-TRACE v#", 112),
+        ("chunk checksum mismatch", 1452),
+        ("failed to fill whole buffer", 13),
+        ("header checksum mismatch", 2643),
+        ("stream did not contain valid UTF-#", 22),
+        ("trailing bytes in chunk", 6),
+        ("truncated chunk frame", 68),
+        ("truncated chunk payload", 141),
+        ("truncated header", 325),
+        ("truncated run", 29),
+        ("unreasonable chunk length", 5),
+        ("varint overflow", 8),
+    ],
+    13894247128861580440,
+);

@@ -1,6 +1,7 @@
 //! Shared glue for the workspace-level property tests: a proptest strategy
 //! generating fork-join programs over a small word space, and the adapter
 //! that replays a generated AST through a [`Cilk`] context.
+#![allow(dead_code)] // each test binary uses its own subset
 
 use proptest::prelude::*;
 use stint_repro::Cilk;
@@ -38,6 +39,40 @@ pub fn func_strategy_over(depth: u32, access: BoxedStrategy<Access>) -> BoxedStr
         ];
         proptest::collection::vec(stmt, 1..6).prop_map(Func).boxed()
     }
+}
+
+/// Word indices that exercise the bit table's lane and what it outlines:
+/// the first groups of chunk 0, and the groups on either side of the
+/// boundary between chunks 0 and 1 (so a program alternates chunks).
+fn group_base() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(64), Just(128), Just(65472), Just(65536)]
+}
+
+fn access_of(range: impl Strategy<Value = (u64, u64)> + 'static) -> BoxedStrategy<Access> {
+    (any::<bool>(), range, any::<bool>())
+        .prop_map(|(write, (word, len), coalesced)| Access {
+            write,
+            word,
+            len,
+            coalesced,
+        })
+        .boxed()
+}
+
+/// Ranges inside one 64-word group, up to the whole group.
+pub fn one_group() -> BoxedStrategy<Access> {
+    access_of(
+        (group_base(), 0u64..64, 0u64..64).prop_map(|(g, off, n)| (g + off, 1 + n % (64 - off))),
+    )
+}
+
+/// Ranges that straddle at least one group boundary (for the last base, the
+/// chunk boundary).
+pub fn multi_group() -> BoxedStrategy<Access> {
+    access_of(
+        (group_base(), 1u64..64, 1u64..100)
+            .prop_map(|(g, before, after)| (g + 64 - before, before + after)),
+    )
 }
 
 pub struct AstProgram<'a>(pub &'a Func);

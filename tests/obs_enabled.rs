@@ -165,11 +165,31 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     )
     .expect("clean online run");
     assert_eq!(online.merged.render(), batch.merged.render());
-    assert!(online.chunks > 10, "{} chunks", online.chunks);
+    // A hand-off carries 64 units — runs, frees, strand ends — however many
+    // hooks they coalesce: several batches here, a fraction of the events.
+    assert!(online.chunks > 3, "{} chunks", online.chunks);
+    assert_eq!(online.chunks - 1, online.units.div_ceil(64));
+    assert!(online.units * 4 < online.events as u64, "{}", online.units);
     assert_eq!(
         read("batchdet.online.handoffs") - before.0,
         online.chunks - 1
     );
+    // The front counters: each source's coalescer turned the hooks of sort
+    // (a wholesale run of the streamed source is one) into the same runs,
+    // and the shards were handed runs and markers.
+    let stats = [&batch.stats, &chunked.stats, &online.stats];
+    let hooks: u64 = stats.iter().map(|s| s.read.hooks + s.write.hooks).sum();
+    assert_eq!(read("batchdet.front.hooks"), hooks);
+    assert_eq!(
+        read("batchdet.front.intervals"),
+        online.stats.total_intervals() * 3
+    );
+    assert!(read("batchdet.front.intervals") * 4 < hooks);
+    let handed: u64 = [&batch.shards, &chunked.shards, &online.shards]
+        .iter()
+        .flat_map(|shards| shards.iter().map(|s| s.events))
+        .sum();
+    assert_eq!(read("batchdet.shard.events"), handed);
     assert!(parks() - before.1 <= 1, "an install per hand-off is back");
 
     assert!(obs::registry_initialized());
@@ -200,6 +220,8 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         "cilkrt.spawns",
         "cilkrt.install_parks",
         "batchdet.pipeline.batches",
+        "batchdet.front.hooks",
+        "batchdet.front.intervals",
         "batchdet.shard.runs",
         "batchdet.shard.events",
         "batchdet.merges",

@@ -17,7 +17,9 @@ use stint_repro::{
 };
 
 mod common;
-use common::{func_strategy, AstProgram};
+use common::{func_strategy, func_strategy_over, multi_group, one_group, AstProgram};
+use stint_repro::{Cilk, CilkProgram};
+use stint_spdag::{Func, Stmt};
 
 fn cfg(shards: usize, workers: usize, steal_seed: u64) -> BatchConfig {
     BatchConfig {
@@ -165,6 +167,178 @@ fn pipeline_sources_and_schedules_agree_on_suite_kernels() {
             );
             let ratio = work_ratio(&out.shards, out.events);
             assert!(ratio <= 1.5, "{bench} W={workers}: online work {ratio:.3}x");
+        }
+    }
+}
+
+/// A generated program with frees, and its per-word expansion. Compute
+/// statement `i` frees the range of its first access in mid-strand, right
+/// after making it, where bit `i % 64` of `frees` is set; `per_word` feeds
+/// every access one plain 4-byte hook per word instead of its one hook.
+struct Expansion<'a> {
+    f: &'a Func,
+    frees: u64,
+    per_word: bool,
+}
+
+impl Expansion<'_> {
+    fn walk<C: Cilk>(&self, f: &Func, computes: &mut u32, ctx: &mut C) {
+        for stmt in &f.0 {
+            match stmt {
+                Stmt::Compute(accs) => {
+                    let free_first = self.frees >> (*computes % 64) & 1 == 1;
+                    *computes += 1;
+                    for (i, a) in accs.iter().enumerate() {
+                        let (addr, bytes) = ((a.word * 4) as usize, (a.len * 4) as usize);
+                        let hooks = if self.per_word { a.len as usize } else { 1 };
+                        for h in 0..hooks {
+                            let (addr, bytes) = if self.per_word {
+                                (addr + 4 * h, 4)
+                            } else {
+                                (addr, bytes)
+                            };
+                            match (a.write, a.coalesced && !self.per_word) {
+                                (true, true) => ctx.store_range(addr, bytes),
+                                (true, false) => ctx.store(addr, bytes),
+                                (false, true) => ctx.load_range(addr, bytes),
+                                (false, false) => ctx.load(addr, bytes),
+                            }
+                        }
+                        if i == 0 && free_first {
+                            ctx.free(addr, bytes);
+                        }
+                    }
+                }
+                Stmt::Spawn(g) => ctx.spawn(|c| self.walk(g, computes, c)),
+                Stmt::Sync => ctx.sync(),
+                Stmt::Call(g) => ctx.call(|c| self.walk(g, computes, c)),
+            }
+        }
+    }
+}
+
+impl CilkProgram for Expansion<'_> {
+    fn run<C: Cilk>(&mut self, ctx: &mut C) {
+        self.walk(self.f, &mut 0, ctx);
+    }
+}
+
+/// The metamorphic relation of "Data Race Detection on Compressed Traces":
+/// the verdict on the compact form equals the verdict on its expansion. The
+/// compact form here is what crosses the tier boundary — a strand's
+/// intervals, clipped at the shard cuts: its render, for K ∈ {1, 2, 3, 7} in
+/// memory and streamed at chunk ∈ {1, 16, 4096}, and online at
+/// W ∈ {1, 2, 4} × `chunk_events` ∈ {1, 3, 4096}, is the render of the
+/// program's per-word expansion (one plain hook a word, K = 1) — which is
+/// also sequential STINT's verdict on it.
+fn assert_interval_routing_matches_expansion(f: &Func, frees: u64) -> Result<(), String> {
+    let program = |per_word| Expansion { f, frees, per_word };
+    let expanded = PortableTrace::record(&mut program(true));
+    let want = batch_detect(&expanded, &cfg(1, 1, 0))
+        .map_err(|e| e.to_string())?
+        .merged;
+    let sequential = detect(&mut program(true), Variant::Stint).report;
+    if want.racy_words != sequential.racy_words() {
+        return Err("the expansion's batch verdict is not sequential STINT's".into());
+    }
+    let want = want.render();
+    let pt = PortableTrace::record(&mut program(false));
+    for k in [1usize, 2, 3, 7] {
+        let mem = batch_detect(&pt, &cfg(k, 2, 0)).map_err(|e| e.to_string())?;
+        if mem.merged.render() != want {
+            return Err(format!("K={k} in-memory differs from the expansion"));
+        }
+        for chunk in [1usize, 16, 4096] {
+            let mut v2 = Vec::new();
+            pt.save_compressed(&mut v2, chunk).expect("compressed save");
+            let out = batch_detect_chunked(&v2[..], &cfg(k, 2, 0)).map_err(|e| e.to_string())?;
+            if out.merged.render() != want {
+                return Err(format!("K={k} chunk={chunk} differs from the expansion"));
+            }
+        }
+    }
+    for workers in [1usize, 2, 4] {
+        for chunk_events in [1usize, 3, 4096] {
+            let ocfg = OnlineConfig {
+                shards: 3,
+                workers,
+                chunk_events,
+                ..OnlineConfig::default()
+            };
+            let out = online_detect(&mut program(false), &ocfg).map_err(|e| e.to_string())?;
+            if out.merged.render() != want {
+                return Err(format!(
+                    "online W={workers} chunk_events={chunk_events} differs from the expansion"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The directed case: the intervals of two racing strands straddle the cut
+/// of a two-shard plan (and those of wider plans), and a free in mid-strand
+/// splits one strand's flush.
+#[test]
+fn interval_straddling_a_shard_cut_matches_its_expansion() {
+    let access = |write, word, len| stint_spdag::Access {
+        write,
+        word,
+        len,
+        coalesced: true,
+    };
+    let f = Func(vec![
+        Stmt::Spawn(Func(vec![Stmt::Compute(vec![
+            access(true, 100, 300),
+            access(false, 0, 500),
+        ])])),
+        Stmt::Compute(vec![access(true, 40, 120), access(true, 350, 100)]),
+        Stmt::Sync,
+    ]);
+    for frees in [0, 0b10] {
+        assert_interval_routing_matches_expansion(&f, frees).unwrap_or_else(|e| panic!("{e}"));
+    }
+    let pt = PortableTrace::record(&mut Expansion {
+        f: &f,
+        frees: 0,
+        per_word: false,
+    });
+    let out = batch_detect(&pt, &cfg(2, 1, 0)).expect("clean batch run");
+    let cut = out.shards[0].word_hi;
+    assert!(40 < cut && cut < 160, "no cut inside [40, 160): {cut}");
+    assert!(!out.merged.is_race_free());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn interval_routing_matches_expansion_one_group(
+        f in func_strategy_over(3, one_group()),
+        frees in any::<u64>(),
+    ) {
+        if let Err(e) = assert_interval_routing_matches_expansion(&f, frees) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
+    #[test]
+    fn interval_routing_matches_expansion_multi_group(
+        f in func_strategy_over(3, multi_group()),
+        frees in any::<u64>(),
+    ) {
+        if let Err(e) = assert_interval_routing_matches_expansion(&f, frees) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
+    #[test]
+    fn interval_routing_matches_expansion_mixed(
+        f in func_strategy_over(3, prop_oneof![one_group(), multi_group()].boxed()),
+        frees in any::<u64>(),
+    ) {
+        if let Err(e) = assert_interval_routing_matches_expansion(&f, frees) {
+            prop_assert!(false, "{}", e);
         }
     }
 }

@@ -11,8 +11,7 @@ use stint_repro::{detect_with, Config, Variant};
 use stint_spdag::simulate;
 
 mod common;
-use common::{func_strategy, func_strategy_over, AstProgram};
-use stint_spdag::Access;
+use common::{func_strategy, func_strategy_over, multi_group, one_group, AstProgram};
 
 const VARIANTS: [Variant; 5] = [
     Variant::Vanilla,
@@ -67,40 +66,6 @@ fn check_matches_oracle(f: &stint_spdag::Func) -> Result<(), TestCaseError> {
         "treap render diverged from FlatStore's"
     );
     Ok(())
-}
-
-/// Word indices that exercise the bit table's lane and what it outlines:
-/// the first groups of chunk 0, and the groups on either side of the
-/// boundary between chunks 0 and 1 (so a program alternates chunks).
-fn group_base() -> impl Strategy<Value = u64> {
-    prop_oneof![Just(0u64), Just(64), Just(128), Just(65472), Just(65536)]
-}
-
-fn access_of(range: impl Strategy<Value = (u64, u64)> + 'static) -> BoxedStrategy<Access> {
-    (any::<bool>(), range, any::<bool>())
-        .prop_map(|(write, (word, len), coalesced)| Access {
-            write,
-            word,
-            len,
-            coalesced,
-        })
-        .boxed()
-}
-
-/// Ranges inside one 64-word group, up to the whole group.
-fn one_group() -> BoxedStrategy<Access> {
-    access_of(
-        (group_base(), 0u64..64, 0u64..64).prop_map(|(g, off, n)| (g + off, 1 + n % (64 - off))),
-    )
-}
-
-/// Ranges that straddle at least one group boundary (for the last base, the
-/// chunk boundary).
-fn multi_group() -> BoxedStrategy<Access> {
-    access_of(
-        (group_base(), 1u64..64, 1u64..100)
-            .prop_map(|(g, before, after)| (g + 64 - before, before + after)),
-    )
 }
 
 proptest! {
