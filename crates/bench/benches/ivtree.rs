@@ -112,7 +112,7 @@ fn bench_query(c: &mut Criterion) {
 /// strand's region, on words still free (the second round of the repo
 /// benchmark's scatter workloads). `append`: every batch lies beyond
 /// everything stored. One iteration is 256 batches on addresses no earlier
-/// iteration of the same sample touched.
+/// iteration of the same sample touched. `reread`: see the helper.
 fn bench_batch(c: &mut Criterion) {
     const STRANDS: u64 = 4096;
     fn flush<S: IntervalStore<u32>>(store: &mut S, buf: &mut Vec<(u64, u64)>, s: u64, word: u64) {
@@ -147,7 +147,38 @@ fn bench_batch(c: &mut Criterion) {
             black_box(store.len())
         })
     }
+    /// `reread`: the read side once every word has its reader (the repo
+    /// benchmark's `scatter_reads` after its first touches). 4096 strands
+    /// each read 115 sorted words of a saturated 32,768-word table of
+    /// one-word readers; the left-of relation replaces about half of the
+    /// stored readers a round meets, so every run finds its own bounds
+    /// stored and changes the accessor or nothing. One iteration is one
+    /// round, 4096 batches.
+    fn reread<S: IntervalStore<u32>>(b: &mut criterion::Bencher, mut store: S) {
+        let table: Vec<(u64, u64)> = (0..1 << 15).map(|w| (w, w + 1)).collect();
+        store.insert_reads_for(0, &table, |_| unreachable!("first touches"));
+        let (mut buf, mut round) = (Vec::new(), 0u32);
+        b.iter(|| {
+            round += 1;
+            for s in 0..STRANDS {
+                // One word out of each 284-word cell, sorted by construction.
+                buf.clear();
+                buf.extend(
+                    (0..115)
+                        .map(|i| i * 284 + (s * 131 + i * 17) % 284)
+                        .map(|w| (w, w + 1)),
+                );
+                let who = round.wrapping_mul(STRANDS as u32) + s as u32;
+                store.insert_reads_for(who, &buf, |old| {
+                    (who.wrapping_mul(0x9E37_79B1) ^ old.wrapping_mul(0x85EB_CA6B)) >> 31 == 0
+                });
+            }
+            black_box(store.len())
+        })
+    }
     let mut g = c.benchmark_group("ivtree/batch");
+    g.bench_function("treap/reread", |b| reread(b, Treap::with_seed(42)));
+    g.bench_function("btreemap/reread", |b| reread(b, FlatStore::new()));
     for (label, append) in [("in_cover", false), ("append", true)] {
         g.bench_function(&format!("treap/{label}"), |b| {
             run(b, Treap::with_seed(42), append)

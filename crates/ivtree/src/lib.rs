@@ -16,7 +16,10 @@
 //!   (Lemma 4.2). The implementation follows the paper's case analysis:
 //!   `INSERTWRITEINTERVAL` cases A–D with `REMOVEOVERLAPLEFT`/`-RIGHT`
 //!   (Figures 2–3), and `INSERTREADINTERVAL` with left-of resolution
-//!   (Figure 4).
+//!   (Figure 4). A read insert reaches its cases by a read-only probe and
+//!   repairs the path above them only where a subtree root changed, so the
+//!   common re-read — same bounds stored, reader kept or replaced — costs a
+//!   descent and one left-of question, no writes to the tree's links.
 //! * [`FlatStore`] — the same semantics on a `BTreeMap` keyed by interval
 //!   start. Simpler and obviously correct; used as the differential-testing
 //!   oracle and as the "any balanced BST would work" ablation baseline.

@@ -1,11 +1,16 @@
 //! The treap of disjoint intervals (paper Section 4, Figures 2–4).
 //!
 //! Nodes live in an arena indexed by `u32` and carry a random priority; the
-//! tree is a BST on interval start and a max-heap on priority. All paper
-//! operations are implemented recursively; rebalancing happens on the unwind
+//! tree is a BST on interval start and a max-heap on priority. The write
+//! insert and the query are recursive, and a write rebalances on the unwind
 //! (a fresh leaf is rotated up while its priority beats its parent's; a node
-//! whose children changed in the split cases is sifted down). Removals splice
-//! nodes out along one spine, which cannot violate the heap order.
+//! whose children changed in the split cases is sifted down). The read insert
+//! probes, acts and repairs (`Treap::read_from`): a read-only descent to the
+//! first stored interval the run overlaps, the recursive case analysis rooted
+//! there, and links re-stored along the recorded path only as far as a
+//! subtree root changed — none when the stored reader stays or is only
+//! replaced. Removals splice nodes out along one spine, which cannot violate
+//! the heap order.
 //!
 //! When an existing node is trimmed or has its payload replaced in place
 //! (write case D, the "middle piece" of the split cases), it keeps its old
@@ -36,6 +41,11 @@ static OBS_OP_VISITED: stint_obs::Histogram = stint_obs::Histogram::new("ivtree.
 static OBS_BULK_BATCHES: stint_obs::Counter = stint_obs::Counter::new("ivtree.bulk.batches");
 static OBS_BULK_RUNS: stint_obs::Counter = stint_obs::Counter::new("ivtree.bulk.runs");
 static OBS_BULK_BUILT: stint_obs::Counter = stint_obs::Counter::new("ivtree.bulk.built");
+// Read inserts that finished at the probe (stored reader kept, or same bounds:
+// nothing re-linked), and every other read insert.
+static OBS_READ_SETTLED: stint_obs::Counter = stint_obs::Counter::new("ivtree.read.settled");
+static OBS_READ_RESTRUCTURED: stint_obs::Counter =
+    stint_obs::Counter::new("ivtree.read.restructured");
 static OBS_DEPTH: stint_obs::Histogram = stint_obs::Histogram::new("ivtree.depth");
 
 #[derive(Clone, Debug)]
@@ -96,6 +106,14 @@ pub struct Treap<A> {
     /// (zero while obs is disabled — `Gauge::reconcile` no-ops).
     owned_bytes: u64,
     owned_nodes: u64,
+    /// Scratch of [`Self::read_from`]: the nodes the last read insert passed
+    /// on its way down, top first, each with the largest `end` a run to the
+    /// right of it may have and still turn there as it did: the node's
+    /// `start` where it went left, `u64::MAX` (no node starts there) where it
+    /// went right.
+    path: Vec<(u32, u64)>,
+    /// Read inserts that finished at the probe (`ivtree.read.settled`).
+    settled: u64,
 }
 
 impl<A: Copy> Default for Treap<A> {
@@ -127,6 +145,8 @@ impl<A: Copy> Treap<A> {
             hi_bound: 0,
             owned_bytes: 0,
             owned_nodes: 0,
+            path: Vec::new(),
+            settled: 0,
         }
     }
 
@@ -153,10 +173,12 @@ impl<A: Copy> Treap<A> {
         self.node_cap = cap.min(NIL as usize) as u32;
     }
 
-    /// Heap bytes currently owned by the arena (node slab + free list).
+    /// Heap bytes currently owned by the arena (node slab + free list) and
+    /// the read probe's path scratch.
     pub fn heap_bytes(&self) -> u64 {
         (self.nodes.capacity() * std::mem::size_of::<Node<A>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()) as u64
+            + self.free.capacity() * std::mem::size_of::<u32>()
+            + self.path.capacity() * std::mem::size_of::<(u32, u64)>()) as u64
     }
 
     /// Publish the arena's live footprint to the `ivtree.*` gauges.
@@ -502,7 +524,9 @@ impl<A: Copy> Treap<A> {
     }
 
     /// INSERTREADINTERVAL (paper §4.2, Figure 4). `keep_new(old)` is true
-    /// when the new reader is left of the stored reader `old`.
+    /// when the new reader is left of the stored reader `old`. A run enters
+    /// where [`Self::read_from`]'s probe stopped; the two descent arms carry
+    /// the flanks and trimmed pieces the cases re-insert inside that subtree.
     fn ir(&mut self, t: u32, x: Interval<A>, keep_new: &mut impl FnMut(A) -> bool) -> u32 {
         if t == NIL {
             let p = self.next_prio();
@@ -571,6 +595,59 @@ impl<A: Copy> Treap<A> {
             }
             self.fix_left(t)
         }
+    }
+
+    /// One read insert below `top`: probe, act, repair (DESIGN.md §17). The
+    /// probe descends read-only to the first stored interval overlapping `x`,
+    /// or to the empty slot, starting from what `path` holds of the last
+    /// probe: a run to the right of the last one (the caller clears `path`
+    /// otherwise) turns where that did down to the top-most node the last
+    /// run passed on the left and this one does not. The act is [`Self::ir`]
+    /// rooted where the probe stopped. The repair links and sifts its result
+    /// up `path` only while a subtree root changed — not at all when the
+    /// stored reader stays or only `who` is overwritten — and leaves `path` a
+    /// chain down from `top`. Returns the root that replaces `top`.
+    fn read_from(&mut self, top: u32, x: Interval<A>, keep_new: &mut impl FnMut(A) -> bool) -> u32 {
+        debug_assert!(self.path.first().is_none_or(|e| e.0 == top));
+        // Where the two descents part; if nowhere, look at the last node again.
+        let parts = self.path.iter().position(|e| x.end > e.1);
+        let at = parts.unwrap_or(self.path.len().saturating_sub(1));
+        let mut t = self.path.get(at).map_or(top, |e| e.0);
+        self.path.truncate(at);
+        while t != NIL {
+            let n = &self.nodes[t as usize];
+            let (next, same_turn_to) = if x.end <= n.start {
+                (n.left, n.start)
+            } else if x.start >= n.end {
+                (n.right, u64::MAX)
+            } else {
+                break;
+            };
+            self.path.push((t, same_turn_to));
+            t = next;
+        }
+        self.stats.visited += (self.path.len() - at) as u64;
+        let covered = t != NIL && self.n(t).start <= x.start && x.end <= self.n(t).end;
+        let len = self.len;
+        let mut new = self.ir(t, x, keep_new);
+        // An interval covering the run either settles it or is carved, and a
+        // carve allocates.
+        self.settled += (covered && self.len == len) as u64;
+        let mut old = t;
+        while new != old {
+            let Some((p, same_turn_to)) = self.path.pop() else {
+                return new;
+            };
+            old = p;
+            new = if same_turn_to != u64::MAX {
+                self.nm(p).left = new;
+                self.fix_left(p)
+            } else {
+                self.nm(p).right = new;
+                self.fix_right(p)
+            };
+        }
+        top
     }
 
     /// Read-only overlap walk (paper §4.3).
@@ -731,22 +808,32 @@ impl<A: Copy> Treap<A> {
     }
 
     /// Count one finished insert and bucket the nodes visited since `*since`.
+    /// Returns whether obs is enabled.
     #[inline]
-    fn observe_insert(&self, since: &mut u64) {
-        if stint_obs::is_enabled() {
+    fn observe_insert(&self, since: &mut u64) -> bool {
+        let enabled = stint_obs::is_enabled();
+        if enabled {
             OBS_INSERTS.incr();
             OBS_OP_VISITED.observe(self.stats.visited - *since);
             *since = self.stats.visited;
         }
+        enabled
     }
 
-    /// One top-level insert of `x`; `one(self, root)` is its case analysis.
+    /// Count `runs` finished read inserts, those settled since `settled` as such.
+    fn observe_reads(&self, runs: u64, settled: u64) {
+        OBS_READ_SETTLED.add(self.settled - settled);
+        OBS_READ_RESTRUCTURED.add(runs - (self.settled - settled));
+    }
+
+    /// One top-level insert of `x`, a read if `read`; `one(self, root)` is
+    /// its case analysis.
     #[inline]
-    fn insert_one(&mut self, x: Interval<A>, one: impl FnOnce(&mut Self, u32) -> u32) {
+    fn insert_one(&mut self, x: Interval<A>, read: bool, one: impl FnOnce(&mut Self, u32) -> u32) {
         debug_assert!(x.start < x.end);
         self.stats.ops += 1;
         self.inserts += 1;
-        let mut seen = self.stats.visited;
+        let (mut seen, settled) = (self.stats.visited, self.settled);
         self.root = if self.misses_cover(x.start, x.end) {
             // Key-compare early-out: nothing stored can overlap `x`, so it
             // goes in as a plain disjoint insert — the tree the case analysis
@@ -756,20 +843,24 @@ impl<A: Copy> Treap<A> {
             one(self, self.root)
         };
         self.note_extent(x.start, x.end);
-        self.observe_insert(&mut seen);
+        if self.observe_insert(&mut seen) && read {
+            self.observe_reads(1, settled);
+        }
     }
 
-    /// Record a strand's sorted disjoint `runs` as one splice: cut the tree
-    /// into `L | M | R` around the batch's span, run the batch against `M`
-    /// alone — `one(self, root, x)` is the per-run case analysis; an empty `M`
-    /// overlaps nothing and the batch is built in O(n) — and join the three
-    /// back. Same draws in the same order on the same keys: the tree is the
-    /// one the per-run path builds (DESIGN.md §17). Returns false, having
-    /// done nothing, for a batch too short or not sorted.
+    /// Record a strand's sorted disjoint `runs` (reads if `read`) as one
+    /// splice: cut the tree into `L | M | R` around the batch's span, run the
+    /// batch against `M` alone — `one(self, root, x)` is the per-run case
+    /// analysis; an empty `M` overlaps nothing and the batch is built in
+    /// O(n) — and join the three back. Same draws in the same order on the
+    /// same keys: the tree is the one the per-run path builds (DESIGN.md
+    /// §17). Returns false, having done nothing, for a batch too short or
+    /// not sorted.
     fn splice(
         &mut self,
         who: A,
         runs: &[(u64, u64)],
+        read: bool,
         mut one: impl FnMut(&mut Self, u32, Interval<A>) -> u32,
     ) -> bool {
         // Sorted, disjoint, no empty run: what a coalescing shadow extracts.
@@ -783,7 +874,7 @@ impl<A: Copy> Treap<A> {
         self.inserts += n;
         self.note_extent(first_lo, last_hi);
         // The first run's observation carries the two splits.
-        let mut seen = self.stats.visited;
+        let (mut seen, settled) = (self.stats.visited, self.settled);
         let (l, rest) = self.split(self.root, first_lo, true);
         let (m, r) = self.split(rest, last_hi, false);
         let build = m == NIL;
@@ -791,6 +882,7 @@ impl<A: Copy> Treap<A> {
         // `alloc` must not leave `L` and `R` detached.
         let open_cut = RelinkOnUnwind(self);
         let (t, mut m, mut spine) = (&mut *open_cut.0, m, Vec::new());
+        t.path.clear();
         for &(lo, hi) in runs {
             let x = Interval::new(lo, hi, who);
             m = if build {
@@ -810,6 +902,9 @@ impl<A: Copy> Treap<A> {
             OBS_BULK_BATCHES.incr();
             OBS_BULK_RUNS.add(n);
             OBS_BULK_BUILT.add(if build { n } else { 0 });
+            if read {
+                self.observe_reads(n, settled);
+            }
         }
         true
     }
@@ -868,11 +963,12 @@ impl<A: Copy> Drop for RelinkOnUnwind<'_, A> {
 
 impl<A: Copy> IntervalStore<A> for Treap<A> {
     fn insert_write(&mut self, x: Interval<A>, mut conflict: impl FnMut(A, u64, u64)) {
-        self.insert_one(x, |t, root| t.iw(root, x, &mut conflict));
+        self.insert_one(x, false, |t, root| t.iw(root, x, &mut conflict));
     }
 
     fn insert_read(&mut self, x: Interval<A>, mut is_new_left_of: impl FnMut(A) -> bool) {
-        self.insert_one(x, |t, root| t.ir(root, x, &mut is_new_left_of));
+        self.path.clear();
+        self.insert_one(x, true, |t, root| t.read_from(root, x, &mut is_new_left_of));
     }
 
     fn query_overlaps(&mut self, lo: u64, hi: u64, mut f: impl FnMut(A, u64, u64)) {
@@ -904,7 +1000,7 @@ impl<A: Copy> IntervalStore<A> for Treap<A> {
         runs: &[(u64, u64)],
         mut conflict: impl FnMut(A, u64, u64),
     ) {
-        if !self.splice(who, runs, |t, m, x| t.iw(m, x, &mut conflict)) {
+        if !self.splice(who, runs, false, |t, m, x| t.iw(m, x, &mut conflict)) {
             for &(lo, hi) in runs {
                 self.insert_write(Interval::new(lo, hi, who), &mut conflict);
             }
@@ -917,7 +1013,9 @@ impl<A: Copy> IntervalStore<A> for Treap<A> {
         runs: &[(u64, u64)],
         mut is_new_left_of: impl FnMut(A) -> bool,
     ) {
-        if !self.splice(who, runs, |t, m, x| t.ir(m, x, &mut is_new_left_of)) {
+        if !self.splice(who, runs, true, |t, m, x| {
+            t.read_from(m, x, &mut is_new_left_of)
+        }) {
             for &(lo, hi) in runs {
                 self.insert_read(Interval::new(lo, hi, who), &mut is_new_left_of);
             }
@@ -1511,6 +1609,228 @@ mod tests {
             }
         }
         assert!(k > 12 * 4, "the loop reached every callback");
+    }
+
+    /// Links and priorities of every arena slot, and the root: the shape.
+    fn shape(t: &Treap<u32>) -> (u32, Vec<(u32, u32, u32)>) {
+        let links = t.nodes.iter().map(|n| (n.prio, n.left, n.right)).collect();
+        (t.root, links)
+    }
+
+    /// A table of `words` one-word readers, reader `i % 7` on word `i`, put
+    /// in by two interleaved read batches (the second one probes).
+    fn saturated_table(words: u64) -> (Treap<u32>, crate::FlatStore<u32>) {
+        let (mut t, mut flat) = (Treap::new(), crate::FlatStore::new());
+        for who in 0..7u32 {
+            for phase in 0..2 {
+                let runs: Vec<(u64, u64)> = (0..words)
+                    .filter(|i| i % 7 == who as u64 && i % 2 == phase)
+                    .map(|i| (i, i + 1))
+                    .collect();
+                t.insert_reads_for(who, &runs, |_| panic!("first touches only"));
+                flat.insert_reads_for(who, &runs, |_| panic!("first touches only"));
+            }
+        }
+        assert_eq!(t.len() as u64, words);
+        (t, flat)
+    }
+
+    #[test]
+    fn rereading_a_saturated_table_relinks_nothing() {
+        let (mut t, mut flat) = saturated_table(4096);
+        let runs: Vec<(u64, u64)> = (0..4096).step_by(13).map(|i| (i, i + 1)).collect();
+        let before = (
+            t.len(),
+            t.heap_bytes(),
+            t.height(),
+            shape(&t),
+            t.insert_ops(),
+        );
+        let bounds = |t: &Treap<u32>| -> Vec<(u64, u64)> {
+            t.to_vec().iter().map(|i| (i.start, i.end)).collect()
+        };
+        let stored = bounds(&t);
+        // The new reader is left of the stored readers 0, 2, 4 and 6.
+        let mut asked = Vec::new();
+        t.insert_reads_for(9, &runs, |old| {
+            asked.push(old);
+            old % 2 == 0
+        });
+        flat.insert_reads_for(9, &runs, |old| old % 2 == 0);
+        t.check_invariants();
+        let want: Vec<u32> = runs.iter().map(|r| (r.0 % 7) as u32).collect();
+        assert_eq!(asked, want, "once per run, in address order");
+        assert!(asked.iter().any(|o| o % 2 == 0) && asked.iter().any(|o| o % 2 == 1));
+        let after = (
+            t.len(),
+            t.heap_bytes(),
+            t.height(),
+            shape(&t),
+            t.insert_ops(),
+        );
+        assert_eq!(
+            after,
+            (
+                before.0,
+                before.1,
+                before.2,
+                before.3,
+                before.4 + runs.len() as u64
+            ),
+            "no node, byte, link or rotation"
+        );
+        assert_eq!(bounds(&t), stored);
+        assert_eq!(t.to_vec(), flat.to_vec(), "accessors");
+        assert_eq!(t.settled, runs.len() as u64);
+    }
+
+    #[test]
+    fn runs_after_a_carve_land_on_its_remnants() {
+        // One-word readers 1..=4 around reader 0's wide interval. The batch
+        // settles two runs, carves the wide interval in its middle — which
+        // re-links the path the later runs would resume from — and then lands
+        // on the right remnant three times (kept, carved again, clipped at
+        // its end) before it goes on into the readers beyond.
+        let (mut bulk, mut looped) = (Treap::with_seed(11), Treap::with_seed(11));
+        let mut flat = crate::FlatStore::new();
+        let mut stored: Vec<(u64, u64)> = (0..300).map(|i| (3 * i, 3 * i + 1)).collect();
+        stored.push((1000, 2000));
+        stored.extend((0..300).map(|i| (2100 + 3 * i, 2101 + 3 * i)));
+        for (i, &(lo, hi)) in stored.iter().enumerate() {
+            let who = if hi - lo > 1 { 0 } else { 1 + i as u32 % 4 };
+            for t in [&mut bulk, &mut looped] {
+                t.insert_read(iv(lo, hi, who), |_| panic!("disjoint"));
+            }
+            flat.insert_read(iv(lo, hi, who), |_| panic!("disjoint"));
+        }
+        let runs = [
+            (30, 31),
+            (33, 34),
+            (1400, 1410),
+            (1410, 1411),
+            (1500, 1501),
+            (1990, 2005),
+            (2100, 2101),
+            (2990, 2999),
+        ];
+        // Left of readers 2 and 4, and of reader 0 except the second time.
+        let left_of = |asked: &[u32], old: u32| match old {
+            0 => asked.iter().filter(|&&o| o == 0).count() != 2,
+            _ => old.is_multiple_of(2),
+        };
+        let (mut ab, mut al, mut af) = (Vec::new(), Vec::new(), Vec::new());
+        bulk.insert_reads_for(8, &runs, |old| {
+            ab.push(old);
+            left_of(&ab, old)
+        });
+        for &(lo, hi) in &runs {
+            looped.insert_read(iv(lo, hi, 8), |old| {
+                al.push(old);
+                left_of(&al, old)
+            });
+        }
+        flat.insert_reads_for(8, &runs, |old| {
+            af.push(old);
+            left_of(&af, old)
+        });
+        bulk.check_invariants();
+        assert_eq!(ab, al, "question sequence");
+        assert_eq!(contents(&bulk), contents(&looped));
+        assert_eq!(bulk.height(), looped.height());
+        assert_eq!(shape(&bulk), shape(&looped));
+        assert_eq!(
+            crate::normalize(bulk.to_vec()),
+            crate::normalize(flat.to_vec())
+        );
+        assert_eq!(ab[..7], [3, 4, 0, 0, 0, 0, 2]);
+        assert_eq!(
+            contents(&bulk)[300..307],
+            [
+                (1000, 1400, 0),
+                (1400, 1410, 8),
+                (1410, 1500, 0),
+                (1500, 1501, 8),
+                (1501, 1990, 0),
+                (1990, 2005, 8),
+                (2100, 2101, 8)
+            ]
+        );
+    }
+
+    #[test]
+    fn left_of_callback_unwinding_from_a_settled_batch_moves_nothing() {
+        let runs: Vec<(u64, u64)> = (0..1024).step_by(9).map(|i| (i, i + 1)).collect();
+        for k in 1..=runs.len() {
+            let (mut t, _) = saturated_table(1024);
+            let (before, before_shape) = (contents(&t), shape(&t));
+            let mut calls = 0;
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                t.insert_reads_for(9, &runs, |old| {
+                    calls += 1;
+                    if calls == k {
+                        panic!("left-of callback {k}");
+                    }
+                    old % 2 == 0
+                });
+            }))
+            .expect_err("the callback unwinds");
+            t.check_invariants();
+            // The runs before the k-th are settled and nothing else moved:
+            // the relink the unwind out of an open cut triggers finds the
+            // (key, priority) set, hence the shape, it had before the batch.
+            let want: Vec<(u64, u64, u32)> = before
+                .iter()
+                .map(|&(lo, hi, who)| {
+                    let settled = runs[..k - 1].contains(&(lo, hi)) && who % 2 == 0;
+                    (lo, hi, if settled { 9 } else { who })
+                })
+                .collect();
+            assert_eq!(contents(&t), want, "callback {k}");
+            assert_eq!(shape(&t), before_shape, "callback {k}");
+        }
+    }
+
+    #[test]
+    fn list_shaped_read_tree_is_reread_and_extended() {
+        // `treap-degenerate` priorities (set directly: the plan is process
+        // state and other tests build treaps meanwhile). Ascending first
+        // touches make a left spine: depth = len.
+        let mut t: Treap<u32> = Treap::new();
+        (t.degenerate, t.rng) = (true, 0);
+        let mut flat = crate::FlatStore::new();
+        let table: Vec<(u64, u64)> = (0..2000).map(|i| (10 + 2 * i, 11 + 2 * i)).collect();
+        t.insert_reads_for(1, &table, |_| panic!("first touches"));
+        flat.insert_reads_for(1, &table, |_| panic!("first touches"));
+        assert_eq!(t.height(), t.len());
+        // Per-run re-read of the deepest word: every other node is on the path.
+        for store_read in [true, false] {
+            t.insert_read(iv(10, 11, 2), |_| store_read);
+            flat.insert_read(iv(10, 11, 2), |_| store_read);
+            assert_eq!(t.path.len(), t.len() - 1);
+        }
+        assert_eq!(
+            t.heap_bytes() as usize,
+            t.nodes.capacity() * 32 + t.free.capacity() * 4 + t.path.capacity() * 16
+        );
+        // A batch re-reads the deep end and extends it below and between:
+        // each new node outranks the whole list and is sifted to the root.
+        let runs = [(4, 5), (10, 11), (11, 12), (12, 13), (14, 16), (4008, 4012)];
+        t.insert_reads_for(3, &runs, |old| old == 2);
+        flat.insert_reads_for(3, &runs, |old| old == 2);
+        t.check_invariants();
+        assert_eq!(
+            crate::normalize(t.to_vec()),
+            crate::normalize(flat.to_vec())
+        );
+        assert_eq!(t.len(), 2000 + 4);
+        // ...and the list is read again from its far end.
+        t.insert_reads_for(4, &table[1990..], |_| true);
+        flat.insert_reads_for(4, &table[1990..], |_| true);
+        t.check_invariants();
+        assert_eq!(
+            crate::normalize(t.to_vec()),
+            crate::normalize(flat.to_vec())
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# The pre-merge gate: style checks, release build, every smoke script, the
-# space study (the `space` binary exits 1 on a Lemma 4.1 violation), the
-# repo benchmark's self-check (expectations, oracle, catalogue ≡
-# BENCHMARK.json), then a two-pair smoke of the repo benchmark against the
+# The pre-merge gate: style checks, release build, one iteration of each
+# ivtree Criterion row, every smoke script, the space study (the `space`
+# binary exits 1 on a Lemma 4.1 violation), the repo benchmark's self-check
+# (expectations, oracle, catalogue ≡ BENCHMARK.json), then a two-pair smoke of the repo benchmark against the
 # parent commit. No wall time is gated here: `scripts/bench_pair.sh REF 10`
 # is the performance measurement.
 #
@@ -23,6 +23,11 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release -q
+
+# Clippy only compiles the Criterion rows; this runs each once (the shim's
+# `--test` mode), so a bench whose set-up assumption rotted fails here.
+echo "== ivtree criterion rows, one iteration each"
+cargo bench -q -p stint-bench --bench ivtree -- --test
 
 echo "== chaos gate (fault-injection suites)"
 scripts/chaos.sh

@@ -40,7 +40,9 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     // empty tree meets an empty middle and is built; a five-run batch inside
     // it runs the case analysis on the middle; three runs are below the
     // minimum batch length and take the per-run path. Every run is one
-    // `ivtree.inserts`, whichever way it went.
+    // `ivtree.inserts`, whichever way it went. The three reads carve, fill a
+    // gap and miss the cover; a second reader's five-run batch then finds
+    // its own bounds stored five times and re-links nothing.
     {
         use stint_repro::{IntervalStore, Treap};
         let read = |name: &str| counter(&obs::metrics_json(), name).unwrap_or(0);
@@ -49,6 +51,8 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
             "ivtree.bulk.runs",
             "ivtree.bulk.built",
             "ivtree.inserts",
+            "ivtree.read.settled",
+            "ivtree.read.restructured",
         ];
         let before = names.map(read);
         let mut t: Treap<u32> = Treap::new();
@@ -57,9 +61,11 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         let inside = [(11, 13), (21, 23), (31, 33), (41, 43), (44, 45)];
         t.insert_writes_for(2, &inside, |_, _, _| {});
         t.insert_reads_for(3, &[(0, 1), (5, 6), (100, 101)], |_| true);
+        let again = [(0, 1), (5, 6), (10, 11), (20, 21), (30, 31)];
+        t.insert_reads_for(4, &again, |old| old == 3);
         let after = names.map(read);
         let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        assert_eq!(delta, [2, 11, 6, 14], "{names:?}");
+        assert_eq!(delta, [3, 16, 6, 19, 5, 3], "{names:?}");
     }
 
     // cilkrt: fork-join on a real pool. A join landing before any worker
@@ -214,6 +220,8 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         "ivtree.bulk.batches",
         "ivtree.bulk.runs",
         "ivtree.bulk.built",
+        "ivtree.read.settled",
+        "ivtree.read.restructured",
         "shadow.page_allocs",
         "shadow.filter_elisions",
         "cilkrt.workers_spawned",

@@ -327,3 +327,62 @@ fn named_batch_shapes() {
         }
     }
 }
+
+/// Drive `ops` into a bulk and a per-run treap and return, for each, the
+/// stored readers `is_new_left_of` was asked about, in the order asked.
+fn questions(ops: &[Op], key: u64) -> [Vec<u32>; 2] {
+    let (mut bulk, mut looped) = (Treap::with_seed(key), Treap::with_seed(key));
+    let (mut asked_bulk, mut asked_looped) = (Vec::new(), Vec::new());
+    let mut batch = |write: bool, who: u32, runs: &[(u64, u64)]| {
+        if write {
+            bulk.insert_writes_for(who, runs, |_, _, _| {});
+            looped.insert_writes_for(who, runs, |_, _, _| {});
+            return;
+        }
+        bulk.insert_reads_for(who, runs, |old| {
+            asked_bulk.push(old);
+            left_of(key, who, old)
+        });
+        for &(lo, hi) in runs {
+            looped.insert_read(Interval::new(lo, hi, who), |old| {
+                asked_looped.push(old);
+                left_of(key, who, old)
+            });
+        }
+    };
+    for op in ops {
+        match *op {
+            Op::Write { start, len, who } => batch(true, who, &[(start, start + len)]),
+            Op::Read { start, len, who } => batch(false, who, &[(start, start + len)]),
+            Op::Batch {
+                write,
+                who,
+                start,
+                ref steps,
+                reversed: false,
+            } => batch(write, who, &runs_of(start, steps)),
+            _ => {}
+        }
+    }
+    [asked_bulk, asked_looped]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The probe asks before it acts, the recursive path asked on its way
+    /// down: the same questions in the same order, whether a run was probed
+    /// from the root, from the middle of a cut or from where the last run's
+    /// path left off.
+    #[test]
+    fn left_of_questions_match_on_both_paths(
+        dense in proptest::collection::vec(op_strategy(256, 6, 3), 1..40),
+        sparse in proptest::collection::vec(op_strategy(50_000, 40, 300), 1..60),
+        key in any::<u64>(),
+    ) {
+        for ops in [&dense, &sparse] {
+            let [bulk, looped] = questions(ops, key);
+            prop_assert_eq!(bulk, looped);
+        }
+    }
+}
