@@ -193,70 +193,50 @@ fn write_json(
     rows: &[Row],
     lemma: &[LemmaCase],
     ratios: &[(&'static str, f64)],
-) {
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"stint-space-v1\",\n");
-    j.push_str(&format!("  \"scale\": \"{}\",\n", scale_name(scale)));
-    j.push_str(&format!(
-        "  \"obs_alloc\": {},\n",
-        cfg!(feature = "obs-alloc")
-    ));
-    j.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
+) -> std::io::Result<()> {
+    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
+    let mut j = json::Writer::new(&mut file);
+    j.begin_object();
+    j.key("schema").str("stint-space-v1");
+    j.key("scale").str(scale_name(scale));
+    j.key("obs_alloc").bool(cfg!(feature = "obs-alloc"));
+    j.key("rows").begin_array();
+    for r in rows {
         let s = &r.outcome.stats;
-        j.push_str(&format!(
-            concat!(
-                "    {{\"bench\": \"{}\", \"variant\": \"{}\", ",
-                "\"ah_bytes\": {}, \"coalesce_bytes\": {}, \"shadow_hw_bytes\": {}, ",
-                "\"peak_gauge_bytes\": {}, \"alloc_hw_bytes\": {}, ",
-                "\"treap_inserts\": {}, \"treap_len_hw\": {}, ",
-                "\"lemma_bound\": {}, \"lemma_ok\": {}}}{}\n",
-            ),
-            r.bench,
-            r.variant.name(),
-            s.ah_bytes,
-            s.coalesce_bytes,
-            r.shadow_hw,
-            r.peak_bytes,
-            r.alloc_hw,
-            s.treap_inserts,
-            s.treap_len_hw,
-            r.lemma_bound(),
-            r.lemma_ok(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+        j.begin_object();
+        j.key("bench").str(r.bench);
+        j.key("variant").str(r.variant.name());
+        j.key("ah_bytes").u64(s.ah_bytes);
+        j.key("coalesce_bytes").u64(s.coalesce_bytes);
+        j.key("shadow_hw_bytes").u64(r.shadow_hw);
+        j.key("peak_gauge_bytes").u64(r.peak_bytes);
+        j.key("alloc_hw_bytes").u64(r.alloc_hw);
+        j.key("treap_inserts").u64(s.treap_inserts);
+        j.key("treap_len_hw").u64(s.treap_len_hw);
+        j.key("lemma_bound").u64(r.lemma_bound());
+        j.key("lemma_ok").bool(r.lemma_ok());
+        j.end();
     }
-    j.push_str("  ],\n");
-    j.push_str("  \"lemma_per_store\": [\n");
-    for (i, c) in lemma.iter().enumerate() {
-        j.push_str(&format!(
-            concat!(
-                "    {{\"bench\": \"{}\", \"tree\": \"{}\", \"inserts\": {}, ",
-                "\"len_hw\": {}, \"bound\": {}, \"ok\": {}}}{}\n",
-            ),
-            c.bench,
-            c.tree,
-            c.inserts,
-            c.len_hw,
-            c.bound(),
-            c.ok(),
-            if i + 1 < lemma.len() { "," } else { "" },
-        ));
+    j.end();
+    j.key("lemma_per_store").begin_array();
+    for c in lemma {
+        j.begin_object();
+        j.key("bench").str(c.bench);
+        j.key("tree").str(c.tree);
+        j.key("inserts").u64(c.inserts);
+        j.key("len_hw").u64(c.len_hw);
+        j.key("bound").u64(c.bound());
+        j.key("ok").bool(c.ok());
+        j.end();
     }
-    j.push_str("  ],\n");
-    j.push_str("  \"hash_shadow_over_treap\": {");
-    for (i, (bench, ratio)) in ratios.iter().enumerate() {
-        if i > 0 {
-            j.push_str(", ");
-        }
-        j.push_str(&format!("\"{bench}\": {ratio:.2}"));
+    j.end();
+    j.key("hash_shadow_over_treap").begin_object();
+    for (bench, ratio) in ratios {
+        // Two decimals, as the table prints it.
+        j.key(bench).f64((ratio * 100.0).round() / 100.0);
     }
-    j.push_str("}\n}\n");
-    std::fs::write(path, j).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
+    j.end().end();
+    j.finish()
 }
 
 fn main() {
@@ -354,7 +334,10 @@ fn main() {
         );
     }
 
-    write_json(&args.out, args.scale, &rows, &lemma, &ratios);
+    if let Err(e) = write_json(&args.out, args.scale, &rows, &lemma, &ratios) {
+        eprintln!("cannot write {}: {e}", args.out);
+        std::process::exit(1);
+    }
     println!("\nwrote {}", args.out);
 
     let violations =

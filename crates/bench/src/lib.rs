@@ -9,7 +9,10 @@ use std::time::Duration;
 use stint::{Outcome, Variant};
 use stint_suite::{Scale, Workload};
 
-pub mod json;
+pub mod doccheck;
+/// The workspace's one JSON reader/writer (it lives under every crate, in
+/// `stint-obs`); re-exported under the name the repo benchmark imports.
+pub use stint_obs::json;
 
 /// Parse `--scale X` from argv (default `S`).
 pub fn scale_from_args() -> Scale {

@@ -40,11 +40,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crossbeam::deque::{Injector, Stealer, Worker as Deque};
-use parking_lot::{Condvar, Mutex};
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
@@ -154,9 +153,15 @@ struct Shared {
 }
 
 impl Shared {
+    /// The park/wake lock. It guards no data, so a holder that panicked
+    /// left nothing half-updated: a poisoned guard is taken as it is.
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        self.lock.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn notify(&self) {
         if self.sleepers.load(Ordering::Relaxed) > 0 {
-            let _g = self.lock.lock();
+            let _g = self.lock();
             self.wake.notify_all();
         }
     }
@@ -488,7 +493,7 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         {
-            let _g = self.shared.lock.lock();
+            let _g = self.shared.lock();
             self.shared.wake.notify_all();
         }
         for h in self.handles.drain(..) {
@@ -674,11 +679,9 @@ fn worker_main(
                     // Timed sleep: a notify wakes us early; the timeout
                     // bounds the latency of any missed wakeup.
                     shared.sleepers.fetch_add(1, Ordering::Relaxed);
-                    let mut g = shared.lock.lock();
-                    shared
-                        .wake
-                        .wait_for(&mut g, std::time::Duration::from_millis(1));
-                    drop(g);
+                    // Woken, timed out or poisoned, the guard comes back in
+                    // the result and is released with it.
+                    let _ = (shared.wake).wait_timeout(shared.lock(), Duration::from_millis(1));
                     shared.sleepers.fetch_sub(1, Ordering::Relaxed);
                     idle_spins = 64;
                 }

@@ -364,7 +364,7 @@ const FLAGS: &[Flag] = &[
         applies: SEQ,
         set: |_, r, v| put(&mut r.stats_json, Ok(Some(v.into()))),
         help: "write the run's DetectorStats as JSON, including a process-wide\n\
-               gauge watermark snapshot",
+               gauge watermark snapshot; PATH '-' writes to stdout",
     },
     Flag {
         name: "--report-json",

@@ -21,10 +21,10 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
+use stint::report_card::Card;
 use stint::{
-    try_detect_with, AccessEvidence, CompRtsDetector, Config, DetectorError, Outcome,
-    PortableTrace, Race, RaceKind, RaceReport, StintDetector, StintFlatDetector, StrandId,
-    VanillaDetector, Variant, Witness, WitnessChecker,
+    try_detect_with, CompRtsDetector, Config, DetectorError, Outcome, PortableTrace, RaceReport,
+    StintDetector, StintFlatDetector, VanillaDetector, Variant, WitnessChecker,
 };
 use stint_suite::{Scale, Workload, BUGGY_NAMES, NAMES};
 
@@ -32,9 +32,7 @@ mod args;
 mod output;
 
 use args::{CmdOpts, Parsed, RunOpts, VariantSel};
-use output::{
-    print_batch_outcome, print_outcome, print_report, write_report_json, write_stats_json,
-};
+use output::{print_batch_outcome, print_outcome, print_report, write_stats_json};
 use stint_batchdet::{
     batch_detect, batch_detect_chunked, online_detect, BatchConfig, OnlineConfig,
 };
@@ -165,35 +163,48 @@ fn main() -> ExitCode {
     }
 }
 
-/// Writer for an export path; `-` means stdout.
-fn out_writer(path: &str) -> Result<Box<dyn std::io::Write>, String> {
-    if path == "-" {
-        Ok(Box::new(BufWriter::new(std::io::stdout())))
+/// Open `path` — `-` means stdout — and run `write` on it. Every output flag
+/// (`--metrics-out`, `--trace-out`, `--mem-series-out`, `--stats-json`,
+/// `--report-json`) writes its file through here.
+fn out_writer(
+    path: &str,
+    write: impl FnOnce(Box<dyn std::io::Write>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let out: Box<dyn std::io::Write> = if path == "-" {
+        Box::new(BufWriter::new(std::io::stdout()))
     } else {
         let f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        Ok(Box::new(BufWriter::new(f)))
-    }
+        Box::new(BufWriter::new(f))
+    };
+    write(out).map_err(|e| format!("write {path}: {e}"))
 }
 
 /// Write `--metrics-out` / `--trace-out` / `--mem-series-out` files, if
-/// requested. A path of `-` streams to stdout.
+/// requested.
 fn write_obs_outputs(opts: &RunOpts) -> Result<(), String> {
     if let Some(path) = &opts.metrics_out {
-        stint::obs::write_metrics_json(out_writer(path)?)
-            .map_err(|e| format!("write {path}: {e}"))?;
+        out_writer(path, stint::obs::write_metrics_json)?;
     }
     if let Some(path) = &opts.trace_out {
-        stint::obs::write_trace_json(out_writer(path)?)
-            .map_err(|e| format!("write {path}: {e}"))?;
+        out_writer(path, stint::obs::write_trace_json)?;
     }
     if let Some(path) = &opts.mem_series_out {
         // Always close the series with one final snapshot so even a run
         // shorter than the sample interval yields a non-empty series.
         stint::obs::sampler::sample_now();
-        stint::obs::write_mem_series_json(out_writer(path)?)
-            .map_err(|e| format!("write {path}: {e}"))?;
+        out_writer(path, stint::obs::write_mem_series_json)?;
     }
     Ok(())
+}
+
+/// `--report-json`: the run(s) as a `stint-report-v1` card.
+fn write_report(
+    path: &str,
+    source: &str,
+    command: &str,
+    runs: &[(String, &RaceReport)],
+) -> Result<(), Failure> {
+    out_writer(path, |w| Card::new(source, command, runs).write(w)).map_err(usage)
 }
 
 /// Returns whether races were found (drives the exit code, like a linter).
@@ -255,14 +266,14 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             // The stats dump goes out before the degraded check so a capped
             // run's partial numbers are still inspectable.
             if let Some(path) = &opts.stats_json {
-                write_stats_json(path, &bench, &outcomes).map_err(usage)?;
+                out_writer(path, |w| write_stats_json(w, &bench, &outcomes)).map_err(usage)?;
             }
             if let Some(path) = &opts.report_json {
                 let runs: Vec<(String, &RaceReport)> = outcomes
                     .iter()
                     .map(|o| (o.variant.name().to_string(), &o.report))
                     .collect();
-                write_report_json(path, &bench, "detect", &runs).map_err(usage)?;
+                write_report(path, &bench, "detect", &runs)?;
             }
             if let Some(err) = outcomes.iter().find_map(|o| o.degraded.clone()) {
                 // The report above is sound but incomplete: surface the
@@ -370,8 +381,7 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
                 let report = out.merged.to_report();
                 print_report(&report, 10);
                 if let Some(path) = &opts.report_json {
-                    write_report_json(path, &file, "replay", &[("BATCH".into(), &report)])
-                        .map_err(usage)?;
+                    write_report(path, &file, "replay", &[("BATCH".into(), &report)])?;
                 }
                 if let Some(err) = out.degraded {
                     return Err(Failure::Detector(err));
@@ -406,8 +416,7 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
                 println!("replayed {} events under {}:", pt.trace.len(), variant);
                 print_report(&report, 10);
                 if let Some(path) = &opts.report_json {
-                    write_report_json(path, &file, "replay", &[(variant.name().into(), &report)])
-                        .map_err(usage)?;
+                    write_report(path, &file, "replay", &[(variant.name().into(), &report)])?;
                 }
                 Ok(!report.is_race_free())
             }
@@ -466,7 +475,7 @@ fn detect_batch(bench: &str, o: &CmdOpts, opts: &RunOpts) -> Result<bool, Failur
     print_batch_outcome(bench, &out);
     if let Some(path) = &opts.report_json {
         let report = out.merged.to_report();
-        write_report_json(path, bench, "detect", &[("BATCH".into(), &report)]).map_err(usage)?;
+        write_report(path, bench, "detect", &[("BATCH".into(), &report)])?;
     }
     if let Some(err) = out.degraded {
         // Sound but incomplete, exactly like a degraded sequential run.
@@ -502,7 +511,7 @@ fn detect_online(
     let report = out.merged.to_report();
     print_report(&report, 10);
     if let Some(path) = &opts.report_json {
-        write_report_json(path, bench, "detect", &[("ONLINE".into(), &report)]).map_err(usage)?;
+        write_report(path, bench, "detect", &[("ONLINE".into(), &report)])?;
     }
     if let Some(err) = out.degraded {
         // Sound but incomplete, exactly like a degraded sequential run.
@@ -579,53 +588,40 @@ fn load_trace(file: &str) -> Result<PortableTrace, String> {
 
 /// `witness verify <trace> <report.json>`: re-run the independent
 /// [`WitnessChecker`] on every race in a `stint-report-v1` report card
-/// against the trace it was emitted from. Unreadable inputs are usage
-/// errors (exit 2); a witness that fails verification — tampered evidence,
-/// or a report paired with the wrong trace — is a corrupt-input failure
-/// (exit 4). A report that carries races but no witnesses is a usage error:
-/// there is nothing to verify, re-emit with `--witness`.
+/// against the trace it was emitted from. Unreadable files are usage errors
+/// (exit 2); a card that does not read — not a report card, a field missing
+/// or holding a value it cannot — or a witness that fails verification —
+/// tampered evidence, or a report paired with the wrong trace — is a
+/// corrupt-input failure (exit 4, with a `REJECTED` line). A report that
+/// carries races but no witnesses is a usage error: there is nothing to
+/// verify, re-emit with `--witness`.
 fn witness_verify(trace_path: &str, report_path: &str) -> Result<bool, Failure> {
-    use stint_bench::json::{parse, Value};
+    let rejected = |what: String, reason: String| {
+        eprintln!("witness REJECTED ({what}): {reason}");
+        Failure::Detector(DetectorError::CorruptTrace {
+            detail: format!("witness verification failed: {reason}"),
+        })
+    };
     let pt = load_trace(trace_path).map_err(usage)?;
     let text = std::fs::read_to_string(report_path)
         .map_err(|e| usage(format!("read {report_path}: {e}")))?;
-    let doc = parse(&text).map_err(|e| usage(format!("parse {report_path}: {e}")))?;
-    let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
-    if schema != "stint-report-v1" {
-        return Err(usage(format!(
-            "{report_path}: schema is {schema:?}, expected \"stint-report-v1\""
-        )));
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or_else(|| usage(format!("{report_path}: no runs array")))?;
+    let card = Card::read(&text).map_err(|e| rejected(report_path.into(), e))?;
     let checker = WitnessChecker::new(&pt.reach).with_trace(&pt.trace);
-    let (mut total, mut checked, mut unwitnessed) = (0u64, 0u64, 0u64);
-    for (ri, run) in runs.iter().enumerate() {
-        let races = run
-            .get("races")
-            .and_then(Value::as_array)
-            .ok_or_else(|| usage(format!("{report_path}: run {ri} has no races array")))?;
-        for (rj, race_json) in races.iter().enumerate() {
+    let (mut total, mut checked) = (0u64, 0u64);
+    for (ri, run) in card.runs.iter().enumerate() {
+        for race in &run.races {
             total += 1;
-            let race = race_from_json(race_json)
-                .map_err(|e| usage(format!("{report_path}: run {ri} race {rj}: {e}")))?;
             if race.witness.is_none() {
-                unwitnessed += 1;
                 continue;
             }
             checked += 1;
-            if let Err(reason) = checker.check(&race) {
-                eprintln!(
-                    "witness REJECTED (run {ri}, {} race on words [{:#x},{:#x}), \
-                     s{} vs s{}): {reason}",
+            checker.check(race).map_err(|reason| {
+                let what = format!(
+                    "run {ri}, {} race on words [{:#x},{:#x}), s{} vs s{}",
                     race.kind, race.word_lo, race.word_hi, race.prev.0, race.cur.0
                 );
-                return Err(Failure::Detector(DetectorError::CorruptTrace {
-                    detail: format!("witness verification failed: {reason}"),
-                }));
-            }
+                rejected(what, reason)
+            })?;
         }
     }
     if checked == 0 && total > 0 {
@@ -635,74 +631,10 @@ fn witness_verify(trace_path: &str, report_path: &str) -> Result<bool, Failure> 
     }
     println!(
         "verified {checked} witness(es) across {total} race record(s) \
-         ({unwitnessed} unwitnessed) against {trace_path}"
+         ({} unwitnessed) against {trace_path}",
+        total - checked
     );
     Ok(false)
-}
-
-/// Rebuild a [`Race`] (with optional witness) from its report-card JSON.
-fn race_from_json(v: &stint_bench::json::Value) -> Result<Race, String> {
-    use stint_bench::json::Value;
-    let num = |o: &Value, key: &str| -> Result<u64, String> {
-        o.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("missing integer field {key:?}"))
-    };
-    let kind = match v.get("kind").and_then(Value::as_str) {
-        Some("write-write") => RaceKind::WriteWrite,
-        Some("read-write") => RaceKind::ReadWrite,
-        Some("write-read") => RaceKind::WriteRead,
-        other => return Err(format!("bad race kind {other:?}")),
-    };
-    let mut race = Race::new(
-        kind,
-        num(v, "word_lo")?,
-        num(v, "word_hi")?,
-        StrandId(num(v, "prev")? as u32),
-        StrandId(num(v, "cur")? as u32),
-    );
-    match v.get("witness") {
-        None | Some(Value::Null) => {}
-        Some(w) => {
-            let side = |key: &str| -> Result<AccessEvidence, String> {
-                let e = w
-                    .get(key)
-                    .ok_or_else(|| format!("witness missing {key:?} evidence"))?;
-                Ok(AccessEvidence {
-                    strand: StrandId(num(e, "strand")? as u32),
-                    first_event: num(e, "first")?,
-                    last_event: num(e, "last")?,
-                    event: e.get("event").and_then(Value::as_u64),
-                })
-            };
-            let flag = |key: &str| -> Result<bool, String> {
-                w.get(key)
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| format!("witness missing boolean {key:?}"))
-            };
-            let chain = |key: &str| -> Result<Vec<StrandId>, String> {
-                w.get(key)
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| format!("witness missing lineage {key:?}"))?
-                    .iter()
-                    .map(|s| {
-                        s.as_u64()
-                            .map(|n| StrandId(n as u32))
-                            .ok_or_else(|| format!("non-integer strand in {key:?}"))
-                    })
-                    .collect()
-            };
-            race.witness = Some(Box::new(Witness {
-                prev: side("prev")?,
-                cur: side("cur")?,
-                prev_before_eng: flag("prev_before_eng")?,
-                prev_before_heb: flag("prev_before_heb")?,
-                prev_lineage: chain("prev_lineage")?,
-                cur_lineage: chain("cur_lineage")?,
-            }));
-        }
-    }
-    Ok(race)
 }
 
 /// Shared with `args.rs` for validation: the race-free suite plus the

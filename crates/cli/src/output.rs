@@ -1,7 +1,7 @@
 //! Human-readable rendering of outcomes and reports, plus the `--stats-json`
 //! machine-readable dump.
 
-use stint::obs::json_escape;
+use stint::obs::json::Writer;
 use stint::{Outcome, RaceReport};
 
 pub fn print_outcome(bench: &str, o: &Outcome) {
@@ -117,138 +117,38 @@ pub fn print_report(report: &RaceReport, max: usize) {
 ///               "stats": { "detector.read_hooks": 2, ... } } ]
 /// }
 /// ```
-pub fn write_stats_json(path: &str, bench: &str, outcomes: &[Outcome]) -> Result<(), String> {
-    use std::io::Write;
-    let f = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(f);
-    let mut emit = || -> std::io::Result<()> {
-        writeln!(w, "{{")?;
-        writeln!(w, "  \"schema\": \"stint-stats-v1\",")?;
-        writeln!(w, "  \"bench\": \"{}\",", json_escape(bench))?;
-        let gauges = stint::obs::gauges_snapshot();
-        writeln!(w, "  \"gauges\": {{")?;
-        for (i, (name, current, hw)) in gauges.iter().enumerate() {
-            let comma = if i + 1 < gauges.len() { "," } else { "" };
-            writeln!(
-                w,
-                "    \"{}\": {{ \"current\": {current}, \"hw\": {hw} }}{comma}",
-                json_escape(name)
-            )?;
+pub fn write_stats_json(
+    mut w: impl std::io::Write,
+    bench: &str,
+    outcomes: &[Outcome],
+) -> std::io::Result<()> {
+    let mut j = Writer::new(&mut w);
+    j.begin_object();
+    j.key("schema").str("stint-stats-v1");
+    j.key("bench").str(bench);
+    stint::obs::write_gauges(&mut j, &stint::obs::gauges_snapshot());
+    j.key("runs").begin_array();
+    for o in outcomes {
+        j.begin_object();
+        j.key("variant").str(o.variant.name());
+        j.key("wall_ns").u64(o.wall.as_nanos() as u64);
+        j.key("ah_time_ns").u64(o.stats.ah_time.as_nanos() as u64);
+        j.key("strands").u64(o.strands as u64);
+        j.key("spawns").u64(o.counters.spawns);
+        j.key("syncs").u64(o.counters.effective_syncs);
+        j.key("races").u64(o.report.total);
+        j.key("truncated").bool(o.report.truncated());
+        j.key("racy_words").u64(o.report.racy_words().len() as u64);
+        match &o.degraded {
+            Some(e) => j.key("degraded").str(&e.to_string()),
+            None => j.key("degraded").null(),
+        };
+        j.key("stats").begin_object();
+        for (name, v) in o.stats.fields() {
+            j.key(name).u64(v);
         }
-        writeln!(w, "  }},")?;
-        writeln!(w, "  \"runs\": [")?;
-        for (i, o) in outcomes.iter().enumerate() {
-            writeln!(w, "    {{")?;
-            writeln!(
-                w,
-                "      \"variant\": \"{}\",",
-                json_escape(o.variant.name())
-            )?;
-            writeln!(w, "      \"wall_ns\": {},", o.wall.as_nanos())?;
-            writeln!(w, "      \"ah_time_ns\": {},", o.stats.ah_time.as_nanos())?;
-            writeln!(w, "      \"strands\": {},", o.strands)?;
-            writeln!(w, "      \"spawns\": {},", o.counters.spawns)?;
-            writeln!(w, "      \"syncs\": {},", o.counters.effective_syncs)?;
-            writeln!(w, "      \"races\": {},", o.report.total)?;
-            writeln!(w, "      \"truncated\": {},", o.report.truncated())?;
-            writeln!(w, "      \"racy_words\": {},", o.report.racy_words().len())?;
-            match &o.degraded {
-                Some(e) => writeln!(
-                    w,
-                    "      \"degraded\": \"{}\",",
-                    json_escape(&e.to_string())
-                )?,
-                None => writeln!(w, "      \"degraded\": null,")?,
-            }
-            writeln!(w, "      \"stats\": {{")?;
-            let fields = o.stats.fields();
-            for (j, (name, v)) in fields.iter().enumerate() {
-                let comma = if j + 1 < fields.len() { "," } else { "" };
-                writeln!(w, "        \"{}\": {v}{comma}", json_escape(name))?;
-            }
-            writeln!(w, "      }}")?;
-            let comma = if i + 1 < outcomes.len() { "," } else { "" };
-            writeln!(w, "    }}{comma}")?;
-        }
-        writeln!(w, "  ]")?;
-        writeln!(w, "}}")
-    };
-    emit().map_err(|e| format!("write {path}: {e}"))
-}
-
-/// Write the race-report-card (`--report-json`, schema `stint-report-v1`):
-/// per run the totals, an **explicit `truncated` marker** (detail records
-/// dropped at the report cap are never silent), the coalesced racy word
-/// intervals, and every kept race — with its structured witness when
-/// capture was on. `witness verify` re-validates this file against the
-/// trace it came from.
-///
-/// ```json
-/// {
-///   "schema": "stint-report-v1",
-///   "source": "buggy-mmul",
-///   "command": "detect",
-///   "runs": [ { "variant": "STINT", "total": 3, "kept": 3,
-///               "truncated": false, "racy_words": 4,
-///               "racy_intervals": [[16, 20]],
-///               "races": [ { "kind": "write-read", "word_lo": 16,
-///                            "word_hi": 20, "prev": 2, "cur": 5,
-///                            "witness": { "prev": { ... }, ... } } ] } ]
-/// }
-/// ```
-pub fn write_report_json(
-    path: &str,
-    source: &str,
-    command: &str,
-    runs: &[(String, &RaceReport)],
-) -> Result<(), String> {
-    use std::io::Write;
-    let mut w: Box<dyn std::io::Write> = if path == "-" {
-        Box::new(std::io::BufWriter::new(std::io::stdout()))
-    } else {
-        let f = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        Box::new(std::io::BufWriter::new(f))
-    };
-    let mut emit = || -> std::io::Result<()> {
-        writeln!(w, "{{")?;
-        writeln!(w, "  \"schema\": \"stint-report-v1\",")?;
-        writeln!(w, "  \"source\": \"{}\",", json_escape(source))?;
-        writeln!(w, "  \"command\": \"{}\",", json_escape(command))?;
-        writeln!(w, "  \"runs\": [")?;
-        for (i, (variant, report)) in runs.iter().enumerate() {
-            writeln!(w, "    {{")?;
-            writeln!(w, "      \"variant\": \"{}\",", json_escape(variant))?;
-            writeln!(w, "      \"total\": {},", report.total)?;
-            writeln!(w, "      \"kept\": {},", report.races().len())?;
-            writeln!(w, "      \"truncated\": {},", report.truncated())?;
-            writeln!(w, "      \"racy_words\": {},", report.racy_words().len())?;
-            let ivs: Vec<String> = report
-                .racy_intervals()
-                .iter()
-                .map(|(lo, hi)| format!("[{lo}, {hi}]"))
-                .collect();
-            writeln!(w, "      \"racy_intervals\": [{}],", ivs.join(", "))?;
-            writeln!(w, "      \"races\": [")?;
-            let races = report.races();
-            for (j, r) in races.iter().enumerate() {
-                let witness = match &r.witness {
-                    Some(wit) => wit.to_json(),
-                    None => "null".into(),
-                };
-                let comma = if j + 1 < races.len() { "," } else { "" };
-                writeln!(
-                    w,
-                    "        {{ \"kind\": \"{}\", \"word_lo\": {}, \"word_hi\": {}, \
-                     \"prev\": {}, \"cur\": {}, \"witness\": {witness} }}{comma}",
-                    r.kind, r.word_lo, r.word_hi, r.prev.0, r.cur.0
-                )?;
-            }
-            writeln!(w, "      ]")?;
-            let comma = if i + 1 < runs.len() { "," } else { "" };
-            writeln!(w, "    }}{comma}")?;
-        }
-        writeln!(w, "  ]")?;
-        writeln!(w, "}}")
-    };
-    emit().map_err(|e| format!("write {path}: {e}"))
+        j.end().end();
+    }
+    j.end().end();
+    j.finish()
 }

@@ -313,3 +313,36 @@ fn degraded_run_still_prints_partial_report() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("heat under"), "stdout: {stdout}");
 }
+
+/// Every fault class through the `STINT_FAULTS` environment variable, on two
+/// benchmarks: a run may exit 0 (clean), 1 (races), 3 (budget exhausted,
+/// sound partial report) or 4 (poisoned session) — anything else is an
+/// escaped panic or a crash.
+#[test]
+fn fault_plans_from_the_environment_exit_0_1_3_or_4() {
+    for plan in [
+        "seed=1,om-tags=12",
+        "seed=2,om-storm=2",
+        "seed=3,om-tags=14,om-storm=3",
+        "seed=4,shadow-pages=2",
+        "seed=5,shadow-oom-at=4",
+        "seed=6,treap-degenerate",
+        "seed=7,worker-spawn-fail=0",
+        "seed=8,worker-panic=0",
+        "seed=9,panic-at-flush=1",
+        "seed=10,om-storm=2,shadow-pages=2,treap-degenerate",
+    ] {
+        for bench in ["mmul", "sort"] {
+            let out = cli(&["detect", bench])
+                .env("STINT_FAULTS", plan)
+                .output()
+                .expect("spawn stint-cli");
+            assert!(
+                matches!(out.status.code(), Some(0 | 1 | 3 | 4)),
+                "STINT_FAULTS={plan} detect {bench}: {:?}, stderr: {}",
+                out.status,
+                stderr(&out)
+            );
+        }
+    }
+}

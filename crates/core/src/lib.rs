@@ -47,6 +47,7 @@ pub mod comprts;
 pub mod ctrace;
 pub mod journal;
 pub mod report;
+pub mod report_card;
 pub mod stats;
 pub mod stint_det;
 pub mod timing;

@@ -31,7 +31,9 @@
 //! per hook when disabled (the established inertness contract).
 
 use crate::report::{Race, RaceKind};
+use crate::report_card::{array, flag, to_strand, STRAND_MAX};
 use crate::trace::{Trace, TraceOp};
+use stint_obs::json::{Value, Writer};
 use stint_obs::Counter;
 use stint_sporder::{FrozenReach, Reachability, StrandId};
 
@@ -108,36 +110,71 @@ impl Witness {
         }
     }
 
-    /// The witness as a single-line JSON object — the race-report-card
-    /// encoding (`stint-report-v1`). Every field is numeric or boolean, so
-    /// no string escaping is needed; `witness verify` parses this back and
-    /// re-runs the checker on it.
-    pub fn to_json(&self) -> String {
-        let side = |e: &AccessEvidence| {
-            format!(
-                "{{\"strand\":{},\"first\":{},\"last\":{},\"event\":{}}}",
-                e.strand.0,
-                e.first_event,
-                e.last_event,
-                e.event
-                    .map(|id| id.to_string())
-                    .unwrap_or_else(|| "null".into())
-            )
+    /// Push the witness into an open JSON document as one object — its
+    /// encoding in the race report card (`stint-report-v1`);
+    /// [`Witness::from_json`] reads it back for `witness verify` to re-run
+    /// the checker on.
+    pub fn write_json(&self, j: &mut Writer<'_>) {
+        let side = |j: &mut Writer<'_>, key: &str, e: &AccessEvidence| {
+            j.key(key).begin_object();
+            j.key("strand").u64(e.strand.0.into());
+            j.key("first").u64(e.first_event);
+            j.key("last").u64(e.last_event);
+            j.key("event");
+            match e.event {
+                Some(id) => j.u64(id),
+                None => j.null(),
+            };
+            j.end();
         };
-        let chain = |c: &[StrandId]| {
-            let ids: Vec<String> = c.iter().map(|s| s.0.to_string()).collect();
-            format!("[{}]", ids.join(","))
+        let chain = |j: &mut Writer<'_>, key: &str, c: &[StrandId]| {
+            j.key(key).begin_array();
+            for s in c {
+                j.u64(s.0.into());
+            }
+            j.end();
         };
-        format!(
-            "{{\"prev\":{},\"cur\":{},\"prev_before_eng\":{},\"prev_before_heb\":{},\
-             \"prev_lineage\":{},\"cur_lineage\":{}}}",
-            side(&self.prev),
-            side(&self.cur),
-            self.prev_before_eng,
-            self.prev_before_heb,
-            chain(&self.prev_lineage),
-            chain(&self.cur_lineage),
-        )
+        j.begin_object();
+        side(j, "prev", &self.prev);
+        side(j, "cur", &self.cur);
+        j.key("prev_before_eng").bool(self.prev_before_eng);
+        j.key("prev_before_heb").bool(self.prev_before_heb);
+        chain(j, "prev_lineage", &self.prev_lineage);
+        chain(j, "cur_lineage", &self.cur_lineage);
+        j.end();
+    }
+
+    /// Inverse of [`Witness::write_json`]. Fails closed: a strand id that
+    /// does not fit its `u32`, a fraction, a missing field or a wrong type
+    /// is an error, never a cast or a default.
+    pub fn from_json(v: &Value) -> Result<Witness, String> {
+        let side = |key: &str| -> Result<AccessEvidence, String> {
+            let e = (v.get(key)).ok_or_else(|| format!("missing {key:?} evidence"))?;
+            Ok(AccessEvidence {
+                strand: to_strand(e.uint("strand", STRAND_MAX)?),
+                first_event: e.uint("first", u64::MAX)?,
+                last_event: e.uint("last", u64::MAX)?,
+                event: match e.get("event") {
+                    None => return Err(format!("{key} evidence: missing event field")),
+                    Some(Value::Null) => None,
+                    Some(id) => Some(id.to_uint(u64::MAX).map_err(|e| format!("\"event\" {e}"))?),
+                },
+            })
+        };
+        let chain = |key: &str| -> Result<Vec<StrandId>, String> {
+            let ids = array(v, key)?.iter();
+            ids.map(|s| Ok(to_strand(s.to_uint(STRAND_MAX)?)))
+                .collect::<Result<_, String>>()
+                .map_err(|e| format!("{key:?} entry {e}"))
+        };
+        Ok(Witness {
+            prev: side("prev")?,
+            cur: side("cur")?,
+            prev_before_eng: flag(v, "prev_before_eng")?,
+            prev_before_heb: flag(v, "prev_before_heb")?,
+            prev_lineage: chain("prev_lineage")?,
+            cur_lineage: chain("cur_lineage")?,
+        })
     }
 
     /// Compact single-line rendering used on the serve wire and in the batch

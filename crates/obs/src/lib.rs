@@ -21,10 +21,12 @@
 //! * **Events** ([`event`]) — zero-duration instants tagged into the same
 //!   stream (fault injections, lost timing overrides).
 //!
-//! Two exporters serialize the registry with no external dependencies:
-//! [`metrics_json`] (a flat snapshot keyed by counter name) and
-//! [`trace_json`] (Chrome/Perfetto `trace_event` format — load the file at
-//! `ui.perfetto.dev` or `chrome://tracing`).
+//! The exporters serialize one [`snapshot`] of the registry with no
+//! external dependencies: [`metrics_json`] (a flat document keyed by metric
+//! name), [`prometheus_text`], [`mem_series_json`] and [`trace_json`]
+//! (Chrome/Perfetto `trace_event` format — load the file at
+//! `ui.perfetto.dev` or `chrome://tracing`). Every JSON document in the
+//! workspace is written and read with the [`json`] module.
 //!
 //! # Zero cost when disabled
 //!
@@ -53,6 +55,8 @@ use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
+
+pub mod json;
 
 /// Span recording mode, subsuming the `FlushTimer` gate's three settings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -240,7 +244,7 @@ struct SpanRec {
 
 /// One periodic gauge snapshot taken by the [`sampler`].
 #[derive(Clone, Debug)]
-struct Snapshot {
+struct Sample {
     /// Nanoseconds since the registry epoch (the span time origin).
     t_ns: u64,
     /// `(gauge name, current value)` pairs at snapshot time.
@@ -256,7 +260,7 @@ struct Registry {
     named: BTreeMap<&'static str, u64>,
     spans: Vec<SpanRec>,
     /// Periodic gauge snapshots (memory time series).
-    samples: Vec<Snapshot>,
+    samples: Vec<Sample>,
     /// Process time origin for span timestamps, fixed at first registry use.
     epoch: Instant,
 }
@@ -278,6 +282,68 @@ fn registry() -> MutexGuard<'static, Registry> {
         })
         .lock()
         .unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run `f` on the locked registry, or return `R::default()` — without
+/// initializing it — when nothing has ever registered (in particular
+/// whenever observability was never enabled).
+fn with_registry<R: Default>(f: impl FnOnce(&mut Registry) -> R) -> R {
+    if REGISTRY.get().is_none() {
+        return R::default();
+    }
+    f(&mut registry())
+}
+
+/// A point-in-time copy of every registered metric, each list sorted by
+/// name — what all the exporters format from.
+#[derive(Clone, Debug, Default)]
+pub struct Snapshot {
+    /// Static [`Counter`]s and the late-bound [`add`] values, one namespace.
+    pub counters: BTreeMap<&'static str, u64>,
+    /// `(name, current, high watermark)`.
+    pub gauges: Vec<(&'static str, u64, u64)>,
+    pub histograms: Vec<HistSnapshot>,
+    /// Spans and instant events flushed into the registry so far.
+    pub spans_recorded: usize,
+}
+
+impl Registry {
+    /// The one walk of the registered statics (besides [`reset`]).
+    fn snapshot(&self) -> Snapshot {
+        let mut counters = self.named.clone();
+        for c in &self.counters {
+            *counters.entry(c.name).or_insert(0) += c.get();
+        }
+        let mut gauges: Vec<_> = self
+            .gauges
+            .iter()
+            .map(|g| (g.name, g.get(), g.high_water()))
+            .collect();
+        gauges.sort_by_key(|(name, ..)| *name);
+        let mut histograms: Vec<_> = self
+            .histograms
+            .iter()
+            .map(|h| HistSnapshot {
+                name: h.name,
+                count: h.count(),
+                sum: h.sum(),
+                buckets: h.bucket_counts(),
+            })
+            .collect();
+        histograms.sort_by_key(|h| h.name);
+        Snapshot {
+            counters,
+            gauges,
+            histograms,
+            spans_recorded: self.spans.len(),
+        }
+    }
+}
+
+/// Snapshot the registry under its lock. Empty — without initializing the
+/// registry — when nothing has registered.
+pub fn snapshot() -> Snapshot {
+    with_registry(|reg| reg.snapshot())
 }
 
 /// True once anything has actually been recorded. With observability
@@ -526,17 +592,7 @@ impl Gauge {
 /// sorted by name. Empty — without initializing the registry — when nothing
 /// has registered (in particular whenever observability was never enabled).
 pub fn gauges_snapshot() -> Vec<(&'static str, u64, u64)> {
-    if REGISTRY.get().is_none() {
-        return Vec::new();
-    }
-    let reg = registry();
-    let mut rows: Vec<(&'static str, u64, u64)> = reg
-        .gauges
-        .iter()
-        .map(|g| (g.name, g.get(), g.high_water()))
-        .collect();
-    rows.sort_by_key(|(name, ..)| *name);
-    rows
+    snapshot().gauges
 }
 
 // ---------------------------------------------------------------------------
@@ -676,22 +732,7 @@ pub struct HistSnapshot {
 /// initializing the registry — when nothing has registered (in particular
 /// whenever observability was never enabled).
 pub fn histograms_snapshot() -> Vec<HistSnapshot> {
-    if REGISTRY.get().is_none() {
-        return Vec::new();
-    }
-    let reg = registry();
-    let mut rows: Vec<HistSnapshot> = reg
-        .histograms
-        .iter()
-        .map(|h| HistSnapshot {
-            name: h.name,
-            count: h.count(),
-            sum: h.sum(),
-            buckets: h.bucket_counts(),
-        })
-        .collect();
-    rows.sort_by_key(|s| s.name);
-    rows
+    snapshot().histograms
 }
 
 // ---------------------------------------------------------------------------
@@ -882,23 +923,25 @@ pub mod sampler {
         if !is_enabled() {
             return;
         }
+        // One lock for the reading and the push keeps `t_ns` monotone
+        // across concurrent callers.
         let mut reg = registry();
         let t_ns = reg.epoch.elapsed().as_nanos() as u64;
         #[allow(unused_mut)]
-        let mut values: Vec<(&'static str, u64)> =
-            reg.gauges.iter().map(|g| (g.name, g.get())).collect();
+        let mut values: Vec<(&'static str, u64)> = (reg.snapshot().gauges.iter())
+            .map(|&(name, current, _)| (name, current))
+            .collect();
         #[cfg(feature = "obs-alloc")]
-        values.push(("process.alloc_bytes", crate::alloc_track::live_bytes()));
-        values.sort_by_key(|(name, _)| *name);
-        reg.samples.push(Snapshot { t_ns, values });
+        {
+            values.push(("process.alloc_bytes", crate::alloc_track::live_bytes()));
+            values.sort_by_key(|(name, _)| *name);
+        }
+        reg.samples.push(Sample { t_ns, values });
     }
 
     /// Number of snapshots recorded so far.
     pub fn samples_recorded() -> usize {
-        if REGISTRY.get().is_none() {
-            return 0;
-        }
-        registry().samples.len()
+        with_registry(|reg| reg.samples.len())
     }
 
     pub(crate) fn start() {
@@ -1073,29 +1116,27 @@ pub mod flight {
     /// }
     /// ```
     pub fn write_json<W: Write>(mut w: W) -> std::io::Result<()> {
-        let records = snapshot();
-        writeln!(w, "{{")?;
-        writeln!(w, "  \"schema\": \"stint-flight-v1\",")?;
-        writeln!(w, "  \"records_written\": {},", records_written())?;
-        writeln!(w, "  \"records\": [")?;
-        for (i, r) in records.iter().enumerate() {
-            let comma = if i + 1 < records.len() { "," } else { "" };
-            writeln!(
-                w,
-                "    {{ \"t_ns\": {}, \"session\": {}, \"kind\": {}, \
-                 \"status\": {}, \"payload\": {} }}{comma}",
-                r.t_ns, r.session, r.kind, r.status, r.payload
-            )?;
+        let mut j = json::Writer::new(&mut w);
+        j.begin_object();
+        j.key("schema").str("stint-flight-v1");
+        j.key("records_written").u64(records_written());
+        j.key("records").begin_array();
+        for r in snapshot() {
+            j.begin_object();
+            j.key("t_ns").u64(r.t_ns);
+            j.key("session").u64(r.session.into());
+            j.key("kind").u64(r.kind.into());
+            j.key("status").u64(r.status.into());
+            j.key("payload").u64(r.payload);
+            j.end();
         }
-        writeln!(w, "  ]")?;
-        writeln!(w, "}}")
+        j.end().end();
+        j.finish()
     }
 
     /// [`write_json`] into a `String`.
     pub fn json() -> String {
-        let mut buf = Vec::new();
-        write_json(&mut buf).expect("writing to a Vec cannot fail");
-        String::from_utf8(buf).expect("flight JSON is ASCII")
+        render(|buf| write_json(buf))
     }
 }
 
@@ -1103,20 +1144,25 @@ pub mod flight {
 // Exporters
 // ---------------------------------------------------------------------------
 
-/// Escape `s` for inclusion in a JSON string literal (quotes, backslashes
-/// and control characters). Shared by the exporters here and by downstream
-/// hand-rolled JSON writers (the CLI's `--stats-json`).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Run an exporter into a `String` (the `*_json()` / `*_text()` forms).
+fn render(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> String {
+    let mut buf = Vec::new();
+    write(&mut buf).expect("writing to a Vec cannot fail");
+    String::from_utf8(buf).expect("exporters write UTF-8")
+}
+
+/// Write the `"gauges"` member — `{ name: { "current": n, "hw": n }, … }` —
+/// into an open object. Shared by the metrics document and the CLI's
+/// `--stats-json`, which carries the same gauge section.
+pub fn write_gauges(j: &mut json::Writer<'_>, gauges: &[(&'static str, u64, u64)]) {
+    j.key("gauges").begin_object();
+    for (name, current, hw) in gauges {
+        j.key(name).begin_object();
+        j.key("current").u64(*current);
+        j.key("hw").u64(*hw);
+        j.end();
     }
-    out
+    j.end();
 }
 
 /// Serialize the registry as a flat metrics JSON object:
@@ -1140,110 +1186,40 @@ pub fn json_escape(s: &str) -> String {
 /// exact zeros); empty buckets are omitted. Keys are sorted, so the output
 /// is deterministic for a deterministic run.
 pub fn write_metrics_json<W: Write>(mut w: W) -> std::io::Result<()> {
-    // (name, count, sum, non-empty (log2-bucket, count) pairs).
-    type HistRow = (&'static str, u64, u64, Vec<(usize, u64)>);
     flush_thread_spans();
-    // Snapshot under the lock, format outside it.
-    let (counters, gauges, histograms, span_count) = {
-        if REGISTRY.get().is_none() {
-            (BTreeMap::new(), Vec::new(), Vec::new(), 0)
-        } else {
-            let reg = registry();
-            let mut counters: BTreeMap<&'static str, u64> = reg.named.clone();
-            for c in &reg.counters {
-                *counters.entry(c.name).or_insert(0) += c.get();
-            }
-            let mut gauges: Vec<(&'static str, u64, u64)> = reg
-                .gauges
-                .iter()
-                .map(|g| (g.name, g.get(), g.high_water()))
-                .collect();
-            gauges.sort_by_key(|(name, ..)| *name);
-            let mut histograms: Vec<HistRow> = reg
-                .histograms
-                .iter()
-                .map(|h| {
-                    let buckets: Vec<(usize, u64)> = h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, b)| {
-                            let n = b.load(Ordering::Relaxed);
-                            (n > 0).then_some((i, n))
-                        })
-                        .collect();
-                    (h.name, h.count(), h.sum(), buckets)
-                })
-                .collect();
-            histograms.sort_by_key(|(name, ..)| *name);
-            (counters, gauges, histograms, reg.spans.len())
+    let snap = snapshot();
+    let mut j = json::Writer::new(&mut w);
+    j.begin_object();
+    j.key("schema").str("stint-obs-metrics-v1");
+    j.key("counters").begin_object();
+    for (name, v) in &snap.counters {
+        j.key(name).u64(*v);
+    }
+    j.end();
+    write_gauges(&mut j, &snap.gauges);
+    j.key("histograms").begin_object();
+    for h in &snap.histograms {
+        j.key(h.name).begin_object();
+        j.key("count").u64(h.count);
+        j.key("sum").u64(h.sum);
+        j.key("buckets").begin_array();
+        for (log2, n) in h.buckets.iter().enumerate().filter(|(_, n)| **n > 0) {
+            j.begin_object();
+            j.key("log2").u64(log2 as u64);
+            j.key("count").u64(*n);
+            j.end();
         }
-    };
-    writeln!(w, "{{")?;
-    writeln!(w, "  \"schema\": \"stint-obs-metrics-v1\",")?;
-    writeln!(w, "  \"counters\": {{")?;
-    let mut first = true;
-    for (name, v) in &counters {
-        if !first {
-            writeln!(w, ",")?;
-        }
-        first = false;
-        write!(w, "    \"{}\": {v}", json_escape(name))?;
+        j.end().end();
     }
-    if !first {
-        writeln!(w)?;
-    }
-    writeln!(w, "  }},")?;
-    writeln!(w, "  \"gauges\": {{")?;
-    let mut first = true;
-    for (name, cur, hw) in &gauges {
-        if !first {
-            writeln!(w, ",")?;
-        }
-        first = false;
-        write!(
-            w,
-            "    \"{}\": {{ \"current\": {cur}, \"hw\": {hw} }}",
-            json_escape(name)
-        )?;
-    }
-    if !first {
-        writeln!(w)?;
-    }
-    writeln!(w, "  }},")?;
-    writeln!(w, "  \"histograms\": {{")?;
-    let mut first = true;
-    for (name, count, sum, buckets) in &histograms {
-        if !first {
-            writeln!(w, ",")?;
-        }
-        first = false;
-        write!(
-            w,
-            "    \"{}\": {{ \"count\": {count}, \"sum\": {sum}, \"buckets\": [",
-            json_escape(name)
-        )?;
-        for (i, (log2, n)) in buckets.iter().enumerate() {
-            if i > 0 {
-                write!(w, ", ")?;
-            }
-            write!(w, "{{ \"log2\": {log2}, \"count\": {n} }}")?;
-        }
-        write!(w, "] }}")?;
-    }
-    if !first {
-        writeln!(w)?;
-    }
-    writeln!(w, "  }},")?;
-    writeln!(w, "  \"spans_recorded\": {span_count}")?;
-    writeln!(w, "}}")
+    j.end();
+    j.key("spans_recorded").u64(snap.spans_recorded as u64);
+    j.end();
+    j.finish()
 }
 
 /// [`write_metrics_json`] into a `String`.
 pub fn metrics_json() -> String {
-    let mut buf = Vec::new();
-    write_metrics_json(&mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("metrics JSON is ASCII")
+    render(|buf| write_metrics_json(buf))
 }
 
 /// Serialize recorded spans in Chrome/Perfetto `trace_event` JSON: an array
@@ -1253,68 +1229,51 @@ pub fn metrics_json() -> String {
 /// the same timeline as the spans. Load the file at `ui.perfetto.dev` or
 /// `chrome://tracing`.
 pub fn write_trace_json<W: Write>(mut w: W) -> std::io::Result<()> {
+    // The fields every event starts with, and a time in microseconds.
+    fn event(j: &mut json::Writer<'_>, name: &str, ph: &str) {
+        j.begin_object();
+        j.key("name").str(name);
+        j.key("cat").str("stint");
+        j.key("ph").str(ph);
+    }
+    fn us(j: &mut json::Writer<'_>, key: &str, ns: u64) {
+        j.key(key).f64(ns as f64 / 1000.0);
+    }
     flush_thread_spans();
-    let (spans, samples): (Vec<SpanRec>, Vec<Snapshot>) = if REGISTRY.get().is_none() {
-        (Vec::new(), Vec::new())
-    } else {
-        let reg = registry();
-        (reg.spans.clone(), reg.samples.clone())
-    };
-    let counter_events: usize = samples.iter().map(|s| s.values.len()).sum();
-    let total = spans.len() + counter_events;
-    let mut written = 0usize;
-    let comma = |written: &mut usize| {
-        *written += 1;
-        if *written < total {
-            ","
-        } else {
-            ""
-        }
-    };
-    writeln!(w, "[")?;
+    let (spans, samples) = with_registry(|reg| (reg.spans.clone(), reg.samples.clone()));
+    let mut j = json::Writer::new(&mut w);
+    j.begin_array();
     for s in &spans {
-        let ts = s.start_ns as f64 / 1000.0;
         if s.instant {
-            writeln!(
-                w,
-                "  {{\"name\": \"{}\", \"cat\": \"stint\", \"ph\": \"i\", \"s\": \"t\", \
-                 \"ts\": {ts:.3}, \"pid\": 1, \"tid\": {}}}{}",
-                json_escape(s.name),
-                s.tid,
-                comma(&mut written)
-            )?;
+            event(&mut j, s.name, "i");
+            j.key("s").str("t");
+            us(&mut j, "ts", s.start_ns);
         } else {
-            let dur = s.dur_ns as f64 / 1000.0;
-            writeln!(
-                w,
-                "  {{\"name\": \"{}\", \"cat\": \"stint\", \"ph\": \"X\", \"ts\": {ts:.3}, \
-                 \"dur\": {dur:.3}, \"pid\": 1, \"tid\": {}}}{}",
-                json_escape(s.name),
-                s.tid,
-                comma(&mut written)
-            )?;
+            event(&mut j, s.name, "X");
+            us(&mut j, "ts", s.start_ns);
+            us(&mut j, "dur", s.dur_ns);
         }
+        j.key("pid").u64(1);
+        j.key("tid").u64(s.tid.into());
+        j.end();
     }
     for snap in &samples {
-        let ts = snap.t_ns as f64 / 1000.0;
         for (name, v) in &snap.values {
-            writeln!(
-                w,
-                "  {{\"name\": \"{}\", \"cat\": \"stint\", \"ph\": \"C\", \"ts\": {ts:.3}, \
-                 \"pid\": 1, \"args\": {{\"value\": {v}}}}}{}",
-                json_escape(name),
-                comma(&mut written)
-            )?;
+            event(&mut j, name, "C");
+            us(&mut j, "ts", snap.t_ns);
+            j.key("pid").u64(1);
+            j.key("args").begin_object();
+            j.key("value").u64(*v);
+            j.end().end();
         }
     }
-    writeln!(w, "]")
+    j.end();
+    j.finish()
 }
 
 /// [`write_trace_json`] into a `String`.
 pub fn trace_json() -> String {
-    let mut buf = Vec::new();
-    write_trace_json(&mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("trace JSON is ASCII")
+    render(|buf| write_trace_json(buf))
 }
 
 /// Serialize the sampler's gauge snapshots as a memory time series:
@@ -1333,39 +1292,29 @@ pub fn trace_json() -> String {
 /// Timestamps are nanoseconds since the registry epoch and strictly
 /// non-decreasing (snapshots are taken under the registry lock).
 pub fn write_mem_series_json<W: Write>(mut w: W) -> std::io::Result<()> {
-    let samples: Vec<Snapshot> = if REGISTRY.get().is_none() {
-        Vec::new()
-    } else {
-        registry().samples.clone()
-    };
-    writeln!(w, "{{")?;
-    writeln!(w, "  \"schema\": \"stint-obs-memseries-v1\",")?;
-    writeln!(
-        w,
-        "  \"interval_ms\": {},",
-        sampler::interval_ms().unwrap_or(0)
-    )?;
-    writeln!(w, "  \"samples\": [")?;
-    for (i, snap) in samples.iter().enumerate() {
-        let comma = if i + 1 < samples.len() { "," } else { "" };
-        write!(w, "    {{ \"t_ns\": {}, \"gauges\": {{", snap.t_ns)?;
-        for (j, (name, v)) in snap.values.iter().enumerate() {
-            if j > 0 {
-                write!(w, ", ")?;
-            }
-            write!(w, "\"{}\": {v}", json_escape(name))?;
+    let samples = with_registry(|reg| reg.samples.clone());
+    let mut j = json::Writer::new(&mut w);
+    j.begin_object();
+    j.key("schema").str("stint-obs-memseries-v1");
+    j.key("interval_ms")
+        .u64(sampler::interval_ms().unwrap_or(0));
+    j.key("samples").begin_array();
+    for snap in &samples {
+        j.begin_object();
+        j.key("t_ns").u64(snap.t_ns);
+        j.key("gauges").begin_object();
+        for (name, v) in &snap.values {
+            j.key(name).u64(*v);
         }
-        writeln!(w, "}} }}{comma}")?;
+        j.end().end();
     }
-    writeln!(w, "  ]")?;
-    writeln!(w, "}}")
+    j.end().end();
+    j.finish()
 }
 
 /// [`write_mem_series_json`] into a `String`.
 pub fn mem_series_json() -> String {
-    let mut buf = Vec::new();
-    write_mem_series_json(&mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("mem-series JSON is ASCII")
+    render(|buf| write_mem_series_json(buf))
 }
 
 /// Sanitize a metric name for Prometheus exposition: every character
@@ -1394,43 +1343,19 @@ pub fn prom_name(name: &str) -> String {
 /// a deterministic run. Produces only the two header comment lines when
 /// the registry was never initialized.
 pub fn write_prometheus_text<W: Write>(mut w: W) -> std::io::Result<()> {
-    type HistRow = (&'static str, u64, u64, Vec<u64>);
-    let (counters, gauges, histograms) = {
-        if REGISTRY.get().is_none() {
-            (BTreeMap::new(), Vec::new(), Vec::new())
-        } else {
-            let reg = registry();
-            let mut counters: BTreeMap<&'static str, u64> = reg.named.clone();
-            for c in &reg.counters {
-                *counters.entry(c.name).or_insert(0) += c.get();
-            }
-            let mut gauges: Vec<(&'static str, u64, u64)> = reg
-                .gauges
-                .iter()
-                .map(|g| (g.name, g.get(), g.high_water()))
-                .collect();
-            gauges.sort_by_key(|(name, ..)| *name);
-            let mut histograms: Vec<HistRow> = reg
-                .histograms
-                .iter()
-                .map(|h| (h.name, h.count(), h.sum(), h.bucket_counts()))
-                .collect();
-            histograms.sort_by_key(|(name, ..)| *name);
-            (counters, gauges, histograms)
-        }
-    };
+    let snap = snapshot();
     writeln!(w, "# stint-obs Prometheus exposition")?;
     writeln!(
         w,
         "# (counters, gauges with _hw watermarks, log2 histograms)"
     )?;
-    for (name, v) in &counters {
+    for (name, v) in &snap.counters {
         let p = prom_name(name);
         writeln!(w, "# HELP {p} stint counter {name}")?;
         writeln!(w, "# TYPE {p} counter")?;
         writeln!(w, "{p} {v}")?;
     }
-    for (name, cur, hw) in &gauges {
+    for (name, cur, hw) in &snap.gauges {
         let p = prom_name(name);
         writeln!(w, "# HELP {p} stint gauge {name}")?;
         writeln!(w, "# TYPE {p} gauge")?;
@@ -1439,21 +1364,22 @@ pub fn write_prometheus_text<W: Write>(mut w: W) -> std::io::Result<()> {
         writeln!(w, "# TYPE {p}_hw gauge")?;
         writeln!(w, "{p}_hw {hw}")?;
     }
-    for (name, count, sum, buckets) in &histograms {
+    for h in &snap.histograms {
+        let (name, count) = (h.name, h.count);
         let p = prom_name(name);
         writeln!(w, "# HELP {p} stint log2 histogram {name}")?;
         writeln!(w, "# TYPE {p} histogram")?;
         let mut cum = 0u64;
-        for (i, n) in buckets.iter().enumerate() {
+        for (i, n) in h.buckets.iter().enumerate() {
             cum += n;
-            if *n == 0 && i > 0 && i + 1 < buckets.len() {
+            if *n == 0 && i > 0 && i + 1 < h.buckets.len() {
                 continue; // keep output compact: first/last + non-empty
             }
             let le = (1u128 << i) - 1; // bucket i holds integers ≤ 2^i - 1
             writeln!(w, "{p}_bucket{{le=\"{le}\"}} {cum}")?;
         }
         writeln!(w, "{p}_bucket{{le=\"+Inf\"}} {count}")?;
-        writeln!(w, "{p}_sum {sum}")?;
+        writeln!(w, "{p}_sum {}", h.sum)?;
         writeln!(w, "{p}_count {count}")?;
     }
     Ok(())
@@ -1461,9 +1387,7 @@ pub fn write_prometheus_text<W: Write>(mut w: W) -> std::io::Result<()> {
 
 /// [`write_prometheus_text`] into a `String`.
 pub fn prometheus_text() -> String {
-    let mut buf = Vec::new();
-    write_prometheus_text(&mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("prometheus text is ASCII")
+    render(|buf| write_prometheus_text(buf))
 }
 
 // ---------------------------------------------------------------------------
@@ -1593,6 +1517,23 @@ mod tests {
     use super::*;
     use std::sync::{Mutex, OnceLock};
 
+    /// The `(log2, count)` pairs of histogram `name` in a metrics document.
+    fn buckets_of(metrics: &str, name: &str) -> Vec<(u64, u64)> {
+        let doc = json::parse(metrics).expect("metrics JSON parses");
+        let hist = doc.get("histograms").and_then(|h| h.get(name));
+        let buckets = hist
+            .and_then(|h| h.get("buckets"))
+            .and_then(|b| b.as_array());
+        (buckets.expect("histogram with a buckets array").iter())
+            .map(|b| {
+                (
+                    b.uint("log2", 64).unwrap(),
+                    b.uint("count", u64::MAX).unwrap(),
+                )
+            })
+            .collect()
+    }
+
     /// The registry is process-global; tests that enable obs serialize here.
     fn global_lock() -> std::sync::MutexGuard<'static, ()> {
         static M: OnceLock<Mutex<()>> = OnceLock::new();
@@ -1693,9 +1634,7 @@ mod tests {
         assert!(json.contains("\"test.high_water\": 7"), "{json}");
         assert!(json.contains("\"test.named\": 42"), "{json}");
         // 5 lands in bucket 3 ([4, 8)); 0 in bucket 0; 1 in bucket 1.
-        assert!(json.contains("\"test.hist\""), "{json}");
-        assert!(json.contains("{ \"log2\": 3, \"count\": 1 }"), "{json}");
-        assert!(json.contains("{ \"log2\": 0, \"count\": 1 }"), "{json}");
+        assert_eq!(buckets_of(&json, "test.hist"), [(0, 1), (1, 1), (3, 1)]);
     }
 
     #[test]
@@ -1761,8 +1700,8 @@ mod tests {
 
     #[test]
     fn escape_is_sound() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("tab\tend"), "tab\\u0009end");
+        assert_eq!(json::escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json::escape("tab\tend"), "tab\\u0009end");
     }
 
     #[test]
@@ -1779,11 +1718,10 @@ mod tests {
         G.sub(1000);
         assert_eq!(G.get(), 0);
         assert_eq!(G.high_water(), 150);
-        let json = metrics_json();
-        assert!(
-            json.contains("\"test.gauge\": { \"current\": 0, \"hw\": 150 }"),
-            "{json}"
-        );
+        let doc = json::parse(&metrics_json()).expect("metrics JSON parses");
+        let g = doc.get("gauges").and_then(|g| g.get("test.gauge"));
+        let g = g.expect("test.gauge in the metrics document");
+        assert_eq!((g.uint("current", 0), g.uint("hw", 150)), (Ok(0), Ok(150)));
         let snap = gauges_snapshot();
         assert!(snap.contains(&("test.gauge", 0, 150)), "{snap:?}");
     }
@@ -1845,13 +1783,10 @@ mod tests {
         H.observe(7); // bucket 3
         H.observe(8); // bucket 4: [8, 16)
         H.observe(u64::MAX); // bucket 64: [2^63, 2^64)
-        let json = metrics_json();
-        for (log2, count) in [(0, 1), (1, 1), (2, 2), (3, 2), (4, 1), (64, 1)] {
-            assert!(
-                json.contains(&format!("{{ \"log2\": {log2}, \"count\": {count} }}")),
-                "bucket {log2} wrong:\n{json}"
-            );
-        }
+        assert_eq!(
+            buckets_of(&metrics_json(), "test.bucket_hist"),
+            [(0, 1), (1, 1), (2, 2), (3, 2), (4, 1), (64, 1)]
+        );
         assert_eq!(H.count(), 8);
     }
 
@@ -2029,19 +1964,19 @@ mod tests {
         assert!(json.contains("\"test.sampled_gauge\": 512"), "{json}");
         assert!(json.contains("\"test.sampled_gauge\": 1024"), "{json}");
         // Timestamps are non-decreasing.
-        let mut last = 0u64;
-        for line in json.lines() {
-            if let Some(rest) = line.trim().strip_prefix("{ \"t_ns\": ") {
-                let t: u64 = rest[..rest.find(',').expect("comma")]
-                    .parse()
-                    .expect("t_ns");
-                assert!(t >= last, "timestamps regressed:\n{json}");
-                last = t;
-            }
-        }
+        let doc = json::parse(&json).expect("mem-series JSON parses");
+        let samples = doc.get("samples").and_then(|s| s.as_array());
+        let times: Vec<u64> = (samples.expect("samples array").iter())
+            .map(|s| s.uint("t_ns", u64::MAX).unwrap())
+            .collect();
+        assert!(times.len() >= 2 && times.windows(2).all(|w| w[0] <= w[1]));
         // Snapshots render as Perfetto counter events on the trace timeline.
-        let trace = trace_json();
-        assert!(trace.contains("\"ph\": \"C\""), "{trace}");
-        assert!(trace.contains("\"args\": {\"value\": 1024}"), "{trace}");
+        let trace = json::parse(&trace_json()).expect("trace JSON parses");
+        let counter_event = trace.as_array().expect("event array").iter().find(|e| {
+            e.get("ph").and_then(|p| p.as_str()) == Some("C")
+                && e.get("args")
+                    .is_some_and(|a| a.uint("value", 1024) == Ok(1024))
+        });
+        assert!(counter_event.is_some(), "{trace:?}");
     }
 }

@@ -57,12 +57,15 @@ use crate::journal::{
 use crate::protocol::{Response, SessionOpts, Status};
 
 static OBS_SESSIONS: Counter = Counter::new("serve.sessions");
-static OBS_OK: Counter = Counter::new("serve.sessions.ok");
-static OBS_RACY: Counter = Counter::new("serve.sessions.racy");
-static OBS_USAGE: Counter = Counter::new("serve.sessions.usage");
-static OBS_DEGRADED: Counter = Counter::new("serve.sessions.degraded");
-static OBS_CORRUPT: Counter = Counter::new("serve.sessions.corrupt");
-static OBS_POISONED: Counter = Counter::new("serve.sessions.poisoned");
+/// Sessions by verdict, indexed by `Verdict as usize`.
+static OBS_VERDICTS: [Counter; VERDICTS.len()] = [
+    Counter::new("serve.sessions.ok"),
+    Counter::new("serve.sessions.racy"),
+    Counter::new("serve.sessions.usage"),
+    Counter::new("serve.sessions.degraded"),
+    Counter::new("serve.sessions.corrupt"),
+    Counter::new("serve.sessions.poisoned"),
+];
 static OBS_BUSY: Counter = Counter::new("serve.busy");
 /// Witnesses captured across all sessions that opted in (`witness=1`);
 /// counts captures, not wire deliveries — the reply strips detail past
@@ -76,15 +79,17 @@ const MAX_WIRE_WITNESSES: usize = 64;
 static OBS_QUEUE_BYTES: Gauge = Gauge::new("serve.queue_bytes");
 /// Sessions currently executing on workers.
 static OBS_INFLIGHT: Gauge = Gauge::new("serve.inflight");
-// Per-status session latency (admission to verdict, milliseconds). The
-// daemon-side ground truth the offline driver's client-side percentiles
-// are cross-checked against.
-static OBS_LAT_OK: Histogram = Histogram::new("serve.latency_ms.ok");
-static OBS_LAT_RACY: Histogram = Histogram::new("serve.latency_ms.racy");
-static OBS_LAT_USAGE: Histogram = Histogram::new("serve.latency_ms.usage");
-static OBS_LAT_DEGRADED: Histogram = Histogram::new("serve.latency_ms.degraded");
-static OBS_LAT_CORRUPT: Histogram = Histogram::new("serve.latency_ms.corrupt");
-static OBS_LAT_POISONED: Histogram = Histogram::new("serve.latency_ms.poisoned");
+/// Per-verdict session latency (admission to verdict, milliseconds),
+/// indexed by `Verdict as usize`. The daemon-side ground truth the offline
+/// driver's client-side percentiles are cross-checked against.
+static OBS_LATENCY: [Histogram; VERDICTS.len()] = [
+    Histogram::new("serve.latency_ms.ok"),
+    Histogram::new("serve.latency_ms.racy"),
+    Histogram::new("serve.latency_ms.usage"),
+    Histogram::new("serve.latency_ms.degraded"),
+    Histogram::new("serve.latency_ms.corrupt"),
+    Histogram::new("serve.latency_ms.poisoned"),
+];
 /// How long jobs sat in the admission queue before a worker picked them
 /// up (milliseconds).
 static OBS_QUEUE_AGE: Histogram = Histogram::new("serve.queue_age_ms");
@@ -122,12 +127,8 @@ impl Default for EngineConfig {
 #[derive(Default)]
 struct Totals {
     sessions: AtomicU64,
-    ok: AtomicU64,
-    racy: AtomicU64,
-    usage: AtomicU64,
-    degraded: AtomicU64,
-    corrupt: AtomicU64,
-    poisoned: AtomicU64,
+    /// Indexed by `Verdict as usize`.
+    verdicts: [AtomicU64; VERDICTS.len()],
     busy: AtomicU64,
 }
 
@@ -148,21 +149,24 @@ pub struct TotalsSnapshot {
 
 impl Totals {
     fn snapshot(&self) -> TotalsSnapshot {
+        let of = |v: Verdict| self.verdicts[v as usize].load(Ordering::Relaxed);
         TotalsSnapshot {
             sessions: self.sessions.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            racy: self.racy.load(Ordering::Relaxed),
-            usage: self.usage.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            poisoned: self.poisoned.load(Ordering::Relaxed),
+            ok: of(Verdict::Ok),
+            racy: of(Verdict::Racy),
+            usage: of(Verdict::Usage),
+            degraded: of(Verdict::Degraded),
+            corrupt: of(Verdict::Corrupt),
+            poisoned: of(Verdict::Poisoned),
             busy: self.busy.load(Ordering::Relaxed),
         }
     }
 }
 
 /// How a session ended. Finer-grained than [`Status`]: poisoned and corrupt
-/// share a wire status (the CLI's exit-4 bucket) but are counted apart.
+/// share a wire status (the CLI's exit-4 bucket) but are counted apart. The
+/// discriminant is the stable journal code and the index into [`VERDICTS`]
+/// and the per-verdict counters and histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Verdict {
     Ok,
@@ -173,49 +177,29 @@ enum Verdict {
     Poisoned,
 }
 
+/// One row per verdict, in discriminant order: the payload `kind:` / metric
+/// suffix / journal name, and the wire status it is answered with.
+pub(crate) const VERDICTS: [(&str, Status); 6] = [
+    ("ok", Status::Ok),
+    ("racy", Status::Racy),
+    ("usage", Status::Usage),
+    ("degraded", Status::Degraded),
+    ("corrupt", Status::Corrupt),
+    ("poisoned", Status::Corrupt),
+];
+
 impl Verdict {
     fn status(self) -> Status {
-        match self {
-            Verdict::Ok => Status::Ok,
-            Verdict::Racy => Status::Racy,
-            Verdict::Usage => Status::Usage,
-            Verdict::Degraded => Status::Degraded,
-            Verdict::Corrupt | Verdict::Poisoned => Status::Corrupt,
-        }
+        VERDICTS[self as usize].1
     }
 
     fn kind(self) -> &'static str {
-        match self {
-            Verdict::Ok => "ok",
-            Verdict::Racy => "racy",
-            Verdict::Usage => "usage",
-            Verdict::Degraded => "degraded",
-            Verdict::Corrupt => "corrupt",
-            Verdict::Poisoned => "poisoned",
-        }
+        VERDICTS[self as usize].0
     }
 
-    /// Stable wire/journal code (also `crate::journal::verdict_name`).
+    /// Stable wire/journal code (named by `crate::journal::verdict_name`).
     fn code(self) -> u16 {
-        match self {
-            Verdict::Ok => 0,
-            Verdict::Racy => 1,
-            Verdict::Usage => 2,
-            Verdict::Degraded => 3,
-            Verdict::Corrupt => 4,
-            Verdict::Poisoned => 5,
-        }
-    }
-
-    fn latency_hist(self) -> &'static Histogram {
-        match self {
-            Verdict::Ok => &OBS_LAT_OK,
-            Verdict::Racy => &OBS_LAT_RACY,
-            Verdict::Usage => &OBS_LAT_USAGE,
-            Verdict::Degraded => &OBS_LAT_DEGRADED,
-            Verdict::Corrupt => &OBS_LAT_CORRUPT,
-            Verdict::Poisoned => &OBS_LAT_POISONED,
-        }
+        self as u16
     }
 }
 
@@ -223,17 +207,23 @@ impl Verdict {
 /// `(status, histogram)` pairs — feeds STATS/HEALTH quantiles and the
 /// load driver's daemon-side cross-check.
 pub fn latency_histograms() -> Vec<(&'static str, &'static Histogram)> {
-    [
-        ("ok", &OBS_LAT_OK),
-        ("racy", &OBS_LAT_RACY),
-        ("usage", &OBS_LAT_USAGE),
-        ("degraded", &OBS_LAT_DEGRADED),
-        ("corrupt", &OBS_LAT_CORRUPT),
-        ("poisoned", &OBS_LAT_POISONED),
-    ]
-    .into_iter()
-    .filter(|(_, h)| h.count() > 0)
-    .collect()
+    (VERDICTS.iter().zip(&OBS_LATENCY))
+        .map(|((name, _), h)| (*name, h))
+        .filter(|(_, h)| h.count() > 0)
+        .collect()
+}
+
+/// The `latency-ms <status> count N p50 X p99 Y` lines of STATS and HEALTH.
+fn latency_lines(s: &mut String) {
+    use std::fmt::Write;
+    for (status, h) in latency_histograms() {
+        let (p50, p99) = (h.quantile(0.5), h.quantile(0.99));
+        let _ = writeln!(
+            s,
+            "latency-ms {status} count {} p50 {p50:.2} p99 {p99:.2}",
+            h.count()
+        );
+    }
 }
 
 struct Job {
@@ -421,32 +411,20 @@ impl Engine {
         let mut s = String::new();
         let _ = writeln!(s, "kind: stats");
         let _ = writeln!(s, "sessions: {}", t.sessions);
-        let _ = writeln!(s, "ok: {}", t.ok);
-        let _ = writeln!(s, "racy: {}", t.racy);
-        let _ = writeln!(s, "usage: {}", t.usage);
-        let _ = writeln!(s, "degraded: {}", t.degraded);
-        let _ = writeln!(s, "corrupt: {}", t.corrupt);
-        let _ = writeln!(s, "poisoned: {}", t.poisoned);
+        for ((name, _), n) in VERDICTS.iter().zip(&self.shared.totals.verdicts) {
+            let _ = writeln!(s, "{name}: {}", n.load(Ordering::Relaxed));
+        }
         let _ = writeln!(s, "busy: {}", t.busy);
         let _ = writeln!(s, "queued: {}", self.queue_len());
         let _ = writeln!(s, "session-workers: {}", self.shared.cfg.session_workers);
         let _ = writeln!(s, "pool-workers: {}", self.shared.cfg.pool_workers);
         let enabled = stint_obs::is_enabled();
         let _ = writeln!(s, "obs: {}", if enabled { "enabled" } else { "disabled" });
-        if stint_obs::registry_initialized() {
-            for (name, cur, hw) in stint_obs::gauges_snapshot() {
-                let _ = writeln!(s, "gauge {name} {cur} {hw}");
-            }
-            for (status, h) in latency_histograms() {
-                let _ = writeln!(
-                    s,
-                    "latency-ms {status} count {} p50 {:.2} p99 {:.2}",
-                    h.count(),
-                    h.quantile(0.5),
-                    h.quantile(0.99)
-                );
-            }
+        // Both are empty until something registers with the obs layer.
+        for (name, cur, hw) in stint_obs::gauges_snapshot() {
+            let _ = writeln!(s, "gauge {name} {cur} {hw}");
         }
+        latency_lines(&mut s);
         if enabled {
             s.push_str("metrics:\n");
             s.push_str(&stint_obs::metrics_json());
@@ -529,17 +507,7 @@ impl Engine {
             "flight-records: {}",
             stint_obs::flight::records_written()
         );
-        if stint_obs::registry_initialized() {
-            for (status, h) in latency_histograms() {
-                let _ = writeln!(
-                    s,
-                    "latency-ms {status} count {} p50 {:.2} p99 {:.2}",
-                    h.count(),
-                    h.quantile(0.5),
-                    h.quantile(0.99)
-                );
-            }
-        }
+        latency_lines(&mut s);
         s
     }
 
@@ -623,14 +591,15 @@ fn worker_loop(shared: &Shared) {
                 })
             });
         let latency_ms = job.queued_at.elapsed().as_millis() as u64;
-        verdict.latency_hist().observe(latency_ms);
+        OBS_LATENCY[verdict as usize].observe(latency_ms);
         OBS_INFLIGHT.sub(1);
         shared
             .running
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .remove(&job.id);
-        bump(&shared.totals, verdict);
+        shared.totals.verdicts[verdict as usize].fetch_add(1, Ordering::Relaxed);
+        OBS_VERDICTS[verdict as usize].incr();
         if verdict == Verdict::Degraded && payload.contains("wall-clock budget") {
             shared.journal_log(job.id, EV_TIMEOUT, verdict.code(), latency_ms);
         }
@@ -641,19 +610,6 @@ fn worker_loop(shared: &Shared) {
             .reply
             .send(Response::new(verdict.status(), job.id, payload));
     }
-}
-
-fn bump(totals: &Totals, v: Verdict) {
-    let (cell, obs) = match v {
-        Verdict::Ok => (&totals.ok, &OBS_OK),
-        Verdict::Racy => (&totals.racy, &OBS_RACY),
-        Verdict::Usage => (&totals.usage, &OBS_USAGE),
-        Verdict::Degraded => (&totals.degraded, &OBS_DEGRADED),
-        Verdict::Corrupt => (&totals.corrupt, &OBS_CORRUPT),
-        Verdict::Poisoned => (&totals.poisoned, &OBS_POISONED),
-    };
-    cell.fetch_add(1, Ordering::Relaxed);
-    obs.incr();
 }
 
 /// One session, start to verdict. Runs under the worker's `catch_unwind`;

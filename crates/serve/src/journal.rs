@@ -71,18 +71,10 @@ pub fn event_name(kind: u16) -> &'static str {
     }
 }
 
-/// Human name of a verdict code (the `code` field of `verdict` records;
-/// same order as the engine's verdict enum).
+/// Human name of a verdict code (the `code` field of `verdict` records:
+/// the engine's verdict table, by index).
 pub fn verdict_name(code: u16) -> &'static str {
-    match code {
-        0 => "ok",
-        1 => "racy",
-        2 => "usage",
-        3 => "degraded",
-        4 => "corrupt",
-        5 => "poisoned",
-        _ => "unknown",
-    }
+    (crate::engine::VERDICTS.get(usize::from(code))).map_or("unknown", |(name, _)| name)
 }
 
 /// One decoded journal record.

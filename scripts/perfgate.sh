@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The pre-merge gate: style checks, release build, one iteration of each
-# ivtree Criterion row, every smoke script, the space study (the `space`
-# binary exits 1 on a Lemma 4.1 violation), the repo benchmark's self-check
-# (expectations, oracle, catalogue ≡ BENCHMARK.json), then a two-pair smoke of the repo benchmark against the
-# parent commit. No wall time is gated here: `scripts/bench_pair.sh REF 10`
-# is the performance measurement.
+# ivtree Criterion row, the test suite in release, every smoke script, the
+# space study (the `space` binary exits 1 on a Lemma 4.1 violation), the repo
+# benchmark's self-check (expectations, oracle, catalogue ≡ BENCHMARK.json),
+# then a two-pair smoke of the repo benchmark against the parent commit. No
+# wall time is gated here: `scripts/bench_pair.sh REF 10` is the performance
+# measurement.
 #
 # Usage: scripts/perfgate.sh [--scale s|m|paper]
 # Arguments are forwarded to the `space` study, which overwrites
@@ -29,14 +30,10 @@ cargo build --release -q
 echo "== ivtree criterion rows, one iteration each"
 cargo bench -q -p stint-bench --bench ivtree -- --test
 
-echo "== chaos gate (fault-injection suites)"
-scripts/chaos.sh
-
-echo "== obs smoke (exporters + cross-document agreement)"
-scripts/obs_smoke.sh
-
-echo "== mem smoke (gauge sampler + watermark/stats agreement)"
-scripts/mem_smoke.sh
+# Tier-1 in release: the fault-injection suites and CLI fault sweep, the
+# exporter / cross-document agreement tests, the witness loop.
+echo "== cargo test --release"
+cargo test --release -q
 
 echo "== space study (byte gauges + Lemma 4.1)"
 cargo run --release -q -p stint-bench --bin space -- "${ARGS[@]}"
