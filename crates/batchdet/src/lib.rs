@@ -157,6 +157,8 @@ pub struct BatchConfig {
     /// table and the frozen orders — shard detectors record nothing — so the
     /// merged report stays byte-identical across shard counts.
     pub witnesses: bool,
+    /// Per-session budget and deadline (none by default).
+    pub limits: SessionLimits,
 }
 
 impl Default for BatchConfig {
@@ -166,6 +168,7 @@ impl Default for BatchConfig {
             workers: 0,
             steal_seed: 0,
             witnesses: false,
+            limits: SessionLimits::default(),
         }
     }
 }
@@ -181,7 +184,7 @@ impl Default for BatchConfig {
 /// flushed and merged, and the outcome carries `degraded =
 /// ResourceExhausted(WallClock)` — the report is sound up to the point
 /// detection stopped, exactly like a memory budget.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionLimits {
     /// `max_shadow_bytes` caps each bit table of the run's one strand
     /// coalescer (there is one per run, not one per shard); `max_intervals`
@@ -364,7 +367,8 @@ pub fn batch_detect(pt: &PortableTrace, cfg: &BatchConfig) -> Result<BatchOutcom
 }
 
 /// Partition the trace's events over `cfg.shards` address shards, detect
-/// them on `pool` through the pipelined driver ([`pipeline`]), then merge
+/// them on `pool` through the pipelined driver ([`pipeline`]) under
+/// `cfg.limits`, [`DEFAULT_CHUNK_EVENTS`] events a hand-off batch, then merge
 /// deterministically.
 ///
 /// The trace is validated first — a syntactically well-formed file whose
@@ -377,17 +381,7 @@ pub fn batch_detect_on(
     pt: &PortableTrace,
     cfg: &BatchConfig,
 ) -> Result<BatchOutcome, DetectorError> {
-    batch_detect_limited_on(pool, pt, cfg, &SessionLimits::default())
-}
-
-/// [`batch_detect_on`] under per-session [`SessionLimits`]; the hand-off
-/// batches are [`DEFAULT_CHUNK_EVENTS`] events each.
-pub fn batch_detect_limited_on(
-    pool: &ThreadPool,
-    pt: &PortableTrace,
-    cfg: &BatchConfig,
-    limits: &SessionLimits,
-) -> Result<BatchOutcome, DetectorError> {
+    let limits = &cfg.limits;
     pt.validate().map_err(corrupt)?;
     // Merge-time witness capture: one O(n) pass over the (whole) trace for
     // the per-strand event spans; a deterministic function of the trace, so
@@ -420,23 +414,13 @@ pub fn batch_detect_chunked<R: BufRead + Send>(
     batch_detect_chunked_on(&new_pool(cfg.workers, cfg.steal_seed), r, cfg)
 }
 
-/// [`batch_detect_chunked`] on an existing pool.
+/// [`batch_detect_chunked`] on an existing pool, under `cfg.limits`.
 pub fn batch_detect_chunked_on<R: BufRead + Send>(
-    pool: &ThreadPool,
-    r: R,
-    cfg: &BatchConfig,
-) -> Result<BatchOutcome, DetectorError> {
-    batch_detect_chunked_limited_on(pool, r, cfg, &SessionLimits::default())
-}
-
-/// [`batch_detect_chunked_on`] under per-session [`SessionLimits`].
-pub fn batch_detect_chunked_limited_on<R: BufRead + Send>(
     pool: &ThreadPool,
     mut r: R,
     cfg: &BatchConfig,
-    limits: &SessionLimits,
 ) -> Result<BatchOutcome, DetectorError> {
-    detect_stream(pool, &mut r, cfg, limits)
+    detect_stream(pool, &mut r, cfg)
 }
 
 /// Compiled once — not per reader type, and (with the generic [`pipeline`]
@@ -445,8 +429,8 @@ fn detect_stream(
     pool: &ThreadPool,
     r: &mut (dyn BufRead + Send),
     cfg: &BatchConfig,
-    limits: &SessionLimits,
 ) -> Result<BatchOutcome, DetectorError> {
+    let limits = &cfg.limits;
     let mut reader = CompressedTraceReader::open(r).map_err(|e| corrupt(e.to_string()))?;
     let bounds = (reader.word_hi > reader.word_lo).then_some((reader.word_lo, reader.word_hi));
     let shards = plan_shards(bounds, &std::mem::take(&mut reader.hist), cfg.shards);
@@ -1233,7 +1217,7 @@ mod tests {
             shards,
             workers,
             steal_seed: seed,
-            witnesses: false,
+            ..BatchConfig::default()
         }
     }
 
@@ -1533,8 +1517,8 @@ mod tests {
         let wcfg = |k| BatchConfig {
             shards: k,
             workers: 2,
-            steal_seed: 0,
             witnesses: true,
+            ..BatchConfig::default()
         };
         let baseline = batch_detect(&pt, &wcfg(1)).unwrap().merged;
         assert!(!baseline.regions.is_empty());

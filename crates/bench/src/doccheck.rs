@@ -1,6 +1,6 @@
-//! Cross-document checks on what the CLI's exporters write: `jsoncheck
-//! agree` / `memseries` and the CLI's exporter tests run these same bodies.
-//! Each takes parsed documents and returns its `ok:` line or the failure.
+//! Cross-document checks on what the CLI's exporters write, run by the CLI's
+//! exporter tests (`crates/cli/tests/documents.rs`). Each takes parsed
+//! documents and returns its `ok:` line or the failure.
 
 use crate::json::Value;
 

@@ -221,25 +221,21 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "--compress",
         value: None,
-        applies: BATCH | RECORD | REPLAY_BATCH,
+        applies: RECORD,
         set: |c, _, _| put(&mut c.compress, Ok(true)),
-        help: "trace record: save the compressed chunked STINT-TRACE v2 format\n\
-               (delta+run-length coded, per-chunk checksums) instead of the v1 text\n\
-               format; trace replay --variant batch: force streaming chunked\n\
-               detection (a v1 input is transcoded first; v2 inputs always stream,\n\
-               flag or not); detect --variant batch: run the recorded trace through\n\
-               the compressed streaming path instead of in-memory partitioning",
+        help: "save the compressed chunked STINT-TRACE v2 format (delta+run-length\n\
+               coded, per-chunk checksums) instead of the v1 text format; batch\n\
+               replay streams a v2 file chunk by chunk and loads a v1 file whole",
     },
     Flag {
         name: "--chunk-events",
         value: Some("N"),
-        applies: BATCH | ONLINE | RECORD | REPLAY_BATCH,
+        applies: ONLINE | RECORD,
         set: |c, _, v| put(&mut c.chunk_events, num(v, 1..=16_777_216)),
-        help: "events per compressed chunk (1..=16777216, default 4096): the\n\
-               record-side chunk size and the streaming replay's per-chunk\n\
-               working-set bound; for the online strategy, hand-off units per\n\
-               batch (a unit is one interval of a strand, a free, or the strand\n\
-               end closing them, not a hook)",
+        help: "events per compressed chunk (1..=16777216, default 4096), which\n\
+               bounds a streamed replay's per-chunk working set; for the online\n\
+               strategy, hand-off units per batch (a unit is one interval of a\n\
+               strand, a free, or the strand end closing them, not a hook)",
     },
     Flag {
         name: "--witness",
@@ -396,7 +392,7 @@ USAGE:
   <bench>    chol | fft | heat | mmul | sort | stra | straz, plus the
              seeded-bug variants buggy-heat | buggy-merge | buggy-mmul
              (deterministically racy — for recording racy traces and
-             witness smoke tests)
+             witness tests)
 
   witness verify re-runs the independent WitnessChecker on every race in a
   --report-json report card against the recorded trace it came from: order
@@ -423,7 +419,7 @@ a usage error):
 EXIT CODE: 0 = no races, 1 = races found, 2 = usage/IO error,
            3 = detector resource budget exhausted (report sound up to the
                failure point), 4 = internal detector failure or corrupt
-               trace file (batch replay validates before detecting).";
+               trace file (every command validates a trace before using it).";
     s
 }
 
@@ -881,49 +877,18 @@ mod tests {
                 },
             }
         );
-        let p = parse_cmd(&v(&[
-            "trace",
-            "replay",
-            "/tmp/t",
-            "--variant",
-            "batch",
-            "--compress",
-        ]))
-        .unwrap();
-        assert_eq!(
-            p,
-            Parsed::TraceReplay {
-                file: "/tmp/t".into(),
-                opts: CmdOpts {
-                    variant: VariantSel::Batch,
-                    compress: true,
-                    ..CmdOpts::default()
-                },
-            }
-        );
-        let p = parse_cmd(&v(&["detect", "mmul", "--variant", "batch", "--compress"])).unwrap();
-        assert_eq!(
-            p,
-            Parsed::Detect {
-                bench: "mmul".into(),
-                opts: CmdOpts {
-                    variant: VariantSel::Batch,
-                    compress: true,
-                    ..CmdOpts::default()
-                },
-            }
-        );
-        // --compress is a batch-mode knob everywhere but trace record.
-        assert!(parse_cmd(&v(&["detect", "mmul", "--compress"])).is_err());
-        assert!(parse_cmd(&v(&[
-            "trace",
-            "replay",
-            "/tmp/t",
-            "--variant",
-            "stint",
-            "--compress"
-        ]))
-        .is_err());
+        // Recording knobs: batch detection lets its input pick the path.
+        for argv in [
+            "detect mmul --compress",
+            "detect mmul --variant batch --compress",
+            "detect mmul --variant batch --chunk-events 64",
+            "trace replay /tmp/t --variant batch --compress",
+            "trace replay /tmp/t --variant stint --compress",
+            "trace replay /tmp/t --variant batch --chunk-events 64",
+        ] {
+            let args: Vec<&str> = argv.split(' ').collect();
+            assert!(parse_cmd(&v(&args)).is_err(), "{argv}");
+        }
         // Bounds and arity checks.
         assert!(parse_cmd(&v(&["trace", "record", "mmul", "/tmp/t", "--chunk-events"])).is_err());
         assert!(parse_cmd(&v(&[

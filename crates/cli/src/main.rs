@@ -19,12 +19,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufRead, BufReader, BufWriter};
 use std::process::ExitCode;
 use stint::report_card::Card;
 use stint::{
-    try_detect_with, CompRtsDetector, Config, DetectorError, Outcome, PortableTrace, RaceReport,
-    StintDetector, StintFlatDetector, VanillaDetector, Variant, WitnessChecker,
+    sniff_magic, try_detect_with, CompRtsDetector, Config, DetectorError, Outcome, PortableTrace,
+    RaceReport, StintDetector, StintFlatDetector, TraceMagic, VanillaDetector, Variant,
+    WitnessChecker,
 };
 use stint_suite::{Scale, Workload, BUGGY_NAMES, NAMES};
 
@@ -335,7 +336,7 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             Ok(false)
         }
         Parsed::TraceInfo { file } => {
-            let pt = load_trace(&file).map_err(usage)?;
+            let pt = read_trace(&file)?;
             let mut by_op = std::collections::BTreeMap::new();
             for e in &pt.trace.events {
                 *by_op.entry(format!("{:?}", e.op)).or_insert(0u64) += 1;
@@ -352,24 +353,24 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
         Parsed::TraceReplay { file, opts: o } => match o.variant {
             VariantSel::All => Err(usage("trace replay cannot run 'all'")),
             VariantSel::Batch => {
-                // Batch replay validates the file before detecting: a
-                // truncated, bit-flipped, or wrong-version trace is a
-                // structured CorruptTrace failure (exit 4), never a panic.
-                let f = File::open(&file).map_err(|e| usage(format!("open {file}: {e}")))?;
-                let mut r = BufReader::new(f);
-                let out = if sniff_v2(&mut r).map_err(usage)? {
-                    // v2 streams chunk-by-chunk straight off the disk —
-                    // the full event stream is never resident.
-                    batch_detect_chunked(r, &batch_config(&o)).map_err(Failure::Detector)?
-                } else {
-                    let pt = stint_batchdet::load_trace(r).map_err(Failure::Detector)?;
-                    batch_over(&pt, &o)?
-                };
+                let mut r = open_trace(&file)?;
+                let head = r
+                    .fill_buf()
+                    .map_err(|e| usage(format!("read {file}: {e}")))?;
+                // The input picks the path: a v2 file streams chunk by chunk
+                // straight off the disk — the full event stream is never
+                // resident — and anything else is loaded, validated, and
+                // partitioned in memory.
+                let out = match sniff_magic(head) {
+                    TraceMagic::V2 => batch_detect_chunked(r, &batch_config(&o)),
+                    _ => stint_batchdet::load_trace(r)
+                        .and_then(|pt| batch_detect(&pt, &batch_config(&o))),
+                }
+                .map_err(Failure::Detector)?;
                 // The header and merged report are invariant in the shard
-                // count, steal schedule, and trace encoding, so scripts can
+                // count, steal schedule, and trace encoding, so tests
                 // byte-diff this output across K and across v1/v2 (the
-                // chunked path adds one "  ingested ..." telemetry line,
-                // which encoding-comparing scripts strip).
+                // streamed path adds one "  ingested ..." telemetry line).
                 println!("replayed {} events under batch:", out.events);
                 if let Some(ing) = &out.ingest {
                     println!(
@@ -389,7 +390,7 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
                 Ok(!report.is_race_free())
             }
             VariantSel::One(variant) => {
-                let pt = load_trace(&file).map_err(usage)?;
+                let pt = read_trace(&file)?;
                 let report = RaceReport::default();
                 let report = match variant {
                     Variant::Vanilla => {
@@ -447,20 +448,6 @@ fn batch_config(o: &CmdOpts) -> BatchConfig {
     }
 }
 
-/// Batch detection over an in-memory trace: partitioned as it stands, or,
-/// with `--compress`, transcoded to the compressed chunked form and run
-/// through the same streaming path a v2 file takes.
-fn batch_over(pt: &PortableTrace, o: &CmdOpts) -> Result<stint_batchdet::BatchOutcome, Failure> {
-    if o.compress {
-        let mut buf = Vec::new();
-        pt.save_compressed(&mut buf, o.chunk_events)
-            .map_err(usage)?;
-        batch_detect_chunked(&buf[..], &batch_config(o)).map_err(Failure::Detector)
-    } else {
-        batch_detect(pt, &batch_config(o)).map_err(Failure::Detector)
-    }
-}
-
 /// `detect --variant batch`: record the benchmark into a portable trace
 /// (phase 1 — sequential control-flow replay building the frozen SP-Order),
 /// then fan detection out over `shards` address shards on the work-stealing
@@ -471,7 +458,7 @@ fn detect_batch(bench: &str, o: &CmdOpts, opts: &RunOpts) -> Result<bool, Failur
     let pt = PortableTrace::record(&mut w);
     w.verify()
         .map_err(|e| usage(format!("output verification: {e}")))?;
-    let out = batch_over(&pt, o)?;
+    let out = batch_detect(&pt, &batch_config(o)).map_err(Failure::Detector)?;
     print_batch_outcome(bench, &out);
     if let Some(path) = &opts.report_json {
         let report = out.merged.to_report();
@@ -573,28 +560,28 @@ fn fan_out(
     }
 }
 
-/// Peek the buffered reader's head for the compressed `STINT-TRACE v2`
-/// magic without consuming anything.
-fn sniff_v2(r: &mut BufReader<File>) -> Result<bool, String> {
-    use std::io::BufRead;
-    let head = r.fill_buf().map_err(|e| format!("read trace: {e}"))?;
-    Ok(head.starts_with(stint::MAGIC_V2.as_bytes()))
+/// Open a trace file; one that cannot be opened is a usage error (exit 2).
+fn open_trace(file: &str) -> Result<BufReader<File>, Failure> {
+    let f = File::open(file).map_err(|e| usage(format!("open {file}: {e}")))?;
+    Ok(BufReader::new(f))
 }
 
-fn load_trace(file: &str) -> Result<PortableTrace, String> {
-    let f = File::open(file).map_err(|e| format!("open {file}: {e}"))?;
-    PortableTrace::load_any(BufReader::new(f)).map_err(|e| format!("parse {file}: {e}"))
+/// Read a whole trace, v1 or v2, through the one validating loader: a
+/// truncated, bit-flipped or out-of-range trace is a corrupt-trace failure
+/// (exit 4) before any detector sees it, never a panic.
+fn read_trace(file: &str) -> Result<PortableTrace, Failure> {
+    stint_batchdet::load_trace(open_trace(file)?).map_err(Failure::Detector)
 }
 
 /// `witness verify <trace> <report.json>`: re-run the independent
 /// [`WitnessChecker`] on every race in a `stint-report-v1` report card
 /// against the trace it was emitted from. Unreadable files are usage errors
 /// (exit 2); a card that does not read — not a report card, a field missing
-/// or holding a value it cannot — or a witness that fails verification —
-/// tampered evidence, or a report paired with the wrong trace — is a
-/// corrupt-input failure (exit 4, with a `REJECTED` line). A report that
-/// carries races but no witnesses is a usage error: there is nothing to
-/// verify, re-emit with `--witness`.
+/// or holding a value it cannot — or breaks the card's structural rules, or
+/// a witness that fails verification — tampered evidence, or a report
+/// paired with the wrong trace — is a corrupt-input failure (exit 4, with a
+/// `REJECTED` line). A report that carries races but no witnesses is a
+/// usage error: there is nothing to verify, re-emit with `--witness`.
 fn witness_verify(trace_path: &str, report_path: &str) -> Result<bool, Failure> {
     let rejected = |what: String, reason: String| {
         eprintln!("witness REJECTED ({what}): {reason}");
@@ -602,10 +589,12 @@ fn witness_verify(trace_path: &str, report_path: &str) -> Result<bool, Failure> 
             detail: format!("witness verification failed: {reason}"),
         })
     };
-    let pt = load_trace(trace_path).map_err(usage)?;
+    let pt = read_trace(trace_path)?;
     let text = std::fs::read_to_string(report_path)
         .map_err(|e| usage(format!("read {report_path}: {e}")))?;
-    let card = Card::read(&text).map_err(|e| rejected(report_path.into(), e))?;
+    let card = Card::read(&text)
+        .and_then(|card| card.check().map(|()| card))
+        .map_err(|e| rejected(report_path.into(), e))?;
     let checker = WitnessChecker::new(&pt.reach).with_trace(&pt.trace);
     let (mut total, mut checked) = (0u64, 0u64);
     for (ri, run) in card.runs.iter().enumerate() {

@@ -47,19 +47,6 @@ pub fn print_batch_outcome(bench: &str, out: &stint_batchdet::BatchOutcome) {
     );
     let routed: u64 = out.shards.iter().map(|s| s.events).sum();
     println!("  routed:           {routed} shard-events");
-    if let Some(ing) = &out.ingest {
-        let secs = out.wall.as_secs_f64();
-        let mibps = if secs > 0.0 {
-            ing.bytes as f64 / (1024.0 * 1024.0) / secs
-        } else {
-            0.0
-        };
-        println!(
-            "  ingest:           {} bytes, {} chunk(s), {} run(s) \
-             ({} wholesale), {mibps:.1} MiB/s",
-            ing.bytes, ing.chunks, ing.runs, ing.wholesale_runs
-        );
-    }
     println!(
         "  intervals:        {} reads, {} writes (summed over shards)",
         out.stats.read.intervals, out.stats.write.intervals

@@ -199,7 +199,12 @@ fn witness_verify_accepts_the_genuine_card_and_fails_closed() {
     };
     let rendered = replay(&["--witness", "--report-json", &card]);
     assert!(rendered.contains("order="), "no witness evidence rendered");
+    for k in ["1", "7"] {
+        let other = replay(&["--witness", "--shards", k]);
+        assert_eq!(other, rendered, "witnessed render differs at K={k}");
+    }
     let genuine = read(&card);
+    check_card(&genuine);
     assert!(
         !genuine.contains("\"witness\": null"),
         "a race lost its witness"
@@ -231,11 +236,11 @@ fn witness_verify_accepts_the_genuine_card_and_fails_closed() {
     // lineage heads: a reader that narrows with `as u32` sees the genuine
     // card (exit 0 before the one checked reader).
     let card_doc = parse(&genuine).expect("card parses");
-    let race = &card_doc
+    let run0 = &card_doc
         .get("runs")
         .and_then(Value::as_array)
         .expect("runs")[0];
-    let race = &race.get("races").and_then(Value::as_array).expect("races")[0];
+    let race = &run0.get("races").and_then(Value::as_array).expect("races")[0];
     let prev = race.get("prev").and_then(Value::as_u64).expect("prev id");
     let wide = (prev + (1 << 32)).to_string();
     let mut shifted = genuine.clone();
@@ -248,6 +253,16 @@ fn witness_verify_accepts_the_genuine_card_and_fails_closed() {
         &genuine.replace(
             &format!("\"prev\": {prev},"),
             &format!("\"prev\": {prev}.5,"),
+        ),
+    );
+    // Reads, but breaks the card's structural rules.
+    let kept = run0.get("kept").and_then(Value::as_u64).expect("kept");
+    rejected(
+        "kept off by one",
+        &genuine.replacen(
+            &format!("\"kept\": {kept},"),
+            &format!("\"kept\": {},", kept + 1),
+            1,
         ),
     );
 
@@ -272,4 +287,11 @@ fn witness_verify_accepts_the_genuine_card_and_fails_closed() {
     assert!(!races.is_empty());
     assert!(races.iter().all(|r| r.get("witness") == Some(&Value::Null)));
     assert!(read(&plain).contains("\"witness\": null"));
+    check_card(&read(&plain));
+}
+
+/// The card reads with the checked reader and keeps its structural rules.
+fn check_card(text: &str) {
+    let card = stint::report_card::Card::read(text).expect("the card reads");
+    card.check().expect("the card keeps its rules");
 }

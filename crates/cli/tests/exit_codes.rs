@@ -3,6 +3,8 @@
 //! exhausted (sound partial report), 4 = internal detector failure.
 
 use std::process::{Command, Output};
+use stint::PortableTrace;
+use stint_suite::{Scale, Workload};
 
 fn cli(args: &[&str]) -> Command {
     let mut c = Command::new(env!("CARGO_BIN_EXE_stint-cli"));
@@ -53,7 +55,7 @@ fn exit_2_usage_errors() {
 }
 
 /// An option given where it means nothing is a usage error naming the option
-/// and the command — never silently ignored. (The five below exited 0
+/// and the command — never silently ignored. (The first five exited 0
 /// before the flag table.)
 #[test]
 fn exit_2_option_that_does_not_apply_is_named() {
@@ -89,6 +91,16 @@ fn exit_2_option_that_does_not_apply_is_named() {
             &["trace", "replay", "/nonexistent/t", "--scale", "paper"][..],
             "--scale",
             "trace replay",
+        ),
+        (
+            &["detect", "sort", "--variant", "batch", "--compress"][..],
+            "--compress",
+            "detect --variant batch",
+        ),
+        (
+            &["detect", "sort", "--workers", "4"][..],
+            "--workers",
+            "detect",
         ),
     ] {
         let out = run(args);
@@ -129,11 +141,18 @@ fn exit_2_bad_fault_token_is_named() {
 
 #[test]
 fn exit_3_interval_budget_exhausted() {
-    let out = run(&["detect", "mmul", "--max-intervals", "1"]);
-    assert_eq!(code(&out), 3, "stderr: {}", stderr(&out));
-    let err = stderr(&out);
-    assert!(err.contains("detector overloaded"), "stderr: {err}");
-    assert!(err.contains("sound up to that point"), "stderr: {err}");
+    let online = "--online-parallel --workers 2";
+    for args in [
+        "detect mmul --max-intervals 1".to_string(),
+        format!("detect buggy-mmul {online} --max-intervals 1"),
+    ] {
+        let args: Vec<&str> = args.split(' ').collect();
+        let out = run(&args);
+        assert_eq!(code(&out), 3, "args {args:?}, stderr: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("detector overloaded"), "stderr: {err}");
+        assert!(err.contains("sound up to that point"), "stderr: {err}");
+    }
 }
 
 #[test]
@@ -156,13 +175,20 @@ fn exit_3_shadow_budget_exhausted() {
 
 #[test]
 fn exit_4_injected_internal_failure() {
-    let out = run(&["detect", "sort", "--fault-plan", "panic-at-flush=1"]);
-    assert_eq!(code(&out), 4, "stderr: {}", stderr(&out));
-    assert!(
-        stderr(&out).contains("poisoned"),
-        "stderr: {}",
-        stderr(&out)
-    );
+    let panics = "detect sort --fault-plan panic-at-flush=1";
+    for args in [
+        panics.to_string(),
+        format!("{panics} --online-parallel --workers 2"),
+    ] {
+        let args: Vec<&str> = args.split(' ').collect();
+        let out = run(&args);
+        assert_eq!(code(&out), 4, "args {args:?}, stderr: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("poisoned"),
+            "stderr: {}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]
@@ -185,20 +211,43 @@ fn tmp_trace(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("stint-cli-{tag}-{}.trace", std::process::id()))
 }
 
+/// Batch replay of a v1 file renders the same bytes for every shard count,
+/// and the sequential STINT replay's report under its own header; a v2
+/// recording of the same run streams to that report plus one `ingested`
+/// line, again for every shard count.
 #[test]
 fn batch_replay_is_shard_invariant_and_exits_0_on_clean_traces() {
-    let path = tmp_trace("clean");
-    let p = path.to_str().expect("utf-8 temp path");
-    let out = run(&["trace", "record", "sort", p]);
-    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
-    let a = run(&["trace", "replay", p, "--variant", "batch", "--shards", "1"]);
-    assert_eq!(code(&a), 0, "stderr: {}", stderr(&a));
-    let b = run(&["trace", "replay", p, "--variant", "batch", "--shards", "7"]);
-    assert_eq!(code(&b), 0, "stderr: {}", stderr(&b));
-    // The replay output is byte-identical regardless of the shard count.
-    assert_eq!(a.stdout, b.stdout, "batch replay output varies with K");
-    assert!(String::from_utf8_lossy(&a.stdout).contains("race free"));
-    let _ = std::fs::remove_file(&path);
+    let (v1, v2) = (tmp_trace("clean"), tmp_trace("clean-v2"));
+    let (v1, v2) = (v1.to_str().expect("utf-8"), v2.to_str().expect("utf-8"));
+    for args in [
+        &["trace", "record", "sort", v1][..],
+        &["trace", "record", "sort", v2, "--compress"],
+    ] {
+        let out = run(args);
+        assert_eq!(code(&out), 0, "{args:?}: {}", stderr(&out));
+    }
+    let replay = |file: &str, variant: &str, shards: &[&str]| {
+        let out = run(&[&["trace", "replay", file, "--variant", variant][..], shards].concat());
+        assert_eq!(code(&out), 0, "{file} {variant}: {}", stderr(&out));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let batch = replay(v1, "batch", &["--shards", "4"]);
+    assert!(batch.contains("race free"), "{batch}");
+    let body = |s: &str| s.split_once('\n').map(|(_, body)| body.to_string());
+    assert_eq!(body(&replay(v1, "stint", &[])), body(&batch));
+    let streamed = replay(v2, "batch", &["--shards", "4"]);
+    let unstreamed: String = streamed
+        .lines()
+        .filter(|l| !l.starts_with("  ingested "))
+        .map(|l| l.to_string() + "\n")
+        .collect();
+    assert_ne!(unstreamed, streamed, "no ingested line:\n{streamed}");
+    assert_eq!(unstreamed, batch);
+    for k in ["1", "7"] {
+        assert_eq!(replay(v1, "batch", &["--shards", k]), batch, "v1, K={k}");
+        assert_eq!(replay(v2, "batch", &["--shards", k]), streamed, "v2, K={k}");
+    }
+    let _ = (std::fs::remove_file(v1), std::fs::remove_file(v2));
 
     let out = run(&["detect", "sort", "--variant", "batch", "--shards", "3"]);
     assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
@@ -224,32 +273,57 @@ fn batch_exit_1_on_a_racy_trace() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Every command that reads a trace reads it through one validating
+/// loader: a damaged v1 or v2 file exits 4 with a `corrupt trace`
+/// diagnostic under every replay variant, `trace info` and `witness
+/// verify` — never 0, 1 or a panic's 101.
 #[test]
 fn batch_exit_4_on_corrupted_traces() {
     let good = "STINT-TRACE v1\nstrands 3\n0 0\n1 2\n2 1\nevents 4\n\
                 s 1 0x40 4\ne 1 0x0 0\ns 2 0x40 4\ne 2 0x0 0\n";
-    let corruptions: [(&str, String); 3] = [
-        ("truncated", good[..good.len() / 2].to_string()),
-        (
-            "version",
-            good.replacen("STINT-TRACE v1", "STINT-TRACE v3", 1),
-        ),
-        // Parses fine, but the strand id does not exist in the snapshot.
-        ("bitflip", good.replacen("s 2 0x40 4", "s 222 0x40 4", 1)),
+    let pt = PortableTrace::record(&mut Workload::by_name("sort", Scale::Test));
+    let mut v2 = Vec::new();
+    pt.save_compressed(&mut v2, 4096).expect("save v2");
+    let mut flipped = v2.clone();
+    flipped[v2.len() / 2] ^= 0xff;
+    // The last three parse, but name a strand the snapshot does not have
+    // or a range past the end of the address space.
+    let edits = [
+        ("version", "STINT-TRACE v1", "STINT-TRACE v3"),
+        ("bitflip", "s 2 0x40 4", "s 222 0x40 4"),
+        ("strand", "s 1 0x40 4", "s 70000 0x40 4"),
+        ("overflow", "s 1 0x40 4", "s 1 0xfffffffffffffffe 8"),
     ];
-    for (tag, text) in corruptions {
+    let edited = edits.map(|(tag, from, to)| (tag, good.replacen(from, to, 1).into_bytes()));
+    let mut corruptions = vec![("truncated", good.as_bytes()[..good.len() / 2].to_vec())];
+    corruptions.extend(edited);
+    corruptions.push(("truncated-v2", v2[..v2.len() / 2].to_vec()));
+    corruptions.push(("bitflip-v2", flipped));
+    let card = tmp_trace("card");
+    std::fs::write(&card, "{}").expect("write card");
+    let card = card.to_str().expect("utf-8 temp path");
+    for (tag, bytes) in corruptions {
         let path = tmp_trace(tag);
-        std::fs::write(&path, text).expect("write corrupt trace");
+        std::fs::write(&path, bytes).expect("write corrupt trace");
         let p = path.to_str().expect("utf-8 temp path");
-        let out = run(&["trace", "replay", p, "--variant", "batch"]);
-        assert_eq!(code(&out), 4, "{tag}: stderr: {}", stderr(&out));
-        assert!(
-            stderr(&out).contains("corrupt trace"),
-            "{tag}: stderr: {}",
-            stderr(&out)
-        );
+        let variants = "vanilla compiler comp+rts stint stint-btree batch".split(' ');
+        let replay = |v| vec!["trace", "replay", p, "--variant", v];
+        let mut commands: Vec<Vec<&str>> = variants.map(replay).collect();
+        commands.push(vec!["trace", "info", p]);
+        commands.push(vec!["witness", "verify", p, card]);
+        for args in commands {
+            let out = run(&args);
+            assert_eq!(code(&out), 4, "{tag}: {args:?}: stderr: {}", stderr(&out));
+            // The trace is rejected, not the (unreadable) card.
+            let err = stderr(&out);
+            assert!(
+                err.contains("corrupt trace") && !err.contains("REJECTED"),
+                "{tag}: {args:?}: {err}"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
+    let _ = std::fs::remove_file(card);
 }
 
 #[test]
@@ -345,4 +419,56 @@ fn fault_plans_from_the_environment_exit_0_1_3_or_4() {
             );
         }
     }
+}
+
+/// A `detect` report in a form two processes can compare: timing lines
+/// dropped and every address renamed by its first appearance (each process
+/// maps the workload's buffers at its own ASLR base).
+fn canon(report: &str) -> String {
+    let mut names: Vec<&str> = Vec::new();
+    let mut out = String::new();
+    for line in report.lines() {
+        if line.contains("wall time:") || line.contains("access-hist time:") {
+            continue;
+        }
+        let mut rest = line;
+        while let Some(at) = rest.find("0x") {
+            let end = rest[at + 2..]
+                .find(|c: char| !c.is_ascii_hexdigit())
+                .map_or(rest.len(), |n| at + 2 + n);
+            let n = names.iter().position(|&t| t == &rest[at..end]);
+            let n = n.unwrap_or_else(|| {
+                names.push(&rest[at..end]);
+                names.len() - 1
+            });
+            out += &format!("{}A{n}", &rest[..at]);
+            rest = &rest[end..];
+        }
+        out += rest;
+        out.push('\n');
+    }
+    out
+}
+
+/// The relabel-free DePa substrate renders SP-Order's report, and the
+/// parallel online tier reports SP-Order's race and racy-word counts, both
+/// with its exit code.
+#[test]
+fn depa_and_online_report_the_sporder_races() {
+    let detect = |extra: &[&str]| {
+        let out = run(&[&["detect", "buggy-mmul"][..], extra].concat());
+        assert_eq!(code(&out), 1, "{extra:?}: stderr: {}", stderr(&out));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let sporder = detect(&["--reach", "sporder"]);
+    assert_eq!(canon(&detect(&["--reach", "depa"])), canon(&sporder));
+    let races = |report: &str| {
+        let line = report
+            .lines()
+            .find(|l| l.trim_start().starts_with("races:"));
+        line.map(str::to_string)
+    };
+    let online = detect(&["--online-parallel", "--workers", "2"]);
+    assert!(races(&sporder).is_some(), "{sporder}");
+    assert_eq!(races(&online), races(&sporder));
 }

@@ -1,8 +1,8 @@
 //! The race report card (`stint-report-v1`): the one place the format is
 //! written, read and checked.
 //!
-//! `--report-json` writes a [`Card`]; `witness verify` and `jsoncheck
-//! report` read it back through [`Card::read`], which is typed and fails
+//! `--report-json` writes a [`Card`]; `witness verify` and the tests read
+//! it back through [`Card::read`], which is typed and fails
 //! closed — every integer is checked to fit the field it lands in (a strand
 //! id above `u32::MAX`, a fraction, or a value the `f64`-backed parser
 //! cannot hold exactly is an error, never a narrowing cast) — and

@@ -597,7 +597,7 @@ impl<A: Copy> Treap<A> {
         }
     }
 
-    /// One read insert below `top`: probe, act, repair (DESIGN.md §17). The
+    /// One read insert below `top`: probe, act, repair (DESIGN.md §3, bulk splice). The
     /// probe descends read-only to the first stored interval overlapping `x`,
     /// or to the empty slot, starting from what `path` holds of the last
     /// probe: a run to the right of the last one (the caller clears `path`
@@ -854,7 +854,7 @@ impl<A: Copy> Treap<A> {
     /// analysis; an empty `M` overlaps nothing and the batch is built in
     /// O(n) — and join the three back. Same draws in the same order on the
     /// same keys: the tree is the one the per-run path builds (DESIGN.md
-    /// §17). Returns false, having done nothing, for a batch too short or
+    /// §3, bulk splice). Returns false, having done nothing, for a batch too short or
     /// not sorted.
     fn splice(
         &mut self,

@@ -2,7 +2,7 @@
 //!
 //! Every document the product emits (metrics, trace, memory series, flight
 //! dump, stats, report card, space study) is written with [`Writer`] and
-//! read back — by `witness verify`, `jsoncheck`, the tests and the repo
+//! read back — by `witness verify`, the tier-1 tests and the repo
 //! benchmark — with [`parse`]. No external crate: the workspace builds
 //! offline, and the documents are small.
 //!

@@ -44,8 +44,7 @@ use std::time::{Duration, Instant};
 
 use stint::{sniff_magic, DetectorError, ResourceBudget, TraceMagic};
 use stint_batchdet::{
-    batch_detect_chunked_limited_on, batch_detect_limited_on, load_trace, BatchConfig,
-    SessionLimits,
+    batch_detect_chunked_on, batch_detect_on, load_trace, BatchConfig, SessionLimits,
 };
 use stint_cilkrt::ThreadPool;
 use stint_obs::{flight, Counter, Gauge, Histogram};
@@ -644,16 +643,16 @@ fn run_session(shared: &Shared, job: &Job) -> (Verdict, String) {
     let bcfg = BatchConfig {
         shards: opts.shards.unwrap_or_else(|| BatchConfig::default().shards),
         witnesses: opts.witness,
+        limits,
         ..BatchConfig::default()
     };
     let result = match sniff_magic(&job.trace) {
         // v2 streams straight off the frame buffer chunk by chunk: peak
         // detector-side memory is one chunk plus the shard detectors.
-        TraceMagic::V2 => {
-            batch_detect_chunked_limited_on(&shared.pool, &job.trace[..], &bcfg, &limits)
+        TraceMagic::V2 => batch_detect_chunked_on(&shared.pool, &job.trace[..], &bcfg),
+        TraceMagic::V1 => {
+            load_trace(&job.trace[..]).and_then(|pt| batch_detect_on(&shared.pool, &pt, &bcfg))
         }
-        TraceMagic::V1 => load_trace(&job.trace[..])
-            .and_then(|pt| batch_detect_limited_on(&shared.pool, &pt, &bcfg, &limits)),
         TraceMagic::Unknown => Err(DetectorError::CorruptTrace {
             detail: "unrecognized trace magic (expected STINT-TRACE v1 or v2)".into(),
         }),

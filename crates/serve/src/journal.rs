@@ -32,13 +32,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use stint::journal::{replay, FsyncPolicy, JournalWriter, MAGIC};
+use stint::journal::{replay, FsyncPolicy, JournalWriter};
 use stint::varint;
 use stint_obs::Counter;
 
@@ -358,30 +358,6 @@ impl SessionJournal {
     }
 }
 
-/// Validate a journal byte stream for the `jsoncheck journal` gate:
-/// `Ok(records)` when the magic line parses, every frame checksums, and
-/// every record decodes as a [`SessionEvent`]; `Err(detail)` otherwise.
-pub fn validate_stream<R: Read>(r: R) -> Result<u64, String> {
-    let mut br = io::BufReader::new(r);
-    let mut bytes = Vec::new();
-    br.read_to_end(&mut bytes)
-        .map_err(|e| format!("read: {e}"))?;
-    if bytes.is_empty() {
-        return Ok(0);
-    }
-    if !bytes.starts_with(MAGIC.as_bytes()) {
-        return Err(format!("missing {MAGIC:?} magic line"));
-    }
-    let rep = replay(&bytes[..]).map_err(|e| format!("io: {e}"))?;
-    if let Some(c) = rep.corruption {
-        return Err(c);
-    }
-    for (i, frame) in rep.records.iter().enumerate() {
-        SessionEvent::decode(frame).map_err(|e| format!("record {}: {e}", i + 1))?;
-    }
-    Ok(rep.records.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,10 +453,6 @@ mod tests {
         assert!(summary.is_clean(), "{:?}", summary.corruption);
         assert_eq!(summary.records, 3);
         assert_eq!(events.last().map(|e| e.session), Some(3));
-        assert_eq!(
-            validate_stream(&std::fs::read(&path).expect("read")[..]),
-            Ok(3)
-        );
         let _ = std::fs::remove_file(&path);
     }
 }

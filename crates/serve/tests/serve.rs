@@ -1,6 +1,7 @@
-//! End-to-end tests of the detection service: engine verdicts for every
-//! status, backpressure, panic isolation, timeouts, and the framed stdio
-//! transport.
+//! In-process tests of the detection service: engine verdicts for every
+//! status, backpressure, panic isolation, timeouts, and the framed
+//! transport's malformed-frame and HEALTH answers. The `stint-serve` binary
+//! over both transports is `daemon.rs`'s.
 //!
 //! Fault plans and the engine totals are process-global, so every test
 //! serializes on one lock (the same idiom as the repo-level chaos tests).
@@ -322,61 +323,6 @@ fn decode_all(bytes: &[u8]) -> Vec<Response> {
         out.push(resp);
     }
     out
-}
-
-#[test]
-fn stdio_transport_speaks_the_full_protocol() {
-    let _g = lock();
-    let engine = Arc::new(Engine::new(EngineConfig {
-        session_workers: 1, // one worker → replies in submission order
-        queue_depth: 16,
-        pool_workers: 1,
-        ..EngineConfig::default()
-    }));
-    let mut frames = Vec::new();
-    protocol::write_request(&mut frames, &Request::Ping).expect("frame");
-    protocol::write_request(
-        &mut frames,
-        &Request::Detect {
-            opts: String::new(),
-            trace: clean_v1(),
-        },
-    )
-    .expect("frame");
-    protocol::write_request(
-        &mut frames,
-        &Request::Detect {
-            opts: "shards=3".into(),
-            trace: RACY_V1.as_bytes().to_vec(),
-        },
-    )
-    .expect("frame");
-    protocol::write_request(&mut frames, &Request::Stats).expect("frame");
-    protocol::write_request(&mut frames, &Request::Shutdown).expect("frame");
-    let sink = SharedBuf::default();
-    let shutdown = run_frames(&engine, &frames[..], sink.clone(), false).expect("serve the stream");
-    assert!(shutdown, "SHUTDOWN frame reported");
-    let out = sink.0.lock().unwrap_or_else(|e| e.into_inner());
-    let resps = decode_all(&out);
-    // Ping and stats are answered inline by the reader, detects by
-    // completion, so only the endpoints are order-deterministic: the ping
-    // reply leads, Bye trails (drain flushes every session reply first).
-    assert_eq!(resps.len(), 5, "payloads: {:?}", resps);
-    assert!(resps[0].payload.contains("pong"));
-    assert_eq!(resps.last().map(|r| r.status), Some(Status::Bye));
-    let find = |needle: &str| {
-        resps
-            .iter()
-            .find(|r| r.payload.contains(needle))
-            .unwrap_or_else(|| panic!("no response containing {needle:?}: {resps:?}"))
-            .clone()
-    };
-    assert_eq!(find("kind: ok\nraces: 0").status, Status::Ok);
-    let racy = find("w 0x10");
-    assert_eq!(racy.status, Status::Racy);
-    assert!(racy.session > 0, "detect replies carry their session id");
-    assert_eq!(find("sessions: ").status, Status::Ok);
-    assert!(engine.is_draining(), "shutdown frame drained the engine");
 }
 
 #[test]

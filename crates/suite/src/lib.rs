@@ -62,7 +62,7 @@ pub const NAMES: [&str; 7] = ["chol", "fft", "heat", "mmul", "sort", "stra", "st
 
 /// Seeded-bug variants constructible by name — deterministic *racy*
 /// workloads for positive-path tooling (recording racy traces, witness
-/// smoke tests). Not part of [`NAMES`]: the figure harness iterates the
+/// tests). Not part of [`NAMES`]: the figure harness iterates the
 /// race-free suite only.
 pub const BUGGY_NAMES: [&str; 3] = ["buggy-heat", "buggy-merge", "buggy-mmul"];
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The pre-merge gate: style checks, release build, one iteration of each
-# ivtree Criterion row, the test suite in release, every smoke script, the
-# space study (the `space` binary exits 1 on a Lemma 4.1 violation), the repo
+# ivtree Criterion row, the test suite in release, the space study (the
+# `space` binary exits 1 on a Lemma 4.1 violation), the repo
 # benchmark's self-check (expectations, oracle, catalogue ≡ BENCHMARK.json),
 # then a two-pair smoke of the repo benchmark against the parent commit. No
 # wall time is gated here: `scripts/bench_pair.sh REF 10` is the performance
@@ -31,24 +31,13 @@ echo "== ivtree criterion rows, one iteration each"
 cargo bench -q -p stint-bench --bench ivtree -- --test
 
 # Tier-1 in release: the fault-injection suites and CLI fault sweep, the
-# exporter / cross-document agreement tests, the witness loop.
+# exporter / cross-document agreement tests, the witness loop, the CLI's
+# exit-code contract on every tier and the `stint-serve` daemon end to end.
 echo "== cargo test --release"
 cargo test --release -q
 
 echo "== space study (byte gauges + Lemma 4.1)"
 cargo run --release -q -p stint-bench --bin space -- "${ARGS[@]}"
-
-echo "== batch smoke (sharded replay + compressed-trace equivalence on the CLI)"
-scripts/batch_smoke.sh
-
-echo "== witness smoke (emit -> verify -> tamper -> reject on the CLI)"
-scripts/witness_smoke.sh
-
-echo "== depa smoke (substrate equivalence + parallel-online determinism on the CLI)"
-scripts/depa_smoke.sh
-
-echo "== serve smoke (daemon transports, backpressure, ops plane)"
-scripts/serve_smoke.sh
 
 # The benchmark is the only measurement system; this is its self-check. An
 # in-repo build rewrites benchmark/Cargo.lock (it predates PR 17's manifest

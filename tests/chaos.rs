@@ -1039,11 +1039,16 @@ fn pipeline_corrupt_chunk_behind_an_inflight_drain_is_structured() {
 #[test]
 fn pipeline_deadline_between_batches_drains_what_was_routed() {
     let _g = lock();
-    use stint_repro::batchdet::{batch_detect, batch_detect_chunked_limited_on, SessionLimits};
+    use stint_repro::batchdet::{
+        batch_detect, batch_detect_chunked_on, BatchConfig, SessionLimits,
+    };
     let (pt, v2, starts, events) = racy_loop_v2();
     let pool = ThreadPool::new(2);
-    let limits = SessionLimits::default().timeout_after(std::time::Duration::from_millis(300));
-    let deadline = limits.deadline.expect("set above");
+    let cfg = BatchConfig {
+        limits: SessionLimits::default().timeout_after(std::time::Duration::from_millis(300)),
+        ..two_shards()
+    };
+    let deadline = cfg.limits.deadline.expect("set above");
     let reader = GatedReader {
         data: &v2,
         pos: 0,
@@ -1055,7 +1060,7 @@ fn pipeline_deadline_between_batches_drains_what_was_routed() {
             Ok(())
         }),
     };
-    let out = batch_detect_chunked_limited_on(&pool, reader, &two_shards(), &limits)
+    let out = batch_detect_chunked_on(&pool, reader, &cfg)
         .expect("a tripped deadline degrades, it does not fail");
     match &out.degraded {
         Some(DetectorError::ResourceExhausted { resource, .. }) => {
