@@ -5,7 +5,9 @@
 //! a **batch job**:
 //!
 //! 1. **Replay control flow sequentially** (or load a saved trace): the
-//!    result is a [`PortableTrace`] — the full instrumentation stream plus a
+//!    result is a [`PortableTrace`] — each strand's coalesced runs in front
+//!    of the strand end or free that closes them (a saved trace may hold the
+//!    hook stream instead; either is valid input) plus a
 //!    [`FrozenReach`] snapshot of SP-Order. After this phase the
 //!    `series`/`parallel`/`left_of` relation is *read-only*: every query is
 //!    a pair of rank comparisons on immutable vectors, safe to share across
@@ -30,18 +32,20 @@
 //! batch *n+1* is coalesced and routed while batch *n* drains. For traces
 //! saved in the compressed chunked `STINT-TRACE v2` format (see
 //! `stint::ctrace`), [`batch_detect_chunked`] feeds that pipeline one file
-//! chunk per batch — the whole `PortableTrace` is never resident — and
-//! consumes contiguous run-length runs **wholesale** (one range set on the
-//! coalescer per run, not one hook per decoded event).
+//! chunk per batch — the whole `PortableTrace` is never resident — and, in
+//! a hook-level file, consumes contiguous run-length runs **wholesale** (one
+//! range set on the coalescer per run, not one hook per decoded event).
 //!
 //! # Why address sharding preserves the race set
 //!
 //! The access history is keyed by address: whether two accesses race
 //! depends only on the per-word history of that word and the (frozen)
 //! SP-Order relation, never on accesses to other words. The coalescer sees
-//! the hooks sequential STINT's sees and is emptied where that one is (every
-//! strand end and free), so the runs it hands out are the intervals
-//! sequential STINT flushes, strand by strand. Routing each run to the
+//! the hooks sequential STINT's sees — or, from a recorded trace, the runs
+//! those hooks coalesced to, which fed back come out unchanged — and is
+//! emptied where that one is (every strand end and free), so the runs it
+//! hands out are the intervals sequential STINT flushes, strand by strand.
+//! Routing each run to the
 //! shards it overlaps preserves, per word, that exact sequence of
 //! `(strand, kind)` entries; the only difference is interval *fragmentation*,
 //! which happens when a run is routed (a run straddling a shard boundary
@@ -322,7 +326,8 @@ pub struct BatchOutcome {
     /// The per-shard detector statistics summed, plus the source's
     /// coalescer's hooks, intervals and table bytes.
     pub stats: DetectorStats,
-    /// Total trace events (before coalescing).
+    /// Events in the trace, before the source's coalescer: units for a
+    /// recorded (coalesced) trace, hooks for a hook-level one.
     pub events: usize,
     pub strands: usize,
     /// Wall-clock time of the batch phase (partition + fan-out + detection;
@@ -490,7 +495,8 @@ impl EventSource for std::slice::Chunks<'_, TraceEvent> {
 
 /// The strand coalescer in front of a source: every decoded or executed hook
 /// lands in it, and what crosses into the shards' inboxes is a strand's
-/// sorted disjoint runs, handed out when the strand ends or frees.
+/// sorted disjoint runs, handed out when the strand ends or frees. A source
+/// of already coalesced units passes through it unchanged.
 struct Front {
     co: StrandCoalescer,
     /// Strand of the last event fed (whose runs a cut-off stream leaves).
@@ -505,36 +511,20 @@ impl Front {
         }
     }
 
-    /// Hand the current strand's runs to `sink` as hand-off units, reads
-    /// first, and clear the coalescer.
-    fn hand_out(&mut self, strand: StrandId, mut sink: impl FnMut(TraceEvent)) {
-        let [reads, writes] = self.co.take_runs();
-        for (op, runs) in [(TraceOp::LoadRange, reads), (TraceOp::StoreRange, writes)] {
-            runs.iter()
-                .for_each(|&(lo, hi)| sink(unit(op, strand, lo, hi)));
-        }
-    }
-
-    /// Feed one event of a recorded stream: an access goes into the
-    /// coalescer; a strand end or free routes the strand's runs, then itself.
+    /// Feed one event of a recorded stream and route what the coalescer
+    /// hands out ([`StrandCoalescer::feed`]).
     #[inline]
     fn feed(&mut self, e: TraceEvent, router: &mut Router, inboxes: &mut [Inbox]) {
         self.last = e.strand;
-        match e.op {
-            TraceOp::Load | TraceOp::LoadRange => self.co.load(e.addr, e.bytes),
-            TraceOp::Store | TraceOp::StoreRange => self.co.store(e.addr, e.bytes),
-            TraceOp::Free | TraceOp::StrandEnd => {
-                self.hand_out(e.strand, |u| route_unit(router, u, inboxes));
-                route_unit(router, e, inboxes);
-            }
-        }
+        self.co.feed(e, |u| route_unit(router, u, inboxes));
     }
 
     /// The stream stops in mid-strand: end the strand. `true` if it had
     /// accessed anything.
     fn cut_off(&mut self, router: &mut Router, inboxes: &mut [Inbox]) -> bool {
         let pending = !self.co.is_clear();
-        self.feed(unit(TraceOp::StrandEnd, self.last, 0, 0), router, inboxes);
+        let end = TraceEvent::unit(TraceOp::StrandEnd, self.last, 0, 0);
+        self.feed(end, router, inboxes);
         pending
     }
 }
@@ -929,19 +919,6 @@ impl Router {
 /// (`LoadRange`/`StoreRange`), clipped frees, and strand-end markers.
 type Inbox = Vec<TraceEvent>;
 
-/// The run/free of `[lo, hi)` (words) as a hand-off unit: a word-aligned
-/// byte range that `word_range` maps back to exactly those words; a strand
-/// end is the empty range at 0.
-#[inline]
-fn unit(op: TraceOp, strand: StrandId, lo: u64, hi: u64) -> TraceEvent {
-    TraceEvent {
-        op,
-        strand,
-        addr: (lo * 4) as usize,
-        bytes: ((hi - lo) * 4) as usize,
-    }
-}
-
 /// A shard's private interval history, persistent across batches, and the
 /// current strand's read and write runs routed to it so far — sorted and
 /// disjoint already, so a shard owns no coalescing table. Neighbours are
@@ -1038,11 +1015,12 @@ fn route_unit(router: &mut Router, e: TraceEvent, inboxes: &mut [Inbox]) {
     if e.op != TraceOp::StrandEnd {
         let (lo, hi) = word_range(e.addr, e.bytes);
         router.route(e.op == TraceOp::Free, lo, hi, |i, clo, chi| {
-            inboxes[i].push(unit(e.op, e.strand, clo, chi))
+            inboxes[i].push(TraceEvent::unit(e.op, e.strand, clo, chi))
         });
     }
     if matches!(e.op, TraceOp::StrandEnd | TraceOp::Free) {
-        router.on_strand_end(|i| inboxes[i].push(unit(TraceOp::StrandEnd, e.strand, 0, 0)));
+        let end = TraceEvent::unit(TraceOp::StrandEnd, e.strand, 0, 0);
+        router.on_strand_end(|i| inboxes[i].push(end));
     }
 }
 
@@ -1335,8 +1313,9 @@ mod tests {
         }
     }
 
-    /// Strided parallel writers: the compressed form coalesces each
-    /// strand's sweep into runs the streaming path can consume wholesale.
+    /// Strided parallel writers: the compressed form of their hook stream
+    /// coalesces each strand's sweep into runs the streaming path can
+    /// consume wholesale.
     struct StridedRacy;
     impl CilkProgram for StridedRacy {
         fn run<C: Cilk>(&mut self, ctx: &mut C) {
@@ -1355,9 +1334,19 @@ mod tests {
         c.load(a, b);
     }
 
+    /// `p`'s hook stream as a portable trace — what an older file holds;
+    /// [`PortableTrace::record`] stores its coalesced form.
+    pub(crate) fn hooks<P: CilkProgram>(p: &mut P) -> PortableTrace {
+        let (trace, reach) = stint::record(p);
+        PortableTrace {
+            trace,
+            reach: reach.freeze(),
+        }
+    }
+
     #[test]
     fn wholesale_run_consumption_matches_expanded_replay() {
-        let pt = PortableTrace::record(&mut StridedRacy);
+        let pt = hooks(&mut StridedRacy);
         let expected = batch_detect(&pt, &cfg(3, 2, 0)).unwrap();
         let buf = compress(&pt, 64);
         let out = batch_detect_chunked(&buf[..], &cfg(3, 2, 0)).unwrap();

@@ -74,7 +74,7 @@ use stint_obs::Counter;
 use stint_sporder::StrandId;
 
 use crate::{
-    merge_shards, pipeline, plan_shards, route_unit, unit, Batch, EventSource, Front, MergedReport,
+    merge_shards, pipeline, plan_shards, route_unit, Batch, EventSource, Front, MergedReport,
     Piped, Router, SessionLimits, Shard, ShardOutcome,
 };
 
@@ -301,8 +301,9 @@ impl OnlineEngine {
 
     /// The strand ended, or freed (`end`): push its runs, then `end` itself
     /// — the same units, in the same order, a recorded stream's `Front`
-    /// routes. A strand end that closes nothing is not worth a unit. The
-    /// strand was published before its first hook, so before any of this.
+    /// routes ([`stint::StrandCoalescer::feed`]). A strand end that closes
+    /// nothing is not worth a unit. The strand was published before its
+    /// first hook, so before any of this.
     fn end_strand(&mut self, end: TraceEvent, reach: &DePaReach) {
         let id = self.events();
         if let Some(sp) = self.spans.as_mut() {
@@ -312,9 +313,9 @@ impl OnlineEngine {
         self.ends += 1;
         self.strand_from = id + 1;
         let mut units = std::mem::take(&mut self.strand);
-        self.front.hand_out(end.strand, |u| units.push(u));
-        if end.op == TraceOp::Free || !units.is_empty() {
-            units.push(end);
+        self.front.co.feed(end, |u| units.push(u));
+        if end.op == TraceOp::StrandEnd && units.len() == 1 {
+            units.clear();
         }
         for u in units.drain(..) {
             if self.poisoned.is_some() {
@@ -382,10 +383,10 @@ impl Detector<DePaReach> for OnlineEngine {
     }
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &DePaReach) {
         let (lo, hi) = word_range(addr, bytes);
-        self.end_strand(unit(TraceOp::Free, s, lo, hi), reach);
+        self.end_strand(TraceEvent::unit(TraceOp::Free, s, lo, hi), reach);
     }
     fn strand_end(&mut self, s: StrandId, reach: &DePaReach) {
-        self.end_strand(unit(TraceOp::StrandEnd, s, 0, 0), reach);
+        self.end_strand(TraceEvent::unit(TraceOp::StrandEnd, s, 0, 0), reach);
     }
 
     /// Deliver the last batch, wait for the per-shard outcomes, then merge
@@ -477,8 +478,9 @@ pub fn online_detect<P: CilkProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::hooks;
     use crate::{batch_detect, BatchConfig};
-    use stint::{detect, Cilk, PortableTrace, Variant};
+    use stint::{detect, Cilk, Variant};
 
     struct WideRacy;
     impl CilkProgram for WideRacy {
@@ -531,11 +533,12 @@ mod tests {
         }
     }
 
-    /// ... and equal to `batch_detect` on the recorded trace, witnesses on
-    /// and off.
+    /// ... and equal to `batch_detect` on the recorded hook stream — the
+    /// stream whose indices the engine's event ids are — witnesses on and
+    /// off.
     #[test]
     fn render_is_invariant_in_workers_seed_and_chunking() {
-        let pt = PortableTrace::record(&mut RacyLoop(40));
+        let pt = hooks(&mut RacyLoop(40));
         let words = detect(&mut RacyLoop(40), Variant::Stint)
             .report
             .racy_words();
@@ -635,7 +638,7 @@ mod tests {
 
     #[test]
     fn online_render_matches_batch_render() {
-        let pt = PortableTrace::record(&mut WideRacy);
+        let pt = hooks(&mut WideRacy);
         let batch = batch_detect(&pt, &BatchConfig::default()).unwrap();
         let online = online_detect(&mut WideRacy, &cfg(2, 0, 16)).unwrap();
         assert_eq!(online.merged.render(), batch.merged.render());
@@ -680,9 +683,9 @@ mod tests {
         assert!(!out.merged.regions.is_empty());
         assert!(out.merged.regions.iter().all(|r| r.witness.is_some()));
         // Witness capture is merge-time and span-table-driven, exactly like
-        // batch: the same program recorded and batch-detected with
+        // batch: the same program's hook stream batch-detected with
         // witnesses renders the same bytes.
-        let pt = PortableTrace::record(&mut WideRacy);
+        let pt = hooks(&mut WideRacy);
         let bcfg = BatchConfig {
             witnesses: true,
             ..BatchConfig::default()

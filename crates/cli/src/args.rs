@@ -244,7 +244,10 @@ const FLAGS: &[Flag] = &[
         set: |c, _, _| put(&mut c.witness, Ok(true)),
         help: "capture verifiable witnesses with each reported race (event spans of\n\
                both accesses, SP-Order tag evidence, spawn-tree lineage); off by\n\
-               default and free when off; re-validate with 'stint-cli witness verify'",
+               default and free when off; re-validate with 'stint-cli witness verify'\n\
+               against the stream the card numbers: a live 'detect' numbers its\n\
+               hooks, while a file 'trace record' writes holds strand units, so\n\
+               only a card from 'trace replay' of that file verifies against it",
     },
     Flag {
         name: "--reach",

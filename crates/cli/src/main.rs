@@ -309,29 +309,31 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             file,
             opts: o,
         } => {
-            let mut w = Workload::by_name(&bench, o.scale);
-            let pt = PortableTrace::record(&mut w);
+            // `PortableTrace::record` in its two steps, so that the hook
+            // count can be printed beside the units the file stores.
+            let (hooks, reach) = stint::record(&mut Workload::by_name(&bench, o.scale));
+            let n_hooks = hooks.len();
+            let pt = PortableTrace {
+                trace: hooks.coalesced(),
+                reach: reach.freeze(),
+            };
             let f = File::create(&file).map_err(|e| usage(format!("create {file}: {e}")))?;
+            let recorded = format!(
+                "recorded {n_hooks} hooks as {} units over {} strands into {file}",
+                pt.trace.len(),
+                pt.reach.strand_count()
+            );
             if o.compress {
                 let st = pt
                     .save_compressed(BufWriter::new(f), o.chunk_events)
                     .map_err(usage)?;
                 println!(
-                    "recorded {} events over {} strands into {file} \
-                     (compressed: {} runs, {} chunk(s), {} bytes)",
-                    pt.trace.len(),
-                    pt.reach.strand_count(),
-                    st.runs,
-                    st.chunks,
-                    st.bytes
+                    "{recorded} (compressed: {} runs, {} chunk(s), {} bytes)",
+                    st.runs, st.chunks, st.bytes
                 );
             } else {
                 pt.save(BufWriter::new(f)).map_err(usage)?;
-                println!(
-                    "recorded {} events over {} strands into {file}",
-                    pt.trace.len(),
-                    pt.reach.strand_count()
-                );
+                println!("{recorded}");
             }
             Ok(false)
         }
@@ -341,9 +343,11 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             for e in &pt.trace.events {
                 *by_op.entry(format!("{:?}", e.op)).or_insert(0u64) += 1;
             }
+            // Counts what the file holds: units for a recorded trace, one
+            // per hook for a hook-level one.
             println!("trace {file}:");
             println!("  strands: {}", pt.reach.strand_count());
-            println!("  events:  {}", pt.trace.len());
+            println!("  units:   {}", pt.trace.len());
             println!("  bytes:   {}", pt.trace.access_bytes());
             for (op, n) in by_op {
                 println!("  {op:<12} {n}");
@@ -579,8 +583,9 @@ fn read_trace(file: &str) -> Result<PortableTrace, Failure> {
 /// (exit 2); a card that does not read — not a report card, a field missing
 /// or holding a value it cannot — or breaks the card's structural rules, or
 /// a witness that fails verification — tampered evidence, or a report
-/// paired with the wrong trace — is a corrupt-input failure (exit 4, with a
-/// `REJECTED` line). A report that carries races but no witnesses is a
+/// paired with the wrong trace, which for a live `detect` card against a
+/// recorded file the reason names — is a corrupt-input failure (exit 4,
+/// with a `REJECTED` line). A report that carries races but no witnesses is a
 /// usage error: there is nothing to verify, re-emit with `--witness`.
 fn witness_verify(trace_path: &str, report_path: &str) -> Result<bool, Failure> {
     let rejected = |what: String, reason: String| {
@@ -596,6 +601,15 @@ fn witness_verify(trace_path: &str, report_path: &str) -> Result<bool, Failure> 
         .and_then(|card| card.check().map(|()| card))
         .map_err(|e| rejected(report_path.into(), e))?;
     let checker = WitnessChecker::new(&pt.reach).with_trace(&pt.trace);
+    // A live run's card numbers its hooks; a recorded file holds strand
+    // units, so such a card cannot verify against it even when genuine.
+    let stream = if card.command == "detect" {
+        "; this card is from a live 'detect', whose event ids number the hook \
+         stream, while a file 'trace record' writes holds strand units: verify \
+         the card of a 'trace replay' of this file"
+    } else {
+        ""
+    };
     let (mut total, mut checked) = (0u64, 0u64);
     for (ri, run) in card.runs.iter().enumerate() {
         for race in &run.races {
@@ -609,7 +623,7 @@ fn witness_verify(trace_path: &str, report_path: &str) -> Result<bool, Failure> 
                     "run {ri}, {} race on words [{:#x},{:#x}), s{} vs s{}",
                     race.kind, race.word_lo, race.word_hi, race.prev.0, race.cur.0
                 );
-                rejected(what, reason)
+                rejected(what, reason + stream)
             })?;
         }
     }

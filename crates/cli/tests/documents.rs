@@ -290,6 +290,25 @@ fn witness_verify_accepts_the_genuine_card_and_fails_closed() {
     check_card(&read(&plain));
 }
 
+/// A live `detect` card numbers its events over the hooks, a recorded file
+/// holds strand units: the genuine card is rejected against the file, and
+/// the reason names the mismatch.
+#[test]
+fn witness_verify_names_a_live_card_against_a_recorded_file() {
+    let dir = Scratch::new("witness-live");
+    let (trace, card) = (dir.path("racy.trace"), dir.path("live.json"));
+    let out = run(&["detect", "buggy-mmul", "--witness", "--report-json", &card]);
+    assert_eq!(code(&out), 1, "racy detect, stderr: {}", stderr(&out));
+    assert_eq!(code(&run(&["trace", "record", "buggy-mmul", &trace])), 0);
+    let out = run(&["witness", "verify", &trace, &card]);
+    assert_eq!(code(&out), 4, "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("REJECTED") && err.contains("live 'detect'"),
+        "{err}"
+    );
+}
+
 /// The card reads with the checked reader and keeps its structural rules.
 fn check_card(text: &str) {
     let card = stint::report_card::Card::read(text).expect("the card reads");

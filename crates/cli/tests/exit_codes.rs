@@ -214,18 +214,35 @@ fn tmp_trace(tag: &str) -> std::path::PathBuf {
 /// Batch replay of a v1 file renders the same bytes for every shard count,
 /// and the sequential STINT replay's report under its own header; a v2
 /// recording of the same run streams to that report plus one `ingested`
-/// line, again for every shard count.
+/// line, again for every shard count. Either file holds the run's units,
+/// far fewer than its hooks, and `trace info` counts them.
 #[test]
 fn batch_replay_is_shard_invariant_and_exits_0_on_clean_traces() {
     let (v1, v2) = (tmp_trace("clean"), tmp_trace("clean-v2"));
     let (v1, v2) = (v1.to_str().expect("utf-8"), v2.to_str().expect("utf-8"));
+    let mut recorded = Vec::new();
     for args in [
         &["trace", "record", "sort", v1][..],
         &["trace", "record", "sort", v2, "--compress"],
     ] {
         let out = run(args);
         assert_eq!(code(&out), 0, "{args:?}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let words: Vec<&str> = stdout.split_whitespace().collect();
+        let file = args[3];
+        let [hooks, units, strands] = [1, 4, 7].map(|i| words[i].parse::<u64>().expect(&stdout));
+        let line =
+            format!("recorded {hooks} hooks as {units} units over {strands} strands into {file}");
+        assert!(stdout.starts_with(&line), "{stdout}");
+        assert!(units * 10 < hooks, "{stdout}");
+        recorded.push((hooks, units, strands));
     }
+    assert_eq!(recorded[0], recorded[1], "one run, two encodings");
+    let info = String::from_utf8_lossy(&run(&["trace", "info", v1]).stdout).into_owned();
+    assert!(
+        info.contains(&format!("  units:   {}\n", recorded[0].1)),
+        "{info}"
+    );
     let replay = |file: &str, variant: &str, shards: &[&str]| {
         let out = run(&[&["trace", "replay", file, "--variant", variant][..], shards].concat());
         assert_eq!(code(&out), 0, "{file} {variant}: {}", stderr(&out));
@@ -271,6 +288,40 @@ fn batch_exit_1_on_a_racy_trace() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("write-write"), "stdout: {stdout}");
     let _ = std::fs::remove_file(&path);
+}
+
+/// `--fault-plan` applies to `trace record`, but a recording drops no
+/// access under shadow faults, not even under a cap of zero chunks: as many
+/// units as a fault-free recording, and a fault-free replay finds as many
+/// races.
+#[test]
+fn recording_under_a_shadow_fault_plan_is_exact() {
+    let (clean, faulted) = (tmp_trace("rec-clean"), tmp_trace("rec-faulted"));
+    let (clean, faulted) = (
+        clean.to_str().expect("utf-8"),
+        faulted.to_str().expect("utf-8"),
+    );
+    let record = |file: &str, extra: &[&str]| {
+        let out = run(&[&["trace", "record", "buggy-mmul", file][..], extra].concat());
+        assert_eq!(code(&out), 0, "{extra:?}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        stdout.replace(file, "FILE")
+    };
+    let replay = |file: &str| {
+        let out = run(&["trace", "replay", file, "--variant", "stint"]);
+        assert_eq!(code(&out), 1, "{file}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let races = stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with("races:"));
+        races.expect(&stdout).to_string()
+    };
+    let want = record(clean, &[]);
+    for plan in ["shadow-pages=0", "shadow-pages=1", "shadow-oom-at=1"] {
+        assert_eq!(record(faulted, &["--fault-plan", plan]), want, "{plan}");
+        assert_eq!(replay(faulted), replay(clean), "{plan}");
+    }
+    let _ = (std::fs::remove_file(clean), std::fs::remove_file(faulted));
 }
 
 /// Every command that reads a trace reads it through one validating

@@ -12,6 +12,7 @@
 use crate::report::RaceReport;
 use crate::stats::{DetectorStats, Sided};
 use crate::timing::FlushTimer;
+use crate::trace::{TraceEvent, TraceOp};
 use crate::word_logic::{replay_interval, WordOp};
 use crate::ResourceBudget;
 use stint_cilk::{word_range, Detector};
@@ -30,9 +31,9 @@ struct Coalescer {
 }
 
 impl Coalescer {
-    fn new() -> Self {
+    fn new(table: BitShadow) -> Self {
         Coalescer {
-            table: BitShadow::new(),
+            table,
             filter: SetFilter::new(),
             runs: Vec::new(),
             side: Sided::default(),
@@ -84,7 +85,8 @@ impl Coalescer {
 /// The **strand coalescer** (paper Section 3.2): the read and the write bit
 /// table every hook of the current strand lands in — the front half of
 /// `comp+rts`, of STINT, and of every source of `stint-batchdet`. Only the
-/// intervals it hands out at a strand end cross into an access history.
+/// intervals it hands out at a strand end cross into an access history, or
+/// into a recorded trace.
 pub struct StrandCoalescer {
     reads: Coalescer,
     writes: Coalescer,
@@ -98,9 +100,20 @@ impl Default for StrandCoalescer {
 
 impl StrandCoalescer {
     pub fn new() -> Self {
+        Self::over(BitShadow::new)
+    }
+
+    /// A coalescer whose tables no fault plan caps ([`BitShadow::exact`]):
+    /// what it hands out covers every access fed in, so a trace coalesced
+    /// on its way to disk loses no access under any `--fault-plan`.
+    pub fn exact() -> Self {
+        Self::over(BitShadow::exact)
+    }
+
+    fn over(table: fn() -> BitShadow) -> Self {
         StrandCoalescer {
-            reads: Coalescer::new(),
-            writes: Coalescer::new(),
+            reads: Coalescer::new(table()),
+            writes: Coalescer::new(table()),
         }
     }
 
@@ -139,6 +152,32 @@ impl StrandCoalescer {
     /// pairwise disjoint, and clear both tables for the next strand.
     pub fn take_runs(&mut self) -> [&[WordIv]; 2] {
         [self.reads.extract(), self.writes.extract()]
+    }
+
+    /// The one hand-out rule, for a stream of trace events: an access goes
+    /// into the tables; a strand end or free hands `sink` the strand's read
+    /// runs, then its write runs, as `LoadRange`/`StoreRange` units
+    /// ([`TraceEvent::unit`]), and then itself. A recorded trace is
+    /// coalesced by it, and every batch source routes what it hands out.
+    #[inline]
+    pub fn feed(&mut self, e: TraceEvent, mut sink: impl FnMut(TraceEvent)) {
+        match e.op {
+            TraceOp::Load | TraceOp::LoadRange => self.load(e.addr, e.bytes),
+            TraceOp::Store | TraceOp::StoreRange => self.store(e.addr, e.bytes),
+            TraceOp::Free | TraceOp::StrandEnd => {
+                self.hand_out(e.strand, &mut sink);
+                sink(e);
+            }
+        }
+    }
+
+    /// Hand `strand`'s runs to `sink`, reads first, and clear both tables.
+    pub(crate) fn hand_out(&mut self, strand: StrandId, mut sink: impl FnMut(TraceEvent)) {
+        let [reads, writes] = self.take_runs();
+        for (op, runs) in [(TraceOp::LoadRange, reads), (TraceOp::StoreRange, writes)] {
+            runs.iter()
+                .for_each(|&(lo, hi)| sink(TraceEvent::unit(op, strand, lo, hi)));
+        }
     }
 
     /// The first table that ran out of its shadow budget, reads first.

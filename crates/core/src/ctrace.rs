@@ -5,6 +5,10 @@
 //! that instrumentation streams are extremely regular — long runs of
 //! same-strand, same-size accesses marching through memory at a constant
 //! stride — and that detection can run *directly over the compressed form*.
+//! A recorded trace ([`PortableTrace::record`]) is already the most
+//! compressed form this detector can use, each strand's coalesced runs; the
+//! encoding below still squeezes its frame, and a hook-level stream — an
+//! older file, or [`crate::record`]'s — shrinks by its run-length records.
 //! This module provides that encoding:
 //!
 //! * **delta-coded addresses** — each event stores a zigzag varint delta
@@ -17,7 +21,8 @@
 //!   identical stream (and therefore identical reports *and* detector
 //!   statistics). Contiguous runs (`stride == bytes`, word-aligned) can
 //!   instead be consumed *wholesale* by the interval detector as a single
-//!   coalesced range access — see [`EventRun::as_wholesale_range`];
+//!   coalesced range access — see [`EventRun::as_wholesale_range`]. Only a
+//!   hook stream has them: a strand's coalesced runs never touch;
 //! * **varint lengths and fixed-size chunks** — events are grouped into
 //!   chunks of at most `chunk_events` decoded events, each with its own
 //!   length and FNV-1a checksum, so a reader streams a trace far larger
@@ -677,9 +682,19 @@ mod tests {
         }
     }
 
+    /// The hook stream of `Strided` — 200 accesses in long strided runs —
+    /// the codec's fixture (a recorded, coalesced trace is a few units).
+    fn strided_hooks() -> PortableTrace {
+        let (trace, reach) = crate::record(&mut Strided);
+        PortableTrace {
+            trace,
+            reach: reach.freeze(),
+        }
+    }
+
     #[test]
     fn roundtrip_is_lossless() {
-        let pt = PortableTrace::record(&mut Strided);
+        let pt = strided_hooks();
         for chunk in [1usize, 7, 64, 100_000] {
             let mut buf = Vec::new();
             let st = save_compressed(&pt, &mut buf, chunk).unwrap();
@@ -693,7 +708,7 @@ mod tests {
 
     #[test]
     fn compresses_well_below_half_of_v1() {
-        let pt = PortableTrace::record(&mut Strided);
+        let pt = strided_hooks();
         let mut v1 = Vec::new();
         pt.save(&mut v1).unwrap();
         let mut v2 = Vec::new();
@@ -732,7 +747,7 @@ mod tests {
 
     #[test]
     fn truncation_and_bitflips_are_invalid_data() {
-        let pt = PortableTrace::record(&mut Strided);
+        let pt = strided_hooks();
         let mut buf = Vec::new();
         save_compressed(&pt, &mut buf, 32).unwrap();
         // Truncate at several depths: header, mid-chunk, last chunk.
@@ -755,7 +770,7 @@ mod tests {
 
     #[test]
     fn header_carries_partition_index() {
-        let pt = PortableTrace::record(&mut Strided);
+        let pt = strided_hooks();
         let mut buf = Vec::new();
         save_compressed(&pt, &mut buf, 64).unwrap();
         let reader = CompressedTraceReader::open(&buf[..]).unwrap();

@@ -1,9 +1,14 @@
 //! Trace recording and replay.
 //!
-//! A [`TraceRecorder`] captures the full instrumentation stream of an
-//! execution — every hook with its strand, plus strand boundaries — into a
-//! compact [`Trace`]. [`replay`] then feeds a trace into any detector
-//! without re-executing the program.
+//! A [`TraceRecorder`] captures the hook stream of an execution — every
+//! hook with its strand, plus strand boundaries — into a [`Trace`];
+//! [`record`] returns that stream. A [`PortableTrace`] — what is saved and
+//! replayed across processes — holds its *strand-coalesced* form instead
+//! ([`Trace::coalesced`]): each strand's read runs, then its write runs, in
+//! front of the strand end or free that closes them, the units every
+//! interval detector flushes anyway, thousands where the hooks are
+//! millions. [`replay`] feeds either form into any detector without
+//! re-executing the program; both report the same racy words.
 //!
 //! This serves two purposes:
 //!
@@ -14,7 +19,7 @@
 //! * **debugging/auditing**: a trace is a serializable witness of what the
 //!   detector saw.
 
-use crate::Detector;
+use crate::{Detector, StrandCoalescer};
 use stint_sporder::{Reachability, StrandId};
 
 /// Magic line of the v1 text trace format.
@@ -66,13 +71,72 @@ pub struct TraceEvent {
     pub bytes: usize,
 }
 
-/// A captured instrumentation stream.
+impl TraceEvent {
+    /// The run or free of the words `[lo, hi)` as one event: a word-aligned
+    /// byte range that `word_range` maps back to exactly those words; a
+    /// strand end is the empty range at 0.
+    #[inline]
+    pub fn unit(op: TraceOp, strand: StrandId, lo: u64, hi: u64) -> TraceEvent {
+        TraceEvent {
+            op,
+            strand,
+            addr: (lo * 4) as usize,
+            bytes: ((hi - lo) * 4) as usize,
+        }
+    }
+}
+
+/// A captured instrumentation stream: hooks, or the units they coalesce to.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     pub events: Vec<TraceEvent>,
 }
 
 impl Trace {
+    /// The strand-coalesced form of this stream: one [`StrandCoalescer`] fed
+    /// every event ([`StrandCoalescer::feed`]), so each strand's accesses up
+    /// to its next strand end or free become its sorted, disjoint read runs
+    /// and then its write runs, as `LoadRange`/`StoreRange` units in front of
+    /// that event. A stream that stops in mid-strand keeps the strand's runs
+    /// at its end. Coalescing the result again changes nothing.
+    ///
+    /// Every detector finds the same racy words in both forms, and an
+    /// interval detector the same intervals and races: it flushes exactly
+    /// these runs at exactly these points. Race *totals* are not preserved
+    /// for `vanilla` and `compiler`, which report once per word per access:
+    /// a strand that writes a racy word twice is two races over its hooks
+    /// and one over its unit. The tables are [`StrandCoalescer::exact`], so
+    /// no installed fault plan drops an access from the result.
+    ///
+    /// In place: a strand's runs never outnumber the accesses they cover, so
+    /// each unit overwrites an event already read. Beside the hooks,
+    /// coalescing allocates only the coalescer's tables, freed on return; a
+    /// second, growing unit buffer moved the heap addresses that a program
+    /// recorded next in the same process records.
+    pub fn coalesced(mut self) -> Trace {
+        let last = self.events.last().map(|e| e.strand);
+        let mut co = StrandCoalescer::exact();
+        let events = &mut self.events;
+        let mut kept = 0;
+        for i in 0..events.len() {
+            let e = events[i];
+            co.feed(e, |u| {
+                events[kept] = u;
+                kept += 1;
+            });
+        }
+        if let Some(s) = last {
+            co.hand_out(s, |u| {
+                events[kept] = u;
+                kept += 1;
+            });
+        }
+        debug_assert!(co.exhausted().is_none());
+        events.truncate(kept);
+        events.shrink_to_fit();
+        self
+    }
+
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -131,8 +195,9 @@ impl<R: Reachability> Detector<R> for TraceRecorder {
     }
 }
 
-/// Record the instrumentation stream of a fork-join program together with
-/// the reachability structure its strands refer to.
+/// Record the hook stream of a fork-join program — one event per hook, the
+/// stream a live detector with witnesses numbers — together with the
+/// reachability structure its strands refer to.
 pub fn record<P: crate::CilkProgram>(p: &mut P) -> (Trace, stint_sporder::SpOrder) {
     let (ex, _) = crate::run_with_detector(p, TraceRecorder::new());
     let reach = ex.reach;
@@ -158,9 +223,12 @@ pub fn replay<R: Reachability, D: Detector<R>>(trace: &Trace, reach: &R, mut det
     det
 }
 
-/// A self-contained, persistable trace: the instrumentation stream plus a
+/// A self-contained, persistable trace: an instrumentation stream plus a
 /// frozen snapshot of the reachability relation its strand ids refer to.
 /// Saved traces can be replayed in a different process (`stint-cli trace`).
+/// [`PortableTrace::record`] stores the strand-coalesced units
+/// ([`Trace::coalesced`]); a hook stream — an older file, or [`record`]'s
+/// output with its reachability frozen — is as valid a `PortableTrace`.
 ///
 /// ```
 /// use stint::{Cilk, CilkProgram, PortableTrace, RaceReport, StintDetector};
@@ -188,11 +256,14 @@ pub struct PortableTrace {
 }
 
 impl PortableTrace {
-    /// Record a fork-join program into a portable trace.
+    /// Record a fork-join program into a portable trace of strand-coalesced
+    /// units. The program runs under the plain recorder, and the hook stream
+    /// is coalesced after it returned, so nothing allocated for coalescing
+    /// sits between the program's own allocations.
     pub fn record<P: crate::CilkProgram>(p: &mut P) -> PortableTrace {
-        let (trace, reach) = record(p);
+        let (hooks, reach) = record(p);
         PortableTrace {
-            trace,
+            trace: hooks.coalesced(),
             reach: reach.freeze(),
         }
     }

@@ -3,9 +3,11 @@
 //! A bare [`crate::Race`] is a *claim*: two strands conflicted on a word
 //! range. This module turns the claim into *evidence*. Every detector hook
 //! advances a monotone event sequence number that matches the event's index
-//! in a recorded [`crate::Trace`] exactly (live detection and trace replay
-//! number events identically, because both see one hook call per trace
-//! event). From that identity a [`Witness`] records, at detection time:
+//! in the [`crate::Trace`] the detector was fed exactly (a detector sees one
+//! hook call per trace event): for a live run, the hook stream
+//! [`crate::record`] captures; for a replayed [`crate::PortableTrace`]
+//! recording, its per-strand units. From that identity a [`Witness`]
+//! records, at detection time:
 //!
 //! * the **event spans** of both strands — sequential depth-first execution
 //!   means each strand occupies one contiguous index range of the event

@@ -213,16 +213,7 @@ impl BitShadow {
     /// plans must be installed before the structures they should affect are
     /// built.
     pub fn new() -> Self {
-        let mut b = BitShadow {
-            map: PageMap::new(),
-            chunks: Vec::new(),
-            dirty: Vec::new(),
-            last_chunk: (u64::MAX, 0),
-            chunk_cap: u64::MAX,
-            oom_at: u64::MAX,
-            exhausted: None,
-            owned_bytes: 0,
-        };
+        let mut b = Self::exact();
         if stint_faults::is_active() {
             if let Some(cap) = stint_faults::shadow_page_cap() {
                 b.chunk_cap = cap;
@@ -232,6 +223,21 @@ impl BitShadow {
             }
         }
         b
+    }
+
+    /// Create an empty table that no fault plan caps: it never drops a bit,
+    /// for transforms that must be lossless whatever plan is installed.
+    pub fn exact() -> Self {
+        BitShadow {
+            map: PageMap::new(),
+            chunks: Vec::new(),
+            dirty: Vec::new(),
+            last_chunk: (u64::MAX, 0),
+            chunk_cap: u64::MAX,
+            oom_at: u64::MAX,
+            exhausted: None,
+            owned_bytes: 0,
+        }
     }
 
     /// Number of chunks allocated (they persist across strands).

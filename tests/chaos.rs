@@ -22,6 +22,9 @@ use stint_repro::{
     try_detect_with, CilkProgram, Config, DetectorError, FaultPlan, Resource, ScopedPlan, Variant,
 };
 
+mod common;
+use common::hook_trace;
+
 fn lock() -> MutexGuard<'static, ()> {
     static M: OnceLock<Mutex<()>> = OnceLock::new();
     M.get_or_init(|| Mutex::new(()))
@@ -176,40 +179,45 @@ fn shadow_exhaustion_degrades_soundly() {
     }
 }
 
-/// Fault class 2 (`shadow`), through the hook lane: two parallel strands each
-/// store one word of an allocatable chunk and then, over and over, one word
-/// and one whole 64-word group of four further chunks. A one-chunk budget
-/// refuses all four; `shadow-oom-at=1` refuses them from one on (which one is
-/// seed-jittered). A cached dropped slot must never take the inlined lane:
-/// the races on tracked chunks are all found, those on a refused chunk are
-/// missed *with* the degradation on record (once, at the first refused
-/// chunk's first word), and nothing is fabricated.
+/// Two parallel strands, each storing one word of an allocatable chunk and
+/// then, over and over, one word and one whole 64-word group of four further
+/// chunks (at the fixed addresses `FAR`).
+struct FiveChunks;
+const FAR: [u64; 4] = [5 << 16, 6 << 16, 7 << 16, 8 << 16];
+impl CilkProgram for FiveChunks {
+    fn run<C: stint_repro::Cilk>(&mut self, ctx: &mut C) {
+        let strand = |c: &mut C| {
+            c.store(10 * 4, 4);
+            for far in FAR {
+                for _ in 0..100 {
+                    c.store((far as usize + 70) * 4, 4);
+                    c.store((far as usize + 64) * 4, 256);
+                }
+            }
+        };
+        ctx.spawn(strand);
+        strand(ctx);
+        ctx.sync();
+    }
+}
+
+/// [`FiveChunks`]' racy words when the chunks at `dropped` are not tracked.
+fn racy_without(dropped: &[u64]) -> Vec<u64> {
+    let tracked = FAR.iter().filter(|far| !dropped.contains(far));
+    std::iter::once(10)
+        .chain(tracked.flat_map(|far| far + 64..far + 128))
+        .collect()
+}
+
+/// Fault class 2 (`shadow`), through the hook lane: [`FiveChunks`] under a
+/// one-chunk budget refuses all four far chunks; `shadow-oom-at=1` refuses
+/// them from one on (which one is seed-jittered). A cached dropped slot must
+/// never take the inlined lane: the races on tracked chunks are all found,
+/// those on a refused chunk are missed *with* the degradation on record
+/// (once, at the first refused chunk's first word), and nothing is
+/// fabricated.
 #[test]
 fn repeated_hits_on_a_dropped_chunk_degrade_soundly() {
-    struct FiveChunks;
-    const FAR: [u64; 4] = [5 << 16, 6 << 16, 7 << 16, 8 << 16];
-    impl CilkProgram for FiveChunks {
-        fn run<C: stint_repro::Cilk>(&mut self, ctx: &mut C) {
-            let strand = |c: &mut C| {
-                c.store(10 * 4, 4);
-                for far in FAR {
-                    for _ in 0..100 {
-                        c.store((far as usize + 70) * 4, 4);
-                        c.store((far as usize + 64) * 4, 256);
-                    }
-                }
-            };
-            ctx.spawn(strand);
-            strand(ctx);
-            ctx.sync();
-        }
-    }
-    let racy_without = |dropped: &[u64]| -> Vec<u64> {
-        let tracked = FAR.iter().filter(|far| !dropped.contains(far));
-        std::iter::once(10)
-            .chain(tracked.flat_map(|far| far + 64..far + 128))
-            .collect()
-    };
     let _g = lock();
     let budget = stint_repro::ResourceBudget {
         max_shadow_bytes: Some(8 << 10), // one 1024-group chunk per bit table
@@ -495,8 +503,7 @@ fn batch_rejects_corrupted_traces_structurally() {
 fn chunked_batch_rejects_corrupted_compressed_traces() {
     let _g = lock();
     use stint_repro::batchdet::{batch_detect_chunked, BatchConfig};
-    let mut w = Workload::by_name("sort", Scale::Test);
-    let pt = stint_repro::PortableTrace::record(&mut w);
+    let pt = hook_trace(&mut Workload::by_name("sort", Scale::Test));
     let mut good = Vec::new();
     pt.save_compressed(&mut good, 256).expect("compressed save");
     let cfg = BatchConfig::default();
@@ -581,6 +588,49 @@ fn batch_shadow_caps_degrade_soundly() {
     );
     if let Some(e) = out.degraded {
         assert_eq!(e.exit_code(), 3, "{e}");
+    }
+}
+
+/// Recording stays exact under shadow faults: `--fault-plan` applies to
+/// `trace record` too, but the coalescing on the way to disk drops no
+/// access, so a trace recorded under a one-chunk cap or a failing chunk
+/// allocation is the fault-free recording, and its fault-free replay finds
+/// every race.
+#[test]
+fn recording_under_shadow_faults_keeps_every_access() {
+    use stint_repro::{PortableTrace, RaceReport, StintDetector};
+    let _g = lock();
+    let racy = |pt: &PortableTrace| {
+        pt.replay(StintDetector::new(RaceReport::default()))
+            .report
+            .racy_words()
+    };
+    let merge = |pt: &PortableTrace| racy(pt).len();
+    let clean = PortableTrace::record(&mut FiveChunks);
+    let clean_merge = merge(&PortableTrace::record(&mut OverlappingMerge::new(64, 4, 7)));
+    assert_eq!(racy(&clean), racy_without(&[]));
+    assert!(clean_merge > 0);
+    let plans = [
+        FaultPlan {
+            shadow_page_cap: Some(1),
+            ..Default::default()
+        },
+        FaultPlan {
+            shadow_oom_at: Some(1),
+            ..Default::default()
+        },
+    ];
+    for plan in plans {
+        let (faulted, faulted_merge) = {
+            let _plan = ScopedPlan::install(plan.clone());
+            (
+                PortableTrace::record(&mut FiveChunks),
+                PortableTrace::record(&mut OverlappingMerge::new(64, 4, 7)),
+            )
+        };
+        assert_eq!(faulted.trace.events, clean.trace.events, "{plan:?}");
+        assert_eq!(racy(&faulted), racy(&clean), "{plan:?}");
+        assert_eq!(merge(&faulted_merge), clean_merge, "{plan:?}");
     }
 }
 
@@ -871,7 +921,7 @@ fn online_flush_panic_mid_run_hangs_up_on_the_executor() {
 /// which each chunk starts (and the stream ends) and each chunk's decoded
 /// event count.
 fn racy_loop_v2() -> (stint_repro::PortableTrace, Vec<u8>, Vec<usize>, Vec<u64>) {
-    let pt = stint_repro::PortableTrace::record(&mut RacyLoop(64));
+    let pt = hook_trace(&mut RacyLoop(64));
     let mut v2 = Vec::new();
     pt.save_compressed(&mut v2, 16).expect("compressed save");
     let mut cur = std::io::Cursor::new(&v2[..]);
@@ -1160,8 +1210,7 @@ fn short_reads_are_structured_corruption() {
         );
     }
 
-    let mut w = Workload::by_name("sort", Scale::Test);
-    let pt = stint_repro::PortableTrace::record(&mut w);
+    let pt = hook_trace(&mut Workload::by_name("sort", Scale::Test));
     let mut v2 = Vec::new();
     pt.save_compressed(&mut v2, 64).expect("compressed save");
 
@@ -1218,7 +1267,7 @@ fn short_reads_are_structured_corruption() {
 fn damaged_v2_streams_report_the_pinned_detail() {
     let _g = lock();
     use stint_repro::batchdet::batch_detect_chunked_on;
-    let pt = stint_repro::PortableTrace::record(&mut RacyLoop(6));
+    let pt = hook_trace(&mut RacyLoop(6));
     let mut v2 = Vec::new();
     pt.save_compressed(&mut v2, 8).expect("compressed save");
     let pool = ThreadPool::new(2);

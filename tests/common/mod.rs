@@ -1,11 +1,13 @@
 //! Shared glue for the workspace-level property tests: a proptest strategy
-//! generating fork-join programs over a small word space, and the adapter
-//! that replays a generated AST through a [`Cilk`] context.
+//! generating fork-join programs over a small word space, the adapter that
+//! replays a generated AST through a [`Cilk`] context, and the hook-level
+//! recording of a program.
 #![allow(dead_code)] // each test binary uses its own subset
 
 use proptest::prelude::*;
 use stint_repro::Cilk;
 use stint_repro::CilkProgram;
+use stint_repro::PortableTrace;
 use stint_spdag::{Access, Func, Stmt};
 
 /// Proptest strategy for fork-join programs over a small word space (every
@@ -102,5 +104,17 @@ fn walk<C: Cilk>(f: &Func, ctx: &mut C) {
 impl CilkProgram for AstProgram<'_> {
     fn run<C: Cilk>(&mut self, ctx: &mut C) {
         walk(self.0, ctx);
+    }
+}
+
+/// `p`'s hook stream — one event per hook, as [`stint_repro::record`]
+/// returns it — as a portable trace: the stream a live detector numbers its
+/// witness events over, and what a file written by a recorder that did not
+/// coalesce holds. [`PortableTrace::record`] stores its coalesced form.
+pub fn hook_trace<P: CilkProgram>(p: &mut P) -> PortableTrace {
+    let (trace, reach) = stint_repro::record(p);
+    PortableTrace {
+        trace,
+        reach: reach.freeze(),
     }
 }

@@ -17,7 +17,7 @@ use stint_repro::{
 };
 
 mod common;
-use common::{func_strategy, func_strategy_over, multi_group, one_group, AstProgram};
+use common::{func_strategy, func_strategy_over, hook_trace, multi_group, one_group, AstProgram};
 use stint_repro::{Cilk, CilkProgram};
 use stint_spdag::{Func, Stmt};
 
@@ -126,7 +126,9 @@ fn work_ratio(shards: &[ShardOutcome], events: usize) -> f64 {
 #[test]
 fn pipeline_sources_and_schedules_agree_on_suite_kernels() {
     for bench in ["sort", "buggy-mmul"] {
-        let pt = PortableTrace::record(&mut Workload::by_name(bench, Scale::Test));
+        // The hook stream: thousands of events, so every source hands over
+        // several batches.
+        let pt = hook_trace(&mut Workload::by_name(bench, Scale::Test));
         assert!(pt.trace.len() > 4096, "{bench}: {}", pt.trace.len());
         assert_sources_and_schedules_agree(&pt).unwrap_or_else(|e| panic!("{bench}: {e}"));
 
@@ -442,6 +444,28 @@ proptest! {
         let pt = PortableTrace::record(&mut AstProgram(&f));
         if let Err(e) = assert_sources_and_schedules_agree(&pt) {
             prop_assert!(false, "{}", e);
+        }
+    }
+
+    /// A recorded trace stores each strand's runs, not its hooks: batch
+    /// detection over it — loaded from v1, or streamed from v2 — renders the
+    /// bytes the hook stream of the same run renders, for every K.
+    #[test]
+    fn recorded_units_render_as_the_hook_stream(f in func_strategy(3)) {
+        let hooks = hook_trace(&mut AstProgram(&f));
+        let units = PortableTrace::record(&mut AstProgram(&f));
+        prop_assert_eq!(&units.trace.events, &hooks.trace.clone().coalesced().events);
+        let mut v1 = Vec::new();
+        units.save(&mut v1).expect("save to Vec");
+        let v1 = stint_repro::batchdet::load_trace(&v1[..]).expect("load what we saved");
+        let mut v2 = Vec::new();
+        units.save_compressed(&mut v2, DEFAULT_CHUNK_EVENTS).expect("compressed save");
+        for k in [1usize, 2, 7, 16] {
+            let want = batch_detect(&hooks, &cfg(k, 2, 0)).expect("hook-stream run").merged.render();
+            let from_v1 = batch_detect(&v1, &cfg(k, 2, 0)).expect("v1 run");
+            prop_assert_eq!(&from_v1.merged.render(), &want, "K={} v1", k);
+            let from_v2 = batch_detect_chunked(&v2[..], &cfg(k, 2, 0)).expect("v2 run");
+            prop_assert_eq!(&from_v2.merged.render(), &want, "K={} v2", k);
         }
     }
 }

@@ -6,13 +6,13 @@
 //! shrinking: a failure here minimizes to a small witness program.
 
 use proptest::prelude::*;
-use stint::{PortableTrace, ResourceBudget, WitnessChecker};
+use stint::{ResourceBudget, WitnessChecker};
 use stint_batchdet::{online_detect, OnlineConfig};
 use stint_repro::{detect, Variant};
 use stint_spdag::{simulate, Func, Stmt};
 
 mod common;
-use common::{func_strategy, AstProgram};
+use common::{func_strategy, hook_trace, AstProgram};
 
 fn online_cfg(workers: usize, steal_seed: u64) -> OnlineConfig {
     OnlineConfig {
@@ -110,7 +110,8 @@ proptest! {
 
     /// Witnessed parallel-online reports carry verifiable evidence: every
     /// merged region's witness passes the independent `WitnessChecker`
-    /// against a sequentially recorded trace of the same program.
+    /// against a sequentially recorded hook stream of the same program — the
+    /// stream the online engine numbers its events over.
     #[test]
     fn online_witnesses_verify_against_recorded_trace(f in func_strategy(2)) {
         let sim = simulate(&f);
@@ -120,7 +121,7 @@ proptest! {
         cfg.witnesses = true;
         let out = online_detect(&mut AstProgram(&f), &cfg).unwrap();
         prop_assert!(!out.merged.regions.is_empty());
-        let pt = PortableTrace::record(&mut AstProgram(&f));
+        let pt = hook_trace(&mut AstProgram(&f));
         let checker = WitnessChecker::new(&pt.reach).with_trace(&pt.trace);
         for r in &out.merged.regions {
             prop_assert!(r.witness.is_some(), "merged region lost its witness");

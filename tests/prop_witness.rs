@@ -12,7 +12,7 @@ use stint_repro::{try_detect_with, Config, PortableTrace, Race, Variant, Witness
 use stint_spdag::simulate;
 
 mod common;
-use common::{func_strategy, AstProgram};
+use common::{func_strategy, hook_trace, AstProgram};
 
 fn witness_cfg(shards: usize) -> BatchConfig {
     BatchConfig {
@@ -28,7 +28,8 @@ proptest! {
 
     /// Sequential detection with capture on: every kept race carries a
     /// witness, the checker re-validates it against an independently
-    /// recorded trace — order bits against the frozen rank permutations
+    /// recorded hook stream — the one whose indices a live run's event ids
+    /// are — checking order bits against the frozen rank permutations
     /// (disagreeing orders *are* SP-parallelism), lineage against the spawn
     /// tree, spans against the concrete trace — and the brute-force spdag
     /// oracle confirms every word in the witnessed region is genuinely racy.
@@ -43,7 +44,7 @@ proptest! {
         let mut cfg = Config::new(Variant::Stint);
         cfg.witnesses = true;
         let o = try_detect_with(&mut AstProgram(&f), cfg).expect("clean run");
-        let pt = PortableTrace::record(&mut AstProgram(&f));
+        let pt = hook_trace(&mut AstProgram(&f));
         let checker = WitnessChecker::new(&pt.reach).with_trace(&pt.trace);
         for race in o.report.races() {
             let w = race
@@ -65,7 +66,9 @@ proptest! {
     /// The batch merge preserves witnesses for every shard count: each
     /// merged region's witness passes the checker, and the witnessed
     /// rendering is byte-identical across K — merge-time capture from the
-    /// global span table cannot depend on the sharding.
+    /// global span table cannot depend on the sharding. The recorded trace
+    /// is strand-coalesced, so its event ids are unit indices and the
+    /// conflicting access the checker finds in a span is a range.
     #[test]
     fn batch_witnesses_verify_for_every_k(f in func_strategy(3)) {
         let sim = simulate(&f);
