@@ -28,13 +28,16 @@
 //!    to it through a private [`stint::IntervalHistory`] — the back half of
 //!    sequential STINT; a shard owns no coalescing table.
 //!
-//! Steps 2 and 3 are software-pipelined, one batch at a time ([`pipeline`]):
-//! batch *n+1* is coalesced and routed while batch *n* drains. For traces
-//! saved in the compressed chunked `STINT-TRACE v2` format (see
-//! `stint::ctrace`), [`batch_detect_chunked`] feeds that pipeline one file
-//! chunk per batch — the whole `PortableTrace` is never resident — and, in
-//! a hook-level file, consumes contiguous run-length runs **wholesale** (one
-//! range set on the coalescer per run, not one hook per decoded event).
+//! Steps 2 and 3 are software-pipelined, one batch at a time (`pipeline`):
+//! batch *n+1* is coalesced and routed while batch *n* drains. A byte
+//! stream of either trace format enters by one door, [`batch_detect_any`],
+//! which reads the magic line ([`stint::open_any`]). A v1 trace is validated
+//! and detected in memory. A stream in the compressed chunked
+//! `STINT-TRACE v2` format (see `stint::ctrace`) feeds the pipeline one
+//! file chunk per batch, each checksummed as it is read — the whole
+//! `PortableTrace` is never resident — and, in a hook-level file, consumes
+//! contiguous run-length runs **wholesale** (one range set on the coalescer
+//! per run, not one hook per decoded event).
 //!
 //! # Why address sharding preserves the race set
 //!
@@ -98,13 +101,11 @@ use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use stint::ctrace::{
-    partition_index, verify_chunk, CompressedTraceReader, EventRun, DEFAULT_CHUNK_EVENTS,
-};
+use stint::ctrace::{partition_index, CompressedTraceReader, EventRun, DEFAULT_CHUNK_EVENTS};
 use stint::{
-    DetectorError, DetectorStats, EventSpans, IntervalHistory, PortableTrace, Race, RaceKind,
-    RaceReport, Resource, ResourceBudget, StrandCoalescer, TraceEvent, TraceOp, Treap, Witness,
-    WordIv,
+    open_any, DetectorError, DetectorStats, EventSpans, IntervalHistory, OpenTrace, PortableTrace,
+    Race, RaceKind, RaceReport, Resource, ResourceBudget, StrandCoalescer, TraceEvent, TraceOp,
+    Treap, Witness, WordIv,
 };
 use stint_cilk::word_range;
 use stint_cilkrt::ThreadPool;
@@ -334,7 +335,7 @@ pub struct BatchOutcome {
     /// for chunked runs this includes decode, so `ingest.bytes / wall` is
     /// the end-to-end ingest throughput).
     pub wall: Duration,
-    /// Streaming-ingest telemetry ([`batch_detect_chunked`] only).
+    /// Streaming-ingest telemetry (streamed v2 input only).
     pub ingest: Option<IngestStats>,
     /// First per-shard structured failure, by shard index, if any. The
     /// merged report is sound but only complete up to the failure point.
@@ -356,8 +357,9 @@ pub fn load_trace<R: std::io::BufRead>(r: R) -> Result<PortableTrace, DetectorEr
 }
 
 /// A pool of `workers` workers (`0` = one per hardware thread) whose steal
-/// schedule is perturbed by `steal_seed`.
-fn new_pool(workers: usize, steal_seed: u64) -> ThreadPool {
+/// schedule is perturbed by `steal_seed` — what [`BatchConfig`]'s two pool
+/// knobs mean.
+pub fn new_pool(workers: usize, steal_seed: u64) -> ThreadPool {
     let workers = match workers {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
@@ -372,7 +374,7 @@ pub fn batch_detect(pt: &PortableTrace, cfg: &BatchConfig) -> Result<BatchOutcom
 }
 
 /// Partition the trace's events over `cfg.shards` address shards, detect
-/// them on `pool` through the pipelined driver ([`pipeline`]) under
+/// them on `pool` through the pipelined driver (`pipeline`) under
 /// `cfg.limits`, [`DEFAULT_CHUNK_EVENTS`] events a hand-off batch, then merge
 /// deterministically.
 ///
@@ -406,37 +408,57 @@ pub fn batch_detect_on(
     ))
 }
 
-/// Streaming batch detection over a compressed chunked `STINT-TRACE v2`
-/// stream: each file chunk is decoded into the strand coalescer (a
-/// contiguous run wholesale) and the strands it ends are routed to per-shard
-/// inboxes while the previous chunk's drain through the persistent shard
-/// detectors. Peak memory is two chunks plus the coalescer and the shard
-/// detectors — the full event stream is never resident.
-pub fn batch_detect_chunked<R: BufRead + Send>(
-    r: R,
+/// The one way into the batch tier from a trace stream of either format, on
+/// `pool` under `cfg.limits`. [`stint::open_any`] reads the magic line. A
+/// v1 trace is then validated and detected in memory ([`batch_detect_on`]).
+/// A v2 stream is detected as it is read: each file chunk is checksummed,
+/// decoded into the strand coalescer (a contiguous run wholesale) and the
+/// strands it ends are routed to per-shard inboxes while the previous
+/// chunk's drain through the persistent shard detectors. Peak memory is two
+/// chunks plus the coalescer and the shard detectors — the full event stream
+/// is never resident. Anything else is one [`DetectorError::CorruptTrace`].
+///
+/// Not generic, so every calling crate shares one copy of the body.
+pub fn batch_detect_any(
+    pool: &ThreadPool,
+    r: &mut (dyn BufRead + Send),
     cfg: &BatchConfig,
 ) -> Result<BatchOutcome, DetectorError> {
-    batch_detect_chunked_on(&new_pool(cfg.workers, cfg.steal_seed), r, cfg)
+    match open_any(r).map_err(|e| corrupt(e.to_string()))? {
+        OpenTrace::V1(pt) => batch_detect_on(pool, &pt, cfg),
+        OpenTrace::V2(reader) => detect_stream(pool, reader, cfg),
+    }
 }
 
-/// [`batch_detect_chunked`] on an existing pool, under `cfg.limits`.
+/// [`batch_detect_any`] for a stream known to be v2: anything else is a
+/// corrupt trace whose detail names the v2 magic.
 pub fn batch_detect_chunked_on<R: BufRead + Send>(
     pool: &ThreadPool,
     mut r: R,
     cfg: &BatchConfig,
 ) -> Result<BatchOutcome, DetectorError> {
-    detect_stream(pool, &mut r, cfg)
+    detect_v2(pool, &mut r, cfg)
 }
 
-/// Compiled once — not per reader type, and (with the generic [`pipeline`]
-/// under it) not per calling crate: a chunk costs a handful of reads.
-fn detect_stream(
+/// The body of [`batch_detect_chunked_on`], compiled once — not per reader
+/// type, and (with the generic `pipeline` under it) not per calling crate.
+fn detect_v2(
     pool: &ThreadPool,
     r: &mut (dyn BufRead + Send),
     cfg: &BatchConfig,
 ) -> Result<BatchOutcome, DetectorError> {
+    let reader = CompressedTraceReader::open(r).map_err(|e| corrupt(e.to_string()))?;
+    detect_stream(pool, reader, cfg)
+}
+
+/// Detect an opened v2 stream, one file chunk a batch: a chunk costs a
+/// handful of reads.
+fn detect_stream(
+    pool: &ThreadPool,
+    mut reader: CompressedTraceReader<&mut (dyn BufRead + Send)>,
+    cfg: &BatchConfig,
+) -> Result<BatchOutcome, DetectorError> {
     let limits = &cfg.limits;
-    let mut reader = CompressedTraceReader::open(r).map_err(|e| corrupt(e.to_string()))?;
     let bounds = (reader.word_hi > reader.word_lo).then_some((reader.word_lo, reader.word_hi));
     let shards = plan_shards(bounds, &std::mem::take(&mut reader.hist), cfg.shards);
     let reach = reader.reach.clone();
@@ -457,14 +479,8 @@ fn detect_stream(
     ))
 }
 
-/// One hand-off batch: every shard's routed, not yet drained units and — for
-/// a streamed chunk — the payload whose checksum (`sum`) the batch still owes.
-#[derive(Clone, Default)]
-struct Batch {
-    inboxes: Vec<Inbox>,
-    payload: Vec<u8>,
-    sum: Option<u64>,
-}
+/// One hand-off batch: every shard's routed, not yet drained units.
+type Batch = [Inbox];
 
 /// Where [`pipeline`] gets its batches: one `produce` call is the producer
 /// arm of one step — decode (if need be), validate, coalesce and route the
@@ -487,7 +503,7 @@ impl EventSource for std::slice::Chunks<'_, TraceEvent> {
     fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
         let units = self.next();
         for e in units.into_iter().flatten() {
-            route_unit(router, *e, &mut batch.inboxes);
+            route_unit(router, *e, batch);
         }
         Ok(units.is_some())
     }
@@ -540,7 +556,7 @@ impl EventSource for RawSource<'_> {
     fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
         let events = self.batches.next();
         for e in events.into_iter().flatten() {
-            self.front.feed(*e, router, &mut batch.inboxes);
+            self.front.feed(*e, router, batch);
         }
         Ok(events.is_some())
     }
@@ -567,34 +583,22 @@ struct StreamSource<'a> {
 impl EventSource for StreamSource<'_> {
     fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
         let io = |e: std::io::Error| corrupt(e.to_string());
-        batch.sum = (self.reader)
-            .next_chunk_unverified(&mut self.runs, &mut batch.payload)
-            .map_err(io)?;
-        if batch.sum.is_none() {
+        if !self.reader.next_chunk(&mut self.runs).map_err(io)? {
             return self.reader.finished().map(|()| false).map_err(io);
         }
         let n_strands = self.reader.reach.strand_count();
         for run in &self.runs {
-            let defect = if run.strand.index() >= n_strands {
+            if run.strand.index() >= n_strands {
                 let s = run.strand.0;
-                Some(format!(
+                return Err(corrupt(format!(
                     "run strand {s} out of range (trace has {n_strands} strands)"
-                ))
-            } else if !run_addr_ok(run) {
+                )));
+            }
+            if !run_addr_ok(run) {
                 let (addr, stride) = (run.addr, run.stride);
-                Some(format!(
+                return Err(corrupt(format!(
                     "run at {addr:#x} stride {stride} overflows the address space"
-                ))
-            } else {
-                None
-            };
-            if let Some(defect) = defect {
-                // The chunk is not yet known to be what was written: a
-                // defect in it yields to a checksum mismatch, as if that had
-                // been looked for first. A chunk without one goes on to the
-                // next step's drain arm still unverified.
-                verify_owed(batch)?;
-                return Err(corrupt(defect));
+                )));
             }
             self.ingest.events += run.count;
             if let Some(sp) = self.spans.as_mut() {
@@ -631,7 +635,7 @@ fn feed_run(
     front: &mut Front,
     run: &EventRun,
     router: &mut Router,
-    batch: &mut Batch,
+    inboxes: &mut [Inbox],
     ingest: &mut IngestStats,
 ) {
     let (mut e, mut count) = (run.first(), run.count);
@@ -640,17 +644,9 @@ fn feed_run(
         (e.op, e.addr, e.bytes, count) = (op, addr, total, 1);
     }
     for _ in 0..count {
-        front.feed(e, router, &mut batch.inboxes);
+        front.feed(e, router, inboxes);
         e.addr = (e.addr as i64).wrapping_add(run.stride) as usize;
     }
-}
-
-/// Verify the checksum `batch` owes, if any — on the drain arm, before
-/// anything routed from its chunk reaches a shard detector.
-fn verify_owed(batch: &mut Batch) -> Result<(), DetectorError> {
-    let owed = batch.sum.take();
-    owed.map_or(Ok(()), |sum| verify_chunk(&batch.payload, sum))
-        .map_err(|e| corrupt(e.to_string()))
 }
 
 /// What [`pipeline`] returns: the finished shards and, if the deadline cut
@@ -660,19 +656,18 @@ type Piped = Result<(Vec<ShardOutcome>, Option<DetectorError>), DetectorError>;
 /// The one batch driver: a software-pipelined loop over `src`, run inside a
 /// single `pool.install`. Each step is `join(produce batch n+1, drain batch
 /// n)`: the producer arm routes into the `back` batch while the other arm
-/// verifies what the `front` one owes and flushes it through the persistent
-/// shard detectors, and the two swap after the join — a depth-1 double
-/// buffer, so memory stays O(batch). The hand-off is a work-stealing `join`:
-/// an idle worker steals the drain and the stages overlap; on a saturated
-/// pool nobody does, and the producer's worker pops it back and runs it
-/// inline. The join is also the backpressure — the producer never runs more
-/// than one batch ahead.
+/// flushes the `front` one through the persistent shard detectors, and the
+/// two swap after the join — a depth-1 double buffer, so memory stays
+/// O(batch). The hand-off is a work-stealing `join`: an idle worker steals
+/// the drain and the stages overlap; on a saturated pool nobody does, and
+/// the producer's worker pops it back and runs it inline. The join is also
+/// the backpressure — the producer never runs more than one batch ahead.
 ///
 /// Each shard still sees its units in stream order (batch n drains before
 /// batch n+1 is handed over), so per-word histories, and with them the
-/// merged report, are those of a serial loop; and a step's drain error — a
-/// chunk that was not what was written — comes before its produce error,
-/// which lies later in the stream.
+/// merged report, are those of a serial loop; and a step's drain failure —
+/// a shard detector's panic — comes before its produce error, which lies
+/// later in the stream.
 ///
 /// Returns the finished shards and, if the deadline cut the run short, its
 /// degradation marker. The deadline is checked between steps; everything
@@ -687,8 +682,7 @@ fn pipeline<R: Reachability + Sync>(
     let mut router = Router::new(shards);
     let new_det = |&s| ShardDetector::new(s, limits.budget.max_intervals);
     let mut dets: Vec<ShardDetector> = shards.iter().map(new_det).collect();
-    let mut front = Batch::default();
-    front.inboxes.resize(shards.len(), Inbox::new());
+    let mut front = vec![Inbox::new(); shards.len()];
     let mut back = front.clone();
     let (mut timed_out, mut ended) = (false, false);
     let mut buffered = 0u64;
@@ -700,7 +694,7 @@ fn pipeline<R: Reachability + Sync>(
                 let home = stint_obs::is_enabled().then(|| std::thread::current().id());
                 // Neither arm may unwind across the join while the other is
                 // stolen and in flight (see `fan_out`).
-                let (produced, drained) = pool.join(
+                let (produced, ()) = pool.join(
                     || {
                         if ended {
                             return Ok(false);
@@ -712,13 +706,13 @@ fn pipeline<R: Reachability + Sync>(
                             }
                             ended = true;
                             let front = src.front();
-                            Ok(front.is_some_and(|f| f.cut_off(&mut router, &mut back.inboxes)))
+                            Ok(front.is_some_and(|f| f.cut_off(&mut router, &mut back)))
                         }))
                         .unwrap_or_else(|p| Err(DetectorError::from_panic(p)))
                     },
                     || {
                         if !pending {
-                            return Ok(());
+                            return;
                         }
                         let _span = stint_obs::span("batchdet.drain");
                         OBS_PIPE_BATCHES.incr();
@@ -726,19 +720,16 @@ fn pipeline<R: Reachability + Sync>(
                             Some(h) if h != std::thread::current().id() => OBS_PIPE_STOLEN.incr(),
                             _ => OBS_PIPE_INLINE.incr(),
                         }
-                        verify_owed(&mut front)?;
-                        fan_out(pool, reach, &mut dets, &mut front.inboxes);
-                        Ok(())
+                        fan_out(pool, reach, &mut dets, &mut front);
                     },
                 );
-                drained?;
                 take_poison(&mut dets)?;
                 pending = produced?;
                 if !pending {
                     return Ok(());
                 }
                 std::mem::swap(&mut front, &mut back);
-                let units = front.inboxes.iter();
+                let units = front.iter();
                 let bytes: usize = units.map(|b| std::mem::size_of_val(&b[..])).sum();
                 OBS_INGEST_BUF.reconcile(&mut buffered, bytes as u64);
             }
@@ -1199,6 +1190,11 @@ mod tests {
         }
     }
 
+    /// A v2 stream through the one entry, on a pool built from `cfg`.
+    fn streamed(mut bytes: &[u8], cfg: &BatchConfig) -> Result<BatchOutcome, DetectorError> {
+        batch_detect_any(&new_pool(cfg.workers, cfg.steal_seed), &mut bytes, cfg)
+    }
+
     fn compress(pt: &PortableTrace, chunk: usize) -> Vec<u8> {
         let mut buf = Vec::new();
         pt.save_compressed(&mut buf, chunk).unwrap();
@@ -1271,7 +1267,7 @@ mod tests {
             assert_eq!(out.stats.write.hooks, whole.stats.write.hooks);
             assert_eq!(out.stats.write.intervals, whole.stats.write.intervals);
             let buf = compress(&pt, 3);
-            let out = batch_detect_chunked(&buf[..], &cfg(k, 2, 0)).unwrap();
+            let out = streamed(&buf[..], &cfg(k, 2, 0)).unwrap();
             assert_eq!(out.merged.render(), want, "K={k} streamed");
             let ocfg = OnlineConfig {
                 shards: k,
@@ -1299,7 +1295,7 @@ mod tests {
         let baseline = batch_detect(&pt, &cfg(4, 2, 0)).unwrap();
         for chunk in [1usize, 3, 16, 100_000] {
             let buf = compress(&pt, chunk);
-            let out = batch_detect_chunked(&buf[..], &cfg(4, 2, 0)).unwrap();
+            let out = streamed(&buf[..], &cfg(4, 2, 0)).unwrap();
             assert_eq!(
                 out.merged.render(),
                 baseline.merged.render(),
@@ -1349,7 +1345,7 @@ mod tests {
         let pt = hooks(&mut StridedRacy);
         let expected = batch_detect(&pt, &cfg(3, 2, 0)).unwrap();
         let buf = compress(&pt, 64);
-        let out = batch_detect_chunked(&buf[..], &cfg(3, 2, 0)).unwrap();
+        let out = streamed(&buf[..], &cfg(3, 2, 0)).unwrap();
         assert_eq!(out.merged.render(), expected.merged.render());
         let ing = out.ingest.unwrap();
         assert!(
@@ -1441,7 +1437,7 @@ mod tests {
         assert_eq!(out.events, 0);
         // And the chunked path agrees on an empty compressed trace.
         let buf = compress(&pt, 16);
-        let out = batch_detect_chunked(&buf[..], &cfg(4, 1, 0)).unwrap();
+        let out = streamed(&buf[..], &cfg(4, 1, 0)).unwrap();
         assert!(out.merged.is_race_free());
         assert_eq!(out.events, 0);
     }
@@ -1486,7 +1482,7 @@ mod tests {
         let buf = compress(&pt, 8);
         for frac in [1usize, 4, 7] {
             let cut = buf.len() * frac / 8;
-            let err = batch_detect_chunked(&buf[..cut], &cfg(2, 1, 0)).unwrap_err();
+            let err = streamed(&buf[..cut], &cfg(2, 1, 0)).unwrap_err();
             assert!(
                 matches!(err, DetectorError::CorruptTrace { .. }),
                 "truncation at {cut}: {err}"
@@ -1496,7 +1492,7 @@ mod tests {
         let mut flipped = buf.clone();
         let at = flipped.len() / 2;
         flipped[at] ^= 0x20;
-        let err = batch_detect_chunked(&flipped[..], &cfg(2, 1, 0)).unwrap_err();
+        let err = streamed(&flipped[..], &cfg(2, 1, 0)).unwrap_err();
         assert!(matches!(err, DetectorError::CorruptTrace { .. }), "{err}");
     }
 
@@ -1527,7 +1523,7 @@ mod tests {
         // The chunked streaming path attaches identical witnesses.
         for chunk in [1usize, 8] {
             let buf = compress(&pt, chunk);
-            let got = batch_detect_chunked(&buf[..], &wcfg(4)).unwrap().merged;
+            let got = streamed(&buf[..], &wcfg(4)).unwrap().merged;
             assert_eq!(got.render(), baseline.render(), "chunk={chunk}");
         }
         // to_report keeps the witnesses on the rebuilt records.

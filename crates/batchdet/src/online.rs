@@ -179,7 +179,7 @@ impl EventSource for LiveSource {
             return Ok(false);
         };
         for e in units.drain(..) {
-            route_unit(router, e, &mut batch.inboxes);
+            route_unit(router, e, batch);
         }
         // Never blocks (two buffers, two slots); a gone executor needs none.
         let _ = self.free.send(units);

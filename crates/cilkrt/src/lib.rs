@@ -360,11 +360,11 @@ impl ThreadPool {
     /// this pool's workers, runs inline.
     ///
     /// The external caller does not help. It waits in two phases: it spins
-    /// and yields for [`INSTALL_SPIN`] — long enough for a short job, so a
+    /// and yields for `INSTALL_SPIN` — long enough for a short job, so a
     /// caller issuing many of them never pays a futex wake — then parks
-    /// until [`StackJob::execute`] unparks it, so a caller that installs a
+    /// until `StackJob::execute` unparks it, so a caller that installs a
     /// whole detection session does not compete with the workers running it.
-    /// Parks are bounded by [`INSTALL_PARK`]: nobody unparks a waiter whose
+    /// Parks are bounded by `INSTALL_PARK`: nobody unparks a waiter whose
     /// workers all died, and its inline drain must still fire.
     pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         if on_this_pool(&self.shared) {

@@ -10,7 +10,7 @@ use std::fmt::{Display, Write as _};
 use std::ops::RangeInclusive;
 use std::str::FromStr;
 use stint::obs::ObsConfig;
-use stint::{FaultPlan, ReachKind, Variant};
+use stint::{FaultPlan, Variant};
 use stint_suite::Scale;
 
 /// Process/run-level options: fault injection, resource budgets,
@@ -50,8 +50,6 @@ pub struct CmdOpts {
     pub compress: bool,
     pub chunk_events: usize,
     pub witness: bool,
-    /// Reachability substrate for the sequential path (`--reach`).
-    pub reach: ReachKind,
     /// `--online-parallel`: parallel online detection over live DePa.
     pub online: bool,
     /// Pool workers for `--online-parallel` (0 = hardware threads).
@@ -69,7 +67,6 @@ impl Default for CmdOpts {
             compress: false,
             chunk_events: stint::ctrace::DEFAULT_CHUNK_EVENTS,
             witness: false,
-            reach: ReachKind::SpOrder,
             online: false,
             workers: 0,
             steal_seed: 0,
@@ -182,14 +179,6 @@ fn parse_variant(s: &str) -> Result<VariantSel, String> {
     }
 }
 
-fn parse_reach(s: &str) -> Result<ReachKind, String> {
-    match s {
-        "sporder" => Ok(ReachKind::SpOrder),
-        "depa" => Ok(ReachKind::DePa),
-        _ => Err("unknown reach substrate".into()),
-    }
-}
-
 const FLAGS: &[Flag] = &[
     Flag {
         name: "--variant",
@@ -248,16 +237,6 @@ const FLAGS: &[Flag] = &[
                against the stream the card numbers: a live 'detect' numbers its\n\
                hooks, while a file 'trace record' writes holds strand units, so\n\
                only a card from 'trace replay' of that file verifies against it",
-    },
-    Flag {
-        name: "--reach",
-        value: Some("R"),
-        applies: SEQ,
-        set: |c, _, v| put(&mut c.reach, parse_reach(v)),
-        help: "sporder (default) | depa — reachability substrate of sequential\n\
-               detect: SP-Order over the labelled OM list, or relabel-free DePa\n\
-               depth-vector timestamps (immutable once a strand is published; same\n\
-               races, same report)",
     },
     Flag {
         name: "--online-parallel",
@@ -647,7 +626,6 @@ mod tests {
                     compress: false,
                     chunk_events: CHUNK,
                     witness: false,
-                    reach: ReachKind::SpOrder,
                     online: false,
                     workers: 0,
                     steal_seed: 0,
@@ -693,7 +671,6 @@ mod tests {
             let value = match f.name {
                 "--variant" => "stint",
                 "--scale" => "s",
-                "--reach" => "depa",
                 "--fault-plan" => "seed=7",
                 "--obs" => "full",
                 _ => "5",
@@ -966,18 +943,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_reach_and_online_parallel() {
-        let p = parse_cmd(&v(&["detect", "mmul", "--reach", "depa"])).unwrap();
-        assert_eq!(
-            p,
-            Parsed::Detect {
-                bench: "mmul".into(),
-                opts: CmdOpts {
-                    reach: ReachKind::DePa,
-                    ..CmdOpts::default()
-                },
-            }
-        );
+    fn parses_online_parallel() {
         let p = parse_cmd(&v(&[
             "detect",
             "buggy-mmul",
@@ -1008,9 +974,7 @@ mod tests {
                 },
             }
         );
-        // Substrate and pool knobs are detect-only and internally coherent.
-        assert!(parse_cmd(&v(&["detect", "mmul", "--reach", "wat"])).is_err());
-        assert!(parse_cmd(&v(&["detect", "mmul", "--reach"])).is_err());
+        // Pool knobs are detect-only and internally coherent.
         assert!(parse_cmd(&v(&["detect", "mmul", "--workers", "2"])).is_err());
         assert!(parse_cmd(&v(&["detect", "mmul", "--steal-seed", "9"])).is_err());
         assert!(parse_cmd(&v(&[
@@ -1039,15 +1003,6 @@ mod tests {
         .is_err());
         assert!(parse_cmd(&v(&["detect", "mmul", "--online-parallel", "--compress"])).is_err());
         assert!(parse_cmd(&v(&[
-            "detect",
-            "mmul",
-            "--variant",
-            "batch",
-            "--reach",
-            "depa"
-        ]))
-        .is_err());
-        assert!(parse_cmd(&v(&[
             "trace",
             "record",
             "mmul",
@@ -1055,7 +1010,6 @@ mod tests {
             "--online-parallel"
         ]))
         .is_err());
-        assert!(parse_cmd(&v(&["trace", "replay", "/tmp/t", "--reach", "depa"])).is_err());
         assert!(parse_cmd(&v(&["trace", "replay", "/tmp/t", "--workers", "2"])).is_err());
     }
 

@@ -19,13 +19,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter};
+use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use stint::report_card::Card;
 use stint::{
-    sniff_magic, try_detect_with, CompRtsDetector, Config, DetectorError, Outcome, PortableTrace,
-    RaceReport, StintDetector, StintFlatDetector, TraceMagic, VanillaDetector, Variant,
-    WitnessChecker,
+    try_detect_with, CompRtsDetector, Config, DetectorError, Outcome, PortableTrace, RaceReport,
+    StintDetector, StintFlatDetector, VanillaDetector, Variant, WitnessChecker,
 };
 use stint_suite::{Scale, Workload, BUGGY_NAMES, NAMES};
 
@@ -35,7 +34,7 @@ mod output;
 use args::{CmdOpts, Parsed, RunOpts, VariantSel};
 use output::{print_batch_outcome, print_outcome, print_report, write_stats_json};
 use stint_batchdet::{
-    batch_detect, batch_detect_chunked, online_detect, BatchConfig, OnlineConfig,
+    batch_detect, batch_detect_any, new_pool, online_detect, BatchConfig, OnlineConfig,
 };
 
 /// A failed run: either bad input (exit 2) or a structured detector failure
@@ -222,7 +221,6 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             }
             cfg.budget.max_intervals = opts.max_intervals;
             cfg.witnesses = o.witness;
-            cfg.reach = o.reach;
             if o.online {
                 let ocfg = OnlineConfig {
                     shards: o.shards,
@@ -357,20 +355,14 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
         Parsed::TraceReplay { file, opts: o } => match o.variant {
             VariantSel::All => Err(usage("trace replay cannot run 'all'")),
             VariantSel::Batch => {
-                let mut r = open_trace(&file)?;
-                let head = r
-                    .fill_buf()
-                    .map_err(|e| usage(format!("read {file}: {e}")))?;
                 // The input picks the path: a v2 file streams chunk by chunk
                 // straight off the disk — the full event stream is never
-                // resident — and anything else is loaded, validated, and
+                // resident — and a v1 file is loaded, validated, and
                 // partitioned in memory.
-                let out = match sniff_magic(head) {
-                    TraceMagic::V2 => batch_detect_chunked(r, &batch_config(&o)),
-                    _ => stint_batchdet::load_trace(r)
-                        .and_then(|pt| batch_detect(&pt, &batch_config(&o))),
-                }
-                .map_err(Failure::Detector)?;
+                let cfg = batch_config(&o);
+                let pool = new_pool(cfg.workers, cfg.steal_seed);
+                let out = batch_detect_any(&pool, &mut open_trace(&file)?, &cfg)
+                    .map_err(Failure::Detector)?;
                 // The header and merged report are invariant in the shard
                 // count, steal schedule, and trace encoding, so tests
                 // byte-diff this output across K and across v1/v2 (the
@@ -519,49 +511,23 @@ fn detect_all(bench: &str, scale: Scale, base: Config) -> Result<Vec<Outcome>, F
     let pool = stint_cilkrt::ThreadPool::new(Variant::ALL.len());
     let mut slots: Vec<Option<Result<Outcome, Failure>>> =
         Variant::ALL.iter().map(|_| None).collect();
-    pool.install(|| fan_out(&pool, bench, scale, base, &Variant::ALL, &mut slots));
-    let mut out = Vec::with_capacity(slots.len());
-    for slot in slots {
-        out.push(slot.expect("fan_out fills every slot")?);
-    }
-    Ok(out)
-}
-
-/// Recursive binary fan-out of `variants` over the pool, filling `slots`
-/// (same length, same order).
-fn fan_out(
-    pool: &stint_cilkrt::ThreadPool,
-    bench: &str,
-    scale: Scale,
-    base: Config,
-    variants: &[Variant],
-    slots: &mut [Option<Result<Outcome, Failure>>],
-) {
-    match variants {
-        [] => {}
-        [v] => {
-            let mut cfg = base;
-            cfg.variant = *v;
-            let mut w = Workload::by_name(bench, scale);
-            let r = try_detect_with(&mut w, cfg)
-                .map_err(Failure::Detector)
-                .and_then(|o| {
-                    w.verify()
-                        .map_err(|e| usage(format!("{v} output verification: {e}")))?;
-                    Ok(o)
-                });
-            slots[0] = Some(r);
-        }
-        _ => {
-            let mid = variants.len() / 2;
-            let (vl, vr) = variants.split_at(mid);
-            let (sl, sr) = slots.split_at_mut(mid);
-            pool.join(
-                || fan_out(pool, bench, scale, base, vl, sl),
-                || fan_out(pool, bench, scale, base, vr, sr),
-            );
-        }
-    }
+    // Chunks of one slot: one variant per leaf of the pool's fan-out.
+    pool.for_each_chunk(&mut slots, 1, &|i, slot| {
+        let v = Variant::ALL[i];
+        let mut w = Workload::by_name(bench, scale);
+        let r = try_detect_with(&mut w, Config { variant: v, ..base })
+            .map_err(Failure::Detector)
+            .and_then(|o| {
+                w.verify()
+                    .map_err(|e| usage(format!("{v} output verification: {e}")))?;
+                Ok(o)
+            });
+        slot[0] = Some(r);
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("for_each_chunk fills every slot"))
+        .collect()
 }
 
 /// Open a trace file; one that cannot be opened is a usage error (exit 2).

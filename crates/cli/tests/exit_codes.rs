@@ -2,8 +2,12 @@
 //! 0 = no races, 1 = races found, 2 = usage error, 3 = resource budget
 //! exhausted (sound partial report), 4 = internal detector failure.
 
+use std::io::Write;
 use std::process::{Command, Output};
+use std::sync::{Arc, Mutex};
 use stint::PortableTrace;
+use stint_serve::protocol::{self, Request, Status};
+use stint_serve::{server::run_frames, Engine, EngineConfig};
 use stint_suite::{Scale, Workload};
 
 fn cli(args: &[&str]) -> Command {
@@ -377,6 +381,64 @@ fn batch_exit_4_on_corrupted_traces() {
     let _ = std::fs::remove_file(card);
 }
 
+/// Replies the serve writer thread owns while the test reads them.
+#[derive(Clone, Default)]
+struct Replies(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Replies {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("reply buffer").write(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A file that is not a trace, and an empty one, enter the batch tier by one
+/// door: `trace replay --variant batch` (exit 4) and a serve DETECT frame
+/// (status `corrupt`) name the defect in the same words.
+#[test]
+fn batch_replay_and_serve_reject_a_non_trace_with_one_detail() {
+    let inputs = [
+        ("not-a-trace", &b"not a trace at all\n"[..]),
+        ("empty", &b""[..]),
+    ];
+    let mut frames = Vec::new();
+    for (_, bytes) in inputs {
+        let req = Request::Detect {
+            opts: String::new(),
+            trace: bytes.to_vec(),
+        };
+        protocol::write_request(&mut frames, &req).expect("frame");
+    }
+    // One session worker answers the frames in order.
+    let engine = Arc::new(Engine::new(EngineConfig {
+        session_workers: 1,
+        pool_workers: 1,
+        ..EngineConfig::default()
+    }));
+    let replies = Replies::default();
+    run_frames(&engine, &frames[..], replies.clone(), true).expect("serve the frames");
+    let wire = replies.0.lock().expect("reply buffer").clone();
+    let mut wire = &wire[..];
+    for (tag, bytes) in inputs {
+        let resp = protocol::read_response(&mut wire)
+            .expect("well-formed reply")
+            .expect("one reply per frame");
+        assert_eq!(resp.status, Status::Corrupt, "{tag}: {}", resp.payload);
+        let served = resp.payload.lines().find(|l| l.starts_with("error: "));
+        let path = tmp_trace(tag);
+        std::fs::write(&path, bytes).expect("write input");
+        let p = path.to_str().expect("utf-8 temp path");
+        let out = run(&["trace", "replay", p, "--variant", "batch"]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(code(&out), 4, "{tag}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert_eq!(err.lines().next(), served, "{tag}: {}", resp.payload);
+        assert!(err.contains("bad magic"), "{tag}: {err}");
+    }
+}
+
 #[test]
 fn batch_usage_errors_exit_2() {
     for args in [
@@ -472,38 +534,10 @@ fn fault_plans_from_the_environment_exit_0_1_3_or_4() {
     }
 }
 
-/// A `detect` report in a form two processes can compare: timing lines
-/// dropped and every address renamed by its first appearance (each process
-/// maps the workload's buffers at its own ASLR base).
-fn canon(report: &str) -> String {
-    let mut names: Vec<&str> = Vec::new();
-    let mut out = String::new();
-    for line in report.lines() {
-        if line.contains("wall time:") || line.contains("access-hist time:") {
-            continue;
-        }
-        let mut rest = line;
-        while let Some(at) = rest.find("0x") {
-            let end = rest[at + 2..]
-                .find(|c: char| !c.is_ascii_hexdigit())
-                .map_or(rest.len(), |n| at + 2 + n);
-            let n = names.iter().position(|&t| t == &rest[at..end]);
-            let n = n.unwrap_or_else(|| {
-                names.push(&rest[at..end]);
-                names.len() - 1
-            });
-            out += &format!("{}A{n}", &rest[..at]);
-            rest = &rest[end..];
-        }
-        out += rest;
-        out.push('\n');
-    }
-    out
-}
-
-/// The relabel-free DePa substrate renders SP-Order's report, and the
-/// parallel online tier reports SP-Order's race and racy-word counts, both
-/// with its exit code.
+/// The parallel online tier, over the relabel-free DePa substrate, reports
+/// sequential SP-Order STINT's race and racy-word counts, with its exit code.
+/// (That DePa under the sequential detectors matches SP-Order is a library
+/// test, `crates/suite/tests/detect.rs`.)
 #[test]
 fn depa_and_online_report_the_sporder_races() {
     let detect = |extra: &[&str]| {
@@ -511,8 +545,7 @@ fn depa_and_online_report_the_sporder_races() {
         assert_eq!(code(&out), 1, "{extra:?}: stderr: {}", stderr(&out));
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    let sporder = detect(&["--reach", "sporder"]);
-    assert_eq!(canon(&detect(&["--reach", "depa"])), canon(&sporder));
+    let sporder = detect(&[]);
     let races = |report: &str| {
         let line = report
             .lines()

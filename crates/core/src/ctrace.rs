@@ -27,7 +27,9 @@
 //!   chunks of at most `chunk_events` decoded events, each with its own
 //!   length and FNV-1a checksum, so a reader streams a trace far larger
 //!   than RAM one chunk at a time and a bit flip anywhere is caught
-//!   structurally instead of corrupting detection;
+//!   structurally instead of corrupting detection: there is one way to
+//!   read a chunk, [`CompressedTraceReader::next_chunk`], and it checks the
+//!   checksum before decoding anything;
 //! * **a partition index in the header** — the word-space bounds plus a
 //!   [`HIST_BUCKETS`]-bucket event histogram, computed once at save time, so
 //!   a streaming batch detector can choose load-balanced address shards
@@ -35,11 +37,13 @@
 //!
 //! The header (strand ranks, event count, bounds, histogram) is covered by
 //! its own checksum; [`CompressedTraceReader::open`] validates it before
-//! returning, extending the `validate()` contract to the new format.
+//! returning, extending the `validate()` contract to the new format. A
+//! stream of either format is opened by [`crate::open_any`], which reads the
+//! magic line and hands a v2 stream to this reader.
 
 use std::io::{self, BufRead, Write};
 
-use crate::trace::{PortableTrace, Trace, TraceEvent, TraceOp};
+use crate::trace::{read_magic, PortableTrace, Trace, TraceEvent, TraceMagic, TraceOp};
 use crate::varint;
 use stint_sporder::{FrozenReach, StrandId};
 
@@ -85,14 +89,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Hold a chunk's payload against the checksum its frame declared.
-pub fn verify_chunk(payload: &[u8], want_sum: u64) -> io::Result<()> {
-    if fnv1a(payload) != want_sum {
-        return Err(bad("chunk checksum mismatch"));
-    }
-    Ok(())
 }
 
 // ------------------------------------------------------------------- runs
@@ -397,17 +393,15 @@ impl<R: BufRead> CompressedTraceReader<R> {
     /// Parse and validate the magic line and header. Returns a reader
     /// positioned at the first chunk.
     pub fn open(mut r: R) -> io::Result<Self> {
-        let mut magic = String::new();
-        r.read_line(&mut magic)?;
-        if magic.trim_end() != MAGIC_V2 {
+        if read_magic(&mut r)? != TraceMagic::V2 {
             return Err(bad(format!("bad magic: expected {MAGIC_V2}")));
         }
         Self::open_after_magic(r)
     }
 
     /// Like [`Self::open`] for a stream whose magic line was already
-    /// consumed (format sniffing reads it first).
-    pub fn open_after_magic(mut r: R) -> io::Result<Self> {
+    /// consumed ([`crate::open_any`] reads it first).
+    pub(crate) fn open_after_magic(mut r: R) -> io::Result<Self> {
         let (header_len, _) = varint::read(&mut r)?;
         if header_len > 64 << 20 {
             return Err(bad("unreasonable header length"));
@@ -505,38 +499,17 @@ impl<R: BufRead> CompressedTraceReader<R> {
         self.chunks_read
     }
 
-    /// Decode the next chunk of runs into `out` (clearing it first).
-    /// Returns `false` once every event was yielded. Truncated input,
-    /// checksum mismatches, and run/event-count disagreements are
+    /// Decode the next chunk of runs into `out` (clearing it first). The
+    /// chunk's payload is held against the FNV-1a sum its frame declared
+    /// before any of it is decoded, so a damaged chunk reports its checksum
+    /// mismatch ahead of any decode error and `out` only ever holds what was
+    /// written. Returns `false` once every event was yielded. Truncated
+    /// input, checksum mismatches, and run/event-count disagreements are
     /// `InvalidData` errors.
     pub fn next_chunk(&mut self, out: &mut Vec<EventRun>) -> io::Result<bool> {
-        let mut payload = std::mem::take(&mut self.scratch);
-        let res = match self.next_chunk_unverified(out, &mut payload) {
-            Ok(Some(sum)) => verify_chunk(&payload, sum).map(|()| true),
-            Ok(None) => Ok(false),
-            Err(e) => Err(e),
-        };
-        self.scratch = payload;
-        res
-    }
-
-    /// [`Self::next_chunk`] with the checksum left to the caller: the chunk's
-    /// bytes are read into `payload` and decoded into `out`, and the return
-    /// value is the FNV-1a sum `payload` still owes ([`verify_chunk`]) —
-    /// `None` once every event was yielded. The byte-serial checksum is 0.4
-    /// of a chunk's decode time; a pipelined reader pays it on another
-    /// thread while this one decodes the next chunk. Until it has, `out` is
-    /// untrusted input. A payload that fails to *decode* is checksummed here
-    /// and now, so a damaged chunk reports its checksum mismatch before any
-    /// decode error whichever form reads it.
-    pub fn next_chunk_unverified(
-        &mut self,
-        out: &mut Vec<EventRun>,
-        payload: &mut Vec<u8>,
-    ) -> io::Result<Option<u64>> {
         out.clear();
         if self.events_seen >= self.total_events {
-            return Ok(None);
+            return Ok(false);
         }
         // Chunk framing lives outside the checksummed payloads.
         let mut framing = 0u64;
@@ -551,41 +524,21 @@ impl<R: BufRead> CompressedTraceReader<R> {
         if payload_len > 64 << 20 {
             return Err(bad("unreasonable chunk length"));
         }
+        let payload = &mut self.scratch;
         payload.resize(payload_len as usize, 0);
         self.r
             .read_exact(payload)
             .map_err(|_| bad("truncated chunk payload"))?;
-        if let Err(e) = self.decode_payload(payload, run_count, out) {
-            verify_chunk(payload, want_sum)?;
-            return Err(e);
+        if fnv1a(payload) != want_sum {
+            return Err(bad("chunk checksum mismatch"));
         }
-        self.bytes_read += framing + payload_len;
-        self.chunks_read += 1;
-        Ok(Some(want_sum))
-    }
-
-    fn decode_payload(
-        &mut self,
-        payload: &[u8],
-        run_count: u64,
-        out: &mut Vec<EventRun>,
-    ) -> io::Result<()> {
-        let mut pos = 0usize;
-        let mut prev_addr = 0usize;
-        let mut decoded = 0u64;
-        for _ in 0..run_count {
-            let run = decode_run(payload, &mut pos, &mut prev_addr)?;
-            decoded += run.count;
-            out.push(run);
-        }
-        if pos != payload.len() {
-            return Err(bad("trailing bytes in chunk"));
-        }
-        self.events_seen += decoded;
+        self.events_seen += decode_payload(payload, run_count, out)?;
         if self.events_seen > self.total_events {
             return Err(bad("chunk yields more events than the header declared"));
         }
-        Ok(())
+        self.bytes_read += framing + payload_len;
+        self.chunks_read += 1;
+        Ok(true)
     }
 
     /// Every chunk was read and the stream yielded exactly the declared
@@ -599,6 +552,23 @@ impl<R: BufRead> CompressedTraceReader<R> {
         }
         Ok(())
     }
+}
+
+/// Decode a verified chunk payload of `run_count` runs into `out`; returns
+/// the events they expand to.
+fn decode_payload(payload: &[u8], run_count: u64, out: &mut Vec<EventRun>) -> io::Result<u64> {
+    let mut pos = 0usize;
+    let mut prev_addr = 0usize;
+    let mut decoded = 0u64;
+    for _ in 0..run_count {
+        let run = decode_run(payload, &mut pos, &mut prev_addr)?;
+        decoded += run.count;
+        out.push(run);
+    }
+    if pos != payload.len() {
+        return Err(bad("trailing bytes in chunk"));
+    }
+    Ok(decoded)
 }
 
 fn decode_run(buf: &[u8], pos: &mut usize, prev_addr: &mut usize) -> io::Result<EventRun> {
@@ -700,6 +670,7 @@ mod tests {
             let st = save_compressed(&pt, &mut buf, chunk).unwrap();
             assert_eq!(st.events, pt.trace.len() as u64);
             assert!(st.runs < st.events, "strided accesses must coalesce");
+            assert_eq!(crate::sniff_magic(&buf), TraceMagic::V2);
             let back = load_compressed(&buf[..]).unwrap();
             assert_eq!(back.trace.events, pt.trace.events, "chunk={chunk}");
             assert_eq!(back.reach, pt.reach);

@@ -66,8 +66,8 @@ pub use report::{Race, RaceKind, RaceReport};
 pub use stats::{DetectorStats, Sided};
 pub use stint_det::{IntervalDetector, IntervalHistory, StintDetector, StintFlatDetector};
 pub use trace::{
-    record, replay, sniff_magic, PortableTrace, Trace, TraceEvent, TraceMagic, TraceOp,
-    TraceRecorder, MAGIC_V1,
+    open_any, record, replay, sniff_magic, OpenTrace, PortableTrace, Trace, TraceEvent, TraceMagic,
+    TraceOp, TraceRecorder, MAGIC_V1,
 };
 pub use vanilla::VanillaDetector;
 pub use witness::{
@@ -174,6 +174,11 @@ impl ResourceBudget {
 /// lists, DePa publishes immutable depth-vector timestamps whose queries
 /// are lock-free (which is what lets `stint-batchdet`'s online mode fan
 /// detection out over a shared `&DePaReach`).
+///
+/// No user-facing option picks it: the sequential tier runs SP-Order. The
+/// DePa arm stays only because the repo benchmark's `batchdet.online.w1_s`
+/// baseline names it (sequential STINT over the substrate online detection
+/// uses).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReachKind {
     /// SP-Order over the labelled OM list (the default).
@@ -182,20 +187,12 @@ pub enum ReachKind {
     DePa,
 }
 
-impl ReachKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            ReachKind::SpOrder => "sporder",
-            ReachKind::DePa => "depa",
-        }
-    }
-}
-
 /// Options for [`detect_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
     pub variant: Variant,
-    /// Reachability substrate (default: SP-Order).
+    /// Reachability substrate (default: SP-Order; DePa only for the
+    /// benchmark's online baseline, see [`ReachKind`]).
     pub reach: ReachKind,
     /// Cap on detailed race records kept.
     pub race_cap: usize,

@@ -1,8 +1,9 @@
 //! The **STINT** detector variant: compile-time + runtime coalescing with
 //! the *interval-based* access history of Section 4.
 //!
-//! During a strand, hooks set bits in the [`BitShadow`] coalescers exactly as
-//! in `comp+rts`. At strand end the extracted intervals go to two interval
+//! During a strand, hooks set bits in the
+//! [`BitShadow`](stint_shadow::BitShadow) coalescers exactly as in
+//! `comp+rts`. At strand end the extracted intervals go to two interval
 //! stores (read tree / write tree) instead of being replayed word-by-word:
 //!
 //! 1. every **read** interval is checked (query-only) against the write tree

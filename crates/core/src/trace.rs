@@ -19,16 +19,16 @@
 //! * **debugging/auditing**: a trace is a serializable witness of what the
 //!   detector saw.
 
+use std::io::{self, BufRead};
+
+use crate::ctrace::{CompressedTraceReader, MAGIC_V2};
 use crate::{Detector, StrandCoalescer};
 use stint_sporder::{Reachability, StrandId};
 
 /// Magic line of the v1 text trace format.
 pub const MAGIC_V1: &str = "STINT-TRACE v1";
 
-/// Which on-disk trace encoding a byte prefix announces. The dispatch seam
-/// for framed ingest: `stint-serve` sniffs the head of a wire payload to
-/// choose between the in-memory v1 parser and the chunk-streaming v2
-/// reader, without consuming the stream.
+/// Which on-disk trace encoding a magic line announces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceMagic {
     /// `STINT-TRACE v1` — text format, parsed fully into memory.
@@ -40,14 +40,51 @@ pub enum TraceMagic {
     Unknown,
 }
 
-/// Classify the head of a (possibly partial) trace byte stream.
+/// Classify a magic line, trailing whitespace ignored: the one place the
+/// magic strings are matched.
+fn classify(line: &str) -> TraceMagic {
+    match line.trim_end() {
+        MAGIC_V1 => TraceMagic::V1,
+        MAGIC_V2 => TraceMagic::V2,
+        _ => TraceMagic::Unknown,
+    }
+}
+
+/// Classify a trace by the first line of `head`, a byte prefix already in
+/// memory. Readers do not peek: [`open_any`] reads the line itself.
 pub fn sniff_magic(head: &[u8]) -> TraceMagic {
-    if head.starts_with(crate::ctrace::MAGIC_V2.as_bytes()) {
-        TraceMagic::V2
-    } else if head.starts_with(MAGIC_V1.as_bytes()) {
-        TraceMagic::V1
-    } else {
-        TraceMagic::Unknown
+    let line = head.split(|&b| b == b'\n').next().unwrap_or_default();
+    std::str::from_utf8(line).map_or(TraceMagic::Unknown, classify)
+}
+
+/// Consume the magic line of `r` and classify it.
+pub(crate) fn read_magic<R: BufRead>(r: &mut R) -> io::Result<TraceMagic> {
+    let mut line = String::new();
+    r.read_line(&mut line)?;
+    Ok(classify(&line))
+}
+
+/// A trace stream past its magic line, in the reader that line names.
+pub enum OpenTrace<R> {
+    /// A v1 text trace, parsed whole (not yet validated).
+    V1(PortableTrace),
+    /// A v2 stream, its header validated, positioned at the first chunk.
+    V2(CompressedTraceReader<R>),
+}
+
+/// Read the magic line of a trace stream of either format and open it: the
+/// one decision "magic → reader". [`PortableTrace::load_any`] and the batch
+/// tier's entry both start here. Reading the line, not peeking at the first
+/// buffer fill, decides the same for a reader that delivers one byte at a
+/// time.
+pub fn open_any<R: BufRead>(mut r: R) -> io::Result<OpenTrace<R>> {
+    match read_magic(&mut r)? {
+        TraceMagic::V1 => PortableTrace::load_v1_after_magic(r).map(OpenTrace::V1),
+        TraceMagic::V2 => CompressedTraceReader::open_after_magic(r).map(OpenTrace::V2),
+        TraceMagic::Unknown => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "bad magic: expected STINT-TRACE v1 or v2",
+        )),
     }
 }
 
@@ -245,7 +282,7 @@ pub fn replay<R: Reachability, D: Detector<R>>(trace: &Trace, reach: &R, mut det
 /// let trace = PortableTrace::record(&mut Racy);
 /// let mut text = Vec::new();
 /// trace.save(&mut text).unwrap();                  // serialize…
-/// let back = PortableTrace::load(&text[..]).unwrap(); // …and restore
+/// let back = PortableTrace::load_any(&text[..]).unwrap(); // …and restore
 /// let det = back.replay(StintDetector::new(RaceReport::default()));
 /// assert!(!det.report.is_race_free());
 /// ```
@@ -275,7 +312,7 @@ impl PortableTrace {
 
     /// Check that the trace is internally consistent: every event's strand
     /// exists in the frozen reachability snapshot and no event's byte range
-    /// overflows the address space. [`PortableTrace::load`] checks syntax
+    /// overflows the address space. [`PortableTrace::load_any`] checks syntax
     /// only; a bit flip inside a strand or length field still parses, and
     /// replaying it would index out of bounds — callers that detect from
     /// untrusted files run this first.
@@ -345,44 +382,19 @@ impl PortableTrace {
         crate::ctrace::save_compressed(self, w, chunk_events)
     }
 
-    /// Parse either trace format, dispatching on the magic line: the v1
-    /// text format or the compressed chunked v2 format.
-    pub fn load_any<R: std::io::BufRead>(mut r: R) -> std::io::Result<PortableTrace> {
-        use std::io::{Error, ErrorKind};
-        let mut magic = String::new();
-        r.read_line(&mut magic)?;
-        match magic.trim_end() {
-            MAGIC_V1 => Self::load_v1_after_magic(r),
-            crate::ctrace::MAGIC_V2 => {
-                let mut reader = crate::ctrace::CompressedTraceReader::open_after_magic(r)?;
-                crate::ctrace::load_rest(&mut reader)
-            }
-            _ => Err(Error::new(
-                ErrorKind::InvalidData,
-                "bad magic: expected STINT-TRACE v1 or v2",
-            )),
+    /// Parse either trace format whole ([`open_any`]): the v1 text format or
+    /// the compressed chunked v2 format.
+    pub fn load_any<R: BufRead>(r: R) -> io::Result<PortableTrace> {
+        match open_any(r)? {
+            OpenTrace::V1(pt) => Ok(pt),
+            OpenTrace::V2(mut reader) => crate::ctrace::load_rest(&mut reader),
         }
     }
 
-    /// Parse the `STINT-TRACE v1` format.
-    pub fn load<R: std::io::BufRead>(mut r: R) -> std::io::Result<PortableTrace> {
-        use std::io::{Error, ErrorKind};
-        let mut magic = String::new();
-        r.read_line(&mut magic)?;
-        if magic.trim_end() != MAGIC_V1 {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                "bad magic: expected STINT-TRACE v1",
-            ));
-        }
-        Self::load_v1_after_magic(r)
-    }
-
-    fn load_v1_after_magic<R: std::io::BufRead>(r: R) -> std::io::Result<PortableTrace> {
-        use std::io::{Error, ErrorKind};
-        let bad = |m: &str| Error::new(ErrorKind::InvalidData, m.to_string());
+    fn load_v1_after_magic<R: BufRead>(r: R) -> io::Result<PortableTrace> {
+        let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
         let mut lines = r.lines();
-        let mut next = move || -> std::io::Result<String> {
+        let mut next = move || -> io::Result<String> {
             lines.next().ok_or_else(|| bad("unexpected end of trace"))?
         };
         let header = next()?;
@@ -534,7 +546,9 @@ mod tests {
         pt.save(&mut buf).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
         assert!(text.starts_with("STINT-TRACE v1"));
-        let back = PortableTrace::load(std::io::BufReader::new(&buf[..])).unwrap();
+        assert_eq!(sniff_magic(&buf), TraceMagic::V1);
+        assert_eq!(sniff_magic(b"STINT-TRACE v10\n"), TraceMagic::Unknown);
+        let back = PortableTrace::load_any(std::io::BufReader::new(&buf[..])).unwrap();
         assert_eq!(back.trace.events, pt.trace.events);
         assert_eq!(back.reach, pt.reach);
         // Replaying the loaded trace matches the live run.
@@ -557,7 +571,7 @@ events 1
 ? 0 0x0 0",
         ] {
             assert!(
-                PortableTrace::load(std::io::BufReader::new(bad.as_bytes())).is_err(),
+                PortableTrace::load_any(std::io::BufReader::new(bad.as_bytes())).is_err(),
                 "accepted: {bad:?}"
             );
         }
@@ -574,14 +588,14 @@ events 1
             text.lines().nth(2).unwrap().ends_with(" -"),
             "root row: {text}"
         );
-        let back = PortableTrace::load(std::io::BufReader::new(&buf[..])).unwrap();
+        let back = PortableTrace::load_any(std::io::BufReader::new(&buf[..])).unwrap();
         assert_eq!(back.reach.parents(), pt.reach.parents());
     }
 
     #[test]
     fn v1_legacy_two_column_ranks_still_parse() {
         let legacy = "STINT-TRACE v1\nstrands 2\n0 1\n1 0\nevents 1\ns 0 0x0 4\n";
-        let pt = PortableTrace::load(std::io::BufReader::new(legacy.as_bytes())).unwrap();
+        let pt = PortableTrace::load_any(std::io::BufReader::new(legacy.as_bytes())).unwrap();
         assert!(pt.reach.parents().is_none());
         assert_eq!(pt.trace.len(), 1);
         // A mixed lineage column is rejected, as are bad parent entries.
@@ -592,7 +606,7 @@ events 1
             "STINT-TRACE v1\nstrands 2\n0 1 -\n1 0 1\nevents 0\n",
         ] {
             assert!(
-                PortableTrace::load(std::io::BufReader::new(bad.as_bytes())).is_err(),
+                PortableTrace::load_any(std::io::BufReader::new(bad.as_bytes())).is_err(),
                 "accepted: {bad:?}"
             );
         }

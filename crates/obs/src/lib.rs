@@ -655,7 +655,7 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of all [`BUCKETS`] bucket counts (index = log2 bucket).
+    /// Snapshot of all `BUCKETS` bucket counts (index = log2 bucket).
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
@@ -719,7 +719,7 @@ pub fn quantile_from_buckets(buckets: &[u64], q: f64) -> f64 {
 }
 
 /// One histogram in a [`histograms_snapshot`]: name, sample count, sample
-/// sum, and all [`BUCKETS`] bucket counts (index = log2 bucket).
+/// sum, and all `BUCKETS` bucket counts (index = log2 bucket).
 #[derive(Clone, Debug)]
 pub struct HistSnapshot {
     pub name: &'static str,
@@ -788,7 +788,7 @@ fn with_thread_spans<R>(f: impl FnOnce(&mut ThreadSpans) -> R) -> Option<R> {
 
 /// Flush the current thread's span buffer into the registry (exporters call
 /// this so same-thread spans are always visible; other threads flush at
-/// [`SPAN_FLUSH_AT`] and on thread exit).
+/// `SPAN_FLUSH_AT` and on thread exit).
 pub fn flush_thread_spans() {
     if REGISTRY.get().is_none() {
         return;

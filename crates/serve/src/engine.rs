@@ -9,7 +9,7 @@
 //!    ▼ queued (serve.queue_bytes)
 //!  worker pops ── catch_unwind ► run_session (serve.inflight)
 //!    │   parse opts ──(bad token)──► Usage
-//!    │   sniff magic: v2 → stream chunks / v1 → load / else → Corrupt
+//!    │   batch_detect_any: v2 → stream chunks / v1 → load / else → Corrupt
 //!    │   detect under SessionLimits on the shared cilkrt pool
 //!    ▼
 //!  reply: Ok | Racy | Degraded (partial report) | Corrupt (kind corrupt
@@ -42,10 +42,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use stint::{sniff_magic, DetectorError, ResourceBudget, TraceMagic};
-use stint_batchdet::{
-    batch_detect_chunked_on, batch_detect_on, load_trace, BatchConfig, SessionLimits,
-};
+use stint::{DetectorError, ResourceBudget};
+use stint_batchdet::{batch_detect_any, BatchConfig, SessionLimits};
 use stint_cilkrt::ThreadPool;
 use stint_obs::{flight, Counter, Gauge, Histogram};
 
@@ -646,18 +644,9 @@ fn run_session(shared: &Shared, job: &Job) -> (Verdict, String) {
         limits,
         ..BatchConfig::default()
     };
-    let result = match sniff_magic(&job.trace) {
-        // v2 streams straight off the frame buffer chunk by chunk: peak
-        // detector-side memory is one chunk plus the shard detectors.
-        TraceMagic::V2 => batch_detect_chunked_on(&shared.pool, &job.trace[..], &bcfg),
-        TraceMagic::V1 => {
-            load_trace(&job.trace[..]).and_then(|pt| batch_detect_on(&shared.pool, &pt, &bcfg))
-        }
-        TraceMagic::Unknown => Err(DetectorError::CorruptTrace {
-            detail: "unrecognized trace magic (expected STINT-TRACE v1 or v2)".into(),
-        }),
-    };
-    match result {
+    // A v2 trace streams straight off the frame buffer chunk by chunk: peak
+    // detector-side memory is one chunk plus the shard detectors.
+    match batch_detect_any(&shared.pool, &mut &job.trace[..], &bcfg) {
         Ok(mut out) => {
             use std::fmt::Write;
             let verdict = if out.degraded.is_some() {

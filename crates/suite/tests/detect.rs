@@ -3,7 +3,7 @@
 //! positives), every buggy variant is caught by every variant (no false
 //! negatives), and all variants agree on the racy words.
 
-use stint::{detect, Variant};
+use stint::{detect, detect_with, Config, ReachKind, Variant};
 
 /// Racy words are absolute heap addresses, which differ between program
 /// instances; compare them relative to the region's first racy word.
@@ -107,6 +107,32 @@ fn overlapping_merge_caught_with_exact_region() {
         match &expected {
             None => expected = Some(words),
             Some(e) => assert_eq!(&words, e, "{v} disagrees"),
+        }
+    }
+}
+
+/// The relabel-free DePa substrate under every sequential detector reports
+/// SP-Order's racy words and race totals on each seeded bug. Both runs use
+/// one program instance: the seeded bugs' accesses do not depend on the
+/// data, and heat's two grids sit at another distance in a fresh instance.
+#[test]
+fn depa_reports_the_sporder_races_under_every_variant() {
+    for name in ["buggy-heat", "buggy-merge", "buggy-mmul"] {
+        for v in VARIANTS {
+            let mut w = Workload::by_name(name, Scale::Test);
+            let mut run = |reach| {
+                let o = detect_with(
+                    &mut w,
+                    Config {
+                        reach,
+                        ..Config::new(v)
+                    },
+                );
+                (rel(o.report.racy_words()), o.report.total)
+            };
+            let sporder = run(ReachKind::SpOrder);
+            assert!(!sporder.0.is_empty(), "{name} under {v}: no race");
+            assert_eq!(run(ReachKind::DePa), sporder, "{name} under {v}");
         }
     }
 }

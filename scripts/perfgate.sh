@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The pre-merge gate: style checks, release build, one iteration of each
+# The pre-merge gate: style checks, warning-free rustdoc, release build, one iteration of each
 # ivtree Criterion row, the test suite in release, the space study (the
 # `space` binary exits 1 on a Lemma 4.1 violation), the repo
 # benchmark's self-check (expectations, oracle, catalogue ≡ BENCHMARK.json),
@@ -21,6 +21,10 @@ cargo fmt --check
 
 echo "== cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
+
+# A doc link to a deleted or private name is an error, not a warning.
+echo "== cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "== cargo build --release"
 cargo build --release -q

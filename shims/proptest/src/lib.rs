@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the subset this workspace uses: the [`strategy::Strategy`]
-//! trait with `prop_map`/`boxed`, range and tuple strategies, [`Just`],
+//! trait with `prop_map`/`boxed`, range and tuple strategies, [`Just`](strategy::Just),
 //! `any::<T>()`, `collection::vec`, weighted/unweighted `prop_oneof!`, and
 //! the `proptest!` test macro with `prop_assert!`/`prop_assert_eq!`/
 //! `prop_assume!`.
@@ -195,7 +195,7 @@ pub mod collection {
     use super::strategy::{Strategy, TestRng};
     use rand::RngExt;
 
-    /// Inclusive length bounds for [`vec`].
+    /// Inclusive length bounds for [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,

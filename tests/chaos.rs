@@ -15,6 +15,7 @@
 //! binary and serializes every test on [`lock`].
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use stint_repro::batchdet::{batch_detect_any, new_pool, BatchConfig, BatchOutcome};
 use stint_repro::cilkrt::ThreadPool;
 use stint_repro::suite::buggy::{HeatMissingBarrier, MmulMissingSync, OverlappingMerge};
 use stint_repro::suite::{Scale, Workload};
@@ -30,6 +31,13 @@ fn lock() -> MutexGuard<'static, ()> {
     M.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
+}
+
+/// A trace stream of either format through the batch tier's one entry, on a
+/// pool built from `cfg`.
+fn detect_any(mut bytes: &[u8], cfg: &BatchConfig) -> Result<BatchOutcome, DetectorError> {
+    let pool = new_pool(cfg.workers, cfg.steal_seed);
+    batch_detect_any(&pool, &mut bytes, cfg)
 }
 
 /// Racy-word count plus the degradation marker of one panic-safe detection
@@ -496,13 +504,12 @@ fn batch_rejects_corrupted_traces_structurally() {
 }
 
 /// Compressed-trace robustness: truncated and bit-flipped STINT-TRACE v2
-/// streams fed to the chunked batch path come back as a structured
+/// streams fed to the streaming batch path come back as a structured
 /// `CorruptTrace` error (exit code 4) — the per-chunk checksums and varint
 /// bounds reject the damage before any shard replays an event.
 #[test]
 fn chunked_batch_rejects_corrupted_compressed_traces() {
     let _g = lock();
-    use stint_repro::batchdet::{batch_detect_chunked, BatchConfig};
     let pt = hook_trace(&mut Workload::by_name("sort", Scale::Test));
     let mut good = Vec::new();
     pt.save_compressed(&mut good, 256).expect("compressed save");
@@ -512,7 +519,7 @@ fn chunked_batch_rejects_corrupted_compressed_traces() {
     // and just shy of the final chunk.
     for frac in [1, 2, 3] {
         let cut = (good.len() * frac / 4).min(good.len() - 1);
-        let e = batch_detect_chunked(&good[..cut], &cfg)
+        let e = detect_any(&good[..cut], &cfg)
             .expect_err("truncated compressed trace must be rejected");
         assert!(
             matches!(e, DetectorError::CorruptTrace { .. }),
@@ -526,13 +533,13 @@ fn chunked_batch_rejects_corrupted_compressed_traces() {
     let mut flipped = good.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x20;
-    let e = batch_detect_chunked(&flipped[..], &cfg)
-        .expect_err("bit-flipped compressed trace must be rejected");
+    let e =
+        detect_any(&flipped[..], &cfg).expect_err("bit-flipped compressed trace must be rejected");
     assert!(matches!(e, DetectorError::CorruptTrace { .. }), "{e}");
     assert_eq!(e.exit_code(), 4);
 
     // And the pristine stream still detects cleanly.
-    let out = batch_detect_chunked(&good[..], &cfg).expect("pristine compressed trace detects");
+    let out = detect_any(&good[..], &cfg).expect("pristine compressed trace detects");
     assert!(out.merged.is_race_free());
     assert!(out.ingest.is_some_and(|st| st.chunks > 1));
 }
@@ -976,8 +983,8 @@ impl<W: FnOnce() -> std::io::Result<()>> std::io::Read for GatedReader<'_, W> {
     }
 }
 
-fn two_shards() -> stint_repro::batchdet::BatchConfig {
-    stint_repro::batchdet::BatchConfig {
+fn two_shards() -> BatchConfig {
+    BatchConfig {
         shards: 2,
         workers: 2,
         ..Default::default()
@@ -1089,9 +1096,7 @@ fn pipeline_corrupt_chunk_behind_an_inflight_drain_is_structured() {
 #[test]
 fn pipeline_deadline_between_batches_drains_what_was_routed() {
     let _g = lock();
-    use stint_repro::batchdet::{
-        batch_detect, batch_detect_chunked_on, BatchConfig, SessionLimits,
-    };
+    use stint_repro::batchdet::{batch_detect, batch_detect_chunked_on, SessionLimits};
     let (pt, v2, starts, events) = racy_loop_v2();
     let pool = ThreadPool::new(2);
     let cfg = BatchConfig {
@@ -1179,7 +1184,7 @@ fn pipeline_survives_worker_startup_panics() {
 #[test]
 fn short_reads_are_structured_corruption() {
     let _g = lock();
-    use stint_repro::batchdet::{batch_detect_chunked, load_trace, BatchConfig};
+    use stint_repro::batchdet::load_trace;
     use stint_repro::PortableTrace;
 
     fn assert_corrupt(e: DetectorError, what: &str) {
@@ -1197,8 +1202,8 @@ fn short_reads_are_structured_corruption() {
     );
     let cfg = BatchConfig::default();
     assert_corrupt(
-        batch_detect_chunked(&[][..], &cfg).expect_err("empty input must be rejected"),
-        "empty chunked",
+        detect_any(&[][..], &cfg).expect_err("empty input must be rejected"),
+        "empty batch entry",
     );
 
     // EOF immediately after each magic line: v1 has no strand header yet,
@@ -1228,22 +1233,13 @@ fn short_reads_are_structured_corruption() {
     // past a quarter boundary is inside a frame varint for this corpus).
     for cut in [15, 16, 17, v2.len() / 4 + 1, v2.len() - 1] {
         assert_corrupt(
-            batch_detect_chunked(&v2[..cut], &cfg).expect_err("short read must be rejected"),
+            detect_any(&v2[..cut], &cfg).expect_err("short read must be rejected"),
             &format!("v2 cut {cut}"),
         );
     }
 
     // A reader that dribbles one byte per syscall must not busy-loop or
     // change the verdict: the pristine stream still parses.
-    struct OneByte<'a>(&'a [u8]);
-    impl std::io::Read for OneByte<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = 1.min(self.0.len()).min(buf.len());
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            Ok(n)
-        }
-    }
     let dribble = std::io::BufReader::with_capacity(1, OneByte(&v2));
     let slow = PortableTrace::load_any(dribble).expect("dribbled pristine stream parses");
     assert_eq!(slow.trace.events.len(), pt.trace.events.len());
@@ -1256,25 +1252,53 @@ fn short_reads_are_structured_corruption() {
     );
 }
 
-/// Which `CorruptTrace` detail a damaged v2 stream reports, pinned on the
-/// eager reader (every chunk checksummed before it is decoded): each
-/// truncation point and each single-bit flip of every byte of a small
-/// multi-chunk file. The streaming tier verifies a chunk's checksum on the
-/// drain arm, one step after decoding and routing it, and must still name
-/// the same first defect — a checksum mismatch before any decode or
+/// A `Read` that hands out one byte a call.
+struct OneByte<'a>(&'a [u8]);
+
+impl std::io::Read for OneByte<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = 1.min(self.0.len()).min(buf.len());
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+/// The small multi-chunk v2 file the damage sweeps below cut and flip.
+fn damage_corpus() -> Vec<u8> {
+    let pt = hook_trace(&mut RacyLoop(6));
+    let mut v2 = Vec::new();
+    pt.save_compressed(&mut v2, 8).expect("compressed save");
+    v2
+}
+
+/// Every truncation of `v2`, then every single-bit flip of every byte.
+fn damaged(v2: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let cuts = (0..v2.len()).map(|cut| v2[..cut].to_vec());
+    let flips = (0..v2.len() * 8).map(|i| {
+        let mut bad = v2.to_vec();
+        bad[i / 8] ^= 1 << (i % 8);
+        bad
+    });
+    cuts.chain(flips)
+}
+
+/// Which `CorruptTrace` detail a damaged v2 stream reports: each truncation
+/// point and each single-bit flip of every byte of a small multi-chunk file.
+/// There is one way to read a chunk, `CompressedTraceReader::next_chunk`,
+/// which checks the chunk's checksum before decoding it; the streaming tier
+/// reads through it, so a checksum mismatch comes before any decode or
 /// validation error of that chunk, and before anything the next chunk holds.
 #[test]
 fn damaged_v2_streams_report_the_pinned_detail() {
     let _g = lock();
     use stint_repro::batchdet::batch_detect_chunked_on;
-    let pt = hook_trace(&mut RacyLoop(6));
-    let mut v2 = Vec::new();
-    pt.save_compressed(&mut v2, 8).expect("compressed save");
+    let v2 = damage_corpus();
     let pool = ThreadPool::new(2);
     let mut tally = std::collections::BTreeMap::<String, u32>::new();
     let mut details = String::new();
-    let mut note = |bytes: &[u8]| {
-        let detail = match batch_detect_chunked_on(&pool, bytes, &two_shards()) {
+    for bad in damaged(&v2) {
+        let detail = match batch_detect_chunked_on(&pool, &bad[..], &two_shards()) {
             Ok(out) => format!("ok, {} racy words", out.merged.racy_words.len()),
             Err(DetectorError::CorruptTrace { detail }) => detail,
             Err(e) => panic!("not a structured corruption: {e}"),
@@ -1287,20 +1311,33 @@ fn damaged_v2_streams_report_the_pinned_detail() {
             .map(|c| if c.is_ascii_digit() { '#' } else { c })
             .collect();
         *tally.entry(shape).or_default() += 1;
-    };
-    for cut in 0..v2.len() {
-        note(&v2[..cut]);
-    }
-    for at in 0..v2.len() {
-        for bit in 0..8 {
-            let mut bad = v2.clone();
-            bad[at] ^= 1 << bit;
-            note(&bad);
-        }
     }
     let tally: Vec<(&str, u32)> = tally.iter().map(|(k, &n)| (k.as_str(), n)).collect();
     let digest = stint_repro::ctrace::fnv1a(details.as_bytes());
     assert_eq!((v2.len(), tally.as_slice(), digest), PINNED_V2_DAMAGE);
+}
+
+/// The same sweep through the batch tier's one entry, which reads the magic
+/// line itself: every damaged file is `Ok` or `CorruptTrace`, never another
+/// error or a panic, and the pristine file dribbled one byte a read renders
+/// the pristine report.
+#[test]
+fn damaged_streams_through_the_one_entry_are_ok_or_corrupt() {
+    let _g = lock();
+    let v2 = damage_corpus();
+    let pool = ThreadPool::new(2);
+    let detect = |r: &mut (dyn std::io::BufRead + Send)| batch_detect_any(&pool, r, &two_shards());
+    let pristine = detect(&mut &v2[..]).expect("pristine file detects");
+    assert!(!pristine.merged.is_race_free());
+    for bad in damaged(&v2) {
+        match detect(&mut &bad[..]) {
+            Ok(_) | Err(DetectorError::CorruptTrace { .. }) => {}
+            Err(e) => panic!("not a structured corruption: {e}"),
+        }
+    }
+    let mut dribble = std::io::BufReader::with_capacity(1, OneByte(&v2));
+    let slow = detect(&mut dribble).expect("dribbled pristine file detects");
+    assert_eq!(slow.merged.render(), pristine.merged.render());
 }
 
 /// File length, details by shape, FNV-1a of every detail in order.

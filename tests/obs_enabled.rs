@@ -132,12 +132,11 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     // zero once the run finishes (their watermarks keep the peaks).
     let mut cbuf = Vec::new();
     pt.save_compressed(&mut cbuf, 64).expect("compressed save");
-    let chunked = stint_repro::batchdet::batch_detect_chunked(
-        &cbuf[..],
+    let chunked = stint_repro::batchdet::batch_detect_any(
+        &stint_cilkrt::ThreadPool::new(2),
+        &mut &cbuf[..],
         &stint_repro::batchdet::BatchConfig {
             shards: 3,
-            workers: 2,
-            steal_seed: 0,
             ..Default::default()
         },
     )

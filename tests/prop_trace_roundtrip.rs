@@ -115,7 +115,7 @@ proptest! {
         for (pt, is_hooks) in [(&hooks, true), (&units, false)] {
             let mut buf = Vec::new();
             pt.save(&mut buf).expect("save to Vec");
-            let back = PortableTrace::load(&buf[..]).expect("load what we saved");
+            let back = PortableTrace::load_any(&buf[..]).expect("load what we saved");
             prop_assert_eq!(&back.trace.events, &pt.trace.events);
             prop_assert_eq!(&back.reach, &pt.reach);
             assert_replay_reproduces(&back, &live, is_hooks)?;
