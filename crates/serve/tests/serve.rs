@@ -11,7 +11,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use stint::{FaultPlan, PortableTrace, ScopedPlan};
+use stint::{Cilk, CilkProgram, FaultPlan, PortableTrace, ScopedPlan};
 use stint_serve::protocol::{self, Request, Response, SessionOpts, Status};
 use stint_serve::server::run_frames;
 use stint_serve::{Engine, EngineConfig};
@@ -290,6 +290,65 @@ fn witness_opt_attaches_counted_witnesses() {
         assert!(!r.payload.contains(" order="));
     }
     engine.drain();
+}
+
+/// Two parallel strands each write words 0, 2, …, 2(n−1): `n` racy words
+/// a word apart, so `n` merged regions, each with its own witness.
+struct RacyPairs(usize);
+
+impl CilkProgram for RacyPairs {
+    fn run<C: Cilk>(&mut self, ctx: &mut C) {
+        let n = self.0;
+        ctx.spawn(|c| (0..n).for_each(|i| c.store(8 * i, 4)));
+        (0..n).for_each(|i| ctx.store(8 * i, 4));
+        ctx.sync();
+    }
+}
+
+/// The reply's witness cap at cap − 1, cap and cap + 1 regions: every
+/// captured witness is counted, at most 64 ride the wire, and a region past
+/// the cap keeps its record and loses only its witness.
+#[test]
+fn witness_cap_holds_at_its_boundary() {
+    let _g = lock();
+    let engine = small_engine();
+    for n in [63, 64, 65] {
+        let mut trace = Vec::new();
+        let pt = PortableTrace::record(&mut RacyPairs(n));
+        pt.save_compressed(&mut trace, 4096).expect("save v2");
+        let r = session(&engine, "witness=1", trace);
+        assert_eq!(r.status, Status::Racy, "payload: {}", r.payload);
+        assert!(r.payload.contains(&format!("\nwitnesses: {n}\n")));
+        let shown = n.min(64);
+        assert!(r.payload.contains(&format!("\nwitnesses-shown: {shown}\n")));
+        let report = r.payload.split_once("report:\n").expect("a report").1;
+        let regions: Vec<&str> = report.lines().filter(|l| l.contains(") prev ")).collect();
+        assert_eq!(regions.len(), n, "n={n}: every region keeps its record");
+        let witnessed = regions.iter().filter(|l| l.contains(" order=")).count();
+        assert_eq!(witnessed, shown, "n={n}");
+    }
+    engine.drain();
+}
+
+/// The frame length cap at cap − 1, cap and cap + 1: a length past it is
+/// refused before any payload is read, naming the cap; one within it is read
+/// and, on a short stream, fails in the payload.
+#[test]
+fn frame_cap_holds_at_its_boundary() {
+    use protocol::{read_request, FrameError, MAX_FRAME, REQ_DETECT};
+    for len in [MAX_FRAME - 1, MAX_FRAME, MAX_FRAME + 1] {
+        let mut frame = vec![REQ_DETECT];
+        frame.extend_from_slice(&(len as u32).to_le_bytes());
+        frame.extend_from_slice(b"short");
+        let Err(FrameError::Malformed(m)) = read_request(&mut &frame[..]) else {
+            panic!("len {len}: a short stream must be malformed");
+        };
+        let want = match len > MAX_FRAME {
+            true => format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
+            false => "truncated frame: EOF in the payload".to_string(),
+        };
+        assert_eq!(m, want, "len {len}");
+    }
 }
 
 #[test]

@@ -11,19 +11,7 @@
 
 pub use stint::*;
 
-/// [`stint_batchdet`], plus the pool-less streamed form the differential
-/// battery (`tests/prop_batchdet.rs`) is written against.
-pub mod batchdet {
-    pub use stint_batchdet::*;
-
-    /// [`batch_detect_any`] over `r` on a fresh pool built from `cfg`.
-    pub fn batch_detect_chunked<R: std::io::BufRead + Send>(
-        mut r: R,
-        cfg: &BatchConfig,
-    ) -> Result<BatchOutcome, stint::DetectorError> {
-        batch_detect_any(&new_pool(cfg.workers, cfg.steal_seed), &mut r, cfg)
-    }
-}
+pub use stint_batchdet as batchdet;
 pub use stint_cilkrt as cilkrt;
 pub use stint_grid as grid;
 pub use stint_serve as serve;

@@ -1,14 +1,37 @@
-//! Shared glue for the workspace-level property tests: a proptest strategy
-//! generating fork-join programs over a small word space, the adapter that
-//! replays a generated AST through a [`Cilk`] context, and the hook-level
-//! recording of a program.
+//! The conformance harness of the root property batteries: sequential,
+//! replayed, batch, online and served detection all give sequential STINT's
+//! verdict — the relation "Data Race Detection on Compressed Traces" states,
+//! the verdict on the compact form equals the verdict on its expansion.
+//! One program ([`Program`]), one configuration matrix (a slice of [`Row`]s,
+//! one tier a row) and one assertion ([`check`], or [`check_kernel`]):
+//!
+//! * every row reports the oracle's racy words: `simulate`'s, or sequential
+//!   STINT's on the per-word expansion when the program frees;
+//! * every interval-detector row (live or replayed STINT and STINT(btree),
+//!   batch, online, serve) reports sequential STINT's per-word `(word, kind,
+//!   prev, cur)`; vanilla, compiler and comp+rts, which report once per
+//!   word per access, are compared by racy words only;
+//! * a witnessed row's races carry witnesses [`WitnessChecker`] accepts;
+//! * each tier's invariants ([`Harness::row`]) hold on every row of it.
 #![allow(dead_code)] // each test binary uses its own subset
 
+use std::collections::{BTreeSet, HashMap};
+use std::sync::mpsc;
+use std::time::Duration;
+
 use proptest::prelude::*;
-use stint_repro::Cilk;
-use stint_repro::CilkProgram;
-use stint_repro::PortableTrace;
-use stint_spdag::{Access, Func, Stmt};
+use proptest::test_runner::TestCaseError;
+use stint_repro::batchdet::{batch_detect_any, batch_detect_on, new_pool, online_detect};
+use stint_repro::batchdet::{BatchConfig, BatchOutcome, MergedReport, OnlineConfig, ShardOutcome};
+use stint_repro::cilkrt::ThreadPool;
+use stint_repro::serve::{Engine, EngineConfig, Status};
+use stint_repro::suite::{Scale, Workload};
+use stint_repro::Variant::{self, CompRts, Compiler, Stint, StintFlat, Vanilla};
+use stint_repro::DEFAULT_CHUNK_EVENTS;
+use stint_repro::{ctrace, detect, try_detect_with, Cilk, CilkProgram, Config, DetectorStats};
+use stint_repro::{CompRtsDetector, Outcome, PortableTrace, Race, RaceReport, Sided};
+use stint_repro::{StintDetector, StintFlatDetector, VanillaDetector, WitnessChecker};
+use stint_spdag::{simulate, Access, Func, Stmt};
 
 /// Proptest strategy for fork-join programs over a small word space (every
 /// access inside the first 64-word bitmap group of the runtime coalescer).
@@ -77,33 +100,55 @@ pub fn multi_group() -> BoxedStrategy<Access> {
     )
 }
 
-pub struct AstProgram<'a>(pub &'a Func);
+/// A generated program. Compute statement `i` frees the range of its first
+/// access in mid-strand, right after making it, where bit `i % 64` of
+/// `frees` is set; `per_word` feeds every access one plain 4-byte hook per
+/// word instead of its one hook.
+#[derive(Clone, Copy)]
+pub struct Program<'a> {
+    f: &'a Func,
+    frees: u64,
+    per_word: bool,
+}
 
-fn walk<C: Cilk>(f: &Func, ctx: &mut C) {
-    for stmt in &f.0 {
-        match stmt {
-            Stmt::Compute(accs) => {
-                for a in accs {
-                    let addr = (a.word * 4) as usize;
-                    let bytes = (a.len * 4) as usize;
-                    match (a.write, a.coalesced) {
-                        (true, true) => ctx.store_range(addr, bytes),
-                        (true, false) => ctx.store(addr, bytes),
-                        (false, true) => ctx.load_range(addr, bytes),
-                        (false, false) => ctx.load(addr, bytes),
+impl<'a> Program<'a> {
+    pub fn new(f: &'a Func, frees: u64, per_word: bool) -> Self {
+        Program { f, frees, per_word }
+    }
+
+    fn walk<C: Cilk>(&self, f: &Func, computes: &mut u32, ctx: &mut C) {
+        for stmt in &f.0 {
+            match stmt {
+                Stmt::Compute(accs) => {
+                    let free_first = self.frees >> (*computes % 64) & 1 == 1;
+                    *computes += 1;
+                    for (i, a) in accs.iter().enumerate() {
+                        let (addr, bytes) = ((a.word * 4) as usize, (a.len * 4) as usize);
+                        let step = if self.per_word { 4 } else { bytes };
+                        for at in (addr..addr + bytes).step_by(step) {
+                            match (a.write, a.coalesced && !self.per_word) {
+                                (true, true) => ctx.store_range(at, step),
+                                (true, false) => ctx.store(at, step),
+                                (false, true) => ctx.load_range(at, step),
+                                (false, false) => ctx.load(at, step),
+                            }
+                        }
+                        if i == 0 && free_first {
+                            ctx.free(addr, bytes);
+                        }
                     }
                 }
+                Stmt::Spawn(g) => ctx.spawn(|c| self.walk(g, computes, c)),
+                Stmt::Sync => ctx.sync(),
+                Stmt::Call(g) => ctx.call(|c| self.walk(g, computes, c)),
             }
-            Stmt::Spawn(g) => ctx.spawn(|c| walk(g, c)),
-            Stmt::Sync => ctx.sync(),
-            Stmt::Call(g) => ctx.call(|c| walk(g, c)),
         }
     }
 }
 
-impl CilkProgram for AstProgram<'_> {
+impl CilkProgram for Program<'_> {
     fn run<C: Cilk>(&mut self, ctx: &mut C) {
-        walk(self.0, ctx);
+        self.walk(self.f, &mut 0, ctx);
     }
 }
 
@@ -117,4 +162,399 @@ pub fn hook_trace<P: CilkProgram>(p: &mut P) -> PortableTrace {
         trace,
         reach: reach.freeze(),
     }
+}
+
+pub const VARIANTS: [Variant; 5] = [Vanilla, Compiler, CompRts, Stint, StintFlat];
+
+/// Where a replay, batch or serve row reads its trace from: memory, or a v1
+/// or v2 file (this many events a chunk) through `load_any` or
+/// `batch_detect_any`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Src {
+    Mem,
+    V1,
+    V2(usize),
+}
+
+/// One configuration, one tier. A `bool` is `true` for the program's hook
+/// stream and `false` for the units [`PortableTrace::record`] stores.
+#[derive(Clone, Copy, Debug)]
+pub enum Row {
+    /// A fresh run under a variant.
+    Live(Config),
+    /// A replay under a variant.
+    Replay(bool, Src, Variant),
+    Batch(bool, Src, BatchConfig),
+    /// A fresh run detected online.
+    Online(OnlineConfig),
+    /// An in-process `DETECT` of the units at `shards=K,witness=1`.
+    Serve(Src, usize),
+}
+
+impl Row {
+    /// The row with witness capture on.
+    pub fn witnessed(mut self) -> Row {
+        match &mut self {
+            Row::Live(c) => c.witnesses = true,
+            Row::Batch(.., c) => c.witnesses = true,
+            Row::Online(c) => c.witnesses = true,
+            Row::Replay(..) | Row::Serve(..) => {}
+        }
+        self
+    }
+}
+
+/// The five variants live.
+pub fn live() -> [Row; 5] {
+    VARIANTS.map(|v| Row::Live(Config::new(v)))
+}
+
+/// Batch detection over `k` shards on `workers` workers, steal order
+/// perturbed by `seed`.
+pub fn batch(hooks: bool, src: Src, k: usize, workers: usize, seed: u64) -> Row {
+    let mut cfg = BatchConfig::default();
+    (cfg.shards, cfg.workers, cfg.steal_seed) = (k, workers, seed);
+    Row::Batch(hooks, src, cfg)
+}
+
+/// Online detection over three shards, `chunk` units a hand-off.
+pub fn online(workers: usize, seed: u64, chunk: usize) -> Row {
+    let mut cfg = OnlineConfig::default();
+    (cfg.shards, cfg.workers, cfg.steal_seed, cfg.chunk_events) = (3, workers, seed, chunk);
+    Row::Online(cfg)
+}
+
+type Verdict<T = ()> = Result<T, TestCaseError>;
+
+/// Check `f`, freeing in mid-strand where `frees` says, on `rows`.
+pub fn check(f: &Func, frees: u64, rows: &[Row]) -> Verdict {
+    let make = || Program::new(f, frees, false);
+    let seq = detect(&mut Program::new(f, frees, true), Stint).report;
+    if frees == 0 {
+        let sim = simulate(f).racy_words();
+        prop_assert!(sim == seq.racy_words(), "the expansion's racy words");
+    }
+    let h = Harness::new(&make, hook_trace(&mut make()), &seq)?;
+    let units = PortableTrace::record(&mut make()).trace.events;
+    prop_assert!(units == h.units.trace.events, "record stores other units");
+    h.run(rows)
+}
+
+/// Check a suite kernel on `rows`. A run of it allocates afresh, so the
+/// oracle is sequential STINT over one recorded hook stream, and an online
+/// row is compared by racy-word count.
+pub fn check_kernel(name: &str, rows: &[Row]) -> Verdict {
+    let make = || Workload::by_name(name, Scale::Test);
+    let hooks = hook_trace(&mut make());
+    let long = hooks.trace.len() > DEFAULT_CHUNK_EVENTS;
+    prop_assert!(long, "{name} fits one batch");
+    let seq = hooks.replay(StintDetector::new(RaceReport::unbounded(true)));
+    let mut h = Harness::new(&make, hooks, &seq.report)?;
+    h.fresh_heap = true;
+    h.run(rows)
+}
+
+type Triple = (u64, u8, u32, u32);
+
+/// Every `(word, kind, prev, cur)` the races cover.
+fn triples(races: &[Race]) -> BTreeSet<Triple> {
+    let per_word = |r: &Race| {
+        let (kind, prev, cur) = (r.kind as u8, r.prev.0, r.cur.0);
+        (r.word_lo..r.word_hi).map(move |w| (w, kind, prev, cur))
+    };
+    races.iter().flat_map(per_word).collect()
+}
+
+fn fail(e: impl std::fmt::Display) -> TestCaseError {
+    TestCaseError::Fail(e.to_string())
+}
+
+/// One subject, the racy words and races every row must report, and what
+/// its rows reported so far.
+struct Harness<'a, P> {
+    make: &'a dyn Fn() -> P,
+    /// Each run allocates afresh: live and online rows count racy words.
+    fresh_heap: bool,
+    oracle: Vec<u64>,
+    triples: BTreeSet<Triple>,
+    hooks: PortableTrace,
+    units: PortableTrace,
+    live: HashMap<Variant, Outcome>,
+    pools: HashMap<(usize, u64), ThreadPool>,
+    /// The in-process service the serve rows submit to; dropping the
+    /// harness drains it.
+    engine: Option<Engine>,
+    /// Per input and K: the merged statistics, and the work of the shards
+    /// of the last in-memory row.
+    stats: HashMap<(bool, usize), [u64; 4]>,
+    mem_work: HashMap<(bool, usize), Vec<u64>>,
+    /// Per input: the first witnessed merged report.
+    witnessed: HashMap<bool, MergedReport>,
+}
+
+impl<'a, P: CilkProgram> Harness<'a, P> {
+    /// The units are the hooks' coalesced runs, a fixed point of coalescing.
+    fn new(make: &'a dyn Fn() -> P, hooks: PortableTrace, seq: &RaceReport) -> Verdict<Self> {
+        let (trace, reach) = (hooks.trace.clone().coalesced(), hooks.reach.clone());
+        let again = trace.clone().coalesced();
+        prop_assert!(again.events == trace.events, "coalescing changes the units");
+        prop_assert!(trace.len() <= hooks.trace.len());
+        let (oracle, triples) = (seq.racy_words(), triples(seq.races()));
+        let words: BTreeSet<u64> = triples.iter().map(|t| t.0).collect();
+        let same = words.iter().eq(&oracle);
+        prop_assert!(same, "races on other words than the racy ones");
+        Ok(Harness {
+            make,
+            fresh_heap: false,
+            oracle,
+            triples,
+            hooks,
+            units: PortableTrace { trace, reach },
+            live: HashMap::new(),
+            pools: HashMap::new(),
+            engine: None,
+            stats: HashMap::new(),
+            mem_work: HashMap::new(),
+            witnessed: HashMap::new(),
+        })
+    }
+
+    fn run(mut self, rows: &[Row]) -> Verdict {
+        for &row in rows {
+            self.row(row).map_err(|e| fail(format!("{row:?}: {e:?}")))?;
+        }
+        Ok(())
+    }
+
+    /// The hook stream, or the units.
+    fn input(&self, hooks: bool) -> &PortableTrace {
+        [&self.units, &self.hooks][hooks as usize]
+    }
+
+    fn live(&mut self, v: Variant) -> &Outcome {
+        let make = self.make;
+        self.live.entry(v).or_insert_with(|| detect(&mut make(), v))
+    }
+
+    /// One row: its tier's invariants, then the one assertion.
+    fn row(&mut self, row: Row) -> Verdict {
+        match row {
+            // comp+rts and STINT(btree) feed the coalescer what STINT does.
+            Row::Live(cfg) => {
+                let o = try_detect_with(&mut (self.make)(), cfg).map_err(fail)?;
+                if matches!(cfg.variant, CompRts | StintFlat) {
+                    let stint = coalescer(&self.live(Stint).stats);
+                    prop_assert_eq!(coalescer(&o.stats), stint, "coalescer statistics");
+                }
+                let races = interval(cfg.variant).then(|| o.report.races());
+                let on = cfg.witnesses.then_some(true);
+                self.verdict(true, &o.report.racy_words(), races, on)
+            }
+            // A file loads back as the trace; a second replay repeats the
+            // first; the race total of a hook stream or an interval
+            // detector, and its statistics (over units, those beyond what
+            // the coalescer was fed), are the live run's.
+            Row::Replay(hooks, src, v) => {
+                let live = self.live(v).clone();
+                let pt = self.input(hooks);
+                let back = match src {
+                    Src::Mem => pt.clone(),
+                    _ => PortableTrace::load_any(&encode(pt, src).0[..]).map_err(fail)?,
+                };
+                let same = back.trace.events == pt.trace.events && back.reach == pt.reach;
+                prop_assert!(same, "the file loads back as another trace");
+                let ((report, stats), again) = (replay(&back, v), replay(&back, v));
+                prop_assert!(again.0.racy_words() == report.racy_words(), "second replay");
+                prop_assert!(again.1.fields() == stats.fields(), "second replay");
+                if hooks || !matches!(v, Vanilla | Compiler) {
+                    prop_assert_eq!(report.total, live.report.total, "race total");
+                }
+                if hooks || interval(v) {
+                    prop_assert_eq!(beyond(&stats, hooks), beyond(&live.stats, hooks));
+                }
+                let races = interval(v).then(|| report.races());
+                self.verdict(false, &report.racy_words(), races, None)
+            }
+            // Not degraded, K shards, every event counted; the merged
+            // statistics are the first row's of this K; a streamed row's
+            // shards work no more than the last in-memory row's.
+            Row::Batch(hooks, src, cfg) => {
+                let (pools, key) = (&mut self.pools, (cfg.workers, cfg.steal_seed));
+                let pool = pools.entry(key).or_insert_with(|| new_pool(key.0, key.1));
+                let pt = [&self.units, &self.hooks][hooks as usize];
+                let (out, k) = (detect_batch(pool, pt, src, &cfg)?, cfg.shards);
+                prop_assert!(out.degraded.is_none() && out.shards.len() == k);
+                prop_assert_eq!(out.events, pt.trace.len());
+                work(&out.shards, out.events, if k == 1 { 1.1 } else { 1.5 })?;
+                let s = &out.stats;
+                let fp = [s.ah_bytes, s.coalesce_bytes, s.treap.ops, s.strands_flushed];
+                let first = *self.stats.entry((hooks, k)).or_insert(fp);
+                prop_assert_eq!(fp, first, "merged statistics depend on the schedule");
+                let work: Vec<u64> = out.shards.iter().map(|s| s.events).collect();
+                if let Src::V2(_) = src {
+                    let mem = self.mem_work.get(&(hooks, k));
+                    let mem = mem.ok_or_else(|| fail("no in-memory row of this K before"))?;
+                    let less = work.iter().zip(mem).all(|(a, b)| a <= b);
+                    prop_assert!(less, "shard work {work:?} over in-memory {mem:?}");
+                } else {
+                    self.mem_work.insert((hooks, k), work);
+                }
+                self.merged(hooks, cfg.witnesses, &out.merged, false)
+            }
+            // Not degraded, every hook counted, ⌈units / chunk⌉ + 1
+            // hand-offs.
+            Row::Online(cfg) => {
+                let out = online_detect(&mut (self.make)(), &cfg).map_err(fail)?;
+                prop_assert!(out.degraded.is_none());
+                prop_assert_eq!(out.events, self.hooks.trace.len());
+                let hand_offs = out.units.div_ceil(cfg.chunk_events as u64) + 1;
+                prop_assert_eq!(out.chunks, hand_offs, "hand-offs");
+                work(&out.shards, out.events, 1.5)?;
+                self.merged(true, cfg.witnesses, &out.merged, true)
+            }
+            // Racy or ok, and the report is the witnessed batch render of
+            // the units, but for the witnesses past the reply's cap of 64.
+            Row::Serve(src, k) => {
+                let (tx, rx) = mpsc::channel();
+                let opts = format!("shards={k},witness=1");
+                let new = || Engine::new(EngineConfig::default());
+                let engine = self.engine.get_or_insert_with(new);
+                engine.try_submit(opts, encode(&self.units, src).0, tx);
+                let resp = rx.recv_timeout(Duration::from_secs(60)).map_err(fail)?;
+                let status = [Status::Ok, Status::Racy][!self.oracle.is_empty() as usize];
+                prop_assert_eq!(resp.status, status, "{}", resp.payload);
+                if !self.witnessed.contains_key(&false) {
+                    self.row(batch(false, Src::Mem, k, 2, 0).witnessed())?;
+                }
+                let mut want = self.witnessed[&false].clone();
+                let shown = want.regions.iter_mut().filter(|r| r.witness.is_some());
+                shown.skip(64).for_each(|r| r.witness = None);
+                let report = resp.payload.split_once("report:\n").map(|(_, r)| r);
+                prop_assert_eq!(report, Some(&want.render()[..]));
+                Ok(())
+            }
+        }
+    }
+
+    /// A witnessed render is the first witnessed render of its input.
+    fn merged(&mut self, hooks: bool, witnessed: bool, m: &MergedReport, fresh: bool) -> Verdict {
+        if witnessed {
+            let first = self.witnessed.entry(hooks).or_insert_with(|| m.clone());
+            prop_assert_eq!(first.render(), m.render(), "witnessed renders differ");
+        }
+        let on = witnessed.then_some(hooks);
+        self.verdict(fresh, &m.racy_words, Some(&m.regions), on)
+    }
+
+    /// The one assertion. `fresh`: the row ran the program again; `on`: its
+    /// witnesses number the hook stream's events or the units'.
+    fn verdict(
+        &self,
+        fresh: bool,
+        words: &[u64],
+        races: Option<&[Race]>,
+        on: Option<bool>,
+    ) -> Verdict {
+        if fresh && self.fresh_heap {
+            prop_assert_eq!(words.len(), self.oracle.len(), "racy-word count");
+            return Ok(());
+        }
+        prop_assert_eq!(words, &self.oracle[..], "racy words");
+        let Some(races) = races else { return Ok(()) };
+        let same = triples(races) == self.triples;
+        prop_assert!(same, "races are not sequential STINT's");
+        if let Some(hooks) = on {
+            let pt = self.input(hooks);
+            let checker = WitnessChecker::new(&pt.reach).with_trace(&pt.trace);
+            for r in races {
+                let strands = r.witness.as_ref().map(|w| (w.prev.strand, w.cur.strand));
+                prop_assert_eq!(strands, Some((r.prev, r.cur)), "witness strands");
+                prop_assert!(checker.check(r).is_ok(), "{:?}", checker.check(r));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A batch run of `pt` from `src`. A streamed run ingests the file but its
+/// header, in the chunks the writer framed.
+fn detect_batch(
+    pool: &ThreadPool,
+    pt: &PortableTrace,
+    src: Src,
+    cfg: &BatchConfig,
+) -> Verdict<BatchOutcome> {
+    if src == Src::Mem {
+        return batch_detect_on(pool, pt, cfg).map_err(fail);
+    }
+    let (file, chunks) = encode(pt, src);
+    let out = batch_detect_any(pool, &mut &file[..], cfg).map_err(fail)?;
+    if let Src::V2(_) = src {
+        let ingest = out
+            .ingest
+            .ok_or_else(|| fail("a streamed run without ingest"))?;
+        let mut header = std::io::Cursor::new(&file[..]);
+        ctrace::CompressedTraceReader::open(&mut header).map_err(fail)?;
+        let whole = ingest.bytes + header.position() == file.len() as u64;
+        prop_assert!(whole, "ingested {} bytes of {}", ingest.bytes, file.len());
+        prop_assert_eq!(ingest.chunks, chunks, "reader and writer chunks");
+    }
+    Ok(out)
+}
+
+/// `pt` as a file in `src`'s format, and the chunks a v2 writer framed.
+fn encode(pt: &PortableTrace, src: Src) -> (Vec<u8>, u64) {
+    let mut buf = Vec::new();
+    let chunks = match src {
+        Src::V2(chunk) => pt.save_compressed(&mut buf, chunk).expect("v2 save").chunks,
+        _ => pt.save(&mut buf).map(|()| 0).expect("v1 save"),
+    };
+    (buf, chunks)
+}
+
+/// Replay `pt` under `v`: the report and the statistics.
+fn replay(pt: &PortableTrace, v: Variant) -> (RaceReport, DetectorStats) {
+    macro_rules! run {
+        ($det:expr) => {{
+            let d = pt.replay($det);
+            (d.report, d.stats)
+        }};
+    }
+    let report = RaceReport::default();
+    match v {
+        Vanilla => run!(VanillaDetector::new(false, report)),
+        Compiler => run!(VanillaDetector::new(true, report)),
+        CompRts => run!(CompRtsDetector::new(report)),
+        Stint => run!(StintDetector::new(report)),
+        StintFlat => run!(StintFlatDetector::new_flat(report)),
+    }
+}
+
+fn interval(v: Variant) -> bool {
+    matches!(v, Stint | StintFlat)
+}
+
+/// What the coalescer was fed and gave out, a side at a time.
+fn coalescer(s: &DetectorStats) -> Vec<u64> {
+    let side = |x: Sided| [x.hooks, x.hook_bytes, x.words, x.intervals];
+    [s.read, s.write].into_iter().flat_map(side).collect()
+}
+
+/// Every integer statistic, or all but what the coalescer was fed.
+fn beyond(s: &DetectorStats, hooks: bool) -> Vec<(&'static str, u64)> {
+    let words = ["detector.read_words", "detector.write_words"];
+    let fed = |n: &&str| n.contains("hook") || words.contains(n);
+    let fields = s.fields().into_iter();
+    fields.filter(|(n, _)| hooks || !fed(n)).collect()
+}
+
+/// Shard work over the stream it came from, on a stream longer than one
+/// batch: straddler clips and per-shard markers are the only duplication a
+/// partition may add. (On a short one, a strand whose one run straddles a
+/// cut is four units of work for two of stream.)
+fn work(shards: &[ShardOutcome], stream: usize, bar: f64) -> Verdict {
+    let ratio = shards.iter().map(|s| s.events).sum::<u64>() as f64 / stream as f64;
+    let long = stream > DEFAULT_CHUNK_EVENTS;
+    prop_assert!(!long || ratio <= bar, "work {ratio:.3}x > {bar}x");
+    Ok(())
 }

@@ -1,28 +1,18 @@
-//! Workspace-level property tests: proptest-generated fork-join programs
-//! (with shrinking) must produce identical racy-word sets under every
-//! detector variant and match the brute-force oracle.
-//!
-//! This complements `stint`'s own seeded differential sweeps with proptest's
-//! shrinking: a failure here minimizes to a small witness program.
+//! Workspace-level property tests: generated programs report the oracle's
+//! racy words under every variant, and sequential STINT's races under
+//! parallel online detection at every worker count and steal seed (the
+//! harness's live and online tiers); two structural relations hold of the
+//! oracle itself.
 
 use proptest::prelude::*;
-use stint::{ResourceBudget, WitnessChecker};
-use stint_batchdet::{online_detect, OnlineConfig};
-use stint_repro::{detect, Variant};
+use stint_repro::{Config, Variant};
 use stint_spdag::{simulate, Func, Stmt};
 
 mod common;
-use common::{func_strategy, hook_trace, AstProgram};
+use common::{check, func_strategy, live, online, Row};
 
-fn online_cfg(workers: usize, steal_seed: u64) -> OnlineConfig {
-    OnlineConfig {
-        shards: 3,
-        workers,
-        steal_seed,
-        chunk_events: 32,
-        witnesses: false,
-        budget: ResourceBudget::default(),
-    }
+fn stint() -> [Row; 1] {
+    [Row::Live(Config::new(Variant::Stint))]
 }
 
 proptest! {
@@ -30,31 +20,17 @@ proptest! {
 
     #[test]
     fn variants_match_oracle(f in func_strategy(3)) {
-        let sim = simulate(&f);
-        prop_assume!(sim.strand_count() <= 250);
-        let expected = sim.racy_words();
-        for v in [
-            Variant::Vanilla,
-            Variant::Compiler,
-            Variant::CompRts,
-            Variant::Stint,
-            Variant::StintFlat,
-        ] {
-            let got = detect(&mut AstProgram(&f), v).report.racy_words();
-            prop_assert_eq!(&got, &expected, "variant {} diverged", v);
-        }
+        check(&f, 0, &live())?;
     }
 
-    /// Adding a terminal sync never changes the racy words (the implicit
+    /// A terminal sync never changes the racy words (the implicit
     /// function-end sync already joins everything).
     #[test]
     fn trailing_sync_is_redundant(mut f in func_strategy(2)) {
         let before = simulate(&f).racy_words();
         f.0.push(Stmt::Sync);
-        let after = simulate(&f).racy_words();
-        prop_assert_eq!(&before, &after);
-        let detected = detect(&mut AstProgram(&f), Variant::Stint).report.racy_words();
-        prop_assert_eq!(&detected, &before);
+        prop_assert_eq!(&simulate(&f).racy_words(), &before);
+        check(&f, 0, &stint())?;
     }
 
     /// Wrapping the whole program in Call (serial, own sync scope) or in a
@@ -66,67 +42,26 @@ proptest! {
         prop_assert_eq!(&simulate(&called).racy_words(), &base);
         let spawned = Func(vec![Stmt::Spawn(f.clone()), Stmt::Sync]);
         prop_assert_eq!(&simulate(&spawned).racy_words(), &base);
-        let got = detect(&mut AstProgram(&spawned), Variant::Stint).report.racy_words();
-        prop_assert_eq!(&got, &base);
+        check(&spawned, 0, &stint())?;
     }
 }
 
 proptest! {
-    // Each case runs 12 full parallel-online detections (4 worker counts ×
-    // 3 steal seeds), so the case count is lower than the sweep above.
+    // Each case runs 12 online detections, so fewer cases than above.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The differential battery for `--online-parallel`: racy intervals from
-    /// the concurrent DePa-backed pipeline are identical to sequential STINT
-    /// for every worker count and steal seed, and the rendered report is
-    /// byte-identical across all of them.
+    /// `--online-parallel` for workers {1, 2, 4, 8} × three steal seeds.
     #[test]
     fn online_parallel_matches_sequential_stint(f in func_strategy(3)) {
-        let sim = simulate(&f);
-        prop_assume!(sim.strand_count() <= 250);
-        let expected = detect(&mut AstProgram(&f), Variant::Stint).report.racy_words();
-        prop_assert_eq!(&sim.racy_words(), &expected);
-        let mut baseline: Option<String> = None;
-        for workers in [1usize, 2, 4, 8] {
-            for seed in [0u64, 0xDEAD_BEEF, 42] {
-                let out = online_detect(&mut AstProgram(&f), &online_cfg(workers, seed))
-                    .expect("online detection must not fail without faults");
-                prop_assert!(out.degraded.is_none());
-                prop_assert_eq!(
-                    &out.merged.racy_words, &expected,
-                    "workers={} seed={} diverged from sequential STINT", workers, seed
-                );
-                let render = out.merged.render();
-                match &baseline {
-                    None => baseline = Some(render),
-                    Some(b) => prop_assert_eq!(
-                        &render, b,
-                        "render not byte-identical at workers={} seed={}", workers, seed
-                    ),
-                }
-            }
-        }
+        let shapes = [1, 2, 4, 8].into_iter().flat_map(|w| [(w, 0), (w, 0xDEAD_BEEF), (w, 42)]);
+        check(&f, 0, &shapes.map(|(w, seed)| online(w, seed, 32)).collect::<Vec<_>>())?;
     }
 
-    /// Witnessed parallel-online reports carry verifiable evidence: every
-    /// merged region's witness passes the independent `WitnessChecker`
-    /// against a sequentially recorded hook stream of the same program — the
-    /// stream the online engine numbers its events over.
+    /// Witnesses the online engine numbers over the hook stream verify
+    /// against a sequentially recorded one.
     #[test]
     fn online_witnesses_verify_against_recorded_trace(f in func_strategy(2)) {
-        let sim = simulate(&f);
-        prop_assume!(sim.strand_count() <= 250);
-        prop_assume!(!sim.racy_words().is_empty());
-        let mut cfg = online_cfg(2, 7);
-        cfg.witnesses = true;
-        let out = online_detect(&mut AstProgram(&f), &cfg).unwrap();
-        prop_assert!(!out.merged.regions.is_empty());
-        let pt = hook_trace(&mut AstProgram(&f));
-        let checker = WitnessChecker::new(&pt.reach).with_trace(&pt.trace);
-        for r in &out.merged.regions {
-            prop_assert!(r.witness.is_some(), "merged region lost its witness");
-            let verdict = checker.check(r);
-            prop_assert!(verdict.is_ok(), "witness rejected: {:?}", verdict);
-        }
+        prop_assume!(!simulate(&f).racy_words().is_empty());
+        check(&f, 0, &[online(2, 7, 32).witnessed()])?;
     }
 }

@@ -8,7 +8,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use stint::journal::{replay, FsyncPolicy, JournalSink, JournalWriter};
+use stint::journal::{replay, FsyncPolicy, JournalSink, JournalWriter, MAX_RECORD};
 use stint_serve::journal::{SessionEvent, EV_ADMITTED, EV_VERDICT};
 
 /// An in-memory sink the test keeps a handle to after the writer takes
@@ -39,6 +39,25 @@ fn journal_bytes(payloads: &[Vec<u8>]) -> Vec<u8> {
     drop(w);
     let bytes = sink.0.lock().expect("sink lock").clone();
     bytes
+}
+
+/// The record cap at cap − 1, cap and cap + 1 bytes: a record within it
+/// round-trips, one past it is reported oversized and recovers nothing.
+#[test]
+fn record_cap_holds_at_its_boundary() {
+    let cap = MAX_RECORD as usize;
+    for len in [cap - 1, cap, cap + 1] {
+        let payload = vec![0xA5u8; len];
+        let r = replay(&journal_bytes(std::slice::from_ref(&payload))[..]).expect("replay io");
+        if len <= cap {
+            assert!(r.is_clean(), "len {len}: {:?}", r.corruption);
+            assert!(r.records == [payload], "len {len}: the record changed");
+        } else {
+            let detail = format!("record 1: oversized frame ({len} bytes > {MAX_RECORD})");
+            assert_eq!(r.corruption, Some(detail));
+            assert!(r.records.is_empty());
+        }
+    }
 }
 
 proptest! {
