@@ -112,7 +112,9 @@ fn bench_query(c: &mut Criterion) {
 /// strand's region, on words still free (the second round of the repo
 /// benchmark's scatter workloads). `append`: every batch lies beyond
 /// everything stored. One iteration is 256 batches on addresses no earlier
-/// iteration of the same sample touched. `reread`: see the helper.
+/// iteration of the same sample touched. `rewrite`: the `in_cover` layout on
+/// the word already stored in every cell, so each run meets its own bounds
+/// (write case D, nothing removed). `reread`: see the helper.
 fn bench_batch(c: &mut Criterion) {
     const STRANDS: u64 = 4096;
     fn flush<S: IntervalStore<u32>>(store: &mut S, buf: &mut Vec<(u64, u64)>, s: u64, word: u64) {
@@ -120,7 +122,7 @@ fn bench_batch(c: &mut Criterion) {
         buf.extend((0..128).map(|i| (s * 512 + i * 4 + word, s * 512 + i * 4 + word + 1)));
         store.insert_writes_for(s as u32, buf, |_, _, _| {});
     }
-    fn run<S: IntervalStore<u32>>(b: &mut criterion::Bencher, mut store: S, append: bool) {
+    fn run<S: IntervalStore<u32>>(b: &mut criterion::Bencher, mut store: S, label: &str) {
         let mut buf = Vec::new();
         let base = 1;
         for s in 0..STRANDS {
@@ -134,11 +136,13 @@ fn bench_batch(c: &mut Criterion) {
         let mut round = 0;
         b.iter(|| {
             // In-cover rounds walk the 16 blocks of 256 strands, then move on
-            // to the next free word of every cell.
-            let (first, word) = if append {
-                (base + STRANDS + round * 256, 0)
-            } else {
-                (base + round % 16 * 256, 1 + round / 16 % 3)
+            // to the next free word of every cell; rewrite rounds stay on
+            // the stored one.
+            let block = base + round % 16 * 256;
+            let (first, word) = match label {
+                "append" => (base + STRANDS + round * 256, 0),
+                "in_cover" => (block, 1 + round / 16 % 3),
+                _ => (block, 0),
             };
             round += 1;
             for s in first..first + 256 {
@@ -179,12 +183,12 @@ fn bench_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("ivtree/batch");
     g.bench_function("treap/reread", |b| reread(b, Treap::with_seed(42)));
     g.bench_function("btreemap/reread", |b| reread(b, FlatStore::new()));
-    for (label, append) in [("in_cover", false), ("append", true)] {
+    for label in ["in_cover", "append", "rewrite"] {
         g.bench_function(&format!("treap/{label}"), |b| {
-            run(b, Treap::with_seed(42), append)
+            run(b, Treap::with_seed(42), label)
         });
         g.bench_function(&format!("btreemap/{label}"), |b| {
-            run(b, FlatStore::new(), append)
+            run(b, FlatStore::new(), label)
         });
     }
     g.finish();

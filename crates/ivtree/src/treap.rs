@@ -1,16 +1,15 @@
 //! The treap of disjoint intervals (paper Section 4, Figures 2–4).
 //!
 //! Nodes live in an arena indexed by `u32` and carry a random priority; the
-//! tree is a BST on interval start and a max-heap on priority. The write
-//! insert and the query are recursive, and a write rebalances on the unwind
-//! (a fresh leaf is rotated up while its priority beats its parent's; a node
-//! whose children changed in the split cases is sifted down). The read insert
-//! probes, acts and repairs (`Treap::read_from`): a read-only descent to the
-//! first stored interval the run overlaps, the recursive case analysis rooted
-//! there, and links re-stored along the recorded path only as far as a
-//! subtree root changed — none when the stored reader stays or is only
-//! replaced. Removals splice nodes out along one spine, which cannot violate
-//! the heap order.
+//! tree is a BST on interval start and a max-heap on priority. The query is
+//! recursive. Both inserts probe, act and repair (`Treap::insert_from`): a
+//! read-only descent to the first stored interval the run overlaps, the
+//! recursive case analysis rooted there, and links re-stored along the
+//! recorded path only as far as a subtree root changed (a fresh leaf is
+//! rotated up while its priority beats its parent's; a node whose children
+//! changed in the split cases is sifted down) — none when a stored reader
+//! stays or is only replaced, or a write meets its own bounds. Removals
+//! splice nodes out along one spine, which cannot violate the heap order.
 //!
 //! When an existing node is trimmed or has its payload replaced in place
 //! (write case D, the "middle piece" of the split cases), it keeps its old
@@ -41,11 +40,14 @@ static OBS_OP_VISITED: stint_obs::Histogram = stint_obs::Histogram::new("ivtree.
 static OBS_BULK_BATCHES: stint_obs::Counter = stint_obs::Counter::new("ivtree.bulk.batches");
 static OBS_BULK_RUNS: stint_obs::Counter = stint_obs::Counter::new("ivtree.bulk.runs");
 static OBS_BULK_BUILT: stint_obs::Counter = stint_obs::Counter::new("ivtree.bulk.built");
-// Read inserts that finished at the probe (stored reader kept, or same bounds:
-// nothing re-linked), and every other read insert.
+// Inserts that finished at the probe (stored reader kept, or same bounds:
+// nothing re-linked), and every other insert, per tree side.
 static OBS_READ_SETTLED: stint_obs::Counter = stint_obs::Counter::new("ivtree.read.settled");
 static OBS_READ_RESTRUCTURED: stint_obs::Counter =
     stint_obs::Counter::new("ivtree.read.restructured");
+static OBS_WRITE_SETTLED: stint_obs::Counter = stint_obs::Counter::new("ivtree.write.settled");
+static OBS_WRITE_RESTRUCTURED: stint_obs::Counter =
+    stint_obs::Counter::new("ivtree.write.restructured");
 static OBS_DEPTH: stint_obs::Histogram = stint_obs::Histogram::new("ivtree.depth");
 
 #[derive(Clone, Debug)]
@@ -106,13 +108,13 @@ pub struct Treap<A> {
     /// (zero while obs is disabled — `Gauge::reconcile` no-ops).
     owned_bytes: u64,
     owned_nodes: u64,
-    /// Scratch of [`Self::read_from`]: the nodes the last read insert passed
-    /// on its way down, top first, each with the largest `end` a run to the
-    /// right of it may have and still turn there as it did: the node's
-    /// `start` where it went left, `u64::MAX` (no node starts there) where it
-    /// went right.
+    /// Scratch of [`Self::insert_from`]: the nodes the last insert's probe
+    /// passed on its way down, top first, each with the largest `end` a run
+    /// to the right of it may have and still turn there as it did: the
+    /// node's `start` where it went left, `u64::MAX` (no node starts there)
+    /// where it went right.
     path: Vec<(u32, u64)>,
-    /// Read inserts that finished at the probe (`ivtree.read.settled`).
+    /// Inserts that finished at the probe (`ivtree.{read,write}.settled`).
     settled: u64,
 }
 
@@ -174,7 +176,7 @@ impl<A: Copy> Treap<A> {
     }
 
     /// Heap bytes currently owned by the arena (node slab + free list) and
-    /// the read probe's path scratch.
+    /// the insert probe's path scratch.
     pub fn heap_bytes(&self) -> u64 {
         (self.nodes.capacity() * std::mem::size_of::<Node<A>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
@@ -471,7 +473,9 @@ impl<A: Copy> Treap<A> {
         }
     }
 
-    /// INSERTWRITEINTERVAL (paper Figure 2).
+    /// INSERTWRITEINTERVAL (paper Figure 2). A run enters where
+    /// [`Self::insert_from`]'s probe stopped; the descent arms carry what is
+    /// left of it past a case-B trim.
     fn iw(&mut self, t: u32, x: Interval<A>, cb: &mut impl FnMut(A, u64, u64)) -> u32 {
         if t == NIL {
             let p = self.next_prio();
@@ -497,13 +501,20 @@ impl<A: Copy> Treap<A> {
         cb(y_who, x.start.max(ys), x.end.min(ye));
         if x.start <= ys && ye <= x.end {
             // Case D: x fully covers y. Flush the remaining overlaps out of
-            // both subtrees, then replace y's payload in place (keeping its
-            // priority): the live nodes stay disjoint even if `cb` unwinds.
-            let nl = self.remove_overlap_left(self.n(t).left, x.start, cb);
-            self.nm(t).left = nl;
-            let nr = self.remove_overlap_right(self.n(t).right, x.end, cb);
+            // each subtree x reaches into (past an edge x shares with y,
+            // nothing can overlap it), then replace y's payload in place
+            // (keeping its priority): the live nodes stay disjoint even if
+            // `cb` unwinds.
+            if x.start < ys {
+                let nl = self.remove_overlap_left(self.n(t).left, x.start, cb);
+                self.nm(t).left = nl;
+            }
+            if ye < x.end {
+                let nr = self.remove_overlap_right(self.n(t).right, x.end, cb);
+                self.nm(t).right = nr;
+            }
             let node = self.nm(t);
-            (node.right, node.start, node.end, node.who) = (nr, x.start, x.end, x.who);
+            (node.start, node.end, node.who) = (x.start, x.end, x.who);
             t
         } else if ys <= x.start && x.end <= ye {
             // Case C: y fully covers x (strictly on at least one side).
@@ -525,7 +536,7 @@ impl<A: Copy> Treap<A> {
 
     /// INSERTREADINTERVAL (paper §4.2, Figure 4). `keep_new(old)` is true
     /// when the new reader is left of the stored reader `old`. A run enters
-    /// where [`Self::read_from`]'s probe stopped; the two descent arms carry
+    /// where [`Self::insert_from`]'s probe stopped; the two descent arms carry
     /// the flanks and trimmed pieces the cases re-insert inside that subtree.
     fn ir(&mut self, t: u32, x: Interval<A>, keep_new: &mut impl FnMut(A) -> bool) -> u32 {
         if t == NIL {
@@ -597,17 +608,24 @@ impl<A: Copy> Treap<A> {
         }
     }
 
-    /// One read insert below `top`: probe, act, repair (DESIGN.md §3, bulk splice). The
-    /// probe descends read-only to the first stored interval overlapping `x`,
-    /// or to the empty slot, starting from what `path` holds of the last
-    /// probe: a run to the right of the last one (the caller clears `path`
-    /// otherwise) turns where that did down to the top-most node the last
-    /// run passed on the left and this one does not. The act is [`Self::ir`]
-    /// rooted where the probe stopped. The repair links and sifts its result
-    /// up `path` only while a subtree root changed — not at all when the
-    /// stored reader stays or only `who` is overwritten — and leaves `path` a
-    /// chain down from `top`. Returns the root that replaces `top`.
-    fn read_from(&mut self, top: u32, x: Interval<A>, keep_new: &mut impl FnMut(A) -> bool) -> u32 {
+    /// One insert below `top`: probe, act, repair (DESIGN.md §3, bulk
+    /// splice). The probe descends read-only to the first stored interval
+    /// overlapping `x`, or to the empty slot, starting from what `path` holds
+    /// of the last probe: a run to the right of the last one (the caller
+    /// clears `path` otherwise) turns where that did down to the top-most
+    /// node the last run passed on the left and this one does not. The act,
+    /// `act(self, stop)`, is the case analysis ([`Self::iw`] or [`Self::ir`])
+    /// rooted where the probe stopped, which allocates at an empty slot. The
+    /// repair links and sifts its result up `path` only while a subtree root
+    /// changed — not at all when a stored reader stays or only `who` is
+    /// overwritten — and leaves `path` a chain down from `top`. Returns the
+    /// root that replaces `top`.
+    fn insert_from(
+        &mut self,
+        top: u32,
+        x: Interval<A>,
+        act: impl FnOnce(&mut Self, u32) -> u32,
+    ) -> u32 {
         debug_assert!(self.path.first().is_none_or(|e| e.0 == top));
         // Where the two descents part; if nowhere, look at the last node again.
         let parts = self.path.iter().position(|e| x.end > e.1);
@@ -629,9 +647,9 @@ impl<A: Copy> Treap<A> {
         self.stats.visited += (self.path.len() - at) as u64;
         let covered = t != NIL && self.n(t).start <= x.start && x.end <= self.n(t).end;
         let len = self.len;
-        let mut new = self.ir(t, x, keep_new);
+        let mut new = act(self, t);
         // An interval covering the run either settles it or is carved, and a
-        // carve allocates.
+        // carve allocates; a write settles only on its own bounds.
         self.settled += (covered && self.len == len) as u64;
         let mut old = t;
         while new != old {
@@ -820,10 +838,17 @@ impl<A: Copy> Treap<A> {
         enabled
     }
 
-    /// Count `runs` finished read inserts, those settled since `settled` as such.
-    fn observe_reads(&self, runs: u64, settled: u64) {
-        OBS_READ_SETTLED.add(self.settled - settled);
-        OBS_READ_RESTRUCTURED.add(runs - (self.settled - settled));
+    /// Count `runs` finished inserts (reads if `read`), those settled since
+    /// `settled` as such.
+    fn observe_settled(&self, read: bool, runs: u64, settled: u64) {
+        let (fast, slow) = if read {
+            (&OBS_READ_SETTLED, &OBS_READ_RESTRUCTURED)
+        } else {
+            (&OBS_WRITE_SETTLED, &OBS_WRITE_RESTRUCTURED)
+        };
+        let n = self.settled - settled;
+        fast.add(n);
+        slow.add(runs - n);
     }
 
     /// One top-level insert of `x`, a read if `read`; `one(self, root)` is
@@ -833,6 +858,7 @@ impl<A: Copy> Treap<A> {
         debug_assert!(x.start < x.end);
         self.stats.ops += 1;
         self.inserts += 1;
+        self.path.clear();
         let (mut seen, settled) = (self.stats.visited, self.settled);
         self.root = if self.misses_cover(x.start, x.end) {
             // Key-compare early-out: nothing stored can overlap `x`, so it
@@ -843,8 +869,8 @@ impl<A: Copy> Treap<A> {
             one(self, self.root)
         };
         self.note_extent(x.start, x.end);
-        if self.observe_insert(&mut seen) && read {
-            self.observe_reads(1, settled);
+        if self.observe_insert(&mut seen) {
+            self.observe_settled(read, 1, settled);
         }
     }
 
@@ -902,9 +928,7 @@ impl<A: Copy> Treap<A> {
             OBS_BULK_BATCHES.incr();
             OBS_BULK_RUNS.add(n);
             OBS_BULK_BUILT.add(if build { n } else { 0 });
-            if read {
-                self.observe_reads(n, settled);
-            }
+            self.observe_settled(read, n, settled);
         }
         true
     }
@@ -963,12 +987,15 @@ impl<A: Copy> Drop for RelinkOnUnwind<'_, A> {
 
 impl<A: Copy> IntervalStore<A> for Treap<A> {
     fn insert_write(&mut self, x: Interval<A>, mut conflict: impl FnMut(A, u64, u64)) {
-        self.insert_one(x, false, |t, root| t.iw(root, x, &mut conflict));
+        self.insert_one(x, false, |t, root| {
+            t.insert_from(root, x, |t, s| t.iw(s, x, &mut conflict))
+        });
     }
 
     fn insert_read(&mut self, x: Interval<A>, mut is_new_left_of: impl FnMut(A) -> bool) {
-        self.path.clear();
-        self.insert_one(x, true, |t, root| t.read_from(root, x, &mut is_new_left_of));
+        self.insert_one(x, true, |t, root| {
+            t.insert_from(root, x, |t, s| t.ir(s, x, &mut is_new_left_of))
+        });
     }
 
     fn query_overlaps(&mut self, lo: u64, hi: u64, mut f: impl FnMut(A, u64, u64)) {
@@ -1000,7 +1027,9 @@ impl<A: Copy> IntervalStore<A> for Treap<A> {
         runs: &[(u64, u64)],
         mut conflict: impl FnMut(A, u64, u64),
     ) {
-        if !self.splice(who, runs, false, |t, m, x| t.iw(m, x, &mut conflict)) {
+        if !self.splice(who, runs, false, |t, m, x| {
+            t.insert_from(m, x, |t, s| t.iw(s, x, &mut conflict))
+        }) {
             for &(lo, hi) in runs {
                 self.insert_write(Interval::new(lo, hi, who), &mut conflict);
             }
@@ -1014,7 +1043,7 @@ impl<A: Copy> IntervalStore<A> for Treap<A> {
         mut is_new_left_of: impl FnMut(A) -> bool,
     ) {
         if !self.splice(who, runs, true, |t, m, x| {
-            t.read_from(m, x, &mut is_new_left_of)
+            t.insert_from(m, x, |t, s| t.ir(s, x, &mut is_new_left_of))
         }) {
             for &(lo, hi) in runs {
                 self.insert_read(Interval::new(lo, hi, who), &mut is_new_left_of);
@@ -1831,6 +1860,137 @@ mod tests {
             crate::normalize(t.to_vec()),
             crate::normalize(flat.to_vec())
         );
+    }
+
+    type Hits = Vec<(u32, u64, u64)>;
+
+    /// The write insert without the probe: the recursive `iw` from the root
+    /// (of the cut's middle, in a splice) once per run.
+    fn recursive_writes(t: &mut Treap<u32>, who: u32, runs: &[(u64, u64)], hits: &mut Hits) {
+        let mut cb = |a, lo, hi| hits.push((a, lo, hi));
+        if !t.splice(who, runs, false, |t, m, x| t.iw(m, x, &mut cb)) {
+            for &(lo, hi) in runs {
+                let x = iv(lo, hi, who);
+                t.insert_one(x, false, |t, root| t.iw(root, x, &mut cb));
+            }
+        }
+    }
+
+    /// A sorted batch of up to `most` runs laid against the stored intervals
+    /// `s`, each run of one kind: a new leaf in a gap, an exact rewrite (case
+    /// D, nothing removed), a carve (case C), a clip of one interval's right
+    /// or left end (case B), or a span from inside one interval to inside
+    /// the third after it (case D with REMOVEOVERLAP on both sides where the
+    /// probe stops on one of the two covered intervals).
+    fn write_batch(
+        s: &[(u64, u64, u32)],
+        most: usize,
+        next: &mut impl FnMut() -> u64,
+    ) -> Vec<(u64, u64)> {
+        let (mut runs, mut i) = (Vec::new(), (next() % 3) as usize);
+        while i + 4 < s.len() && runs.len() < most {
+            let ((a0, a1), (b0, b1), d1) = ((s[i].0, s[i].1), (s[i + 1].0, s[i + 1].1), s[i + 3].1);
+            let kind = next() % 6;
+            let run = match kind {
+                0 => (a1, b0),
+                1 => (a0, a1),
+                2 => (a0 + 1, a1 - 1),
+                3 => (a1 - 1, b0),
+                4 => (a1, b0 + (b1 - b0) / 2),
+                _ => (a0 + 1, d1 - 1),
+            };
+            if run.0 < run.1 {
+                runs.push(run);
+            }
+            i += if kind == 5 { 4 } else { 2 } + (next() % 3) as usize;
+        }
+        runs
+    }
+
+    #[test]
+    fn probed_writes_walk_the_tree_the_recursive_insert_walks() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut probed, mut recursive) = (Treap::with_seed(5), Treap::with_seed(5));
+        let stored: Vec<(u64, u64)> = (0..600).map(|i| (10 * i, 10 * i + 6)).collect();
+        let (mut hp, mut hr) = (Hits::new(), Hits::new());
+        for round in 0..80u32 {
+            if round % 9 == 8 {
+                // A free: one wide run, covering and clipping what it meets.
+                let lo = next() % 6000;
+                let x = iv(lo, lo + 1 + next() % 90, u32::MAX);
+                probed.insert_write(x, |a, lo, hi| hp.push((a, lo, hi)));
+                let mut cb = |a, lo, hi| hr.push((a, lo, hi));
+                recursive.insert_one(x, false, |t, root| t.iw(root, x, &mut cb));
+            } else {
+                let runs = if round == 0 {
+                    stored.clone()
+                } else {
+                    write_batch(&contents(&probed), 1 + (next() % 40) as usize, &mut next)
+                };
+                probed.insert_writes_for(round, &runs, |a, lo, hi| hp.push((a, lo, hi)));
+                recursive_writes(&mut recursive, round, &runs, &mut hr);
+            }
+            probed.check_invariants();
+            assert_eq!(hp, hr, "round {round}: conflict sequence");
+            assert_eq!(shape(&probed), shape(&recursive), "round {round}");
+            assert_eq!(contents(&probed), contents(&recursive), "round {round}");
+            let (p, r) = (probed.stats(), recursive.stats());
+            assert_eq!((p.ops, p.overlaps, p.len_hw), (r.ops, r.overlaps, r.len_hw));
+        }
+        assert!(probed.settled > 0, "no exact rewrite");
+        let (p, r) = (probed.stats().visited, recursive.stats().visited);
+        assert!(p < r, "probed visited {p}, recursive {r}");
+    }
+
+    #[test]
+    fn list_shaped_write_tree_is_rewritten_and_extended() {
+        // `treap-degenerate` priorities, set directly as in the read twin.
+        let mut t: Treap<u32> = Treap::new();
+        (t.degenerate, t.rng) = (true, 0);
+        let mut flat = crate::FlatStore::new();
+        let (mut ht, mut hf) = (Hits::new(), Hits::new());
+        let table: Vec<(u64, u64)> = (0..2000).map(|i| (10 + 2 * i, 11 + 2 * i)).collect();
+        t.insert_writes_for(1, &table, |_, _, _| panic!("first touches"));
+        flat.insert_writes_for(1, &table, |_, _, _| panic!("first touches"));
+        assert_eq!(t.height(), t.len());
+        // Per-run rewrite of the deepest word: every other node is on the
+        // path, and the write settles there.
+        for who in [2, 3] {
+            t.insert_write(iv(10, 11, who), |a, lo, hi| ht.push((a, lo, hi)));
+            flat.insert_write(iv(10, 11, who), |a, lo, hi| hf.push((a, lo, hi)));
+            assert_eq!(t.path.len(), t.len() - 1);
+        }
+        assert_eq!(t.settled, 2);
+        assert_eq!(
+            t.heap_bytes() as usize,
+            t.nodes.capacity() * 32 + t.free.capacity() * 4 + t.path.capacity() * 16
+        );
+        // A batch rewrites the deep end, extends it below and between, runs
+        // one word into the gap past a stored one, and buries the list's top
+        // two words under one run.
+        let runs = [(4, 5), (10, 11), (11, 12), (12, 13), (14, 16), (4006, 4012)];
+        t.insert_writes_for(4, &runs, |a, lo, hi| ht.push((a, lo, hi)));
+        flat.insert_writes_for(4, &runs, |a, lo, hi| hf.push((a, lo, hi)));
+        t.check_invariants();
+        let same = |t: &Treap<u32>, flat: &crate::FlatStore<u32>| {
+            crate::normalize(t.to_vec()) == crate::normalize(flat.to_vec())
+        };
+        assert!(same(&t, &flat));
+        assert_eq!(t.len(), 2000 + 2 - 1);
+        // ...and the list is written again from its far end.
+        t.insert_writes_for(5, &table[1990..], |a, lo, hi| ht.push((a, lo, hi)));
+        flat.insert_writes_for(5, &table[1990..], |a, lo, hi| hf.push((a, lo, hi)));
+        t.check_invariants();
+        assert!(same(&t, &flat));
+        ht.sort_unstable();
+        hf.sort_unstable();
+        assert_eq!(ht, hf);
     }
 
     #[test]

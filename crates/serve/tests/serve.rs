@@ -127,39 +127,53 @@ fn shadow_budget_degrades_the_session() {
     engine.drain();
 }
 
+/// The queue cap at cap − 1, cap and cap + 1: with the one worker held by a
+/// stalled session, exactly `queue_depth` submissions are admitted and every
+/// later one bounces at once with Busy instead of growing the queue.
 #[test]
 fn backpressure_answers_busy_with_retry_hint() {
+    const DEPTH: usize = 3;
     let _g = lock();
     let engine = Engine::new(EngineConfig {
         session_workers: 1,
-        queue_depth: 1,
+        queue_depth: DEPTH,
         pool_workers: 1,
         retry_after_ms: 7,
         ..EngineConfig::default()
     });
     let (tx, rx) = mpsc::channel();
-    // One slow session occupies the worker, one fills the queue; the rest
-    // must bounce immediately with Busy instead of growing the queue.
-    engine.try_submit("stall-ms=300".into(), clean_v1(), tx.clone());
+    let trace = clean_v1();
+    engine.try_submit("stall-ms=500".into(), trace.clone(), tx.clone());
+    let t0 = std::time::Instant::now();
+    while engine.queue_len() > 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "never dequeued");
+        std::thread::yield_now();
+    }
+    for queued in 1..=DEPTH {
+        engine.try_submit(String::new(), trace.clone(), tx.clone());
+        assert_eq!(engine.queue_len(), queued);
+        assert!(rx.try_recv().is_err(), "submission {queued} answered");
+    }
     let mut busy = 0u64;
-    for _ in 0..8 {
-        engine.try_submit(String::new(), clean_v1(), tx.clone());
+    for _ in 0..5 {
+        let id = engine.try_submit(String::new(), trace.clone(), tx.clone());
+        let resp = rx.try_recv().expect("a full queue answers at once");
+        assert_eq!((resp.session, resp.status), (id, Status::Busy));
+        assert!(
+            resp.payload.contains("retry-after-ms: 7"),
+            "payload: {}",
+            resp.payload
+        );
+        assert_eq!(engine.queue_len(), DEPTH);
+        busy += 1;
     }
     drop(tx);
     let mut done = 0;
     while let Ok(resp) = rx.recv_timeout(Duration::from_secs(60)) {
-        if resp.status == Status::Busy {
-            busy += 1;
-            assert!(
-                resp.payload.contains("retry-after-ms: 7"),
-                "payload: {}",
-                resp.payload
-            );
-        }
+        assert_eq!(resp.status, Status::Ok, "payload: {}", resp.payload);
         done += 1;
     }
-    assert_eq!(done, 9, "every submission is answered");
-    assert!(busy >= 6, "expected most submissions to bounce, got {busy}");
+    assert_eq!(done, 1 + DEPTH, "every admitted session is answered");
     assert_eq!(engine.totals().busy, busy);
     engine.drain();
 }

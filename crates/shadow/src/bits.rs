@@ -547,6 +547,33 @@ mod tests {
         assert_eq!(b.chunks_allocated(), 1);
     }
 
+    /// The chunk cap at cap − 1, cap and cap + 1 chunks touched: only the
+    /// chunk past the cap is dropped and recorded.
+    #[test]
+    fn chunk_cap_holds_at_its_boundary() {
+        let chunk = 1u64 << (GROUPS_PER_CHUNK_BITS + 6);
+        for touched in 2..=4u64 {
+            let mut b = BitShadow::new();
+            b.set_chunk_cap(3);
+            for c in 0..touched {
+                b.set_range(c * chunk + 1, c * chunk + 2);
+            }
+            let kept = touched.min(3);
+            match b.exhausted() {
+                None => assert!(touched <= 3),
+                Some(DetectorError::ResourceExhausted {
+                    resource: Resource::ShadowPages,
+                    limit: 3,
+                    at_word: Some(at),
+                }) => assert_eq!((touched, at), (4, 3 * chunk)),
+                Some(other) => panic!("unexpected error {other:?}"),
+            }
+            let want: Vec<WordIv> = (0..kept).map(|c| (c * chunk + 1, c * chunk + 2)).collect();
+            assert_eq!(extract(&mut b), want);
+            assert_eq!(b.chunks_allocated() as u64, kept);
+        }
+    }
+
     #[test]
     fn run_across_chunk_boundary() {
         let mut b = BitShadow::new();

@@ -42,7 +42,9 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     // minimum batch length and take the per-run path. Every run is one
     // `ivtree.inserts`, whichever way it went. The three reads carve, fill a
     // gap and miss the cover; a second reader's five-run batch then finds
-    // its own bounds stored five times and re-links nothing.
+    // its own bounds stored five times and re-links nothing. None of the
+    // eleven writes meets its own bounds; a third writer then rewrites five
+    // stored intervals exactly and buries one more.
     {
         use stint_repro::{IntervalStore, Treap};
         let read = |name: &str| counter(&obs::metrics_json(), name).unwrap_or(0);
@@ -53,6 +55,8 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
             "ivtree.inserts",
             "ivtree.read.settled",
             "ivtree.read.restructured",
+            "ivtree.write.settled",
+            "ivtree.write.restructured",
         ];
         let before = names.map(read);
         let mut t: Treap<u32> = Treap::new();
@@ -65,7 +69,12 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         t.insert_reads_for(4, &again, |old| old == 3);
         let after = names.map(read);
         let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        assert_eq!(delta, [3, 16, 6, 19, 5, 3], "{names:?}");
+        assert_eq!(delta, [3, 16, 6, 19, 5, 3, 0, 11], "{names:?}");
+        let rewrite = [(0, 1), (1, 2), (5, 6), (10, 11), (11, 13), (20, 22)];
+        t.insert_writes_for(5, &rewrite, |_, _, _| {});
+        let [settled, restructured] =
+            ["ivtree.write.settled", "ivtree.write.restructured"].map(read);
+        assert_eq!([settled - after[6], restructured - after[7]], [5, 1]);
     }
 
     // cilkrt: fork-join on a real pool. A join landing before any worker
@@ -221,6 +230,8 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         "ivtree.bulk.built",
         "ivtree.read.settled",
         "ivtree.read.restructured",
+        "ivtree.write.settled",
+        "ivtree.write.restructured",
         "shadow.page_allocs",
         "shadow.filter_elisions",
         "cilkrt.workers_spawned",
