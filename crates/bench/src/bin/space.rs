@@ -26,17 +26,10 @@
 //! `--out PATH` (default `BENCH_space.json`). Any Lemma violation is a hard
 //! failure (exit 1) — `scripts/perfgate.sh` regenerates this file and stops
 //! on that exit.
-//!
-//! Build with `--features obs-alloc` to also record the counting-allocator
-//! watermark (`alloc_hw`) as process-level ground truth.
 
 use stint::{Config, IntervalStore, Outcome, Variant};
 use stint_bench::*;
 use stint_suite::{Scale, Workload, NAMES};
-
-#[cfg(feature = "obs-alloc")]
-#[global_allocator]
-static ALLOC: stint::obs::alloc_track::CountingAlloc = stint::obs::alloc_track::CountingAlloc;
 
 /// Unlike the timing figures, the space table also includes the B-tree
 /// interval store (`stint-btree`): its `bytes` column is the paper's "what
@@ -92,7 +85,6 @@ struct Row {
     outcome: Outcome,
     shadow_hw: u64,
     peak_bytes: u64,
-    alloc_hw: u64,
 }
 
 impl Row {
@@ -146,17 +138,12 @@ fn run_cell(name: &'static str, scale: Scale, v: Variant) -> Row {
             shadow_hw += hw;
         }
     }
-    #[cfg(feature = "obs-alloc")]
-    let alloc_hw = stint::obs::alloc_track::high_water_bytes();
-    #[cfg(not(feature = "obs-alloc"))]
-    let alloc_hw = 0u64;
     Row {
         bench: name,
         variant: v,
         outcome: o,
         shadow_hw,
         peak_bytes,
-        alloc_hw,
     }
 }
 
@@ -199,7 +186,6 @@ fn write_json(
     j.begin_object();
     j.key("schema").str("stint-space-v1");
     j.key("scale").str(scale_name(scale));
-    j.key("obs_alloc").bool(cfg!(feature = "obs-alloc"));
     j.key("rows").begin_array();
     for r in rows {
         let s = &r.outcome.stats;
@@ -210,7 +196,6 @@ fn write_json(
         j.key("coalesce_bytes").u64(s.coalesce_bytes);
         j.key("shadow_hw_bytes").u64(r.shadow_hw);
         j.key("peak_gauge_bytes").u64(r.peak_bytes);
-        j.key("alloc_hw_bytes").u64(r.alloc_hw);
         j.key("treap_inserts").u64(s.treap_inserts);
         j.key("treap_len_hw").u64(s.treap_len_hw);
         j.key("lemma_bound").u64(r.lemma_bound());

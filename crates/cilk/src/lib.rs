@@ -239,12 +239,6 @@ where
         }
     }
 
-    /// The strand currently executing.
-    #[inline]
-    pub fn current_strand(&self) -> StrandId {
-        self.cur
-    }
-
     /// Execute a whole program: runs it, performs the root function's
     /// implicit sync and delivers the final flush to the detector.
     pub fn execute<P: CilkProgram>(&mut self, p: &mut P) {

@@ -116,27 +116,6 @@ impl<F: FnOnce() -> R + Send, R: Send> StackJob<F, R> {
     }
 }
 
-/// A heap job used for external (non-worker) submissions.
-struct HeapJob<F: FnOnce() + Send> {
-    f: F,
-}
-
-impl<F: FnOnce() + Send> HeapJob<F> {
-    fn into_job_ref(self: Box<Self>) -> JobRef {
-        OBS_JOB_BYTES.add(std::mem::size_of::<Self>() as u64);
-        JobRef {
-            ptr: Box::into_raw(self) as *mut (),
-            exec: Self::execute,
-        }
-    }
-
-    unsafe fn execute(ptr: *mut ()) {
-        let this = Box::from_raw(ptr as *mut Self);
-        OBS_JOB_BYTES.sub(std::mem::size_of::<Self>() as u64);
-        (this.f)();
-    }
-}
-
 struct Shared {
     injector: Injector<JobRef>,
     stealers: Vec<Stealer<JobRef>>,
@@ -177,9 +156,6 @@ static OBS_JOBS_INJECTED: stint_obs::Counter = stint_obs::Counter::new("cilkrt.j
 static OBS_INSTALL_PARKS: stint_obs::Counter = stint_obs::Counter::new("cilkrt.install_parks");
 static OBS_WORKERS_SPAWNED: stint_obs::Counter = stint_obs::Counter::new("cilkrt.workers_spawned");
 static OBS_DEGRADATIONS: stint_obs::Counter = stint_obs::Counter::new("cilkrt.degradations");
-/// Live heap bytes held by injected [`HeapJob`]s (added at boxing, returned
-/// when the job executes and its box is reclaimed).
-static OBS_JOB_BYTES: stint_obs::Gauge = stint_obs::Gauge::new("cilkrt.job_bytes");
 /// Fixed footprint of live pools: shared state, stealer table and join
 /// handles (the deques' ring buffers are owned by worker threads and not
 /// visible here — this gauge is the pool-side estimate).
@@ -343,14 +319,6 @@ impl ThreadPool {
         OBS_POOL_BYTES.reconcile(&mut self.owned_bytes, bytes);
     }
 
-    /// Pool with one worker per available hardware thread.
-    pub fn with_default_parallelism() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::new(n)
-    }
-
     /// Number of workers.
     pub fn threads(&self) -> usize {
         self.handles.len()
@@ -445,16 +413,6 @@ impl ThreadPool {
         } else {
             self.install(move || join_inner(a, b))
         }
-    }
-
-    /// Fire-and-forget: run `f` on some worker at some point. There is no
-    /// join handle; use [`ThreadPool::join`]/[`ThreadPool::install`] for
-    /// structured parallelism.
-    pub fn spawn_detached(&self, f: impl FnOnce() + Send + 'static) {
-        let job = Box::new(HeapJob { f });
-        OBS_JOBS_INJECTED.incr();
-        self.shared.injector.push(job.into_job_ref());
-        self.shared.notify();
     }
 
     /// Apply `f` to disjoint chunks of `data` of at most `chunk` elements in
@@ -791,19 +749,6 @@ mod tests {
         assert!(result.is_err());
         // Pool survives and stays usable.
         assert_eq!(pool.install(|| 7), 7);
-    }
-
-    #[test]
-    fn spawn_detached_runs() {
-        let pool = ThreadPool::new(2);
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        pool.spawn_detached(move || f2.store(true, Ordering::Release));
-        let t0 = std::time::Instant::now();
-        while !flag.load(Ordering::Acquire) {
-            assert!(t0.elapsed().as_secs() < 5, "detached job never ran");
-            std::thread::yield_now();
-        }
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl JournalWriter {
         self.records
     }
 
-    /// Why this writer stopped appending, if an injected tail fault fired.
-    pub fn dead_reason(&self) -> Option<&str> {
-        self.dead.as_deref()
-    }
-
     /// Append one record: `[varint len][varint fnv1a][payload]`, then
     /// flush (and fsync per policy). Applies the `serve-journal-*` fault
     /// knobs; after an injected `trunc`/`flip` the writer goes dead and

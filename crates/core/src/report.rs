@@ -182,11 +182,6 @@ impl RaceReport {
         }
     }
 
-    /// True if witness capture is on.
-    pub fn witness_capture(&self) -> bool {
-        self.prov.is_some()
-    }
-
     /// The capture state, when enabled (event sequence + strand spans).
     pub fn provenance(&self) -> Option<&Provenance> {
         self.prov.as_deref()

@@ -263,7 +263,6 @@ pub struct SessionJournal {
     epoch: Instant,
     path: Option<PathBuf>,
     recovered: ReplaySummary,
-    fsync: FsyncPolicy,
 }
 
 impl SessionJournal {
@@ -299,20 +298,6 @@ impl SessionJournal {
             epoch: Instant::now(),
             path: Some(path.to_path_buf()),
             recovered,
-            fsync,
-        })
-    }
-
-    /// Journal into an in-memory (or any custom) sink — tests.
-    pub fn from_sink(sink: Box<dyn stint::journal::JournalSink>) -> io::Result<SessionJournal> {
-        let writer = JournalWriter::create(sink, FsyncPolicy::Off)?;
-        Ok(SessionJournal {
-            writer: Mutex::new(writer),
-            seq: AtomicU64::new(0),
-            epoch: Instant::now(),
-            path: None,
-            recovered: ReplaySummary::default(),
-            fsync: FsyncPolicy::Off,
         })
     }
 
@@ -323,10 +308,6 @@ impl SessionJournal {
 
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
-    }
-
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        self.fsync
     }
 
     /// Append one lifecycle event. Journal I/O failure never fails the

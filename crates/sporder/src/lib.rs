@@ -416,16 +416,6 @@ impl SpOrder {
             parents: Some(self.parents.clone()),
         }
     }
-
-    /// Statistics about the underlying OM lists (for benchmarks).
-    pub fn om_stats(&self) -> OmStats {
-        OmStats {
-            english_relabels: self.eng.relabels(),
-            hebrew_relabels: self.heb.relabels(),
-            english_moved: self.eng.relabel_moved(),
-            hebrew_moved: self.heb.relabel_moved(),
-        }
-    }
 }
 
 /// A reachability snapshot: each strand's rank in the English and Hebrew
@@ -552,15 +542,6 @@ impl Reachability for FrozenReach {
         let p = self.parents.as_ref()?[s.index()];
         (p != NO_PARENT).then_some(StrandId(p))
     }
-}
-
-/// Relabelling statistics of the two OM lists.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OmStats {
-    pub english_relabels: u64,
-    pub hebrew_relabels: u64,
-    pub english_moved: u64,
-    pub hebrew_moved: u64,
 }
 
 #[cfg(test)]
