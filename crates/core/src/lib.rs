@@ -194,8 +194,6 @@ pub struct Config {
     /// Reachability substrate (default: SP-Order; DePa only for the
     /// benchmark's online baseline, see [`ReachKind`]).
     pub reach: ReachKind,
-    /// Cap on detailed race records kept.
-    pub race_cap: usize,
     /// Maintain the exact racy-word set (cheap for race-free programs; can
     /// be large for heavily racy ones).
     pub collect_racy_words: bool,
@@ -211,7 +209,6 @@ impl Config {
         Config {
             variant,
             reach: ReachKind::SpOrder,
-            race_cap: 10_000,
             collect_racy_words: true,
             budget: ResourceBudget::UNLIMITED,
             witnesses: false,
@@ -254,7 +251,7 @@ pub fn detect_with<P: CilkProgram>(p: &mut P, cfg: Config) -> Outcome {
 /// detector is generic over [`Reachability`], so the substrate threads
 /// through unchanged.
 fn detect_in<P: CilkProgram, R: ReachMaint>(p: &mut P, cfg: Config) -> Outcome {
-    let mut report = RaceReport::new(cfg.race_cap, cfg.collect_racy_words);
+    let mut report = RaceReport::new(report::RACE_CAP, cfg.collect_racy_words);
     report.set_witness_capture(cfg.witnesses);
     match cfg.variant {
         Variant::Vanilla => {

@@ -144,9 +144,13 @@ pub struct RaceReport {
     prov: Option<Box<Provenance>>,
 }
 
+/// Detailed race records a report keeps unless told otherwise; the total
+/// and the racy words are complete past it.
+pub(crate) const RACE_CAP: usize = 10_000;
+
 impl Default for RaceReport {
     fn default() -> Self {
-        Self::new(10_000, true)
+        Self::new(RACE_CAP, true)
     }
 }
 

@@ -11,9 +11,8 @@
 //!   by 64, an unbiased estimate when flush cost is stationary;
 //! * `off` — never read the clock; `ah_time` stays zero.
 //!
-//! The mode comes from the `STINT_AH_TIMING` environment variable, read once,
-//! or from [`set_mode`] if a binary calls it before the first detector runs
-//! (figure-7 style runs force `full`).
+//! The mode is `sampled` unless a binary calls [`set_mode`] before the first
+//! detector runs (figure-7 style runs force `full`, the benchmark `off`).
 //!
 //! The mode is a **latch**: whichever of [`mode`] and [`set_mode`] runs first
 //! fixes the mode for the rest of the process, and later [`set_mode`] calls
@@ -38,23 +37,18 @@ static MODE: OnceLock<TimingMode> = OnceLock::new();
 /// Sampled flushes are scaled by this factor (must be a power of two).
 pub const SAMPLE_PERIOD: u32 = 64;
 
-/// The process-wide timing mode. First call latches it (env var
-/// `STINT_AH_TIMING` = `off` | `sampled` | `full`, default `sampled`).
+/// The process-wide timing mode. First call latches it (default `sampled`).
 pub fn mode() -> TimingMode {
-    *MODE.get_or_init(|| match std::env::var("STINT_AH_TIMING").as_deref() {
-        Ok("off") => TimingMode::Off,
-        Ok("full") => TimingMode::Full,
-        _ => TimingMode::Sampled,
-    })
+    *MODE.get_or_init(|| TimingMode::Sampled)
 }
 
-/// Force the timing mode, overriding the environment, and return the mode
-/// actually in effect. If the mode was already latched (by an earlier
-/// [`mode`] or `set_mode` call) the request is ignored and the latched mode
-/// is returned — callers that need `m` specifically must compare the return
-/// value rather than assume the override took. A lost override is surfaced
-/// on the observability stream (`timing.set_mode_lost`) so silent mixed-mode
-/// measurements are diagnosable.
+/// Force the timing mode and return the mode actually in effect. If the
+/// mode was already latched (by an earlier [`mode`] or `set_mode` call) the
+/// request is ignored and the latched mode is returned — callers that need
+/// `m` specifically must compare the return value rather than assume the
+/// override took. A lost override is surfaced on the observability stream
+/// (`timing.set_mode_lost`) so silent mixed-mode measurements are
+/// diagnosable.
 pub fn set_mode(m: TimingMode) -> TimingMode {
     if MODE.set(m).is_err() {
         let latched = mode();

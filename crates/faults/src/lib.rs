@@ -276,6 +276,7 @@ impl FaultPlan {
                     .parse::<u64>()
                     .map_err(|_| err("value must be a non-negative integer".into()))
             };
+            let index = |k: &str| u32::try_from(num(k)?).map_err(|_| err("above u32::MAX".into()));
             match key {
                 "seed" => plan.seed = num("seed")?,
                 "om-tags" => {
@@ -295,10 +296,8 @@ impl FaultPlan {
                 "shadow-pages" => plan.shadow_page_cap = Some(num("shadow-pages")?),
                 "shadow-oom-at" => plan.shadow_oom_at = Some(num("shadow-oom-at")?),
                 "treap-degenerate" => plan.treap_degenerate = true,
-                "worker-spawn-fail" => {
-                    plan.worker_spawn_fail_from = Some(num("worker-spawn-fail")? as u32)
-                }
-                "worker-panic" => plan.worker_panic_from = Some(num("worker-panic")? as u32),
+                "worker-spawn-fail" => plan.worker_spawn_fail_from = Some(index(key)?),
+                "worker-panic" => plan.worker_panic_from = Some(index(key)?),
                 "panic-at-flush" => plan.panic_at_flush = Some(num("panic-at-flush")?),
                 "serve-panic-session" => {
                     let n = num("serve-panic-session")?;
@@ -563,6 +562,13 @@ mod tests {
         assert!(FaultPlan::parse("serve-panic-session=0").is_err());
         assert!(FaultPlan::parse("serve-journal-kill=0").is_err());
         assert!(FaultPlan::parse("serve-journal-flip=never").is_err());
+        for key in ["worker-spawn-fail", "worker-panic"] {
+            let max = FaultPlan::parse(&format!("{key}=4294967295")).unwrap();
+            let from = max.worker_spawn_fail_from.or(max.worker_panic_from);
+            assert_eq!(from, Some(u32::MAX), "{key}");
+            let e = FaultPlan::parse(&format!("{key}=4294967296")).expect_err(key);
+            assert_eq!(e.token, format!("{key}=4294967296"));
+        }
         assert!(!FaultPlan::parse("").unwrap().injects_anything());
         assert!(!FaultPlan::parse("seed=9").unwrap().injects_anything());
     }

@@ -22,8 +22,8 @@
 //!
 //! Spans are one of two clock gates in the workspace. The other is
 //! `stint::timing`: its `FlushTimer` times access-history flushes for the
-//! `ah_time` column under its own mode (`STINT_AH_TIMING`), latched once per
-//! process. `ah_time` is a result the figures report, so it must be
+//! `ah_time` column under its own mode (`stint::timing::set_mode`), latched
+//! once per process. `ah_time` is a result the figures report, so it must be
 //! measurable with observability off, and a detector must not change how it
 //! times itself when observability is enabled or disabled mid-run.
 //!

@@ -169,8 +169,10 @@ struct PathArena {
     spine: [OnceLock<Brick>; 32],
 }
 
-/// Brick index and offset for slot `i`: brick `b` holds slots
-/// `[2^b - 1, 2^(b+1) - 1)`.
+/// Slots of the 32-brick spine: brick `b` holds `[2^b - 1, 2^(b+1) - 1)`.
+const SLOTS: usize = (1 << 32) - 1;
+
+/// Brick index and offset for slot `i`.
 #[inline]
 fn locate(i: usize) -> (usize, usize) {
     let k = i + 1;
@@ -187,12 +189,8 @@ impl PathArena {
         if self.spine[b].get().is_none() {
             added += ((1usize << b) * std::mem::size_of::<OnceLock<Box<[u64]>>>()) as u64;
         }
-        let brick = self.spine[b].get_or_init(|| {
-            (0..1usize << b)
-                .map(|_| OnceLock::new())
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        });
+        let brick =
+            self.spine[b].get_or_init(|| (0..1usize << b).map(|_| OnceLock::new()).collect());
         brick[off]
             .set(path)
             .expect("arena slot is published exactly once");
@@ -312,7 +310,7 @@ impl DePaReach {
 
     fn push(&mut self, path: Box<[u64]>, parent: u32) -> StrandId {
         let id = self.parents.len();
-        assert!(id < u32::MAX as usize, "strand count exceeds u32");
+        assert!(id < SLOTS, "strand count exceeds the arena");
         OBS_TIMESTAMPS.incr();
         self.bytes += self.arena.publish(id, path);
         self.parents.push(parent);
@@ -548,6 +546,21 @@ impl ReachMaint for DePaReach {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The spine's cap at cap−1 / cap / cap+1: `u32::MAX − 2` and
+    /// `u32::MAX − 1` land in the last brick, the latter in its last slot;
+    /// `u32::MAX`, the first id `push` refuses, would need one more brick.
+    #[test]
+    fn path_arena_cap_is_its_spine() {
+        let arena = PathArena {
+            spine: std::array::from_fn(|_| OnceLock::new()),
+        };
+        let last = arena.spine.len() - 1;
+        assert_eq!(SLOTS, u32::MAX as usize);
+        assert_eq!(locate(SLOTS - 2), (last, (1 << last) - 2));
+        assert_eq!(locate(SLOTS - 1), (last, (1 << last) - 1));
+        assert_eq!(locate(SLOTS).0, arena.spine.len());
+    }
 
     /// Tiny executor mirroring the full maintenance protocol including call
     /// frames (the real executor lives in `stint-cilk`).
