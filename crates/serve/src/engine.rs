@@ -512,7 +512,11 @@ impl Engine {
     /// the workers. Idempotent — later calls (and calls racing from several
     /// transport threads) join nothing and return immediately.
     pub fn drain(&self) {
+        // Set under the queue lock: a worker between its empty-queue check
+        // and its wait would otherwise miss the wake-up and never exit.
+        let q = self.shared.queue.lock().expect("queue mutex poisoned");
         let first = !self.shared.draining.swap(true, Ordering::AcqRel);
+        drop(q);
         self.shared.cond.notify_all();
         let workers = std::mem::take(&mut *self.workers.lock().expect("workers mutex poisoned"));
         for h in workers {
@@ -521,12 +525,8 @@ impl Engine {
         if first {
             // One drain record after the queue has emptied: the journal's
             // last word is "everything admitted was answered".
-            self.shared.journal_log(
-                0,
-                EV_DRAINED,
-                0,
-                self.shared.totals.sessions.load(Ordering::Relaxed),
-            );
+            let sessions = self.shared.totals.sessions.load(Ordering::Relaxed);
+            self.shared.journal_log(0, EV_DRAINED, 0, sessions);
         }
     }
 }

@@ -376,6 +376,28 @@ fn draining_engine_answers_bye() {
     assert_eq!(resp.status, Status::Bye);
 }
 
+/// A drain racing the session workers' start-up still joins them all: a
+/// worker between its empty-queue check and its wait must not miss the
+/// drain's wake-up and sleep forever.
+#[test]
+fn drain_racing_worker_startup_joins_every_worker() {
+    let _g = lock();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..2000 {
+            let cfg = EngineConfig {
+                session_workers: 4,
+                pool_workers: 1,
+                ..EngineConfig::default()
+            };
+            Engine::new(cfg).drain();
+        }
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("a drain never returned");
+}
+
 /// `Write` sink shareable with the writer thread.
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
