@@ -16,6 +16,9 @@
 //! Exit codes: 0 = no races, 1 = races found, 2 = usage/IO error,
 //! 3 = detector resource budget exhausted (report sound up to the failure
 //! point), 4 = internal detector failure or corrupt trace file.
+//! Every command keeps them: a sequential run, live or over a recorded
+//! trace, goes through core's one variant dispatch ([`try_detect_with`],
+//! [`try_replay_with`]); `grid` catches its own detector's panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::fs::File;
@@ -23,8 +26,8 @@ use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use stint::report_card::Card;
 use stint::{
-    try_detect_with, CompRtsDetector, Config, DetectorError, Outcome, PortableTrace, RaceReport,
-    StintDetector, StintFlatDetector, VanillaDetector, Variant, WitnessChecker,
+    try_detect_with, try_replay_with, Config, DetectorError, Outcome, PortableTrace, RaceReport,
+    Variant, WitnessChecker,
 };
 use stint_suite::{Scale, Workload, BUGGY_NAMES, NAMES};
 
@@ -64,6 +67,13 @@ impl std::fmt::Display for Failure {
 
 fn usage<E: std::fmt::Display>(e: E) -> Failure {
     Failure::Usage(e.to_string())
+}
+
+/// A run's result once its report is printed: whether it found races, or
+/// the failure that degraded it — the report is then sound but incomplete,
+/// and the exit is 3 (or 4), never a clean verdict.
+fn verdict(races: bool, degraded: Option<DetectorError>) -> Result<bool, Failure> {
+    degraded.map_or(Ok(races), |e| Err(Failure::Detector(e)))
 }
 
 fn main() -> ExitCode {
@@ -142,13 +152,7 @@ fn main() -> ExitCode {
     // counters are exactly what an operator wants to look at.
     let export = write_obs_outputs(&opts);
     match (result, export) {
-        (Ok(races_found), Ok(())) => {
-            if races_found {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
+        (Ok(races_found), Ok(())) => ExitCode::from(u8::from(races_found)),
         (Ok(_), Err(e)) => {
             eprintln!("error: {e}");
             ExitCode::from(2)
@@ -197,14 +201,19 @@ fn write_obs_outputs(opts: &RunOpts) -> Result<(), String> {
     Ok(())
 }
 
-/// `--report-json`: the run(s) as a `stint-report-v1` card.
-fn write_report(
-    path: &str,
+/// A printed run's end: its `--report-json` card (a `stint-report-v1`), if
+/// asked for, then its [`verdict`].
+fn finish(
+    opts: &RunOpts,
     source: &str,
     command: &str,
     runs: &[(String, &RaceReport)],
-) -> Result<(), Failure> {
-    out_writer(path, |w| Card::new(source, command, runs).write(w)).map_err(usage)
+    degraded: Option<DetectorError>,
+) -> Result<bool, Failure> {
+    if let Some(path) = &opts.report_json {
+        out_writer(path, |w| Card::new(source, command, runs).write(w)).map_err(usage)?;
+    }
+    verdict(runs.iter().any(|(_, r)| !r.is_race_free()), degraded)
 }
 
 /// Returns whether races were found (drives the exit code, like a linter).
@@ -235,12 +244,7 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             let outcomes = match o.variant {
                 VariantSel::Batch => return detect_batch(&bench, &o, opts),
                 VariantSel::One(v) => {
-                    cfg.variant = v;
-                    let mut w = Workload::by_name(&bench, o.scale);
-                    let outcome = try_detect_with(&mut w, cfg).map_err(Failure::Detector)?;
-                    w.verify()
-                        .map_err(|e| usage(format!("output verification: {e}")))?;
-                    vec![outcome]
+                    vec![detect_one(&bench, o.scale, Config { variant: v, ..cfg })?]
                 }
                 VariantSel::All => detect_all(&bench, o.scale, cfg)?,
             };
@@ -267,40 +271,24 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             if let Some(path) = &opts.stats_json {
                 out_writer(path, |w| write_stats_json(w, &bench, &outcomes)).map_err(usage)?;
             }
-            if let Some(path) = &opts.report_json {
-                let runs: Vec<(String, &RaceReport)> = outcomes
-                    .iter()
-                    .map(|o| (o.variant.name().to_string(), &o.report))
-                    .collect();
-                write_report(path, &bench, "detect", &runs)?;
-            }
-            if let Some(err) = outcomes.iter().find_map(|o| o.degraded.clone()) {
-                // The report above is sound but incomplete: surface the
-                // failure and exit 3 rather than claiming a clean verdict.
-                return Err(Failure::Detector(err));
-            }
-            Ok(outcomes.iter().any(|o| !o.report.is_race_free()))
+            let runs: Vec<(String, &RaceReport)> = outcomes
+                .iter()
+                .map(|o| (o.variant.name().to_string(), &o.report))
+                .collect();
+            let degraded = outcomes.iter().find_map(|o| o.degraded.clone());
+            finish(opts, &bench, "detect", &runs, degraded)
         }
         Parsed::Bugs => {
-            use stint_suite::buggy::*;
-            let mut any = false;
-            println!("Running the seeded-bug variants under STINT:\n");
-            let o = stint::detect(&mut MmulMissingSync::new(16, 4, 7), Variant::Stint);
-            println!("mmul with missing phase sync:");
-            print_report(&o.report, 3);
-            any |= !o.report.is_race_free();
-            let o = stint::detect(
-                &mut HeatMissingBarrier::new(16, 16, 3, 4, 7),
-                Variant::Stint,
-            );
-            println!("\nheat with missing timestep barrier:");
-            print_report(&o.report, 3);
-            any |= !o.report.is_race_free();
-            let o = stint::detect(&mut OverlappingMerge::new(64, 4, 7), Variant::Stint);
-            println!("\nmergesort with overlapping output ranges:");
-            print_report(&o.report, 3);
-            any |= !o.report.is_race_free();
-            Ok(any)
+            println!("Running the seeded-bug variants under STINT:");
+            let (mut any, mut degraded) = (false, None);
+            for name in BUGGY_NAMES {
+                let o = detect_one(name, Scale::Test, Config::new(Variant::Stint))?;
+                println!("\n{}:", bug_label(name));
+                print_report(&o.report, 3);
+                any |= !o.report.is_race_free();
+                degraded = degraded.or(o.degraded);
+            }
+            verdict(any, degraded)
         }
         Parsed::TraceRecord {
             bench,
@@ -377,45 +365,18 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
                 }
                 let report = out.merged.to_report();
                 print_report(&report, 10);
-                if let Some(path) = &opts.report_json {
-                    write_report(path, &file, "replay", &[("BATCH".into(), &report)])?;
-                }
-                if let Some(err) = out.degraded {
-                    return Err(Failure::Detector(err));
-                }
-                Ok(!report.is_race_free())
+                let runs = [("BATCH".into(), &report)];
+                finish(opts, &file, "replay", &runs, out.degraded)
             }
             VariantSel::One(variant) => {
                 let pt = read_trace(&file)?;
-                let report = RaceReport::default();
-                let report = match variant {
-                    Variant::Vanilla => {
-                        pt.replay(VanillaDetector::new(false, report).with_witnesses(o.witness))
-                            .report
-                    }
-                    Variant::Compiler => {
-                        pt.replay(VanillaDetector::new(true, report).with_witnesses(o.witness))
-                            .report
-                    }
-                    Variant::CompRts => {
-                        pt.replay(CompRtsDetector::new(report).with_witnesses(o.witness))
-                            .report
-                    }
-                    Variant::Stint => {
-                        pt.replay(StintDetector::new(report).with_witnesses(o.witness))
-                            .report
-                    }
-                    Variant::StintFlat => {
-                        pt.replay(StintFlatDetector::new_flat(report).with_witnesses(o.witness))
-                            .report
-                    }
-                };
+                let mut cfg = Config::new(variant);
+                cfg.witnesses = o.witness;
+                let out = try_replay_with(&pt, cfg).map_err(Failure::Detector)?;
                 println!("replayed {} events under {}:", pt.trace.len(), variant);
-                print_report(&report, 10);
-                if let Some(path) = &opts.report_json {
-                    write_report(path, &file, "replay", &[(variant.name().into(), &report)])?;
-                }
-                Ok(!report.is_race_free())
+                print_report(&out.report, 10);
+                let runs = [(variant.name().into(), &out.report)];
+                finish(opts, &file, "replay", &runs, out.degraded)
             }
         },
         Parsed::WitnessVerify { trace, report } => witness_verify(&trace, &report),
@@ -424,15 +385,27 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             let a: Vec<u8> = (0..n).map(|i| b"ACGT"[(i * 7 + 1) % 4]).collect();
             let b: Vec<u8> = (0..n).map(|i| b"ACGT"[(i * 5 + 2) % 4]).collect();
             let mut sw = SmithWaterman::new(&a, &b);
-            let report = sw.detect();
+            // Outside `try_detect_with`: a panic exits 4 through this catch.
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sw.detect()));
+            let (report, degraded) =
+                run.map_err(|p| Failure::Detector(DetectorError::from_panic(p)))?;
             println!(
                 "Smith-Waterman {0}x{0} wavefront: score {1}, races {2}",
                 n + 1,
                 sw.score(),
                 report.total
             );
-            Ok(!report.is_race_free())
+            verdict(!report.is_race_free(), degraded)
         }
+    }
+}
+
+/// The heading `bugs` prints over a seeded-bug workload's report.
+fn bug_label(name: &str) -> &'static str {
+    match name {
+        "buggy-heat" => "heat with missing timestep barrier",
+        "buggy-merge" => "mergesort with overlapping output ranges",
+        _ => "mmul with missing phase sync",
     }
 }
 
@@ -456,15 +429,9 @@ fn detect_batch(bench: &str, o: &CmdOpts, opts: &RunOpts) -> Result<bool, Failur
         .map_err(|e| usage(format!("output verification: {e}")))?;
     let out = batch_detect(&pt, &batch_config(o)).map_err(Failure::Detector)?;
     print_batch_outcome(bench, &out);
-    if let Some(path) = &opts.report_json {
-        let report = out.merged.to_report();
-        write_report(path, bench, "detect", &[("BATCH".into(), &report)])?;
-    }
-    if let Some(err) = out.degraded {
-        // Sound but incomplete, exactly like a degraded sequential run.
-        return Err(Failure::Detector(err));
-    }
-    Ok(!out.merged.is_race_free())
+    let report = out.merged.to_report();
+    let runs = [("BATCH".into(), &report)];
+    finish(opts, bench, "detect", &runs, out.degraded)
 }
 
 /// `detect --online-parallel`: run the benchmark once under the
@@ -493,14 +460,17 @@ fn detect_online(
     );
     let report = out.merged.to_report();
     print_report(&report, 10);
-    if let Some(path) = &opts.report_json {
-        write_report(path, bench, "detect", &[("ONLINE".into(), &report)])?;
-    }
-    if let Some(err) = out.degraded {
-        // Sound but incomplete, exactly like a degraded sequential run.
-        return Err(Failure::Detector(err));
-    }
-    Ok(!out.merged.is_race_free())
+    let runs = [("ONLINE".into(), &report)];
+    finish(opts, bench, "detect", &runs, out.degraded)
+}
+
+/// Detect a fresh `bench` under `cfg`, then check the program's output.
+fn detect_one(bench: &str, scale: Scale, cfg: Config) -> Result<Outcome, Failure> {
+    let mut w = Workload::by_name(bench, scale);
+    let o = try_detect_with(&mut w, cfg).map_err(Failure::Detector)?;
+    w.verify()
+        .map_err(|e| usage(format!("{} output verification: {e}", cfg.variant)))?;
+    Ok(o)
 }
 
 /// Run every variant of `bench` concurrently, one task per variant, on a
@@ -514,15 +484,7 @@ fn detect_all(bench: &str, scale: Scale, base: Config) -> Result<Vec<Outcome>, F
     // Chunks of one slot: one variant per leaf of the pool's fan-out.
     pool.for_each_chunk(&mut slots, 1, &|i, slot| {
         let v = Variant::ALL[i];
-        let mut w = Workload::by_name(bench, scale);
-        let r = try_detect_with(&mut w, Config { variant: v, ..base })
-            .map_err(Failure::Detector)
-            .and_then(|o| {
-                w.verify()
-                    .map_err(|e| usage(format!("{v} output verification: {e}")))?;
-                Ok(o)
-            });
-        slot[0] = Some(r);
+        slot[0] = Some(detect_one(bench, scale, Config { variant: v, ..base }));
     });
     slots
         .into_iter()

@@ -159,6 +159,28 @@ fn exit_3_interval_budget_exhausted() {
     }
 }
 
+/// A fault-free recording of `bench` at test scale, as a v1 file.
+fn recording(bench: &str, tag: &str) -> std::path::PathBuf {
+    let path = tmp_trace(tag);
+    let pt = PortableTrace::record(&mut Workload::by_name(bench, Scale::Test));
+    pt.save(std::fs::File::create(&path).expect("create trace"))
+        .expect("save trace");
+    path
+}
+
+/// Every sequential `trace replay` of `file`, then `bugs` and `grid`: the
+/// commands that run a detector outside `detect`.
+fn replays_bugs_and_grid(file: &str) -> Vec<Vec<&str>> {
+    let variants = "vanilla compiler comp+rts stint stint-btree".split(' ');
+    let mut commands: Vec<Vec<&str>> = variants
+        .map(|v| vec!["trace", "replay", file, "--variant", v])
+        .collect();
+    commands.extend([vec!["bugs"], vec!["grid"]]);
+    commands
+}
+
+/// A shadow budget of nothing degrades every command that detects: exit 3
+/// after the partial report, never a clean verdict.
 #[test]
 fn exit_3_shadow_budget_exhausted() {
     let out = run(&[
@@ -175,16 +197,28 @@ fn exit_3_shadow_budget_exhausted() {
         "stderr: {}",
         stderr(&out)
     );
+    let racy = recording("buggy-mmul", "shadow-racy");
+    for args in replays_bugs_and_grid(racy.to_str().expect("utf-8")) {
+        let args = [&args[..], &["--fault-plan", "shadow-pages=0"]].concat();
+        let out = run(&args);
+        assert_eq!(code(&out), 3, "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("shadow memory"), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("races"), "{args:?}: no partial report");
+    }
+    let _ = std::fs::remove_file(racy);
 }
 
 #[test]
 fn exit_4_injected_internal_failure() {
-    let panics = "detect sort --fault-plan panic-at-flush=1";
-    for args in [
-        panics.to_string(),
-        format!("{panics} --online-parallel --workers 2"),
-    ] {
-        let args: Vec<&str> = args.split(' ').collect();
+    let racy = recording("buggy-mmul", "panic-racy");
+    let mut commands = vec![
+        vec!["detect", "sort"],
+        vec!["detect", "sort", "--online-parallel", "--workers", "2"],
+    ];
+    commands.extend(replays_bugs_and_grid(racy.to_str().expect("utf-8")));
+    for args in commands {
+        let args = [&args[..], &["--fault-plan", "panic-at-flush=1"]].concat();
         let out = run(&args);
         assert_eq!(code(&out), 4, "args {args:?}, stderr: {}", stderr(&out));
         assert!(
@@ -193,6 +227,7 @@ fn exit_4_injected_internal_failure() {
             stderr(&out)
         );
     }
+    let _ = std::fs::remove_file(racy);
 }
 
 #[test]
@@ -502,11 +537,12 @@ fn degraded_run_still_prints_partial_report() {
 }
 
 /// Every fault class through the `STINT_FAULTS` environment variable, on two
-/// benchmarks: a run may exit 0 (clean), 1 (races), 3 (budget exhausted,
-/// sound partial report) or 4 (poisoned session) — anything else is an
-/// escaped panic or a crash.
+/// benchmarks, live and replayed from a fault-free recording: a run may exit
+/// 0 (clean), 1 (races), 3 (budget exhausted, sound partial report) or 4
+/// (poisoned session) — anything else is an escaped panic or a crash.
 #[test]
 fn fault_plans_from_the_environment_exit_0_1_3_or_4() {
+    let recorded = ["mmul", "sort"].map(|b| (b, recording(b, &format!("env-{b}"))));
     for plan in [
         "seed=1,om-tags=12",
         "seed=2,om-storm=2",
@@ -519,18 +555,28 @@ fn fault_plans_from_the_environment_exit_0_1_3_or_4() {
         "seed=9,panic-at-flush=1",
         "seed=10,om-storm=2,shadow-pages=2,treap-degenerate",
     ] {
-        for bench in ["mmul", "sort"] {
-            let out = cli(&["detect", bench])
-                .env("STINT_FAULTS", plan)
-                .output()
-                .expect("spawn stint-cli");
-            assert!(
-                matches!(out.status.code(), Some(0 | 1 | 3 | 4)),
-                "STINT_FAULTS={plan} detect {bench}: {:?}, stderr: {}",
-                out.status,
-                stderr(&out)
-            );
+        for (bench, file) in &recorded {
+            let file = file.to_str().expect("utf-8");
+            for args in [
+                vec!["detect", bench],
+                vec!["trace", "replay", file, "--variant", "stint"],
+                vec!["trace", "replay", file, "--variant", "comp+rts"],
+            ] {
+                let out = cli(&args)
+                    .env("STINT_FAULTS", plan)
+                    .output()
+                    .expect("spawn stint-cli");
+                assert!(
+                    matches!(out.status.code(), Some(0 | 1 | 3 | 4)),
+                    "STINT_FAULTS={plan} {args:?}: {:?}, stderr: {}",
+                    out.status,
+                    stderr(&out)
+                );
+            }
         }
+    }
+    for (_, file) in recorded {
+        let _ = std::fs::remove_file(file);
     }
 }
 

@@ -215,20 +215,10 @@ impl CompRtsDetector {
             shadow: WordShadow::new(),
             cache: ReachCache::new(),
             timer: FlushTimer::default(),
-            panic_at_flush: if stint_faults::is_active() {
-                stint_faults::panic_at_flush()
-            } else {
-                None
-            },
+            panic_at_flush: stint_faults::panic_at_flush(),
             report,
             stats: DetectorStats::default(),
         }
-    }
-
-    /// Enable verifiable-witness capture (see [`crate::witness`]).
-    pub fn with_witnesses(mut self, on: bool) -> Self {
-        self.report.set_witness_capture(on);
-        self
     }
 
     /// The strand-end flush, shared by the `strand_end` hook, `free`, and

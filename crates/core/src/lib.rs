@@ -247,39 +247,48 @@ pub fn detect_with<P: CilkProgram>(p: &mut P, cfg: Config) -> Outcome {
     }
 }
 
+/// The one place a [`Variant`] and a [`Config`] become a detector (its
+/// report, witness capture and budget), bound to `$det` for `$run`: a macro,
+/// so that `$run` expands at each variant's own detector type and can take
+/// its `report` and `stats` apart. The arms stay written out, one a variant:
+/// the benchmark binary's layout follows the live path's code shape.
+macro_rules! with_detector {
+    ($cfg:ident, |$det:ident| $run:expr) => {{
+        let mut report = RaceReport::new(report::RACE_CAP, $cfg.collect_racy_words);
+        report.set_witness_capture($cfg.witnesses);
+        match $cfg.variant {
+            Variant::Vanilla => {
+                let $det = VanillaDetector::new(false, report).with_budget($cfg.budget);
+                $run
+            }
+            Variant::Compiler => {
+                let $det = VanillaDetector::new(true, report).with_budget($cfg.budget);
+                $run
+            }
+            Variant::CompRts => {
+                let $det = CompRtsDetector::new(report).with_budget($cfg.budget);
+                $run
+            }
+            Variant::Stint => {
+                let $det = StintDetector::new(report).with_budget($cfg.budget);
+                $run
+            }
+            Variant::StintFlat => {
+                let $det = StintFlatDetector::new_flat(report).with_budget($cfg.budget);
+                $run
+            }
+        }
+    }};
+}
+
 /// [`detect_with`] over an explicit reachability substrate. Every variant's
 /// detector is generic over [`Reachability`], so the substrate threads
 /// through unchanged.
 fn detect_in<P: CilkProgram, R: ReachMaint>(p: &mut P, cfg: Config) -> Outcome {
-    let mut report = RaceReport::new(report::RACE_CAP, cfg.collect_racy_words);
-    report.set_witness_capture(cfg.witnesses);
-    match cfg.variant {
-        Variant::Vanilla => {
-            let det = VanillaDetector::new(false, report).with_budget(cfg.budget);
-            let (ex, wall) = run_traced::<_, _, R>(p, det);
-            pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
-        }
-        Variant::Compiler => {
-            let det = VanillaDetector::new(true, report).with_budget(cfg.budget);
-            let (ex, wall) = run_traced::<_, _, R>(p, det);
-            pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
-        }
-        Variant::CompRts => {
-            let det = CompRtsDetector::new(report).with_budget(cfg.budget);
-            let (ex, wall) = run_traced::<_, _, R>(p, det);
-            pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
-        }
-        Variant::Stint => {
-            let det = StintDetector::new(report).with_budget(cfg.budget);
-            let (ex, wall) = run_traced::<_, _, R>(p, det);
-            pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
-        }
-        Variant::StintFlat => {
-            let det = StintFlatDetector::new_flat(report).with_budget(cfg.budget);
-            let (ex, wall) = run_traced::<_, _, R>(p, det);
-            pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
-        }
-    }
+    with_detector!(cfg, |det| {
+        let (ex, wall) = run_traced::<_, _, R>(p, det);
+        pack(cfg.variant, wall, ex, |d| (d.report, d.stats))
+    })
 }
 
 /// [`run_with_detector_r`] under a `detect.execute` span — the instrumented
@@ -303,6 +312,31 @@ fn run_traced<P: CilkProgram, D: Detector<R>, R: ReachMaint>(
 /// [`Outcome::degraded`].
 pub fn try_detect_with<P: CilkProgram>(p: &mut P, cfg: Config) -> Result<Outcome, DetectorError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| detect_with(p, cfg)))
+        .map_err(DetectorError::from_panic)
+}
+
+/// [`try_detect_with`] over a recorded trace: the same detector, budget and
+/// witness capture, fed by [`PortableTrace::replay`] over the trace's frozen
+/// reachability instead of a live run, so [`Config::reach`] does not apply.
+/// The outcome's `strands` are the snapshot's, its `counters` are zero and
+/// its `wall` is the replay's.
+pub fn try_replay_with(pt: &PortableTrace, cfg: Config) -> Result<Outcome, DetectorError> {
+    let replay = || {
+        with_detector!(cfg, |det| {
+            let start = std::time::Instant::now();
+            let d = pt.replay(det);
+            Outcome {
+                variant: cfg.variant,
+                wall: start.elapsed(),
+                strands: pt.reach.strand_count(),
+                counters: ExecCounters::default(),
+                degraded: Detector::<FrozenReach>::failure(&d),
+                report: d.report,
+                stats: d.stats,
+            }
+        })
+    };
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(replay))
         .map_err(DetectorError::from_panic)
 }
 

@@ -300,8 +300,9 @@ mod tests {
 
     fn card(witnesses: bool) -> Card {
         let pt = PortableTrace::record(&mut Racy);
-        let det = crate::StintDetector::new(RaceReport::default()).with_witnesses(witnesses);
-        let report = pt.replay(det).report;
+        let mut report = RaceReport::default();
+        report.set_witness_capture(witnesses);
+        let report = pt.replay(crate::StintDetector::new(report)).report;
         assert!(!report.is_race_free());
         Card::new("racy", "replay", &[("STINT".into(), &report)])
     }

@@ -86,11 +86,7 @@ impl<S: IntervalStore<StrandId>> IntervalHistory<S> {
             timer: FlushTimer::default(),
             max_intervals: None,
             failure: None,
-            panic_at_flush: if stint_faults::is_active() {
-                stint_faults::panic_at_flush()
-            } else {
-                None
-            },
+            panic_at_flush: stint_faults::panic_at_flush(),
             report,
             stats: DetectorStats::default(),
         }
@@ -270,12 +266,6 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
     pub fn with_budget(mut self, b: ResourceBudget) -> Self {
         self.front = self.front.with_max_shadow_bytes(b.max_shadow_bytes);
         self.history = self.history.with_max_intervals(b.max_intervals);
-        self
-    }
-
-    /// Enable verifiable-witness capture (see [`crate::witness`]).
-    pub fn with_witnesses(mut self, on: bool) -> Self {
-        self.history.report.set_witness_capture(on);
         self
     }
 

@@ -38,20 +38,10 @@ impl VanillaDetector {
             compiler_coalescing,
             shadow: WordShadow::new(),
             cache: ReachCache::new(),
-            panic_at_flush: if stint_faults::is_active() {
-                stint_faults::panic_at_flush()
-            } else {
-                None
-            },
+            panic_at_flush: stint_faults::panic_at_flush(),
             report,
             stats: DetectorStats::default(),
         }
-    }
-
-    /// Enable verifiable-witness capture (see [`crate::witness`]).
-    pub fn with_witnesses(mut self, on: bool) -> Self {
-        self.report.set_witness_capture(on);
-        self
     }
 
     /// Apply resource budgets. On exhaustion the [`WordShadow`] degrades to
@@ -64,67 +54,70 @@ impl VanillaDetector {
         self
     }
 
-    pub fn shadow(&self) -> &WordShadow {
-        &self.shadow
-    }
-
-    fn load_words<R: Reachability>(
+    /// One hook of either side, `range` for a compiler-coalesced one: its
+    /// statistics, then its words checked and updated ([`Self::words`]).
+    #[inline(always)]
+    fn access<R: Reachability>(
         &mut self,
+        op: WordOp,
         s: StrandId,
-        lo: u64,
-        hi: u64,
+        addr: usize,
+        bytes: usize,
         reach: &R,
-        ranged: bool,
+        range: bool,
     ) {
-        let report = &mut self.report;
-        self.cache.begin_strand(s);
-        if ranged {
-            replay_interval(
-                &mut self.shadow,
-                WordOp::Read,
-                lo,
-                hi,
-                s,
-                reach,
-                &mut self.cache,
-                report,
-            );
+        self.report.observe(s, true);
+        let (lo, hi) = word_range(addr, bytes);
+        let side = match op {
+            WordOp::Read => &mut self.stats.read,
+            WordOp::Write => &mut self.stats.write,
+        };
+        side.hooks += 1;
+        side.hook_bytes += bytes as u64;
+        side.words += hi - lo;
+        let ranged = range && self.compiler_coalescing;
+        if ranged || !range {
+            // One access, one interval of its own size.
+            side.intervals += 1;
+            side.interval_bytes += bytes as u64;
         } else {
-            // Per-word lookups: each pays its own page-table walk (that cost
-            // is the modeled quantity — batching must not hide it), but the
-            // reachability cache is detector-internal and still applies.
-            for w in lo..hi {
-                let e = self.shadow.entry_mut(w);
-                read_word(e, w, s, reach, &mut self.cache, report);
-            }
+            // Unmodified compiler: every word is its own access/interval.
+            side.intervals += hi - lo;
+            side.interval_bytes += (hi - lo) * 4;
         }
+        self.words(op, s, lo, hi, reach, ranged);
     }
 
-    fn store_words<R: Reachability>(
+    /// Check and update the words `[lo, hi)`: one call into the access
+    /// history per range when `ranged`, else one lookup per word (that
+    /// per-word page-table walk is the modeled cost; batching must not hide
+    /// it, but the detector-internal reachability cache still applies).
+    fn words<R: Reachability>(
         &mut self,
+        op: WordOp,
         s: StrandId,
         lo: u64,
         hi: u64,
         reach: &R,
         ranged: bool,
     ) {
-        let report = &mut self.report;
-        self.cache.begin_strand(s);
+        let (report, cache) = (&mut self.report, &mut self.cache);
+        cache.begin_strand(s);
         if ranged {
-            replay_interval(
-                &mut self.shadow,
-                WordOp::Write,
-                lo,
-                hi,
-                s,
-                reach,
-                &mut self.cache,
-                report,
-            );
-        } else {
-            for w in lo..hi {
-                let e = self.shadow.entry_mut(w);
-                write_word(e, w, s, reach, &mut self.cache, report);
+            replay_interval(&mut self.shadow, op, lo, hi, s, reach, cache, report);
+            return;
+        }
+        // `op` is matched outside the loop, so each loop stays monomorphic.
+        match op {
+            WordOp::Read => {
+                for w in lo..hi {
+                    read_word(self.shadow.entry_mut(w), w, s, reach, cache, report);
+                }
+            }
+            WordOp::Write => {
+                for w in lo..hi {
+                    write_word(self.shadow.entry_mut(w), w, s, reach, cache, report);
+                }
             }
         }
     }
@@ -141,59 +134,19 @@ impl VanillaDetector {
 
 impl<R: Reachability> Detector<R> for VanillaDetector {
     fn load(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
-        self.report.observe(s, true);
-        let (lo, hi) = word_range(addr, bytes);
-        self.stats.read.hooks += 1;
-        self.stats.read.hook_bytes += bytes as u64;
-        self.stats.read.words += hi - lo;
-        // A plain hook is one access: one interval of its own size.
-        self.stats.read.intervals += 1;
-        self.stats.read.interval_bytes += bytes as u64;
-        self.load_words(s, lo, hi, reach, false);
+        self.access(WordOp::Read, s, addr, bytes, reach, false);
     }
 
     fn store(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
-        self.report.observe(s, true);
-        let (lo, hi) = word_range(addr, bytes);
-        self.stats.write.hooks += 1;
-        self.stats.write.hook_bytes += bytes as u64;
-        self.stats.write.words += hi - lo;
-        self.stats.write.intervals += 1;
-        self.stats.write.interval_bytes += bytes as u64;
-        self.store_words(s, lo, hi, reach, false);
+        self.access(WordOp::Write, s, addr, bytes, reach, false);
     }
 
     fn load_range(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
-        self.report.observe(s, true);
-        let (lo, hi) = word_range(addr, bytes);
-        self.stats.read.hooks += 1;
-        self.stats.read.hook_bytes += bytes as u64;
-        self.stats.read.words += hi - lo;
-        if self.compiler_coalescing {
-            self.stats.read.intervals += 1;
-            self.stats.read.interval_bytes += bytes as u64;
-        } else {
-            // Unmodified compiler: every word is its own access/interval.
-            self.stats.read.intervals += hi - lo;
-            self.stats.read.interval_bytes += (hi - lo) * 4;
-        }
-        self.load_words(s, lo, hi, reach, self.compiler_coalescing);
+        self.access(WordOp::Read, s, addr, bytes, reach, true);
     }
 
     fn store_range(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
-        self.report.observe(s, true);
-        let (lo, hi) = word_range(addr, bytes);
-        self.stats.write.hooks += 1;
-        self.stats.write.hook_bytes += bytes as u64;
-        self.stats.write.words += hi - lo;
-        if self.compiler_coalescing {
-            self.stats.write.intervals += 1;
-            self.stats.write.interval_bytes += bytes as u64;
-        } else {
-            self.stats.write.intervals += hi - lo;
-            self.stats.write.interval_bytes += (hi - lo) * 4;
-        }
-        self.store_words(s, lo, hi, reach, self.compiler_coalescing);
+        self.access(WordOp::Write, s, addr, bytes, reach, true);
     }
 
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {

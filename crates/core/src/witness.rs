@@ -576,8 +576,9 @@ mod tests {
 
     fn witnessed_race() -> (PortableTrace, Race) {
         let pt = PortableTrace::record(&mut Racy);
-        let det =
-            pt.replay(crate::StintDetector::new(crate::RaceReport::default()).with_witnesses(true));
+        let mut report = crate::RaceReport::default();
+        report.set_witness_capture(true);
+        let det = pt.replay(crate::StintDetector::new(report));
         let race = det.report.races()[0].clone();
         assert!(race.witness.is_some(), "witness capture was enabled");
         (pt, race)

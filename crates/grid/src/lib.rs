@@ -17,7 +17,7 @@
 //! Cells are executed in row-major order (a valid sequential schedule) and
 //! each cell is one *strand*.
 
-use stint::{Detector, StintDetector, VanillaDetector};
+use stint::{Detector, DetectorError, RaceReport, StintDetector, VanillaDetector};
 use stint_sporder::{Reachability, StrandId};
 
 /// Coordinate-based reachability for a `rows × cols` grid: strand ids encode
@@ -143,36 +143,45 @@ where
     (det, reach)
 }
 
+/// A grid run's report, and the failure that degraded it (sound up to that
+/// point) if the detector hit a budget or an injected fault.
+pub type Verdict = (RaceReport, Option<DetectorError>);
+
 /// Race detect a grid program with STINT's interval-treap access history.
 ///
 /// ```
 /// // A legal wavefront: cell (i, j) reads its north/west neighbours.
 /// let dp = vec![0u64; 16];
 /// let at = |i: usize, j: usize| dp.as_ptr() as usize + (i * 4 + j) * 8;
-/// let report = stint_grid::detect_grid_stint(4, 4, |i, j, ctx| {
+/// let (report, failure) = stint_grid::detect_grid_stint(4, 4, |i, j, ctx| {
 ///     if i > 0 { ctx.load(at(i - 1, j), 8); }
 ///     if j > 0 { ctx.load(at(i, j - 1), 8); }
 ///     ctx.store(at(i, j), 8);
 /// });
-/// assert!(report.is_race_free());
+/// assert!(report.is_race_free() && failure.is_none());
 /// ```
-pub fn detect_grid_stint<F>(rows: usize, cols: usize, cell: F) -> stint::RaceReport
+pub fn detect_grid_stint<F>(rows: usize, cols: usize, cell: F) -> Verdict
 where
     F: FnMut(usize, usize, &mut CellCtx<'_, GridReach, StintDetector>),
 {
-    let det = StintDetector::new(stint::RaceReport::default());
-    let (det, _) = run_grid(rows, cols, cell, det);
-    det.report
+    let (det, _) = run_grid(rows, cols, cell, StintDetector::new(RaceReport::default()));
+    let failure = Detector::<GridReach>::failure(&det);
+    (det.report, failure)
 }
 
 /// Race detect a grid program with the vanilla word-granularity history.
-pub fn detect_grid_vanilla<F>(rows: usize, cols: usize, cell: F) -> stint::RaceReport
+pub fn detect_grid_vanilla<F>(rows: usize, cols: usize, cell: F) -> Verdict
 where
     F: FnMut(usize, usize, &mut CellCtx<'_, GridReach, VanillaDetector>),
 {
-    let det = VanillaDetector::new(true, stint::RaceReport::default());
-    let (det, _) = run_grid(rows, cols, cell, det);
-    det.report
+    let (det, _) = run_grid(
+        rows,
+        cols,
+        cell,
+        VanillaDetector::new(true, RaceReport::default()),
+    );
+    let failure = Detector::<GridReach>::failure(&det);
+    (det.report, failure)
 }
 
 pub mod wavefront;
@@ -220,7 +229,7 @@ mod tests {
         let dp = vec![0u64; n * m];
         let base = dp.as_ptr() as usize;
         let at = |i: usize, j: usize| base + (i * m + j) * 8;
-        let report = detect_grid_stint(n, m, |i, j, ctx| {
+        let (report, _) = detect_grid_stint(n, m, |i, j, ctx| {
             if i > 0 {
                 ctx.load(at(i - 1, j), 8);
             }
@@ -243,7 +252,7 @@ mod tests {
         let dp = vec![0u64; n * m];
         let base = dp.as_ptr() as usize;
         let at = |i: usize, j: usize| base + (i * m + j) * 8;
-        let report = detect_grid_stint(n, m, |i, j, ctx| {
+        let (report, _) = detect_grid_stint(n, m, |i, j, ctx| {
             if i + 1 < n && j > 0 {
                 ctx.load(at(i + 1, j - 1), 8); // BUG
             }
@@ -306,6 +315,7 @@ mod tests {
                         }
                     })
                 })
+                .0
                 .racy_words()
             } else {
                 detect_grid_vanilla(n, m, |i, j, ctx| {
@@ -317,6 +327,7 @@ mod tests {
                         }
                     })
                 })
+                .0
                 .racy_words()
             }
         };

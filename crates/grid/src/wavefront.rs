@@ -2,8 +2,8 @@
 //! (Smith–Waterman local alignment) and a software pipeline — the two
 //! program classes the paper names for its Section 7 generalization.
 
-use crate::{detect_grid_stint, CellCtx};
-use stint::{Detector, RaceReport};
+use crate::{detect_grid_stint, CellCtx, Verdict};
+use stint::Detector;
 
 /// Smith–Waterman local alignment over byte sequences `a` (rows) and `b`
 /// (columns) with linear gap penalty. Cell `(i, j)` reads its NW/N/W
@@ -32,9 +32,10 @@ impl SmithWaterman {
         (self.a.len() + 1, self.b.len() + 1)
     }
 
-    /// Run under STINT with grid reachability; returns the race report.
-    /// The scoring matrix is computed for real as a side effect.
-    pub fn detect(&mut self) -> RaceReport {
+    /// Run under STINT with grid reachability; returns the race report and
+    /// the failure, if any. The scoring matrix is computed for real as a
+    /// side effect.
+    pub fn detect(&mut self) -> Verdict {
         let (rows, cols) = self.dims();
         let base = self.h.as_ptr() as usize;
         let h = &mut self.h;
@@ -130,7 +131,7 @@ impl Pipeline {
         }
     }
 
-    pub fn detect(&mut self) -> RaceReport {
+    pub fn detect(&mut self) -> Verdict {
         let (items, stages) = (self.items, self.stages);
         let bbase = self.buf.as_ptr() as usize;
         let sbase = self.state.as_ptr() as usize;
@@ -196,8 +197,9 @@ mod tests {
         let a = b"GATTACAGATTACAGGGACT";
         let b = b"GCATGCGATTACATTTACGT";
         let mut sw = SmithWaterman::new(a, b);
-        let report = sw.detect();
+        let (report, failure) = sw.detect();
         assert!(report.is_race_free(), "{:?}", report.races().first());
+        assert!(failure.is_none());
         assert_eq!(sw.score(), SmithWaterman::reference_score(a, b));
         assert!(sw.score() > 0, "related sequences must align");
     }
@@ -206,7 +208,7 @@ mod tests {
     fn smith_waterman_buggy_races() {
         let mut sw = SmithWaterman::new(b"ACGTACGT", b"TGCATGCA");
         sw.buggy = true;
-        let report = sw.detect();
+        let (report, _) = sw.detect();
         assert!(!report.is_race_free());
         // Every report must involve genuinely parallel cells.
         let g = GridReach::new(sw.a.len() + 1, sw.b.len() + 1);
@@ -221,7 +223,7 @@ mod tests {
     #[test]
     fn pipeline_race_free_and_correct() {
         let mut p = Pipeline::new(12, 5);
-        let report = p.detect();
+        let (report, _) = p.detect();
         assert!(report.is_race_free(), "{:?}", report.races().first());
         assert_eq!(p.buf, Pipeline::reference(12, 5));
     }
@@ -230,6 +232,6 @@ mod tests {
     fn pipeline_peeking_races() {
         let mut p = Pipeline::new(10, 4);
         p.buggy = true;
-        assert!(!p.detect().is_race_free());
+        assert!(!p.detect().0.is_race_free());
     }
 }

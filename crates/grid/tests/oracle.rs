@@ -87,6 +87,7 @@ fn run_case(rows: usize, cols: usize, cells: &[Vec<Acc>]) {
             j,
         )
     })
+    .0
     .racy_words();
     assert_eq!(stint_words, expected, "STINT vs oracle on {rows}x{cols}");
     let vanilla_words = detect_grid_vanilla(rows, cols, |i, j, ctx| {
@@ -101,6 +102,7 @@ fn run_case(rows: usize, cols: usize, cells: &[Vec<Acc>]) {
             j,
         )
     })
+    .0
     .racy_words();
     assert_eq!(
         vanilla_words, expected,

@@ -104,6 +104,15 @@ fn take_value<'a>(
         .ok_or_else(|| format!("{flag} needs {what}"))
 }
 
+/// `arg` as a file operand of `command`: `-` (stdin) or a name that does
+/// not start with `-`, which would be a flag `command` does not know.
+fn operand<'a>(command: &str, arg: &'a str) -> Result<&'a str, String> {
+    if arg.starts_with('-') && arg != "-" {
+        return Err(format!("unknown {command} flag {arg:?}"));
+    }
+    Ok(arg)
+}
+
 fn parse_num<T: std::str::FromStr>(
     flag: &str,
     it: &mut std::slice::Iter<'_, &str>,
@@ -220,16 +229,17 @@ fn cmd_frame(args: &[&str]) -> Result<ExitCode, String> {
         Some("ping") => Request::Ping,
         Some("health") => Request::Health,
         Some("detect") => {
-            let mut opts = String::new();
-            let mut file: Option<&str> = None;
+            let (mut opts, mut files) = (String::new(), Vec::new());
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match *a {
                     "--opts" => opts = take_value(a, "a spec", &mut it)?.to_string(),
-                    other => file = Some(other),
+                    other => files.push(operand("frame detect", other)?),
                 }
             }
-            let file = file.ok_or_else(|| "frame detect needs a trace file (or -)".to_string())?;
+            let [file] = files[..] else {
+                return Err(format!("frame detect takes one FILE, got {files:?}"));
+            };
             let trace = read_input(file)?;
             Request::Detect { opts, trace }
         }
@@ -292,7 +302,7 @@ fn cmd_send(args: &[&str]) -> Result<ExitCode, String> {
             "--ping" => ping = true,
             "--health" => health = true,
             "--shutdown" => shutdown = true,
-            other => files.push(other),
+            other => files.push(operand("send", other)?),
         }
     }
     let socket = socket.ok_or_else(|| "send needs --socket PATH".to_string())?;

@@ -174,6 +174,32 @@ fn saturated_daemon_answers_busy_with_retry_after() {
     assert_has(&conv, &["retry-after-ms: "]);
 }
 
+/// `frame detect` takes exactly one FILE, and neither it nor `send` reads
+/// an unknown flag as a file: each is a usage error (exit 2) naming the
+/// token, before any frame is written or socket dialled.
+#[test]
+fn frame_and_send_reject_a_second_file_and_unknown_flags() {
+    let c = Corpus::new("operands");
+    let (racy, clean) = (c.path("racy.trace"), c.path("clean.trace"));
+    let (racy, clean) = (racy.as_str(), clean.as_str());
+    let sock = c.path("absent.sock");
+    for (args, names) in [
+        (vec!["frame", "detect", racy, clean], vec![racy, clean]),
+        (vec!["frame", "detect", "--bogus", racy], vec!["--bogus"]),
+        (vec!["frame", "detect", racy, "--bogus"], vec!["--bogus"]),
+        (vec!["send", "--socket", &sock, "--bogus"], vec!["--bogus"]),
+        (vec!["send", "--socket", &sock, racy, "-x"], vec!["-x"]),
+    ] {
+        let (code, out, err) = parts(&run(&args, b""));
+        assert_eq!(code, 2, "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?} wrote {out:?}");
+        let first = err.lines().next().unwrap_or_default();
+        for name in names {
+            assert!(first.contains(&format!("{name:?}")), "{args:?}: {err}");
+        }
+    }
+}
+
 /// Kills the daemon if the test fails before it shut down.
 struct Daemon(Child);
 

@@ -14,7 +14,7 @@ fn main() {
     let a = b"GATTACAGATTACAGGGACTGATTACA";
     let b = b"GCATGCGATTACATTTACGTGATTACA";
     let mut sw = SmithWaterman::new(a, b);
-    let report = sw.detect();
+    let (report, _) = sw.detect();
     println!(
         "Smith-Waterman {}x{}: alignment score {}, races: {}",
         a.len() + 1,
@@ -27,7 +27,7 @@ fn main() {
 
     let mut buggy = SmithWaterman::new(a, b);
     buggy.buggy = true; // cells peek at their south-west neighbour
-    let report = buggy.detect();
+    let (report, _) = buggy.detect();
     println!(
         "  with the south-west peek bug: {} races, e.g. {}",
         report.total,
@@ -37,7 +37,7 @@ fn main() {
 
     // --- Software pipeline ------------------------------------------------
     let mut p = Pipeline::new(64, 6);
-    let report = p.detect();
+    let (report, _) = p.detect();
     println!(
         "\nPipeline 64 items x 6 stages: races: {} (output verified: {})",
         report.total,
@@ -47,7 +47,7 @@ fn main() {
 
     let mut p = Pipeline::new(64, 6);
     p.buggy = true; // a stage peeks at the next item's input slot
-    let report = p.detect();
+    let (report, _) = p.detect();
     println!("  with the peeking stage bug: {} races", report.total);
     assert!(!report.is_race_free());
 

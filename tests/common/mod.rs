@@ -19,7 +19,6 @@
 #![allow(dead_code)] // each test binary uses its own subset
 
 use std::collections::{BTreeSet, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -33,10 +32,9 @@ use stint_repro::serve::{Engine, EngineConfig, Status};
 use stint_repro::suite::{Scale, Workload};
 use stint_repro::Variant::{self, CompRts, Compiler, Stint, StintFlat, Vanilla};
 use stint_repro::DEFAULT_CHUNK_EVENTS;
-use stint_repro::{ctrace, detect, try_detect_with, Cilk, CilkProgram, Config, DetectorStats};
-use stint_repro::{CompRtsDetector, Outcome, PortableTrace, Race, RaceReport, Sided};
-use stint_repro::{Detector, DetectorError, FaultPlan, FrozenReach, Resource};
-use stint_repro::{ScopedPlan, StintDetector, StintFlatDetector, VanillaDetector, WitnessChecker};
+use stint_repro::{ctrace, detect, try_detect_with, try_replay_with, Cilk, CilkProgram, Config};
+use stint_repro::{DetectorError, DetectorStats, FaultPlan, Outcome, PortableTrace, Race};
+use stint_repro::{RaceReport, Resource, ScopedPlan, Sided, StintDetector, WitnessChecker};
 use stint_spdag::{simulate, Access, Func, Stmt};
 
 /// Proptest strategy for fork-join programs over a small word space (every
@@ -518,11 +516,15 @@ impl<'a, P: CilkProgram> Harness<'a, P> {
                 };
                 let same = back.trace.events == pt.trace.events && back.reach == pt.reach;
                 prop_assert!(same, "the file loads back as another trace");
-                let seen = |(r, _, d): &Replayed| (r.racy_words(), exit(d));
-                let (report, stats, _) = self.settle(false, replay(&back, v), seen)?;
-                let again = replay(&back, v).map_err(fail)?;
-                prop_assert!(again.0.racy_words() == report.racy_words(), "second replay");
-                prop_assert!(again.1.fields() == stats.fields(), "second replay");
+                let replay = || try_replay_with(&back, Config::new(v));
+                let seen = |o: &Outcome| (o.report.racy_words(), exit(&o.degraded));
+                let Outcome { report, stats, .. } = self.settle(false, replay(), seen)?;
+                let again = replay().map_err(fail)?;
+                prop_assert!(
+                    again.report.racy_words() == report.racy_words(),
+                    "second replay"
+                );
+                prop_assert!(again.stats.fields() == stats.fields(), "second replay");
                 if !self.fresh_heap {
                     let live = self.live(v)?;
                     if hooks || !matches!(v, Vanilla | Compiler) {
@@ -685,29 +687,6 @@ fn encode(pt: &PortableTrace, src: Src) -> (Vec<u8>, u64) {
         _ => pt.save(&mut buf).map(|()| 0).expect("v1 save"),
     };
     (buf, chunks)
-}
-
-type Replayed = (RaceReport, DetectorStats, Option<DetectorError>);
-
-/// Replay `pt` under `v`: the report, the statistics and the degradation,
-/// or the error a panic carried.
-fn replay(pt: &PortableTrace, v: Variant) -> Result<Replayed, DetectorError> {
-    macro_rules! run {
-        ($det:expr) => {{
-            let d = pt.replay($det);
-            let failure = <_ as Detector<FrozenReach>>::failure(&d);
-            (d.report, d.stats, failure)
-        }};
-    }
-    let report = RaceReport::default();
-    catch_unwind(AssertUnwindSafe(|| match v {
-        Vanilla => run!(VanillaDetector::new(false, report)),
-        Compiler => run!(VanillaDetector::new(true, report)),
-        CompRts => run!(CompRtsDetector::new(report)),
-        Stint => run!(StintDetector::new(report)),
-        StintFlat => run!(StintFlatDetector::new_flat(report)),
-    }))
-    .map_err(DetectorError::from_panic)
 }
 
 fn interval(v: Variant) -> bool {
