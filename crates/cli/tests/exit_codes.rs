@@ -583,7 +583,7 @@ fn fault_plans_from_the_environment_exit_0_1_3_or_4() {
 /// The parallel online tier, over the relabel-free DePa substrate, reports
 /// sequential SP-Order STINT's race and racy-word counts, with its exit code.
 /// (That DePa under the sequential detectors matches SP-Order is a library
-/// test, `crates/suite/tests/detect.rs`.)
+/// test, `tests/detect.rs` at the workspace root.)
 #[test]
 fn depa_and_online_report_the_sporder_races() {
     let detect = |extra: &[&str]| {

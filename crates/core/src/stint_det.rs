@@ -105,11 +105,6 @@ impl<S: IntervalStore<StrandId>> IntervalHistory<S> {
         self.failure.clone()
     }
 
-    /// Current sizes of the (read, write) interval stores.
-    pub fn tree_sizes(&self) -> (usize, usize) {
-        (self.read_tree.len(), self.write_tree.len())
-    }
-
     /// Access the read-interval store (tests/benches).
     pub fn read_tree(&self) -> &S {
         &self.read_tree
@@ -420,7 +415,8 @@ mod tests {
             run_with_detector(&mut SerialReuse, StintDetector::new(RaceReport::default()));
         let d = &ex.det;
         assert!(d.report.is_race_free());
-        let (r, w) = d.history().tree_sizes();
+        let h = d.history();
+        let (r, w) = (h.read_tree().len(), h.write_tree().len());
         assert_eq!(r, 1, "read tree holds one replacing interval");
         assert_eq!(w, 1, "write tree holds one replacing interval");
     }

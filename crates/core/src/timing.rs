@@ -6,13 +6,12 @@
 //! strands can flush in well under a microsecond — so the clock reads are
 //! gated behind a process-wide mode:
 //!
-//! * `full` — time every flush (exact);
-//! * `sampled` (default) — time every 64th flush and scale the elapsed time
-//!   by 64, an unbiased estimate when flush cost is stationary;
+//! * `full` (default) — time every flush, so `ah_time` is exact and never
+//!   exceeds the run it is part of;
 //! * `off` — never read the clock; `ah_time` stays zero.
 //!
-//! The mode is `sampled` unless a binary calls [`set_mode`] before the first
-//! detector runs (figure-7 style runs force `full`, the benchmark `off`).
+//! The mode is `full` unless a binary calls [`set_mode`] before the first
+//! detector runs (the benchmark forces `off`).
 //!
 //! The mode is a **latch**: whichever of [`mode`] and [`set_mode`] runs first
 //! fixes the mode for the rest of the process, and later [`set_mode`] calls
@@ -28,18 +27,14 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimingMode {
     Off,
-    Sampled,
     Full,
 }
 
 static MODE: OnceLock<TimingMode> = OnceLock::new();
 
-/// Sampled flushes are scaled by this factor (must be a power of two).
-pub const SAMPLE_PERIOD: u32 = 64;
-
-/// The process-wide timing mode. First call latches it (default `sampled`).
+/// The process-wide timing mode. First call latches it (default `full`).
 pub fn mode() -> TimingMode {
-    *MODE.get_or_init(|| TimingMode::Sampled)
+    *MODE.get_or_init(|| TimingMode::Full)
 }
 
 /// Force the timing mode and return the mode actually in effect. If the
@@ -68,43 +63,26 @@ static OBS_SET_MODE_LOST: stint_obs::Counter = stint_obs::Counter::new("timing.s
 #[derive(Debug)]
 pub struct FlushTimer {
     mode: TimingMode,
-    flushes: u32,
 }
 
 impl Default for FlushTimer {
     fn default() -> Self {
-        FlushTimer {
-            mode: mode(),
-            flushes: 0,
-        }
+        FlushTimer { mode: mode() }
     }
 }
 
 impl FlushTimer {
     /// Start timing a flush. `None` means this flush is not being timed.
     #[inline]
-    pub fn begin(&mut self) -> Option<Instant> {
-        match self.mode {
-            TimingMode::Off => None,
-            TimingMode::Full => Some(Instant::now()),
-            TimingMode::Sampled => {
-                let take = self.flushes & (SAMPLE_PERIOD - 1) == 0;
-                self.flushes = self.flushes.wrapping_add(1);
-                take.then(Instant::now)
-            }
-        }
+    pub fn begin(&self) -> Option<Instant> {
+        (self.mode == TimingMode::Full).then(Instant::now)
     }
 
     /// Account a flush started by [`begin`](Self::begin) into `acc`.
     #[inline]
     pub fn end(&self, t0: Option<Instant>, acc: &mut Duration) {
         if let Some(t0) = t0 {
-            let dt = t0.elapsed();
-            *acc += if self.mode == TimingMode::Sampled {
-                dt * SAMPLE_PERIOD
-            } else {
-                dt
-            };
+            *acc += t0.elapsed();
         }
     }
 }
@@ -116,12 +94,12 @@ mod tests {
     // `mode()` is process-global, so tests exercise FlushTimer with explicit
     // modes rather than racing over the OnceLock.
     fn timer(mode: TimingMode) -> FlushTimer {
-        FlushTimer { mode, flushes: 0 }
+        FlushTimer { mode }
     }
 
     #[test]
     fn off_never_reads_clock() {
-        let mut t = timer(TimingMode::Off);
+        let t = timer(TimingMode::Off);
         let mut acc = Duration::ZERO;
         for _ in 0..200 {
             let t0 = t.begin();
@@ -133,25 +111,9 @@ mod tests {
 
     #[test]
     fn full_times_every_flush() {
-        let mut t = timer(TimingMode::Full);
+        let t = timer(TimingMode::Full);
         for _ in 0..5 {
             assert!(t.begin().is_some());
         }
-    }
-
-    #[test]
-    fn sampled_times_one_in_period_and_scales() {
-        let mut t = timer(TimingMode::Sampled);
-        let taken: u32 = (0..(SAMPLE_PERIOD * 3))
-            .map(|_| t.begin().is_some() as u32)
-            .sum();
-        assert_eq!(taken, 3);
-        // Scaling: an accounted sample contributes its elapsed × period.
-        let mut acc = Duration::ZERO;
-        let mut t = timer(TimingMode::Sampled);
-        let t0 = t.begin();
-        std::thread::sleep(Duration::from_millis(2));
-        t.end(t0, &mut acc);
-        assert!(acc >= Duration::from_millis(2) * SAMPLE_PERIOD);
     }
 }

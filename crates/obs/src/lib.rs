@@ -21,11 +21,12 @@
 //!   stream (fault injections, lost timing overrides).
 //!
 //! Spans are one of two clock gates in the workspace. The other is
-//! `stint::timing`: its `FlushTimer` times access-history flushes for the
-//! `ah_time` column under its own mode (`stint::timing::set_mode`), latched
-//! once per process. `ah_time` is a result the figures report, so it must be
-//! measurable with observability off, and a detector must not change how it
-//! times itself when observability is enabled or disabled mid-run.
+//! `stint::timing`: its `FlushTimer` times every access-history flush for
+//! the `ah_time` column, or none, under its own mode
+//! (`stint::timing::set_mode`), latched once per process. `ah_time` is a
+//! result the figures report, so it must be measurable with observability
+//! off, and a detector must not change how it times itself when
+//! observability is enabled or disabled mid-run.
 //!
 //! The exporters serialize one [`snapshot`] of the registry with no
 //! external dependencies: [`metrics_json`] (a flat document keyed by metric
@@ -67,8 +68,8 @@ use std::time::Instant;
 
 pub mod json;
 
-/// Span recording mode. It has the three settings of `stint::timing`'s
-/// `FlushTimer` gate but is a separate gate (see the crate docs).
+/// Span recording mode, a separate gate from `stint::timing`'s
+/// `FlushTimer` (see the crate docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpanMode {
     /// Never read the clock; [`span`] returns an inert guard.
@@ -82,7 +83,7 @@ pub enum SpanMode {
 }
 
 /// Spans are sampled one-in-`SAMPLE_PERIOD` per thread under
-/// [`SpanMode::Sampled`] (matches `stint::timing::SAMPLE_PERIOD`).
+/// [`SpanMode::Sampled`].
 pub const SAMPLE_PERIOD: u32 = 64;
 
 /// Process-wide observability configuration.

@@ -136,20 +136,6 @@ impl Sim {
         }
         racy.into_iter().collect()
     }
-
-    /// All parallel pairs (a, b) with a < b. For tests.
-    pub fn parallel_pairs(&self) -> Vec<(SimStrand, SimStrand)> {
-        let n = self.strand_count() as u32;
-        let mut out = Vec::new();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if self.parallel(a, b) {
-                    out.push((a, b));
-                }
-            }
-        }
-        out
-    }
 }
 
 struct SimBuilder {

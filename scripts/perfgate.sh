@@ -29,10 +29,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 echo "== cargo build --release"
 cargo build --release -q
 
-# Clippy only compiles the Criterion rows; this runs each once (the shim's
-# `--test` mode), so a bench whose set-up assumption rotted fails here.
-echo "== ivtree criterion rows, one iteration each"
-cargo bench -q -p stint-bench --bench ivtree -- --test
+# Clippy only compiles the Criterion rows; this runs every row of every
+# bench file once (the shim's `--test` mode), so a bench whose set-up
+# assumption rotted fails here.
+echo "== criterion rows, one iteration each"
+cargo bench -q -p stint-bench --benches -- --test
 
 # Tier-1 in release: the fault-injection suites and CLI fault sweep, the
 # exporter / cross-document agreement tests, the witness loop, the CLI's

@@ -3,7 +3,8 @@
 //! verdict — the relation "Data Race Detection on Compressed Traces" states,
 //! the verdict on the compact form equals the verdict on its expansion.
 //! One program ([`Program`]), one configuration matrix (a slice of [`Row`]s,
-//! one tier a row) and one assertion ([`check`], or [`check_kernel`]):
+//! one tier a row) and one assertion ([`check`], or [`check_kernel`] and
+//! [`check_program`] for programs that allocate):
 //!
 //! * every row reports the oracle's racy words: `simulate`'s, or sequential
 //!   STINT's on the per-word expansion when the program frees;
@@ -40,15 +41,7 @@ use stint_spdag::{simulate, Access, Func, Stmt};
 /// Proptest strategy for fork-join programs over a small word space (every
 /// access inside the first 64-word bitmap group of the runtime coalescer).
 pub fn func_strategy(depth: u32) -> BoxedStrategy<Func> {
-    let access = (any::<bool>(), 0u64..40, 1u64..10, any::<bool>()).prop_map(
-        |(write, word, len, coalesced)| Access {
-            write,
-            word,
-            len,
-            coalesced,
-        },
-    );
-    func_strategy_over(depth, access.boxed())
+    func_strategy_over(depth, access_of((0u64..40, 1u64..10)))
 }
 
 /// As [`func_strategy`], over the given access shapes.
@@ -79,13 +72,18 @@ fn group_base() -> impl Strategy<Value = u64> {
 
 fn access_of(range: impl Strategy<Value = (u64, u64)> + 'static) -> BoxedStrategy<Access> {
     (any::<bool>(), range, any::<bool>())
-        .prop_map(|(write, (word, len), coalesced)| Access {
-            write,
-            word,
-            len,
-            coalesced,
-        })
+        .prop_map(|(write, (word, len), coalesced)| access(write, word, len, coalesced))
         .boxed()
+}
+
+/// An access of `len` words from `word`: one ranged hook if `coalesced`.
+pub fn access(write: bool, word: u64, len: u64, coalesced: bool) -> Access {
+    Access {
+        write,
+        word,
+        len,
+        coalesced,
+    }
 }
 
 /// Ranges inside one 64-word group, up to the whole group.
@@ -243,8 +241,9 @@ pub fn online(workers: usize, seed: u64, chunk: usize) -> Row {
 
 pub type Verdict<T = ()> = Result<T, TestCaseError>;
 
-/// Check `f`, freeing in mid-strand where `frees` says, on `rows`.
-pub fn check(f: &Func, frees: u64, rows: &[Row]) -> Verdict {
+/// Check `f`, freeing in mid-strand where `frees` says, on `rows`: the
+/// oracle's racy words.
+pub fn check(f: &Func, frees: u64, rows: &[Row]) -> Verdict<Vec<u64>> {
     let make = || Program::new(f, frees, false);
     let seq = detect(&mut Program::new(f, frees, true), Stint).report;
     if frees == 0 {
@@ -257,6 +256,12 @@ pub fn check(f: &Func, frees: u64, rows: &[Row]) -> Verdict {
     h.run(rows)
 }
 
+/// Check the programs `make` builds on `rows`, as [`check_kernel`] checks a
+/// suite kernel, but of any length: the oracle's racy words.
+pub fn check_program<P: CilkProgram>(make: &dyn Fn() -> P, rows: &[Row]) -> Verdict<Vec<u64>> {
+    kernel(make)?.run(rows)
+}
+
 /// Check a suite kernel on `rows`. A run of it allocates afresh, so the
 /// oracle is sequential STINT over one recorded hook stream, and a live or
 /// online row is compared by racy-word count.
@@ -265,10 +270,10 @@ pub fn check_kernel(name: &str, rows: &[Row]) -> Verdict {
     let h = kernel(&make)?;
     let long = h.hooks.trace.len() > DEFAULT_CHUNK_EVENTS;
     prop_assert!(long, "{name} fits one batch");
-    h.run(rows)
+    h.run(rows).map(drop)
 }
 
-fn kernel(make: &dyn Fn() -> Workload) -> Verdict<Harness<'_, Workload>> {
+fn kernel<P: CilkProgram>(make: &dyn Fn() -> P) -> Verdict<Harness<'_, P>> {
     let hooks = hook_trace(&mut make());
     let seq = hooks.replay(StintDetector::new(RaceReport::unbounded(true)));
     let mut h = Harness::new(make, hooks, &seq.report)?;
@@ -377,6 +382,8 @@ struct Harness<'a, P> {
     mem_work: HashMap<(bool, usize), Vec<u64>>,
     /// Per input: the first witnessed merged report.
     witnessed: HashMap<bool, MergedReport>,
+    /// Per input, witnessed or not: the first merged render.
+    renders: HashMap<(bool, bool), String>,
 }
 
 impl<'a, P: CilkProgram> Harness<'a, P> {
@@ -405,10 +412,12 @@ impl<'a, P: CilkProgram> Harness<'a, P> {
             stats: HashMap::new(),
             mem_work: HashMap::new(),
             witnessed: HashMap::new(),
+            renders: HashMap::new(),
         })
     }
 
-    fn run(mut self, rows: &[Row]) -> Verdict {
+    /// The rows, then the oracle's racy words.
+    fn run(mut self, rows: &[Row]) -> Verdict<Vec<u64>> {
         for &row in rows {
             match self.row(row) {
                 Err(TestCaseError::Reject(why)) if why == JUDGED => {}
@@ -416,7 +425,7 @@ impl<'a, P: CilkProgram> Harness<'a, P> {
                 Err(e) => return Err(fail(format!("{row:?}: {e:?}"))),
             }
         }
-        Ok(())
+        Ok(self.oracle)
     }
 
     /// The hook stream, or the units.
@@ -580,13 +589,14 @@ impl<'a, P: CilkProgram> Harness<'a, P> {
                 }
                 self.merged(hooks, cfg.witnesses, &out.merged, false)
             }
-            // Not degraded, every hook counted, ⌈units / chunk⌉ + 1
-            // hand-offs.
+            // Not degraded, every hook and strand counted, ⌈units / chunk⌉
+            // + 1 hand-offs.
             Row::Online(cfg) => {
                 let run = online_detect(&mut (self.make)(), &cfg);
                 let seen = |o: &OnlineOutcome| (o.merged.racy_words.clone(), exit(&o.degraded));
                 let out = self.settle(true, run, seen)?;
                 prop_assert_eq!(out.events, self.hooks.trace.len());
+                prop_assert_eq!(out.strands, self.hooks.reach.strand_count());
                 let hand_offs = out.units.div_ceil(cfg.chunk_events as u64) + 1;
                 prop_assert_eq!(out.chunks, hand_offs, "hand-offs");
                 work(&out.shards, out.events, 1.5)?;
@@ -628,11 +638,16 @@ impl<'a, P: CilkProgram> Harness<'a, P> {
         }
     }
 
-    /// A witnessed render is the first witnessed render of its input.
+    /// A render is the first render of its input, witnessed or not (but
+    /// an unwitnessed one of a fresh run that allocates afresh).
     fn merged(&mut self, hooks: bool, witnessed: bool, m: &MergedReport, fresh: bool) -> Verdict {
         if witnessed {
-            let first = self.witnessed.entry(hooks).or_insert_with(|| m.clone());
-            prop_assert_eq!(first.render(), m.render(), "witnessed renders differ");
+            self.witnessed.entry(hooks).or_insert_with(|| m.clone());
+        }
+        if witnessed || !(fresh && self.fresh_heap) {
+            let first = self.renders.entry((hooks, witnessed));
+            let first = first.or_insert_with(|| m.render());
+            prop_assert_eq!(&first[..], m.render(), "renders differ");
         }
         let on = witnessed.then_some(hooks);
         self.verdict(fresh, &m.racy_words, Some(&m.regions), on)

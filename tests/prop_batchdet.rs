@@ -8,11 +8,11 @@
 use proptest::prelude::*;
 use stint_repro::batchdet::{batch_detect, BatchConfig};
 use stint_repro::{PortableTrace, DEFAULT_CHUNK_EVENTS};
-use stint_spdag::{Access, Func, Stmt};
+use stint_spdag::{Func, Stmt};
 
 mod common;
+use common::{access, multi_group, one_group, Row, Src};
 use common::{batch, check, check_kernel, func_strategy, func_strategy_over, online, Program};
-use common::{multi_group, one_group, Row, Src};
 
 const SOURCES: [Src; 4] = [Src::Mem, Src::V2(1), Src::V2(16), Src::V2(4096)];
 
@@ -66,18 +66,13 @@ fn routing() -> Vec<Row> {
 /// splits one strand's flush.
 #[test]
 fn interval_straddling_a_shard_cut_matches_its_expansion() {
-    let access = |write, word, len| Access {
-        write,
-        word,
-        len,
-        coalesced: true,
-    };
+    let ranged = |write, word, len| access(write, word, len, true);
     let f = Func(vec![
         Stmt::Spawn(Func(vec![Stmt::Compute(vec![
-            access(true, 100, 300),
-            access(false, 0, 500),
+            ranged(true, 100, 300),
+            ranged(false, 0, 500),
         ])])),
-        Stmt::Compute(vec![access(true, 40, 120), access(true, 350, 100)]),
+        Stmt::Compute(vec![ranged(true, 40, 120), ranged(true, 350, 100)]),
         Stmt::Sync,
     ]);
     for frees in [0, 0b10] {
@@ -90,6 +85,52 @@ fn interval_straddling_a_shard_cut_matches_its_expansion() {
     let cut = out.shards[0].word_hi;
     assert!(40 < cut && cut < 160, "no cut inside [40, 160): {cut}");
     assert!(!out.merged.is_race_free());
+}
+
+/// Two parallel writers overlapping across a wide range, then a serial read
+/// of the first half that frees it (compute 2) and a one-word race in the
+/// freed range: range clipping, strand-end skipping and tombstones.
+fn wide_racy(rows: &[Row]) {
+    let compute = |a| Stmt::Compute(vec![a]);
+    let f = Func(vec![
+        Stmt::Spawn(Func(vec![Stmt::Compute(vec![
+            access(true, 0x40, 16, true),
+            access(false, 0x80, 2, false),
+        ])])),
+        compute(access(true, 0x48, 16, true)),
+        Stmt::Sync,
+        compute(access(false, 0x40, 8, true)),
+        Stmt::Spawn(Func(vec![compute(access(true, 0x41, 1, false))])),
+        compute(access(false, 0x41, 1, false)),
+        Stmt::Sync,
+    ]);
+    let words = check(&f, 0b100, rows).unwrap_or_else(|e| panic!("{e:?}"));
+    assert!(!words.is_empty());
+}
+
+#[test]
+fn render_is_invariant_in_shards_workers_and_seed() {
+    let shapes = [
+        (1, 1, 0),
+        (2, 1, 0),
+        (4, 3, 0),
+        (4, 3, 0xDEAD_BEEF),
+        (9, 2, 7),
+    ];
+    wide_racy(&shapes.map(|(k, w, seed)| batch(false, Src::Mem, k, w, seed)));
+}
+
+#[test]
+fn online_render_matches_batch_render() {
+    wide_racy(&[batch(true, Src::Mem, 4, 2, 0), online(2, 0, 16)]);
+}
+
+/// Witness capture is merge-time and span-table-driven, exactly like batch:
+/// the same program's hook stream batch-detected with witnesses renders the
+/// same bytes.
+#[test]
+fn witnessed_online_regions_verify() {
+    wide_racy(&[batch(true, Src::Mem, 4, 2, 0), online(2, 0, 8)].map(Row::witnessed));
 }
 
 proptest! {
