@@ -602,3 +602,54 @@ fn depa_and_online_report_the_sporder_races() {
     assert!(races(&sporder).is_some(), "{sporder}");
     assert_eq!(races(&online), races(&sporder));
 }
+
+/// One `free` of 2^60 bytes spliced into a test-scale recording, right
+/// after its first access: a run of 2^58 words, far wider than a treap
+/// node's 32-bit length and than the shadow pages the word-granularity
+/// variants map. Every variant and the batch tier finish with the exit code
+/// and the racy words of one verdict.
+#[test]
+fn a_huge_free_replays_under_every_variant() {
+    for (bench, want) in [("mmul", 0), ("buggy-mmul", 1)] {
+        let path = recording(bench, &format!("huge-free-{bench}"));
+        let text = std::fs::read_to_string(&path).expect("read trace");
+        let (head, rest) = text.split_once("\nevents ").expect("an events line");
+        let (count, body) = rest.split_once('\n').expect("events");
+        let events: Vec<&str> = body.lines().collect();
+        let at = events
+            .iter()
+            .position(|l| !l.starts_with("e "))
+            .expect("an access");
+        let strand = events[at].split(' ').nth(1).expect("a strand");
+        let free = format!("f {strand} 0x1000 {}", 1u64 << 60);
+        let count: u64 = count.parse().expect("event count");
+        let mut spliced = events;
+        spliced.insert(at + 1, &free);
+        let spliced = format!("{head}\nevents {}\n{}\n", count + 1, spliced.join("\n"));
+        std::fs::write(&path, spliced).expect("write trace");
+        let file = path.to_str().expect("utf-8");
+        let mut verdicts = Vec::new();
+        for variant in "vanilla compiler comp+rts stint stint-btree batch".split(' ') {
+            let out = run(&["trace", "replay", file, "--variant", variant]);
+            assert_eq!(code(&out), want, "{bench} {variant}: {}", stderr(&out));
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            let races = stdout
+                .lines()
+                .find_map(|l| l.trim_start().strip_prefix("races:"))
+                .expect("a races line");
+            // Report counts differ by granularity; the racy words may not.
+            let words = races.rsplit(", ").next().expect("racy words").trim();
+            verdicts.push((variant, words.to_string()));
+        }
+        assert!(
+            verdicts.iter().all(|v| v.1 == verdicts[0].1),
+            "{bench}: {verdicts:?}"
+        );
+        assert_eq!(
+            verdicts[0].1.starts_with("none"),
+            want == 0,
+            "{bench}: {verdicts:?}"
+        );
+        let _ = std::fs::remove_file(path);
+    }
+}

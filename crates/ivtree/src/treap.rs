@@ -1,8 +1,8 @@
 //! The treap of disjoint intervals (paper Section 4, Figures 2–4).
 //!
-//! Nodes live in an arena indexed by `u32` and carry a random priority; the
-//! tree is a BST on interval start and a max-heap on priority. The query is
-//! recursive. Both inserts probe, act and repair (`Treap::insert_from`): a
+//! Nodes live in an arena indexed by `u32`; a node's priority is a hash of
+//! its slot, and the tree is a BST on interval start and a max-heap on
+//! priority. The query is recursive. Both inserts probe, act and repair (`Treap::insert_from`): a
 //! read-only descent to the first stored interval the run overlaps, the
 //! recursive case analysis rooted there, and links re-stored along the
 //! recorded path only as far as a subtree root changed (a fresh leaf is
@@ -12,14 +12,21 @@
 //! splice nodes out along one spine, which cannot violate the heap order.
 //!
 //! When an existing node is trimmed or has its payload replaced in place
-//! (write case D, the "middle piece" of the split cases), it keeps its old
-//! priority: priorities are i.i.d. uniform, so the tree's shape distribution
-//! is preserved.
+//! (write case D, the "middle piece" of the split cases), it keeps its slot
+//! and so its priority: priorities are i.i.d. uniform and independent of the
+//! keys, so the tree's shape distribution is preserved.
+//!
+//! A node stores its length in 32 bits. A run of `WIDE` words or more (one
+//! at 2^31, 8 GiB of 4-byte words; a large `free` is one) is a *wide* node:
+//! its `len` bits index a side table that holds its end.
 
 use crate::{Interval, IntervalStore, OpStats};
 
 const NIL: u32 = u32::MAX;
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+/// A node's `len` at or above this marks it wide: the low bits index
+/// `Treap::wide`, which holds its end.
+const WIDE: u32 = 1 << 31;
 
 /// Fewest runs worth a cut: two splits and two joins walk four root-to-leaf
 /// spines, what four per-run descents cost, so a shorter batch cannot win.
@@ -53,15 +60,16 @@ static OBS_DEPTH: stint_obs::Histogram = stint_obs::Histogram::new("ivtree.depth
 #[derive(Clone, Debug)]
 struct Node<A> {
     start: u64,
-    end: u64,
+    /// `end - start`, below `WIDE`; else `WIDE | i` with the end in `wide[i]`.
+    len: u32,
     who: A,
-    prio: u32,
     left: u32,
     right: u32,
 }
 
-// With a 4-byte accessor a node is half a cache line and never straddles one.
-const _: () = assert!(std::mem::size_of::<Node<u32>>() == 32);
+// With a 4-byte accessor a node is 24 bytes with no padding (one in four
+// straddles a cache line).
+const _: () = assert!(std::mem::size_of::<Node<u32>>() == 24);
 
 /// Treap-based interval store. See the crate docs for the semantics.
 ///
@@ -83,10 +91,17 @@ pub struct Treap<A> {
     nodes: Vec<Node<A>>,
     free: Vec<u32>,
     root: u32,
-    rng: u64,
-    /// `treap-degenerate` fault: draw monotonically increasing priorities,
-    /// turning the treap into its worst-case (list-shaped) form so the
-    /// degradation machinery is exercised with pathological depth.
+    /// Ends of the wide nodes (see `WIDE`), and the entries free for reuse.
+    /// Empty, and unallocated, until a run of `WIDE` words or more arrives.
+    wide: Vec<u64>,
+    wide_free: Vec<u32>,
+    /// The priority stream's start: slot `t`'s priority is the `t`-th draw
+    /// of a splitmix64 stream from here, or under `degenerate` the counter
+    /// `seed + t + 1`.
+    seed: u64,
+    /// `treap-degenerate` fault: priorities increase with the slot, turning
+    /// the treap into its worst-case (list-shaped) form so the degradation
+    /// machinery is exercised with pathological depth.
     degenerate: bool,
     len: usize,
     /// Most intervals ever stored at once (Lemma 4.1 watermark).
@@ -135,8 +150,10 @@ impl<A: Copy> Treap<A> {
             nodes: Vec::new(),
             free: Vec::new(),
             root: NIL,
-            // Degenerate: monotone counter start; see `next_prio`.
-            rng: if degenerate { 0 } else { seed ^ GOLDEN },
+            wide: Vec::new(),
+            wide_free: Vec::new(),
+            // Degenerate: the monotone counter's base; see `prio`.
+            seed: if degenerate { 0 } else { seed ^ GOLDEN },
             degenerate,
             len: 0,
             len_hw: 0,
@@ -175,11 +192,12 @@ impl<A: Copy> Treap<A> {
         self.node_cap = cap.min(NIL as usize) as u32;
     }
 
-    /// Heap bytes currently owned by the arena (node slab + free list) and
-    /// the insert probe's path scratch.
+    /// Heap bytes currently owned by the arena (node slab + free list), the
+    /// wide nodes' side table and the insert probe's path scratch.
     pub fn heap_bytes(&self) -> u64 {
         (self.nodes.capacity() * std::mem::size_of::<Node<A>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
+            + (self.free.capacity() + self.wide_free.capacity()) * std::mem::size_of::<u32>()
+            + self.wide.capacity() * std::mem::size_of::<u64>()
             + self.path.capacity() * std::mem::size_of::<(u32, u64)>()) as u64
     }
 
@@ -193,44 +211,111 @@ impl<A: Copy> Treap<A> {
         OBS_BYTES.reconcile(&mut self.owned_bytes, bytes);
     }
 
+    /// The priority of slot `t`: the `t`-th draw of a splitmix64 stream (the
+    /// upper half of its output), so an arena that reuses no slot ranks its
+    /// nodes as a stream drawn once per new node would. A slot keeps its
+    /// priority through trims and carves; a reused slot's is still
+    /// independent of the keys.
     #[inline]
-    fn next_prio(&mut self) -> u32 {
+    fn prio(&self, t: u32) -> u32 {
+        let i = t as u64 + 1;
         if self.degenerate {
             // Worst-case fault: each new node outranks every older one, so
             // insertion rotates it all the way to the root and the tree is a
-            // list. The rng field doubles as the monotone counter, which
-            // saturates (ties keep the heap order valid) instead of wrapping.
-            self.rng = (self.rng + 1).min(u32::MAX as u64);
-            return self.rng as u32;
+            // list. The counter saturates (ties keep the heap order valid)
+            // instead of wrapping.
+            return (self.seed + i).min(u32::MAX as u64) as u32;
         }
-        // splitmix64; a priority is the upper half of its output
-        self.rng = self.rng.wrapping_add(GOLDEN);
-        let mut z = self.rng;
+        let mut z = self.seed.wrapping_add(i.wrapping_mul(GOLDEN));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         ((z ^ (z >> 31)) >> 32) as u32
     }
 
+    /// The end of node `t`'s interval.
     #[inline]
-    fn alloc(&mut self, iv: Interval<A>, prio: u32) -> u32 {
+    fn end(&self, t: u32) -> u64 {
+        let n = self.n(t);
+        if n.len < WIDE {
+            n.start + n.len as u64
+        } else {
+            self.wide_end(n.len)
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn wide_end(&self, len: u32) -> u64 {
+        self.wide[(len & !WIDE) as usize]
+    }
+
+    /// Store `[start, end)` as node `t`'s bounds.
+    #[inline]
+    fn set(&mut self, t: u32, start: u64, end: u64) {
+        let n = &mut self.nodes[t as usize];
+        if n.len < WIDE && end - start < WIDE as u64 {
+            (n.start, n.len) = (start, (end - start) as u32);
+        } else {
+            self.set_wide(t, start, end);
+        }
+    }
+
+    /// [`Self::set`] where the node was wide, becomes wide, or both.
+    #[cold]
+    #[inline(never)]
+    fn set_wide(&mut self, t: u32, start: u64, end: u64) {
+        let held = self.n(t).len;
+        let len = if end - start < WIDE as u64 {
+            self.wide_free.push(held & !WIDE);
+            (end - start) as u32
+        } else if held >= WIDE {
+            self.wide[(held & !WIDE) as usize] = end;
+            held
+        } else {
+            self.wide_entry(end)
+        };
+        let n = self.nm(t);
+        (n.start, n.len) = (start, len);
+    }
+
+    /// A side-table entry holding `end`: the `len` bits of a wide node.
+    #[cold]
+    #[inline(never)]
+    fn wide_entry(&mut self, end: u64) -> u32 {
+        let i = self.wide_free.pop().unwrap_or_else(|| {
+            self.wide.push(0);
+            // Each wide run spans 2^31 words of a 2^64 space: fewer than
+            // 2^33 can coexist, and 2^31 would take 48 GiB of nodes.
+            (self.wide.len() - 1) as u32
+        });
+        self.wide[i as usize] = end;
+        WIDE | i
+    }
+
+    #[inline]
+    fn alloc(&mut self, iv: Interval<A>) -> u32 {
+        let reuse = self.free.pop();
+        if reuse.is_none() && self.nodes.len() as u32 >= self.node_cap {
+            self.exhausted();
+        }
+        let len = if iv.end - iv.start < WIDE as u64 {
+            (iv.end - iv.start) as u32
+        } else {
+            self.wide_entry(iv.end)
+        };
         let node = Node {
             start: iv.start,
-            end: iv.end,
+            len,
             who: iv.who,
-            prio,
             left: NIL,
             right: NIL,
         };
-        let slot = if let Some(i) = self.free.pop() {
+        let slot = if let Some(i) = reuse {
             self.nodes[i as usize] = node;
             i
         } else {
-            let i = self.nodes.len() as u32;
-            if i >= self.node_cap {
-                self.exhausted();
-            }
             self.nodes.push(node);
-            i
+            (self.nodes.len() - 1) as u32
         };
         // Counted only once the slot exists: `exhausted` unwinds.
         self.len += 1;
@@ -256,6 +341,10 @@ impl<A: Copy> Treap<A> {
 
     #[inline]
     fn dealloc(&mut self, t: u32) {
+        let held = self.n(t).len;
+        if held >= WIDE {
+            self.wide_free.push(held & !WIDE);
+        }
         self.len -= 1;
         self.free.push(t);
         self.note_mem();
@@ -300,28 +389,63 @@ impl<A: Copy> Treap<A> {
     #[inline]
     fn fix_left(&mut self, t: u32) -> u32 {
         let l = self.n(t).left;
-        if l != NIL && self.n(l).prio >= self.n(t).prio {
-            let top = self.rotate_right(t);
-            let fixed = self.fix_left(t);
-            self.nm(top).right = fixed;
-            top
+        if l != NIL && self.prio(l) >= self.prio(t) {
+            self.raise_left(t)
         } else {
             t
         }
+    }
+
+    /// Rotate `t`'s left child above it and sift `t` down: the child
+    /// outranks it.
+    #[inline]
+    fn raise_left(&mut self, t: u32) -> u32 {
+        let top = self.rotate_right(t);
+        let fixed = self.fix_left(t);
+        self.nm(top).right = fixed;
+        top
     }
 
     /// Mirror image of [`Self::fix_left`].
     #[inline]
     fn fix_right(&mut self, t: u32) -> u32 {
         let r = self.n(t).right;
-        if r != NIL && self.n(r).prio > self.n(t).prio {
-            let top = self.rotate_left(t);
-            let fixed = self.fix_right(t);
-            self.nm(top).left = fixed;
-            top
+        if r != NIL && self.prio(r) > self.prio(t) {
+            self.raise_right(t)
         } else {
             t
         }
+    }
+
+    /// Mirror image of [`Self::raise_left`].
+    #[inline]
+    fn raise_right(&mut self, t: u32) -> u32 {
+        let top = self.rotate_left(t);
+        let fixed = self.fix_right(t);
+        self.nm(top).left = fixed;
+        top
+    }
+
+    /// Link `new`, the root an insert into `t`'s left subtree returned, as
+    /// `t`'s left child and restore the heap order. Only a new root can
+    /// outrank `t`: an unchanged one kept its slot, hence its priority.
+    #[inline]
+    fn link_left(&mut self, t: u32, new: u32) -> u32 {
+        if self.n(t).left == new {
+            return t;
+        }
+        self.nm(t).left = new;
+        self.fix_left(t)
+    }
+
+    /// Mirror image of [`Self::link_left`].
+    #[inline]
+    fn link_right(&mut self, t: u32, new: u32) -> u32 {
+        if self.n(t).right == new {
+            return t;
+        }
+        self.nm(t).right = new;
+        self.fix_right(t)
     }
 
     /// Plain treap insertion of the unlinked node `x`, whose interval is
@@ -333,23 +457,20 @@ impl<A: Copy> Treap<A> {
             return x;
         }
         self.stats.visited += 1;
-        debug_assert!(self.n(x).end <= self.n(t).start || self.n(x).start >= self.n(t).end);
+        debug_assert!(self.end(x) <= self.n(t).start || self.n(x).start >= self.end(t));
         if self.n(x).start < self.n(t).start {
             let nl = self.insert_disjoint(self.n(t).left, x);
-            self.nm(t).left = nl;
-            self.fix_left(t)
+            self.link_left(t, nl)
         } else {
             let nr = self.insert_disjoint(self.n(t).right, x);
-            self.nm(t).right = nr;
-            self.fix_right(t)
+            self.link_right(t, nr)
         }
     }
 
-    /// Draw a priority for `iv`, give it a node and insert that.
+    /// Give `iv` a node and insert that.
     #[inline]
     fn insert_new(&mut self, t: u32, iv: Interval<A>) -> u32 {
-        let p = self.next_prio();
-        let x = self.alloc(iv, p);
+        let x = self.alloc(iv);
         self.insert_disjoint(t, x)
     }
 
@@ -359,9 +480,9 @@ impl<A: Copy> Treap<A> {
     /// anything (each is a classic single-node treap insert).
     #[inline]
     fn carve(&mut self, t: u32, x: Interval<A>) -> u32 {
-        let node = self.nm(t);
-        let (ys, ye, y_who) = (node.start, node.end, node.who);
-        (node.start, node.end, node.who) = (x.start, x.end, x.who);
+        let (ys, ye, y_who) = (self.n(t).start, self.end(t), self.n(t).who);
+        self.set(t, x.start, x.end);
+        self.nm(t).who = x.who;
         let mut t = t;
         if ys < x.start {
             t = self.insert_new(t, Interval::new(ys, x.start, y_who));
@@ -381,10 +502,7 @@ impl<A: Copy> Treap<A> {
         self.stats.visited += 1;
         self.stats.overlaps += 1;
         let (l, r) = (self.n(t).left, self.n(t).right);
-        let (s, e, who) = {
-            let n = self.n(t);
-            (n.start, n.end, n.who)
-        };
+        let (s, e, who) = (self.n(t).start, self.end(t), self.n(t).who);
         cb(who, s, e);
         self.report_and_free_all(l, cb);
         self.report_and_free_all(r, cb);
@@ -405,7 +523,7 @@ impl<A: Copy> Treap<A> {
             return NIL;
         }
         self.stats.visited += 1;
-        let (zs, ze) = (self.n(t).start, self.n(t).end);
+        let (zs, ze) = (self.n(t).start, self.end(t));
         if ze <= x_start {
             // Case A: no overlap; only the right subtree can overlap.
             let nr = self.remove_overlap_left(self.n(t).right, x_start, cb);
@@ -417,7 +535,7 @@ impl<A: Copy> Treap<A> {
             self.stats.overlaps += 1;
             let who = self.n(t).who;
             cb(who, x_start, ze);
-            self.nm(t).end = x_start;
+            self.set(t, zs, x_start);
             let r = self.n(t).right;
             self.report_and_free_all(r, cb);
             self.nm(t).right = NIL;
@@ -448,7 +566,7 @@ impl<A: Copy> Treap<A> {
             return NIL;
         }
         self.stats.visited += 1;
-        let (zs, ze) = (self.n(t).start, self.n(t).end);
+        let (zs, ze) = (self.n(t).start, self.end(t));
         if zs >= x_end {
             let nl = self.remove_overlap_right(self.n(t).left, x_end, cb);
             self.nm(t).left = nl;
@@ -457,7 +575,7 @@ impl<A: Copy> Treap<A> {
             self.stats.overlaps += 1;
             let who = self.n(t).who;
             cb(who, zs, x_end);
-            self.nm(t).start = x_end;
+            self.set(t, x_end, ze);
             let l = self.n(t).left;
             self.report_and_free_all(l, cb);
             self.nm(t).left = NIL;
@@ -478,22 +596,19 @@ impl<A: Copy> Treap<A> {
     /// left of it past a case-B trim.
     fn iw(&mut self, t: u32, x: Interval<A>, cb: &mut impl FnMut(A, u64, u64)) -> u32 {
         if t == NIL {
-            let p = self.next_prio();
-            return self.alloc(x, p);
+            return self.alloc(x);
         }
         self.stats.visited += 1;
-        let (ys, ye) = (self.n(t).start, self.n(t).end);
+        let (ys, ye) = (self.n(t).start, self.end(t));
         if x.end <= ys {
             // Case A: no overlap, x entirely to the left.
             let nl = self.iw(self.n(t).left, x, cb);
-            self.nm(t).left = nl;
-            return self.fix_left(t);
+            return self.link_left(t, nl);
         }
         if x.start >= ye {
             // Case A: no overlap, x entirely to the right.
             let nr = self.iw(self.n(t).right, x, cb);
-            self.nm(t).right = nr;
-            return self.fix_right(t);
+            return self.link_right(t, nr);
         }
         // Overlap: report the conflicting region with the old accessor.
         self.stats.overlaps += 1;
@@ -513,24 +628,22 @@ impl<A: Copy> Treap<A> {
                 let nr = self.remove_overlap_right(self.n(t).right, x.end, cb);
                 self.nm(t).right = nr;
             }
-            let node = self.nm(t);
-            (node.start, node.end, node.who) = (x.start, x.end, x.who);
+            self.set(t, x.start, x.end);
+            self.nm(t).who = x.who;
             t
         } else if ys <= x.start && x.end <= ye {
             // Case C: y fully covers x (strictly on at least one side).
             self.carve(t, x)
         } else if x.start > ys {
             // Case B: partial overlap, x to the right: trim y and recurse.
-            self.nm(t).end = x.start;
+            self.set(t, ys, x.start);
             let nr = self.iw(self.n(t).right, x, cb);
-            self.nm(t).right = nr;
-            self.fix_right(t)
+            self.link_right(t, nr)
         } else {
             // Case B mirrored: partial overlap, x to the left.
-            self.nm(t).start = x.end;
+            self.set(t, x.end, ye);
             let nl = self.iw(self.n(t).left, x, cb);
-            self.nm(t).left = nl;
-            self.fix_left(t)
+            self.link_left(t, nl)
         }
     }
 
@@ -540,20 +653,17 @@ impl<A: Copy> Treap<A> {
     /// the flanks and trimmed pieces the cases re-insert inside that subtree.
     fn ir(&mut self, t: u32, x: Interval<A>, keep_new: &mut impl FnMut(A) -> bool) -> u32 {
         if t == NIL {
-            let p = self.next_prio();
-            return self.alloc(x, p);
+            return self.alloc(x);
         }
         self.stats.visited += 1;
-        let (ys, ye) = (self.n(t).start, self.n(t).end);
+        let (ys, ye) = (self.n(t).start, self.end(t));
         if x.end <= ys {
             let nl = self.ir(self.n(t).left, x, keep_new);
-            self.nm(t).left = nl;
-            return self.fix_left(t);
+            return self.link_left(t, nl);
         }
         if x.start >= ye {
             let nr = self.ir(self.n(t).right, x, keep_new);
-            self.nm(t).right = nr;
-            return self.fix_right(t);
+            return self.link_right(t, nr);
         }
         self.stats.overlaps += 1;
         let y_who = self.n(t).who;
@@ -583,28 +693,24 @@ impl<A: Copy> Treap<A> {
             }
         } else if x.start > ys {
             // Partial overlap, x to the right (x.end > ye).
-            if keep_new(y_who) {
-                self.nm(t).end = x.start;
-                let nr = self.ir(self.n(t).right, x, keep_new);
-                self.nm(t).right = nr;
+            let nr = if keep_new(y_who) {
+                self.set(t, ys, x.start);
+                self.ir(self.n(t).right, x, keep_new)
             } else {
                 let trimmed = Interval::new(ye, x.end, x.who);
-                let nr = self.ir(self.n(t).right, trimmed, keep_new);
-                self.nm(t).right = nr;
-            }
-            self.fix_right(t)
+                self.ir(self.n(t).right, trimmed, keep_new)
+            };
+            self.link_right(t, nr)
         } else {
             // Partial overlap, x to the left (x.start < ys, x.end < ye).
-            if keep_new(y_who) {
-                self.nm(t).start = x.end;
-                let nl = self.ir(self.n(t).left, x, keep_new);
-                self.nm(t).left = nl;
+            let nl = if keep_new(y_who) {
+                self.set(t, x.end, ye);
+                self.ir(self.n(t).left, x, keep_new)
             } else {
                 let trimmed = Interval::new(x.start, ys, x.who);
-                let nl = self.ir(self.n(t).left, trimmed, keep_new);
-                self.nm(t).left = nl;
-            }
-            self.fix_left(t)
+                self.ir(self.n(t).left, trimmed, keep_new)
+            };
+            self.link_left(t, nl)
         }
     }
 
@@ -636,7 +742,7 @@ impl<A: Copy> Treap<A> {
             let n = &self.nodes[t as usize];
             let (next, same_turn_to) = if x.end <= n.start {
                 (n.left, n.start)
-            } else if x.start >= n.end {
+            } else if x.start >= self.end(t) {
                 (n.right, u64::MAX)
             } else {
                 break;
@@ -645,13 +751,16 @@ impl<A: Copy> Treap<A> {
             t = next;
         }
         self.stats.visited += (self.path.len() - at) as u64;
-        let covered = t != NIL && self.n(t).start <= x.start && x.end <= self.n(t).end;
+        let covered = t != NIL && self.n(t).start <= x.start && x.end <= self.end(t);
         let len = self.len;
         let mut new = act(self, t);
         // An interval covering the run either settles it or is carved, and a
         // carve allocates; a write settles only on its own bounds.
         self.settled += (covered && self.len == len) as u64;
+        // Linked under each parent up the path, `new` either rises above it
+        // or stops there, so its priority is computed once.
         let mut old = t;
+        let rank = if new != old { self.prio(new) } else { 0 };
         while new != old {
             let Some((p, same_turn_to)) = self.path.pop() else {
                 return new;
@@ -659,10 +768,18 @@ impl<A: Copy> Treap<A> {
             old = p;
             new = if same_turn_to != u64::MAX {
                 self.nm(p).left = new;
-                self.fix_left(p)
+                if rank >= self.prio(p) {
+                    self.raise_left(p)
+                } else {
+                    p
+                }
             } else {
                 self.nm(p).right = new;
-                self.fix_right(p)
+                if rank > self.prio(p) {
+                    self.raise_right(p)
+                } else {
+                    p
+                }
             };
         }
         top
@@ -674,10 +791,7 @@ impl<A: Copy> Treap<A> {
             return;
         }
         self.stats.visited += 1;
-        let (ys, ye, who) = {
-            let n = self.n(t);
-            (n.start, n.end, n.who)
-        };
+        let (ys, ye, who) = (self.n(t).start, self.end(t), self.n(t).who);
         if hi <= ys {
             self.qo(self.n(t).left, lo, hi, f);
         } else if lo >= ye {
@@ -699,12 +813,7 @@ impl<A: Copy> Treap<A> {
             return;
         }
         self.collect(self.n(t).left, out);
-        let n = self.n(t);
-        out.push(Interval {
-            start: n.start,
-            end: n.end,
-            who: n.who,
-        });
+        out.push(Interval::new(self.n(t).start, self.end(t), self.n(t).who));
         self.collect(self.n(t).right, out);
     }
 
@@ -716,30 +825,42 @@ impl<A: Copy> Treap<A> {
             min_prio: Option<u32>,
             prev_end: &mut u64,
             count: &mut usize,
+            wide: &mut Vec<u32>,
         ) {
             if t == NIL {
                 return;
             }
             *count += 1;
-            let n = tr.n(t);
-            assert!(n.start < n.end, "empty interval stored");
-            if let Some(p) = min_prio {
-                assert!(n.prio <= p, "heap order violated");
+            let (n, end, prio) = (tr.n(t), tr.end(t), tr.prio(t));
+            assert!(n.start < end, "empty interval stored");
+            if n.len >= WIDE {
+                assert!(end - n.start >= WIDE as u64, "narrow run stored wide");
+                wide.push(n.len & !WIDE);
             }
-            walk(tr, n.left, Some(n.prio), prev_end, count);
+            if let Some(p) = min_prio {
+                assert!(prio <= p, "heap order violated");
+            }
+            walk(tr, n.left, Some(prio), prev_end, count, wide);
             assert!(
                 n.start >= *prev_end,
                 "intervals overlap or are out of order: start {} < prev end {}",
                 n.start,
                 *prev_end
             );
-            *prev_end = n.end;
-            walk(tr, n.right, Some(n.prio), prev_end, count);
+            *prev_end = end;
+            walk(tr, n.right, Some(prio), prev_end, count, wide);
         }
         let mut prev_end = 0u64;
         let mut count = 0usize;
-        walk(self, self.root, None, &mut prev_end, &mut count);
+        let mut wide = self.wide_free.clone();
+        walk(self, self.root, None, &mut prev_end, &mut count, &mut wide);
         assert_eq!(count, self.len, "len out of sync with tree");
+        wide.sort_unstable();
+        assert!(
+            wide.iter().copied().eq(0..self.wide.len() as u32),
+            "side table out of sync: live and free entries {wide:?} of {}",
+            self.wide.len()
+        );
         // Lemma 4.1: at most 2m+1 intervals after m inserts.
         assert!(
             self.len as u64 <= 2 * self.inserts + 1,
@@ -769,9 +890,9 @@ impl<A: Copy> Treap<A> {
     /// outranks as its left child. `spine[0]` is the root of what was built.
     fn spine_push(&mut self, spine: &mut Vec<u32>, t: u32) {
         self.stats.visited += 1;
-        let mut displaced = NIL;
+        let (mut displaced, rank) = (NIL, self.prio(t));
         while let Some(&top) = spine.last() {
-            if self.n(top).prio >= self.n(t).prio {
+            if self.prio(top) >= rank {
                 break;
             }
             displaced = top;
@@ -793,13 +914,13 @@ impl<A: Copy> Treap<A> {
             return (NIL, NIL);
         }
         self.stats.visited += 1;
-        let n = self.n(t);
-        if (by_end && n.end <= key) || (!by_end && n.start < key) {
-            let (before, rest) = self.split(n.right, key, by_end);
+        let (l, r) = (self.n(t).left, self.n(t).right);
+        if (by_end && self.end(t) <= key) || (!by_end && self.n(t).start < key) {
+            let (before, rest) = self.split(r, key, by_end);
             self.nm(t).right = before;
             (t, rest)
         } else {
-            let (before, rest) = self.split(n.left, key, by_end);
+            let (before, rest) = self.split(l, key, by_end);
             self.nm(t).left = rest;
             (before, t)
         }
@@ -863,7 +984,7 @@ impl<A: Copy> Treap<A> {
         self.root = if self.misses_cover(x.start, x.end) {
             // Key-compare early-out: nothing stored can overlap `x`, so it
             // goes in as a plain disjoint insert — the tree the case analysis
-            // would build (same position, same priority draw), unanalysed.
+            // would build (same position, same slot), unanalysed.
             self.insert_new(self.root, x)
         } else {
             one(self, self.root)
@@ -878,7 +999,7 @@ impl<A: Copy> Treap<A> {
     /// splice: cut the tree into `L | M | R` around the batch's span, run the
     /// batch against `M` alone — `one(self, root, x)` is the per-run case
     /// analysis; an empty `M` overlaps nothing and the batch is built in
-    /// O(n) — and join the three back. Same draws in the same order on the
+    /// O(n) — and join the three back. Same slots in the same order on the
     /// same keys: the tree is the one the per-run path builds (DESIGN.md
     /// §3, bulk splice). Returns false, having done nothing, for a batch too short or
     /// not sorted.
@@ -912,8 +1033,7 @@ impl<A: Copy> Treap<A> {
         for &(lo, hi) in runs {
             let x = Interval::new(lo, hi, who);
             m = if build {
-                let p = t.next_prio();
-                let node = t.alloc(x, p);
+                let node = t.alloc(x);
                 t.spine_push(&mut spine, node);
                 spine[0]
             } else {
@@ -943,7 +1063,7 @@ impl<A: Copy> Treap<A> {
             return a;
         }
         self.stats.visited += 1;
-        if self.n(a).prio >= self.n(b).prio {
+        if self.prio(a) >= self.prio(b) {
             let r = self.join(self.n(a).right, b);
             self.nm(a).right = r;
             a
@@ -1103,7 +1223,7 @@ mod tests {
         // plan would reach treaps that other tests build meanwhile (the
         // chaos suite checks that the plan is sampled at construction).
         let mut t = Treap::new();
-        (t.degenerate, t.rng) = (true, 0);
+        (t.degenerate, t.seed) = (true, 0);
         assert_eq!(healthy, run(&mut t));
     }
 
@@ -1434,7 +1554,7 @@ mod tests {
         // higher, or the spliced and the per-run tree differ in shape.
         let tied = || {
             let mut t: Treap<u32> = Treap::new();
-            (t.degenerate, t.rng) = (true, u32::MAX as u64 - 3);
+            (t.degenerate, t.seed) = (true, u32::MAX as u64 - 3);
             t
         };
         let (mut bulk, mut looped) = (tied(), tied());
@@ -1462,7 +1582,12 @@ mod tests {
             assert_eq!(contents(&bulk), contents(&looped));
             assert_eq!(bulk.height(), looped.height());
         }
-        assert!(bulk.nodes.iter().filter(|n| n.prio == u32::MAX).count() > 50);
+        assert!(
+            (0..bulk.nodes.len() as u32)
+                .filter(|&i| bulk.prio(i) == u32::MAX)
+                .count()
+                > 50
+        );
     }
 
     #[test]
@@ -1637,7 +1762,9 @@ mod tests {
 
     /// Links and priorities of every arena slot, and the root: the shape.
     fn shape(t: &Treap<u32>) -> (u32, Vec<(u32, u32, u32)>) {
-        let links = t.nodes.iter().map(|n| (n.prio, n.left, n.right)).collect();
+        let links = (0..t.nodes.len() as u32)
+            .map(|i| (t.prio(i), t.n(i).left, t.n(i).right))
+            .collect();
         (t.root, links)
     }
 
@@ -1820,7 +1947,7 @@ mod tests {
         // state and other tests build treaps meanwhile). Ascending first
         // touches make a left spine: depth = len.
         let mut t: Treap<u32> = Treap::new();
-        (t.degenerate, t.rng) = (true, 0);
+        (t.degenerate, t.seed) = (true, 0);
         let mut flat = crate::FlatStore::new();
         let table: Vec<(u64, u64)> = (0..2000).map(|i| (10 + 2 * i, 11 + 2 * i)).collect();
         t.insert_reads_for(1, &table, |_| panic!("first touches"));
@@ -1834,7 +1961,7 @@ mod tests {
         }
         assert_eq!(
             t.heap_bytes() as usize,
-            t.nodes.capacity() * 32 + t.free.capacity() * 4 + t.path.capacity() * 16
+            t.nodes.capacity() * 24 + t.free.capacity() * 4 + t.path.capacity() * 16
         );
         // A batch re-reads the deep end and extends it below and between:
         // each new node outranks the whole list and is sifted to the root.
@@ -1947,7 +2074,7 @@ mod tests {
     fn list_shaped_write_tree_is_rewritten_and_extended() {
         // `treap-degenerate` priorities, set directly as in the read twin.
         let mut t: Treap<u32> = Treap::new();
-        (t.degenerate, t.rng) = (true, 0);
+        (t.degenerate, t.seed) = (true, 0);
         let mut flat = crate::FlatStore::new();
         let (mut ht, mut hf) = (Hits::new(), Hits::new());
         let table: Vec<(u64, u64)> = (0..2000).map(|i| (10 + 2 * i, 11 + 2 * i)).collect();
@@ -1964,7 +2091,7 @@ mod tests {
         assert_eq!(t.settled, 2);
         assert_eq!(
             t.heap_bytes() as usize,
-            t.nodes.capacity() * 32 + t.free.capacity() * 4 + t.path.capacity() * 16
+            t.nodes.capacity() * 24 + t.free.capacity() * 4 + t.path.capacity() * 16
         );
         // A batch rewrites the deep end, extends it below and between, runs
         // one word into the gap past a stored one, and buries the list's top
@@ -2003,6 +2130,112 @@ mod tests {
         let mut hits = Vec::new();
         t.query_overlaps(150, 250, |w, lo, hi| hits.push((w, lo, hi)));
         assert_eq!(hits, vec![(1, 150, 200)]);
+    }
+
+    #[test]
+    fn slot_priorities_are_the_per_node_stream() {
+        // The stream each new node used to draw from: the `t`-th draw is the
+        // priority of slot `t`, so an arena that reuses no slot builds the
+        // tree that stream built.
+        fn next_prio(rng: &mut u64, degenerate: bool) -> u32 {
+            if degenerate {
+                *rng = (*rng + 1).min(u32::MAX as u64);
+                return *rng as u32;
+            }
+            *rng = rng.wrapping_add(GOLDEN);
+            let mut z = *rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 32) as u32
+        }
+        for (seed, degenerate, base) in [
+            (0x5EED_1234_5678_9ABC, false, 0),
+            (11, false, 0),
+            (0, true, 0),
+            (0, true, u32::MAX as u64 - 3),
+        ] {
+            let mut t: Treap<u32> = Treap::with_seed(seed);
+            if degenerate {
+                (t.degenerate, t.seed) = (true, base);
+            }
+            let mut rng = t.seed;
+            for slot in 0..10_000 {
+                assert_eq!(t.prio(slot), next_prio(&mut rng, degenerate), "slot {slot}");
+            }
+        }
+    }
+
+    /// Slot `t`'s bounds as stored (not as `to_vec` rebuilds them).
+    fn bounds_of(t: &Treap<u32>, slot: u32) -> (u64, u64) {
+        (t.n(slot).start, t.end(slot))
+    }
+
+    #[test]
+    fn wide_nodes_turn_narrow_and_back_through_the_side_table() {
+        const G: u64 = 1 << 32;
+        let exact_bytes = |t: &Treap<u32>| {
+            t.nodes.capacity() * 24
+                + (t.free.capacity() + t.wide_free.capacity()) * 4
+                + t.wide.capacity() * 8
+                + t.path.capacity() * 16
+        };
+        let (mut t, mut flat) = (Treap::new(), crate::FlatStore::new());
+        let mut write = |t: &mut Treap<u32>, lo: u64, hi: u64, who: u32| {
+            let (mut ht, mut hf) = (Hits::new(), Hits::new());
+            t.insert_write(iv(lo, hi, who), |a, lo, hi| ht.push((a, lo, hi)));
+            flat.insert_write(iv(lo, hi, who), |a, lo, hi| hf.push((a, lo, hi)));
+            t.check_invariants();
+            ht.sort_unstable();
+            hf.sort_unstable();
+            assert_eq!(ht, hf, "{lo}..{hi}");
+            assert_eq!(
+                crate::normalize(t.to_vec()),
+                crate::normalize(flat.to_vec())
+            );
+            assert_eq!(t.heap_bytes() as usize, exact_bytes(t));
+        };
+        // Narrow runs own no side table.
+        write(&mut t, 10, 20, 1);
+        assert_eq!((t.wide.capacity(), t.wide_free.capacity()), (0, 0));
+        let narrow = t.heap_bytes();
+        // Case D widens the narrow node in place; the table appears.
+        write(&mut t, 0, 2 * G, 2);
+        assert_eq!((t.len(), t.nodes[0].len), (1, WIDE));
+        assert_eq!(bounds_of(&t, 0), (0, 2 * G));
+        assert_eq!(t.heap_bytes(), narrow + 8 * t.wide.capacity() as u64);
+        // Case B trims it back to narrow, and the new wide node takes the
+        // entry that freed.
+        write(&mut t, 5, 3 * G, 3);
+        assert_eq!(bounds_of(&t, 0), (0, 5));
+        assert_eq!((t.wide.len(), t.wide_free.len()), (1, 0));
+        assert_eq!(t.nodes[1].len, WIDE);
+        assert_eq!(bounds_of(&t, 1), (5, 3 * G));
+        // A carve inside the wide node: all three pieces wide.
+        write(&mut t, G, 2 * G, 4);
+        assert_eq!(t.wide.len(), 3);
+        // The whole space buries everything: one node, one entry live.
+        write(&mut t, 0, u64::MAX, 5);
+        assert_eq!(t.len(), 1);
+        assert_eq!((t.wide.len(), t.wide_free.len()), (3, 2));
+        // A freed wide slot is reused, node and entry alike.
+        write(&mut t, 0, 1, 6);
+        write(&mut t, 2, 3 * G, 7);
+        assert_eq!((t.nodes.len(), t.wide.len(), t.wide_free.len()), (4, 3, 1));
+        let bytes = t.heap_bytes();
+        let mut runs: Vec<(u64, u64)> = (4..8).map(|i| (i * G, (i + 1) * G)).collect();
+        runs.push((9 * G, u64::MAX));
+        t.insert_writes_for(8, &runs, |_, _, _| {});
+        flat.insert_writes_for(8, &runs, |_, _, _| {});
+        t.check_invariants();
+        assert_eq!(
+            crate::normalize(t.to_vec()),
+            crate::normalize(flat.to_vec())
+        );
+        assert!(t.heap_bytes() > bytes);
+        assert_eq!(
+            t.to_vec().iter().filter(|i| i.len() >= WIDE as u64).count(),
+            8
+        );
     }
 
     #[test]

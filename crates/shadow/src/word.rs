@@ -305,19 +305,33 @@ impl WordShadow {
 
     /// Reset all entries in `[start, end)` to [`WordEntry::EMPTY`], touching
     /// only pages that already exist (used for allocator `free` integration;
-    /// does not count as shadow operations).
+    /// does not count as shadow operations). A range spanning more pages
+    /// than are mapped — one `free` may name 2^62 words — visits the mapped
+    /// pages instead of every page number in it.
     pub fn clear_range(&mut self, start: u64, end: u64) {
-        let mut w = start;
-        while w < end {
-            let page_no = w >> PAGE_BITS;
-            let page_end = ((page_no + 1) << PAGE_BITS).min(end);
-            if let Some(slot) = self.map.get(page_no) {
-                let page = &mut self.pages[slot as usize];
-                for word in w..page_end {
-                    page[(word as usize) & (PAGE_WORDS - 1)] = WordEntry::EMPTY;
+        if start >= end {
+            return;
+        }
+        let (first, last) = (start >> PAGE_BITS, (end - 1) >> PAGE_BITS);
+        let pages = &mut self.pages;
+        let mut clear = |page_no: u64, slot: u32| {
+            let lo = start.max(page_no << PAGE_BITS);
+            let off = (lo as usize) & (PAGE_WORDS - 1);
+            let n = (end - lo).min((PAGE_WORDS - off) as u64) as usize;
+            pages[slot as usize][off..off + n].fill(WordEntry::EMPTY);
+        };
+        if last - first >= self.map.len() as u64 {
+            for (page_no, slot) in self.map.iter() {
+                if (first..=last).contains(&page_no) {
+                    clear(page_no, slot);
                 }
             }
-            w = page_end;
+        } else {
+            for page_no in first..=last {
+                if let Some(slot) = self.map.get(page_no) {
+                    clear(page_no, slot);
+                }
+            }
         }
     }
 
@@ -385,6 +399,26 @@ mod tests {
         assert_eq!(s.get(w3), None);
         assert_eq!(s.get(0).unwrap().writer, 1);
         assert_eq!(s.get(1 << PAGE_BITS).unwrap().writer, 2);
+    }
+
+    #[test]
+    fn clear_range_of_any_width_empties_exactly_its_words() {
+        let touched = [0, 5, 4095, 4096, 1 << 20, (1 << 40) + 7, u64::MAX - 1];
+        let mut s = WordShadow::new();
+        for w in touched {
+            s.entry_mut(w).writer = 1;
+        }
+        let kept = |s: &WordShadow| touched.map(|w| s.get(w).unwrap().writer == 1);
+        // Fewer pages than are mapped: walked page by page.
+        s.clear_range(1, 4096);
+        assert_eq!(kept(&s), [true, false, false, true, true, true, true]);
+        // More: only the mapped pages are visited.
+        s.clear_range(4097, (1 << 40) + 8);
+        assert_eq!(kept(&s), [true, false, false, true, false, false, true]);
+        // The whole word space, up to its last page.
+        s.clear_range(0, u64::MAX);
+        assert_eq!(kept(&s), [false; 7]);
+        assert_eq!(s.pages_allocated(), 5);
     }
 
     #[test]
