@@ -1,7 +1,6 @@
-//! LEB128 varints, shared by the compressed trace encoding ([`crate::ctrace`]),
-//! the record journal ([`crate::journal`]) and `stint-serve`'s session
-//! events: seven payload bits per byte, least significant group first, the
-//! high bit set on every byte but the last.
+//! LEB128 varints, shared by the compressed trace encoding ([`crate::ctrace`])
+//! and `stint-serve`: seven payload bits per byte, least significant group
+//! first, the high bit set on every byte but the last.
 //!
 //! A `u64` needs at most [`MAX_LEN`] bytes, and the tenth carries bit 63
 //! alone. Every decoder form rejects a tenth byte with a larger payload, and
@@ -65,16 +64,13 @@ pub fn get(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
 pub fn read<R: Read>(r: &mut R) -> io::Result<(u64, usize)> {
     let mut b = [0u8; 1];
     r.read_exact(&mut b)?;
-    stream(r, b[0])
+    read_cont(r, b[0])
 }
 
 /// [`read`] for a varint whose first byte is already in hand (a caller that
-/// probes one byte to tell a clean end of stream from a torn frame).
-pub fn read_cont<R: Read>(r: &mut R, first: u8) -> io::Result<u64> {
-    stream(r, first).map(|(v, _)| v)
-}
-
-fn stream<R: Read>(r: &mut R, first: u8) -> io::Result<(u64, usize)> {
+/// probes one byte to tell a clean end of stream from a torn frame). The
+/// byte count includes `first`.
+pub fn read_cont<R: Read>(r: &mut R, first: u8) -> io::Result<(u64, usize)> {
     decode(first, || {
         let mut b = [0u8; 1];
         r.read_exact(&mut b)?;
@@ -95,12 +91,13 @@ mod tests {
         if from_slice.is_ok() {
             assert_eq!(pos, bytes.len(), "slice form must consume the whole varint");
         }
-        let from_stream = read(&mut &bytes[..]).map(|(v, len)| {
-            assert_eq!(len, bytes.len(), "stream form must count the whole varint");
+        let counted = |(v, len): (u64, usize)| {
+            assert_eq!(len, bytes.len(), "stream forms must count the whole varint");
             v
-        });
+        };
+        let from_stream = read(&mut &bytes[..]).map(counted);
         let cont = match bytes.split_first() {
-            Some((&first, mut rest)) => read_cont(&mut rest, first),
+            Some((&first, mut rest)) => read_cont(&mut rest, first).map(counted),
             None => Err(io::ErrorKind::UnexpectedEof.into()),
         };
         [from_slice, from_stream, cont]

@@ -182,9 +182,7 @@ impl std::error::Error for DetectorError {}
 /// | `panic-at-flush=N` | `panic_at_flush` | inject a panic at the Nth strand flush |
 /// | `serve-panic-session=N` | `serve_panic_session` | every ~Nth served session panics mid-flight |
 /// | `serve-trunc-frame=N` | `serve_trunc_frame` | every ~Nth response frame is truncated on the wire |
-/// | `serve-journal-kill=N` | `serve_journal_kill` | abort the process mid-append of the Nth journal record |
-/// | `serve-journal-trunc=N` | `serve_journal_trunc` | the Nth journal record is written truncated (torn tail) |
-/// | `serve-journal-flip=N` | `serve_journal_flip` | one bit of the Nth journal record is flipped on disk |
+/// | `serve-journal-kill=N` | `serve_journal_kill` | write half of the Nth record a journal writer appends, then abort the process |
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     pub seed: u64,
@@ -199,8 +197,6 @@ pub struct FaultPlan {
     pub serve_panic_session: Option<u64>,
     pub serve_trunc_frame: Option<u64>,
     pub serve_journal_kill: Option<u64>,
-    pub serve_journal_trunc: Option<u64>,
-    pub serve_journal_flip: Option<u64>,
 }
 
 /// Structured failure of [`FaultPlan::parse`]: the spec token that could not
@@ -319,20 +315,6 @@ impl FaultPlan {
                         return Err(err("record number must be at least 1".into()));
                     }
                     plan.serve_journal_kill = Some(n);
-                }
-                "serve-journal-trunc" => {
-                    let n = num("serve-journal-trunc")?;
-                    if n == 0 {
-                        return Err(err("record number must be at least 1".into()));
-                    }
-                    plan.serve_journal_trunc = Some(n);
-                }
-                "serve-journal-flip" => {
-                    let n = num("serve-journal-flip")?;
-                    if n == 0 {
-                        return Err(err("record number must be at least 1".into()));
-                    }
-                    plan.serve_journal_flip = Some(n);
                 }
                 _ => return Err(err("unknown fault".into())),
             }
@@ -500,18 +482,6 @@ pub fn serve_journal_kill() -> Option<u64> {
     current().and_then(|p| p.serve_journal_kill)
 }
 
-/// Journal chaos: record number `N` that should be written truncated (the
-/// journal then stops appending — a torn tail), if injected.
-pub fn serve_journal_trunc() -> Option<u64> {
-    current().and_then(|p| p.serve_journal_trunc)
-}
-
-/// Journal chaos: record number `N` in which one bit should be flipped on
-/// disk (the journal then stops appending), if injected.
-pub fn serve_journal_flip() -> Option<u64> {
-    current().and_then(|p| p.serve_journal_flip)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,8 +500,7 @@ mod tests {
         let p = FaultPlan::parse(
             "seed=7, om-tags=16, om-storm=8, shadow-pages=4, shadow-oom-at=9, \
              treap-degenerate, worker-spawn-fail=2, worker-panic=3, panic-at-flush=100, \
-             serve-panic-session=50, serve-trunc-frame=9, serve-journal-kill=11, \
-             serve-journal-trunc=12, serve-journal-flip=13",
+             serve-panic-session=50, serve-trunc-frame=9, serve-journal-kill=11",
         )
         .unwrap();
         assert_eq!(p.seed, 7);
@@ -546,8 +515,6 @@ mod tests {
         assert_eq!(p.serve_panic_session, Some(50));
         assert_eq!(p.serve_trunc_frame, Some(9));
         assert_eq!(p.serve_journal_kill, Some(11));
-        assert_eq!(p.serve_journal_trunc, Some(12));
-        assert_eq!(p.serve_journal_flip, Some(13));
         assert!(p.injects_anything());
     }
 
@@ -561,7 +528,7 @@ mod tests {
         assert!(FaultPlan::parse("frobnicate").is_err());
         assert!(FaultPlan::parse("serve-panic-session=0").is_err());
         assert!(FaultPlan::parse("serve-journal-kill=0").is_err());
-        assert!(FaultPlan::parse("serve-journal-flip=never").is_err());
+        assert!(FaultPlan::parse("serve-journal-kill=never").is_err());
         for key in ["worker-spawn-fail", "worker-panic"] {
             let max = FaultPlan::parse(&format!("{key}=4294967295")).unwrap();
             let from = max.worker_spawn_fail_from.or(max.worker_panic_from);

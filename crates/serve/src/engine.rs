@@ -624,20 +624,22 @@ fn run_session(shared: &Shared, job: &Job) -> (Verdict, String) {
             panic!("injected serve session panic (session {})", job.id);
         }
     }
-    if let Some(ms) = opts.stall_ms {
-        std::thread::sleep(Duration::from_millis(ms));
-    }
     let mut budget = ResourceBudget::default();
     if let Some(mb) = opts.max_shadow_mb {
         budget = budget.with_shadow_mb(mb);
     }
     budget.max_intervals = opts.max_intervals;
-    let timeout = opts.timeout_ms.unwrap_or(shared.cfg.default_timeout_ms);
+    let timeout = Duration::from_millis(opts.timeout_ms.unwrap_or(shared.cfg.default_timeout_ms));
     let limits = SessionLimits {
         budget,
         ..SessionLimits::default()
     }
-    .timeout_after(Duration::from_millis(timeout));
+    .timeout_after(timeout);
+    // The stall counts against the deadline just armed: a client cannot
+    // hold a worker past it.
+    if let Some(ms) = opts.stall_ms {
+        std::thread::sleep(Duration::from_millis(ms).min(timeout));
+    }
     let bcfg = BatchConfig {
         shards: opts.shards.unwrap_or_else(|| BatchConfig::default().shards),
         witnesses: opts.witness,

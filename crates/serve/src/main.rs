@@ -130,7 +130,7 @@ fn cmd_serve(args: &[&str]) -> Result<ExitCode, String> {
     let mut fault_plan: Option<String> = None;
     let mut obs_spec: Option<String> = None;
     let mut journal_path: Option<String> = None;
-    let mut journal_fsync = stint::journal::FsyncPolicy::Every(64);
+    let mut journal_fsync = stint_serve::journal::FsyncPolicy::Every(64);
     let mut prom_out: Option<String> = None;
     let mut flight_dump: Option<String> = None;
     let mut it = args.iter();
@@ -149,7 +149,7 @@ fn cmd_serve(args: &[&str]) -> Result<ExitCode, String> {
             "--journal" => journal_path = Some(take_value(a, "a path", &mut it)?.to_string()),
             "--journal-fsync" => {
                 let spec = take_value(a, "always|off|every=N", &mut it)?;
-                journal_fsync = stint::journal::FsyncPolicy::parse(spec)
+                journal_fsync = stint_serve::journal::FsyncPolicy::parse(spec)
                     .map_err(|e| format!("--journal-fsync {spec:?}: {e}"))?;
             }
             "--prom-out" => prom_out = Some(take_value(a, "a path", &mut it)?.to_string()),

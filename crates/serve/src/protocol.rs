@@ -354,8 +354,9 @@ impl std::error::Error for OptParseError {}
 /// | `timeout-ms=N`     | wall-clock budget; 0 = already expired (testing) |
 /// | `max-shadow-mb=N`  | shadow-memory budget of the session's coalescer  |
 /// | `max-intervals=N`  | interval-store budget per shard detector         |
-/// | `stall-ms=N`       | sleep before detecting — deterministic slow-     |
-/// |                    | session simulation for backpressure/timeout tests|
+/// | `stall-ms=N`       | sleep before detecting, at most until the        |
+/// |                    | deadline — deterministic slow-session simulation |
+/// |                    | for backpressure/timeout tests                   |
 /// | `witness=0\|1`     | capture verifiable witnesses with each reported  |
 /// |                    | race (off by default; replies carry a witness    |
 /// |                    | count and size-capped witness detail)            |

@@ -164,3 +164,78 @@ fn kill_mid_soak_forensics() {
 
     let _ = std::fs::remove_file(&path);
 }
+
+/// The victim of a crash right after a repair. Only meaningful when
+/// re-executed by `crash_after_reopen_keeps_intact_records` with
+/// `JOURNAL_REOPEN_PATH` set; inert (and `#[ignore]`d) otherwise.
+#[test]
+#[ignore = "re-executed as the crash victim by crash_after_reopen_keeps_intact_records"]
+fn child_reopen_abort() {
+    let Ok(path) = std::env::var("JOURNAL_REOPEN_PATH") else {
+        return;
+    };
+    // Open the torn journal (the repair), append once, and die mid-append
+    // of the second record this process writes.
+    stint_faults::install(FaultPlan::parse("serve-journal-kill=2").expect("plan"));
+    let journal = SessionJournal::open(std::path::Path::new(&path), FsyncPolicy::Always)
+        .expect("open torn journal");
+    for session in 6.. {
+        journal.log(session, stint_serve::journal::EV_ADMITTED, 0, 0);
+    }
+    unreachable!("the serve-journal-kill knob must abort on the second append");
+}
+
+/// A daemon killed just after reopening a torn journal keeps every record
+/// that was intact before the repair: the repair cuts the torn tail off,
+/// it never rewrites (and so never first erases) the intact prefix.
+#[test]
+fn crash_after_reopen_keeps_intact_records() {
+    let path = std::env::temp_dir().join(format!("journal_reopen_{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    {
+        let journal = SessionJournal::open(&path, FsyncPolicy::Always).expect("create journal");
+        for session in 1..=5 {
+            journal.log(session, stint_serve::journal::EV_ADMITTED, 0, 0);
+        }
+    }
+    // Two bytes of a sixth frame: a length, then a torn checksum varint.
+    std::io::Write::write_all(
+        &mut std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .expect("open for tearing"),
+        &[0x06, 0x80],
+    )
+    .expect("tear the tail");
+
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = Command::new(&exe)
+        .args(["child_reopen_abort", "--exact", "--ignored", "--nocapture"])
+        .env("JOURNAL_REOPEN_PATH", &path)
+        .output()
+        .expect("spawn crash victim");
+    assert!(
+        !out.status.success(),
+        "victim was supposed to abort mid-append, but exited cleanly:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+
+    let (_, summary) = replay_file(&path).expect("replay after the crash");
+    assert!(
+        summary.records >= 5,
+        "the crash after the repair lost intact records:\n{}",
+        summary.render()
+    );
+    assert_eq!(
+        summary.admitted,
+        (1..=6).collect::<BTreeSet<u32>>(),
+        "the five pre-repair records and the one appended after it:\n{}",
+        summary.render()
+    );
+    assert!(
+        summary.corruption.is_some(),
+        "the abort mid-append must leave a flagged torn tail"
+    );
+
+    let _ = std::fs::remove_file(&path);
+}

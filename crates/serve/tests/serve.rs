@@ -117,6 +117,32 @@ fn verdicts_cover_the_status_enum() {
     engine.drain();
 }
 
+/// A stall longer than the session's deadline ends at the deadline: the
+/// client is answered `degraded` in about `timeout-ms`, not after
+/// `stall-ms`, so no client can hold a session worker past its budget.
+#[test]
+fn stall_is_bounded_by_the_session_deadline() {
+    let _g = lock();
+    let engine = small_engine();
+    let (tx, rx) = mpsc::channel();
+    let id = engine.try_submit(
+        "stall-ms=60000,timeout-ms=50".into(),
+        RACY_V1.as_bytes().to_vec(),
+        tx,
+    );
+    let r = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a 60 s stall under a 50 ms deadline is answered within 5 s");
+    assert_eq!(
+        (r.session, r.status),
+        (id, Status::Degraded),
+        "{}",
+        r.payload
+    );
+    assert!(r.payload.contains("wall-clock budget"), "{}", r.payload);
+    engine.drain();
+}
+
 #[test]
 fn shadow_budget_degrades_the_session() {
     let _g = lock();

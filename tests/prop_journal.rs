@@ -8,7 +8,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use stint::journal::{replay, FsyncPolicy, JournalSink, JournalWriter, MAX_RECORD};
+use stint_serve::journal::{replay, FsyncPolicy, JournalSink, JournalWriter, MAX_RECORD};
 use stint_serve::journal::{SessionEvent, EV_ADMITTED, EV_VERDICT};
 
 /// An in-memory sink the test keeps a handle to after the writer takes
