@@ -115,12 +115,9 @@ use stint_sporder::{FrozenReach, Reachability, StrandId};
 mod online;
 pub use online::{online_detect, OnlineConfig, OnlineEngine, OnlineOutcome};
 
-/// Hooks fed to a source's strand coalescer and the runs it handed out: their
-/// ratio is the coalescing factor at the tier boundary.
-static OBS_FRONT_HOOKS: Counter = Counter::new("batchdet.front.hooks");
-static OBS_FRONT_INTERVALS: Counter = Counter::new("batchdet.front.intervals");
 static OBS_SHARD_RUNS: Counter = Counter::new("batchdet.shard.runs");
-/// Units the shards were handed: clipped runs, frees and strand-end markers.
+/// Σ [`ShardOutcome::events`], added when a run's shards stop — a failed
+/// run's too — and each shard's race total, added as it finishes.
 static OBS_SHARD_EVENTS: Counter = Counter::new("batchdet.shard.events");
 static OBS_SHARD_RACES: Counter = Counter::new("batchdet.shard.races");
 static OBS_MERGES: Counter = Counter::new("batchdet.merges");
@@ -129,8 +126,8 @@ static OBS_MERGES: Counter = Counter::new("batchdet.merges");
 /// after every batch run (chunked or not); its high-water mark records the
 /// peak.
 static OBS_SHARD_BYTES: Gauge = Gauge::new("batchdet.shard.bytes");
-/// Compressed bytes ingested by the chunked streaming path (chunk framing +
-/// payload; the numerator of the benchmark's `batchdet.ingest_mib_s`).
+/// A streamed run's [`IngestStats`] `bytes` (chunk framing + payload),
+/// `chunks` and `runs`, added when the run ends, on error exits too.
 static OBS_INGEST_BYTES: Counter = Counter::new("batchdet.ingest.bytes");
 static OBS_INGEST_CHUNKS: Counter = Counter::new("batchdet.ingest.chunks");
 static OBS_INGEST_RUNS: Counter = Counter::new("batchdet.ingest.runs");
@@ -472,8 +469,12 @@ fn detect_stream(
         spans: cfg.witnesses.then(EventSpans::default),
         ev_id: 0,
     };
-    let piped = pipeline(pool, &reach, &shards, &mut src, limits)?;
-    let (ingest, spans) = (Some(src.ingest), src.spans.as_ref());
+    let piped = pipeline(pool, &reach, &shards, &mut src, limits);
+    let (ingest, spans) = (src.ingest, src.spans.as_ref());
+    OBS_INGEST_BYTES.add(ingest.bytes);
+    OBS_INGEST_CHUNKS.add(ingest.chunks);
+    OBS_INGEST_RUNS.add(ingest.runs);
+    let (piped, ingest) = (piped?, Some(ingest));
     Ok(finish_outcome(
         piped, &src.front, &reach, events, t0, ingest, spans,
     ))
@@ -610,13 +611,9 @@ impl EventSource for StreamSource<'_> {
             self.ev_id += run.count;
             feed_run(&mut self.front, run, router, batch, &mut self.ingest);
         }
-        let chunk_bytes = self.reader.bytes_read() - self.ingest.bytes;
         self.ingest.bytes = self.reader.bytes_read();
         self.ingest.chunks += 1;
         self.ingest.runs += self.runs.len() as u64;
-        OBS_INGEST_BYTES.add(chunk_bytes);
-        OBS_INGEST_CHUNKS.incr();
-        OBS_INGEST_RUNS.add(self.runs.len() as u64);
         Ok(true)
     }
 
@@ -736,6 +733,7 @@ fn pipeline<R: Reachability + Sync>(
         })
     }));
     OBS_INGEST_BUF.reconcile(&mut buffered, 0);
+    OBS_SHARD_EVENTS.add(dets.iter().map(|d| d.events).sum());
     piped.map_err(DetectorError::from_panic)??;
     // The final per-shard flush runs sequentially here, after every worker
     // is quiescent, so a panic in it may unwind — but still surfaces as the
@@ -759,11 +757,13 @@ fn finish_outcome(
 ) -> BatchOutcome {
     let wall = t0.elapsed();
     let (merged, stats, failure) = merge_shards(&outs, front, reach, spans);
+    let strands = reach.strand_count();
+    stats.publish(wall, strands, merged.regions.len() as u64);
     BatchOutcome {
         merged,
         stats,
         events,
-        strands: reach.strand_count(),
+        strands,
         wall,
         ingest,
         degraded: failure.or(timeout),
@@ -964,7 +964,6 @@ impl ShardDetector {
             }
         }
         self.events += inbox.len() as u64;
-        OBS_SHARD_EVENTS.add(inbox.len() as u64);
         inbox.clear();
     }
 
@@ -1087,8 +1086,6 @@ fn merge_shards(
     let mut words: BTreeSet<u64> = BTreeSet::new();
     let mut stats = DetectorStats::default();
     front.co.add_to(&mut stats);
-    OBS_FRONT_HOOKS.add(stats.read.hooks + stats.write.hooks);
-    OBS_FRONT_INTERVALS.add(stats.total_intervals());
     for sh in shards {
         stats.merge(&sh.stats);
         for r in sh.report.races() {

@@ -78,7 +78,8 @@ use crate::{
     Piped, Router, SessionLimits, Shard, ShardOutcome,
 };
 
-/// One per hand-off (`batchdet.online.handoffs`) plus one per final merge.
+/// A run's hand-offs (`OnlineOutcome::chunks − 1`) and merges (`chunks`),
+/// added when it ends.
 static OBS_DEPA_MERGES: Counter = Counter::new("depa.merges");
 static OBS_HANDOFFS: Counter = Counter::new("batchdet.online.handoffs");
 /// The executor's waits for a free buffer, the drain side's for a full one.
@@ -263,7 +264,8 @@ pub struct OnlineEngine {
     ends: u64,
     strand_from: u64,
     units: u64,
-    chunks: u64,
+    /// Batches handed to the pipeline so far.
+    handoffs: u64,
     /// The drain side's failure: the engine is dead from here on (nothing
     /// is handed over, finish publishes nothing); [`online_detect`] returns it.
     poisoned: Option<DetectorError>,
@@ -282,7 +284,7 @@ impl OnlineEngine {
             ends: 0,
             strand_from: 0,
             units: 0,
-            chunks: 0,
+            handoffs: 0,
             poisoned: None,
             outcome: None,
             cfg,
@@ -342,13 +344,6 @@ impl OnlineEngine {
         (plan_shards(bounds, &hist, self.cfg.shards), limits)
     }
 
-    /// One more batch goes to the pipeline.
-    fn count_batch(&mut self) {
-        OBS_DEPA_MERGES.incr();
-        OBS_HANDOFFS.incr();
-        self.chunks += 1;
-    }
-
     /// Hand the full batch to the drain side — started here, by the first
     /// one — and take an empty buffer back.
     #[cold]
@@ -356,7 +351,7 @@ impl OnlineEngine {
         if self.drain.is_none() {
             self.drain = Some(Drain::start(self, reach.view()));
         }
-        self.count_batch();
+        self.handoffs += 1;
         let drain = self.drain.as_mut().expect("started above");
         let sent = drain.send(std::mem::take(&mut self.buf));
         match timed_wait(&OBS_PRODUCER_STALL, || drain.free.recv()) {
@@ -400,7 +395,7 @@ impl Detector<DePaReach> for OnlineEngine {
         // Empty if the last unit filled (and sent) a batch, or there is none.
         let last = std::mem::take(&mut self.buf);
         if !last.is_empty() {
-            self.count_batch();
+            self.handoffs += 1;
         }
         let piped = match self.drain.as_mut() {
             Some(drain) => {
@@ -422,15 +417,13 @@ impl Detector<DePaReach> for OnlineEngine {
         let frozen = reach.freeze();
         let (merged, stats, degraded) =
             merge_shards(&outs, &self.front, &frozen, self.spans.as_ref());
-        OBS_DEPA_MERGES.incr();
-        self.chunks += 1;
         self.outcome = Some(OnlineOutcome {
             merged,
             stats,
             events: self.events() as usize,
             strands: reach.strand_count(),
             units: self.units,
-            chunks: self.chunks,
+            chunks: self.handoffs + 1,
             reach_bytes: reach.heap_bytes(),
             counters: ExecCounters::default(),
             wall: Duration::default(),
@@ -461,6 +454,8 @@ pub fn online_detect<P: CilkProgram>(
     .map_err(DetectorError::from_panic)?;
     let counters = ex.counters;
     let mut engine = ex.into_detector();
+    OBS_HANDOFFS.add(engine.handoffs);
+    OBS_DEPA_MERGES.add(engine.handoffs + u64::from(engine.outcome.is_some()));
     if let Some(err) = engine.poisoned.take() {
         return Err(err);
     }
@@ -472,6 +467,8 @@ pub fn online_detect<P: CilkProgram>(
         })?;
     out.wall = wall;
     out.counters = counters;
+    let races = out.merged.regions.len() as u64;
+    out.stats.publish(wall, out.strands, races);
     Ok(out)
 }
 

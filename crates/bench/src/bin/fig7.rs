@@ -6,10 +6,10 @@ use stint_bench::*;
 use stint_suite::NAMES;
 
 fn main() {
-    // Exact ah_time: time every flush, not the default 1-in-64 sampling.
-    // set_mode returns the latched mode; if something latched it first the
-    // ah_time columns would be sampled estimates, which this figure must not
-    // silently present as exact.
+    // Exact ah_time: every flush timed (the default mode, latched here).
+    // set_mode returns the latched mode; if something latched `off` first
+    // the ah_time columns would read zero, which this figure must not
+    // silently present as measured.
     let mode = stint::timing::set_mode(stint::TimingMode::Full);
     if mode != stint::TimingMode::Full {
         eprintln!(

@@ -440,7 +440,8 @@ fn detect_batch(bench: &str, o: &CmdOpts, opts: &RunOpts) -> Result<bool, Failur
 /// work-stealing pool *while the program runs*. Everything printed here is
 /// a deterministic function of the program and the chunk/shard knobs — no
 /// worker count, steal seed or wall-clock time appears — so scripts
-/// byte-diff the whole stdout across pool configurations.
+/// byte-diff the whole stdout across pool configurations, once the race
+/// addresses are rebased: the heap sits elsewhere in every process (ASLR).
 fn detect_online(
     bench: &str,
     scale: Scale,

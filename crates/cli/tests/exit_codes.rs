@@ -581,7 +581,9 @@ fn fault_plans_from_the_environment_exit_0_1_3_or_4() {
 }
 
 /// The parallel online tier, over the relabel-free DePa substrate, reports
-/// sequential SP-Order STINT's race and racy-word counts, with its exit code.
+/// sequential SP-Order STINT's race and racy-word counts, with its exit code,
+/// and its whole stdout is the same under another steal seed — up to where
+/// each process's heap sits (ASLR), so addresses are compared [`rebased`].
 /// (That DePa under the sequential detectors matches SP-Order is a library
 /// test, `tests/detect.rs` at the workspace root.)
 #[test]
@@ -601,6 +603,37 @@ fn depa_and_online_report_the_sporder_races() {
     let online = detect(&["--online-parallel", "--workers", "2"]);
     assert!(races(&sporder).is_some(), "{sporder}");
     assert_eq!(races(&online), races(&sporder));
+    let seeded = detect(&["--online-parallel", "--workers", "2", "--steal-seed", "7"]);
+    assert_eq!(rebased(&seeded), rebased(&online), "{seeded}");
+}
+
+/// `report` with the k-th address of each line replaced by its offset from
+/// the k-th address of the first line that has one: word and byte addresses
+/// each keep their layout, not the heap base the process happened to get.
+fn rebased(report: &str) -> String {
+    let mut bases: Vec<u64> = Vec::new();
+    let mut out = String::new();
+    for line in report.lines() {
+        let mut rest = line;
+        let mut k = 0;
+        while let Some(at) = rest.find("0x") {
+            out.push_str(&rest[..at]);
+            let digits = &rest[at + 2..];
+            let end = digits
+                .find(|c: char| !c.is_ascii_hexdigit())
+                .unwrap_or(digits.len());
+            let addr = u64::from_str_radix(&digits[..end], 16).expect("a hex address");
+            if bases.len() == k {
+                bases.push(addr);
+            }
+            out.push_str(&format!("base{k}{:+}", addr as i128 - bases[k] as i128));
+            rest = &digits[end..];
+            k += 1;
+        }
+        out.push_str(rest);
+        out.push('\n');
+    }
+    out
 }
 
 /// One `free` of 2^60 bytes spliced into a test-scale recording, right

@@ -8,9 +8,9 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every record — a crash loses at most the record being
-    /// appended (the default).
+    /// appended.
     Always,
-    /// fsync every Nth record.
+    /// fsync every Nth record (`stint-serve serve` defaults to `every=64`).
     Every(u64),
     /// Never fsync; flushing is left to the OS page cache.
     Off,

@@ -336,8 +336,10 @@ pub fn try_replay_with(pt: &PortableTrace, cfg: Config) -> Result<Outcome, Detec
             }
         })
     };
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(replay))
-        .map_err(DetectorError::from_panic)
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(replay))
+        .map_err(DetectorError::from_panic)?;
+    out.stats.publish(out.wall, out.strands, out.report.total);
+    Ok(out)
 }
 
 fn pack<D: Detector<R>, R: ReachMaint>(
@@ -351,20 +353,7 @@ fn pack<D: Detector<R>, R: ReachMaint>(
     let counters = ex.counters;
     let degraded = ex.det.failure();
     let (report, stats) = split(ex.into_detector());
-    // Publish the run's statistics into the observability registry. The
-    // registry values are the *same* numbers as `Outcome::stats` (both come
-    // from `DetectorStats::fields`), so the metrics export and the figure
-    // tables cannot disagree; across multiple runs in one process the
-    // registry accumulates totals, as counters do.
-    if stint_obs::is_enabled() {
-        for (name, v) in stats.fields() {
-            stint_obs::add(name, v);
-        }
-        stint_obs::add("detector.ah_time_ns", stats.ah_time.as_nanos() as u64);
-        stint_obs::add("detector.wall_ns", wall.as_nanos() as u64);
-        stint_obs::add("detector.strands", strands as u64);
-        stint_obs::add("detector.races", report.total);
-    }
+    stats.publish(wall, strands, report.total);
     Outcome {
         variant,
         report,

@@ -139,8 +139,8 @@ impl DetectorStats {
     /// Every integer field as a named `("detector.…", value)` pair. This is
     /// the single source the JSON exporters and the observability registry
     /// both consume, so the figure tables and the metrics stream can never
-    /// disagree on a statistic. `ah_time` is a `Duration` and is reported
-    /// separately (as nanoseconds) by callers that want it.
+    /// disagree on a statistic. `ah_time` is a `Duration`, published as
+    /// nanoseconds by [`publish`](Self::publish).
     pub fn fields(&self) -> [(&'static str, u64); 25] {
         [
             ("detector.read_hooks", self.read.hooks),
@@ -169,5 +169,23 @@ impl DetectorStats {
             ("detector.treap_inserts", self.treap_inserts),
             ("detector.treap_len_hw", self.treap_len_hw),
         ]
+    }
+
+    /// Publish a finished run into the observability registry: every
+    /// [`fields`](Self::fields) pair plus `detector.{ah_time_ns, wall_ns,
+    /// strands, races}`. Every tier calls it once per run, so the registry's
+    /// `detector.*` values are sums of the records runs return. One relaxed
+    /// load while obs is disabled.
+    pub fn publish(&self, wall: Duration, strands: usize, races: u64) {
+        if !stint_obs::is_enabled() {
+            return;
+        }
+        for (name, v) in self.fields() {
+            stint_obs::add(name, v);
+        }
+        stint_obs::add("detector.ah_time_ns", self.ah_time.as_nanos() as u64);
+        stint_obs::add("detector.wall_ns", wall.as_nanos() as u64);
+        stint_obs::add("detector.strands", strands as u64);
+        stint_obs::add("detector.races", races);
     }
 }

@@ -181,7 +181,6 @@ impl std::error::Error for DetectorError {}
 /// | `worker-panic=N` | `worker_panic_from` | worker N (and later) panics at startup |
 /// | `panic-at-flush=N` | `panic_at_flush` | inject a panic at the Nth strand flush |
 /// | `serve-panic-session=N` | `serve_panic_session` | every ~Nth served session panics mid-flight |
-/// | `serve-trunc-frame=N` | `serve_trunc_frame` | every ~Nth response frame is truncated on the wire |
 /// | `serve-journal-kill=N` | `serve_journal_kill` | write half of the Nth record a journal writer appends, then abort the process |
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -195,7 +194,6 @@ pub struct FaultPlan {
     pub worker_panic_from: Option<u32>,
     pub panic_at_flush: Option<u64>,
     pub serve_panic_session: Option<u64>,
-    pub serve_trunc_frame: Option<u64>,
     pub serve_journal_kill: Option<u64>,
 }
 
@@ -301,13 +299,6 @@ impl FaultPlan {
                         return Err(err("period must be at least 1".into()));
                     }
                     plan.serve_panic_session = Some(n);
-                }
-                "serve-trunc-frame" => {
-                    let n = num("serve-trunc-frame")?;
-                    if n == 0 {
-                        return Err(err("period must be at least 1".into()));
-                    }
-                    plan.serve_trunc_frame = Some(n);
                 }
                 "serve-journal-kill" => {
                     let n = num("serve-journal-kill")?;
@@ -469,12 +460,6 @@ pub fn serve_panic_session() -> Option<u64> {
     current().and_then(|p| p.serve_panic_session)
 }
 
-/// Serve-path chaos: period `N` such that every ~Nth response frame should
-/// be truncated on the wire, if injected.
-pub fn serve_trunc_frame() -> Option<u64> {
-    current().and_then(|p| p.serve_trunc_frame)
-}
-
 /// Journal chaos: record number `N` at which the writer should abort the
 /// whole process mid-append (a simulated crash leaving a torn tail), if
 /// injected.
@@ -500,7 +485,7 @@ mod tests {
         let p = FaultPlan::parse(
             "seed=7, om-tags=16, om-storm=8, shadow-pages=4, shadow-oom-at=9, \
              treap-degenerate, worker-spawn-fail=2, worker-panic=3, panic-at-flush=100, \
-             serve-panic-session=50, serve-trunc-frame=9, serve-journal-kill=11",
+             serve-panic-session=50, serve-journal-kill=11",
         )
         .unwrap();
         assert_eq!(p.seed, 7);
@@ -513,7 +498,6 @@ mod tests {
         assert_eq!(p.worker_panic_from, Some(3));
         assert_eq!(p.panic_at_flush, Some(100));
         assert_eq!(p.serve_panic_session, Some(50));
-        assert_eq!(p.serve_trunc_frame, Some(9));
         assert_eq!(p.serve_journal_kill, Some(11));
         assert!(p.injects_anything());
     }
@@ -550,7 +534,7 @@ mod tests {
             ("om-storm", "om-storm"),
             ("shadow-pages=lots", "shadow-pages=lots"),
             ("om-tags=3", "om-tags=3"),
-            (" serve-trunc-frame=0 ,seed=1", "serve-trunc-frame=0"),
+            (" serve-panic-session=0 ,seed=1", "serve-panic-session=0"),
         ];
         for (spec, token) in cases {
             let e = FaultPlan::parse(spec).expect_err(spec);

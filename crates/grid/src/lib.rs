@@ -17,6 +17,7 @@
 //! Cells are executed in row-major order (a valid sequential schedule) and
 //! each cell is one *strand*.
 
+use std::time::Instant;
 use stint::{Detector, DetectorError, RaceReport, StintDetector, VanillaDetector};
 use stint_sporder::{Reachability, StrandId};
 
@@ -164,8 +165,11 @@ pub fn detect_grid_stint<F>(rows: usize, cols: usize, cell: F) -> Verdict
 where
     F: FnMut(usize, usize, &mut CellCtx<'_, GridReach, StintDetector>),
 {
+    let t0 = Instant::now();
     let (det, _) = run_grid(rows, cols, cell, StintDetector::new(RaceReport::default()));
     let failure = Detector::<GridReach>::failure(&det);
+    det.stats
+        .publish(t0.elapsed(), rows * cols, det.report.total);
     (det.report, failure)
 }
 
@@ -174,6 +178,7 @@ pub fn detect_grid_vanilla<F>(rows: usize, cols: usize, cell: F) -> Verdict
 where
     F: FnMut(usize, usize, &mut CellCtx<'_, GridReach, VanillaDetector>),
 {
+    let t0 = Instant::now();
     let (det, _) = run_grid(
         rows,
         cols,
@@ -181,6 +186,8 @@ where
         VanillaDetector::new(true, RaceReport::default()),
     );
     let failure = Detector::<GridReach>::failure(&det);
+    det.stats
+        .publish(t0.elapsed(), rows * cols, det.report.total);
     (det.report, failure)
 }
 

@@ -103,7 +103,9 @@ pub struct EngineConfig {
     pub pool_workers: usize,
     /// Wall-clock budget for sessions that do not pick their own.
     pub default_timeout_ms: u64,
-    /// Hint carried in `Busy` responses.
+    /// Floor of the `retry-after-ms` hint carried in `Busy` responses; the
+    /// hint itself is measured from the drain rate (and is the floor until
+    /// a session has completed).
     pub retry_after_ms: u64,
 }
 

@@ -4,9 +4,10 @@
 //! ```text
 //! stint-serve serve [--stdio | --socket PATH] [options]   run the daemon
 //! stint-serve frame detect [--opts SPEC] FILE|-           emit a DETECT frame
-//! stint-serve frame stats|shutdown|ping                   emit a control frame
+//! stint-serve frame stats|shutdown|ping|health            emit a control frame
 //! stint-serve decode                                      pretty-print response frames
 //! stint-serve send --socket PATH [--opts SPEC] FILE...    one-shot client
+//! stint-serve journal inspect|replay PATH                 read a session journal
 //! ```
 //!
 //! `frame` writes request frames to stdout, so shell pipelines build a whole
@@ -17,8 +18,8 @@
 //!   stint-serve frame shutdown; } | stint-serve serve --stdio | stint-serve decode
 //! ```
 //!
-//! `decode` exits 1 if the response stream is truncated or damaged (the
-//! `serve-trunc-frame` chaos knob produces exactly that), 0 otherwise.
+//! `decode` exits 1 if the response stream is truncated or damaged, 0
+//! otherwise.
 //! `send` exits with the worst status it saw, mapped onto the CLI's 0–4
 //! exit-code contract.
 
@@ -102,6 +103,15 @@ fn take_value<'a>(
     it.next()
         .copied()
         .ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+/// The `--opts` spec, which must fit a DETECT frame's `u16` length field.
+fn take_opts(it: &mut std::slice::Iter<'_, &str>) -> Result<String, String> {
+    let spec = take_value("--opts", "a spec", it)?;
+    match spec.len() {
+        n if n > u16::MAX as usize => Err(format!("\"--opts\" spec of {n} bytes, over 65535")),
+        _ => Ok(spec.to_string()),
+    }
 }
 
 /// `arg` as a file operand of `command`: `-` (stdin) or a name that does
@@ -233,7 +243,7 @@ fn cmd_frame(args: &[&str]) -> Result<ExitCode, String> {
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match *a {
-                    "--opts" => opts = take_value(a, "a spec", &mut it)?.to_string(),
+                    "--opts" => opts = take_opts(&mut it)?,
                     other => files.push(operand("frame detect", other)?),
                 }
             }
@@ -297,7 +307,7 @@ fn cmd_send(args: &[&str]) -> Result<ExitCode, String> {
     while let Some(a) = it.next() {
         match *a {
             "--socket" => socket = it.next().copied(),
-            "--opts" => opts = take_value(a, "a spec", &mut it)?.to_string(),
+            "--opts" => opts = take_opts(&mut it)?,
             "--stats" => stats = true,
             "--ping" => ping = true,
             "--health" => health = true,

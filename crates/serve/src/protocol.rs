@@ -12,6 +12,7 @@
 //! | 0x02 | STATS    | empty — answers engine totals + obs registry      |
 //! | 0x03 | SHUTDOWN | empty — graceful drain, answered with `Bye`       |
 //! | 0x04 | PING     | empty — liveness probe, answered with `Ok`        |
+//! | 0x05 | HEALTH   | empty — uptime, queue, in-flight set, latencies   |
 //!
 //! The trace bytes of a DETECT frame are either format: the v1 text trace
 //! or the compressed chunked v2 trace, sniffed by magic on the server.
@@ -251,13 +252,20 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, FrameError> {
     }
 }
 
-/// Serialize one request frame.
+/// Serialize one request frame. Session opts longer than their `u16`
+/// length field, or a frame longer than [`MAX_FRAME`], are an
+/// [`io::ErrorKind::InvalidInput`] error, and nothing is written.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
         Request::Detect { opts, trace } => {
             let opts = opts.as_bytes();
-            assert!(opts.len() <= u16::MAX as usize, "session opts too long");
             let len = 2 + opts.len() + trace.len();
+            if opts.len() > u16::MAX as usize || len > MAX_FRAME {
+                let (n, max) = (opts.len(), u16::MAX);
+                let what =
+                    format!("{len}-byte DETECT frame, {n}-byte opts (caps {MAX_FRAME}, {max})");
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+            }
             w.write_all(&[REQ_DETECT])?;
             w.write_all(&(len as u32).to_le_bytes())?;
             w.write_all(&(opts.len() as u16).to_le_bytes())?;
@@ -312,19 +320,6 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     w.write_all(&resp.session.to_le_bytes())?;
     w.write_all(&(resp.payload.len() as u32).to_le_bytes())?;
     w.write_all(resp.payload.as_bytes())?;
-    Ok(())
-}
-
-/// Serialize a deliberately truncated response frame — the
-/// `serve-trunc-frame=N` fault knob's wire damage. The header promises the
-/// full payload but only half of it is written, so a checking client
-/// detects the desync instead of silently reading garbage.
-pub fn write_truncated_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    w.write_all(&[resp.status.code()])?;
-    w.write_all(&resp.session.to_le_bytes())?;
-    w.write_all(&(resp.payload.len() as u32).to_le_bytes())?;
-    let half = resp.payload.len() / 2;
-    w.write_all(&resp.payload.as_bytes()[..half])?;
     Ok(())
 }
 
@@ -450,6 +445,22 @@ mod tests {
         assert!(read_request(&mut r).expect("eof").is_none());
     }
 
+    /// Opts past their `u16` length field are refused, not cut or panicked
+    /// on, and nothing reaches the writer.
+    #[test]
+    fn overlong_opts_are_an_input_error() {
+        let (mut buf, opts) = (Vec::new(), "x".repeat(u16::MAX as usize + 1));
+        let e = write_request(
+            &mut buf,
+            &Request::Detect {
+                opts,
+                trace: vec![],
+            },
+        );
+        assert_eq!(e.expect_err("too long").kind(), io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty());
+    }
+
     #[test]
     fn response_frames_round_trip() {
         let resps = [
@@ -524,11 +535,13 @@ mod tests {
         ));
     }
 
+    /// A frame whose header promises more payload than follows is a
+    /// desync the reader reports, never garbage it returns.
     #[test]
     fn truncated_response_is_detected() {
         let mut buf = Vec::new();
-        write_truncated_response(&mut buf, &Response::new(Status::Ok, 1, "kind: ok\n"))
-            .expect("write");
+        write_response(&mut buf, &Response::new(Status::Ok, 1, "kind: ok\n")).expect("write");
+        buf.truncate(buf.len() - 5);
         assert!(matches!(
             read_response(&mut &buf[..]),
             Err(FrameError::Malformed(_))

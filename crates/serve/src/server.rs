@@ -60,9 +60,7 @@ pub fn shutdown_requested() -> bool {
 /// `drain_on_close` distinguishes the stdio transport (EOF means the one
 /// client is done — drain and flush every reply before exiting) from a
 /// socket connection (EOF is one client hanging up; the daemon lives on).
-/// A SHUTDOWN frame always drains. The writer applies the
-/// `serve-trunc-frame=N` fault knob, damaging every Nth response on the
-/// wire so clients' truncation detection can be exercised end to end.
+/// A SHUTDOWN frame always drains.
 pub fn run_frames<R: Read, W: Write + Send + 'static>(
     engine: &Arc<Engine>,
     r: R,
@@ -70,16 +68,10 @@ pub fn run_frames<R: Read, W: Write + Send + 'static>(
     drain_on_close: bool,
 ) -> io::Result<bool> {
     let (tx, rx) = mpsc::channel::<Response>();
-    let trunc_every = stint_faults::serve_trunc_frame();
     let writer = std::thread::spawn(move || -> io::Result<W> {
         let mut w = w;
-        for (i, resp) in rx.into_iter().enumerate() {
-            let frames = i as u64 + 1;
-            if trunc_every.is_some_and(|p| frames.is_multiple_of(p)) {
-                protocol::write_truncated_response(&mut w, &resp)?;
-            } else {
-                protocol::write_response(&mut w, &resp)?;
-            }
+        for resp in rx {
+            protocol::write_response(&mut w, &resp)?;
             w.flush()?;
         }
         Ok(w)

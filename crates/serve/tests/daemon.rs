@@ -183,12 +183,22 @@ fn frame_and_send_reject_a_second_file_and_unknown_flags() {
     let (racy, clean) = (c.path("racy.trace"), c.path("clean.trace"));
     let (racy, clean) = (racy.as_str(), clean.as_str());
     let sock = c.path("absent.sock");
+    // Longer than the u16 length field of a DETECT frame's opts.
+    let long = "x".repeat(70_000);
     for (args, names) in [
         (vec!["frame", "detect", racy, clean], vec![racy, clean]),
         (vec!["frame", "detect", "--bogus", racy], vec!["--bogus"]),
         (vec!["frame", "detect", racy, "--bogus"], vec!["--bogus"]),
+        (
+            vec!["frame", "detect", "--opts", &long, racy],
+            vec!["--opts"],
+        ),
         (vec!["send", "--socket", &sock, "--bogus"], vec!["--bogus"]),
         (vec!["send", "--socket", &sock, racy, "-x"], vec!["-x"]),
+        (
+            vec!["send", "--socket", &sock, "--opts", &long, racy],
+            vec!["--opts"],
+        ),
     ] {
         let (code, out, err) = parts(&run(&args, b""));
         assert_eq!(code, 2, "{args:?}: {err}");
@@ -198,6 +208,21 @@ fn frame_and_send_reject_a_second_file_and_unknown_flags() {
             assert!(first.contains(&format!("{name:?}")), "{args:?}: {err}");
         }
     }
+}
+
+/// A response stream cut inside a frame is damage `decode` reports with
+/// exit 1, never a reply it prints.
+#[test]
+fn decode_reports_a_cut_response_frame() {
+    let served = run(&["serve", "--stdio"], &frame(&["ping"]));
+    let (code, _, err) = parts(&served);
+    assert_eq!(code, 0, "serve: {err}");
+    let whole = &served.stdout;
+    assert_eq!(parts(&run(&["decode"], whole)).0, 0, "the whole frame");
+    let (code, out, err) = parts(&run(&["decode"], &whole[..whole.len() - 2]));
+    assert_eq!(code, 1, "{out}{err}");
+    assert!(out.is_empty(), "printed {out:?}");
+    assert_has(&err, &["response stream damaged"]);
 }
 
 /// Kills the daemon if the test fails before it shut down.

@@ -23,7 +23,6 @@ use stint_faults::{DetectorError, Resource};
 // Observability (no-ops costing one relaxed load while `stint-obs` is
 // disabled).
 static OBS_CHUNK_ALLOCS: stint_obs::Counter = stint_obs::Counter::new("shadow.chunk_allocs");
-static OBS_FILTER_ELISIONS: stint_obs::Counter = stint_obs::Counter::new("shadow.filter_elisions");
 static OBS_BIT_BYTES: stint_obs::Gauge = stint_obs::Gauge::new("shadow.bit_bytes");
 
 /// log2 of bitmap groups per chunk.
@@ -168,7 +167,6 @@ impl SetFilter {
         if hit {
             self.hits += 1;
             self.w_hits += 1;
-            OBS_FILTER_ELISIONS.incr();
         }
         if self.w_probes == Self::TRIAL {
             if self.w_hits * 4 < Self::TRIAL {

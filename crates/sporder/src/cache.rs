@@ -27,11 +27,6 @@ use crate::{Reachability, StrandId};
 
 const SLOTS: usize = 64;
 
-// Observability mirrors of the per-instance `hits`/`misses`/`flushes`
-// fields, aggregated process-wide (no-ops while `stint-obs` is disabled).
-static OBS_HITS: stint_obs::Counter = stint_obs::Counter::new("sporder.reach_cache_hits");
-static OBS_MISSES: stint_obs::Counter = stint_obs::Counter::new("sporder.reach_cache_misses");
-static OBS_FLUSHES: stint_obs::Counter = stint_obs::Counter::new("sporder.reach_cache_flushes");
 static OBS_CACHE_BYTES: stint_obs::Gauge = stint_obs::Gauge::new("sporder.reach_cache_bytes");
 
 /// `Slot::have` bit: the `parallel` answer is present.
@@ -117,7 +112,6 @@ impl ReachCache {
             self.cur = s;
             self.gen += 1;
             self.flushes += 1;
-            OBS_FLUSHES.incr();
         }
     }
 
@@ -136,11 +130,9 @@ impl ReachCache {
         let live = slot.gen == gen && slot.old == old;
         if live && slot.have & HAVE_PARALLEL != 0 {
             self.hits += 1;
-            OBS_HITS.incr();
             return slot.parallel;
         }
         self.misses += 1;
-        OBS_MISSES.incr();
         let parallel = reach.parallel(old, self.cur);
         if live {
             slot.have |= HAVE_PARALLEL;
@@ -169,11 +161,9 @@ impl ReachCache {
         let live = slot.gen == gen && slot.old == old;
         if live && slot.have & HAVE_LEFT_OF != 0 {
             self.hits += 1;
-            OBS_HITS.incr();
             return slot.left_of;
         }
         self.misses += 1;
-        OBS_MISSES.incr();
         let left_of = reach.left_of(self.cur, old);
         if live {
             slot.have |= HAVE_LEFT_OF;

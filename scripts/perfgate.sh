@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# The pre-merge gate: style checks, warning-free rustdoc, release build, one iteration of each
-# ivtree Criterion row, the test suite in release, the space study (the
-# `space` binary exits 1 on a Lemma 4.1 violation), the repo
-# benchmark's self-check (expectations, oracle, catalogue ≡ BENCHMARK.json),
-# then a two-pair smoke of the repo benchmark against the parent commit. No
-# wall time is gated here: `scripts/bench_pair.sh REF 10` is the performance
-# measurement.
+# The pre-merge gate: style checks, warning-free rustdoc, release build, one
+# iteration of every Criterion row of every bench file of `stint-bench`, the
+# test suite in release, the space study (the `space` binary exits 1 on a
+# Lemma 4.1 violation), the repo benchmark's self-check (expectations,
+# oracle, catalogue ≡ BENCHMARK.json), then a two-pair smoke of the repo
+# benchmark against the parent commit. No wall time is gated here:
+# `scripts/bench_pair.sh REF 10` is the performance measurement.
 #
 # Usage: scripts/perfgate.sh [--scale s|m|paper]
 # Arguments are forwarded to the `space` study, which overwrites

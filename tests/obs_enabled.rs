@@ -29,9 +29,8 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     assert!(stint_run.report.is_race_free());
     // heat re-touches whole rows through range hooks: one-group hooks bypass
     // the redundant-set filter, ranges over several groups still ask it.
-    let elided = counter(&obs::metrics_json(), "shadow.filter_elisions").unwrap_or(0);
+    let elided = stint_run.stats.hook_filter_hits;
     assert!(elided > 0, "no range hook of heat was elided");
-    assert_eq!(elided, stint_run.stats.hook_filter_hits);
     let mut w = Workload::by_name("fft", Scale::Test);
     let comprts_run = detect(&mut w, Variant::CompRts);
     assert!(comprts_run.report.is_race_free());
@@ -188,17 +187,14 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         read("batchdet.online.handoffs") - before.0,
         online.chunks - 1
     );
-    // The front counters: each source's coalescer turned the hooks of sort
-    // (a wholesale run of the streamed source is one) into the same runs,
-    // and the shards were handed runs and markers.
+    // Each source's coalescer turned the hooks of sort (a wholesale run of
+    // the streamed source is one) into the same runs, and the shards were
+    // handed runs and markers.
     let stats = [&batch.stats, &chunked.stats, &online.stats];
     let hooks: u64 = stats.iter().map(|s| s.read.hooks + s.write.hooks).sum();
-    assert_eq!(read("batchdet.front.hooks"), hooks);
-    assert_eq!(
-        read("batchdet.front.intervals"),
-        online.stats.total_intervals() * 3
-    );
-    assert!(read("batchdet.front.intervals") * 4 < hooks);
+    let intervals = online.stats.total_intervals();
+    assert!(stats.iter().all(|s| s.total_intervals() == intervals));
+    assert!(intervals * 3 * 4 < hooks);
     let handed: u64 = [&batch.shards, &chunked.shards, &online.shards]
         .iter()
         .flat_map(|shards| shards.iter().map(|s| s.events))
@@ -223,7 +219,6 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     for name in [
         "om.inserts",
         "sporder.parallel_queries",
-        "sporder.reach_cache_hits",
         "ivtree.inserts",
         "ivtree.bulk.batches",
         "ivtree.bulk.runs",
@@ -233,13 +228,10 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         "ivtree.write.settled",
         "ivtree.write.restructured",
         "shadow.page_allocs",
-        "shadow.filter_elisions",
         "cilkrt.workers_spawned",
         "cilkrt.spawns",
         "cilkrt.install_parks",
         "batchdet.pipeline.batches",
-        "batchdet.front.hooks",
-        "batchdet.front.intervals",
         "batchdet.shard.runs",
         "batchdet.shard.events",
         "batchdet.merges",
@@ -262,10 +254,18 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         assert!(metrics.contains("\"om.relabel_width\""), "{metrics}");
     }
 
-    // The published detector numbers are the sum over both runs of exactly
-    // the values `Outcome::stats` reported — shared source, no drift.
-    for (name, _) in stint_run.stats.fields() {
-        let want = counter_sum(&stint_run, &comprts_run, name);
+    // The published detector numbers are the sum over every run — the two
+    // sequential ones, the two batch runs and the online one — of exactly
+    // the values their outcomes' stats reported: shared source, no drift.
+    let runs = [
+        &stint_run.stats,
+        &comprts_run.stats,
+        &batch.stats,
+        &chunked.stats,
+        &online.stats,
+    ];
+    for (i, (name, _)) in stint_run.stats.fields().into_iter().enumerate() {
+        let want: u64 = runs.iter().map(|s| s.fields()[i].1).sum();
         assert_eq!(
             counter(&metrics, name),
             Some(want),
@@ -401,16 +401,4 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     for (name, cur, _) in obs::gauges_snapshot() {
         assert_eq!(cur, 0, "gauge {name} nonzero after all owners dropped");
     }
-}
-
-fn counter_sum(a: &stint_repro::Outcome, b: &stint_repro::Outcome, name: &str) -> u64 {
-    let get = |o: &stint_repro::Outcome| {
-        o.stats
-            .fields()
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    get(a) + get(b)
 }
