@@ -210,6 +210,31 @@ fn frame_and_send_reject_a_second_file_and_unknown_flags() {
     }
 }
 
+/// A DETECT whose v2 header claims 2^32 - 1 strands in 31 bytes is answered
+/// `corrupt`, and the daemon lives on to answer the PING after it.
+#[test]
+fn a_trace_claiming_more_strands_than_it_holds_is_corrupt() {
+    let c = Corpus::new("claims");
+    let mut header = Vec::new();
+    stint::varint::put(&mut header, u64::from(u32::MAX));
+    let mut file = format!("{}\n", stint::MAGIC_V2).into_bytes();
+    stint::varint::put(&mut file, header.len() as u64);
+    stint::varint::put(&mut file, stint::ctrace::fnv1a(&header));
+    file.extend(header);
+    std::fs::write(c.0.join("claims.ctrace"), file).expect("write crafted trace");
+    let claims = c.path("claims.ctrace");
+    let (conv, _) = converse(
+        &[],
+        &[
+            frame(&["detect", &claims]),
+            frame(&["ping"]),
+            frame(&["shutdown"]),
+        ],
+    );
+    assert_eq!(answers(&conv), ["corrupt"], "{conv}");
+    assert_has(&conv, &["bad strand count", "kind: pong", "kind: bye"]);
+}
+
 /// A response stream cut inside a frame is damage `decode` reports with
 /// exit 1, never a reply it prints.
 #[test]

@@ -704,8 +704,12 @@ fn encode(pt: &PortableTrace, src: Src) -> (Vec<u8>, u64) {
     (buf, chunks)
 }
 
+/// The variants behind the strand coalescer, whose per-word
+/// `(word, kind, prev, cur)` set is sequential STINT's: one coalescer hands
+/// each history a strand's reads before its writes. Vanilla and compiler
+/// check in program order and agree on racy words only (DESIGN.md §3).
 fn interval(v: Variant) -> bool {
-    matches!(v, Stint | StintFlat)
+    matches!(v, CompRts | Stint | StintFlat)
 }
 
 /// What the coalescer was fed and gave out, a side at a time.
