@@ -103,9 +103,9 @@ use std::time::{Duration, Instant};
 
 use stint::ctrace::{partition_index, CompressedTraceReader, EventRun, DEFAULT_CHUNK_EVENTS};
 use stint::{
-    open_any, DetectorError, DetectorStats, EventSpans, IntervalHistory, OpenTrace, PortableTrace,
-    Race, RaceKind, RaceReport, Resource, ResourceBudget, StrandCoalescer, TraceEvent, TraceOp,
-    Treap, Witness, WordIv,
+    open_any, AccessHistory, DetectorError, DetectorStats, EventSpans, IntervalHistory, OpenTrace,
+    PortableTrace, Race, RaceKind, RaceReport, Resource, ResourceBudget, StrandCoalescer,
+    TraceEvent, TraceOp, Treap, Witness, WordIv,
 };
 use stint_cilk::word_range;
 use stint_cilkrt::ThreadPool;
@@ -677,7 +677,7 @@ fn pipeline<R: Reachability + Sync>(
     limits: &SessionLimits,
 ) -> Piped {
     let mut router = Router::new(shards);
-    let new_det = |&s| ShardDetector::new(s, limits.budget.max_intervals);
+    let new_det = |&s| ShardDetector::new(s, limits.budget);
     let mut dets: Vec<ShardDetector> = shards.iter().map(new_det).collect();
     let mut front = vec![Inbox::new(); shards.len()];
     let mut back = front.clone();
@@ -931,11 +931,11 @@ struct ShardDetector {
 }
 
 impl ShardDetector {
-    fn new(shard: Shard, max_intervals: Option<u64>) -> ShardDetector {
+    fn new(shard: Shard, budget: ResourceBudget) -> ShardDetector {
         let hist = IntervalHistory::new(RaceReport::unbounded(true));
         ShardDetector {
             shard,
-            hist: hist.with_max_intervals(max_intervals),
+            hist: hist.with_budget(budget),
             runs: Default::default(),
             events: 0,
             poison: None,

@@ -1,24 +1,18 @@
-//! The `comp+rts` detector variant (Section 5): compile-time **and** runtime
-//! coalescing feeding the *word-granularity* hashmap access history.
-//!
-//! During a strand, all hooks only set bits in the two [`BitShadow`] tables
-//! (cheap). At strand end, the maximal disjoint intervals are extracted —
-//! already spatially coalesced and deduplicated — and each is replayed
-//! word-by-word against the [`WordShadow`] access history ("the access
-//! history in both comp+rts and compiler handles a given interval at
-//! four-byte granularity"). The benefit over `compiler` is fewer and larger
-//! top-level calls plus deduplication; the per-word hashmap cost remains.
+//! The front half of `comp+rts`, STINT and STINT(btree): the strand
+//! coalescer of Section 3.2 — during a strand, every hook only sets bits in
+//! two [`BitShadow`] tables — and the [`AccessHistory`] it hands a strand's
+//! maximal disjoint runs to, reads before writes, at the strand's end, a
+//! free or the finish: the word hashmap ([`crate::WordHistory`]) or the
+//! interval stores of Section 4 ([`crate::IntervalHistory`]).
 
 use crate::report::RaceReport;
 use crate::stats::{DetectorStats, Sided};
-use crate::timing::FlushTimer;
 use crate::trace::{TraceEvent, TraceOp};
-use crate::word_logic::{replay_interval, WordOp};
 use crate::ResourceBudget;
-use stint_cilk::{word_range, Detector};
+use stint_cilk::word_range;
 use stint_faults::DetectorError;
-use stint_shadow::{BitShadow, SetFilter, WordIv, WordShadow};
-use stint_sporder::{ReachCache, Reachability, StrandId};
+use stint_shadow::{BitShadow, SetFilter, WordIv};
+use stint_sporder::{Reachability, StrandId};
 
 /// One access kind's runtime coalescer: the strand's bit table, the
 /// hook-side filter that is only valid until the table is next extracted,
@@ -195,129 +189,49 @@ impl StrandCoalescer {
     }
 }
 
-/// Runtime-coalescing detector over the word-granularity access history.
-pub struct CompRtsDetector {
-    front: StrandCoalescer,
-    shadow: WordShadow,
-    cache: ReachCache,
-    timer: FlushTimer,
-    /// Injected fault: panic at the Nth strand-end flush (sampled from the
-    /// process fault plan at construction time).
-    panic_at_flush: Option<u64>,
-    pub report: RaceReport,
-    pub stats: DetectorStats,
+/// An access history behind a [`StrandCoalescer`]: it sees no hook, only
+/// what a strand accessed since its last flush, as sorted disjoint runs.
+pub trait AccessHistory: Sized {
+    /// Apply the budget that bounds this history.
+    fn with_budget(self, b: ResourceBudget) -> Self;
+    /// The run's report (races, and the events the hooks observe).
+    fn report(&mut self) -> &mut RaceReport;
+    /// Failed and frozen: the hooks feed it nothing more.
+    #[inline(always)]
+    fn dead(&self) -> bool {
+        false
+    }
+    /// Check and record what strand `s` accessed since its last flush: its
+    /// `reads` and its `writes`, each sorted and pairwise disjoint.
+    fn flush_runs<R: Reachability>(
+        &mut self,
+        s: StrandId,
+        reads: &[WordIv],
+        writes: &[WordIv],
+        reach: &R,
+    );
+    /// The program freed the words `[lo, hi)`: forget their accessors. What
+    /// the freeing strand accessed before is flushed first.
+    fn tombstone(&mut self, lo: u64, hi: u64);
+    /// End of the run: fold the history's counts into its statistics.
+    fn finish(&mut self) -> DetectorStats;
+    /// The first failure: a budget ran out.
+    fn failure(&self) -> Option<DetectorError>;
 }
 
-impl CompRtsDetector {
-    pub fn new(report: RaceReport) -> Self {
-        CompRtsDetector {
-            front: StrandCoalescer::new(),
-            shadow: WordShadow::new(),
-            cache: ReachCache::new(),
-            timer: FlushTimer::default(),
-            panic_at_flush: stint_faults::panic_at_flush(),
-            report,
-            stats: DetectorStats::default(),
-        }
-    }
-
-    /// The strand-end flush, shared by the `strand_end` hook, `free`, and
-    /// `finish`. Internal callers must NOT `observe` (only real hook
-    /// invocations are trace events).
-    fn flush<R: Reachability>(&mut self, s: StrandId, reach: &R) {
-        if self.front.is_clear() {
-            return;
-        }
-        self.stats.strands_flushed += 1;
-        if self.panic_at_flush == Some(self.stats.strands_flushed) {
-            panic!("injected flush panic (fault plan panic-at-flush)");
-        }
-        let t0 = self.timer.begin();
-        let _span = stint_obs::span("comprts.flush");
-        self.cache.begin_strand(s);
-        let [reads, writes] = self.front.take_runs();
-        // Reads first: queries must observe the pre-strand history (a
-        // strand's own write must not mask an earlier writer its read races
-        // with — see DESIGN.md §3).
-        for (op, runs) in [(WordOp::Read, reads), (WordOp::Write, writes)] {
-            for &(lo, hi) in runs {
-                replay_interval(
-                    &mut self.shadow,
-                    op,
-                    lo,
-                    hi,
-                    s,
-                    reach,
-                    &mut self.cache,
-                    &mut self.report,
-                );
-            }
-        }
-        self.timer.end(t0, &mut self.stats.ah_time);
-    }
-
-    /// Apply resource budgets. On exhaustion the [`WordShadow`] degrades to
-    /// an always-empty sink page and the [`BitShadow`] coalescers drop bits
-    /// (both sound: no false races); the first failure surfaces via
-    /// [`Detector::failure`].
-    pub fn with_budget(mut self, b: ResourceBudget) -> Self {
-        if let Some(bytes) = b.max_shadow_bytes {
-            self.shadow.set_page_cap(bytes / WordShadow::BYTES_PER_PAGE);
-        }
-        self.front = self.front.with_max_shadow_bytes(b.max_shadow_bytes);
-        self
-    }
-}
-
-impl<R: Reachability> Detector<R> for CompRtsDetector {
-    #[inline(always)]
-    fn load(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
-        self.report.observe(s, true);
-        self.front.load(addr, bytes);
-    }
-
-    #[inline(always)]
-    fn store(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
-        self.report.observe(s, true);
-        self.front.store(addr, bytes);
-    }
-
-    fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
-        self.report.observe(s, false);
-        // Flush the strand's pending accesses first (they really happened and
-        // must be checked/recorded before the region's history is erased);
-        // flushing mid-strand with the same strand id is semantics-preserving.
-        self.flush(s, reach);
-        let (lo, hi) = word_range(addr, bytes);
-        self.shadow.clear_range(lo, hi);
-    }
-
-    fn strand_end(&mut self, s: StrandId, reach: &R) {
-        self.report.observe(s, false);
-        self.flush(s, reach);
-    }
-
-    fn finish(&mut self, s: StrandId, reach: &R) {
-        // Not a trace event: flush without `observe`.
-        self.flush(s, reach);
-        self.stats.hash_ops = self.shadow.ops;
-        self.stats.reach_hits = self.cache.hits;
-        self.stats.reach_misses = self.cache.misses;
-        self.stats.reach_flushes = self.cache.flushes;
-        self.stats.page_batches = self.shadow.batches;
-        self.stats.page_batch_words = self.shadow.batched_words;
-        self.stats.ah_bytes = self.shadow.heap_bytes();
-        self.front.add_to(&mut self.stats);
-    }
-
-    fn failure(&self) -> Option<DetectorError> {
-        self.shadow.exhausted().or_else(|| self.front.exhausted())
+/// Count a strand-end flush; the fault plan's `panic-at-flush=N` fires at
+/// the Nth.
+pub(crate) fn count_flush(stats: &mut DetectorStats, panic_at_flush: Option<u64>) {
+    stats.strands_flushed += 1;
+    if panic_at_flush == Some(stats.strands_flushed) {
+        panic!("injected flush panic (fault plan panic-at-flush)");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CompRtsDetector, StintDetector};
     use stint_cilk::{run_with_detector, Cilk, CilkProgram};
 
     struct RacyPair;
@@ -390,7 +304,7 @@ mod tests {
     fn lane_edges_count_and_coalesce() {
         let comprts = CompRtsDetector::new(RaceReport::default());
         let (ex, _) = run_with_detector(&mut LaneEdges, comprts);
-        let stint = crate::StintDetector::new(RaceReport::default());
+        let stint = StintDetector::new(RaceReport::default());
         let (ex2, _) = run_with_detector(&mut LaneEdges, stint);
         for (stats, report) in [
             (ex.det.stats, &ex.det.report),

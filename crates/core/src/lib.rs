@@ -29,19 +29,20 @@
 //!
 //! # The four variants (paper Section 5)
 //!
-//! | Variant | Coalescing | Access history |
-//! |---|---|---|
-//! | [`Variant::Vanilla`]  | none                  | word-granularity hashmap |
-//! | [`Variant::Compiler`] | compile-time          | word-granularity hashmap |
-//! | [`Variant::CompRts`]  | compile-time + runtime| word-granularity hashmap |
-//! | [`Variant::Stint`]    | compile-time + runtime| **interval treap** |
+//! | Variant | Coalescing | Access history | Detector |
+//! |---|---|---|---|
+//! | [`Variant::Vanilla`]  | none                   | word hashmap ([`WordHistory`]) | [`VanillaDetector`] |
+//! | [`Variant::Compiler`] | compile-time           | word hashmap ([`WordHistory`]) | [`VanillaDetector`] |
+//! | [`Variant::CompRts`]  | compile-time + runtime | word hashmap ([`WordHistory`]) | [`CompRtsDetector`] |
+//! | [`Variant::Stint`]    | compile-time + runtime | **interval treap** ([`IntervalHistory`]) | [`StintDetector`] |
 //!
-//! plus [`Variant::StintFlat`], STINT over the `BTreeMap`-based reference
-//! store — the oracle the treap is tested against.
+//! plus [`Variant::StintFlat`] ([`StintFlatDetector`]), STINT over the
+//! `BTreeMap` reference store — the oracle the treap is tested against. The
+//! runtime-coalescing three are one [`CoalescingDetector`] over two histories.
 //!
 //! All variants share the SP-Order reachability component and report the
-//! same set of racy words; they differ (exactly as in the paper) in how much
-//! work the access history performs.
+//! same set of racy words, and comp+rts and the STINTs the same races word
+//! by word; they differ (as in the paper) in the access history's work.
 
 pub mod comprts;
 pub mod ctrace;
@@ -57,14 +58,15 @@ pub mod varint;
 pub mod witness;
 pub mod word_logic;
 
-pub use comprts::{CompRtsDetector, StrandCoalescer};
+pub use comprts::{AccessHistory, StrandCoalescer};
 pub use ctrace::{
     load_compressed, save_compressed, CompressStats, CompressedTraceReader, EventRun,
     DEFAULT_CHUNK_EVENTS, MAGIC_V2,
 };
 pub use report::{Race, RaceKind, RaceReport};
 pub use stats::{DetectorStats, Sided};
-pub use stint_det::{IntervalDetector, IntervalHistory, StintDetector, StintFlatDetector};
+pub use stint_det::{CoalescingDetector, IntervalHistory};
+pub use stint_det::{CompRtsDetector, StintDetector, StintFlatDetector};
 pub use trace::{
     open_any, record, replay, sniff_magic, OpenTrace, PortableTrace, Trace, TraceEvent, TraceMagic,
     TraceOp, TraceRecorder, MAGIC_V1,
@@ -73,6 +75,7 @@ pub use vanilla::VanillaDetector;
 pub use witness::{
     lineage_to_common, AccessEvidence, EventSpans, Provenance, Witness, WitnessChecker,
 };
+pub use word_logic::WordHistory;
 
 // Re-export the substrate surface users need.
 pub use stint_cilk::{
@@ -409,6 +412,33 @@ mod tests {
         ] {
             let got = detect(&mut Fanout { racy: true }, v).report.racy_words();
             assert_eq!(got, expected, "{v} disagrees with vanilla");
+        }
+    }
+
+    /// A strand writes a word that a parallel strand wrote, then reads it.
+    /// The coalescing variants check the read against the pre-strand history
+    /// (a write-read race beside the write-write one); vanilla and compiler
+    /// check in program order, and the read sees the strand's own write.
+    #[test]
+    fn write_then_read_race_kinds_per_variant() {
+        struct WriteThenRead;
+        impl CilkProgram for WriteThenRead {
+            fn run<C: Cilk>(&mut self, ctx: &mut C) {
+                ctx.spawn(|c| c.store(0x40, 4));
+                ctx.store(0x40, 4);
+                ctx.load(0x40, 4);
+                ctx.sync();
+            }
+        }
+        for v in [Variant::StintFlat].into_iter().chain(Variant::ALL) {
+            let o = detect(&mut WriteThenRead, v);
+            let kinds: Vec<RaceKind> = o.report.races().iter().map(|r| r.kind).collect();
+            let want = match v {
+                Variant::Vanilla | Variant::Compiler => vec![RaceKind::WriteWrite],
+                _ => vec![RaceKind::WriteRead, RaceKind::WriteWrite],
+            };
+            assert_eq!(kinds, want, "{v}");
+            assert_eq!(o.report.racy_words(), vec![0x10], "{v}");
         }
     }
 

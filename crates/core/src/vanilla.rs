@@ -1,6 +1,6 @@
 //! The `vanilla` and `compiler` detector variants (Section 5).
 //!
-//! Both keep the access history in the word-granularity [`WordShadow`] and
+//! Both keep the access history in the [`WordHistory`] of `comp+rts` and
 //! check/update it *at every hook call* (no runtime coalescing, no strand-end
 //! batching). They differ only in what they do with compiler-coalesced hooks:
 //!
@@ -10,25 +10,24 @@
 //! * **compiler** exploits the coalesced hook: one call into the access
 //!   history per range, traversing each shadow page once.
 
+use crate::comprts::AccessHistory;
 use crate::report::RaceReport;
 use crate::stats::DetectorStats;
-use crate::word_logic::{read_word, replay_interval, write_word, WordOp};
+use crate::word_logic::{WordHistory, WordOp};
 use crate::ResourceBudget;
 use stint_cilk::{word_range, Detector};
 use stint_faults::DetectorError;
-use stint_shadow::WordShadow;
-use stint_sporder::{ReachCache, Reachability, StrandId};
+use stint_sporder::{Reachability, StrandId};
 
 /// Word-granularity, check-at-every-access detector.
 pub struct VanillaDetector {
     /// True for the `compiler` variant (exploit coalesced hooks).
     compiler_coalescing: bool,
-    shadow: WordShadow,
-    cache: ReachCache,
-    /// Injected fault: panic at the Nth strand-end flush (sampled from the
-    /// process fault plan at construction time).
-    panic_at_flush: Option<u64>,
+    /// The access history; its statistics take the hook counts as they come.
+    history: WordHistory,
+    /// The history's report, moved here by `finish`.
     pub report: RaceReport,
+    /// The history's statistics, moved here by `finish`.
     pub stats: DetectorStats,
 }
 
@@ -36,26 +35,22 @@ impl VanillaDetector {
     pub fn new(compiler_coalescing: bool, report: RaceReport) -> Self {
         VanillaDetector {
             compiler_coalescing,
-            shadow: WordShadow::new(),
-            cache: ReachCache::new(),
-            panic_at_flush: stint_faults::panic_at_flush(),
-            report,
+            history: WordHistory::new(report),
+            report: RaceReport::default(),
             stats: DetectorStats::default(),
         }
     }
 
-    /// Apply resource budgets. On exhaustion the [`WordShadow`] degrades to
-    /// an always-empty sink page (sound: nothing past the cap can satisfy a
-    /// race predicate) and the failure surfaces via [`Detector::failure`].
+    /// Apply resource budgets: the shadow-byte cap of the [`WordHistory`];
+    /// the failure surfaces via [`Detector::failure`].
     pub fn with_budget(mut self, b: ResourceBudget) -> Self {
-        if let Some(bytes) = b.max_shadow_bytes {
-            self.shadow.set_page_cap(bytes / WordShadow::BYTES_PER_PAGE);
-        }
+        self.history = self.history.with_budget(b);
         self
     }
 
     /// One hook of either side, `range` for a compiler-coalesced one: its
-    /// statistics, then its words checked and updated ([`Self::words`]).
+    /// statistics, then its words checked and updated
+    /// ([`WordHistory::words`]).
     #[inline(always)]
     fn access<R: Reachability>(
         &mut self,
@@ -66,11 +61,12 @@ impl VanillaDetector {
         reach: &R,
         range: bool,
     ) {
-        self.report.observe(s, true);
+        let h = &mut self.history;
+        h.report.observe(s, true);
         let (lo, hi) = word_range(addr, bytes);
         let side = match op {
-            WordOp::Read => &mut self.stats.read,
-            WordOp::Write => &mut self.stats.write,
+            WordOp::Read => &mut h.stats.read,
+            WordOp::Write => &mut h.stats.write,
         };
         side.hooks += 1;
         side.hook_bytes += bytes as u64;
@@ -85,50 +81,7 @@ impl VanillaDetector {
             side.intervals += hi - lo;
             side.interval_bytes += (hi - lo) * 4;
         }
-        self.words(op, s, lo, hi, reach, ranged);
-    }
-
-    /// Check and update the words `[lo, hi)`: one call into the access
-    /// history per range when `ranged`, else one lookup per word (that
-    /// per-word page-table walk is the modeled cost; batching must not hide
-    /// it, but the detector-internal reachability cache still applies).
-    fn words<R: Reachability>(
-        &mut self,
-        op: WordOp,
-        s: StrandId,
-        lo: u64,
-        hi: u64,
-        reach: &R,
-        ranged: bool,
-    ) {
-        let (report, cache) = (&mut self.report, &mut self.cache);
-        cache.begin_strand(s);
-        if ranged {
-            replay_interval(&mut self.shadow, op, lo, hi, s, reach, cache, report);
-            return;
-        }
-        // `op` is matched outside the loop, so each loop stays monomorphic.
-        match op {
-            WordOp::Read => {
-                for w in lo..hi {
-                    read_word(self.shadow.entry_mut(w), w, s, reach, cache, report);
-                }
-            }
-            WordOp::Write => {
-                for w in lo..hi {
-                    write_word(self.shadow.entry_mut(w), w, s, reach, cache, report);
-                }
-            }
-        }
-    }
-
-    /// Strand-boundary accounting shared by the `strand_end` hook and
-    /// `finish` (which is not a trace event and must not `observe`).
-    fn end_strand(&mut self) {
-        self.stats.strands_flushed += 1;
-        if self.panic_at_flush == Some(self.stats.strands_flushed) {
-            panic!("injected flush panic (fault plan panic-at-flush)");
-        }
+        h.words(op, s, lo, hi, reach, ranged);
     }
 }
 
@@ -150,31 +103,26 @@ impl<R: Reachability> Detector<R> for VanillaDetector {
     }
 
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, _reach: &R) {
-        self.report.observe(s, false);
+        self.history.report.observe(s, false);
         let (lo, hi) = word_range(addr, bytes);
-        self.shadow.clear_range(lo, hi);
+        self.history.tombstone(lo, hi);
     }
 
     fn strand_end(&mut self, s: StrandId, _reach: &R) {
-        self.report.observe(s, false);
-        self.end_strand();
+        self.history.report.observe(s, false);
+        self.history.end_strand();
     }
 
     fn finish(&mut self, _s: StrandId, _reach: &R) {
         // `finish` is not a trace event: no `observe`, or replayed event ids
         // would drift past the trace length.
-        self.end_strand();
-        self.stats.hash_ops = self.shadow.ops;
-        self.stats.reach_hits = self.cache.hits;
-        self.stats.reach_misses = self.cache.misses;
-        self.stats.reach_flushes = self.cache.flushes;
-        self.stats.page_batches = self.shadow.batches;
-        self.stats.page_batch_words = self.shadow.batched_words;
-        self.stats.ah_bytes = self.shadow.heap_bytes();
+        self.history.end_strand();
+        self.stats = self.history.finish();
+        self.report = std::mem::take(&mut self.history.report);
     }
 
     fn failure(&self) -> Option<DetectorError> {
-        self.shadow.exhausted()
+        self.history.failure()
     }
 }
 

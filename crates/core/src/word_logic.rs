@@ -1,10 +1,139 @@
-//! The per-word last-writer/leftmost-reader protocol [Feng & Leiserson],
+//! The **word history**: the word-granularity hashmap access history and
+//! its per-word last-writer/leftmost-reader protocol [Feng & Leiserson],
 //! shared by every variant that keeps word-granularity shadow state
-//! (`vanilla`, `compiler`, `comp+rts`).
+//! (`vanilla` and `compiler` at every hook, `comp+rts` at every strand end).
 
+use crate::comprts::{count_flush, AccessHistory};
 use crate::report::{RaceKind, RaceReport};
-use stint_shadow::{WordEntry, WordShadow, NO_STRAND};
+use crate::stats::DetectorStats;
+use crate::timing::FlushTimer;
+use crate::ResourceBudget;
+use stint_faults::DetectorError;
+use stint_shadow::{WordEntry, WordIv, WordShadow, NO_STRAND};
 use stint_sporder::{ReachCache, Reachability, StrandId};
+
+/// The word-granularity access history: the [`WordShadow`], its reachability
+/// cache and the report. `comp+rts` hands it a strand's runs at its end
+/// ([`AccessHistory::flush_runs`]), `vanilla` every hook ([`Self::words`]).
+pub struct WordHistory {
+    shadow: WordShadow,
+    cache: ReachCache,
+    timer: FlushTimer,
+    /// The fault plan's `panic-at-flush`, sampled at construction.
+    panic_at_flush: Option<u64>,
+    pub report: RaceReport,
+    /// Flushes, access-history time and, after [`AccessHistory::finish`],
+    /// the shadow's and the cache's counts.
+    pub stats: DetectorStats,
+}
+
+impl WordHistory {
+    pub fn new(report: RaceReport) -> Self {
+        WordHistory {
+            shadow: WordShadow::new(),
+            cache: ReachCache::new(),
+            timer: FlushTimer::default(),
+            panic_at_flush: stint_faults::panic_at_flush(),
+            report,
+            stats: DetectorStats::default(),
+        }
+    }
+
+    /// A strand boundary: one more flush, where `panic-at-flush` fires.
+    pub fn end_strand(&mut self) {
+        count_flush(&mut self.stats, self.panic_at_flush);
+    }
+
+    /// Check and update the words `[lo, hi)` that strand `s` accessed: one
+    /// call per page run when `ranged`, else one lookup per word (that
+    /// page-table walk is the modeled cost of the unmodified compiler).
+    pub fn words<R: Reachability>(
+        &mut self,
+        op: WordOp,
+        s: StrandId,
+        lo: u64,
+        hi: u64,
+        reach: &R,
+        ranged: bool,
+    ) {
+        let (report, cache) = (&mut self.report, &mut self.cache);
+        cache.begin_strand(s);
+        if ranged {
+            replay_interval(&mut self.shadow, op, lo, hi, s, reach, cache, report);
+            return;
+        }
+        // `op` is matched outside the loop, so each loop stays monomorphic.
+        match op {
+            WordOp::Read => {
+                for w in lo..hi {
+                    read_word(self.shadow.entry_mut(w), w, s, reach, cache, report);
+                }
+            }
+            WordOp::Write => {
+                for w in lo..hi {
+                    write_word(self.shadow.entry_mut(w), w, s, reach, cache, report);
+                }
+            }
+        }
+    }
+}
+
+impl AccessHistory for WordHistory {
+    /// On exhaustion the [`WordShadow`] degrades to an always-empty sink
+    /// page (sound: nothing past the cap can satisfy a race predicate).
+    fn with_budget(mut self, b: ResourceBudget) -> Self {
+        if let Some(bytes) = b.max_shadow_bytes {
+            self.shadow.set_page_cap(bytes / WordShadow::BYTES_PER_PAGE);
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn report(&mut self) -> &mut RaceReport {
+        &mut self.report
+    }
+
+    /// Reads first: a strand's own write must not mask an earlier writer
+    /// its read races with (DESIGN.md §3).
+    fn flush_runs<R: Reachability>(
+        &mut self,
+        s: StrandId,
+        reads: &[WordIv],
+        writes: &[WordIv],
+        reach: &R,
+    ) {
+        self.end_strand();
+        let t0 = self.timer.begin();
+        let _span = stint_obs::span("comprts.flush");
+        let (shadow, cache, report) = (&mut self.shadow, &mut self.cache, &mut self.report);
+        cache.begin_strand(s);
+        for (op, runs) in [(WordOp::Read, reads), (WordOp::Write, writes)] {
+            for &(lo, hi) in runs {
+                replay_interval(shadow, op, lo, hi, s, reach, cache, report);
+            }
+        }
+        self.timer.end(t0, &mut self.stats.ah_time);
+    }
+
+    fn tombstone(&mut self, lo: u64, hi: u64) {
+        self.shadow.clear_range(lo, hi);
+    }
+
+    fn finish(&mut self) -> DetectorStats {
+        self.stats.hash_ops = self.shadow.ops;
+        self.stats.reach_hits = self.cache.hits;
+        self.stats.reach_misses = self.cache.misses;
+        self.stats.reach_flushes = self.cache.flushes;
+        self.stats.page_batches = self.shadow.batches;
+        self.stats.page_batch_words = self.shadow.batched_words;
+        self.stats.ah_bytes = self.shadow.heap_bytes();
+        self.stats
+    }
+
+    fn failure(&self) -> Option<DetectorError> {
+        self.shadow.exhausted()
+    }
+}
 
 /// Process a write by strand `s` to the word `w` with shadow entry `e`.
 /// Reachability answers are memoized in `cache`, which the caller must have
@@ -72,7 +201,7 @@ pub enum WordOp {
 /// up to 4096 words), answering reachability queries through `cache`.
 ///
 /// Shared by the `compiler` ranged path and the `comp+rts` strand-end replay
-/// so both take the identical path.
+/// ([`WordHistory`]) so both take the identical path.
 #[inline]
 #[allow(clippy::too_many_arguments)] // flat arg list keeps the hook path monomorphic and borrow-friendly
 pub fn replay_interval<R: Reachability>(
