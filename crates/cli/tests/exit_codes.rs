@@ -467,6 +467,34 @@ fn exit_4_on_counts_the_file_cannot_hold() {
     }
 }
 
+/// A report card is input too: one nested 200 000 arrays deep is refused
+/// like a truncated one (exit 4, `REJECTED`), not a stack overflow.
+#[test]
+fn witness_verify_exits_4_on_a_card_nested_too_deep() {
+    let trace = recording("sort", "deep-card");
+    let deep = tmp_trace("deep-card-json");
+    let cards = [
+        (
+            "deep",
+            format!("{}{}", "[".repeat(200_000), "]".repeat(200_000)),
+        ),
+        ("truncated", "{\"races\": [".to_string()),
+    ];
+    for (tag, card) in cards {
+        std::fs::write(&deep, card).expect("write card");
+        let out = run(&[
+            "witness",
+            "verify",
+            trace.to_str().expect("utf-8 temp path"),
+            deep.to_str().expect("utf-8 temp path"),
+        ]);
+        let err = stderr(&out);
+        assert_eq!(code(&out), 4, "{tag}: {err}");
+        assert!(err.contains("REJECTED"), "{tag}: {err}");
+    }
+    let _ = (std::fs::remove_file(trace), std::fs::remove_file(deep));
+}
+
 /// Replies the serve writer thread owns while the test reads them.
 #[derive(Clone, Default)]
 struct Replies(Arc<Mutex<Vec<u8>>>);

@@ -24,27 +24,30 @@
 //!   coalesced range access — see [`EventRun::as_wholesale_range`]. Only a
 //!   hook stream has them: a strand's coalesced runs never touch;
 //! * **varint lengths and fixed-size chunks** — events are grouped into
-//!   chunks of at most `chunk_events` decoded events, each with its own
-//!   length and FNV-1a checksum, so a reader streams a trace far larger
-//!   than RAM one chunk at a time and a bit flip anywhere is caught
-//!   structurally instead of corrupting detection: there is one way to
-//!   read a chunk, [`CompressedTraceReader::next_chunk`], and it checks the
-//!   checksum before decoding anything;
+//!   chunks of at most `chunk_events` decoded events, each a run count and
+//!   then the checked frame of [`crate::wire`] (length, FNV-1a checksum,
+//!   payload), so a reader streams a trace far larger than RAM one chunk at
+//!   a time and a bit flip anywhere is caught structurally instead of
+//!   corrupting detection: there is one way to read a chunk,
+//!   [`CompressedTraceReader::next_chunk`], and it checks the checksum
+//!   before decoding anything;
 //! * **a partition index in the header** — the word-space bounds plus a
 //!   [`HIST_BUCKETS`]-bucket event histogram, computed once at save time, so
 //!   a streaming batch detector can choose load-balanced address shards
 //!   *before* reading any chunk.
 //!
-//! The header (strand ranks, event count, bounds, histogram) is covered by
-//! its own checksum; [`CompressedTraceReader::open`] validates it before
-//! returning, extending the `validate()` contract to the new format. A
-//! stream of either format is opened by [`crate::open_any`], which reads the
-//! magic line and hands a v2 stream to this reader.
+//! The header (strand ranks, event count, bounds, histogram) is one checked
+//! frame too; [`CompressedTraceReader::open`] validates it before returning,
+//! extending the `validate()` contract to the new format. A stream of either
+//! format is opened by [`crate::open_any`], which reads the magic line and
+//! hands a v2 stream to this reader.
 
 use std::io::{self, BufRead, Write};
 
 use crate::trace::{read_magic, PortableTrace, Trace, TraceEvent, TraceMagic, TraceOp};
 use crate::varint;
+pub use crate::wire::fnv1a;
+use crate::wire::{self, FrameError};
 use stint_sporder::{FrozenReach, StrandId};
 
 /// Magic first line of the compressed format (text, so `file`/`head` can
@@ -56,6 +59,9 @@ pub const HIST_BUCKETS: usize = 256;
 
 /// Default maximum decoded events per chunk.
 pub const DEFAULT_CHUNK_EVENTS: usize = 4096;
+
+/// Largest header or chunk payload a reader accepts.
+const MAX_FRAME: u64 = 64 << 20;
 
 fn bad(m: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, m.into())
@@ -79,16 +85,6 @@ fn is_permutation(v: &[u32]) -> bool {
         let i = r as usize;
         i < n && !std::mem::replace(&mut seen[i], true)
     })
-}
-
-/// FNV-1a 64 — the chunk and header checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ------------------------------------------------------------------- runs
@@ -319,12 +315,10 @@ pub fn save_compressed<W: Write>(
             );
         }
     }
-    let mut framing = Vec::new();
-    varint::put(&mut framing, header.len() as u64);
-    varint::put(&mut framing, fnv1a(&header));
-    w.write_all(&framing)?;
-    w.write_all(&header)?;
-    stats.bytes += (framing.len() + header.len()) as u64;
+    let mut frame = Vec::new();
+    wire::put_frame(&mut frame, &header);
+    w.write_all(&frame)?;
+    stats.bytes += frame.len() as u64;
 
     // Chunks: greedy runs, flushed when the decoded-event budget is met.
     let runs = build_runs(&pt.trace.events);
@@ -333,6 +327,7 @@ pub fn save_compressed<W: Write>(
     let mut prev_addr = 0usize;
     let mut chunk_runs = 0u64;
     let mut chunk_decoded = 0usize;
+    // A chunk is its run count, then the checked frame of its payload.
     let flush = |payload: &mut Vec<u8>,
                  chunk_runs: &mut u64,
                  w: &mut W,
@@ -343,11 +338,9 @@ pub fn save_compressed<W: Write>(
         }
         let mut frame = Vec::new();
         varint::put(&mut frame, *chunk_runs);
-        varint::put(&mut frame, payload.len() as u64);
-        varint::put(&mut frame, fnv1a(payload));
+        wire::put_frame(&mut frame, payload);
         w.write_all(&frame)?;
-        w.write_all(payload)?;
-        stats.bytes += (frame.len() + payload.len()) as u64;
+        stats.bytes += frame.len() as u64;
         stats.chunks += 1;
         payload.clear();
         *chunk_runs = 0;
@@ -402,25 +395,21 @@ impl<R: BufRead> CompressedTraceReader<R> {
     /// Like [`Self::open`] for a stream whose magic line was already
     /// consumed ([`crate::open_any`] reads it first).
     pub(crate) fn open_after_magic(mut r: R) -> io::Result<Self> {
-        let (header_len, _) = varint::read(&mut r)?;
-        if header_len > 64 << 20 {
-            return Err(bad("unreasonable header length"));
-        }
-        let (want_sum, _) = varint::read(&mut r)?;
-        let mut header = vec![0u8; header_len as usize];
-        r.read_exact(&mut header)
-            .map_err(|_| bad("truncated header"))?;
-        if fnv1a(&header) != want_sum {
-            return Err(bad("header checksum mismatch"));
-        }
+        let mut header = Vec::new();
+        wire::read_frame(&mut r, None, MAX_FRAME, &mut header).map_err(|e| match e {
+            FrameError::Len(e) | FrameError::Sum(e) => e,
+            FrameError::TooLong { .. } => bad("unreasonable header length"),
+            FrameError::Payload(_) => bad("truncated header"),
+            FrameError::Checksum => bad("header checksum mismatch"),
+        })?;
         let mut pos = 0usize;
         let n = varint::get(&header, &mut pos)? as usize;
         // Each strand's two ranks take a byte at least: no claim beyond that.
         if n == 0 || n > u32::MAX as usize || n > (header.len() - pos) / 2 {
             return Err(bad("bad strand count"));
         }
-        let mut eng = Vec::with_capacity(n);
-        let mut heb = Vec::with_capacity(n);
+        let mut eng = Vec::with_capacity(wire::capacity::<u32>(n as u64));
+        let mut heb = Vec::with_capacity(wire::capacity::<u32>(n as u64));
         for _ in 0..n {
             let e = varint::get(&header, &mut pos)?;
             let h = varint::get(&header, &mut pos)?;
@@ -445,15 +434,15 @@ impl<R: BufRead> CompressedTraceReader<R> {
                 "bad histogram size {buckets} (expected {HIST_BUCKETS})"
             )));
         }
-        let mut hist = Vec::with_capacity(buckets);
-        for _ in 0..buckets {
+        let mut hist = Vec::with_capacity(HIST_BUCKETS);
+        for _ in 0..HIST_BUCKETS {
             hist.push(varint::get(&header, &mut pos)?);
         }
         // Optional lineage block: headers written without a parent table end
         // at the histogram; otherwise exactly one parent entry per strand.
         let mut parents: Vec<u32> = Vec::new();
         if pos != header.len() {
-            parents.reserve(n);
+            parents.reserve(wire::capacity::<u32>(n as u64));
             for i in 0..n {
                 let v = varint::get(&header, &mut pos)?;
                 let par = if v == 0 {
@@ -512,32 +501,24 @@ impl<R: BufRead> CompressedTraceReader<R> {
         if self.events_seen >= self.total_events {
             return Ok(false);
         }
-        // Chunk framing lives outside the checksummed payloads.
-        let mut framing = 0u64;
-        let mut frame_varint = || {
-            let (v, len) = varint::read(&mut self.r).map_err(|_| bad("truncated chunk frame"))?;
-            framing += len as u64;
-            Ok::<u64, io::Error>(v)
-        };
-        let run_count = frame_varint()?;
-        let payload_len = frame_varint()?;
-        let want_sum = frame_varint()?;
-        if payload_len > 64 << 20 {
-            return Err(bad("unreasonable chunk length"));
-        }
-        let payload = &mut self.scratch;
-        payload.resize(payload_len as usize, 0);
-        self.r
-            .read_exact(payload)
-            .map_err(|_| bad("truncated chunk payload"))?;
-        if fnv1a(payload) != want_sum {
-            return Err(bad("chunk checksum mismatch"));
-        }
-        self.events_seen += decode_payload(payload, run_count, out)?;
+        let (run_count, count_bytes) =
+            varint::read(&mut self.r).map_err(|_| bad("truncated chunk frame"))?;
+        let frame = wire::read_frame(&mut self.r, None, MAX_FRAME, &mut self.scratch);
+        let took = frame.map_err(|e| match e {
+            FrameError::Len(_)
+            | FrameError::Sum(_)
+            | FrameError::TooLong { sum_torn: true, .. } => bad("truncated chunk frame"),
+            FrameError::TooLong { .. } => bad("unreasonable chunk length"),
+            FrameError::Payload(_) => bad("truncated chunk payload"),
+            FrameError::Checksum => bad("chunk checksum mismatch"),
+        })?;
+        // Saturating: counts near 2^64 must not wrap past the check below.
+        let decoded = decode_payload(&self.scratch, run_count, out)?;
+        self.events_seen = self.events_seen.saturating_add(decoded);
         if self.events_seen > self.total_events {
             return Err(bad("chunk yields more events than the header declared"));
         }
-        self.bytes_read += framing + payload_len;
+        self.bytes_read += count_bytes as u64 + took;
         self.chunks_read += 1;
         Ok(true)
     }
@@ -563,7 +544,7 @@ fn decode_payload(payload: &[u8], run_count: u64, out: &mut Vec<EventRun>) -> io
     let mut decoded = 0u64;
     for _ in 0..run_count {
         let run = decode_run(payload, &mut pos, &mut prev_addr)?;
-        decoded += run.count;
+        decoded = decoded.saturating_add(run.count);
         out.push(run);
     }
     if pos != payload.len() {
@@ -618,7 +599,7 @@ pub fn load_compressed<R: BufRead>(r: R) -> io::Result<PortableTrace> {
 pub(crate) fn load_rest<R: BufRead>(
     reader: &mut CompressedTraceReader<R>,
 ) -> io::Result<PortableTrace> {
-    let mut events = Vec::with_capacity(reader.total_events.min(1 << 24) as usize);
+    let mut events = Vec::with_capacity(wire::capacity::<TraceEvent>(reader.total_events));
     let mut runs = Vec::new();
     while reader.next_chunk(&mut runs)? {
         for run in &runs {

@@ -55,6 +55,7 @@ pub mod timing;
 pub mod trace;
 pub mod vanilla;
 pub mod varint;
+pub mod wire;
 pub mod witness;
 pub mod word_logic;
 

@@ -22,6 +22,7 @@
 use std::io::{self, BufRead};
 
 use crate::ctrace::{CompressedTraceReader, MAGIC_V2};
+use crate::wire;
 use crate::{Detector, StrandCoalescer};
 use stint_sporder::{Reachability, StrandId};
 
@@ -397,27 +398,17 @@ impl PortableTrace {
         let mut next = move || -> io::Result<String> {
             lines.next().ok_or_else(|| bad("unexpected end of trace"))?
         };
-        let header = next()?;
-        let n: usize = header
-            .strip_prefix("strands ")
-            .and_then(|x| x.trim().parse().ok())
-            .ok_or_else(|| bad("bad strands header"))?;
+        let n: usize = field(next()?.strip_prefix("strands "), "bad strands header")?;
         // A count is only the file's claim: longer traces grow as lines come.
-        let mut eng = Vec::with_capacity(n.min(1 << 16));
-        let mut heb = Vec::with_capacity(n.min(1 << 16));
+        let mut eng = Vec::with_capacity(wire::capacity::<u32>(n as u64));
+        let mut heb = Vec::with_capacity(wire::capacity::<u32>(n as u64));
         // Optional lineage column: all rank lines carry it or none do.
         let mut parents: Vec<u32> = Vec::new();
         for i in 0..n {
             let line = next()?;
             let mut it = line.split_whitespace();
-            let e: u32 = it
-                .next()
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| bad("bad rank line"))?;
-            let h: u32 = it
-                .next()
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| bad("bad rank line"))?;
+            let e: u32 = field(it.next(), "bad rank line")?;
+            let h: u32 = field(it.next(), "bad rank line")?;
             eng.push(e);
             heb.push(h);
             match it.next() {
@@ -444,12 +435,8 @@ impl PortableTrace {
                 }
             }
         }
-        let header = next()?;
-        let m: usize = header
-            .strip_prefix("events ")
-            .and_then(|x| x.trim().parse().ok())
-            .ok_or_else(|| bad("bad events header"))?;
-        let mut events = Vec::with_capacity(m.min(1 << 16));
+        let m: usize = field(next()?.strip_prefix("events "), "bad events header")?;
+        let mut events = Vec::with_capacity(wire::capacity::<TraceEvent>(m as u64));
         for _ in 0..m {
             let line = next()?;
             let mut it = line.split_whitespace();
@@ -462,17 +449,11 @@ impl PortableTrace {
                 "e" => TraceOp::StrandEnd,
                 _ => return Err(bad("unknown event op")),
             };
-            let strand: u32 = it
-                .next()
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| bad("bad event strand"))?;
+            let strand: u32 = field(it.next(), "bad event strand")?;
             let addr_s = it.next().ok_or_else(|| bad("bad event addr"))?;
             let addr = usize::from_str_radix(addr_s.trim_start_matches("0x"), 16)
                 .map_err(|_| bad("bad event addr"))?;
-            let bytes: usize = it
-                .next()
-                .and_then(|x| x.parse().ok())
-                .ok_or_else(|| bad("bad event bytes"))?;
+            let bytes: usize = field(it.next(), "bad event bytes")?;
             events.push(TraceEvent {
                 op,
                 strand: StrandId(strand),
@@ -489,6 +470,13 @@ impl PortableTrace {
             reach,
         })
     }
+}
+
+/// One field of a v1 line, trimmed and parsed; `what` is the error when it
+/// is missing or does not parse.
+fn field<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> io::Result<T> {
+    let bad = || io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+    tok.and_then(|x| x.trim().parse().ok()).ok_or_else(bad)
 }
 
 #[cfg(test)]

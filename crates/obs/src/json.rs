@@ -107,12 +107,18 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts: far above any
+/// document the workspace writes, far below what overflows a thread's stack.
+const MAX_DEPTH: u32 = 256;
+
 /// Parse a complete JSON document (trailing whitespace allowed, anything
-/// else after the top-level value is an error).
+/// else after the top-level value is an error, and so is nesting deeper
+/// than 256 arrays and objects).
 pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -126,6 +132,7 @@ pub fn parse(src: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -163,8 +170,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
@@ -173,6 +180,16 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn keyword(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -510,6 +527,23 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: u32, open: &str, close: &str| {
+            let d = depth as usize;
+            format!("{}1{}", open.repeat(d), close.repeat(d))
+        };
+        assert!(parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH, "{\"k\": ", "}")).is_ok());
+        for (open, close) in [("[", "]"), ("{\"k\": ", "}")] {
+            let e = parse(&nest(MAX_DEPTH + 1, open, close)).unwrap_err();
+            assert!(e.ends_with("nesting deeper than 256"), "{e}");
+        }
+        // Unclosed nesting far past the cap stops at it, without recursing.
+        let e = parse(&"[".repeat(400_000)).unwrap_err();
+        assert!(e.ends_with("nesting deeper than 256"), "{e}");
     }
 
     #[test]

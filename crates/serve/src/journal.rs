@@ -6,9 +6,8 @@
 //!
 //! ## Framing
 //!
-//! A text magic line, then length-prefixed checksummed frames, in the
-//! `ctrace` idiom (LEB128 varints from `stint::varint`, FNV-1a 64 from
-//! `stint::ctrace::fnv1a`):
+//! A text magic line, then one checked frame per record, the frame every
+//! decoder shares (`stint::wire`, with the v2 trace header and chunks):
 //!
 //! ```text
 //! STINT-JOURNAL v1\n
@@ -65,9 +64,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use stint::ctrace::fnv1a;
 pub use stint::journal::FsyncPolicy;
 use stint::varint;
+use stint::wire::{self, FrameError};
 use stint_obs::Counter;
 
 /// Magic first line of every journal file.
@@ -140,10 +139,8 @@ impl JournalWriter {
             return Err(io::Error::other(format!("journal is dead: {first}")));
         }
         let n = self.records + 1;
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        varint::put(&mut frame, payload.len() as u64);
-        varint::put(&mut frame, fnv1a(payload));
-        frame.extend_from_slice(payload);
+        let mut frame = Vec::with_capacity(payload.len() + 2 * varint::MAX_LEN);
+        wire::put_frame(&mut frame, payload);
         if stint_faults::is_active() && stint_faults::serve_journal_kill() == Some(n) {
             // Crash mid-append: half the frame reaches the disk, then the
             // process dies on the spot. Replay must recover every record
@@ -202,66 +199,42 @@ impl Replay {
 pub fn replay<R: Read>(mut r: R) -> io::Result<Replay> {
     let mut out = Replay::default();
     // Magic line: read exactly MAGIC.len() + 1 bytes.
-    let mut magic = vec![0u8; MAGIC.len() + 1];
-    let mut got = 0usize;
-    while got < magic.len() {
-        match r.read(&mut magic[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+    let mut magic = Vec::new();
+    let line = MAGIC.len() as u64 + 1;
+    match wire::read_payload(&mut r, line, &mut magic) {
+        Err(e) if e.kind() != io::ErrorKind::UnexpectedEof => return Err(e),
+        _ if magic.is_empty() => return Ok(out), // brand-new journal: clean and empty
+        _ if magic != format!("{MAGIC}\n").as_bytes() => {
+            out.corruption = Some(format!("bad magic: expected {MAGIC:?} line"));
+            return Ok(out);
         }
+        _ => out.intact_len = line,
     }
-    if got == 0 {
-        return Ok(out); // brand-new journal: clean and empty
-    }
-    if got < magic.len() || &magic[..MAGIC.len()] != MAGIC.as_bytes() || magic[MAGIC.len()] != b'\n'
-    {
-        out.corruption = Some(format!("bad magic: expected {MAGIC:?} line"));
-        return Ok(out);
-    }
-    out.intact_len = magic.len() as u64;
     loop {
         // Probe one byte so EOF exactly on a record boundary is clean.
-        let mut first = [0u8; 1];
-        match r.read(&mut first) {
-            Ok(0) => return Ok(out),
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-        let rec = out.records.len() + 1;
-        let (len, len_bytes) = match varint::read_cont(&mut r, first[0]) {
-            Ok(v) => v,
+        let Some(first) = wire::probe(&mut r)? else {
+            return Ok(out);
+        };
+        let mut payload = Vec::new();
+        match wire::read_frame(&mut r, Some(first), MAX_RECORD, &mut payload) {
+            Ok(took) => {
+                out.intact_len += took;
+                out.records.push(payload);
+            }
             Err(e) => {
-                out.corruption = Some(format!("record {rec}: torn length varint ({e})"));
+                let rec = out.records.len() + 1;
+                out.corruption = Some(match e {
+                    FrameError::Len(e) => format!("record {rec}: torn length varint ({e})"),
+                    FrameError::TooLong { len, .. } => {
+                        format!("record {rec}: oversized frame ({len} bytes > {MAX_RECORD})")
+                    }
+                    FrameError::Sum(e) => format!("record {rec}: torn checksum varint ({e})"),
+                    FrameError::Payload(e) => format!("record {rec}: torn payload ({e})"),
+                    FrameError::Checksum => format!("record {rec}: checksum mismatch"),
+                });
                 return Ok(out);
             }
-        };
-        if len > MAX_RECORD {
-            out.corruption = Some(format!(
-                "record {rec}: oversized frame ({len} bytes > {MAX_RECORD})"
-            ));
-            return Ok(out);
         }
-        let (sum, sum_bytes) = match varint::read(&mut r) {
-            Ok(v) => v,
-            Err(e) => {
-                out.corruption = Some(format!("record {rec}: torn checksum varint ({e})"));
-                return Ok(out);
-            }
-        };
-        let mut payload = vec![0u8; len as usize];
-        if let Err(e) = r.read_exact(&mut payload) {
-            out.corruption = Some(format!("record {rec}: torn payload ({e})"));
-            return Ok(out);
-        }
-        if fnv1a(&payload) != sum {
-            out.corruption = Some(format!("record {rec}: checksum mismatch"));
-            return Ok(out);
-        }
-        out.intact_len += (len_bytes + sum_bytes) as u64 + len;
-        out.records.push(payload);
     }
 }
 
@@ -318,37 +291,27 @@ pub struct SessionEvent {
 impl SessionEvent {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
-        varint::put(&mut out, self.seq);
-        varint::put(&mut out, self.t_ms);
-        varint::put(&mut out, u64::from(self.session));
-        varint::put(&mut out, u64::from(self.kind));
-        varint::put(&mut out, u64::from(self.code));
-        varint::put(&mut out, self.payload);
+        let (session, kind, code) = (self.session.into(), self.kind.into(), self.code.into());
+        for v in [self.seq, self.t_ms, session, kind, code, self.payload] {
+            varint::put(&mut out, v);
+        }
         out
     }
 
     /// Decode one record payload. Trailing bytes are tolerated (forward
     /// compatibility: a later version may append fields).
     pub fn decode(buf: &[u8]) -> Result<SessionEvent, String> {
-        let mut pos = 0usize;
-        let mut field = || varint::get(buf, &mut pos).map_err(|e| e.to_string());
-        let seq = field()?;
-        let t_ms = field()?;
-        let session = field()?;
-        let kind = field()?;
-        let code = field()?;
-        let payload = field()?;
-        let narrow = |v: u64, what: &str| -> Result<u64, String> {
-            if v > u64::from(u32::MAX) {
-                Err(format!("{what} out of range: {v}"))
-            } else {
-                Ok(v)
-            }
-        };
+        let (mut pos, mut fields) = (0usize, [0u64; 6]);
+        for f in &mut fields {
+            *f = varint::get(buf, &mut pos).map_err(|e| e.to_string())?;
+        }
+        let [seq, t_ms, session, kind, code, payload] = fields;
+        let session =
+            u32::try_from(session).map_err(|_| format!("session id out of range: {session}"))?;
         Ok(SessionEvent {
             seq,
             t_ms,
-            session: narrow(session, "session id")? as u32,
+            session,
             kind: kind.min(u64::from(u16::MAX)) as u16,
             code: code.min(u64::from(u16::MAX)) as u16,
             payload,
@@ -559,6 +522,10 @@ impl SessionJournal {
             .records()
     }
 }
+
+// The tests build frames byte by byte.
+#[cfg(test)]
+use stint::wire::fnv1a;
 
 #[cfg(test)]
 mod tests {

@@ -276,23 +276,33 @@ fn cmd_decode(args: &[&str]) -> Result<ExitCode, String> {
     if !args.is_empty() {
         return Err("decode takes no arguments (responses on stdin)".into());
     }
-    let mut stdin = io::stdin().lock();
-    loop {
-        match protocol::read_response(&mut stdin) {
-            Ok(None) => return Ok(ExitCode::SUCCESS),
+    let decoded = print_responses(&mut io::stdin().lock(), usize::MAX, "decode")?;
+    Ok(ExitCode::from(if decoded.is_some() { 0 } else { 1 }))
+}
+
+/// Print up to `n` responses read from `r`, stopping at a clean end. The
+/// worst status's exit code, or `None` when a frame was malformed (named by
+/// `who` on stderr).
+fn print_responses(r: &mut impl Read, n: usize, who: &str) -> Result<Option<u8>, String> {
+    let mut worst = 0u8;
+    for _ in 0..n {
+        match protocol::read_response(r) {
+            Ok(None) => break,
             Ok(Some(resp)) => {
                 println!("-- session {}: {}", resp.session, resp.status);
                 for line in resp.payload.lines() {
                     println!("   {line}");
                 }
+                worst = worst.max(resp.status.exit_code());
             }
             Err(FrameError::Malformed(m)) => {
-                eprintln!("decode: response stream damaged: {m}");
-                return Ok(ExitCode::from(1));
+                eprintln!("{who}: response stream damaged: {m}");
+                return Ok(None);
             }
             Err(FrameError::Io(e)) => return Err(format!("read responses: {e}")),
         }
     }
+    Ok(Some(worst))
 }
 
 fn cmd_send(args: &[&str]) -> Result<ExitCode, String> {
@@ -356,25 +366,8 @@ fn cmd_send(args: &[&str]) -> Result<ExitCode, String> {
         expected += 1;
     }
     w.flush().map_err(|e| e.to_string())?;
-    let mut worst = 0u8;
-    for _ in 0..expected {
-        match protocol::read_response(&mut reader) {
-            Ok(None) => break,
-            Ok(Some(resp)) => {
-                println!("-- session {}: {}", resp.session, resp.status);
-                for line in resp.payload.lines() {
-                    println!("   {line}");
-                }
-                worst = worst.max(resp.status.exit_code());
-            }
-            Err(FrameError::Malformed(m)) => {
-                eprintln!("send: response stream damaged: {m}");
-                return Ok(ExitCode::from(4));
-            }
-            Err(FrameError::Io(e)) => return Err(format!("read responses: {e}")),
-        }
-    }
-    Ok(ExitCode::from(worst))
+    let worst = print_responses(&mut reader, expected, "send")?;
+    Ok(ExitCode::from(worst.unwrap_or(4)))
 }
 
 fn cmd_journal(args: &[&str]) -> Result<ExitCode, String> {

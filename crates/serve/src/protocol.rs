@@ -34,9 +34,12 @@
 
 use std::io::{self, Read, Write};
 
+use stint::wire;
+
 /// Hard cap on a single frame payload. Counting the trace bytes, anything
 /// bigger than this should be streamed from disk by the client in chunks
-/// (or is an attack); the reader refuses it without allocating.
+/// (or is an attack); the reader refuses it without allocating, and below
+/// it reserves only as the payload's bytes arrive.
 pub const MAX_FRAME: usize = 256 * 1024 * 1024;
 
 pub const REQ_DETECT: u8 = 0x01;
@@ -87,17 +90,12 @@ impl Status {
         self as u8
     }
 
+    /// The status a response's first byte names, if any.
     pub fn from_code(c: u8) -> Option<Status> {
-        Some(match c {
-            0 => Status::Ok,
-            1 => Status::Racy,
-            2 => Status::Usage,
-            3 => Status::Degraded,
-            4 => Status::Corrupt,
-            5 => Status::Busy,
-            6 => Status::Bye,
-            _ => return None,
-        })
+        use Status::{Busy, Bye, Corrupt, Degraded, Racy, Usage};
+        [Status::Ok, Racy, Usage, Degraded, Corrupt, Busy, Bye]
+            .get(usize::from(c))
+            .copied()
     }
 
     /// Map the status back onto the CLI exit-code contract (`send` exits
@@ -175,10 +173,10 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// `read_exact` that converts an EOF mid-structure into `Malformed` — a
-/// truncated frame is the sender's fault, not a transport failure.
-fn read_exact_or(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), FrameError> {
-    r.read_exact(buf).map_err(|e| {
+/// `read`'s result, an EOF mid-structure made `Malformed` — a truncated
+/// frame is the sender's fault, not a transport failure.
+fn eof_is_malformed(read: io::Result<()>, what: &str) -> Result<(), FrameError> {
+    read.map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             FrameError::Malformed(format!("truncated frame: EOF {what}"))
         } else {
@@ -187,41 +185,30 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), Fr
     })
 }
 
-/// Read the one-byte frame head, distinguishing clean EOF (between frames,
-/// `Ok(None)`) from truncation (inside a frame, `Malformed`).
-fn read_head(r: &mut impl Read) -> Result<Option<u8>, FrameError> {
-    let mut b = [0u8; 1];
-    loop {
-        match r.read(&mut b) {
-            Ok(0) => return Ok(None),
-            Ok(_) => return Ok(Some(b[0])),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-}
-
-fn read_len(r: &mut impl Read, what: &str) -> Result<usize, FrameError> {
+/// The frame's `[u32 LE len][payload]`. The length is a claim: the payload
+/// buffer grows as its bytes arrive (`stint::wire::read_payload`).
+fn read_body(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     let mut b = [0u8; 4];
-    read_exact_or(r, &mut b, what)?;
+    eof_is_malformed(r.read_exact(&mut b), "in the length header")?;
     let len = u32::from_le_bytes(b) as usize;
     if len > MAX_FRAME {
         return Err(FrameError::Malformed(format!(
             "frame length {len} exceeds the {MAX_FRAME}-byte cap"
         )));
     }
-    Ok(len)
+    let mut payload = Vec::new();
+    let read = wire::read_payload(r, len as u64, &mut payload);
+    eof_is_malformed(read, "in the payload")?;
+    Ok(payload)
 }
 
 /// Read one request frame. `Ok(None)` is clean end-of-stream.
 pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, FrameError> {
-    let ty = match read_head(r)? {
-        None => return Ok(None),
-        Some(t) => t,
+    // A clean end between frames is `None`; inside one, `Malformed`.
+    let Some(ty) = wire::probe(r)? else {
+        return Ok(None);
     };
-    let len = read_len(r, "in the length header")?;
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload, "in the payload")?;
+    let mut payload = read_body(r)?;
     match ty {
         REQ_DETECT => {
             if payload.len() < 2 {
@@ -256,56 +243,40 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, FrameError> {
 /// length field, or a frame longer than [`MAX_FRAME`], are an
 /// [`io::ErrorKind::InvalidInput`] error, and nothing is written.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
-    match req {
-        Request::Detect { opts, trace } => {
-            let opts = opts.as_bytes();
-            let len = 2 + opts.len() + trace.len();
-            if opts.len() > u16::MAX as usize || len > MAX_FRAME {
-                let (n, max) = (opts.len(), u16::MAX);
-                let what =
-                    format!("{len}-byte DETECT frame, {n}-byte opts (caps {MAX_FRAME}, {max})");
-                return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
-            }
-            w.write_all(&[REQ_DETECT])?;
-            w.write_all(&(len as u32).to_le_bytes())?;
-            w.write_all(&(opts.len() as u16).to_le_bytes())?;
-            w.write_all(opts)?;
-            w.write_all(trace)?;
-        }
-        Request::Stats => {
-            w.write_all(&[REQ_STATS])?;
-            w.write_all(&0u32.to_le_bytes())?;
-        }
-        Request::Shutdown => {
-            w.write_all(&[REQ_SHUTDOWN])?;
-            w.write_all(&0u32.to_le_bytes())?;
-        }
-        Request::Ping => {
-            w.write_all(&[REQ_PING])?;
-            w.write_all(&0u32.to_le_bytes())?;
-        }
-        Request::Health => {
-            w.write_all(&[REQ_HEALTH])?;
-            w.write_all(&0u32.to_le_bytes())?;
-        }
+    let ty = match req {
+        Request::Detect { .. } => REQ_DETECT,
+        Request::Stats => REQ_STATS,
+        Request::Shutdown => REQ_SHUTDOWN,
+        Request::Ping => REQ_PING,
+        Request::Health => REQ_HEALTH,
+    };
+    let Request::Detect { opts, trace } = req else {
+        return w.write_all(&[ty, 0, 0, 0, 0]); // the type and an empty payload
+    };
+    let opts = opts.as_bytes();
+    let len = 2 + opts.len() + trace.len();
+    if opts.len() > u16::MAX as usize || len > MAX_FRAME {
+        let (n, max) = (opts.len(), u16::MAX);
+        let what = format!("{len}-byte DETECT frame, {n}-byte opts (caps {MAX_FRAME}, {max})");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
     }
-    Ok(())
+    w.write_all(&[ty])?;
+    w.write_all(&(len as u32).to_le_bytes())?;
+    w.write_all(&(opts.len() as u16).to_le_bytes())?;
+    w.write_all(opts)?;
+    w.write_all(trace)
 }
 
 /// Read one response frame. `Ok(None)` is clean end-of-stream.
 pub fn read_response(r: &mut impl Read) -> Result<Option<Response>, FrameError> {
-    let code = match read_head(r)? {
-        None => return Ok(None),
-        Some(c) => c,
+    let Some(code) = wire::probe(r)? else {
+        return Ok(None);
     };
     let status = Status::from_code(code)
         .ok_or_else(|| FrameError::Malformed(format!("unknown status byte {code:#04x}")))?;
     let mut sid = [0u8; 4];
-    read_exact_or(r, &mut sid, "in the session id")?;
-    let len = read_len(r, "in the length header")?;
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload, "in the payload")?;
-    let payload = String::from_utf8(payload)
+    eof_is_malformed(r.read_exact(&mut sid), "in the session id")?;
+    let payload = String::from_utf8(read_body(r)?)
         .map_err(|e| FrameError::Malformed(format!("response payload not UTF-8: {e}")))?;
     Ok(Some(Response {
         status,

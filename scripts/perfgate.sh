@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The pre-merge gate: style checks, warning-free rustdoc, release build, one
 # iteration of every Criterion row of every bench file of `stint-bench`, the
-# test suite in release, the space study (the `space` binary exits 1 on a
+# test suite in release and the wide claims row, the space study (the `space` binary exits 1 on a
 # Lemma 4.1 violation), the repo benchmark's self-check (expectations,
 # oracle, catalogue ≡ BENCHMARK.json), then a two-pair smoke of the repo
 # benchmark against the parent commit. No wall time is gated here:
@@ -40,6 +40,11 @@ cargo bench -q -p stint-bench --benches -- --test
 # exit-code contract on every tier and the `stint-serve` daemon end to end.
 echo "== cargo test --release"
 cargo test --release -q
+
+# The claim rule's wide row (DESIGN.md §9): every suite kernel, three chunk
+# sizes, every single-bit flip of every length and count field.
+echo "== claims, wide"
+cargo test --release -q --test claims -- --ignored
 
 echo "== space study (byte gauges + Lemma 4.1)"
 cargo run --release -q -p stint-bench --bin space -- "${ARGS[@]}"
