@@ -181,7 +181,9 @@ impl Default for BatchConfig {
 ///
 /// The deadline is checked between pipeline steps — detectors are not
 /// interruptible mid-batch, so a session overruns its deadline by at most
-/// the batch in flight plus the batch being routed. A tripped deadline does
+/// the batch in flight plus the batch being routed (a streamed batch feeds
+/// at most `STEP_EVENTS` decoded events, however many a run claims). A
+/// tripped deadline does
 /// **not** abort the run: ingestion stops, what was routed is drained,
 /// flushed and merged, and the outcome carries `degraded =
 /// ResourceExhausted(WallClock)` — the report is sound up to the point
@@ -464,6 +466,8 @@ fn detect_stream(
     let mut src = StreamSource {
         reader,
         runs: Vec::new(),
+        next_run: 0,
+        fed: 0,
         front: Front::new(limits.budget),
         ingest: IngestStats::default(),
         spans: cfg.witnesses.then(EventSpans::default),
@@ -567,11 +571,25 @@ impl EventSource for RawSource<'_> {
     }
 }
 
-/// A compressed v2 stream, one file chunk per batch, detected in its
-/// encoded shape (see [`feed_run`]).
+/// Decoded events one producer step feeds at most. A run's count is only a
+/// claim until it is fed, and one run may claim 2^30 events or more, so a
+/// longer run resumes at the next step and [`pipeline`]'s deadline check
+/// runs in between. A file chunk of [`DEFAULT_CHUNK_EVENTS`] events is split
+/// only when one of its runs is longer than this.
+const STEP_EVENTS: u64 = 16 * DEFAULT_CHUNK_EVENTS as u64;
+
+/// A compressed v2 stream, one file chunk per batch (or [`STEP_EVENTS`] of
+/// it), detected in its encoded shape: a contiguous word-aligned run is
+/// consumed wholesale — its whole footprint is ONE range set on the
+/// coalescer, which covers exactly the words of its expanded events, so
+/// detection runs directly on the compressed form. Other runs are stepped
+/// event by event without materializing a vector.
 struct StreamSource<'a> {
     reader: CompressedTraceReader<&'a mut (dyn BufRead + Send)>,
+    /// The chunk being fed, its next run, and that run's events fed so far.
     runs: Vec<EventRun>,
+    next_run: usize,
+    fed: u64,
     front: Front,
     ingest: IngestStats,
     /// Incremental span table: decoded event ids equal original trace
@@ -583,66 +601,53 @@ struct StreamSource<'a> {
 
 impl EventSource for StreamSource<'_> {
     fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
-        let io = |e: std::io::Error| corrupt(e.to_string());
-        if !self.reader.next_chunk(&mut self.runs).map_err(io)? {
-            return self.reader.finished().map(|()| false).map_err(io);
+        if self.next_run == self.runs.len() {
+            let io = |e: std::io::Error| corrupt(e.to_string());
+            if !self.reader.next_chunk(&mut self.runs).map_err(io)? {
+                return self.reader.finished().map(|()| false).map_err(io);
+            }
+            self.next_run = 0;
+            self.ingest.bytes = self.reader.bytes_read();
+            self.ingest.chunks += 1;
+            self.ingest.runs += self.runs.len() as u64;
         }
-        let n_strands = self.reader.reach.strand_count();
-        for run in &self.runs {
-            if run.strand.index() >= n_strands {
-                let s = run.strand.0;
-                return Err(corrupt(format!(
-                    "run strand {s} out of range (trace has {n_strands} strands)"
-                )));
-            }
-            if !run_addr_ok(run) {
-                let (addr, stride) = (run.addr, run.stride);
-                return Err(corrupt(format!(
-                    "run at {addr:#x} stride {stride} overflows the address space"
-                )));
-            }
-            self.ingest.events += run.count;
-            if let Some(sp) = self.spans.as_mut() {
-                if run.count > 0 {
+        let mut room = STEP_EVENTS;
+        while let Some(run) = self.runs.get(self.next_run).filter(|_| room > 0) {
+            if self.fed == 0 {
+                self.ingest.events += run.count;
+                if let Some(sp) = self.spans.as_mut() {
                     sp.note(run.strand, self.ev_id);
                     sp.note(run.strand, self.ev_id + run.count - 1);
                 }
+                self.ev_id += run.count;
+                if let Some((op, addr, bytes)) = run.as_wholesale_range() {
+                    self.ingest.wholesale_runs += 1;
+                    let e = TraceEvent {
+                        op,
+                        addr,
+                        bytes,
+                        ..run.first()
+                    };
+                    self.front.feed(e, router, batch);
+                    (room, self.next_run) = (room - 1, self.next_run + 1);
+                    continue;
+                }
             }
-            self.ev_id += run.count;
-            feed_run(&mut self.front, run, router, batch, &mut self.ingest);
+            let end = run.count.min(self.fed.saturating_add(room));
+            for i in self.fed..end {
+                self.front.feed(run.event(i), router, batch);
+            }
+            room -= end - self.fed;
+            self.fed = end;
+            if end == run.count {
+                (self.next_run, self.fed) = (self.next_run + 1, 0);
+            }
         }
-        self.ingest.bytes = self.reader.bytes_read();
-        self.ingest.chunks += 1;
-        self.ingest.runs += self.runs.len() as u64;
         Ok(true)
     }
 
     fn front(&mut self) -> Option<&mut Front> {
         Some(&mut self.front)
-    }
-}
-
-/// Feed one decoded run (the streaming source). A contiguous word-aligned
-/// run is consumed wholesale: its whole footprint is ONE range set on the
-/// coalescer, which covers exactly the words of its expanded events —
-/// detection directly on the compressed form. Other runs expand event by
-/// event without materializing a vector.
-#[inline]
-fn feed_run(
-    front: &mut Front,
-    run: &EventRun,
-    router: &mut Router,
-    inboxes: &mut [Inbox],
-    ingest: &mut IngestStats,
-) {
-    let (mut e, mut count) = (run.first(), run.count);
-    if let Some((op, addr, total)) = run.as_wholesale_range() {
-        ingest.wholesale_runs += 1;
-        (e.op, e.addr, e.bytes, count) = (op, addr, total, 1);
-    }
-    for _ in 0..count {
-        front.feed(e, router, inboxes);
-        e.addr = (e.addr as i64).wrapping_add(run.stride) as usize;
     }
 }
 
@@ -769,16 +774,6 @@ fn finish_outcome(
         degraded: failure.or(timeout),
         shards: outs,
     }
-}
-
-/// Every address the run expands to (plus the `word_range` rounding slack)
-/// stays inside the address space — the per-event overflow check of
-/// `PortableTrace::validate`, lifted to whole runs.
-fn run_addr_ok(run: &EventRun) -> bool {
-    let first = run.addr as i128;
-    let last = first + (run.stride as i128) * (run.count as i128 - 1);
-    let (min, max) = (first.min(last), first.max(last));
-    min >= 0 && max + run.bytes as i128 + 3 <= usize::MAX as i128
 }
 
 /// Choose `k` contiguous shard ranges whose boundaries sit at event-weight

@@ -187,10 +187,11 @@ const FLAGS: &[Flag] = &[
         set: |c, _, v| put(&mut c.variant, parse_variant(v)),
         help: "vanilla | compiler | comp+rts | stint (default) | stint-btree; detect\n\
                also accepts 'all' (every variant, run in parallel on a work-stealing\n\
-               pool); detect and trace replay also accept 'batch' (two-phase batch\n\
-               mode: record/load the trace, then fan detection out over contiguous\n\
-               address shards on the work-stealing pool; the merged report is\n\
-               identical to the sequential one for every shard count)",
+               pool); detect and trace replay also accept 'batch' (detection fanned\n\
+               out over contiguous address shards on the work-stealing pool: detect\n\
+               runs --online-parallel's engine beside the live program, with its\n\
+               default pool and batch size, and trace replay reads the file; the\n\
+               merged report is the same for every shard count)",
     },
     Flag {
         name: "--scale",

@@ -10,7 +10,9 @@
 //! ```
 //!
 //! Variants: vanilla | compiler | comp+rts | stint | stint-btree, plus
-//! `batch` (sharded batch mode on the work-stealing pool; `--shards K`).
+//! `batch` (address-sharded detection on the work-stealing pool; `--shards
+//! K`): `trace replay` reads the file, and `detect` runs the online engine
+//! that `--online-parallel` runs.
 //! Scales: test | s | m | paper.
 //!
 //! Exit codes: 0 = no races, 1 = races found, 2 = usage/IO error,
@@ -34,11 +36,9 @@ use stint_suite::{Scale, Workload, BUGGY_NAMES, NAMES};
 mod args;
 mod output;
 
-use args::{CmdOpts, Parsed, RunOpts, VariantSel};
-use output::{print_batch_outcome, print_outcome, print_report, write_stats_json};
-use stint_batchdet::{
-    batch_detect, batch_detect_any, new_pool, online_detect, BatchConfig, OnlineConfig,
-};
+use args::{Parsed, RunOpts, VariantSel};
+use output::{print_outcome, print_report, write_stats_json};
+use stint_batchdet::{batch_detect_any, new_pool, online_detect, BatchConfig, OnlineConfig};
 
 /// A failed run: either bad input (exit 2) or a structured detector failure
 /// (exit 3 for resource exhaustion, 4 for a poisoned session).
@@ -230,23 +230,25 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             }
             cfg.budget.max_intervals = opts.max_intervals;
             cfg.witnesses = o.witness;
-            if o.online {
-                let ocfg = OnlineConfig {
-                    shards: o.shards,
-                    workers: o.workers,
-                    steal_seed: o.steal_seed,
-                    chunk_events: o.chunk_events,
-                    witnesses: o.witness,
-                    budget: cfg.budget,
-                };
-                return detect_online(&bench, o.scale, &ocfg, opts);
-            }
-            let outcomes = match o.variant {
-                VariantSel::Batch => return detect_batch(&bench, &o, opts),
-                VariantSel::One(v) => {
+            let outcomes = match (o.online, o.variant) {
+                // Both spellings of the sharded tier run the online engine;
+                // `--variant batch` keeps the defaults of the knobs only
+                // `--online-parallel` takes (`args::FLAGS`).
+                (true, _) | (_, VariantSel::Batch) => {
+                    let ocfg = OnlineConfig {
+                        shards: o.shards,
+                        workers: o.workers,
+                        steal_seed: o.steal_seed,
+                        chunk_events: o.chunk_events,
+                        witnesses: o.witness,
+                        budget: cfg.budget,
+                    };
+                    return detect_online(&bench, o.scale, &ocfg, opts);
+                }
+                (_, VariantSel::One(v)) => {
                     vec![detect_one(&bench, o.scale, Config { variant: v, ..cfg })?]
                 }
-                VariantSel::All => detect_all(&bench, o.scale, cfg)?,
+                (_, VariantSel::All) => detect_all(&bench, o.scale, cfg)?,
             };
             for (i, o) in outcomes.iter().enumerate() {
                 if i > 0 {
@@ -347,7 +349,11 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
                 // straight off the disk — the full event stream is never
                 // resident — and a v1 file is loaded, validated, and
                 // partitioned in memory.
-                let cfg = batch_config(&o);
+                let cfg = BatchConfig {
+                    shards: o.shards,
+                    witnesses: o.witness,
+                    ..BatchConfig::default()
+                };
                 let pool = new_pool(cfg.workers, cfg.steal_seed);
                 let out = batch_detect_any(&pool, &mut open_trace(&file)?, &cfg)
                     .map_err(Failure::Detector)?;
@@ -409,39 +415,15 @@ fn bug_label(name: &str) -> &'static str {
     }
 }
 
-fn batch_config(o: &CmdOpts) -> BatchConfig {
-    BatchConfig {
-        shards: o.shards,
-        witnesses: o.witness,
-        ..BatchConfig::default()
-    }
-}
-
-/// `detect --variant batch`: record the benchmark into a portable trace
-/// (phase 1 — sequential control-flow replay building the frozen SP-Order),
-/// then fan detection out over `shards` address shards on the work-stealing
-/// pool (phase 2) and print the deterministically merged report. Budgets and
-/// `--stats-json` do not apply to this strategy; `args::FLAGS` rejects them.
-fn detect_batch(bench: &str, o: &CmdOpts, opts: &RunOpts) -> Result<bool, Failure> {
-    let mut w = Workload::by_name(bench, o.scale);
-    let pt = PortableTrace::record(&mut w);
-    w.verify()
-        .map_err(|e| usage(format!("output verification: {e}")))?;
-    let out = batch_detect(&pt, &batch_config(o)).map_err(Failure::Detector)?;
-    print_batch_outcome(bench, &out);
-    let report = out.merged.to_report();
-    let runs = [("BATCH".into(), &report)];
-    finish(opts, bench, "detect", &runs, out.degraded)
-}
-
-/// `detect --online-parallel`: run the benchmark once under the
-/// instrumented executor on the relabel-free DePa substrate, fanning each
-/// chunk of the instrumentation stream out over address shards on the
-/// work-stealing pool *while the program runs*. Everything printed here is
-/// a deterministic function of the program and the chunk/shard knobs — no
-/// worker count, steal seed or wall-clock time appears — so scripts
-/// byte-diff the whole stdout across pool configurations, once the race
-/// addresses are rebased: the heap sits elsewhere in every process (ASLR).
+/// `detect --online-parallel` and `detect --variant batch`: run the
+/// benchmark once under the instrumented executor on the relabel-free DePa
+/// substrate, fanning each chunk of the instrumentation stream out over
+/// address shards on the work-stealing pool *while the program runs*.
+/// Everything printed here is a deterministic function of the program and
+/// the chunk/shard knobs — no worker count, steal seed or wall-clock time
+/// appears — so scripts byte-diff the whole stdout across pool
+/// configurations, once the race addresses are rebased: the heap sits
+/// elsewhere in every process (ASLR).
 fn detect_online(
     bench: &str,
     scale: Scale,

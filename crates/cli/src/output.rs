@@ -36,25 +36,6 @@ pub fn print_outcome(bench: &str, o: &Outcome) {
     print_report(&o.report, 10);
 }
 
-/// Render a batch run: the sharded-phase timing, routing summary, and the
-/// merged (per-word-normalized) report.
-pub fn print_batch_outcome(bench: &str, out: &stint_batchdet::BatchOutcome) {
-    println!("{bench} under batch ({} shard(s)):", out.shards.len());
-    println!("  sharded phase:    {:?}", out.wall);
-    println!(
-        "  trace:            {} events over {} strands",
-        out.events, out.strands
-    );
-    let routed: u64 = out.shards.iter().map(|s| s.events).sum();
-    println!("  routed:           {routed} shard-events");
-    println!(
-        "  intervals:        {} reads, {} writes (summed over shards)",
-        out.stats.read.intervals, out.stats.write.intervals
-    );
-    let report = out.merged.to_report();
-    print_report(&report, 10);
-}
-
 pub fn print_report(report: &RaceReport, max: usize) {
     if report.is_race_free() {
         println!("  races:            none — race free \u{2713}");

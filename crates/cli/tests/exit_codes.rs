@@ -686,6 +686,53 @@ fn depa_and_online_report_the_sporder_races() {
     assert_eq!(rebased(&seeded), rebased(&online), "{seeded}");
 }
 
+/// `--variant batch` is a spelling of the sharded online engine: with the
+/// same shard count its whole stdout is `--online-parallel`'s, up to where
+/// each process's heap sits.
+#[test]
+fn batch_and_online_detect_print_the_same_report() {
+    let detect = |extra: &[&str]| {
+        let out = run(&[&["detect", "buggy-mmul", "--shards", "3"][..], extra].concat());
+        assert_eq!(code(&out), 1, "{extra:?}: stderr: {}", stderr(&out));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let batch = detect(&["--variant", "batch"]);
+    assert_eq!(rebased(&batch), rebased(&detect(&["--online-parallel"])));
+}
+
+/// Both spellings of a live sharded `detect` number the same stream, the
+/// program's hooks: each race of their witness cards has the same kind,
+/// strands and witness spans. (Addresses differ between processes.)
+#[test]
+fn batch_and_online_witness_cards_number_the_hooks() {
+    let card = |tag: &str, extra: &[&str]| {
+        let path = tmp_trace(tag);
+        let p = path.to_str().expect("utf-8 temp path");
+        let args = ["detect", "buggy-merge", "--witness", "--report-json", p];
+        let out = run(&[&args[..], extra].concat());
+        assert_eq!(code(&out), 1, "{extra:?}: stderr: {}", stderr(&out));
+        let text = std::fs::read_to_string(&path).expect("read the card");
+        let _ = std::fs::remove_file(&path);
+        let card = stint::report_card::Card::read(&text).expect("the card reads");
+        let races = card.runs.iter().flat_map(|r| &r.races);
+        let shape = |r: &stint::Race| {
+            let w = r.witness.as_ref().expect("a witnessed race");
+            let span = |a: &stint::witness::AccessEvidence| (a.strand, a.first_event, a.last_event);
+            (
+                r.kind.to_string(),
+                r.prev,
+                r.cur,
+                span(&w.prev),
+                span(&w.cur),
+            )
+        };
+        races.map(shape).collect::<Vec<_>>()
+    };
+    let batch = card("card-batch", &["--variant", "batch"]);
+    assert!(!batch.is_empty());
+    assert_eq!(batch, card("card-online", &["--online-parallel"]));
+}
+
 /// `report` with the k-th address of each line replaced by its offset from
 /// the k-th address of the first line that has one: word and byte addresses
 /// each keep their layout, not the heap base the process happened to get.

@@ -61,7 +61,7 @@ pub const HIST_BUCKETS: usize = 256;
 pub const DEFAULT_CHUNK_EVENTS: usize = 4096;
 
 /// Largest header or chunk payload a reader accepts.
-const MAX_FRAME: u64 = 64 << 20;
+pub const MAX_FRAME: u64 = 64 << 20;
 
 fn bad(m: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, m.into())
@@ -168,13 +168,29 @@ impl EventRun {
         }
     }
 
+    /// The run's `i`-th event: the one way a run is stepped.
+    #[inline]
+    pub fn event(&self, i: u64) -> TraceEvent {
+        let step = self.stride.wrapping_mul(i as i64);
+        TraceEvent {
+            addr: (self.addr as i64).wrapping_add(step) as usize,
+            ..self.first()
+        }
+    }
+
     /// Expand the run back to its exact original events.
     pub fn expand_into(&self, out: &mut Vec<TraceEvent>) {
-        let mut e = self.first();
-        for _ in 0..self.count {
-            out.push(e);
-            e.addr = (e.addr as i64).wrapping_add(self.stride) as usize;
-        }
+        out.extend((0..self.count).map(|i| self.event(i)));
+    }
+
+    /// Every address the run expands to (plus the `word_range` rounding
+    /// slack) stays inside the address space — the per-event overflow check
+    /// of `PortableTrace::validate`, lifted to whole runs.
+    fn addr_ok(&self) -> bool {
+        let first = self.addr as i128;
+        let last = first + (self.stride as i128) * (self.count as i128 - 1);
+        let (min, max) = (first.min(last), first.max(last));
+        min >= 0 && max + self.bytes as i128 + 3 <= usize::MAX as i128
     }
 }
 
@@ -494,8 +510,9 @@ impl<R: BufRead> CompressedTraceReader<R> {
     /// before any of it is decoded, so a damaged chunk reports its checksum
     /// mismatch ahead of any decode error and `out` only ever holds what was
     /// written. Returns `false` once every event was yielded. Truncated
-    /// input, checksum mismatches, and run/event-count disagreements are
-    /// `InvalidData` errors.
+    /// input, checksum mismatches, run/event-count disagreements, a run
+    /// naming a strand the header lacks and a run reaching past the address
+    /// space are `InvalidData` errors: a chunk handed out is a valid one.
     pub fn next_chunk(&mut self, out: &mut Vec<EventRun>) -> io::Result<bool> {
         out.clear();
         if self.events_seen >= self.total_events {
@@ -517,6 +534,21 @@ impl<R: BufRead> CompressedTraceReader<R> {
         self.events_seen = self.events_seen.saturating_add(decoded);
         if self.events_seen > self.total_events {
             return Err(bad("chunk yields more events than the header declared"));
+        }
+        let n_strands = self.reach.strand_count();
+        for run in out.iter() {
+            if run.strand.index() >= n_strands {
+                let s = run.strand.0;
+                return Err(bad(format!(
+                    "run strand {s} out of range (trace has {n_strands} strands)"
+                )));
+            }
+            if !run.addr_ok() {
+                let (addr, stride) = (run.addr, run.stride);
+                return Err(bad(format!(
+                    "run at {addr:#x} stride {stride} overflows the address space"
+                )));
+            }
         }
         self.bytes_read += count_bytes as u64 + took;
         self.chunks_read += 1;
@@ -719,6 +751,22 @@ mod tests {
             bad[at] ^= 0x10;
             assert!(load_compressed(&bad[..]).is_err(), "bit flip at {at}");
         }
+    }
+
+    /// A chunk the reader hands out is a valid one: a run naming a strand the
+    /// header lacks is refused by `next_chunk` itself, so the whole-trace
+    /// loader never returns it.
+    #[test]
+    fn run_strand_out_of_range_is_invalid_data() {
+        let mut pt = strided_hooks();
+        let n = pt.reach.strand_count() as u32;
+        pt.trace.events[0].strand = StrandId(n);
+        let mut buf = Vec::new();
+        save_compressed(&pt, &mut buf, DEFAULT_CHUNK_EVENTS).unwrap();
+        let e = load_compressed(&buf[..]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        let want = format!("run strand {n} out of range (trace has {n} strands)");
+        assert_eq!(e.to_string(), want);
     }
 
     #[test]

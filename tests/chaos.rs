@@ -787,6 +787,72 @@ fn pipeline_deadline_between_batches_drains_what_was_routed() {
     );
 }
 
+/// A v2 file of one strand whose first run claims `count` gapped
+/// `StoreRange`s (176 bytes at stride 192: no wholesale range, so the run
+/// steps event by event), then the strand's end; both frames sealed.
+fn v2_with_one_long_run(count: u64) -> Vec<u8> {
+    use stint_repro::{ctrace::HIST_BUCKETS, varint::put, wire::put_frame};
+    let addr = 0x10_0000u64;
+    let mut header = Vec::new();
+    // One strand ranked first in both orders, the events, the word bounds,
+    // and an empty partition index.
+    let claims = [
+        1,
+        0,
+        0,
+        count + 1,
+        addr / 4,
+        count * 48,
+        HIST_BUCKETS as u64,
+    ];
+    for v in claims.into_iter().chain([0; HIST_BUCKETS]) {
+        put(&mut header, v);
+    }
+    // Op tags 3 (`StoreRange`) and 5 (`StrandEnd`), strand 0; addresses and
+    // strides are zigzag-coded.
+    let mut payload = vec![3];
+    for v in [0, addr * 2, 176, count, 192 * 2] {
+        put(&mut payload, v);
+    }
+    payload.extend([5, 0]);
+    let mut file = format!("{}\n", stint_repro::MAGIC_V2).into_bytes();
+    put_frame(&mut file, &header);
+    put(&mut file, 2);
+    put_frame(&mut file, &payload);
+    file
+}
+
+/// One run of a streamed file may claim 2^30 events; the producer feeds a
+/// bounded number of them a step, so the deadline is checked inside the
+/// run and the session comes back degraded by its wall clock, not after
+/// feeding the whole run (tens of seconds under an 8 MiB shadow budget).
+#[test]
+fn deadline_holds_inside_one_long_run() {
+    let _g = lock();
+    use stint_repro::batchdet::SessionLimits;
+    let file = v2_with_one_long_run(1 << 30);
+    let pool = ThreadPool::new(2);
+    let limits = SessionLimits {
+        budget: stint_repro::ResourceBudget::default().with_shadow_mb(8),
+        ..SessionLimits::default()
+    };
+    let cfg = BatchConfig {
+        limits: limits.timeout_after(std::time::Duration::from_millis(50)),
+        ..two_shards()
+    };
+    let t0 = std::time::Instant::now();
+    let out = batch_detect_any(&pool, &mut &file[..], &cfg)
+        .expect("a tripped deadline degrades, it does not fail");
+    let took = t0.elapsed();
+    match &out.degraded {
+        Some(DetectorError::ResourceExhausted { resource, .. }) => {
+            assert_eq!(*resource, Resource::WallClock)
+        }
+        other => panic!("expected the wall-clock degradation, got {other:?}"),
+    }
+    assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+}
+
 /// A `cilkrt` plan composed with the pipelined driver: every worker dies at
 /// start-up while the session's `install` job sits in the injector. The
 /// waiter runs the whole pipeline inline (each `join` a serial elision), in

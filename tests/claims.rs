@@ -15,6 +15,9 @@
 //! the field is re-sealed, so the claim is what gets tested. Every
 //! truncation is decoded too. Each case must return `Ok` or a structured
 //! error, never panic, and allocate nothing over 1 MiB in one request.
+//! Each cap is also met at its exact boundary: a claim equal to the cap
+//! must end in that decoder's truncation error, one more in its too-long
+//! error.
 //!
 //! One `#[test]` runs every case, so no parallel test shares the peak. The
 //! `#[ignore]`d one widens the inputs (every suite kernel, three chunk
@@ -514,12 +517,136 @@ fn cases(
     cases
 }
 
+/// Each cap at its exact boundary: a claimed length equal to the cap is a
+/// length the decoder accepts, so the frame ends in its truncation error;
+/// one more is refused as too long. A row is its name, its input, and the
+/// error its decoder must report.
+fn boundary_cases(pt: &PortableTrace) -> Vec<(Decoder, String, Vec<u8>, String)> {
+    use stint_repro::ctrace::MAX_FRAME;
+    let mut rows = Vec::new();
+    let mut v2 = Vec::new();
+    pt.save_compressed(&mut v2, 2).expect("save v2");
+    let v2 = V2::parse(&v2);
+    let frames = [
+        (
+            "v2 header",
+            None,
+            "truncated header",
+            "unreasonable header length",
+        ),
+        (
+            "v2 chunk 0",
+            Some(0),
+            "truncated chunk payload",
+            "unreasonable chunk length",
+        ),
+    ];
+    for (what, chunk, short, long) in frames {
+        for (claim, want) in [(MAX_FRAME, short), (MAX_FRAME + 1, long)] {
+            let bytes = match chunk {
+                None => v2.encode(Some(claim), None),
+                Some(c) => v2.encode(None, Some((c, claim))),
+            };
+            let name = format!("{what} length {claim}");
+            rows.push((Decoder::Trace, name, bytes, want.to_string()));
+        }
+    }
+    let cap = journal::MAX_RECORD;
+    for (claim, want) in [
+        (
+            cap,
+            "record 1: torn payload (failed to fill whole buffer)".into(),
+        ),
+        (
+            cap + 1,
+            format!("record 1: oversized frame ({} bytes > {cap})", cap + 1),
+        ),
+    ] {
+        let mut bytes = journal_of(&[]);
+        varint::put(&mut bytes, claim);
+        varint::put(&mut bytes, fnv1a(b""));
+        let name = format!("journal record 0 length {claim}");
+        rows.push((Decoder::Journal, name, bytes, want));
+    }
+    let cap = protocol::MAX_FRAME;
+    let sides = [
+        (Decoder::Requests, request_frames(&v1_of(pt)), 1),
+        (Decoder::Responses, response_frames(), 5),
+    ];
+    for (decoder, frames, head) in sides {
+        for (claim, want) in [
+            (cap, "truncated frame: EOF in the payload".into()),
+            (
+                cap + 1,
+                format!("frame length {} exceeds the {cap}-byte cap", cap + 1),
+            ),
+        ] {
+            let mut bytes = frames.clone();
+            bytes[head..head + 4].copy_from_slice(&(claim as u32).to_le_bytes());
+            let name = format!("frame at 0 length {claim}");
+            rows.push((decoder, name, bytes, want));
+        }
+    }
+    rows
+}
+
+/// The error `decoder`'s first entry reports on `bytes`, or why it reported
+/// none.
+fn first_error(decoder: Decoder, bytes: &[u8]) -> String {
+    match decoder {
+        Decoder::Trace => load_compressed(bytes).map_or_else(|e| e.to_string(), |_| "Ok".into()),
+        Decoder::Requests | Decoder::Responses => {
+            let mut r = bytes;
+            loop {
+                let got = match decoder {
+                    Decoder::Requests => protocol::read_request(&mut r).map(|f| f.is_some()),
+                    _ => protocol::read_response(&mut r).map(|f| f.is_some()),
+                };
+                match got {
+                    Ok(true) => {}
+                    Ok(false) => return "Ok".into(),
+                    Err(e) => return e.to_string(),
+                }
+            }
+        }
+        Decoder::Journal => match journal::replay(bytes) {
+            Ok(replay) => replay.corruption.unwrap_or_else(|| "Ok".into()),
+            Err(e) => e.to_string(),
+        },
+    }
+}
+
+/// Decode every boundary case; return one line per failure.
+fn sweep_boundaries(cases: &[(Decoder, String, Vec<u8>, String)]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (decoder, name, bytes, want) in cases {
+        LARGEST.store(0, Ordering::Relaxed);
+        let got = catch_unwind(AssertUnwindSafe(|| first_error(*decoder, bytes)));
+        let largest = LARGEST.load(Ordering::Relaxed);
+        match got {
+            Err(_) => failures.push(format!("{decoder:?} {name}: panicked")),
+            Ok(got) if !got.contains(want.as_str()) => {
+                failures.push(format!("{decoder:?} {name}: {got:?}, wanted {want:?}"))
+            }
+            Ok(_) => {}
+        }
+        if largest > MAX_ALLOC {
+            failures.push(format!(
+                "{decoder:?} {name}: one allocation of {largest} bytes"
+            ));
+        }
+    }
+    failures
+}
+
 #[test]
 fn claimed_lengths_and_counts_buy_no_memory() {
     let pool = ThreadPool::new(2);
     let tiny = PortableTrace::record(&mut Tiny);
+    let boundaries = boundary_cases(&tiny);
     let cases = cases(&[tiny], &[2], false, true);
-    let failures = sweep(&pool, &cases);
+    let mut failures = sweep(&pool, &cases);
+    failures.extend(sweep_boundaries(&boundaries));
     assert!(
         failures.is_empty(),
         "{} of {} cases:\n{}",
