@@ -2,42 +2,34 @@
 //!
 //! The on-the-fly detectors in `stint` interleave detection with the
 //! program's own execution on a single thread. This crate runs detection as
-//! a **batch job**:
+//! a **batch job** over a recorded trace, read as its runs one chunk at a
+//! time ([`stint::RunSource`]: a v2 file, a v1 file parsed whole, or a
+//! [`PortableTrace`] in memory) against its [`FrozenReach`] snapshot of
+//! SP-Order. The `series`/`parallel`/`left_of` relation is *read-only*:
+//! every query is a pair of rank comparisons on immutable vectors, safe to
+//! share across threads with no synchronization.
 //!
-//! 1. **Replay control flow sequentially** (or load a saved trace): the
-//!    result is a [`PortableTrace`] — each strand's coalesced runs in front
-//!    of the strand end or free that closes them (a saved trace may hold the
-//!    hook stream instead; either is valid input) plus a
-//!    [`FrozenReach`] snapshot of SP-Order. After this phase the
-//!    `series`/`parallel`/`left_of` relation is *read-only*: every query is
-//!    a pair of rank comparisons on immutable vectors, safe to share across
-//!    threads with no synchronization.
-//! 2. **Coalesce and partition the event stream in one O(n) pass**: the
+//! 1. **Coalesce and partition the event stream in one O(n) pass**: the
 //!    4-byte-word address space touched by the trace is split into `K`
-//!    contiguous shards at *event-weight quantiles* of a bucketed access
-//!    histogram (so shards are load-balanced, not just width-balanced). A
-//!    single scan feeds every access into **one** strand coalescer
-//!    ([`stint::StrandCoalescer`], the front half of sequential STINT) and,
-//!    when a strand ends or frees, routes the runs it hands out to exactly
-//!    the shards their word ranges overlap (clipped at the boundary). The
-//!    interval, not the event, is what crosses into the shards. Total
-//!    partition work is O(n + straddlers), not the O(K·n) of the historical
-//!    clip-per-shard design where every shard re-scanned the whole stream.
-//! 3. **Drain the per-shard inboxes** as fork-join tasks on the
+//!    contiguous shards at *event-weight quantiles* of the header's bucketed
+//!    access histogram (so shards are load-balanced, not just
+//!    width-balanced). A single scan feeds every access into **one** strand
+//!    coalescer ([`stint::StrandCoalescer`], the front half of sequential
+//!    STINT) — a contiguous run of a hook-level v2 file **wholesale**, as
+//!    one range set — and, when a strand ends or frees, routes the runs it
+//!    hands out to exactly the shards their word ranges overlap (clipped at
+//!    the boundary). The interval, not the event, is what crosses into the
+//!    shards.
+//! 2. **Drain the per-shard inboxes** as fork-join tasks on the
 //!    `stint-cilkrt` work-stealing pool; each shard flushes the runs routed
 //!    to it through a private [`stint::IntervalHistory`] — the back half of
 //!    sequential STINT; a shard owns no coalescing table.
 //!
-//! Steps 2 and 3 are software-pipelined, one batch at a time (`pipeline`):
-//! batch *n+1* is coalesced and routed while batch *n* drains. A byte
-//! stream of either trace format enters by one door, [`batch_detect_any`],
-//! which reads the magic line ([`stint::open_any`]). A v1 trace is validated
-//! and detected in memory. A stream in the compressed chunked
-//! `STINT-TRACE v2` format (see `stint::ctrace`) feeds the pipeline one
-//! file chunk per batch, each checksummed as it is read — the whole
-//! `PortableTrace` is never resident — and, in a hook-level file, consumes
-//! contiguous run-length runs **wholesale** (one range set on the coalescer
-//! per run, not one hook per decoded event).
+//! The two steps are software-pipelined, one chunk at a time (`pipeline`):
+//! chunk *n+1* is coalesced and routed while chunk *n* drains, so a trace
+//! costs the detectors' state plus two chunks. A byte stream of either
+//! format enters by one door, [`batch_detect_any`], which reads the magic
+//! line ([`stint::open_any`]).
 //!
 //! # Why address sharding preserves the race set
 //!
@@ -101,9 +93,9 @@ use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use stint::ctrace::{partition_index, CompressedTraceReader, EventRun, DEFAULT_CHUNK_EVENTS};
+use stint::ctrace::{CompressedTraceReader, EventRun, RunSource, TraceRuns, DEFAULT_CHUNK_EVENTS};
 use stint::{
-    open_any, AccessHistory, DetectorError, DetectorStats, EventSpans, IntervalHistory, OpenTrace,
+    open_any, AccessHistory, DetectorError, DetectorStats, EventSpans, IntervalHistory,
     PortableTrace, Race, RaceKind, RaceReport, Resource, ResourceBudget, StrandCoalescer,
     TraceEvent, TraceOp, Treap, Witness, WordIv,
 };
@@ -303,7 +295,7 @@ impl MergedReport {
     }
 }
 
-/// Streaming-ingest telemetry of a chunked run (`None` for in-memory runs).
+/// Streaming-ingest telemetry of a v2 run (`None` for any other source).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Compressed chunk bytes consumed (framing + payload).
@@ -334,25 +326,21 @@ pub struct BatchOutcome {
     /// for chunked runs this includes decode, so `ingest.bytes / wall` is
     /// the end-to-end ingest throughput).
     pub wall: Duration,
-    /// Streaming-ingest telemetry (streamed v2 input only).
+    /// Streaming-ingest telemetry (v2 input only).
     pub ingest: Option<IngestStats>,
     /// First per-shard structured failure, by shard index, if any. The
     /// merged report is sound but only complete up to the failure point.
     pub degraded: Option<DetectorError>,
 }
 
-fn corrupt(detail: String) -> DetectorError {
-    DetectorError::CorruptTrace { detail }
-}
-
-/// Parse **and validate** a trace stream (either the `STINT-TRACE v1` text
-/// format or the compressed chunked v2 format) for batch replay. Truncated,
-/// bit-flipped, or wrong-version input comes back as a structured
-/// [`DetectorError::CorruptTrace`] (exit code 4), never a panic.
+/// Load **and validate** a whole trace stream (either the `STINT-TRACE v1`
+/// text format or the compressed chunked v2 format), for a caller that needs
+/// every event at once (`witness verify`): [`PortableTrace::load_any`], which
+/// checks every run it reads. Truncated, bit-flipped, or wrong-version input
+/// comes back as a structured [`DetectorError::CorruptTrace`] (exit code 4),
+/// never a panic.
 pub fn load_trace<R: std::io::BufRead>(r: R) -> Result<PortableTrace, DetectorError> {
-    let pt = PortableTrace::load_any(r).map_err(|e| corrupt(e.to_string()))?;
-    pt.validate().map_err(corrupt)?;
-    Ok(pt)
+    PortableTrace::load_any(r).map_err(DetectorError::corrupt)
 }
 
 /// A pool of `workers` workers (`0` = one per hardware thread) whose steal
@@ -372,61 +360,34 @@ pub fn batch_detect(pt: &PortableTrace, cfg: &BatchConfig) -> Result<BatchOutcom
     batch_detect_on(&new_pool(cfg.workers, cfg.steal_seed), pt, cfg)
 }
 
-/// Partition the trace's events over `cfg.shards` address shards, detect
-/// them on `pool` through the pipelined driver (`pipeline`) under
-/// `cfg.limits`, [`DEFAULT_CHUNK_EVENTS`] events a hand-off batch, then merge
-/// deterministically.
-///
-/// The trace is validated first — a syntactically well-formed file whose
-/// strand ids or ranges were corrupted is rejected as
-/// [`DetectorError::CorruptTrace`] instead of indexing out of bounds. An
-/// injected detector panic inside a shard surfaces as
-/// [`DetectorError::Poisoned`] via the typed-panic protocol.
+/// Detect an in-memory trace on `pool` under `cfg.limits` through the body
+/// every entry shares: `cfg.shards` address shards, the pipelined driver
+/// (`pipeline`), [`DEFAULT_CHUNK_EVENTS`] events a batch, a deterministic
+/// merge. Every event is checked first ([`TraceRuns`]): a strand id or range
+/// a well-formed file corrupted is [`DetectorError::CorruptTrace`], not an
+/// out-of-bounds index. A shard's panic is [`DetectorError::Poisoned`].
 pub fn batch_detect_on(
     pool: &ThreadPool,
     pt: &PortableTrace,
     cfg: &BatchConfig,
 ) -> Result<BatchOutcome, DetectorError> {
-    let limits = &cfg.limits;
-    pt.validate().map_err(corrupt)?;
-    // Merge-time witness capture: one O(n) pass over the (whole) trace for
-    // the per-strand event spans; a deterministic function of the trace, so
-    // the attached witnesses are invariant in K/workers/steal order.
-    let spans = cfg.witnesses.then(|| EventSpans::from_trace(&pt.trace));
-    let (bounds, hist) = partition_index(&pt.trace.events);
-    let shards = plan_shards(bounds, &hist, cfg.shards);
-    let t0 = Instant::now();
-    let mut src = RawSource {
-        batches: pt.trace.events.chunks(DEFAULT_CHUNK_EVENTS),
-        front: Front::new(limits.budget),
-    };
-    let piped = pipeline(pool, &pt.reach, &shards, &mut src, limits)?;
-    let (events, spans) = (pt.trace.len(), spans.as_ref());
-    Ok(finish_outcome(
-        piped, &src.front, &pt.reach, events, t0, None, spans,
-    ))
+    let src = TraceRuns::new(std::borrow::Cow::Borrowed(pt));
+    detect_runs(pool, &mut src.map_err(DetectorError::corrupt)?, cfg)
 }
 
 /// The one way into the batch tier from a trace stream of either format, on
-/// `pool` under `cfg.limits`. [`stint::open_any`] reads the magic line. A
-/// v1 trace is then validated and detected in memory ([`batch_detect_on`]).
-/// A v2 stream is detected as it is read: each file chunk is checksummed,
-/// decoded into the strand coalescer (a contiguous run wholesale) and the
-/// strands it ends are routed to per-shard inboxes while the previous
-/// chunk's drain through the persistent shard detectors. Peak memory is two
-/// chunks plus the coalescer and the shard detectors — the full event stream
-/// is never resident. Anything else is one [`DetectorError::CorruptTrace`].
-///
-/// Not generic, so every calling crate shares one copy of the body.
+/// `pool` under `cfg.limits`: [`stint::open_any`] opens the run source its
+/// magic line names (anything else is one [`DetectorError::CorruptTrace`]),
+/// detected as it is read, one chunk a batch, while the previous chunk
+/// drains. Peak memory is two chunks plus the coalescer and the shard
+/// detectors. Not generic: every calling crate shares one copy.
 pub fn batch_detect_any(
     pool: &ThreadPool,
     r: &mut (dyn BufRead + Send),
     cfg: &BatchConfig,
 ) -> Result<BatchOutcome, DetectorError> {
-    match open_any(r).map_err(|e| corrupt(e.to_string()))? {
-        OpenTrace::V1(pt) => batch_detect_on(pool, &pt, cfg),
-        OpenTrace::V2(reader) => detect_stream(pool, reader, cfg),
-    }
+    let mut src = open_any(r).map_err(DetectorError::corrupt)?;
+    detect_runs(pool, &mut *src, cfg)
 }
 
 /// [`batch_detect_any`] for a stream known to be v2: anything else is a
@@ -436,32 +397,24 @@ pub fn batch_detect_chunked_on<R: BufRead + Send>(
     mut r: R,
     cfg: &BatchConfig,
 ) -> Result<BatchOutcome, DetectorError> {
-    detect_v2(pool, &mut r, cfg)
+    let r: &mut (dyn BufRead + Send) = &mut r;
+    let mut reader = CompressedTraceReader::open(r).map_err(DetectorError::corrupt)?;
+    detect_runs(pool, &mut reader, cfg)
 }
 
-/// The body of [`batch_detect_chunked_on`], compiled once — not per reader
-/// type, and (with the generic `pipeline` under it) not per calling crate.
-fn detect_v2(
+/// The body of every entry, compiled once (not per reader type or calling
+/// crate): shards planned from the source's partition index, the pipeline
+/// over a [`StreamSource`], one chunk a batch, and the merge.
+fn detect_runs(
     pool: &ThreadPool,
-    r: &mut (dyn BufRead + Send),
-    cfg: &BatchConfig,
-) -> Result<BatchOutcome, DetectorError> {
-    let reader = CompressedTraceReader::open(r).map_err(|e| corrupt(e.to_string()))?;
-    detect_stream(pool, reader, cfg)
-}
-
-/// Detect an opened v2 stream, one file chunk a batch: a chunk costs a
-/// handful of reads.
-fn detect_stream(
-    pool: &ThreadPool,
-    mut reader: CompressedTraceReader<&mut (dyn BufRead + Send)>,
+    reader: &mut (dyn RunSource + Send),
     cfg: &BatchConfig,
 ) -> Result<BatchOutcome, DetectorError> {
     let limits = &cfg.limits;
-    let bounds = (reader.word_hi > reader.word_lo).then_some((reader.word_lo, reader.word_hi));
-    let shards = plan_shards(bounds, &std::mem::take(&mut reader.hist), cfg.shards);
-    let reach = reader.reach.clone();
-    let events = reader.total_events as usize;
+    let header = reader.header();
+    let shards = plan_shards(header.bounds, header.hist, cfg.shards);
+    let reach = header.reach.clone();
+    let events = header.total_events as usize;
     let t0 = Instant::now();
     let mut src = StreamSource {
         reader,
@@ -474,14 +427,32 @@ fn detect_stream(
         ev_id: 0,
     };
     let piped = pipeline(pool, &reach, &shards, &mut src, limits);
-    let (ingest, spans) = (src.ingest, src.spans.as_ref());
-    OBS_INGEST_BYTES.add(ingest.bytes);
-    OBS_INGEST_CHUNKS.add(ingest.chunks);
-    OBS_INGEST_RUNS.add(ingest.runs);
-    let (piped, ingest) = (piped?, Some(ingest));
-    Ok(finish_outcome(
-        piped, &src.front, &reach, events, t0, ingest, spans,
-    ))
+    let ingest = src.reader.ingested().map(|(bytes, chunks)| {
+        OBS_INGEST_BYTES.add(bytes);
+        OBS_INGEST_CHUNKS.add(chunks);
+        OBS_INGEST_RUNS.add(src.ingest.runs);
+        IngestStats {
+            bytes,
+            chunks,
+            ..src.ingest
+        }
+    });
+    let (outs, timeout) = piped?;
+    let wall = t0.elapsed();
+    let spans = src.spans.as_ref();
+    let (merged, stats, failure) = merge_shards(&outs, &src.front, &reach, spans);
+    let strands = reach.strand_count();
+    stats.publish(wall, strands, merged.regions.len() as u64);
+    Ok(BatchOutcome {
+        merged,
+        stats,
+        events,
+        strands,
+        wall,
+        ingest,
+        degraded: failure.or(timeout),
+        shards: outs,
+    })
 }
 
 /// One hand-off batch: every shard's routed, not yet drained units.
@@ -550,27 +521,6 @@ impl Front {
     }
 }
 
-/// An in-memory, already validated event stream, [`DEFAULT_CHUNK_EVENTS`]
-/// events a batch.
-struct RawSource<'a> {
-    batches: std::slice::Chunks<'a, TraceEvent>,
-    front: Front,
-}
-
-impl EventSource for RawSource<'_> {
-    fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
-        let events = self.batches.next();
-        for e in events.into_iter().flatten() {
-            self.front.feed(*e, router, batch);
-        }
-        Ok(events.is_some())
-    }
-
-    fn front(&mut self) -> Option<&mut Front> {
-        Some(&mut self.front)
-    }
-}
-
 /// Decoded events one producer step feeds at most. A run's count is only a
 /// claim until it is fed, and one run may claim 2^30 events or more, so a
 /// longer run resumes at the next step and [`pipeline`]'s deadline check
@@ -578,14 +528,12 @@ impl EventSource for RawSource<'_> {
 /// only when one of its runs is longer than this.
 const STEP_EVENTS: u64 = 16 * DEFAULT_CHUNK_EVENTS as u64;
 
-/// A compressed v2 stream, one file chunk per batch (or [`STEP_EVENTS`] of
-/// it), detected in its encoded shape: a contiguous word-aligned run is
-/// consumed wholesale — its whole footprint is ONE range set on the
-/// coalescer, which covers exactly the words of its expanded events, so
-/// detection runs directly on the compressed form. Other runs are stepped
-/// event by event without materializing a vector.
+/// A run source, one chunk per batch (or [`STEP_EVENTS`] of it), detected
+/// in its encoded shape: a contiguous word-aligned run is consumed wholesale
+/// — ONE range set on the coalescer, exactly the words of its events. Other
+/// runs (a run of one, too) are stepped event by event.
 struct StreamSource<'a> {
-    reader: CompressedTraceReader<&'a mut (dyn BufRead + Send)>,
+    reader: &'a mut (dyn RunSource + Send),
     /// The chunk being fed, its next run, and that run's events fed so far.
     runs: Vec<EventRun>,
     next_run: usize,
@@ -602,13 +550,11 @@ struct StreamSource<'a> {
 impl EventSource for StreamSource<'_> {
     fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
         if self.next_run == self.runs.len() {
-            let io = |e: std::io::Error| corrupt(e.to_string());
+            let io = DetectorError::corrupt;
             if !self.reader.next_chunk(&mut self.runs).map_err(io)? {
                 return self.reader.finished().map(|()| false).map_err(io);
             }
             self.next_run = 0;
-            self.ingest.bytes = self.reader.bytes_read();
-            self.ingest.chunks += 1;
             self.ingest.runs += self.runs.len() as u64;
         }
         let mut room = STEP_EVENTS;
@@ -749,31 +695,6 @@ fn pipeline<R: Reachability + Sync>(
     }))
     .map_err(DetectorError::from_panic)?;
     Ok((outs, timed_out.then(|| limits.timeout_error())))
-}
-
-fn finish_outcome(
-    (outs, timeout): (Vec<ShardOutcome>, Option<DetectorError>),
-    front: &Front,
-    reach: &FrozenReach,
-    events: usize,
-    t0: Instant,
-    ingest: Option<IngestStats>,
-    spans: Option<&EventSpans>,
-) -> BatchOutcome {
-    let wall = t0.elapsed();
-    let (merged, stats, failure) = merge_shards(&outs, front, reach, spans);
-    let strands = reach.strand_count();
-    stats.publish(wall, strands, merged.regions.len() as u64);
-    BatchOutcome {
-        merged,
-        stats,
-        events,
-        strands,
-        wall,
-        ingest,
-        degraded: failure.or(timeout),
-        shards: outs,
-    }
 }
 
 /// Choose `k` contiguous shard ranges whose boundaries sit at event-weight

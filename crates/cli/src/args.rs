@@ -214,8 +214,8 @@ const FLAGS: &[Flag] = &[
         applies: RECORD,
         set: |c, _, _| put(&mut c.compress, Ok(true)),
         help: "save the compressed chunked STINT-TRACE v2 format (delta+run-length\n\
-               coded, per-chunk checksums) instead of the v1 text format; batch\n\
-               replay streams a v2 file chunk by chunk and loads a v1 file whole",
+               coded, per-chunk checksums) instead of the v1 text format; every\n\
+               replay and `trace info` read a v2 file chunk by chunk, a v1 whole",
     },
     Flag {
         name: "--chunk-events",

@@ -20,16 +20,17 @@
 //! point), 4 = internal detector failure or corrupt trace file.
 //! Every command keeps them: a sequential run, live or over a recorded
 //! trace, goes through core's one variant dispatch ([`try_detect_with`],
-//! [`try_replay_with`]); `grid` catches its own detector's panics.
+//! [`try_replay_runs`]); `grid` catches its own detector's panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
+use stint::ctrace::{collect, for_each_run};
 use stint::report_card::Card;
 use stint::{
-    try_detect_with, try_replay_with, Config, DetectorError, Outcome, PortableTrace, RaceReport,
-    Variant, WitnessChecker,
+    open_any, try_detect_with, try_replay_runs, Config, DetectorError, Outcome, PortableTrace,
+    RaceReport, RunSource, TraceOp, Variant, WitnessChecker,
 };
 use stint_suite::{Scale, Workload, BUGGY_NAMES, NAMES};
 
@@ -326,17 +327,24 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             Ok(false)
         }
         Parsed::TraceInfo { file } => {
-            let pt = read_trace(&file)?;
+            let mut src = open_runs(&file)?;
             let mut by_op = std::collections::BTreeMap::new();
-            for e in &pt.trace.events {
-                *by_op.entry(format!("{:?}", e.op)).or_insert(0u64) += 1;
-            }
+            // Exact: a v1 file may claim ranges whose sum passes 2^64.
+            let mut bytes = 0u128;
+            for_each_run(&mut *src, |_, run| {
+                *by_op.entry(format!("{:?}", run.op)).or_insert(0u64) += run.count;
+                if !matches!(run.op, TraceOp::Free | TraceOp::StrandEnd) {
+                    bytes += run.bytes as u128 * u128::from(run.count);
+                }
+            })
+            .map_err(corrupt)?;
             // Counts what the file holds: units for a recorded trace, one
             // per hook for a hook-level one.
+            let header = src.header();
             println!("trace {file}:");
-            println!("  strands: {}", pt.reach.strand_count());
-            println!("  units:   {}", pt.trace.len());
-            println!("  bytes:   {}", pt.trace.access_bytes());
+            println!("  strands: {}", header.reach.strand_count());
+            println!("  units:   {}", header.total_events);
+            println!("  bytes:   {bytes}");
             for (op, n) in by_op {
                 println!("  {op:<12} {n}");
             }
@@ -345,10 +353,9 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
         Parsed::TraceReplay { file, opts: o } => match o.variant {
             VariantSel::All => Err(usage("trace replay cannot run 'all'")),
             VariantSel::Batch => {
-                // The input picks the path: a v2 file streams chunk by chunk
-                // straight off the disk — the full event stream is never
-                // resident — and a v1 file is loaded, validated, and
-                // partitioned in memory.
+                // A v2 file streams chunk by chunk straight off the disk —
+                // the full event stream is never resident; a v1 file is
+                // parsed whole first.
                 let cfg = BatchConfig {
                     shards: o.shards,
                     witnesses: o.witness,
@@ -375,11 +382,12 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
                 finish(opts, &file, "replay", &runs, out.degraded)
             }
             VariantSel::One(variant) => {
-                let pt = read_trace(&file)?;
+                let mut src = open_runs(&file)?;
                 let mut cfg = Config::new(variant);
                 cfg.witnesses = o.witness;
-                let out = try_replay_with(&pt, cfg).map_err(Failure::Detector)?;
-                println!("replayed {} events under {}:", pt.trace.len(), variant);
+                let out = try_replay_runs(&mut *src, cfg).map_err(Failure::Detector)?;
+                let events = src.header().total_events;
+                println!("replayed {events} events under {variant}:");
                 print_report(&out.report, 10);
                 let runs = [(variant.name().into(), &out.report)];
                 finish(opts, &file, "replay", &runs, out.degraded)
@@ -481,11 +489,14 @@ fn open_trace(file: &str) -> Result<BufReader<File>, Failure> {
     Ok(BufReader::new(f))
 }
 
-/// Read a whole trace, v1 or v2, through the one validating loader: a
-/// truncated, bit-flipped or out-of-range trace is a corrupt-trace failure
-/// (exit 4) before any detector sees it, never a panic.
-fn read_trace(file: &str) -> Result<PortableTrace, Failure> {
-    stint_batchdet::load_trace(open_trace(file)?).map_err(Failure::Detector)
+/// A damaged trace: a corrupt-trace failure (exit 4), never a panic.
+fn corrupt(e: std::io::Error) -> Failure {
+    Failure::Detector(DetectorError::corrupt(e))
+}
+
+/// Open a trace, v1 or v2, as its runs, each checked before it is used.
+fn open_runs(file: &str) -> Result<Box<dyn RunSource + Send>, Failure> {
+    open_any(open_trace(file)?).map_err(corrupt)
 }
 
 /// `witness verify <trace> <report.json>`: re-run the independent
@@ -501,11 +512,11 @@ fn read_trace(file: &str) -> Result<PortableTrace, Failure> {
 fn witness_verify(trace_path: &str, report_path: &str) -> Result<bool, Failure> {
     let rejected = |what: String, reason: String| {
         eprintln!("witness REJECTED ({what}): {reason}");
-        Failure::Detector(DetectorError::CorruptTrace {
-            detail: format!("witness verification failed: {reason}"),
-        })
+        Failure::Detector(DetectorError::corrupt(format_args!(
+            "witness verification failed: {reason}"
+        )))
     };
-    let pt = read_trace(trace_path)?;
+    let pt = collect(&mut *open_runs(trace_path)?).map_err(corrupt)?;
     let text = std::fs::read_to_string(report_path)
         .map_err(|e| usage(format!("read {report_path}: {e}")))?;
     let card = Card::read(&text)

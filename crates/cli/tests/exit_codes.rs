@@ -427,6 +427,85 @@ fn v2_claiming_strands() -> Vec<u8> {
     file
 }
 
+/// `trace info` sums the access bytes exactly: two stores that each fit the
+/// address space but together pass 2^64 bytes (a file that loads and
+/// checks) print their true total, not a wrapped sum or an overflow panic.
+#[test]
+fn trace_info_byte_total_passes_2_to_the_64() {
+    let path = tmp_trace("info-bytes");
+    let store = "s 0 0x0 18446744073709551000\n";
+    let text = format!("STINT-TRACE v1\nstrands 1\n0 0\nevents 2\n{store}{store}");
+    std::fs::write(&path, text).expect("write trace");
+    let out = run(&["trace", "info", path.to_str().expect("utf-8 temp path")]);
+    assert_eq!(code(&out), 0, "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("  bytes:   36893488147419102000\n"),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_file(path);
+}
+
+/// A valid v2 file of a few hundred bytes: one strand's contiguous run of
+/// 2^22 four-byte stores, then its end.
+fn v2_with_one_contiguous_run() -> Vec<u8> {
+    use stint::{ctrace::HIST_BUCKETS, varint::put, wire::put_frame};
+    let (addr, count) = (0x10_0000u64, 1u64 << 22);
+    // One strand ranked first in both orders, the events, the word bounds
+    // and an empty partition index.
+    let mut header = Vec::new();
+    let claims = [1, 0, 0, count + 1, addr / 4, count, HIST_BUCKETS as u64];
+    for v in claims.into_iter().chain([0; HIST_BUCKETS]) {
+        put(&mut header, v);
+    }
+    // Op tags 1 (`Store`) and 5 (`StrandEnd`), strand 0; the address and
+    // the stride (4) are zigzag-coded.
+    let mut payload = vec![1];
+    for v in [0, addr * 2, 4, count, 8] {
+        put(&mut payload, v);
+    }
+    payload.extend([5, 0]);
+    let mut file = format!("{}\n", stint::MAGIC_V2).into_bytes();
+    put_frame(&mut file, &header);
+    put(&mut file, 2);
+    put_frame(&mut file, &payload);
+    file
+}
+
+/// A trace costs the detector's own state plus one chunk on every tier: the
+/// file above stands for 2^22 events, which no replay or `trace info`
+/// expands into memory, so every one finishes in a 200 MB address space
+/// (a whole-trace load asked for 192 MiB at once and aborted). Run against
+/// the release binary: `cargo test --release --test exit_codes -- --ignored`.
+#[test]
+#[ignore = "release-binary address-space row: scripts/perfgate.sh runs it with -- --ignored"]
+fn one_long_contiguous_run_replays_in_a_small_address_space() {
+    let path = tmp_trace("contiguous-run");
+    std::fs::write(&path, v2_with_one_contiguous_run()).expect("write trace");
+    let p = path.to_str().expect("utf-8 temp path");
+    let mut commands: Vec<String> = "vanilla compiler comp+rts stint stint-btree batch"
+        .split(' ')
+        .map(|v| format!("trace replay {p} --variant {v}"))
+        .collect();
+    commands.push(format!("trace info {p}"));
+    for args in commands {
+        let bin = env!("CARGO_BIN_EXE_stint-cli");
+        let script = format!("ulimit -v 200000; exec {bin} {args} >/dev/null");
+        let out = Command::new("sh")
+            .args(["-c", &script])
+            .env_remove("STINT_FAULTS")
+            .output()
+            .expect("spawn sh");
+        let status = out.status;
+        assert!(
+            status.success(),
+            "{args}: {status}: stderr: {}",
+            stderr(&out)
+        );
+    }
+    let _ = std::fs::remove_file(path);
+}
+
 /// A header's strand or event count is only a claim: a file that claims
 /// more than it holds is corrupt (exit 4), not an allocation to abort on.
 #[test]

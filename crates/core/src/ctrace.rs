@@ -1,47 +1,40 @@
-//! Compressed, chunked on-disk trace encoding (`STINT-TRACE v2`).
+//! Compressed, chunked on-disk trace encoding (`STINT-TRACE v2`), and the
+//! one interface every consumer reads a trace through.
 //!
 //! The v1 format spells every event as a text line (~12–16 bytes per
 //! event). "Data Race Detection on Compressed Traces" (PAPERS.md) observes
 //! that instrumentation streams are extremely regular — long runs of
 //! same-strand, same-size accesses marching through memory at a constant
 //! stride — and that detection can run *directly over the compressed form*.
-//! A recorded trace ([`PortableTrace::record`]) is already the most
-//! compressed form this detector can use, each strand's coalesced runs; the
-//! encoding below still squeezes its frame, and a hook-level stream — an
-//! older file, or [`crate::record`]'s — shrinks by its run-length records.
-//! This module provides that encoding:
+//! A recorded trace ([`PortableTrace::record`]) is already each strand's
+//! coalesced runs; the encoding still squeezes its frame, and a hook-level
+//! stream — an older file, or [`crate::record`]'s — shrinks by its
+//! run-length records:
 //!
-//! * **delta-coded addresses** — each event stores a zigzag varint delta
-//!   against the previous event's address (reset per chunk so chunks decode
-//!   independently);
-//! * **run-length coalesced runs** — consecutive events with the same op,
-//!   strand, byte count, and constant address stride collapse into one
-//!   [`EventRun`] record with a repeat count. Decoding expands a run back to
-//!   the exact original events, so a compressed round trip reproduces the
-//!   identical stream (and therefore identical reports *and* detector
-//!   statistics). Contiguous runs (`stride == bytes`, word-aligned) can
-//!   instead be consumed *wholesale* by the interval detector as a single
-//!   coalesced range access — see [`EventRun::as_wholesale_range`]. Only a
-//!   hook stream has them: a strand's coalesced runs never touch;
-//! * **varint lengths and fixed-size chunks** — events are grouped into
-//!   chunks of at most `chunk_events` decoded events, each a run count and
+//! * **delta-coded addresses** — a zigzag varint delta against the previous
+//!   run's last address, reset per chunk so chunks decode independently;
+//! * **run-length records** — consecutive events with the same op, strand,
+//!   byte count and address stride are one [`EventRun`] with a repeat count,
+//!   stepped back to its exact events ([`EventRun::event`]), or, when it
+//!   tiles memory (`stride == bytes`, word-aligned: only a hook stream has
+//!   such runs), set on a coalescer as one range
+//!   ([`EventRun::as_wholesale_range`]);
+//! * **chunks** — at most `chunk_events` decoded events each, a run count and
 //!   then the checked frame of [`crate::wire`] (length, FNV-1a checksum,
-//!   payload), so a reader streams a trace far larger than RAM one chunk at
-//!   a time and a bit flip anywhere is caught structurally instead of
-//!   corrupting detection: there is one way to read a chunk,
-//!   [`CompressedTraceReader::next_chunk`], and it checks the checksum
-//!   before decoding anything;
-//! * **a partition index in the header** — the word-space bounds plus a
-//!   [`HIST_BUCKETS`]-bucket event histogram, computed once at save time, so
-//!   a streaming batch detector can choose load-balanced address shards
-//!   *before* reading any chunk.
+//!   payload), so a bit flip anywhere is caught before anything is decoded;
+//! * **a partition index in the header** — word-space bounds plus a
+//!   [`HIST_BUCKETS`]-bucket event histogram, computed at save time, so the
+//!   batch tier plans load-balanced shards before reading any chunk. The
+//!   header is one checked frame too, validated by
+//!   [`CompressedTraceReader::open`].
 //!
-//! The header (strand ranks, event count, bounds, histogram) is one checked
-//! frame too; [`CompressedTraceReader::open`] validates it before returning,
-//! extending the `validate()` contract to the new format. A stream of either
-//! format is opened by [`crate::open_any`], which reads the magic line and
-//! hands a v2 stream to this reader.
+//! That reader and [`TraceRuns`] (an in-memory trace, or a v1 file parsed
+//! whole, each event a run of one) are the two [`RunSource`]s: a header, then
+//! one checked chunk of runs at a time. [`crate::open_any`] opens the one a
+//! magic line names, so replay, batch detection and `trace info` hold one
+//! chunk of a trace, never all of it.
 
+use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
 
 use crate::trace::{read_magic, PortableTrace, Trace, TraceEvent, TraceMagic, TraceOp};
@@ -89,7 +82,9 @@ fn is_permutation(v: &[u32]) -> bool {
 
 // ------------------------------------------------------------------- runs
 
-const OP_TAGS: [TraceOp; 6] = [
+/// Each op at its tag: a run's v2 tag, and its v1 letter's place in
+/// `trace::V1_LETTERS`.
+pub(crate) const OP_TAGS: [TraceOp; 6] = [
     TraceOp::Load,
     TraceOp::Store,
     TraceOp::LoadRange,
@@ -98,7 +93,7 @@ const OP_TAGS: [TraceOp; 6] = [
     TraceOp::StrandEnd,
 ];
 
-fn op_tag(op: TraceOp) -> u8 {
+pub(crate) fn op_tag(op: TraceOp) -> u8 {
     OP_TAGS.iter().position(|&o| o == op).unwrap_or(0) as u8
 }
 
@@ -177,21 +172,27 @@ impl EventRun {
             ..self.first()
         }
     }
+}
 
-    /// Expand the run back to its exact original events.
-    pub fn expand_into(&self, out: &mut Vec<TraceEvent>) {
-        out.extend((0..self.count).map(|i| self.event(i)));
+/// The one validity check of a [`RunSource`]'s runs: each names a strand the
+/// header has, and every address it expands to, plus `word_range`'s rounding
+/// slack, stays inside the address space. `say` words the first failure from
+/// its index, the run, and whether its strand (else its range) is at fault.
+fn check_runs(
+    runs: impl IntoIterator<Item = EventRun>,
+    strands: usize,
+    say: impl Fn(usize, &EventRun, bool) -> String,
+) -> io::Result<()> {
+    for (i, run) in runs.into_iter().enumerate() {
+        let first = run.addr as i128;
+        let last = first + (run.stride as i128) * (run.count as i128 - 1);
+        let end = first.max(last) + run.bytes as i128 + 3;
+        let bad_strand = run.strand.index() >= strands;
+        if bad_strand || first.min(last) < 0 || end > usize::MAX as i128 {
+            return Err(bad(say(i, &run, bad_strand)));
+        }
     }
-
-    /// Every address the run expands to (plus the `word_range` rounding
-    /// slack) stays inside the address space — the per-event overflow check
-    /// of `PortableTrace::validate`, lifted to whole runs.
-    fn addr_ok(&self) -> bool {
-        let first = self.addr as i128;
-        let last = first + (self.stride as i128) * (self.count as i128 - 1);
-        let (min, max) = (first.min(last), first.max(last));
-        min >= 0 && max + self.bytes as i128 + 3 <= usize::MAX as i128
-    }
+    Ok(())
 }
 
 /// Greedy run-length construction over an event slice: consecutive access
@@ -378,24 +379,53 @@ pub fn save_compressed<W: Write>(
 
 // ------------------------------------------------------------------- read
 
-/// Streaming reader for the `STINT-TRACE v2` format: the header (ranks +
-/// partition index) is validated and resident; event chunks are decoded one
-/// [`CompressedTraceReader::next_chunk`] call at a time, so detection over a
-/// trace never needs the whole event stream in memory.
+/// Streaming reader for the `STINT-TRACE v2` format: the header is validated
+/// and resident ([`RunSource::header`]); event chunks are decoded one
+/// [`CompressedTraceReader::next_chunk`] call at a time.
 pub struct CompressedTraceReader<R> {
     r: R,
-    pub reach: FrozenReach,
-    /// Total decoded events the stream must yield.
-    pub total_events: u64,
-    /// Word-space bounds `[word_lo, word_hi)` over all access/free events.
-    pub word_lo: u64,
-    pub word_hi: u64,
-    /// The save-time event histogram over [`HIST_BUCKETS`] buckets.
-    pub hist: Vec<u64>,
+    reach: FrozenReach,
+    total_events: u64,
+    word_lo: u64,
+    word_hi: u64,
+    hist: Vec<u64>,
     events_seen: u64,
     bytes_read: u64,
     chunks_read: u64,
     scratch: Vec<u8>,
+}
+
+/// What a trace declares before its first run: the reachability its strands
+/// refer to, its event count and its partition index (word bounds over every
+/// access and free, `None` if there is none, and the histogram over them).
+#[derive(Clone, Copy, Debug)]
+pub struct TraceHeader<'a> {
+    pub reach: &'a FrozenReach,
+    pub total_events: u64,
+    pub bounds: Option<(u64, u64)>,
+    pub hist: &'a [u64],
+}
+
+/// A trace of either format read as its runs, one chunk at a time.
+pub trait RunSource {
+    fn header(&self) -> TraceHeader<'_>;
+
+    /// The next chunk of runs into `out` (cleared first); `false` once every
+    /// event was yielded. A run handed out names a strand the header has and
+    /// stays inside the address space; damaged input is `InvalidData`.
+    fn next_chunk(&mut self, out: &mut Vec<EventRun>) -> io::Result<bool>;
+
+    /// The source yielded exactly the events it declared (an in-memory one
+    /// always does). Call after `next_chunk` returns `false`.
+    fn finished(&self) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Encoded bytes (chunk framing and payload) and chunks read so far, for
+    /// a v2 stream; `None` for any other source.
+    fn ingested(&self) -> Option<(u64, u64)> {
+        None
+    }
 }
 
 impl<R: BufRead> CompressedTraceReader<R> {
@@ -500,19 +530,14 @@ impl<R: BufRead> CompressedTraceReader<R> {
         self.bytes_read
     }
 
-    /// Chunks decoded so far.
-    pub fn chunks_read(&self) -> u64 {
-        self.chunks_read
-    }
-
-    /// Decode the next chunk of runs into `out` (clearing it first). The
-    /// chunk's payload is held against the FNV-1a sum its frame declared
+    /// [`RunSource::next_chunk`]: decode the next chunk of runs into `out`.
+    /// The chunk's payload is held against the FNV-1a sum its frame declared
     /// before any of it is decoded, so a damaged chunk reports its checksum
     /// mismatch ahead of any decode error and `out` only ever holds what was
-    /// written. Returns `false` once every event was yielded. Truncated
-    /// input, checksum mismatches, run/event-count disagreements, a run
-    /// naming a strand the header lacks and a run reaching past the address
-    /// space are `InvalidData` errors: a chunk handed out is a valid one.
+    /// written. Truncated input, checksum mismatches, run/event-count
+    /// disagreements, a run naming a strand the header lacks and a run
+    /// reaching past the address space are `InvalidData` errors: a chunk
+    /// handed out is a valid one.
     pub fn next_chunk(&mut self, out: &mut Vec<EventRun>) -> io::Result<bool> {
         out.clear();
         if self.events_seen >= self.total_events {
@@ -535,29 +560,37 @@ impl<R: BufRead> CompressedTraceReader<R> {
         if self.events_seen > self.total_events {
             return Err(bad("chunk yields more events than the header declared"));
         }
-        let n_strands = self.reach.strand_count();
-        for run in out.iter() {
-            if run.strand.index() >= n_strands {
-                let s = run.strand.0;
-                return Err(bad(format!(
-                    "run strand {s} out of range (trace has {n_strands} strands)"
-                )));
-            }
-            if !run.addr_ok() {
+        let n = self.reach.strand_count();
+        check_runs(out.iter().copied(), n, |_, run, strand| {
+            let s = run.strand.0;
+            if strand {
+                format!("run strand {s} out of range (trace has {n} strands)")
+            } else {
                 let (addr, stride) = (run.addr, run.stride);
-                return Err(bad(format!(
-                    "run at {addr:#x} stride {stride} overflows the address space"
-                )));
+                format!("run at {addr:#x} stride {stride} overflows the address space")
             }
-        }
+        })?;
         self.bytes_read += count_bytes as u64 + took;
         self.chunks_read += 1;
         Ok(true)
     }
+}
 
-    /// Every chunk was read and the stream yielded exactly the declared
-    /// event count. Call after `next_chunk` returns `false`.
-    pub fn finished(&self) -> io::Result<()> {
+impl<R: BufRead> RunSource for CompressedTraceReader<R> {
+    fn header(&self) -> TraceHeader<'_> {
+        TraceHeader {
+            reach: &self.reach,
+            total_events: self.total_events,
+            bounds: (self.word_hi > self.word_lo).then_some((self.word_lo, self.word_hi)),
+            hist: &self.hist,
+        }
+    }
+
+    fn next_chunk(&mut self, out: &mut Vec<EventRun>) -> io::Result<bool> {
+        CompressedTraceReader::next_chunk(self, out)
+    }
+
+    fn finished(&self) -> io::Result<()> {
         if self.events_seen != self.total_events {
             return Err(bad(format!(
                 "trace ends after {} of {} events",
@@ -566,6 +599,88 @@ impl<R: BufRead> CompressedTraceReader<R> {
         }
         Ok(())
     }
+
+    fn ingested(&self) -> Option<(u64, u64)> {
+        Some((self.bytes_read, self.chunks_read))
+    }
+}
+
+/// An in-memory trace as a [`RunSource`], each event a run of one,
+/// [`DEFAULT_CHUNK_EVENTS`] a chunk: borrowed, or a v1 file parsed whole.
+pub struct TraceRuns<'a> {
+    pt: Cow<'a, PortableTrace>,
+    index: (Option<(u64, u64)>, Vec<u64>),
+    next: usize,
+}
+
+impl<'a> TraceRuns<'a> {
+    /// Check every event, then compute the partition index: the whole trace
+    /// is in hand, so a damaged one is refused before anything is planned.
+    pub fn new(pt: Cow<'a, PortableTrace>) -> io::Result<TraceRuns<'a>> {
+        let n = pt.reach.strand_count();
+        let runs = pt.trace.events.iter().map(EventRun::single);
+        check_runs(runs, n, |i, e, strand| {
+            let s = e.strand.0;
+            if strand {
+                format!("event {i}: strand {s} out of range (trace has {n} strands)")
+            } else {
+                let (addr, bytes) = (e.addr, e.bytes);
+                format!("event {i}: byte range {addr:#x}+{bytes} overflows the address space")
+            }
+        })?;
+        let index = partition_index(&pt.trace.events);
+        Ok(TraceRuns { pt, index, next: 0 })
+    }
+}
+
+impl RunSource for TraceRuns<'_> {
+    fn header(&self) -> TraceHeader<'_> {
+        TraceHeader {
+            reach: &self.pt.reach,
+            total_events: self.pt.trace.len() as u64,
+            bounds: self.index.0,
+            hist: &self.index.1,
+        }
+    }
+
+    fn next_chunk(&mut self, out: &mut Vec<EventRun>) -> io::Result<bool> {
+        out.clear();
+        let rest = &self.pt.trace.events[self.next..];
+        let chunk = &rest[..rest.len().min(DEFAULT_CHUNK_EVENTS)];
+        out.extend(chunk.iter().map(EventRun::single));
+        self.next += chunk.len();
+        Ok(!chunk.is_empty())
+    }
+}
+
+/// Feed every run of `src` to `f`, in order, with the reachability its
+/// strands refer to; then check that the source ended where it said.
+pub fn for_each_run(
+    src: &mut dyn RunSource,
+    mut f: impl FnMut(&FrozenReach, &EventRun),
+) -> io::Result<()> {
+    let mut runs = Vec::new();
+    while src.next_chunk(&mut runs)? {
+        let reach = src.header().reach;
+        for run in &runs {
+            f(reach, run);
+        }
+    }
+    src.finished()
+}
+
+/// Every event of `src`, expanded into a whole trace for a caller that needs
+/// one (witness verification, tests); detection needs one chunk at a time.
+pub fn collect(src: &mut dyn RunSource) -> io::Result<PortableTrace> {
+    let total = src.header().total_events;
+    let mut events = Vec::with_capacity(wire::capacity::<TraceEvent>(total));
+    for_each_run(src, |_, run| {
+        events.extend((0..run.count).map(|i| run.event(i)));
+    })?;
+    Ok(PortableTrace {
+        trace: Trace { events },
+        reach: src.header().reach.clone(),
+    })
 }
 
 /// Decode a verified chunk payload of `run_count` runs into `out`; returns
@@ -621,28 +736,10 @@ fn decode_run(buf: &[u8], pos: &mut usize, prev_addr: &mut usize) -> io::Result<
     Ok(run)
 }
 
-/// Load a whole compressed trace into memory (the non-streaming path used
-/// by `trace replay --variant stint` and the round-trip tests).
+/// Load a whole compressed trace into memory: [`collect`] over a
+/// [`CompressedTraceReader`].
 pub fn load_compressed<R: BufRead>(r: R) -> io::Result<PortableTrace> {
-    let mut reader = CompressedTraceReader::open(r)?;
-    load_rest(&mut reader)
-}
-
-pub(crate) fn load_rest<R: BufRead>(
-    reader: &mut CompressedTraceReader<R>,
-) -> io::Result<PortableTrace> {
-    let mut events = Vec::with_capacity(wire::capacity::<TraceEvent>(reader.total_events));
-    let mut runs = Vec::new();
-    while reader.next_chunk(&mut runs)? {
-        for run in &runs {
-            run.expand_into(&mut events);
-        }
-    }
-    reader.finished()?;
-    Ok(PortableTrace {
-        trace: Trace { events },
-        reach: reader.reach.clone(),
-    })
+    collect(&mut CompressedTraceReader::open(r)?)
 }
 
 #[cfg(test)]

@@ -61,16 +61,16 @@ pub mod word_logic;
 
 pub use comprts::{AccessHistory, StrandCoalescer};
 pub use ctrace::{
-    load_compressed, save_compressed, CompressStats, CompressedTraceReader, EventRun,
-    DEFAULT_CHUNK_EVENTS, MAGIC_V2,
+    load_compressed, save_compressed, CompressStats, CompressedTraceReader, EventRun, RunSource,
+    TraceHeader, TraceRuns, DEFAULT_CHUNK_EVENTS, MAGIC_V2,
 };
 pub use report::{Race, RaceKind, RaceReport};
 pub use stats::{DetectorStats, Sided};
 pub use stint_det::{CoalescingDetector, IntervalHistory};
 pub use stint_det::{CompRtsDetector, StintDetector, StintFlatDetector};
 pub use trace::{
-    open_any, record, replay, sniff_magic, OpenTrace, PortableTrace, Trace, TraceEvent, TraceMagic,
-    TraceOp, TraceRecorder, MAGIC_V1,
+    open_any, record, replay, sniff_magic, PortableTrace, Trace, TraceEvent, TraceMagic, TraceOp,
+    TraceRecorder, MAGIC_V1,
 };
 pub use vanilla::VanillaDetector;
 pub use witness::{
@@ -319,29 +319,42 @@ pub fn try_detect_with<P: CilkProgram>(p: &mut P, cfg: Config) -> Result<Outcome
         .map_err(DetectorError::from_panic)
 }
 
-/// [`try_detect_with`] over a recorded trace: the same detector, budget and
-/// witness capture, fed by [`PortableTrace::replay`] over the trace's frozen
-/// reachability instead of a live run, so [`Config::reach`] does not apply.
-/// The outcome's `strands` are the snapshot's, its `counters` are zero and
-/// its `wall` is the replay's.
+/// [`try_replay_runs`] over an in-memory trace.
 pub fn try_replay_with(pt: &PortableTrace, cfg: Config) -> Result<Outcome, DetectorError> {
+    let src = TraceRuns::new(std::borrow::Cow::Borrowed(pt));
+    try_replay_runs(&mut src.map_err(DetectorError::corrupt)?, cfg)
+}
+
+/// [`try_detect_with`] over a recorded trace of either format: the same
+/// detector, budget and witness capture, fed [`replay`]'s hooks in its order
+/// from one chunk of runs at a time over the trace's frozen reachability.
+/// The outcome's `strands` are the snapshot's, its `counters` zero and its
+/// `wall` the replay's; a damaged source is [`DetectorError::CorruptTrace`].
+pub fn try_replay_runs(src: &mut dyn RunSource, cfg: Config) -> Result<Outcome, DetectorError> {
     let replay = || {
         with_detector!(cfg, |det| {
-            let start = std::time::Instant::now();
-            let d = pt.replay(det);
-            Outcome {
+            let (start, mut d, mut last) = (std::time::Instant::now(), det, StrandId(0));
+            ctrace::for_each_run(src, |reach, run| {
+                last = run.strand;
+                for i in 0..run.count {
+                    trace::dispatch(&mut d, &run.event(i), reach);
+                }
+            })
+            .map_err(DetectorError::corrupt)?;
+            d.finish(last, src.header().reach);
+            Ok(Outcome {
                 variant: cfg.variant,
                 wall: start.elapsed(),
-                strands: pt.reach.strand_count(),
+                strands: src.header().reach.strand_count(),
                 counters: ExecCounters::default(),
                 degraded: Detector::<FrozenReach>::failure(&d),
                 report: d.report,
                 stats: d.stats,
-            }
+            })
         })
     };
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(replay))
-        .map_err(DetectorError::from_panic)?;
+        .map_err(DetectorError::from_panic)??;
     out.stats.publish(out.wall, out.strands, out.report.total);
     Ok(out)
 }

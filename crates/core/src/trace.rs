@@ -10,24 +10,26 @@
 //! millions. [`replay`] feeds either form into any detector without
 //! re-executing the program; both report the same racy words.
 //!
-//! This serves two purposes:
-//!
-//! * **benchmarking**: replaying the same trace into different detectors
-//!   measures pure detection cost with the program's own work excluded and
-//!   identical access streams guaranteed (used by the `replay` bench — a
-//!   cleaner instrument than the paper's Figure 7 timers);
-//! * **debugging/auditing**: a trace is a serializable witness of what the
-//!   detector saw.
+//! A trace file of either format is read through [`open_any`], which opens
+//! the [`RunSource`] its magic line names: [`crate::try_replay_runs`]
+//! replays it one chunk of runs at a time, [`PortableTrace::load_any`]
+//! collects it whole. Replaying one trace into different detectors measures
+//! detection with the program's own work excluded (the `replay` bench), and
+//! a saved trace is a witness of what the detector saw.
 
+use std::borrow::Cow;
 use std::io::{self, BufRead};
 
-use crate::ctrace::{CompressedTraceReader, MAGIC_V2};
+use crate::ctrace::{op_tag, CompressedTraceReader, RunSource, TraceRuns, MAGIC_V2, OP_TAGS};
 use crate::wire;
 use crate::{Detector, StrandCoalescer};
 use stint_sporder::{Reachability, StrandId};
 
 /// Magic line of the v1 text trace format.
 pub const MAGIC_V1: &str = "STINT-TRACE v1";
+
+/// The letter of each op in a v1 event line, at the op's tag ([`OP_TAGS`]).
+const V1_LETTERS: &[u8; 6] = b"lsLSfe";
 
 /// Which on-disk trace encoding a magic line announces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,28 +67,27 @@ pub(crate) fn read_magic<R: BufRead>(r: &mut R) -> io::Result<TraceMagic> {
     Ok(classify(&line))
 }
 
-/// A trace stream past its magic line, in the reader that line names.
-pub enum OpenTrace<R> {
-    /// A v1 text trace, parsed whole (not yet validated).
-    V1(PortableTrace),
-    /// A v2 stream, its header validated, positioned at the first chunk.
-    V2(CompressedTraceReader<R>),
-}
-
-/// Read the magic line of a trace stream of either format and open it: the
-/// one decision "magic → reader". [`PortableTrace::load_any`] and the batch
-/// tier's entry both start here. Reading the line, not peeking at the first
-/// buffer fill, decides the same for a reader that delivers one byte at a
-/// time.
-pub fn open_any<R: BufRead>(mut r: R) -> io::Result<OpenTrace<R>> {
-    match read_magic(&mut r)? {
-        TraceMagic::V1 => PortableTrace::load_v1_after_magic(r).map(OpenTrace::V1),
-        TraceMagic::V2 => CompressedTraceReader::open_after_magic(r).map(OpenTrace::V2),
-        TraceMagic::Unknown => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad magic: expected STINT-TRACE v1 or v2",
-        )),
-    }
+/// Read the magic line of a trace stream of either format and open the run
+/// source it names: the one decision "magic → reader", where every reader
+/// of a trace file starts, so no consumer asks which format it reads. A v1
+/// trace is parsed whole and checked here ([`TraceRuns`]); a v2 stream's
+/// header is validated and the reader left at its first chunk. Reading the
+/// line, not peeking at the first buffer fill, decides the same for a reader
+/// that delivers one byte at a time.
+pub fn open_any<'r, R: BufRead + Send + 'r>(
+    mut r: R,
+) -> io::Result<Box<dyn RunSource + Send + 'r>> {
+    Ok(match read_magic(&mut r)? {
+        TraceMagic::V1 => {
+            let pt = PortableTrace::load_v1_after_magic(r)?;
+            Box::new(TraceRuns::new(Cow::Owned(pt))?)
+        }
+        TraceMagic::V2 => Box::new(CompressedTraceReader::open_after_magic(r)?),
+        TraceMagic::Unknown => {
+            let e = "bad magic: expected STINT-TRACE v1 or v2";
+            return Err(io::Error::new(io::ErrorKind::InvalidData, e));
+        }
+    })
 }
 
 /// One recorded instrumentation event.
@@ -181,14 +182,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-    /// Total bytes covered by access events (with multiplicity).
-    pub fn access_bytes(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| !matches!(e.op, TraceOp::Free | TraceOp::StrandEnd))
-            .map(|e| e.bytes as u64)
-            .sum()
-    }
 }
 
 /// Detector that records instead of detecting.
@@ -248,17 +241,23 @@ pub fn replay<R: Reachability, D: Detector<R>>(trace: &Trace, reach: &R, mut det
     let mut last = StrandId(0);
     for e in &trace.events {
         last = e.strand;
-        match e.op {
-            TraceOp::Load => det.load(e.strand, e.addr, e.bytes, reach),
-            TraceOp::Store => det.store(e.strand, e.addr, e.bytes, reach),
-            TraceOp::LoadRange => det.load_range(e.strand, e.addr, e.bytes, reach),
-            TraceOp::StoreRange => det.store_range(e.strand, e.addr, e.bytes, reach),
-            TraceOp::Free => det.free(e.strand, e.addr, e.bytes, reach),
-            TraceOp::StrandEnd => det.strand_end(e.strand, reach),
-        }
+        dispatch(&mut det, e, reach);
     }
     det.finish(last, reach);
     det
+}
+
+/// One recorded event as the detector hook it stands for.
+#[inline]
+pub(crate) fn dispatch<R: Reachability, D: Detector<R>>(det: &mut D, e: &TraceEvent, reach: &R) {
+    match e.op {
+        TraceOp::Load => det.load(e.strand, e.addr, e.bytes, reach),
+        TraceOp::Store => det.store(e.strand, e.addr, e.bytes, reach),
+        TraceOp::LoadRange => det.load_range(e.strand, e.addr, e.bytes, reach),
+        TraceOp::StoreRange => det.store_range(e.strand, e.addr, e.bytes, reach),
+        TraceOp::Free => det.free(e.strand, e.addr, e.bytes, reach),
+        TraceOp::StrandEnd => det.strand_end(e.strand, reach),
+    }
 }
 
 /// A self-contained, persistable trace: an instrumentation stream plus a
@@ -311,37 +310,6 @@ impl PortableTrace {
         replay(&self.trace, &self.reach, det)
     }
 
-    /// Check that the trace is internally consistent: every event's strand
-    /// exists in the frozen reachability snapshot and no event's byte range
-    /// overflows the address space. [`PortableTrace::load_any`] checks syntax
-    /// only; a bit flip inside a strand or length field still parses, and
-    /// replaying it would index out of bounds — callers that detect from
-    /// untrusted files run this first.
-    pub fn validate(&self) -> Result<(), String> {
-        let n = self.reach.strand_count();
-        for (i, e) in self.trace.events.iter().enumerate() {
-            if e.strand.index() >= n {
-                return Err(format!(
-                    "event {i}: strand {} out of range (trace has {n} strands)",
-                    e.strand.0
-                ));
-            }
-            // `word_range` rounds the end up via `addr + bytes + 3`, so the
-            // whole rounded sum must fit.
-            if e.addr
-                .checked_add(e.bytes)
-                .and_then(|s| s.checked_add(3))
-                .is_none()
-            {
-                return Err(format!(
-                    "event {i}: byte range {:#x}+{} overflows the address space",
-                    e.addr, e.bytes
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// Serialize to the simple line-oriented `STINT-TRACE v1` text format.
     /// Rank lines carry an optional third column — the strand's spawn parent
     /// (`-` for the root) — when the snapshot has lineage; older readers that
@@ -359,14 +327,7 @@ impl PortableTrace {
         }
         writeln!(w, "events {}", self.trace.events.len())?;
         for ev in &self.trace.events {
-            let op = match ev.op {
-                TraceOp::Load => "l",
-                TraceOp::Store => "s",
-                TraceOp::LoadRange => "L",
-                TraceOp::StoreRange => "S",
-                TraceOp::Free => "f",
-                TraceOp::StrandEnd => "e",
-            };
+            let op = V1_LETTERS[op_tag(ev.op) as usize] as char;
             writeln!(w, "{op} {} {:#x} {}", ev.strand.0, ev.addr, ev.bytes)?;
         }
         Ok(())
@@ -383,13 +344,15 @@ impl PortableTrace {
         crate::ctrace::save_compressed(self, w, chunk_events)
     }
 
-    /// Parse either trace format whole ([`open_any`]): the v1 text format or
-    /// the compressed chunked v2 format.
-    pub fn load_any<R: BufRead>(r: R) -> io::Result<PortableTrace> {
-        match open_any(r)? {
-            OpenTrace::V1(pt) => Ok(pt),
-            OpenTrace::V2(mut reader) => crate::ctrace::load_rest(&mut reader),
-        }
+    /// Load a whole trace of either format, its bytes read first (so any
+    /// reader will do): [`crate::ctrace::collect`] over [`open_any`], whose
+    /// runs are checked (strand in the snapshot, range in the address space),
+    /// so a loaded trace replays without indexing out of bounds.
+    pub fn load_any<R: BufRead>(mut r: R) -> io::Result<PortableTrace> {
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        let mut src = open_any(&bytes[..])?;
+        crate::ctrace::collect(&mut *src)
     }
 
     fn load_v1_after_magic<R: BufRead>(r: R) -> io::Result<PortableTrace> {
@@ -411,28 +374,23 @@ impl PortableTrace {
             let h: u32 = field(it.next(), "bad rank line")?;
             eng.push(e);
             heb.push(h);
-            match it.next() {
-                Some(tok) => {
-                    if parents.len() != i {
-                        return Err(bad("lineage column present on only some rank lines"));
-                    }
-                    let p: u32 = if tok == "-" {
-                        stint_sporder::NO_PARENT
-                    } else {
-                        tok.parse().map_err(|_| bad("bad parent entry"))?
-                    };
-                    // Validate here rather than panic in `with_parents`:
-                    // trace files are untrusted input.
-                    if p != stint_sporder::NO_PARENT && (p as usize >= n || p as usize == i) {
-                        return Err(bad("parent entry out of range or self-referential"));
-                    }
-                    parents.push(p);
+            // A column here needs one on every earlier line; none, on none.
+            let tok = it.next();
+            if parents.len() != if tok.is_some() { i } else { 0 } {
+                return Err(bad("lineage column present on only some rank lines"));
+            }
+            if let Some(tok) = tok {
+                let p: u32 = if tok == "-" {
+                    stint_sporder::NO_PARENT
+                } else {
+                    tok.parse().map_err(|_| bad("bad parent entry"))?
+                };
+                // Validate here rather than panic in `with_parents`: trace
+                // files are untrusted input.
+                if p != stint_sporder::NO_PARENT && (p as usize >= n || p as usize == i) {
+                    return Err(bad("parent entry out of range or self-referential"));
                 }
-                None => {
-                    if !parents.is_empty() {
-                        return Err(bad("lineage column present on only some rank lines"));
-                    }
-                }
+                parents.push(p);
             }
         }
         let m: usize = field(next()?.strip_prefix("events "), "bad events header")?;
@@ -440,15 +398,9 @@ impl PortableTrace {
         for _ in 0..m {
             let line = next()?;
             let mut it = line.split_whitespace();
-            let op = match it.next().ok_or_else(|| bad("bad event"))? {
-                "l" => TraceOp::Load,
-                "s" => TraceOp::Store,
-                "L" => TraceOp::LoadRange,
-                "S" => TraceOp::StoreRange,
-                "f" => TraceOp::Free,
-                "e" => TraceOp::StrandEnd,
-                _ => return Err(bad("unknown event op")),
-            };
+            let letter = it.next().ok_or_else(|| bad("bad event"))?;
+            let tag = V1_LETTERS.iter().position(|&c| letter.as_bytes() == [c]);
+            let op = OP_TAGS[tag.ok_or_else(|| bad("unknown event op"))?];
             let strand: u32 = field(it.next(), "bad event strand")?;
             let addr_s = it.next().ok_or_else(|| bad("bad event addr"))?;
             let addr = usize::from_str_radix(addr_s.trim_start_matches("0x"), 16)
@@ -507,7 +459,9 @@ mod tests {
         assert!(ops.contains(&TraceOp::Store));
         // Strand boundaries recorded around the spawn/sync points.
         assert!(ops.iter().filter(|o| **o == TraceOp::StrandEnd).count() >= 3);
-        assert_eq!(trace.access_bytes(), 64 + 8 + 4);
+        let access = |e: &&TraceEvent| !matches!(e.op, TraceOp::Free | TraceOp::StrandEnd);
+        let bytes: usize = trace.events.iter().filter(access).map(|e| e.bytes).sum();
+        assert_eq!(bytes, 64 + 8 + 4);
     }
 
     #[test]

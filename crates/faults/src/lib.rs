@@ -98,6 +98,12 @@ pub enum DetectorError {
 }
 
 impl DetectorError {
+    /// A [`DetectorError::CorruptTrace`] worded by `detail`.
+    pub fn corrupt(detail: impl std::fmt::Display) -> DetectorError {
+        let detail = detail.to_string();
+        DetectorError::CorruptTrace { detail }
+    }
+
     /// CLI exit code for this failure (3 = resource-exhausted, 4 = internal).
     pub fn exit_code(&self) -> u8 {
         match self {

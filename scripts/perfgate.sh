@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The pre-merge gate: style checks, warning-free rustdoc, release build, one
 # iteration of every Criterion row of every bench file of `stint-bench`, the
-# test suite in release and the wide claims row, the space study (the `space` binary exits 1 on a
+# test suite in release, the wide claims row and the release binary's
+# small-address-space row, the space study (the `space` binary exits 1 on a
 # Lemma 4.1 violation), the repo benchmark's self-check (expectations,
 # oracle, catalogue ≡ BENCHMARK.json), then a two-pair smoke of the repo
 # benchmark against the parent commit. No wall time is gated here:
@@ -45,6 +46,11 @@ cargo test --release -q
 # sizes, every single-bit flip of every length and count field.
 echo "== claims, wide"
 cargo test --release -q --test claims -- --ignored
+
+# The release binary replays a 2^22-event contiguous run under every variant
+# and `trace info` inside `ulimit -v 200000` (DESIGN.md §12).
+echo "== one long run, small address space"
+cargo test --release -q -p stint-cli --test exit_codes -- --ignored
 
 echo "== space study (byte gauges + Lemma 4.1)"
 cargo run --release -q -p stint-bench --bin space -- "${ARGS[@]}"

@@ -7,6 +7,10 @@
 //! of untrusted input starts from a small valid encoding:
 //! - a v1 trace, through `load_any` and the batch tier's one entry;
 //! - a v2 stream, through `load_compressed`, `load_any` and the batch tier;
+//! - a v2 stream whose header event total and one contiguous run's count
+//!   are raised together, consistent and sealed, through the sequential
+//!   replay `trace replay` runs (`open_any` + `try_replay_runs`) and the
+//!   batch tier: a run's count is a claim no single-field rewrite reaches;
 //! - request and response frames;
 //! - a session journal.
 //!
@@ -35,6 +39,7 @@ use stint_repro::serve::journal::{self, SessionEvent};
 use stint_repro::serve::protocol::{self, FrameError, Request, Response, Status};
 use stint_repro::suite::{Scale, Workload, BUGGY_NAMES, NAMES};
 use stint_repro::{load_compressed, varint, Cilk, CilkProgram, DetectorError};
+use stint_repro::{open_any, try_replay_runs, Config, Variant};
 use stint_repro::{PortableTrace, MAGIC_V2};
 
 /// The largest single allocation since the sweep last cleared it.
@@ -294,6 +299,39 @@ fn v2_claims(bytes: &[u8], flips: bool) -> Vec<(String, Vec<u8>)> {
     out
 }
 
+/// `pt`'s v2 stream with its header's event total and one run's count
+/// raised together to each claim, the run made contiguous (`stride ==
+/// bytes`), both checksums sealed: a consistent file whose one run stands
+/// for `claim` events. Replayed a chunk at a time it costs what the
+/// detector keeps, which for a contiguous run is one interval; a whole-trace
+/// load would hold `claim` events. (A gapped run's intervals are content:
+/// the detector's own run list grows with them.)
+fn paired_claims(pt: &PortableTrace) -> Vec<(Decoder, String, Vec<u8>)> {
+    let mut bytes = Vec::new();
+    pt.save_compressed(&mut bytes, 2).expect("save v2");
+    let v2 = V2::parse(&bytes);
+    let total = 1 + 2 * v2.header[0] as usize;
+    let one_access = |runs: &Vec<Run>| {
+        let is = |(tag, fields): &Run| *tag < TAG_FREE && fields.len() == 4;
+        runs.iter().position(is)
+    };
+    let mut chunks = v2.chunks.iter().enumerate();
+    let (c, r) = chunks
+        .find_map(|(c, (_, runs))| one_access(runs).map(|r| (c, r)))
+        .expect("a run of one access");
+    let mut rows = Vec::new();
+    for claim in [1u64 << 16, 1 << 20] {
+        let mut bad = v2.clone();
+        bad.header[total] += claim - 1;
+        let run = &mut bad.chunks[c].1[r].1;
+        run[3] = claim;
+        run.push(run[2] << 1); // zigzag stride = bytes
+        let name = format!("v2 event total and chunk {c} run {r} count {claim}");
+        rows.push((Decoder::Runs, name, bad.encode(None, None)));
+    }
+    rows
+}
+
 fn request_frames(v1: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     let detect = Request::Detect {
@@ -379,6 +417,9 @@ enum Decoder {
     /// `PortableTrace::load_any`, then `load_compressed` when the input is
     /// v2, then the batch tier's one entry.
     Trace,
+    /// A consistent trace, which both tiers must detect: sequential STINT
+    /// through the replay `trace replay` runs, then the batch tier.
+    Runs,
     Requests,
     Responses,
     Journal,
@@ -401,6 +442,17 @@ fn decode(pool: &ThreadPool, decoder: Decoder, bytes: &[u8]) -> Result<(), Strin
                 Ok(_) | Err(DetectorError::CorruptTrace { .. }) => Ok(()),
                 Err(e) => Err(format!("batch tier: {e}")),
             }
+        }
+        Decoder::Runs => {
+            let mut src = open_any(bytes).map_err(|e| format!("open: {e}"))?;
+            let stint = Config::new(Variant::Stint);
+            try_replay_runs(&mut *src, stint).map_err(|e| format!("sequential: {e}"))?;
+            let cfg = BatchConfig {
+                shards: 2,
+                ..BatchConfig::default()
+            };
+            let out = batch_detect_any(pool, &mut &bytes[..], &cfg);
+            out.map(drop).map_err(|e| format!("batch tier: {e}"))
         }
         Decoder::Requests | Decoder::Responses => {
             let mut r = bytes;
@@ -595,6 +647,7 @@ fn boundary_cases(pt: &PortableTrace) -> Vec<(Decoder, String, Vec<u8>, String)>
 fn first_error(decoder: Decoder, bytes: &[u8]) -> String {
     match decoder {
         Decoder::Trace => load_compressed(bytes).map_or_else(|e| e.to_string(), |_| "Ok".into()),
+        Decoder::Runs => open_any(bytes).map_or_else(|e| e.to_string(), |_| "Ok".into()),
         Decoder::Requests | Decoder::Responses => {
             let mut r = bytes;
             loop {
@@ -644,7 +697,9 @@ fn claimed_lengths_and_counts_buy_no_memory() {
     let pool = ThreadPool::new(2);
     let tiny = PortableTrace::record(&mut Tiny);
     let boundaries = boundary_cases(&tiny);
-    let cases = cases(&[tiny], &[2], false, true);
+    let paired = paired_claims(&tiny);
+    let mut cases = cases(&[tiny], &[2], false, true);
+    cases.extend(paired);
     let mut failures = sweep(&pool, &cases);
     failures.extend(sweep_boundaries(&boundaries));
     assert!(
