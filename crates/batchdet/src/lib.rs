@@ -88,7 +88,6 @@
 //! assert!(!out.merged.is_race_free());
 //! ```
 
-use std::collections::BTreeSet;
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -421,7 +420,8 @@ fn detect_runs(
         runs: Vec::new(),
         next_run: 0,
         fed: 0,
-        front: Front::new(limits.budget),
+        co: StrandCoalescer::new().with_max_shadow_bytes(limits.budget.max_shadow_bytes),
+        last: StrandId(0),
         ingest: IngestStats::default(),
         spans: cfg.witnesses.then(EventSpans::default),
         ev_id: 0,
@@ -440,7 +440,7 @@ fn detect_runs(
     let (outs, timeout) = piped?;
     let wall = t0.elapsed();
     let spans = src.spans.as_ref();
-    let (merged, stats, failure) = merge_shards(&outs, &src.front, &reach, spans);
+    let (merged, stats, failure) = merge_shards(&outs, &src.co, &reach, spans);
     let strands = reach.strand_count();
     stats.publish(wall, strands, merged.regions.len() as u64);
     Ok(BatchOutcome {
@@ -466,58 +466,10 @@ type Batch = [Inbox];
 trait EventSource: Send {
     fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError>;
 
-    /// The coalescer of a recorded source; when the stream stops — its end,
-    /// or the deadline — what it still holds is routed ([`Front::cut_off`]).
-    fn front(&mut self) -> Option<&mut Front> {
-        None
-    }
-}
-
-/// Hand-off units that are a strand's runs already (the online engine's
-/// buffer): routed as they are.
-impl EventSource for std::slice::Chunks<'_, TraceEvent> {
-    fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError> {
-        let units = self.next();
-        for e in units.into_iter().flatten() {
-            route_unit(router, *e, batch);
-        }
-        Ok(units.is_some())
-    }
-}
-
-/// The strand coalescer in front of a source: every decoded or executed hook
-/// lands in it, and what crosses into the shards' inboxes is a strand's
-/// sorted disjoint runs, handed out when the strand ends or frees. A source
-/// of already coalesced units passes through it unchanged.
-struct Front {
-    co: StrandCoalescer,
-    /// Strand of the last event fed (whose runs a cut-off stream leaves).
-    last: StrandId,
-}
-
-impl Front {
-    fn new(budget: ResourceBudget) -> Front {
-        Front {
-            co: StrandCoalescer::new().with_max_shadow_bytes(budget.max_shadow_bytes),
-            last: StrandId(0),
-        }
-    }
-
-    /// Feed one event of a recorded stream and route what the coalescer
-    /// hands out ([`StrandCoalescer::feed`]).
-    #[inline]
-    fn feed(&mut self, e: TraceEvent, router: &mut Router, inboxes: &mut [Inbox]) {
-        self.last = e.strand;
-        self.co.feed(e, |u| route_unit(router, u, inboxes));
-    }
-
-    /// The stream stops in mid-strand: end the strand. `true` if it had
-    /// accessed anything.
-    fn cut_off(&mut self, router: &mut Router, inboxes: &mut [Inbox]) -> bool {
-        let pending = !self.co.is_clear();
-        let end = TraceEvent::unit(TraceOp::StrandEnd, self.last, 0, 0);
-        self.feed(end, router, inboxes);
-        pending
+    /// The stream stopped — its end, or the deadline: route what the source
+    /// still holds. `true` if that was anything.
+    fn stop(&mut self, _router: &mut Router, _batch: &mut Batch) -> bool {
+        false
     }
 }
 
@@ -532,13 +484,20 @@ const STEP_EVENTS: u64 = 16 * DEFAULT_CHUNK_EVENTS as u64;
 /// in its encoded shape: a contiguous word-aligned run is consumed wholesale
 /// — ONE range set on the coalescer, exactly the words of its events. Other
 /// runs (a run of one, too) are stepped event by event.
+///
+/// Every decoded event lands in the source's one strand coalescer, and what
+/// crosses into the shards' inboxes is a strand's sorted disjoint runs,
+/// handed out when the strand ends or frees ([`StrandCoalescer::feed`]). A
+/// recorded (already coalesced) trace passes through it unchanged.
 struct StreamSource<'a> {
     reader: &'a mut (dyn RunSource + Send),
     /// The chunk being fed, its next run, and that run's events fed so far.
     runs: Vec<EventRun>,
     next_run: usize,
     fed: u64,
-    front: Front,
+    co: StrandCoalescer,
+    /// Strand of the last run fed, whose runs a cut-off stream leaves.
+    last: StrandId,
     ingest: IngestStats,
     /// Incremental span table: decoded event ids equal original trace
     /// indices (runs expand in order), so a run by strand `s` covers ids
@@ -559,6 +518,7 @@ impl EventSource for StreamSource<'_> {
         }
         let mut room = STEP_EVENTS;
         while let Some(run) = self.runs.get(self.next_run).filter(|_| room > 0) {
+            self.last = run.strand;
             if self.fed == 0 {
                 self.ingest.events += run.count;
                 if let Some(sp) = self.spans.as_mut() {
@@ -574,14 +534,14 @@ impl EventSource for StreamSource<'_> {
                         bytes,
                         ..run.first()
                     };
-                    self.front.feed(e, router, batch);
+                    self.co.feed(e, |u| route_unit(router, u, batch));
                     (room, self.next_run) = (room - 1, self.next_run + 1);
                     continue;
                 }
             }
             let end = run.count.min(self.fed.saturating_add(room));
             for i in self.fed..end {
-                self.front.feed(run.event(i), router, batch);
+                self.co.feed(run.event(i), |u| route_unit(router, u, batch));
             }
             room -= end - self.fed;
             self.fed = end;
@@ -592,8 +552,12 @@ impl EventSource for StreamSource<'_> {
         Ok(true)
     }
 
-    fn front(&mut self) -> Option<&mut Front> {
-        Some(&mut self.front)
+    /// The stream stops in mid-strand: end the strand.
+    fn stop(&mut self, router: &mut Router, batch: &mut Batch) -> bool {
+        let pending = !self.co.is_clear();
+        let end = TraceEvent::unit(TraceOp::StrandEnd, self.last, 0, 0);
+        self.co.feed(end, |u| route_unit(router, u, batch));
+        pending
     }
 }
 
@@ -619,7 +583,7 @@ type Piped = Result<(Vec<ShardOutcome>, Option<DetectorError>), DetectorError>;
 ///
 /// Returns the finished shards and, if the deadline cut the run short, its
 /// degradation marker. The deadline is checked between steps; everything
-/// fed before the check is still routed ([`Front::cut_off`]) and drained.
+/// fed before the check is still routed ([`EventSource::stop`]) and drained.
 fn pipeline<R: Reachability + Sync>(
     pool: &ThreadPool,
     reach: &R,
@@ -653,8 +617,7 @@ fn pipeline<R: Reachability + Sync>(
                                 return Ok(true);
                             }
                             ended = true;
-                            let front = src.front();
-                            Ok(front.is_some_and(|f| f.cut_off(&mut router, &mut back)))
+                            Ok(src.stop(&mut router, &mut back))
                         }))
                         .unwrap_or_else(|p| Err(DetectorError::from_panic(p)))
                     },
@@ -984,48 +947,48 @@ fn kind_from(c: u8) -> RaceKind {
     }
 }
 
-/// Normalize per-shard race records per word, re-coalesce into maximal
-/// runs, and sort by address then SP rank. See the module docs for why this
-/// (and not the raw records) is the `K`-invariant object. Also returns the
+/// Normalize per-shard race records per word — on intervals: the union of
+/// each `(kind, prev, cur)`'s runs, in maximal pieces — and sort by address
+/// then SP rank. See the module docs for why this (and not the raw records)
+/// is the `K`-invariant object. Also returns the
 /// detector statistics — the shards' summed, plus the source's coalescer's
 /// share — and the first failure: a shard's, by shard index, else the
 /// coalescer's.
 fn merge_shards(
     shards: &[ShardOutcome],
-    front: &Front,
+    co: &StrandCoalescer,
     reach: &FrozenReach,
     spans: Option<&EventSpans>,
 ) -> (MergedReport, DetectorStats, Option<DetectorError>) {
     let _span = stint_obs::span("batchdet.merge");
     OBS_MERGES.incr();
-    let mut triples: Vec<(u8, u32, u32, u64)> = Vec::new();
-    let mut words: BTreeSet<u64> = BTreeSet::new();
+    let mut runs: Vec<(u8, u32, u32, u64, u64)> = Vec::new();
+    let words = shards.iter().map(|sh| sh.report.racy_word_count());
+    let mut racy_words: Vec<u64> = Vec::with_capacity(words.sum::<u64>() as usize);
     let mut stats = DetectorStats::default();
-    front.co.add_to(&mut stats);
+    co.add_to(&mut stats);
     for sh in shards {
         stats.merge(&sh.stats);
-        for r in sh.report.races() {
-            for w in r.word_lo..r.word_hi {
-                triples.push((kind_code(r.kind), r.prev.0, r.cur.0, w));
-            }
-        }
-        words.extend(sh.report.racy_words());
+        let races = sh.report.races().iter();
+        runs.extend(races.map(|r| (kind_code(r.kind), r.prev.0, r.cur.0, r.word_lo, r.word_hi)));
+        // The shards' routing ranges are disjoint and ascending, so their
+        // words concatenate in order.
+        let intervals = sh.report.racy_intervals().into_iter();
+        racy_words.extend(intervals.flat_map(|(lo, hi)| lo..hi));
     }
-    triples.sort_unstable();
-    triples.dedup();
+    debug_assert!(racy_words.windows(2).all(|w| w[0] < w[1]));
+    // Per (kind, prev, cur), the union of its runs in maximal pieces: sorted,
+    // a run that overlaps or touches the last one extends it.
+    runs.sort_unstable();
     let mut regions: Vec<Race> = Vec::new();
-    for (k, p, c, w) in triples {
-        if let Some(lastr) = regions.last_mut() {
-            if kind_code(lastr.kind) == k
-                && lastr.prev.0 == p
-                && lastr.cur.0 == c
-                && lastr.word_hi == w
-            {
-                lastr.word_hi = w + 1;
+    for (k, p, c, lo, hi) in runs {
+        if let Some(last) = regions.last_mut() {
+            if (kind_code(last.kind), last.prev.0, last.cur.0) == (k, p, c) && lo <= last.word_hi {
+                last.word_hi = last.word_hi.max(hi);
                 continue;
             }
         }
-        regions.push(Race::new(kind_from(k), w, w + 1, StrandId(p), StrandId(c)));
+        regions.push(Race::new(kind_from(k), lo, hi, StrandId(p), StrandId(c)));
     }
     regions.sort_by_key(|r| {
         (
@@ -1051,10 +1014,10 @@ fn merge_shards(
     }
     let merged = MergedReport {
         regions,
-        racy_words: words.into_iter().collect(),
+        racy_words,
     };
     let failure = shards.iter().find_map(|o| o.failure.clone());
-    (merged, stats, failure.or_else(|| front.co.exhausted()))
+    (merged, stats, failure.or_else(|| co.exhausted()))
 }
 
 #[cfg(test)]
@@ -1168,7 +1131,7 @@ mod tests {
             stats: sequential.stats,
             failure: None,
         };
-        let nothing = Front::new(ResourceBudget::default());
+        let nothing = StrandCoalescer::new();
         let shards = std::slice::from_ref(&whole);
         let want = merge_shards(shards, &nothing, &pt.reach, None).0.render();
         for k in [1, 2, 3, 4, 7, 16] {

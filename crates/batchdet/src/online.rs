@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 use stint::ctrace::partition_index;
 use stint::{
     run_with_detector_r, CilkProgram, DePaReach, Detector, DetectorError, DetectorStats,
-    EventSpans, ExecCounters, ResourceBudget, TraceEvent, TraceOp,
+    EventSpans, ExecCounters, ResourceBudget, StrandCoalescer, TraceEvent, TraceOp,
 };
 use stint_cilk::word_range;
 use stint_cilkrt::ThreadPool;
@@ -74,8 +74,8 @@ use stint_obs::Counter;
 use stint_sporder::StrandId;
 
 use crate::{
-    merge_shards, pipeline, plan_shards, route_unit, Batch, EventSource, Front, MergedReport,
-    Piped, Router, SessionLimits, Shard, ShardOutcome,
+    merge_shards, pipeline, plan_shards, route_unit, Batch, EventSource, MergedReport, Piped,
+    Router, SessionLimits, ShardOutcome,
 };
 
 /// A run's hand-offs (`OnlineOutcome::chunks − 1`) and merges (`chunks`),
@@ -165,9 +165,10 @@ pub struct OnlineOutcome {
 /// and empty back.
 type Units = Vec<TraceEvent>;
 
-/// The drain side's end of the hand-off, the pipeline's third
+/// The drain side's end of the hand-off, the pipeline's second
 /// [`EventSource`]: the producer arm routes a batch — overlapping the
-/// previous batch's drain — and sends its buffer straight back.
+/// previous batch's drain — and sends its buffer straight back. Its units
+/// are a strand's runs already, so it holds nothing when the stream stops.
 struct LiveSource {
     full: Receiver<Units>,
     free: SyncSender<Units>,
@@ -198,14 +199,22 @@ struct Drain {
 }
 
 impl Drain {
-    /// Start the drain side. It allocates the second buffer itself, off the
-    /// executor's heap: the kernels allocate while they run, and what the
-    /// engine allocates beside them moves their addresses (`history_mb`).
-    fn start(engine: &OnlineEngine, view: DePaReach) -> Drain {
+    /// Start the drain side, its shards planned from `first`, the run's
+    /// first batch, alone (later runs outside its bounds still route: the
+    /// last cut-point is `u64::MAX`, shard 0 starts at word 0). It allocates
+    /// the second buffer itself, off the executor's heap: the kernels
+    /// allocate while they run, and what the engine allocates beside them
+    /// moves their addresses (`history_mb`).
+    fn start(pool: &Arc<ThreadPool>, cfg: &OnlineConfig, first: &Units, view: DePaReach) -> Drain {
         let (full_tx, full) = sync_channel(2);
         let (free, free_rx) = sync_channel(2);
-        let (pool, capacity) = (Arc::clone(&engine.pool), engine.buf.capacity());
-        let (shards, limits) = engine.plan(&engine.buf);
+        let (pool, capacity) = (Arc::clone(pool), first.capacity());
+        let (bounds, hist) = partition_index(first);
+        let shards = plan_shards(bounds, &hist, cfg.shards);
+        let limits = SessionLimits {
+            budget: cfg.budget,
+            ..SessionLimits::default()
+        };
         let thread = std::thread::spawn(move || {
             let _ = free.send(Units::with_capacity(capacity));
             let mut src = LiveSource { full, free };
@@ -252,7 +261,7 @@ pub struct OnlineEngine {
     /// Declared (so dropped, so joined) before the pool it runs on.
     drain: Option<Drain>,
     pool: Arc<ThreadPool>,
-    front: Front,
+    co: StrandCoalescer,
     /// The batch being filled; handed over at `chunk_events` units.
     buf: Units,
     /// One strand's units on their way into `buf`.
@@ -277,7 +286,7 @@ impl OnlineEngine {
         OnlineEngine {
             drain: None,
             pool: Arc::new(crate::new_pool(cfg.workers, cfg.steal_seed)),
-            front: Front::new(cfg.budget),
+            co: StrandCoalescer::new().with_max_shadow_bytes(cfg.budget.max_shadow_bytes),
             buf: Vec::with_capacity(cfg.chunk_events.min(1 << 16)),
             strand: Vec::new(),
             spans: cfg.witnesses.then(EventSpans::default),
@@ -298,12 +307,12 @@ impl OnlineEngine {
 
     /// Events delivered so far.
     fn events(&self) -> u64 {
-        self.front.co.hooks() + self.ends
+        self.co.hooks() + self.ends
     }
 
     /// The strand ended, or freed (`end`): push its runs, then `end` itself
-    /// — the same units, in the same order, a recorded stream's `Front`
-    /// routes ([`stint::StrandCoalescer::feed`]). A strand end that closes
+    /// — the same units, in the same order, a recorded stream's coalescer
+    /// hands out ([`StrandCoalescer::feed`]). A strand end that closes
     /// nothing is not worth a unit. The strand was published before its
     /// first hook, so before any of this.
     fn end_strand(&mut self, end: TraceEvent, reach: &DePaReach) {
@@ -315,7 +324,7 @@ impl OnlineEngine {
         self.ends += 1;
         self.strand_from = id + 1;
         let mut units = std::mem::take(&mut self.strand);
-        self.front.co.feed(end, |u| units.push(u));
+        self.co.feed(end, |u| units.push(u));
         if end.op == TraceOp::StrandEnd && units.len() == 1 {
             units.clear();
         }
@@ -332,28 +341,26 @@ impl OnlineEngine {
         self.strand = units;
     }
 
-    /// The run's pipeline set-up: the per-shard budget and the shard plan,
-    /// from the first batch alone (later runs outside its bounds still
-    /// route: the last cut-point is `u64::MAX`, shard 0 starts at word 0).
-    fn plan(&self, first: &[TraceEvent]) -> (Vec<Shard>, SessionLimits) {
-        let (bounds, hist) = partition_index(first);
-        let limits = SessionLimits {
-            budget: self.cfg.budget,
-            ..SessionLimits::default()
-        };
-        (plan_shards(bounds, &hist, self.cfg.shards), limits)
-    }
-
-    /// Hand the full batch to the drain side — started here, by the first
-    /// one — and take an empty buffer back.
-    #[cold]
-    fn hand_off(&mut self, reach: &DePaReach) {
-        if self.drain.is_none() {
-            self.drain = Some(Drain::start(self, reach.view()));
+    /// Hand the batch being filled, unless it is empty, to the drain side
+    /// — started by the run's first batch: a full one, or at finish the only
+    /// one. `false` if the drain side is gone.
+    fn send(&mut self, reach: &DePaReach) -> bool {
+        let batch = std::mem::take(&mut self.buf);
+        let (pool, cfg) = (&self.pool, &self.cfg);
+        let start = || Drain::start(pool, cfg, &batch, reach.view());
+        let drain = self.drain.get_or_insert_with(start);
+        if batch.is_empty() {
+            return true;
         }
         self.handoffs += 1;
-        let drain = self.drain.as_mut().expect("started above");
-        let sent = drain.send(std::mem::take(&mut self.buf));
+        drain.send(batch)
+    }
+
+    /// Hand the full batch to the drain side and take an empty buffer back.
+    #[cold]
+    fn hand_off(&mut self, reach: &DePaReach) {
+        let sent = self.send(reach);
+        let drain = self.drain.as_mut().expect("started by send");
         match timed_wait(&OBS_PRODUCER_STALL, || drain.free.recv()) {
             Ok(empty) if sent => self.buf = empty,
             // It hangs up before the executor does only by failing.
@@ -370,11 +377,11 @@ impl OnlineEngine {
 impl Detector<DePaReach> for OnlineEngine {
     #[inline(always)]
     fn load(&mut self, _: StrandId, addr: usize, bytes: usize, _: &DePaReach) {
-        self.front.co.load(addr, bytes);
+        self.co.load(addr, bytes);
     }
     #[inline(always)]
     fn store(&mut self, _: StrandId, addr: usize, bytes: usize, _: &DePaReach) {
-        self.front.co.store(addr, bytes);
+        self.co.store(addr, bytes);
     }
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &DePaReach) {
         let (lo, hi) = word_range(addr, bytes);
@@ -386,37 +393,22 @@ impl Detector<DePaReach> for OnlineEngine {
 
     /// Deliver the last batch, wait for the per-shard outcomes, then merge
     /// deterministically against the frozen ranks. A program that never
-    /// filled a batch never started a drain side: same pipeline, run here.
+    /// filled a batch starts the drain side here, planned from that batch.
     fn finish(&mut self, s: StrandId, reach: &DePaReach) {
         self.strand_end(s, reach);
         if self.poisoned.is_some() {
             return;
         }
-        // Empty if the last unit filled (and sent) a batch, or there is none.
-        let last = std::mem::take(&mut self.buf);
-        if !last.is_empty() {
-            self.handoffs += 1;
-        }
-        let piped = match self.drain.as_mut() {
-            Some(drain) => {
-                if !last.is_empty() {
-                    drain.send(last);
-                }
-                drain.join()
-            }
-            None => {
-                let (shards, limits) = self.plan(&last);
-                let mut src = last.chunks(last.len().max(1));
-                pipeline(&self.pool, &reach.view(), &shards, &mut src, &limits)
-            }
-        };
+        // The last batch: empty if the last unit filled (and sent) one, or
+        // there is none.
+        self.send(reach);
+        let piped = self.drain.as_mut().expect("started by send").join();
         let outs = match piped {
             Ok((outs, _no_deadline)) => outs,
             Err(e) => return self.poisoned = Some(e),
         };
         let frozen = reach.freeze();
-        let (merged, stats, degraded) =
-            merge_shards(&outs, &self.front, &frozen, self.spans.as_ref());
+        let (merged, stats, degraded) = merge_shards(&outs, &self.co, &frozen, self.spans.as_ref());
         self.outcome = Some(OnlineOutcome {
             merged,
             stats,
@@ -572,25 +564,29 @@ mod tests {
             .into_detector()
     }
 
+    /// A program that never fills a batch never starts a drain side while
+    /// it runs: `finish` starts it, planned from the only batch, and joins
+    /// it, the one way every run ends.
     #[test]
     fn sub_chunk_and_empty_programs_never_start_a_drain_side() {
+        let joined = |e: &OnlineEngine| e.drain.as_ref().is_some_and(|d| d.thread.is_none());
         let units = online_detect(&mut WideRacy, &cfg(2, 0, usize::MAX))
             .unwrap()
             .units as usize;
         for chunk in [units + 1, usize::MAX] {
             let mut engine = run_engine(&mut WideRacy, cfg(2, 0, chunk));
-            assert!(engine.drain.is_none(), "chunk={chunk}");
+            assert!(joined(&engine), "chunk={chunk}");
             let out = engine.take_outcome().unwrap();
             assert_eq!((out.shards.len(), out.chunks), (4, 2));
             assert!(!out.merged.is_race_free());
         }
         // One unit more and the last one fills the only batch.
         let mut engine = run_engine(&mut WideRacy, cfg(2, 0, units));
-        assert!(engine.drain.is_some());
+        assert!(joined(&engine));
         assert_eq!(engine.take_outcome().unwrap().chunks, 2);
         // No access, no unit: the merge alone.
         let mut engine = run_engine(&mut Empty, cfg(2, 0, 64));
-        assert!(engine.drain.is_none());
+        assert!(joined(&engine));
         let out = engine.take_outcome().unwrap();
         assert_eq!((out.shards.len(), out.units, out.chunks), (4, 0, 1));
     }

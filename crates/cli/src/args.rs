@@ -50,11 +50,9 @@ pub struct CmdOpts {
     pub compress: bool,
     pub chunk_events: usize,
     pub witness: bool,
-    /// `--online-parallel`: parallel online detection over live DePa.
-    pub online: bool,
-    /// Pool workers for `--online-parallel` (0 = hardware threads).
+    /// Pool workers for `detect --variant batch` (0 = hardware threads).
     pub workers: usize,
-    /// Steal-victim seed for `--online-parallel`.
+    /// Steal-victim seed for `detect --variant batch`.
     pub steal_seed: u64,
 }
 
@@ -67,7 +65,6 @@ impl Default for CmdOpts {
             compress: false,
             chunk_events: stint::ctrace::DEFAULT_CHUNK_EVENTS,
             witness: false,
-            online: false,
             workers: 0,
             steal_seed: 0,
         }
@@ -109,19 +106,17 @@ pub enum Parsed {
 // detection strategy for the two commands that detect.
 const SEQ: u8 = 1;
 const BATCH: u8 = 2;
-const ONLINE: u8 = 4;
-const RECORD: u8 = 8;
-const REPLAY: u8 = 16;
-const REPLAY_BATCH: u8 = 32;
+const RECORD: u8 = 4;
+const REPLAY: u8 = 8;
+const REPLAY_BATCH: u8 = 16;
 /// `help`, `bugs`, `trace info`, `witness verify`, `grid`.
-const OTHER: u8 = 64;
-const DETECT: u8 = SEQ | BATCH | ONLINE;
+const OTHER: u8 = 32;
+const DETECT: u8 = SEQ | BATCH;
 const ANY: u8 = DETECT | RECORD | REPLAY | REPLAY_BATCH | OTHER;
 
-const CONTEXTS: [(u8, &str); 6] = [
+const CONTEXTS: [(u8, &str); 5] = [
     (SEQ, "detect"),
     (BATCH, "detect --variant batch"),
-    (ONLINE, "detect --online-parallel"),
     (RECORD, "trace record"),
     (REPLAY, "trace replay"),
     (REPLAY_BATCH, "trace replay --variant batch"),
@@ -187,11 +182,13 @@ const FLAGS: &[Flag] = &[
         set: |c, _, v| put(&mut c.variant, parse_variant(v)),
         help: "vanilla | compiler | comp+rts | stint (default) | stint-btree; detect\n\
                also accepts 'all' (every variant, run in parallel on a work-stealing\n\
-               pool); detect and trace replay also accept 'batch' (detection fanned\n\
-               out over contiguous address shards on the work-stealing pool: detect\n\
-               runs --online-parallel's engine beside the live program, with its\n\
-               default pool and batch size, and trace replay reads the file; the\n\
-               merged report is the same for every shard count)",
+               pool); detect and trace replay also accept 'batch': detection fanned\n\
+               out over contiguous address shards on the work-stealing pool, whose\n\
+               merged report is the same for every shard count, worker count and\n\
+               steal seed; trace replay reads the file, and detect runs beside the\n\
+               program, which hands each batch of its strands' intervals to the pool\n\
+               to be detected against the live (lock-free) DePa timestamps, and\n\
+               finds sequential STINT's racy intervals",
     },
     Flag {
         name: "--scale",
@@ -203,10 +200,9 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "--shards",
         value: Some("K"),
-        applies: BATCH | ONLINE | REPLAY_BATCH,
+        applies: BATCH | REPLAY_BATCH,
         set: |c, _, v| put(&mut c.shards, num(v, 1..=4096)),
-        help: "address shards of the batch and online strategies (1..=4096,\n\
-               default 4)",
+        help: "address shards of the batch strategy (1..=4096, default 4)",
     },
     Flag {
         name: "--compress",
@@ -220,12 +216,12 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "--chunk-events",
         value: Some("N"),
-        applies: ONLINE | RECORD,
+        applies: BATCH | RECORD,
         set: |c, _, v| put(&mut c.chunk_events, num(v, 1..=16_777_216)),
         help: "events per compressed chunk (1..=16777216, default 4096), which\n\
-               bounds a streamed replay's per-chunk working set; for the online\n\
-               strategy, hand-off units per batch (a unit is one interval of a\n\
-               strand, a free, or the strand end closing them, not a hook)",
+               bounds a streamed replay's per-chunk working set; for detect\n\
+               --variant batch, hand-off units per batch (a unit is one interval of\n\
+               a strand, a free, or the strand end closing them, not a hook)",
     },
     Flag {
         name: "--witness",
@@ -240,29 +236,16 @@ const FLAGS: &[Flag] = &[
                only a card from 'trace replay' of that file verifies against it",
     },
     Flag {
-        name: "--online-parallel",
-        value: None,
-        applies: ONLINE,
-        set: |c, _, _| put(&mut c.online, Ok(true)),
-        help: "detect while the program runs: the instrumented execution maintains\n\
-               the DePa substrate and hands each chunk of the event stream to the\n\
-               work-stealing pool, which routes it over address shards and detects\n\
-               it against the live (lock-free) timestamps while the program runs\n\
-               on; the merged report is byte-identical for every worker count,\n\
-               steal seed and chunk size, and its racy intervals equal sequential\n\
-               STINT's; its own strategy, so it takes no --variant",
-    },
-    Flag {
         name: "--workers",
         value: Some("W"),
-        applies: ONLINE,
+        applies: BATCH,
         set: |c, _, v| put(&mut c.workers, num(v, 0..=256)),
         help: "pool workers (0 = one per hardware thread, default; max 256)",
     },
     Flag {
         name: "--steal-seed",
         value: Some("N"),
-        applies: ONLINE,
+        applies: BATCH,
         set: |c, _, v| put(&mut c.steal_seed, num(v, 0..=u64::MAX)),
         help: "perturb each pool worker's initial steal victim (determinism knob;\n\
                the report must not change)",
@@ -284,7 +267,7 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "--max-shadow-mb",
         value: Some("N"),
-        applies: SEQ | ONLINE,
+        applies: SEQ | BATCH,
         set: |_, r, v| put(&mut r.max_shadow_mb, num(v, 0..=u64::MAX).map(Some)),
         help: "shadow-memory budget per structure, in MiB; on exhaustion detection\n\
                degrades soundly and exits 3",
@@ -292,7 +275,7 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "--max-intervals",
         value: Some("N"),
-        applies: SEQ | ONLINE,
+        applies: SEQ | BATCH,
         set: |_, r, v| put(&mut r.max_intervals, num(v, 0..=u64::MAX).map(Some)),
         help: "interval-store budget (read + write trees); on exhaustion detection\n\
                degrades soundly and exits 3",
@@ -458,11 +441,7 @@ fn command(words: &[&str], opts: CmdOpts) -> Result<(Parsed, u8), String> {
         [] | ["help" | "--help" | "-h", ..] => (Parsed::Help, OTHER),
         ["detect", name] => {
             let bench = bench(name)?;
-            let ctx = match (opts.online, batch) {
-                (true, _) => ONLINE,
-                (false, true) => BATCH,
-                (false, false) => SEQ,
-            };
+            let ctx = if batch { BATCH } else { SEQ };
             (Parsed::Detect { bench, opts }, ctx)
         }
         ["detect", ..] => return Err("detect takes exactly one benchmark name".into()),
@@ -627,7 +606,6 @@ mod tests {
                     compress: false,
                     chunk_events: CHUNK,
                     witness: false,
-                    online: false,
                     workers: 0,
                     steal_seed: 0,
                 },
@@ -642,17 +620,12 @@ mod tests {
     /// and the command in every other one.
     #[test]
     fn every_flag_is_rejected_exactly_where_it_does_not_apply() {
-        let places: [(u8, &str, &[&str]); 8] = [
+        let places: [(u8, &str, &[&str]); 7] = [
             (SEQ, "detect", &["detect", "sort"]),
             (
                 BATCH,
                 "detect --variant batch",
                 &["detect", "sort", "--variant", "batch"],
-            ),
-            (
-                ONLINE,
-                "detect --online-parallel",
-                &["detect", "sort", "--online-parallel"],
             ),
             (
                 RECORD,
@@ -677,11 +650,9 @@ mod tests {
                 _ => "5",
             };
             for (ctx, name, base) in places {
-                // The two flags that pick the strategy would move the
-                // context; walk them through the commands that have none.
-                if matches!(f.name, "--variant" | "--online-parallel")
-                    && ctx & (DETECT | REPLAY | REPLAY_BATCH) != 0
-                {
+                // The flag that picks the strategy would move the context;
+                // walk it through the commands that have none.
+                if f.name == "--variant" && ctx & (DETECT | REPLAY | REPLAY_BATCH) != 0 {
                     continue;
                 }
                 let mut argv = v(base);
@@ -858,11 +829,11 @@ mod tests {
                 },
             }
         );
-        // Recording knobs: batch detection lets its input pick the path.
+        // Recording knobs: batch detection lets its input pick the path
+        // (a live one takes --chunk-events as its hand-off batch size).
         for argv in [
             "detect mmul --compress",
             "detect mmul --variant batch --compress",
-            "detect mmul --variant batch --chunk-events 64",
             "trace replay /tmp/t --variant batch --compress",
             "trace replay /tmp/t --variant stint --compress",
             "trace replay /tmp/t --variant batch --chunk-events 64",
@@ -948,7 +919,8 @@ mod tests {
         let p = parse_cmd(&v(&[
             "detect",
             "buggy-mmul",
-            "--online-parallel",
+            "--variant",
+            "batch",
             "--workers",
             "4",
             "--steal-seed",
@@ -965,10 +937,10 @@ mod tests {
             Parsed::Detect {
                 bench: "buggy-mmul".into(),
                 opts: CmdOpts {
+                    variant: VariantSel::Batch,
                     shards: 3,
                     chunk_events: 64,
                     witness: true,
-                    online: true,
                     workers: 4,
                     steal_seed: 7,
                     ..CmdOpts::default()
@@ -983,34 +955,30 @@ mod tests {
             "mmul",
             "--workers",
             "300",
-            "--online-parallel"
-        ]))
-        .is_err());
-        assert!(parse_cmd(&v(&[
-            "detect",
-            "mmul",
-            "--online-parallel",
             "--variant",
             "batch"
         ]))
         .is_err());
+        // The sharded live strategy has one spelling.
+        let old = parse_cmd(&v(&[
+            "detect",
+            "mmul",
+            "--variant",
+            "batch",
+            "--online-parallel",
+        ]));
+        assert_eq!(old, Err("unknown option \"--online-parallel\"".into()));
         assert!(parse_cmd(&v(&[
             "detect",
             "mmul",
-            "--online-parallel",
             "--variant",
-            "all"
+            "all",
+            "--workers",
+            "2"
         ]))
         .is_err());
-        assert!(parse_cmd(&v(&["detect", "mmul", "--online-parallel", "--compress"])).is_err());
-        assert!(parse_cmd(&v(&[
-            "trace",
-            "record",
-            "mmul",
-            "/tmp/t",
-            "--online-parallel"
-        ]))
-        .is_err());
+        assert!(parse_cmd(&v(&["detect", "mmul", "--variant", "batch", "--compress"])).is_err());
+        assert!(parse_cmd(&v(&["trace", "record", "mmul", "/tmp/t", "--workers", "2"])).is_err());
         assert!(parse_cmd(&v(&["trace", "replay", "/tmp/t", "--workers", "2"])).is_err());
     }
 

@@ -1,7 +1,7 @@
 //! `stint-cli` — command-line front end for the STINT reproduction.
 //!
 //! ```text
-//! stint-cli detect <bench> [--variant V] [--scale S] [--shards K]
+//! stint-cli detect <bench> [--variant V] [--scale S] [--shards K] [--workers W]
 //! stint-cli bugs                                        run the buggy variants
 //! stint-cli trace record <bench> <file> [--scale S]     record a portable trace
 //! stint-cli trace info <file>                           inspect a trace file
@@ -12,7 +12,7 @@
 //! Variants: vanilla | compiler | comp+rts | stint | stint-btree, plus
 //! `batch` (address-sharded detection on the work-stealing pool; `--shards
 //! K`): `trace replay` reads the file, and `detect` runs the online engine
-//! that `--online-parallel` runs.
+//! beside the live program (`--workers`, `--steal-seed`, `--chunk-events`).
 //! Scales: test | s | m | paper.
 //!
 //! Exit codes: 0 = no races, 1 = races found, 2 = usage/IO error,
@@ -231,11 +231,8 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             }
             cfg.budget.max_intervals = opts.max_intervals;
             cfg.witnesses = o.witness;
-            let outcomes = match (o.online, o.variant) {
-                // Both spellings of the sharded tier run the online engine;
-                // `--variant batch` keeps the defaults of the knobs only
-                // `--online-parallel` takes (`args::FLAGS`).
-                (true, _) | (_, VariantSel::Batch) => {
+            let outcomes = match o.variant {
+                VariantSel::Batch => {
                     let ocfg = OnlineConfig {
                         shards: o.shards,
                         workers: o.workers,
@@ -246,10 +243,10 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
                     };
                     return detect_online(&bench, o.scale, &ocfg, opts);
                 }
-                (_, VariantSel::One(v)) => {
+                VariantSel::One(v) => {
                     vec![detect_one(&bench, o.scale, Config { variant: v, ..cfg })?]
                 }
-                (_, VariantSel::All) => detect_all(&bench, o.scale, cfg)?,
+                VariantSel::All => detect_all(&bench, o.scale, cfg)?,
             };
             for (i, o) in outcomes.iter().enumerate() {
                 if i > 0 {
@@ -258,12 +255,12 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
                 print_outcome(&bench, o);
             }
             if outcomes.len() > 1 && outcomes.iter().all(|o| o.degraded.is_none()) {
-                let first = outcomes[0].report.racy_words();
-                if outcomes.iter().all(|o| o.report.racy_words() == first) {
+                let first = outcomes[0].report.racy_intervals();
+                if outcomes.iter().all(|o| o.report.racy_intervals() == first) {
                     println!(
                         "\nall {} variants agree: {} racy word(s)",
                         outcomes.len(),
-                        first.len()
+                        outcomes[0].report.racy_word_count()
                     );
                 } else {
                     eprintln!("warning: variants disagree on the racy-word set");
@@ -423,10 +420,10 @@ fn bug_label(name: &str) -> &'static str {
     }
 }
 
-/// `detect --online-parallel` and `detect --variant batch`: run the
-/// benchmark once under the instrumented executor on the relabel-free DePa
-/// substrate, fanning each chunk of the instrumentation stream out over
-/// address shards on the work-stealing pool *while the program runs*.
+/// `detect --variant batch`: run the benchmark once under the instrumented
+/// executor on the relabel-free DePa substrate, fanning each chunk of the
+/// instrumentation stream out over address shards on the work-stealing pool
+/// *while the program runs*.
 /// Everything printed here is a deterministic function of the program and
 /// the chunk/shard knobs — no worker count, steal seed or wall-clock time
 /// appears — so scripts byte-diff the whole stdout across pool

@@ -44,7 +44,7 @@ pub fn print_report(report: &RaceReport, max: usize) {
     println!(
         "  races:            {} report(s), {} distinct racy word(s)",
         report.total,
-        report.racy_words().len()
+        report.racy_word_count()
     );
     // Detail records dropped at the report cap are surfaced explicitly —
     // a capped report must never read as a complete one.
@@ -106,7 +106,7 @@ pub fn write_stats_json(
         j.key("syncs").u64(o.counters.effective_syncs);
         j.key("races").u64(o.report.total);
         j.key("truncated").bool(o.report.truncated());
-        j.key("racy_words").u64(o.report.racy_words().len() as u64);
+        j.key("racy_words").u64(o.report.racy_word_count());
         match &o.degraded {
             Some(e) => j.key("degraded").str(&e.to_string()),
             None => j.key("degraded").null(),

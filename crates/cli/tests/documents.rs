@@ -168,7 +168,7 @@ fn every_exporter_of_one_run_parses_and_agrees() {
     };
     let online = online_detect(&mut Workload::by_name("sort", Scale::Test), &cfg);
     let online = online.expect("online run").stats;
-    let online_args = ["detect", "sort", "--online-parallel", "--workers", "2"];
+    let online_args = ["detect", "sort", "--variant", "batch", "--workers", "2"];
     let own = ["detector.coalesce_bytes"];
     publishes(&published(&online_args), &online, &own);
 }

@@ -272,6 +272,11 @@ impl RaceReport {
     pub fn racy_intervals(&self) -> Vec<(u64, u64)> {
         self.racy.intervals()
     }
+
+    /// How many words are racy: the intervals' widths summed, none expanded.
+    pub fn racy_word_count(&self) -> u64 {
+        self.racy.runs.iter().map(|(&lo, &hi)| hi - lo).sum()
+    }
 }
 
 #[cfg(test)]

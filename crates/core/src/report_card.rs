@@ -59,14 +59,13 @@ pub struct Run {
 
 impl Run {
     pub fn of(variant: &str, report: &RaceReport) -> Run {
-        let racy_intervals = report.racy_intervals();
         Run {
             variant: variant.into(),
             total: report.total,
             kept: report.races().len() as u64,
             truncated: report.truncated(),
-            racy_words: racy_intervals.iter().map(|(lo, hi)| hi - lo).sum(),
-            racy_intervals,
+            racy_words: report.racy_word_count(),
+            racy_intervals: report.racy_intervals(),
             races: report.races().to_vec(),
         }
     }

@@ -50,7 +50,8 @@ proptest! {
     // Each case runs 12 online detections, so fewer cases than above.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `--online-parallel` for workers {1, 2, 4, 8} × three steal seeds.
+    /// The online engine (`detect --variant batch`) for workers {1, 2, 4, 8} ×
+    /// three steal seeds.
     #[test]
     fn online_parallel_matches_sequential_stint(f in func_strategy(3)) {
         let shapes = [1, 2, 4, 8].into_iter().flat_map(|w| [(w, 0), (w, 0xDEAD_BEEF), (w, 42)]);
