@@ -9,24 +9,32 @@
 //! every query is a pair of rank comparisons on immutable vectors, safe to
 //! share across threads with no synchronization.
 //!
-//! 1. **Coalesce and partition the event stream in one O(n) pass**: the
-//!    4-byte-word address space touched by the trace is split into `K`
-//!    contiguous shards at *event-weight quantiles* of the header's bucketed
-//!    access histogram (so shards are load-balanced, not just
-//!    width-balanced). A single scan feeds every access into **one** strand
+//! 1. **Partition the event stream in one O(n) pass, coalescing only what
+//!    is not coalesced yet**: the 4-byte-word address space touched by the
+//!    trace is split into `K` contiguous shards at *event-weight quantiles*
+//!    of the header's bucketed access histogram (so shards are
+//!    load-balanced, not just width-balanced). A single scan takes each
+//!    access as one unit — a contiguous run of a v2 file **wholesale**, as
+//!    one range — and routes it to exactly the shards its word range
+//!    overlaps (clipped at the boundary) when it starts strictly past the
+//!    last unit routed on its side since the strand's last end or free. A
+//!    recorded trace stores each strand's maximal disjoint runs, so every
+//!    unit of it goes this way. The first unit of a strand that does not
+//!    (a hook stream's second access to a word, or one next to the last)
+//!    sends that one and the rest of the strand into **one** strand
 //!    coalescer ([`stint::StrandCoalescer`], the front half of sequential
-//!    STINT) — a contiguous run of a hook-level v2 file **wholesale**, as
-//!    one range set — and, when a strand ends or frees, routes the runs it
-//!    hands out to exactly the shards their word ranges overlap (clipped at
-//!    the boundary). The interval, not the event, is what crosses into the
-//!    shards.
+//!    STINT), which hands out its runs, routed the same way, when the
+//!    strand ends or frees. The interval, not the event, is what crosses
+//!    into the shards.
 //! 2. **Drain the per-shard inboxes** as fork-join tasks on the
 //!    `stint-cilkrt` work-stealing pool; each shard flushes the runs routed
 //!    to it through a private [`stint::IntervalHistory`] — the back half of
-//!    sequential STINT; a shard owns no coalescing table.
+//!    sequential STINT; a shard owns no coalescing table. A strand whose
+//!    runs reach a shard out of order (some routed straight, the rest from
+//!    the coalescer) has them sorted and joined at its flush.
 //!
 //! The two steps are software-pipelined, one chunk at a time (`pipeline`):
-//! chunk *n+1* is coalesced and routed while chunk *n* drains, so a trace
+//! chunk *n+1* is routed while chunk *n* drains, so a trace
 //! costs the detectors' state plus two chunks. A byte stream of either
 //! format enters by one door, [`batch_detect_any`], which reads the magic
 //! line ([`stint::open_any`]).
@@ -35,12 +43,23 @@
 //!
 //! The access history is keyed by address: whether two accesses race
 //! depends only on the per-word history of that word and the (frozen)
-//! SP-Order relation, never on accesses to other words. The coalescer sees
-//! the hooks sequential STINT's sees — or, from a recorded trace, the runs
-//! those hooks coalesced to, which fed back come out unchanged — and is
-//! emptied where that one is (every strand end and free), so the runs it
-//! hands out are the intervals sequential STINT flushes, strand by strand.
-//! Routing each run to the
+//! SP-Order relation, never on accesses to other words. Between two strand
+//! ends or frees, sequential STINT's coalescer takes a strand's accesses and
+//! hands out the maximal runs of their union, per side. Here a unit that
+//! starts strictly past every unit routed before it on its side (the check
+//! compares it with the last, and they ascend) neither overlaps nor touches
+//! any of them; while every unit passes, each is one of those maximal runs
+//! already, unless a later one overlaps or touches it, which then fails
+//! the check. From the first unit that fails, the source's coalescer takes
+//! the rest, so the strand's units are the passed runs plus the
+//! coalescer's, whose union is the strand's. A shard that receives a side's
+//! runs out of order sorts them and joins those that overlap or touch
+//! before it flushes: it flushes the maximal runs of the union, clipped at
+//! the shard — the intervals sequential STINT flushes, strand by strand.
+//! It must be one flush: `flush_runs` checks a strand's reads before it
+//! records its writes, so a strand flushed in two at the fallback would
+//! check a read against its own earlier write, not a parallel writer's,
+//! and lose that write-read race. Routing each run to the
 //! shards it overlaps preserves, per word, that exact sequence of
 //! `(strand, kind)` entries; the only difference is interval *fragmentation*,
 //! which happens when a run is routed (a run straddling a shard boundary
@@ -48,10 +67,9 @@
 //! flushes a strand's pieces at the strand's end marker (sent only to the
 //! shards the strand's runs reached) and, before tombstoning, at a free. A
 //! free in mid-strand also sends that marker to every shard still holding
-//! the strand's earlier runs: flushing one strand in two goes unnoticed
-//! (`parallel(s, s)` is false, per-word inserts are idempotent for the same
-//! strand), its later runs appended unsorted behind the earlier ones would
-//! not. Quantile (instead of equal-width) boundaries keep the shards
+//! the strand's earlier runs, since sequential STINT flushes the strand
+//! there too: the runs after the free are a flush of their own on both
+//! sides. Quantile (instead of equal-width) boundaries keep the shards
 //! contiguous, so the argument is unchanged. A wholesale-consumed run tiles
 //! memory contiguously (`stride == bytes`, word-aligned), so its one range
 //! set covers exactly the words of its expanded events. Hence the per-word
@@ -168,7 +186,8 @@ impl Default for BatchConfig {
 
 /// Per-session limits for a batch run — the knobs `stint-serve` sets for
 /// every tenant: a [`ResourceBudget`] split between the source's one strand
-/// coalescer and the shard detectors, plus an optional wall-clock deadline.
+/// coalescer (which a recorded trace never fills: its units pass around it)
+/// and the shard detectors, plus an optional wall-clock deadline.
 ///
 /// The deadline is checked between pipeline steps — detectors are not
 /// interruptible mid-batch, so a session overruns its deadline by at most
@@ -302,7 +321,7 @@ pub struct IngestStats {
     pub chunks: u64,
     /// Run-length records decoded.
     pub runs: u64,
-    /// Runs consumed wholesale as one range set on the coalescer.
+    /// Runs consumed wholesale, as one unit.
     pub wholesale_runs: u64,
     /// Decoded (semantic) events the runs expand to.
     pub events: u64,
@@ -421,6 +440,8 @@ fn detect_runs(
         next_run: 0,
         fed: 0,
         co: StrandCoalescer::new().with_max_shadow_bytes(limits.budget.max_shadow_bytes),
+        floor: [0; 2],
+        passing: true,
         last: StrandId(0),
         ingest: IngestStats::default(),
         spans: cfg.witnesses.then(EventSpans::default),
@@ -459,7 +480,8 @@ fn detect_runs(
 type Batch = [Inbox];
 
 /// Where [`pipeline`] gets its batches: one `produce` call is the producer
-/// arm of one step — decode (if need be), validate, coalesce and route the
+/// arm of one step — decode (if need be), validate, coalesce if need be and
+/// route the
 /// next hand-off batch. `Ok(false)` means the source ended cleanly and routed
 /// nothing; one that ends short of what it declared is an error here, so a
 /// run cut off by its deadline never asks.
@@ -482,13 +504,17 @@ const STEP_EVENTS: u64 = 16 * DEFAULT_CHUNK_EVENTS as u64;
 
 /// A run source, one chunk per batch (or [`STEP_EVENTS`] of it), detected
 /// in its encoded shape: a contiguous word-aligned run is consumed wholesale
-/// — ONE range set on the coalescer, exactly the words of its events. Other
-/// runs (a run of one, too) are stepped event by event.
+/// — ONE unit, exactly the words of its events. Other runs (a run of one,
+/// too) are stepped event by event.
 ///
-/// Every decoded event lands in the source's one strand coalescer, and what
-/// crosses into the shards' inboxes is a strand's sorted disjoint runs,
-/// handed out when the strand ends or frees ([`StrandCoalescer::feed`]). A
-/// recorded (already coalesced) trace passes through it unchanged.
+/// A unit that the source's one strand coalescer would hand out unchanged
+/// passes around it, straight to the shards: one that starts strictly past
+/// the last unit passed on its side since the strand's last end or free.
+/// A recorded (already coalesced) trace is all such units. The first unit
+/// that is not turns passing off until the strand ends or frees: it and the
+/// rest of the strand land in the coalescer, which hands them out as sorted
+/// disjoint runs then ([`StrandCoalescer::feed`]), and the shard joins them
+/// with the runs passed before (`ShardDetector::flush`).
 struct StreamSource<'a> {
     reader: &'a mut (dyn RunSource + Send),
     /// The chunk being fed, its next run, and that run's events fed so far.
@@ -496,6 +522,12 @@ struct StreamSource<'a> {
     next_run: usize,
     fed: u64,
     co: StrandCoalescer,
+    /// Per side (reads, writes), the least word a unit may start at to pass:
+    /// one past the end of the last unit passed since the strand's last end
+    /// or free.
+    floor: [u64; 2],
+    /// No unit of the strand has failed the check since its last end or free.
+    passing: bool,
     /// Strand of the last run fed, whose runs a cut-off stream leaves.
     last: StrandId,
     ingest: IngestStats,
@@ -517,7 +549,7 @@ impl EventSource for StreamSource<'_> {
             self.ingest.runs += self.runs.len() as u64;
         }
         let mut room = STEP_EVENTS;
-        while let Some(run) = self.runs.get(self.next_run).filter(|_| room > 0) {
+        while let Some(&run) = self.runs.get(self.next_run).filter(|_| room > 0) {
             self.last = run.strand;
             if self.fed == 0 {
                 self.ingest.events += run.count;
@@ -534,14 +566,14 @@ impl EventSource for StreamSource<'_> {
                         bytes,
                         ..run.first()
                     };
-                    self.co.feed(e, |u| route_unit(router, u, batch));
+                    self.feed(e, router, batch);
                     (room, self.next_run) = (room - 1, self.next_run + 1);
                     continue;
                 }
             }
             let end = run.count.min(self.fed.saturating_add(room));
             for i in self.fed..end {
-                self.co.feed(run.event(i), |u| route_unit(router, u, batch));
+                self.feed(run.event(i), router, batch);
             }
             room -= end - self.fed;
             self.fed = end;
@@ -552,12 +584,37 @@ impl EventSource for StreamSource<'_> {
         Ok(true)
     }
 
-    /// The stream stops in mid-strand: end the strand.
+    /// The stream stops in mid-strand: end the strand. What the shards hold
+    /// of it already, the final flush takes.
     fn stop(&mut self, router: &mut Router, batch: &mut Batch) -> bool {
         let pending = !self.co.is_clear();
         let end = TraceEvent::unit(TraceOp::StrandEnd, self.last, 0, 0);
-        self.co.feed(end, |u| route_unit(router, u, batch));
+        self.feed(end, router, batch);
         pending
+    }
+}
+
+impl StreamSource<'_> {
+    /// Route one decoded event: around the coalescer if it passes the check
+    /// (type docs), else through it. A strand end or free resets the check.
+    #[inline]
+    fn feed(&mut self, e: TraceEvent, router: &mut Router, batch: &mut Batch) {
+        let side = match e.op {
+            TraceOp::Load | TraceOp::LoadRange => 0,
+            TraceOp::Store | TraceOp::StoreRange => 1,
+            TraceOp::StrandEnd | TraceOp::Free => {
+                (self.floor, self.passing) = ([0; 2], true);
+                return self.co.feed(e, |u| route_unit(router, u, batch));
+            }
+        };
+        let run = word_range(e.addr, e.bytes);
+        if self.passing && run.0 >= self.floor[side] {
+            self.floor[side] = run.1 + 1;
+            self.co.count_around(side == 1, e.bytes, run);
+            return route_unit(router, e, batch);
+        }
+        self.passing = false;
+        self.co.feed(e, |u| route_unit(router, u, batch));
     }
 }
 
@@ -786,12 +843,14 @@ impl Router {
 }
 
 /// One batch's routed, not yet flushed units of one shard: clipped runs
-/// (`LoadRange`/`StoreRange`), clipped frees, and strand-end markers.
+/// (loads and stores), clipped frees, and strand-end markers.
 type Inbox = Vec<TraceEvent>;
 
 /// A shard's private interval history, persistent across batches, and the
 /// current strand's read and write runs routed to it so far — sorted and
-/// disjoint already, so a shard owns no coalescing table. Neighbours are
+/// disjoint as they arrive, but for a strand whose units stopped passing
+/// around the source's coalescer (`StreamSource`): those are sorted and
+/// joined at the flush. A shard owns no coalescing table. Neighbours are
 /// drained by different workers, so each gets cache lines of its own (two:
 /// the prefetcher pairs them): with the detectors packed, the end of one and
 /// the start of the next share a line, and `online_w2` pays 10% for it.
@@ -800,6 +859,9 @@ struct ShardDetector {
     shard: Shard,
     hist: IntervalHistory<Treap<StrandId>>,
     runs: [Vec<WordIv>; 2],
+    /// Per side: a run arrived that does not start past the previous run's
+    /// end, so the flush sorts and joins the side's runs first.
+    unsorted: [bool; 2],
     events: u64,
     /// A panic payload captured while draining on the pool. Unwinding
     /// through `ThreadPool::join` while the sibling job is stolen and in
@@ -816,6 +878,7 @@ impl ShardDetector {
             shard,
             hist: hist.with_budget(budget),
             runs: Default::default(),
+            unsorted: [false; 2],
             events: 0,
             poison: None,
         }
@@ -833,8 +896,8 @@ impl ShardDetector {
         for e in inbox.iter() {
             let run = word_range(e.addr, e.bytes);
             match e.op {
-                TraceOp::Load | TraceOp::LoadRange => self.runs[0].push(run),
-                TraceOp::Store | TraceOp::StoreRange => self.runs[1].push(run),
+                TraceOp::Load | TraceOp::LoadRange => self.push(0, run),
+                TraceOp::Store | TraceOp::StoreRange => self.push(1, run),
                 TraceOp::StrandEnd => self.flush(e.strand, reach),
                 TraceOp::Free => {
                     self.flush(e.strand, reach);
@@ -846,7 +909,32 @@ impl ShardDetector {
         inbox.clear();
     }
 
+    #[inline]
+    fn push(&mut self, side: usize, run: WordIv) {
+        let runs = &mut self.runs[side];
+        if runs.last().is_some_and(|&(_, hi)| run.0 <= hi) {
+            self.unsorted[side] = true;
+        }
+        runs.push(run);
+    }
+
+    /// Check and record strand `s`'s runs. A side that arrived out of order
+    /// is sorted and its overlapping or touching runs joined first, into
+    /// what the source's coalescer alone would have handed out; the strand
+    /// is flushed whole, never in two (module docs).
     fn flush<R: Reachability>(&mut self, s: StrandId, reach: &R) {
+        for (runs, unsorted) in self.runs.iter_mut().zip(&mut self.unsorted) {
+            if std::mem::take(unsorted) {
+                runs.sort_unstable();
+                runs.dedup_by(|next, kept| {
+                    let join = next.0 <= kept.1;
+                    if join {
+                        kept.1 = kept.1.max(next.1);
+                    }
+                    join
+                });
+            }
+        }
         let [reads, writes] = &mut self.runs;
         self.hist.flush_runs(s, reads, writes, reach);
         reads.clear();
@@ -1112,16 +1200,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_free_in_mid_strand_flushes_every_shard_the_strand_reached() {
-        // Sequential STINT's report, through the same normalizing merge.
-        let sequential = detect(&mut FreeBetweenWrites, Variant::Stint);
-        let want: Vec<u64> = [0x18..0x1c, 0x1010..0x1018, 0x1040..0x1060, 0x10c0..0x10e0]
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(sequential.report.racy_words(), want);
-        let pt = PortableTrace::record(&mut FreeBetweenWrites);
+    /// Sequential STINT's outcome of `p`, as one whole-range shard, and its
+    /// report through the batch tier's normalizing merge.
+    fn sequential<P: CilkProgram>(p: &mut P, reach: &FrozenReach) -> (ShardOutcome, MergedReport) {
+        let sequential = detect(p, Variant::Stint);
         let whole = ShardOutcome {
             index: 0,
             word_lo: 0,
@@ -1131,15 +1213,31 @@ mod tests {
             stats: sequential.stats,
             failure: None,
         };
-        let nothing = StrandCoalescer::new();
         let shards = std::slice::from_ref(&whole);
-        let want = merge_shards(shards, &nothing, &pt.reach, None).0.render();
+        let merged = merge_shards(shards, &StrandCoalescer::new(), reach, None).0;
+        (whole, merged)
+    }
+
+    #[test]
+    fn a_free_in_mid_strand_flushes_every_shard_the_strand_reached() {
+        let pt = PortableTrace::record(&mut FreeBetweenWrites);
+        let (whole, want) = sequential(&mut FreeBetweenWrites, &pt.reach);
+        let words: Vec<u64> = [0x18..0x1c, 0x1010..0x1018, 0x1040..0x1060, 0x10c0..0x10e0]
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(whole.report.racy_words(), words);
+        let want = want.render();
+        let mut empty = DetectorStats::default();
+        StrandCoalescer::new().add_to(&mut empty);
         for k in [1, 2, 3, 4, 7, 16] {
             let out = batch_detect(&pt, &cfg(k, 2, 0)).unwrap();
             assert_eq!(out.merged.render(), want, "K={k}");
-            // One coalescer, counted once: the shards own no bit table.
+            // One coalescer, counted once: the shards own no bit table, and
+            // every unit of a recorded trace passes around the source's,
+            // which allocates none.
             assert!(out.shards.iter().all(|s| s.stats.coalesce_bytes == 0));
-            assert_eq!(out.stats.coalesce_bytes, whole.stats.coalesce_bytes);
+            assert_eq!(out.stats.coalesce_bytes, empty.coalesce_bytes);
             assert_eq!(out.stats.write.hooks, whole.stats.write.hooks);
             assert_eq!(out.stats.write.intervals, whole.stats.write.intervals);
             let buf = compress(&pt, 3);
@@ -1152,6 +1250,44 @@ mod tests {
             };
             let out = online_detect(&mut FreeBetweenWrites, &ocfg).unwrap();
             assert_eq!(out.merged.render(), want, "K={k} online");
+        }
+    }
+
+    /// A hook stream whose strand stops passing around the source's
+    /// coalescer: it writes a word a parallel strand wrote, passes, writes
+    /// below it (out of order: the rest of the strand is coalesced), then
+    /// reads the word it wrote. The shard joins the passed write with the
+    /// coalesced runs and flushes the strand once, reads first, so the
+    /// parallel write races with the read as well as the write. Flushed in
+    /// two at the fallback, the read would find the strand's own write in
+    /// the history and the write-read race would be lost.
+    struct ReadAfterPassedWrite;
+    impl CilkProgram for ReadAfterPassedWrite {
+        fn run<C: Cilk>(&mut self, ctx: &mut C) {
+            ctx.spawn(|c| c.store(0x100, 4));
+            ctx.store(0x100, 4);
+            ctx.store(0x200, 8);
+            ctx.store(0x80, 4);
+            ctx.store(0x204, 8);
+            ctx.load(0x100, 4);
+            ctx.sync();
+        }
+    }
+
+    #[test]
+    fn a_strand_that_stops_passing_is_flushed_whole() {
+        let pt = hooks(&mut ReadAfterPassedWrite);
+        let (_, want) = sequential(&mut ReadAfterPassedWrite, &pt.reach);
+        let kinds: Vec<RaceKind> = want.regions.iter().map(|r| r.kind).collect();
+        assert!(kinds.contains(&RaceKind::WriteRead), "{kinds:?}");
+        assert!(kinds.contains(&RaceKind::WriteWrite), "{kinds:?}");
+        let want = want.render();
+        for k in [1, 2, 4] {
+            let out = batch_detect(&pt, &cfg(k, 2, 0)).unwrap();
+            assert_eq!(out.merged.render(), want, "K={k}");
+            let buf = compress(&pt, 2);
+            let out = streamed(&buf[..], &cfg(k, 2, 0)).unwrap();
+            assert_eq!(out.merged.render(), want, "K={k} streamed");
         }
     }
 

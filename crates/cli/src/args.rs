@@ -323,7 +323,7 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "--stats-json",
         value: Some("PATH"),
-        applies: SEQ,
+        applies: DETECT,
         set: |_, r, v| put(&mut r.stats_json, Ok(Some(v.into()))),
         help: "write the run's DetectorStats as JSON, including a process-wide\n\
                gauge watermark snapshot; PATH '-' writes to stdout",

@@ -67,10 +67,11 @@ pub fn print_report(report: &RaceReport, max: usize) {
     }
 }
 
-/// Write the run(s) of one `detect` invocation as JSON. The per-run `stats`
-/// object is generated from [`stint::DetectorStats::fields`] — the same
-/// source the observability registry is fed from — so this dump, the figure
-/// tables and `--metrics-out` can never disagree. `gauges` is the
+/// Write the run(s) of one `detect` invocation, each under its label, as
+/// JSON. The per-run `stats` object is generated from
+/// [`stint::DetectorStats::fields`] — the same source the observability
+/// registry is fed from — so this dump, the figure tables and
+/// `--metrics-out` can never disagree. `gauges` is the
 /// process-wide space-gauge snapshot (current value and high watermark) at
 /// dump time; it is empty when observability is off.
 ///
@@ -88,7 +89,7 @@ pub fn print_report(report: &RaceReport, max: usize) {
 pub fn write_stats_json(
     mut w: impl std::io::Write,
     bench: &str,
-    outcomes: &[Outcome],
+    runs: &[(&str, &Outcome)],
 ) -> std::io::Result<()> {
     let mut j = Writer::new(&mut w);
     j.begin_object();
@@ -96,9 +97,9 @@ pub fn write_stats_json(
     j.key("bench").str(bench);
     stint::obs::write_gauges(&mut j, &stint::obs::gauges_snapshot());
     j.key("runs").begin_array();
-    for o in outcomes {
+    for (label, o) in runs {
         j.begin_object();
-        j.key("variant").str(o.variant.name());
+        j.key("variant").str(label);
         j.key("wall_ns").u64(o.wall.as_nanos() as u64);
         j.key("ah_time_ns").u64(o.stats.ah_time.as_nanos() as u64);
         j.key("strands").u64(o.strands as u64);

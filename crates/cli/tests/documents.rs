@@ -8,11 +8,9 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use stint::{try_replay_with, Config, DetectorStats, Variant};
-use stint_batchdet::{batch_detect_any, load_trace, new_pool, online_detect};
-use stint_batchdet::{BatchConfig, OnlineConfig};
+use stint_batchdet::{batch_detect_any, load_trace, new_pool, BatchConfig};
 use stint_bench::doccheck;
 use stint_bench::json::{parse, Value};
-use stint_suite::{Scale, Workload};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_stint-cli"))
@@ -62,16 +60,13 @@ fn load(path: &str) -> Value {
 }
 
 /// `metrics` carries every [`DetectorStats::fields`] name at the value
-/// `want` holds, except that a name in `own` only has to be there: a live
-/// run's bit tables cover its heap in 256 KiB windows, and the heap sits
-/// elsewhere in every process (ASLR).
-fn publishes(metrics: &Value, want: &DetectorStats, own: &[&str]) {
+/// `want` holds.
+fn publishes(metrics: &Value, want: &DetectorStats) {
     let counters = metrics.get("counters").expect("metrics: counters object");
     for (name, value) in want.fields() {
         let got = counters.get(name).and_then(Value::as_u64);
         let got = got.unwrap_or_else(|| panic!("metrics lack {name}"));
-        let agrees = own.contains(&name) || got == value;
-        assert!(agrees, "{name}: {got}, not {value}");
+        assert_eq!(got, value, "{name}");
     }
 }
 
@@ -79,8 +74,9 @@ fn publishes(metrics: &Value, want: &DetectorStats, own: &[&str]) {
 /// cover every instrumented layer and carry watermarked byte gauges, the
 /// trace holds timed Chrome `trace_event` spans, and the stats dump agrees
 /// with the metrics registry counter by counter. Every other tier publishes
-/// the statistics its run returns the same way: a v1 replay, a streamed v2
-/// batch replay and an online run each carry them in their metrics.
+/// the statistics its run returns the same way: a v1 replay and a streamed
+/// v2 batch replay carry in their metrics what the same replay returns in
+/// process, and an online run's stats dump agrees with its own metrics.
 #[test]
 fn every_exporter_of_one_run_parses_and_agrees() {
     let dir = Scratch::new("exporters");
@@ -141,6 +137,8 @@ fn every_exporter_of_one_run_parses_and_agrees() {
 
     let line = doccheck::agree(&load(&stats), &metrics_doc).expect("stats ≡ metrics");
     assert!(line.starts_with("ok: "), "{line}");
+    let every = format!("across {} run(s)", Variant::ALL.len());
+    assert!(line.ends_with(&every), "{line}");
 
     let (v1, v2) = (dir.path("sort.trace"), dir.path("sort.ctrace"));
     for args in [vec![&v1[..]], vec![&v2[..], "--compress"]] {
@@ -157,20 +155,23 @@ fn every_exporter_of_one_run_parses_and_agrees() {
     // numbers are the CLI's to the last one.
     let pt = load_trace(open(&v1)).expect("the v1 recording loads");
     let replay = try_replay_with(&pt, Config::new(Variant::Stint)).expect("replay");
-    publishes(&published(&["trace", "replay", &v1]), &replay.stats, &[]);
+    publishes(&published(&["trace", "replay", &v1]), &replay.stats);
     let (pool, cfg) = (new_pool(2, 0), BatchConfig::default());
     let batch = batch_detect_any(&pool, &mut open(&v2), &cfg).expect("batch replay");
     let batch_args = ["trace", "replay", &v2, "--variant", "batch"];
-    publishes(&published(&batch_args), &batch.stats, &[]);
-    let cfg = OnlineConfig {
-        workers: 2,
-        ..OnlineConfig::default()
-    };
-    let online = online_detect(&mut Workload::by_name("sort", Scale::Test), &cfg);
-    let online = online.expect("online run").stats;
+    publishes(&published(&batch_args), &batch.stats);
+    // A live run's addresses, and with them its treap's shape, differ from
+    // process to process (ASLR): the online run's stats dump is checked
+    // against the metrics of the same process.
     let online_args = ["detect", "sort", "--variant", "batch", "--workers", "2"];
-    let own = ["detector.coalesce_bytes"];
-    publishes(&published(&online_args), &online, &own);
+    let out = run(&[
+        &online_args[..],
+        &["--metrics-out", &metrics, "--stats-json", &stats],
+    ]
+    .concat());
+    assert_eq!(code(&out), 0, "{online_args:?}: {}", stderr(&out));
+    let line = doccheck::agree(&load(&stats), &load(&metrics)).expect("online stats ≡ metrics");
+    assert!(line.ends_with("across 1 run(s)"), "{line}");
 }
 
 /// The gauge sampler's series: non-empty, monotone, tracking the interval

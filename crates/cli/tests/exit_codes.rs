@@ -43,6 +43,25 @@ fn exit_1_races_found() {
     assert_eq!(code(&out), 1, "stderr: {}", stderr(&out));
 }
 
+/// Every variant runs on its own allocation of the program, so the racy
+/// words sit at different addresses in each run: the variants agree on how
+/// many there are, and no warning says otherwise.
+#[test]
+fn every_variant_agrees_on_a_racy_benchmark() {
+    let out = run(&["detect", "buggy-merge", "--variant", "all"]);
+    assert_eq!(code(&out), 1, "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("all 4 variants agree: 8 racy word(s)"),
+        "{stdout}"
+    );
+    assert!(
+        !stderr(&out).contains("warning"),
+        "stderr: {}",
+        stderr(&out)
+    );
+}
+
 /// The sharded live strategy has one spelling, `--variant batch`: the
 /// switch that once named it is an unknown option.
 #[test]
@@ -695,14 +714,7 @@ fn batch_usage_errors_exit_2() {
             "--variant",
             "batch",
         ][..],
-        &[
-            "detect",
-            "sort",
-            "--variant",
-            "batch",
-            "--stats-json",
-            "/tmp/x.json",
-        ][..],
+        &["detect", "sort", "--variant", "batch", "--compress"][..],
         &[
             "trace",
             "replay",

@@ -65,6 +65,18 @@ impl Coalescer {
         }
     }
 
+    /// A range that went around the table: the hook, and the one interval
+    /// `extract` would have made of it, unless it is empty.
+    fn count_around(&mut self, bytes: usize, (lo, hi): WordIv) {
+        self.side.hooks += 1;
+        self.side.hook_bytes += bytes as u64;
+        self.side.words += hi - lo;
+        if lo < hi {
+            self.side.intervals += 1;
+            self.side.interval_bytes += (hi - lo) * 4;
+        }
+    }
+
     /// Strand end: the strand's maximal intervals, counted; the table clear.
     fn extract(&mut self) -> &[WordIv] {
         self.runs.clear();
@@ -163,6 +175,16 @@ impl StrandCoalescer {
                 sink(e);
             }
         }
+    }
+
+    /// Count a load (`store` false) or store of `bytes` bytes over the words
+    /// `run` that its caller routed around the tables, as [`Self::feed`] and
+    /// the hand-out would have counted it: one hook, and one interval unless
+    /// `run` is empty. The interval count is exact while nothing else the
+    /// strand accesses on that side overlaps or touches `run`, as in every
+    /// recorded trace.
+    pub fn count_around(&mut self, store: bool, bytes: usize, run: WordIv) {
+        [&mut self.reads, &mut self.writes][store as usize].count_around(bytes, run);
     }
 
     /// Hand `strand`'s runs to `sink`, reads first, and clear both tables.
