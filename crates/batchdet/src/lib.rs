@@ -190,12 +190,14 @@ impl Default for BatchConfig {
 /// and the shard detectors, plus an optional wall-clock deadline.
 ///
 /// The deadline is checked between pipeline steps — detectors are not
-/// interruptible mid-batch, so a session overruns its deadline by at most
-/// the batch in flight plus the batch being routed (a streamed batch feeds
-/// at most `STEP_EVENTS` decoded events, however many a run claims). A
-/// tripped deadline does
-/// **not** abort the run: ingestion stops, what was routed is drained,
-/// flushed and merged, and the outcome carries `degraded =
+/// interruptible mid-batch, so a session overruns its deadline by the batch
+/// in flight and the batch being routed (a streamed batch feeds at most
+/// `STEP_EVENTS` decoded events, however many a run claims), and then by
+/// the final flush of the runs a strand cut off by the deadline left
+/// pending in the shards, as long as that strand's routed runs (one
+/// 2^30-event strand served under a 50 ms timeout reports 133–158 ms). A
+/// tripped deadline does **not** abort the run: ingestion stops, what was
+/// routed is drained, flushed and merged, and the outcome carries `degraded =
 /// ResourceExhausted(WallClock)` — the report is sound up to the point
 /// detection stopped, exactly like a memory budget.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -298,14 +298,8 @@ fn run(p: Parsed, opts: &RunOpts) -> Result<bool, Failure> {
             file,
             opts: o,
         } => {
-            // `PortableTrace::record` in its two steps, so that the hook
-            // count can be printed beside the units the file stores.
-            let (hooks, reach) = stint::record(&mut Workload::by_name(&bench, o.scale));
-            let n_hooks = hooks.len();
-            let pt = PortableTrace {
-                trace: hooks.coalesced(),
-                reach: reach.freeze(),
-            };
+            let (pt, n_hooks) =
+                PortableTrace::record_counted(&mut Workload::by_name(&bench, o.scale));
             let f = File::create(&file).map_err(|e| usage(format!("create {file}: {e}")))?;
             let recorded = format!(
                 "recorded {n_hooks} hooks as {} units over {} strands into {file}",

@@ -535,6 +535,35 @@ fn one_long_contiguous_run_replays_in_a_small_address_space() {
     let _ = std::fs::remove_file(path);
 }
 
+/// Recording costs the program plus each strand's coalescer tables: `trace
+/// record` stores the units as each strand closes, never the hook stream
+/// (16.8 M hooks for `mmul --scale s`, which took 390 MB to buffer and
+/// aborted in a 200 MB address space). Run against the release binary:
+/// `cargo test --release --test exit_codes -- --ignored`.
+#[test]
+#[ignore = "release-binary address-space row: scripts/perfgate.sh runs it with -- --ignored"]
+fn recording_a_kernel_fits_a_small_address_space() {
+    let path = tmp_trace("record-small");
+    let p = path.to_str().expect("utf-8 temp path");
+    for bench in ["mmul", "sort"] {
+        let bin = env!("CARGO_BIN_EXE_stint-cli");
+        let args = format!("trace record {bench} {p} --scale s --compress");
+        let script = format!("ulimit -v 200000; exec {bin} {args} >/dev/null");
+        let out = Command::new("sh")
+            .args(["-c", &script])
+            .env_remove("STINT_FAULTS")
+            .output()
+            .expect("spawn sh");
+        let status = out.status;
+        assert!(
+            status.success(),
+            "{args}: {status}: stderr: {}",
+            stderr(&out)
+        );
+    }
+    let _ = std::fs::remove_file(path);
+}
+
 /// One race 2^27 words wide in a 114-byte v1 file: two parallel strands
 /// each store 512 MiB at one address. Sequential STINT and STINT(btree)
 /// keep the racy words as intervals and count them without listing them,

@@ -70,7 +70,7 @@ pub use stint_det::{CoalescingDetector, IntervalHistory};
 pub use stint_det::{CompRtsDetector, StintDetector, StintFlatDetector};
 pub use trace::{
     open_any, record, replay, sniff_magic, PortableTrace, Trace, TraceEvent, TraceMagic, TraceOp,
-    TraceRecorder, MAGIC_V1,
+    TraceRecorder, UnitRecorder, MAGIC_V1,
 };
 pub use vanilla::VanillaDetector;
 pub use witness::{

@@ -3,12 +3,14 @@
 //! A [`TraceRecorder`] captures the hook stream of an execution — every
 //! hook with its strand, plus strand boundaries — into a [`Trace`];
 //! [`record`] returns that stream. A [`PortableTrace`] — what is saved and
-//! replayed across processes — holds its *strand-coalesced* form instead
-//! ([`Trace::coalesced`]): each strand's read runs, then its write runs, in
-//! front of the strand end or free that closes them, the units every
-//! interval detector flushes anyway, thousands where the hooks are
-//! millions. [`replay`] feeds either form into any detector without
-//! re-executing the program; both report the same racy words.
+//! replayed across processes — holds its *strand-coalesced* form instead:
+//! each strand's read runs, then its write runs, in front of the strand end
+//! or free that closes them, the units every interval detector flushes
+//! anyway, thousands where the hooks are millions. A [`UnitRecorder`]
+//! coalesces each strand as it runs, as STINT does, so no hook is stored;
+//! [`Trace::coalesced`] of the hook stream is its oracle. [`replay`] feeds
+//! either form into any detector without re-executing the program; both
+//! report the same racy words.
 //!
 //! A trace file of either format is read through [`open_any`], which opens
 //! the [`RunSource`] its magic line names: [`crate::try_replay_runs`]
@@ -147,11 +149,10 @@ impl Trace {
     /// and one over its unit. The tables are [`StrandCoalescer::exact`], so
     /// no installed fault plan drops an access from the result.
     ///
-    /// In place: a strand's runs never outnumber the accesses they cover, so
-    /// each unit overwrites an event already read. Beside the hooks,
-    /// coalescing allocates only the coalescer's tables, freed on return; a
-    /// second, growing unit buffer moved the heap addresses that a program
-    /// recorded next in the same process records.
+    /// The oracle of [`PortableTrace::record`]: a [`UnitRecorder`] run
+    /// stores exactly the coalesced form of the same run's hook stream. In
+    /// place: a strand's runs never outnumber the accesses they cover, so
+    /// each unit overwrites an event already read.
     pub fn coalesced(mut self) -> Trace {
         let last = self.events.last().map(|e| e.strand);
         let mut co = StrandCoalescer::exact();
@@ -226,6 +227,68 @@ impl<R: Reachability> Detector<R> for TraceRecorder {
     }
 }
 
+/// Detector that records as STINT detects: every access goes into one
+/// [`StrandCoalescer::exact`], on the inline lane sequential STINT's hooks
+/// take, and a strand end or free appends the strand's runs, then itself,
+/// to the trace ([`StrandCoalescer::feed`]). Only the units are stored, in
+/// the order [`Trace::coalesced`] gives the same run's hook stream.
+pub struct UnitRecorder {
+    co: StrandCoalescer,
+    pub trace: Trace,
+    closes: u64,
+}
+
+impl Default for UnitRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl UnitRecorder {
+    pub fn new() -> Self {
+        UnitRecorder {
+            co: StrandCoalescer::exact(),
+            trace: Trace::default(),
+            closes: 0,
+        }
+    }
+
+    /// Hooks delivered so far — loads, stores, strand ends and frees: the
+    /// length of the hook stream [`record`] stores of the same run.
+    pub fn hooks(&self) -> u64 {
+        self.co.hooks() + self.closes
+    }
+
+    /// A strand end or free: the strand's runs, then `e`, onto the trace.
+    fn close(&mut self, e: TraceEvent) {
+        self.closes += 1;
+        let events = &mut self.trace.events;
+        self.co.feed(e, |u| events.push(u));
+    }
+}
+
+impl<R: Reachability> Detector<R> for UnitRecorder {
+    #[inline(always)]
+    fn load(&mut self, _: StrandId, addr: usize, bytes: usize, _: &R) {
+        self.co.load(addr, bytes);
+    }
+    #[inline(always)]
+    fn store(&mut self, _: StrandId, addr: usize, bytes: usize, _: &R) {
+        self.co.store(addr, bytes);
+    }
+    fn free(&mut self, strand: StrandId, addr: usize, bytes: usize, _: &R) {
+        self.close(TraceEvent {
+            op: TraceOp::Free,
+            strand,
+            addr,
+            bytes,
+        });
+    }
+    fn strand_end(&mut self, s: StrandId, _: &R) {
+        self.close(TraceEvent::unit(TraceOp::StrandEnd, s, 0, 0));
+    }
+}
+
 /// Record the hook stream of a fork-join program — one event per hook, the
 /// stream a live detector with witnesses numbers — together with the
 /// reachability structure its strands refer to.
@@ -264,7 +327,7 @@ pub(crate) fn dispatch<R: Reachability, D: Detector<R>>(det: &mut D, e: &TraceEv
 /// frozen snapshot of the reachability relation its strand ids refer to.
 /// Saved traces can be replayed in a different process (`stint-cli trace`).
 /// [`PortableTrace::record`] stores the strand-coalesced units
-/// ([`Trace::coalesced`]); a hook stream — an older file, or [`record`]'s
+/// ([`UnitRecorder`]); a hook stream — an older file, or [`record`]'s
 /// output with its reachability frozen — is as valid a `PortableTrace`.
 ///
 /// ```
@@ -294,15 +357,23 @@ pub struct PortableTrace {
 
 impl PortableTrace {
     /// Record a fork-join program into a portable trace of strand-coalesced
-    /// units. The program runs under the plain recorder, and the hook stream
-    /// is coalesced after it returned, so nothing allocated for coalescing
-    /// sits between the program's own allocations.
+    /// units: it runs under a [`UnitRecorder`], so each strand is coalesced
+    /// as it closes and no hook is kept.
     pub fn record<P: crate::CilkProgram>(p: &mut P) -> PortableTrace {
-        let (hooks, reach) = record(p);
-        PortableTrace {
-            trace: hooks.coalesced(),
-            reach: reach.freeze(),
-        }
+        Self::record_counted(p).0
+    }
+
+    /// [`Self::record`], and the number of hooks the program delivered
+    /// ([`UnitRecorder::hooks`]).
+    pub fn record_counted<P: crate::CilkProgram>(p: &mut P) -> (PortableTrace, u64) {
+        let (ex, _) = crate::run_with_detector(p, UnitRecorder::new());
+        debug_assert!(ex.det.co.exhausted().is_none());
+        let hooks = ex.det.hooks();
+        let pt = PortableTrace {
+            trace: ex.det.trace,
+            reach: ex.reach.freeze(),
+        };
+        (pt, hooks)
     }
 
     /// Replay into a detector.

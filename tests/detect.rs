@@ -10,6 +10,7 @@ use stint_repro::suite::buggy::WithInjectedRace;
 use stint_repro::suite::buggy::{HeatMissingBarrier, MmulMissingSync, OverlappingMerge};
 use stint_repro::suite::{Scale, Workload, BUGGY_NAMES, NAMES};
 use stint_repro::{detect, CilkProgram, Config, ReachKind, Variant};
+use stint_repro::{Detector, SpOrder, StrandId, TraceRecorder, UnitRecorder};
 
 mod common;
 use common::{check_program, live, Row, Src, VARIANTS};
@@ -139,5 +140,60 @@ fn detection_does_not_perturb_results() {
             _ => unreachable!(),
         };
         assert!(same, "{name}: detection changed the computed result");
+    }
+}
+
+/// Hands every hook of one run to both recorders.
+#[derive(Default)]
+struct Tee {
+    hooks: TraceRecorder,
+    units: UnitRecorder,
+}
+
+impl Detector for Tee {
+    fn load(&mut self, s: StrandId, addr: usize, bytes: usize, r: &SpOrder) {
+        self.hooks.load(s, addr, bytes, r);
+        self.units.load(s, addr, bytes, r);
+    }
+    fn store(&mut self, s: StrandId, addr: usize, bytes: usize, r: &SpOrder) {
+        self.hooks.store(s, addr, bytes, r);
+        self.units.store(s, addr, bytes, r);
+    }
+    fn load_range(&mut self, s: StrandId, addr: usize, bytes: usize, r: &SpOrder) {
+        self.hooks.load_range(s, addr, bytes, r);
+        self.units.load_range(s, addr, bytes, r);
+    }
+    fn store_range(&mut self, s: StrandId, addr: usize, bytes: usize, r: &SpOrder) {
+        self.hooks.store_range(s, addr, bytes, r);
+        self.units.store_range(s, addr, bytes, r);
+    }
+    fn free(&mut self, s: StrandId, addr: usize, bytes: usize, r: &SpOrder) {
+        self.hooks.free(s, addr, bytes, r);
+        self.units.free(s, addr, bytes, r);
+    }
+    fn strand_end(&mut self, s: StrandId, r: &SpOrder) {
+        self.hooks.strand_end(s, r);
+        self.units.strand_end(s, r);
+    }
+}
+
+/// `PortableTrace::record` coalesces each strand as it closes: on every
+/// kernel it stores the coalesced form of the same run's hook stream, and
+/// counts that stream's hooks. A kernel allocates afresh on every run, so
+/// both recorders watch one run.
+#[test]
+fn recorded_units_are_the_coalesced_hook_stream_on_every_kernel() {
+    for name in NAMES.into_iter().chain(BUGGY_NAMES) {
+        let mut w = Workload::by_name(name, Scale::Test);
+        let (ex, _) = stint_repro::run_with_detector(&mut w, Tee::default());
+        let Tee { hooks, units } = ex.det;
+        assert_eq!(
+            units.hooks(),
+            hooks.trace.len() as u64,
+            "{name}: hook count"
+        );
+        let want = hooks.trace.coalesced().events;
+        assert!(want.len() > 1, "{name}: nothing recorded");
+        assert!(units.trace.events == want, "{name}: other units");
     }
 }
