@@ -307,7 +307,7 @@ impl MergedReport {
     /// Rebuild a [`RaceReport`] from the normalized regions, so existing
     /// report printers work on merged output.
     pub fn to_report(&self) -> RaceReport {
-        let mut rep = RaceReport::unbounded(true);
+        let mut rep = RaceReport::unbounded();
         for r in &self.regions {
             rep.add_race(r.clone());
         }
@@ -875,7 +875,7 @@ struct ShardDetector {
 
 impl ShardDetector {
     fn new(shard: Shard, budget: ResourceBudget) -> ShardDetector {
-        let hist = IntervalHistory::new(RaceReport::unbounded(true));
+        let hist = IntervalHistory::new(RaceReport::unbounded());
         ShardDetector {
             shard,
             hist: hist.with_budget(budget),

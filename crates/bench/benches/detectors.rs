@@ -5,13 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use stint::{Config, Variant};
+use stint::Variant;
 use stint_suite::{fft::Fft, mmul::Mmul, sort::Sort};
 
 fn run<P: stint::CilkProgram>(p: &mut P, v: Variant) -> u64 {
-    let mut cfg = Config::new(v);
-    cfg.collect_racy_words = false;
-    let o = stint::detect_with(p, cfg);
+    let o = stint::detect(p, v);
     o.stats.total_intervals()
 }
 

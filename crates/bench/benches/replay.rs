@@ -21,43 +21,31 @@ fn bench_replay(c: &mut Criterion) {
         g.throughput(criterion::Throughput::Elements(n));
         g.bench_with_input(BenchmarkId::new("vanilla", n), &trace, |b, t| {
             b.iter(|| {
-                let d = replay(
-                    t,
-                    &reach,
-                    VanillaDetector::new(false, RaceReport::new(16, false)),
-                );
+                let d = replay(t, &reach, VanillaDetector::new(false, RaceReport::new(16)));
                 black_box(d.stats.hash_ops)
             })
         });
         g.bench_with_input(BenchmarkId::new("compiler", n), &trace, |b, t| {
             b.iter(|| {
-                let d = replay(
-                    t,
-                    &reach,
-                    VanillaDetector::new(true, RaceReport::new(16, false)),
-                );
+                let d = replay(t, &reach, VanillaDetector::new(true, RaceReport::new(16)));
                 black_box(d.stats.hash_ops)
             })
         });
         g.bench_with_input(BenchmarkId::new("comp+rts", n), &trace, |b, t| {
             b.iter(|| {
-                let d = replay(t, &reach, CompRtsDetector::new(RaceReport::new(16, false)));
+                let d = replay(t, &reach, CompRtsDetector::new(RaceReport::new(16)));
                 black_box(d.stats.hash_ops)
             })
         });
         g.bench_with_input(BenchmarkId::new("stint", n), &trace, |b, t| {
             b.iter(|| {
-                let d = replay(t, &reach, StintDetector::new(RaceReport::new(16, false)));
+                let d = replay(t, &reach, StintDetector::new(RaceReport::new(16)));
                 black_box(d.stats.treap.ops)
             })
         });
         g.bench_with_input(BenchmarkId::new("stint_btree", n), &trace, |b, t| {
             b.iter(|| {
-                let d = replay(
-                    t,
-                    &reach,
-                    StintFlatDetector::new_flat(RaceReport::new(16, false)),
-                );
+                let d = replay(t, &reach, StintFlatDetector::new_flat(RaceReport::new(16)));
                 black_box(d.stats.treap.ops)
             })
         });

@@ -27,7 +27,7 @@
 //! failure (exit 1) — `scripts/perfgate.sh` regenerates this file and stops
 //! on that exit.
 
-use stint::{Config, IntervalStore, Outcome, Variant};
+use stint::{IntervalStore, Outcome, Variant};
 use stint_bench::*;
 use stint_suite::{Scale, Workload, NAMES};
 
@@ -121,9 +121,7 @@ fn run_cell(name: &'static str, scale: Scale, v: Variant) -> Row {
     // high-water marks and the accumulated counters.
     stint::obs::reset();
     let mut w = Workload::by_name(name, scale);
-    let mut cfg = Config::new(v);
-    cfg.collect_racy_words = false;
-    let o = stint::detect_with(&mut w, cfg);
+    let o = stint::detect(&mut w, v);
     assert!(
         o.report.is_race_free(),
         "{name} reported races under {v} — benchmark or detector bug"

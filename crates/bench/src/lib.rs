@@ -88,13 +88,11 @@ pub fn reach_only(name: &str, scale: Scale) -> Duration {
     stint::run_reach_only(&mut w)
 }
 
-/// Run full detection with `variant` on a fresh instance. Racy-word
-/// collection is disabled (the benchmarks are race-free; we still assert it).
+/// Run full detection with `variant` on a fresh instance (the benchmarks
+/// are race-free; we assert it).
 pub fn run_variant(name: &str, scale: Scale, variant: Variant) -> Outcome {
     let mut w = Workload::by_name(name, scale);
-    let mut cfg = stint::Config::new(variant);
-    cfg.collect_racy_words = false;
-    let o = stint::detect_with(&mut w, cfg);
+    let o = stint::detect(&mut w, variant);
     assert!(
         o.report.is_race_free(),
         "{name} reported races under {variant} — benchmark or detector bug"
@@ -104,9 +102,7 @@ pub fn run_variant(name: &str, scale: Scale, variant: Variant) -> Outcome {
 
 /// Run full detection on an explicit program (for fig8's size sweeps).
 pub fn run_program<P: stint::CilkProgram>(p: &mut P, variant: Variant) -> Outcome {
-    let mut cfg = stint::Config::new(variant);
-    cfg.collect_racy_words = false;
-    let o = stint::detect_with(p, cfg);
+    let o = stint::detect(p, variant);
     assert!(o.report.is_race_free(), "benchmark raced under {variant}");
     o
 }

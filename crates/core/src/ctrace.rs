@@ -29,10 +29,10 @@
 //!   [`CompressedTraceReader::open`].
 //!
 //! That reader and [`TraceRuns`] (an in-memory trace, or a v1 file parsed
-//! whole, each event a run of one) are the two [`RunSource`]s: a header, then
-//! one checked chunk of runs at a time. [`crate::open_any`] opens the one a
-//! magic line names, so replay, batch detection and `trace info` hold one
-//! chunk of a trace, never all of it.
+//! whole, in the runs and chunks [`save_compressed`] would write) are the two
+//! [`RunSource`]s: a header, then one checked chunk of runs at a time.
+//! [`crate::open_any`] opens the one a magic line names, so replay, batch
+//! detection and `trace info` hold one chunk of a trace, never all of it.
 
 use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
@@ -195,31 +195,42 @@ fn check_runs(
     Ok(())
 }
 
-/// Greedy run-length construction over an event slice: consecutive access
+/// Greedy run-length construction, one chunk at a time: consecutive access
 /// events with the same op, strand, and byte count at a constant stride
-/// collapse into one run. `Free` and `StrandEnd` never coalesce.
-fn build_runs(events: &[TraceEvent]) -> Vec<EventRun> {
-    let mut runs: Vec<EventRun> = Vec::new();
+/// collapse into one run; `Free` and `StrandEnd` never coalesce. Builds into
+/// `out` (cleared first) the runs of the front of `events`, closing the
+/// chunk at the first run that starts once `chunk_events` events are in,
+/// and returns the events taken. A chunk never splits a run, so a trace's
+/// runs are the same at every chunk size.
+fn build_chunk(events: &[TraceEvent], chunk_events: usize, out: &mut Vec<EventRun>) -> usize {
+    out.clear();
+    let mut taken = 0;
     for e in events {
         let coalescable = !matches!(e.op, TraceOp::Free | TraceOp::StrandEnd);
         if coalescable {
-            if let Some(r) = runs.last_mut() {
+            if let Some(r) = out.last_mut() {
                 if r.op == e.op && r.strand == e.strand && r.bytes == e.bytes {
                     let delta = (e.addr as i64).wrapping_sub(r.last_addr() as i64);
                     if r.count == 1 {
                         r.stride = delta;
                         r.count = 2;
+                        taken += 1;
                         continue;
                     } else if delta == r.stride {
                         r.count += 1;
+                        taken += 1;
                         continue;
                     }
                 }
             }
         }
-        runs.push(EventRun::single(e));
+        if taken >= chunk_events {
+            break;
+        }
+        out.push(EventRun::single(e));
+        taken += 1;
     }
-    runs
+    taken
 }
 
 // ------------------------------------------------------------------ write
@@ -337,43 +348,25 @@ pub fn save_compressed<W: Write>(
     w.write_all(&frame)?;
     stats.bytes += frame.len() as u64;
 
-    // Chunks: greedy runs, flushed when the decoded-event budget is met.
-    let runs = build_runs(&pt.trace.events);
-    stats.runs = runs.len() as u64;
-    let mut payload = Vec::new();
-    let mut prev_addr = 0usize;
-    let mut chunk_runs = 0u64;
-    let mut chunk_decoded = 0usize;
-    // A chunk is its run count, then the checked frame of its payload.
-    let flush = |payload: &mut Vec<u8>,
-                 chunk_runs: &mut u64,
-                 w: &mut W,
-                 stats: &mut CompressStats|
-     -> io::Result<()> {
-        if *chunk_runs == 0 {
-            return Ok(());
+    // Chunks: greedy runs, one chunk built at a time. A chunk is its run
+    // count, then the checked frame of its payload.
+    let (mut runs, mut payload) = (Vec::new(), Vec::new());
+    let mut rest = &pt.trace.events[..];
+    while !rest.is_empty() {
+        rest = &rest[build_chunk(rest, chunk_events, &mut runs)..];
+        payload.clear();
+        let mut prev_addr = 0usize; // chunks decode independently
+        for r in &runs {
+            encode_run(&mut payload, r, &mut prev_addr);
         }
-        let mut frame = Vec::new();
-        varint::put(&mut frame, *chunk_runs);
-        wire::put_frame(&mut frame, payload);
+        frame.clear();
+        varint::put(&mut frame, runs.len() as u64);
+        wire::put_frame(&mut frame, &payload);
         w.write_all(&frame)?;
         stats.bytes += frame.len() as u64;
         stats.chunks += 1;
-        payload.clear();
-        *chunk_runs = 0;
-        Ok(())
-    };
-    for r in &runs {
-        encode_run(&mut payload, r, &mut prev_addr);
-        chunk_runs += 1;
-        chunk_decoded += r.count as usize;
-        if chunk_decoded >= chunk_events {
-            flush(&mut payload, &mut chunk_runs, &mut w, &mut stats)?;
-            chunk_decoded = 0;
-            prev_addr = 0; // chunks decode independently
-        }
+        stats.runs += runs.len() as u64;
     }
-    flush(&mut payload, &mut chunk_runs, &mut w, &mut stats)?;
     Ok(stats)
 }
 
@@ -605,8 +598,10 @@ impl<R: BufRead> RunSource for CompressedTraceReader<R> {
     }
 }
 
-/// An in-memory trace as a [`RunSource`], each event a run of one,
-/// [`DEFAULT_CHUNK_EVENTS`] a chunk: borrowed, or a v1 file parsed whole.
+/// An in-memory trace as a [`RunSource`], in the runs and chunks
+/// [`save_compressed`] writes at [`DEFAULT_CHUNK_EVENTS`], built one chunk
+/// at a time: borrowed, or a v1 file parsed whole. So a trace reaches the
+/// batch front in one shape from memory and from every v2 chunking.
 pub struct TraceRuns<'a> {
     pt: Cow<'a, PortableTrace>,
     index: (Option<(u64, u64)>, Vec<u64>),
@@ -644,12 +639,10 @@ impl RunSource for TraceRuns<'_> {
     }
 
     fn next_chunk(&mut self, out: &mut Vec<EventRun>) -> io::Result<bool> {
-        out.clear();
         let rest = &self.pt.trace.events[self.next..];
-        let chunk = &rest[..rest.len().min(DEFAULT_CHUNK_EVENTS)];
-        out.extend(chunk.iter().map(EventRun::single));
-        self.next += chunk.len();
-        Ok(!chunk.is_empty())
+        let taken = build_chunk(rest, DEFAULT_CHUNK_EVENTS, out);
+        self.next += taken;
+        Ok(taken > 0)
     }
 }
 

@@ -198,9 +198,6 @@ pub struct Config {
     /// Reachability substrate (default: SP-Order; DePa only for the
     /// benchmark's online baseline, see [`ReachKind`]).
     pub reach: ReachKind,
-    /// Maintain the exact racy-word set (cheap for race-free programs; can
-    /// be large for heavily racy ones).
-    pub collect_racy_words: bool,
     /// Resource budgets (default: unbounded).
     pub budget: ResourceBudget,
     /// Capture verifiable race witnesses (see [`witness`]). Off by default;
@@ -213,7 +210,6 @@ impl Config {
         Config {
             variant,
             reach: ReachKind::SpOrder,
-            collect_racy_words: true,
             budget: ResourceBudget::UNLIMITED,
             witnesses: false,
         }
@@ -258,7 +254,7 @@ pub fn detect_with<P: CilkProgram>(p: &mut P, cfg: Config) -> Outcome {
 /// the benchmark binary's layout follows the live path's code shape.
 macro_rules! with_detector {
     ($cfg:ident, |$det:ident| $run:expr) => {{
-        let mut report = RaceReport::new(report::RACE_CAP, $cfg.collect_racy_words);
+        let mut report = RaceReport::new(report::RACE_CAP);
         report.set_witness_capture($cfg.witnesses);
         match $cfg.variant {
             Variant::Vanilla => {

@@ -109,10 +109,6 @@ impl IntervalSet {
         self.runs.insert(lo, hi);
     }
 
-    fn contains_any(&self) -> bool {
-        !self.runs.is_empty()
-    }
-
     fn intervals(&self) -> Vec<(u64, u64)> {
         self.runs.iter().map(|(&l, &h)| (l, h)).collect()
     }
@@ -125,19 +121,18 @@ impl IntervalSet {
 /// Accumulated race reports.
 ///
 /// Detailed [`Race`] records are kept up to a cap (racy programs can produce
-/// enormous numbers of reports); the total count and — when word collection
-/// is enabled — the exact set of racy words are always maintained. The racy
-/// word set is what the differential tests compare across detector variants
-/// (variants may legally attribute the same racy word to different
-/// kinds/pairs; see DESIGN.md §3). Words are stored as coalesced sorted
-/// intervals, so region-heavy traces don't pay per-word memory.
+/// enormous numbers of reports); the total count and the exact set of racy
+/// words are always maintained. The racy word set is what the differential
+/// tests compare across detector variants (variants may legally attribute
+/// the same racy word to different kinds/pairs; see DESIGN.md §3). Words are
+/// stored as coalesced sorted intervals, so region-heavy traces don't pay
+/// per-word memory.
 #[derive(Clone, Debug)]
 pub struct RaceReport {
     races: Vec<Race>,
     cap: usize,
     /// Total race reports, including those beyond the cap.
     pub total: u64,
-    collect_words: bool,
     racy: IntervalSet,
     /// Witness-capture state; `None` (the default) keeps every hook at one
     /// discriminant check.
@@ -150,7 +145,7 @@ pub(crate) const RACE_CAP: usize = 10_000;
 
 impl Default for RaceReport {
     fn default() -> Self {
-        Self::new(RACE_CAP, true)
+        Self::new(RACE_CAP)
     }
 }
 
@@ -159,16 +154,15 @@ impl RaceReport {
     /// use this so the merged, per-word-normalized report is a function of
     /// the trace alone — a cap would truncate differently at different
     /// shard counts and break the byte-identical merge guarantee.
-    pub fn unbounded(collect_words: bool) -> Self {
-        Self::new(usize::MAX, collect_words)
+    pub fn unbounded() -> Self {
+        Self::new(usize::MAX)
     }
 
-    pub fn new(cap: usize, collect_words: bool) -> Self {
+    pub fn new(cap: usize) -> Self {
         RaceReport {
             races: Vec::new(),
             cap,
             total: 0,
-            collect_words,
             racy: IntervalSet::default(),
             prov: None,
         }
@@ -237,9 +231,7 @@ impl RaceReport {
     fn push(&mut self, race: Race) {
         debug_assert!(race.word_lo < race.word_hi);
         self.total += 1;
-        if self.collect_words {
-            self.racy.insert(race.word_lo, race.word_hi);
-        }
+        self.racy.insert(race.word_lo, race.word_hi);
         if self.races.len() < self.cap {
             self.races.push(race);
         }
@@ -262,9 +254,8 @@ impl RaceReport {
         &self.races
     }
 
-    /// The exact set of racy words, sorted (empty if collection is off).
+    /// The exact set of racy words, sorted.
     pub fn racy_words(&self) -> Vec<u64> {
-        debug_assert!(self.collect_words || !self.racy.contains_any());
         self.racy.words()
     }
 
@@ -285,7 +276,7 @@ mod tests {
 
     #[test]
     fn cap_limits_details_not_totals() {
-        let mut r = RaceReport::new(2, true);
+        let mut r = RaceReport::new(2);
         for i in 0..5 {
             r.add(RaceKind::WriteWrite, i, i + 1, StrandId(0), StrandId(1));
         }
@@ -308,14 +299,6 @@ mod tests {
         assert!(shown.contains("write-read"));
         assert!(shown.contains("strand 3"));
         assert!(!r.truncated());
-    }
-
-    #[test]
-    fn word_collection_can_be_disabled() {
-        let mut r = RaceReport::new(10, false);
-        r.add(RaceKind::WriteWrite, 0, 100, StrandId(0), StrandId(1));
-        assert!(r.racy_words().is_empty());
-        assert_eq!(r.total, 1);
     }
 
     #[test]

@@ -98,27 +98,12 @@ impl Drop for BitShadow {
 /// abuts the most recent entry merges into it, so sequential scans collapse
 /// into one growing entry. Must be [`reset`](SetFilter::reset) whenever the
 /// table is extracted or cleared.
-///
-/// The filter is self-regulating: per-workload hit rates are strongly bimodal
-/// (a phase either re-touches whole ranges constantly or essentially never),
-/// so it evaluates itself every [`TRIAL`](SetFilter::TRIAL) probes. A window
-/// with a hit rate below 1/4 switches the filter off for a penalty period
-/// (doubling per consecutive failure, capped), reducing the per-hook cost on
-/// filter-hostile traffic to one predictable branch; the periodic re-trial
-/// lets it come back when the workload enters a re-touching phase.
 #[derive(Clone, Copy, Debug)]
 pub struct SetFilter {
     ranges: [(u64, u64); 2],
     /// `set_range` calls skipped because the range was already covered
     /// (cumulative over the whole run, for statistics).
     pub hits: u64,
-    /// Probes and hits in the current evaluation window.
-    w_probes: u32,
-    w_hits: u32,
-    /// Remaining `covers` calls to wave through while switched off.
-    skip: u32,
-    /// Length of the next off period; doubles per consecutive failed trial.
-    penalty: u32,
 }
 
 impl Default for SetFilter {
@@ -128,23 +113,11 @@ impl Default for SetFilter {
 }
 
 impl SetFilter {
-    /// Evaluation-window length. Long enough to see past a cold start, short
-    /// enough that a hostile phase pays a negligible fraction of its hooks.
-    pub const TRIAL: u32 = 4096;
-    /// Shortest off period after a failed trial.
-    pub const MIN_PENALTY: u32 = 4 * Self::TRIAL;
-    /// Backoff cap: even permanently hostile traffic re-trials this often.
-    pub const MAX_PENALTY: u32 = 64 * Self::TRIAL;
-
     pub const fn new() -> Self {
         SetFilter {
             // (1, 0) is empty: it covers nothing.
             ranges: [(1, 0); 2],
             hits: 0,
-            w_probes: 0,
-            w_hits: 0,
-            skip: 0,
-            penalty: Self::MIN_PENALTY,
         }
     }
 
@@ -152,41 +125,14 @@ impl SetFilter {
     /// caller may skip `set_range`).
     #[inline]
     pub fn covers(&mut self, lo: u64, hi: u64) -> bool {
-        if self.skip > 0 {
-            self.skip -= 1;
-            return false;
-        }
-        self.w_probes += 1;
-        let mut hit = false;
-        for (a, b) in self.ranges {
-            if lo >= a && hi <= b {
-                hit = true;
-                break;
-            }
-        }
-        if hit {
-            self.hits += 1;
-            self.w_hits += 1;
-        }
-        if self.w_probes == Self::TRIAL {
-            if self.w_hits * 4 < Self::TRIAL {
-                self.skip = self.penalty;
-                self.penalty = (self.penalty * 2).min(Self::MAX_PENALTY);
-            } else {
-                self.penalty = Self::MIN_PENALTY;
-            }
-            self.w_probes = 0;
-            self.w_hits = 0;
-        }
+        let hit = self.ranges.iter().any(|&(a, b)| lo >= a && hi <= b);
+        self.hits += hit as u64;
         hit
     }
 
     /// Record that `[lo, hi)` has been set (callers pass non-empty ranges).
     #[inline]
     pub fn record(&mut self, lo: u64, hi: u64) {
-        if self.skip > 0 {
-            return;
-        }
         let (a, b) = self.ranges[0];
         if lo <= b && hi >= a {
             // Overlapping or abutting the newest entry: their union is fully
@@ -198,8 +144,7 @@ impl SetFilter {
         }
     }
 
-    /// Forget the ranges (the table was extracted or cleared). The trial
-    /// state persists — on/off is a property of the traffic, not the strand.
+    /// Forget the ranges (the table was extracted or cleared).
     #[inline]
     pub fn reset(&mut self) {
         self.ranges = [(1, 0); 2];
@@ -647,35 +592,18 @@ mod tests {
     }
 
     #[test]
-    fn set_filter_backs_off_and_retrials() {
+    fn set_filter_stays_on_after_all_miss_traffic() {
         let mut f = SetFilter::new();
         // All-miss traffic: every probe sees a fresh range.
-        for i in 0..SetFilter::TRIAL as u64 {
+        for i in 0..2 * 4096u64 {
             assert!(!f.covers(i * 100, i * 100 + 1));
             f.record(i * 100, i * 100 + 1);
         }
-        // Off now: even a just-recorded range no longer reports covered, and
-        // record calls are ignored for the whole penalty period.
-        let last = (SetFilter::TRIAL as u64 - 1) * 100;
-        assert!(!f.covers(last, last + 1));
-        f.record(7, 9);
-        assert!(!f.covers(7, 9));
         assert_eq!(f.hits, 0);
-        // Burn the remaining penalty (two probes consumed above), then show
-        // the re-trial window is live again: hits start counting.
-        for _ in 0..SetFilter::MIN_PENALTY - 2 {
-            assert!(!f.covers(0, 1));
-        }
-        f.record(0, 64);
-        assert!(f.covers(3, 10));
+        // The next recorded range is covered at once, and the hit counts.
+        f.record(7, 90);
+        assert!(f.covers(10, 80));
         assert_eq!(f.hits, 1);
-
-        // A hit-rich stream keeps the filter on across many windows.
-        let mut f = SetFilter::new();
-        f.record(0, 64);
-        for _ in 0..4 * SetFilter::TRIAL {
-            assert!(f.covers(3, 10));
-        }
     }
 
     /// Randomized: a `BitShadow` guarded by the filter extracts the same

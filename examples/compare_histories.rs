@@ -6,7 +6,7 @@
 //! cargo run --release --example compare_histories -- s       # ~a minute
 //! ```
 
-use stint::{Config, Variant};
+use stint::Variant;
 use stint_suite::{Scale, Workload, NAMES};
 
 fn main() {
@@ -34,9 +34,7 @@ fn main() {
         let mut ivs = (0, 0);
         for v in variants {
             let mut w = Workload::by_name(name, scale);
-            let mut cfg = Config::new(v);
-            cfg.collect_racy_words = false;
-            let o = stint::detect_with(&mut w, cfg);
+            let o = stint::detect(&mut w, v);
             assert!(o.report.is_race_free(), "{name} raced under {v}!");
             cells.push(format!(
                 "{:>8.2}x",

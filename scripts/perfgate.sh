@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # The pre-merge gate: style checks, warning-free rustdoc, release build, one
 # iteration of every Criterion row of every bench file of `stint-bench`, the
-# test suite in release, the wide claims row and the release binary's
-# small-address-space row, the space study (the `space` binary exits 1 on a
-# Lemma 4.1 violation), the repo benchmark's self-check (expectations,
-# oracle, catalogue ≡ BENCHMARK.json), then a two-pair smoke of the repo
-# benchmark against the parent commit. No wall time is gated here:
-# `scripts/bench_pair.sh REF 10` is the performance measurement.
+# test suite in release, the wide claims row, the release binary's
+# small-address-space row and the wide hook-level routing battery, the space
+# study (the `space` binary exits 1 on a Lemma 4.1 violation), the repo
+# benchmark's self-check (expectations, oracle, catalogue ≡ BENCHMARK.json),
+# then a two-pair smoke of the repo benchmark against the parent commit. No
+# wall time is gated here: `scripts/bench_pair.sh REF 10` is the performance
+# measurement.
 #
 # Usage: scripts/perfgate.sh [--scale s|m|paper]
 # Arguments are forwarded to the `space` study, which overwrites
@@ -51,6 +52,12 @@ cargo test --release -q --test claims -- --ignored
 # and `trace info` inside `ulimit -v 200000` (DESIGN.md §12).
 echo "== one long run, small address space"
 cargo test --release -q -p stint-cli --test exit_codes -- --ignored
+
+# 600 generated hook streams batch-detected from memory, v1 and three v2
+# chunkings: every source hands the batch front the same runs, so each
+# shard gets the same work.
+echo "== hook-level routing battery, wide"
+cargo test --release -q --test prop_batchdet -- --ignored
 
 echo "== space study (byte gauges + Lemma 4.1)"
 cargo run --release -q -p stint-bench --bin space -- "${ARGS[@]}"

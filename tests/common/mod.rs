@@ -275,7 +275,7 @@ pub fn check_kernel(name: &str, rows: &[Row]) -> Verdict {
 
 fn kernel<P: CilkProgram>(make: &dyn Fn() -> P) -> Verdict<Harness<'_, P>> {
     let hooks = hook_trace(&mut make());
-    let seq = hooks.replay(StintDetector::new(RaceReport::unbounded(true)));
+    let seq = hooks.replay(StintDetector::new(RaceReport::unbounded()));
     let mut h = Harness::new(make, hooks, &seq.report)?;
     h.fresh_heap = true;
     Ok(h)
@@ -695,7 +695,7 @@ fn rendered_words(render: &str) -> Vec<u64> {
 }
 
 /// `pt` as a file in `src`'s format, and the chunks a v2 writer framed.
-fn encode(pt: &PortableTrace, src: Src) -> (Vec<u8>, u64) {
+pub fn encode(pt: &PortableTrace, src: Src) -> (Vec<u8>, u64) {
     let mut buf = Vec::new();
     let chunks = match src {
         Src::V2(chunk) => pt.save_compressed(&mut buf, chunk).expect("v2 save").chunks,

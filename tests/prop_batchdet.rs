@@ -6,12 +6,14 @@
 //! byte-identical across all of them (the harness's batch and online tiers).
 
 use proptest::prelude::*;
-use stint_repro::batchdet::{batch_detect, BatchConfig};
+use stint_repro::batchdet::{
+    batch_detect, batch_detect_any, batch_detect_on, new_pool, BatchConfig,
+};
 use stint_repro::{PortableTrace, DEFAULT_CHUNK_EVENTS};
-use stint_spdag::{Func, Stmt};
+use stint_spdag::{Access, Func, Stmt};
 
 mod common;
-use common::{access, multi_group, one_group, Row, Src};
+use common::{access, encode, hook_trace, multi_group, one_group, Row, Src};
 use common::{batch, check, check_kernel, func_strategy, func_strategy_over, online, Program};
 
 const SOURCES: [Src; 4] = [Src::Mem, Src::V2(1), Src::V2(16), Src::V2(4096)];
@@ -87,6 +89,57 @@ fn interval_straddling_a_shard_cut_matches_its_expansion() {
     assert!(!out.merged.is_race_free());
 }
 
+/// Short accesses over a few dozen words, plain more often than ranged, so
+/// one strand's hooks often touch and repeat a size.
+fn dense() -> BoxedStrategy<Access> {
+    let shape = (any::<bool>(), 0u64..24, 1u64..4, 0u8..4);
+    let to = |(write, word, len, r): (bool, u64, u64, u8)| access(write, word, len, r == 0);
+    shape.prop_map(to).boxed()
+}
+
+/// Batch detection of the hook stream at K ∈ {1, 2, 3, 7} from every source.
+fn hook_sources() -> Vec<Row> {
+    let sources = [Src::Mem, Src::V1, Src::V2(1), Src::V2(16), Src::V2(4096)];
+    [1, 2, 3, 7]
+        .iter()
+        .flat_map(|&k| sources.map(|src| batch(true, src, k, 2, 0)))
+        .collect()
+}
+
+/// Every source hands the batch front the runs the v2 encoder writes: two
+/// contiguous plain loads of one strand are one wholesale range from memory,
+/// a v1 file and every v2 chunking alike, so the range loaded next falls back
+/// to the coalescer in each, and each shard gets the same units. The
+/// three-shard plan cuts inside the second load.
+#[test]
+fn contiguous_plain_hooks_route_alike_from_every_source() {
+    let plain = |word, len| access(false, word, len, false);
+    let f = Func(vec![Stmt::Compute(vec![
+        plain(20, 2),
+        plain(22, 2),
+        access(false, 24, 16, true),
+    ])]);
+    let hooks = hook_trace(&mut Program::new(&f, 0, false));
+    let pool = new_pool(2, 0);
+    for k in [1, 2, 3, 7] {
+        let mut cfg = BatchConfig::default();
+        (cfg.shards, cfg.workers) = (k, 2);
+        let work = |src| {
+            let out = match src {
+                Src::Mem => batch_detect_on(&pool, &hooks, &cfg),
+                _ => batch_detect_any(&pool, &mut &encode(&hooks, src).0[..], &cfg),
+            };
+            let shards = out.expect("clean batch run").shards;
+            shards.iter().map(|s| s.events).collect::<Vec<_>>()
+        };
+        let mem = work(Src::Mem);
+        for src in [Src::V1, Src::V2(1), Src::V2(16), Src::V2(4096)] {
+            assert_eq!(work(src), mem, "{src:?}, K={k}");
+        }
+    }
+    check(&f, 0, &hook_sources()).unwrap_or_else(|e| panic!("{e:?}"));
+}
+
 /// Two parallel writers overlapping across a wide range, then a serial read
 /// of the first half that frees it (compute 2) and a one-word race in the
 /// freed range: range clipping, strand-end skipping and tombstones.
@@ -158,6 +211,39 @@ proptest! {
         frees in any::<u64>(),
     ) {
         check(&f, frees, &routing())?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The hook-level twins of the generated rows: every source hands the
+    /// batch front one run shape, so no streamed row's shard works more
+    /// than the in-memory row's.
+    #[test]
+    fn interval_routing_of_hooks_matches_expansion(
+        f in func_strategy_over(3, prop_oneof![one_group(), multi_group()].boxed()),
+        frees in any::<u64>(),
+    ) {
+        check(&f, frees, &hook_sources())?;
+    }
+
+    #[test]
+    fn pipeline_sources_and_schedules_agree_on_hooks(f in func_strategy(3)) {
+        check(&f, 0, &schedules(true))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    /// The wide hook-level battery (≈0.6 s in release; `scripts/perfgate.sh`
+    /// runs it): 600 programs whose strands' hooks often touch, from every
+    /// source at K ∈ {1, 2, 3, 7}.
+    #[test]
+    #[ignore]
+    fn hook_streams_route_alike_from_every_source_wide(f in func_strategy_over(3, dense())) {
+        check(&f, 0, &hook_sources())?;
     }
 }
 
