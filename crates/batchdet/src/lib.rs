@@ -9,29 +9,24 @@
 //! every query is a pair of rank comparisons on immutable vectors, safe to
 //! share across threads with no synchronization.
 //!
-//! 1. **Partition the event stream in one O(n) pass, coalescing only what
-//!    is not coalesced yet**: the 4-byte-word address space touched by the
-//!    trace is split into `K` contiguous shards at *event-weight quantiles*
-//!    of the header's bucketed access histogram (so shards are
-//!    load-balanced, not just width-balanced). A single scan takes each
-//!    access as one unit — a contiguous run of a v2 file **wholesale**, as
-//!    one range — and routes it to exactly the shards its word range
-//!    overlaps (clipped at the boundary) when it starts strictly past the
-//!    last unit routed on its side since the strand's last end or free. A
-//!    recorded trace stores each strand's maximal disjoint runs, so every
-//!    unit of it goes this way. The first unit of a strand that does not
-//!    (a hook stream's second access to a word, or one next to the last)
-//!    sends that one and the rest of the strand into **one** strand
-//!    coalescer ([`stint::StrandCoalescer`], the front half of sequential
-//!    STINT), which hands out its runs, routed the same way, when the
-//!    strand ends or frees. The interval, not the event, is what crosses
-//!    into the shards.
+//! 1. **Partition the event stream in one O(n) pass**: the 4-byte-word
+//!    address space touched by the trace is split into `K` contiguous
+//!    shards at *event-weight quantiles* of the header's bucketed access
+//!    histogram (so shards are load-balanced, not just width-balanced). A
+//!    single scan takes each access as one unit — a contiguous run of a v2
+//!    file **wholesale**, as one range — and routes it to exactly the
+//!    shards its word range overlaps (clipped at the boundary). A recorded
+//!    trace stores each strand's maximal disjoint runs, so its units are
+//!    the intervals sequential STINT's coalescer hands out; the batch tier
+//!    owns no coalescer. The interval, not the event, is what crosses into
+//!    the shards.
 //! 2. **Drain the per-shard inboxes** as fork-join tasks on the
 //!    `stint-cilkrt` work-stealing pool; each shard flushes the runs routed
 //!    to it through a private [`stint::IntervalHistory`] — the back half of
-//!    sequential STINT; a shard owns no coalescing table. A strand whose
-//!    runs reach a shard out of order (some routed straight, the rest from
-//!    the coalescer) has them sorted and joined at its flush.
+//!    sequential STINT. A strand whose runs reach a shard out of order, or
+//!    touching (a hook-level file's second access to a word, or one next
+//!    to the last), has them sorted and joined — at its flush, and sooner
+//!    once they pile up.
 //!
 //! The two steps are software-pipelined, one chunk at a time (`pipeline`):
 //! chunk *n+1* is routed while chunk *n* drains, so a trace
@@ -45,21 +40,18 @@
 //! depends only on the per-word history of that word and the (frozen)
 //! SP-Order relation, never on accesses to other words. Between two strand
 //! ends or frees, sequential STINT's coalescer takes a strand's accesses and
-//! hands out the maximal runs of their union, per side. Here a unit that
-//! starts strictly past every unit routed before it on its side (the check
-//! compares it with the last, and they ascend) neither overlaps nor touches
-//! any of them; while every unit passes, each is one of those maximal runs
-//! already, unless a later one overlaps or touches it, which then fails
-//! the check. From the first unit that fails, the source's coalescer takes
-//! the rest, so the strand's units are the passed runs plus the
-//! coalescer's, whose union is the strand's. A shard that receives a side's
-//! runs out of order sorts them and joins those that overlap or touch
-//! before it flushes: it flushes the maximal runs of the union, clipped at
-//! the shard — the intervals sequential STINT flushes, strand by strand.
-//! It must be one flush: `flush_runs` checks a strand's reads before it
-//! records its writes, so a strand flushed in two at the fallback would
-//! check a read against its own earlier write, not a parallel writer's,
-//! and lose that write-read race. Routing each run to the
+//! hands out the maximal runs of their union, per side. Here every unit of
+//! the strand reaches the shards it overlaps, so the union of a side's
+//! units in a shard is the strand's, clipped at the shard. A shard that
+//! receives a side's runs out of order, or touching, sorts them and joins
+//! those that overlap or touch before it flushes: it flushes the maximal
+//! runs of the union, clipped at the shard — the intervals sequential STINT
+//! flushes, strand by strand. Joining earlier, while the strand's runs
+//! pile up, changes only how many runs wait, not their union. It must be
+//! one flush: `flush_runs` checks a strand's reads before it records its
+//! writes, so a strand flushed in two would check a read against its own
+//! earlier write, not a parallel writer's, and lose that write-read race.
+//! Routing each run to the
 //! shards it overlaps preserves, per word, that exact sequence of
 //! `(strand, kind)` entries; the only difference is interval *fragmentation*,
 //! which happens when a run is routed (a run straddling a shard boundary
@@ -113,8 +105,8 @@ use std::time::{Duration, Instant};
 use stint::ctrace::{CompressedTraceReader, EventRun, RunSource, TraceRuns, DEFAULT_CHUNK_EVENTS};
 use stint::{
     open_any, AccessHistory, DetectorError, DetectorStats, EventSpans, IntervalHistory,
-    PortableTrace, Race, RaceKind, RaceReport, Resource, ResourceBudget, StrandCoalescer,
-    TraceEvent, TraceOp, Treap, Witness, WordIv,
+    PortableTrace, Race, RaceKind, RaceReport, Resource, ResourceBudget, TraceEvent, TraceOp,
+    Treap, Witness, WordIv,
 };
 use stint_cilk::word_range;
 use stint_cilkrt::ThreadPool;
@@ -185,9 +177,8 @@ impl Default for BatchConfig {
 }
 
 /// Per-session limits for a batch run — the knobs `stint-serve` sets for
-/// every tenant: a [`ResourceBudget`] split between the source's one strand
-/// coalescer (which a recorded trace never fills: its units pass around it)
-/// and the shard detectors, plus an optional wall-clock deadline.
+/// every tenant: a [`ResourceBudget`] for the shard detectors, plus an
+/// optional wall-clock deadline.
 ///
 /// The deadline is checked between pipeline steps — detectors are not
 /// interruptible mid-batch, so a session overruns its deadline by the batch
@@ -202,9 +193,9 @@ impl Default for BatchConfig {
 /// detection stopped, exactly like a memory budget.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionLimits {
-    /// `max_shadow_bytes` caps each bit table of the run's one strand
-    /// coalescer (there is one per run, not one per shard); `max_intervals`
-    /// freezes each shard's access history.
+    /// The budget every tier shares; in the batch tier only
+    /// `max_intervals` binds: it freezes each shard's access history. The
+    /// tier owns no bit table for `max_shadow_bytes` to cap.
     pub budget: ResourceBudget,
     /// Absolute wall-clock deadline; `None` = no timeout.
     pub deadline: Option<Instant>,
@@ -259,7 +250,7 @@ pub struct ShardOutcome {
     pub report: RaceReport,
     pub stats: DetectorStats,
     /// First structured failure of the shard's detector (degraded soundly),
-    /// e.g. an injected shadow cap.
+    /// e.g. an exhausted interval budget.
     pub failure: Option<DetectorError>,
 }
 
@@ -335,11 +326,11 @@ pub struct BatchOutcome {
     /// Per-shard outcomes, in shard order.
     pub shards: Vec<ShardOutcome>,
     pub merged: MergedReport,
-    /// The per-shard detector statistics summed, plus the source's
-    /// coalescer's hooks, intervals and table bytes.
+    /// The per-shard detector statistics summed, plus the source's count of
+    /// what it routed: per side, one hook and one interval a unit.
     pub stats: DetectorStats,
-    /// Events in the trace, before the source's coalescer: units for a
-    /// recorded (coalesced) trace, hooks for a hook-level one.
+    /// Events in the trace: units for a recorded (coalesced) trace, hooks
+    /// for a hook-level one.
     pub events: usize,
     pub strands: usize,
     /// Wall-clock time of the batch phase (partition + fan-out + detection;
@@ -399,8 +390,8 @@ pub fn batch_detect_on(
 /// `pool` under `cfg.limits`: [`stint::open_any`] opens the run source its
 /// magic line names (anything else is one [`DetectorError::CorruptTrace`]),
 /// detected as it is read, one chunk a batch, while the previous chunk
-/// drains. Peak memory is two chunks plus the coalescer and the shard
-/// detectors. Not generic: every calling crate shares one copy.
+/// drains. Peak memory is two chunks plus the shard detectors. Not
+/// generic: every calling crate shares one copy.
 pub fn batch_detect_any(
     pool: &ThreadPool,
     r: &mut (dyn BufRead + Send),
@@ -441,10 +432,7 @@ fn detect_runs(
         runs: Vec::new(),
         next_run: 0,
         fed: 0,
-        co: StrandCoalescer::new().with_max_shadow_bytes(limits.budget.max_shadow_bytes),
-        floor: [0; 2],
-        passing: true,
-        last: StrandId(0),
+        front: DetectorStats::default(),
         ingest: IngestStats::default(),
         spans: cfg.witnesses.then(EventSpans::default),
         ev_id: 0,
@@ -463,7 +451,7 @@ fn detect_runs(
     let (outs, timeout) = piped?;
     let wall = t0.elapsed();
     let spans = src.spans.as_ref();
-    let (merged, stats, failure) = merge_shards(&outs, &src.co, &reach, spans);
+    let (merged, stats, failure) = merge_shards(&outs, src.front, &reach, spans);
     let strands = reach.strand_count();
     stats.publish(wall, strands, merged.regions.len() as u64);
     Ok(BatchOutcome {
@@ -482,19 +470,14 @@ fn detect_runs(
 type Batch = [Inbox];
 
 /// Where [`pipeline`] gets its batches: one `produce` call is the producer
-/// arm of one step — decode (if need be), validate, coalesce if need be and
-/// route the
-/// next hand-off batch. `Ok(false)` means the source ended cleanly and routed
+/// arm of one step — decode (if need be), validate and route the next
+/// hand-off batch. `Ok(false)` means the source ended cleanly and routed
 /// nothing; one that ends short of what it declared is an error here, so a
-/// run cut off by its deadline never asks.
+/// run cut off by its deadline never asks. A source holds nothing between
+/// steps: what it routed of a strand the deadline cut, the shards flush at
+/// their finish.
 trait EventSource: Send {
     fn produce(&mut self, router: &mut Router, batch: &mut Batch) -> Result<bool, DetectorError>;
-
-    /// The stream stopped — its end, or the deadline: route what the source
-    /// still holds. `true` if that was anything.
-    fn stop(&mut self, _router: &mut Router, _batch: &mut Batch) -> bool {
-        false
-    }
 }
 
 /// Decoded events one producer step feeds at most. A run's count is only a
@@ -507,31 +490,20 @@ const STEP_EVENTS: u64 = 16 * DEFAULT_CHUNK_EVENTS as u64;
 /// A run source, one chunk per batch (or [`STEP_EVENTS`] of it), detected
 /// in its encoded shape: a contiguous word-aligned run is consumed wholesale
 /// — ONE unit, exactly the words of its events. Other runs (a run of one,
-/// too) are stepped event by event.
-///
-/// A unit that the source's one strand coalescer would hand out unchanged
-/// passes around it, straight to the shards: one that starts strictly past
-/// the last unit passed on its side since the strand's last end or free.
-/// A recorded (already coalesced) trace is all such units. The first unit
-/// that is not turns passing off until the strand ends or frees: it and the
-/// rest of the strand land in the coalescer, which hands them out as sorted
-/// disjoint runs then ([`StrandCoalescer::feed`]), and the shard joins them
-/// with the runs passed before (`ShardDetector::flush`).
+/// too) are stepped event by event. Every unit goes straight to the shards
+/// ([`route_unit`]); a recorded (already coalesced) trace is each strand's
+/// maximal disjoint runs, and a shard joins whatever else a hook-level file
+/// holds (`ShardDetector::push`).
 struct StreamSource<'a> {
     reader: &'a mut (dyn RunSource + Send),
     /// The chunk being fed, its next run, and that run's events fed so far.
     runs: Vec<EventRun>,
     next_run: usize,
     fed: u64,
-    co: StrandCoalescer,
-    /// Per side (reads, writes), the least word a unit may start at to pass:
-    /// one past the end of the last unit passed since the strand's last end
-    /// or free.
-    floor: [u64; 2],
-    /// No unit of the strand has failed the check since its last end or free.
-    passing: bool,
-    /// Strand of the last run fed, whose runs a cut-off stream leaves.
-    last: StrandId,
+    /// What the source routed, per side: one hook and, unless it is empty,
+    /// one interval a unit — what sequential STINT's coalescer counts of a
+    /// recorded trace.
+    front: DetectorStats,
     ingest: IngestStats,
     /// Incremental span table: decoded event ids equal original trace
     /// indices (runs expand in order), so a run by strand `s` covers ids
@@ -552,7 +524,6 @@ impl EventSource for StreamSource<'_> {
         }
         let mut room = STEP_EVENTS;
         while let Some(&run) = self.runs.get(self.next_run).filter(|_| room > 0) {
-            self.last = run.strand;
             if self.fed == 0 {
                 self.ingest.events += run.count;
                 if let Some(sp) = self.spans.as_mut() {
@@ -585,38 +556,26 @@ impl EventSource for StreamSource<'_> {
         }
         Ok(true)
     }
-
-    /// The stream stops in mid-strand: end the strand. What the shards hold
-    /// of it already, the final flush takes.
-    fn stop(&mut self, router: &mut Router, batch: &mut Batch) -> bool {
-        let pending = !self.co.is_clear();
-        let end = TraceEvent::unit(TraceOp::StrandEnd, self.last, 0, 0);
-        self.feed(end, router, batch);
-        pending
-    }
 }
 
 impl StreamSource<'_> {
-    /// Route one decoded event: around the coalescer if it passes the check
-    /// (type docs), else through it. A strand end or free resets the check.
+    /// Count and route one decoded event.
     #[inline]
     fn feed(&mut self, e: TraceEvent, router: &mut Router, batch: &mut Batch) {
         let side = match e.op {
-            TraceOp::Load | TraceOp::LoadRange => 0,
-            TraceOp::Store | TraceOp::StoreRange => 1,
-            TraceOp::StrandEnd | TraceOp::Free => {
-                (self.floor, self.passing) = ([0; 2], true);
-                return self.co.feed(e, |u| route_unit(router, u, batch));
-            }
+            TraceOp::Load | TraceOp::LoadRange => &mut self.front.read,
+            TraceOp::Store | TraceOp::StoreRange => &mut self.front.write,
+            TraceOp::StrandEnd | TraceOp::Free => return route_unit(router, e, batch),
         };
-        let run = word_range(e.addr, e.bytes);
-        if self.passing && run.0 >= self.floor[side] {
-            self.floor[side] = run.1 + 1;
-            self.co.count_around(side == 1, e.bytes, run);
-            return route_unit(router, e, batch);
+        let (lo, hi) = word_range(e.addr, e.bytes);
+        side.hooks += 1;
+        side.hook_bytes += e.bytes as u64;
+        side.words += hi - lo;
+        if lo < hi {
+            side.intervals += 1;
+            side.interval_bytes += (hi - lo) * 4;
         }
-        self.passing = false;
-        self.co.feed(e, |u| route_unit(router, u, batch));
+        route_unit(router, e, batch);
     }
 }
 
@@ -642,7 +601,8 @@ type Piped = Result<(Vec<ShardOutcome>, Option<DetectorError>), DetectorError>;
 ///
 /// Returns the finished shards and, if the deadline cut the run short, its
 /// degradation marker. The deadline is checked between steps; everything
-/// fed before the check is still routed ([`EventSource::stop`]) and drained.
+/// routed before the check is still drained, and what the shards hold of
+/// the strand it cut, their finish flushes.
 fn pipeline<R: Reachability + Sync>(
     pool: &ThreadPool,
     reach: &R,
@@ -655,30 +615,24 @@ fn pipeline<R: Reachability + Sync>(
     let mut dets: Vec<ShardDetector> = shards.iter().map(new_det).collect();
     let mut front = vec![Inbox::new(); shards.len()];
     let mut back = front.clone();
-    let (mut timed_out, mut ended) = (false, false);
+    let mut timed_out = false;
     let mut buffered = 0u64;
     let piped = catch_unwind(AssertUnwindSafe(|| {
         pool.install(|| -> Result<(), DetectorError> {
             let mut pending = false;
             loop {
-                timed_out = timed_out || (!ended && limits.exceeded());
+                timed_out = limits.exceeded();
                 let home = stint_obs::is_enabled().then(|| std::thread::current().id());
                 // Neither arm may unwind across the join while the other is
                 // stolen and in flight (see `fan_out`).
                 let (produced, ()) = pool.join(
                     || {
-                        if ended {
+                        if timed_out {
                             return Ok(false);
                         }
                         let _span = stint_obs::span("batchdet.produce");
-                        catch_unwind(AssertUnwindSafe(|| {
-                            if !timed_out && src.produce(&mut router, &mut back)? {
-                                return Ok(true);
-                            }
-                            ended = true;
-                            Ok(src.stop(&mut router, &mut back))
-                        }))
-                        .unwrap_or_else(|p| Err(DetectorError::from_panic(p)))
+                        catch_unwind(AssertUnwindSafe(|| src.produce(&mut router, &mut back)))
+                            .unwrap_or_else(|p| Err(DetectorError::from_panic(p)))
                     },
                     || {
                         if !pending {
@@ -850,20 +804,22 @@ type Inbox = Vec<TraceEvent>;
 
 /// A shard's private interval history, persistent across batches, and the
 /// current strand's read and write runs routed to it so far — sorted and
-/// disjoint as they arrive, but for a strand whose units stopped passing
-/// around the source's coalescer (`StreamSource`): those are sorted and
-/// joined at the flush. A shard owns no coalescing table. Neighbours are
-/// drained by different workers, so each gets cache lines of its own (two:
-/// the prefetcher pairs them): with the detectors packed, the end of one and
-/// the start of the next share a line, and `online_w2` pays 10% for it.
+/// disjoint as they arrive from a recorded trace; a hook-level file's are
+/// sorted and joined, at the flush or once they pile up. A shard owns no
+/// coalescing table. Neighbours are drained by different workers, so each
+/// gets cache lines of its own (two: the prefetcher pairs them): with the
+/// detectors packed, the end of one and the start of the next share a
+/// line, and `online_w2` pays 10% for it.
 #[repr(align(128))]
 struct ShardDetector {
     shard: Shard,
     hist: IntervalHistory<Treap<StrandId>>,
     runs: [Vec<WordIv>; 2],
     /// Per side: a run arrived that does not start past the previous run's
-    /// end, so the flush sorts and joins the side's runs first.
+    /// end, so the side's runs are to be sorted and joined before the flush.
     unsorted: [bool; 2],
+    /// Per side, the runs the last join left (0 after a flush).
+    joined: [usize; 2],
     events: u64,
     /// A panic payload captured while draining on the pool. Unwinding
     /// through `ThreadPool::join` while the sibling job is stolen and in
@@ -881,6 +837,7 @@ impl ShardDetector {
             hist: hist.with_budget(budget),
             runs: Default::default(),
             unsorted: [false; 2],
+            joined: [0; 2],
             events: 0,
             poison: None,
         }
@@ -911,6 +868,11 @@ impl ShardDetector {
         inbox.clear();
     }
 
+    /// Take in one run of the current strand. An unsorted side is joined
+    /// once it holds twice the runs its last join left (at least
+    /// [`JOIN_FLOOR`]), so what waits for the flush stays within a constant
+    /// factor of the strand's maximal runs, however often a hook-level file
+    /// repeats a word.
     #[inline]
     fn push(&mut self, side: usize, run: WordIv) {
         let runs = &mut self.runs[side];
@@ -918,29 +880,42 @@ impl ShardDetector {
             self.unsorted[side] = true;
         }
         runs.push(run);
+        if self.unsorted[side] && runs.len() >= (2 * self.joined[side]).max(JOIN_FLOOR) {
+            self.join(side);
+        }
     }
 
-    /// Check and record strand `s`'s runs. A side that arrived out of order
-    /// is sorted and its overlapping or touching runs joined first, into
-    /// what the source's coalescer alone would have handed out; the strand
-    /// is flushed whole, never in two (module docs).
+    /// Sort one side's runs and join those that overlap or touch, into the
+    /// maximal runs of their union.
+    #[cold]
+    fn join(&mut self, side: usize) {
+        let runs = &mut self.runs[side];
+        runs.sort_unstable();
+        runs.dedup_by(|next, kept| {
+            let join = next.0 <= kept.1;
+            if join {
+                kept.1 = kept.1.max(next.1);
+            }
+            join
+        });
+        self.unsorted[side] = false;
+        self.joined[side] = runs.len();
+    }
+
+    /// Check and record strand `s`'s runs, a side that arrived unsorted
+    /// joined first, into what sequential STINT's coalescer hands out; the
+    /// strand is flushed whole, never in two (module docs).
     fn flush<R: Reachability>(&mut self, s: StrandId, reach: &R) {
-        for (runs, unsorted) in self.runs.iter_mut().zip(&mut self.unsorted) {
-            if std::mem::take(unsorted) {
-                runs.sort_unstable();
-                runs.dedup_by(|next, kept| {
-                    let join = next.0 <= kept.1;
-                    if join {
-                        kept.1 = kept.1.max(next.1);
-                    }
-                    join
-                });
+        for side in 0..2 {
+            if self.unsorted[side] {
+                self.join(side);
             }
         }
         let [reads, writes] = &mut self.runs;
         self.hist.flush_runs(s, reads, writes, reach);
         reads.clear();
         writes.clear();
+        self.joined = [0; 2];
     }
 
     fn finish<R: Reachability>(mut self, reach: &R, last: StrandId) -> ShardOutcome {
@@ -962,6 +937,10 @@ impl ShardDetector {
         out
     }
 }
+
+/// The fewest runs a side of a [`ShardDetector`] holds before a push joins
+/// it.
+const JOIN_FLOOR: usize = 1024;
 
 /// Route one hand-off unit. A run is clipped at the shard cuts it crosses; a
 /// strand end becomes a marker to every shard the strand's runs reached. So
@@ -1021,46 +1000,28 @@ fn take_poison(dets: &mut [ShardDetector]) -> Result<(), DetectorError> {
     first.map_or(Ok(()), |p| Err(DetectorError::from_panic(p)))
 }
 
-fn kind_code(k: RaceKind) -> u8 {
-    match k {
-        RaceKind::WriteWrite => 0,
-        RaceKind::ReadWrite => 1,
-        RaceKind::WriteRead => 2,
-    }
-}
-
-fn kind_from(c: u8) -> RaceKind {
-    match c {
-        0 => RaceKind::WriteWrite,
-        1 => RaceKind::ReadWrite,
-        _ => RaceKind::WriteRead,
-    }
-}
-
 /// Normalize per-shard race records per word — on intervals: the union of
 /// each `(kind, prev, cur)`'s runs, in maximal pieces — and sort by address
 /// then SP rank. See the module docs for why this (and not the raw records)
 /// is the `K`-invariant object. Also returns the
-/// detector statistics — the shards' summed, plus the source's coalescer's
-/// share — and the first failure: a shard's, by shard index, else the
-/// coalescer's.
+/// detector statistics — the shards' summed, plus `front`, what the source
+/// counted — and the first failure, a shard's, by shard index.
 fn merge_shards(
     shards: &[ShardOutcome],
-    co: &StrandCoalescer,
+    front: DetectorStats,
     reach: &FrozenReach,
     spans: Option<&EventSpans>,
 ) -> (MergedReport, DetectorStats, Option<DetectorError>) {
     let _span = stint_obs::span("batchdet.merge");
     OBS_MERGES.incr();
-    let mut runs: Vec<(u8, u32, u32, u64, u64)> = Vec::new();
+    let mut runs: Vec<(RaceKind, u32, u32, u64, u64)> = Vec::new();
     let words = shards.iter().map(|sh| sh.report.racy_word_count());
     let mut racy_words: Vec<u64> = Vec::with_capacity(words.sum::<u64>() as usize);
-    let mut stats = DetectorStats::default();
-    co.add_to(&mut stats);
+    let mut stats = front;
     for sh in shards {
         stats.merge(&sh.stats);
         let races = sh.report.races().iter();
-        runs.extend(races.map(|r| (kind_code(r.kind), r.prev.0, r.cur.0, r.word_lo, r.word_hi)));
+        runs.extend(races.map(|r| (r.kind, r.prev.0, r.cur.0, r.word_lo, r.word_hi)));
         // The shards' routing ranges are disjoint and ascending, so their
         // words concatenate in order.
         let intervals = sh.report.racy_intervals().into_iter();
@@ -1073,12 +1034,12 @@ fn merge_shards(
     let mut regions: Vec<Race> = Vec::new();
     for (k, p, c, lo, hi) in runs {
         if let Some(last) = regions.last_mut() {
-            if (kind_code(last.kind), last.prev.0, last.cur.0) == (k, p, c) && lo <= last.word_hi {
+            if (last.kind, last.prev.0, last.cur.0) == (k, p, c) && lo <= last.word_hi {
                 last.word_hi = last.word_hi.max(hi);
                 continue;
             }
         }
-        regions.push(Race::new(kind_from(k), lo, hi, StrandId(p), StrandId(c)));
+        regions.push(Race::new(k, lo, hi, StrandId(p), StrandId(c)));
     }
     regions.sort_by_key(|r| {
         (
@@ -1086,7 +1047,7 @@ fn merge_shards(
             r.word_hi,
             reach.english_rank(r.prev),
             reach.english_rank(r.cur),
-            kind_code(r.kind),
+            r.kind,
         )
     });
     // Merge-time witness attachment: a deterministic function of the
@@ -1107,7 +1068,7 @@ fn merge_shards(
         racy_words,
     };
     let failure = shards.iter().find_map(|o| o.failure.clone());
-    (merged, stats, failure.or_else(|| co.exhausted()))
+    (merged, stats, failure)
 }
 
 #[cfg(test)]
@@ -1216,7 +1177,7 @@ mod tests {
             failure: None,
         };
         let shards = std::slice::from_ref(&whole);
-        let merged = merge_shards(shards, &StrandCoalescer::new(), reach, None).0;
+        let merged = merge_shards(shards, DetectorStats::default(), reach, None).0;
         (whole, merged)
     }
 
@@ -1230,16 +1191,13 @@ mod tests {
             .collect();
         assert_eq!(whole.report.racy_words(), words);
         let want = want.render();
-        let mut empty = DetectorStats::default();
-        StrandCoalescer::new().add_to(&mut empty);
         for k in [1, 2, 3, 4, 7, 16] {
             let out = batch_detect(&pt, &cfg(k, 2, 0)).unwrap();
             assert_eq!(out.merged.render(), want, "K={k}");
-            // One coalescer, counted once: the shards own no bit table, and
-            // every unit of a recorded trace passes around the source's,
-            // which allocates none.
+            // No bit table anywhere: the shards own none, and the source
+            // routes every unit straight to them.
             assert!(out.shards.iter().all(|s| s.stats.coalesce_bytes == 0));
-            assert_eq!(out.stats.coalesce_bytes, empty.coalesce_bytes);
+            assert_eq!(out.stats.coalesce_bytes, 0);
             assert_eq!(out.stats.write.hooks, whole.stats.write.hooks);
             assert_eq!(out.stats.write.intervals, whole.stats.write.intervals);
             let buf = compress(&pt, 3);
@@ -1291,6 +1249,26 @@ mod tests {
             let out = streamed(&buf[..], &cfg(k, 2, 0)).unwrap();
             assert_eq!(out.merged.render(), want, "K={k} streamed");
         }
+    }
+
+    /// A hook-level file that stores to one word over and over: the shard
+    /// joins the side as the runs pile up, not only at the flush, and the
+    /// flush hands the history the one maximal run.
+    #[test]
+    fn repeated_runs_are_joined_as_they_arrive() {
+        let shard = Shard {
+            index: 0,
+            word_lo: 0,
+            word_hi: u64::MAX,
+        };
+        let mut det = ShardDetector::new(shard, ResourceBudget::default());
+        for _ in 0..10_000 {
+            det.push(1, (0x40, 0x41));
+        }
+        let held = det.runs[1].len();
+        assert!(held < 2 * JOIN_FLOOR, "holds {held} runs");
+        det.flush(StrandId(0), &FrozenReach::from_ranks(vec![0], vec![0]));
+        assert_eq!(det.hist.write_tree().insert_ops(), 1);
     }
 
     #[test]

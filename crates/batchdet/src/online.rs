@@ -168,7 +168,7 @@ type Units = Vec<TraceEvent>;
 /// The drain side's end of the hand-off, the pipeline's second
 /// [`EventSource`]: the producer arm routes a batch — overlapping the
 /// previous batch's drain — and sends its buffer straight back. Its units
-/// are a strand's runs already, so it holds nothing when the stream stops.
+/// are the engine's coalescer's runs.
 struct LiveSource {
     full: Receiver<Units>,
     free: SyncSender<Units>,
@@ -408,7 +408,9 @@ impl Detector<DePaReach> for OnlineEngine {
             Err(e) => return self.poisoned = Some(e),
         };
         let frozen = reach.freeze();
-        let (merged, stats, degraded) = merge_shards(&outs, &self.co, &frozen, self.spans.as_ref());
+        let mut front = DetectorStats::default();
+        self.co.add_to(&mut front);
+        let (merged, stats, failure) = merge_shards(&outs, front, &frozen, self.spans.as_ref());
         self.outcome = Some(OnlineOutcome {
             merged,
             stats,
@@ -419,7 +421,7 @@ impl Detector<DePaReach> for OnlineEngine {
             reach_bytes: reach.heap_bytes(),
             counters: ExecCounters::default(),
             wall: Duration::default(),
-            degraded,
+            degraded: failure.or_else(|| self.co.exhausted()),
             shards: outs,
         });
     }

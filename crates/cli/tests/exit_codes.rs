@@ -475,9 +475,10 @@ fn trace_info_byte_total_passes_2_to_the_64() {
     let _ = std::fs::remove_file(path);
 }
 
-/// A valid v2 file of a few hundred bytes: one strand's contiguous run of
-/// 2^22 four-byte stores, then its end.
-fn v2_with_one_contiguous_run() -> Vec<u8> {
+/// A valid v2 file of a few hundred bytes: one strand's run of 2^22
+/// four-byte stores `stride` bytes apart (4: contiguous; 0: one word), then
+/// its end.
+fn v2_with_one_long_run(stride: u64) -> Vec<u8> {
     use stint::{ctrace::HIST_BUCKETS, varint::put, wire::put_frame};
     let (addr, count) = (0x10_0000u64, 1u64 << 22);
     // One strand ranked first in both orders, the events, the word bounds
@@ -488,9 +489,9 @@ fn v2_with_one_contiguous_run() -> Vec<u8> {
         put(&mut header, v);
     }
     // Op tags 1 (`Store`) and 5 (`StrandEnd`), strand 0; the address and
-    // the stride (4) are zigzag-coded.
+    // the stride are zigzag-coded.
     let mut payload = vec![1];
-    for v in [0, addr * 2, 4, count, 8] {
+    for v in [0, addr * 2, 4, count, stride * 2] {
         put(&mut payload, v);
     }
     payload.extend([5, 0]);
@@ -504,33 +505,37 @@ fn v2_with_one_contiguous_run() -> Vec<u8> {
 /// A trace costs the detector's own state plus one chunk on every tier: the
 /// file above stands for 2^22 events, which no replay or `trace info`
 /// expands into memory, so every one finishes in a 200 MB address space
-/// (a whole-trace load asked for 192 MiB at once and aborted). Run against
-/// the release binary: `cargo test --release --test exit_codes -- --ignored`.
+/// (a whole-trace load asked for 192 MiB at once and aborted). With stride
+/// 0 every store is a unit of its own on one word, which a batch shard
+/// joins as the units arrive. Run against the release binary: `cargo test
+/// --release --test exit_codes -- --ignored`.
 #[test]
 #[ignore = "release-binary address-space row: scripts/perfgate.sh runs it with -- --ignored"]
 fn one_long_contiguous_run_replays_in_a_small_address_space() {
     let path = tmp_trace("contiguous-run");
-    std::fs::write(&path, v2_with_one_contiguous_run()).expect("write trace");
     let p = path.to_str().expect("utf-8 temp path");
     let mut commands: Vec<String> = "vanilla compiler comp+rts stint stint-btree batch"
         .split(' ')
         .map(|v| format!("trace replay {p} --variant {v}"))
         .collect();
     commands.push(format!("trace info {p}"));
-    for args in commands {
-        let bin = env!("CARGO_BIN_EXE_stint-cli");
-        let script = format!("ulimit -v 200000; exec {bin} {args} >/dev/null");
-        let out = Command::new("sh")
-            .args(["-c", &script])
-            .env_remove("STINT_FAULTS")
-            .output()
-            .expect("spawn sh");
-        let status = out.status;
-        assert!(
-            status.success(),
-            "{args}: {status}: stderr: {}",
-            stderr(&out)
-        );
+    for stride in [4, 0] {
+        std::fs::write(&path, v2_with_one_long_run(stride)).expect("write trace");
+        for args in &commands {
+            let bin = env!("CARGO_BIN_EXE_stint-cli");
+            let script = format!("ulimit -v 200000; exec {bin} {args} >/dev/null");
+            let out = Command::new("sh")
+                .args(["-c", &script])
+                .env_remove("STINT_FAULTS")
+                .output()
+                .expect("spawn sh");
+            let status = out.status;
+            assert!(
+                status.success(),
+                "stride {stride}, {args}: {status}: stderr: {}",
+                stderr(&out)
+            );
+        }
     }
     let _ = std::fs::remove_file(path);
 }

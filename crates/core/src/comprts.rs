@@ -65,18 +65,6 @@ impl Coalescer {
         }
     }
 
-    /// A range that went around the table: the hook, and the one interval
-    /// `extract` would have made of it, unless it is empty.
-    fn count_around(&mut self, bytes: usize, (lo, hi): WordIv) {
-        self.side.hooks += 1;
-        self.side.hook_bytes += bytes as u64;
-        self.side.words += hi - lo;
-        if lo < hi {
-            self.side.intervals += 1;
-            self.side.interval_bytes += (hi - lo) * 4;
-        }
-    }
-
     /// Strand end: the strand's maximal intervals, counted; the table clear.
     fn extract(&mut self) -> &[WordIv] {
         self.runs.clear();
@@ -90,9 +78,9 @@ impl Coalescer {
 
 /// The **strand coalescer** (paper Section 3.2): the read and the write bit
 /// table every hook of the current strand lands in — the front half of
-/// `comp+rts`, of STINT, and of every source of `stint-batchdet`. Only the
-/// intervals it hands out at a strand end cross into an access history, or
-/// into a recorded trace.
+/// `comp+rts`, of STINT, of a recording and of the online engine of
+/// `stint-batchdet`. Only the intervals it hands out at a strand end cross
+/// into an access history, or into a recorded trace.
 pub struct StrandCoalescer {
     reads: Coalescer,
     writes: Coalescer,
@@ -164,7 +152,7 @@ impl StrandCoalescer {
     /// into the tables; a strand end or free hands `sink` the strand's read
     /// runs, then its write runs, as `LoadRange`/`StoreRange` units
     /// ([`TraceEvent::unit`]), and then itself. A recorded trace is
-    /// coalesced by it, and every batch source routes what it hands out.
+    /// coalesced by it, and the online engine hands over what it hands out.
     #[inline]
     pub fn feed(&mut self, e: TraceEvent, mut sink: impl FnMut(TraceEvent)) {
         match e.op {
@@ -175,16 +163,6 @@ impl StrandCoalescer {
                 sink(e);
             }
         }
-    }
-
-    /// Count a load (`store` false) or store of `bytes` bytes over the words
-    /// `run` that its caller routed around the tables, as [`Self::feed`] and
-    /// the hand-out would have counted it: one hook, and one interval unless
-    /// `run` is empty. The interval count is exact while nothing else the
-    /// strand accesses on that side overlaps or touches `run`, as in every
-    /// recorded trace.
-    pub fn count_around(&mut self, store: bool, bytes: usize, run: WordIv) {
-        [&mut self.reads, &mut self.writes][store as usize].count_around(bytes, run);
     }
 
     /// Hand `strand`'s runs to `sink`, reads first, and clear both tables.

@@ -6,7 +6,8 @@ use crate::witness::{Provenance, Witness};
 use stint_sporder::{Reachability, StrandId};
 
 /// The kind of conflicting pair, named `<previous access>-<current access>`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Ordered as declared.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RaceKind {
     /// Both accesses are writes.
     WriteWrite,

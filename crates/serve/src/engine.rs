@@ -21,7 +21,7 @@
 //! | failure                     | status     | payload `kind:` | report?  |
 //! |-----------------------------|------------|-----------------|----------|
 //! | wall-clock timeout          | `Degraded` | `degraded`      | partial  |
-//! | budget (shadow / intervals) | `Degraded` | `degraded`      | partial  |
+//! | interval budget             | `Degraded` | `degraded`      | partial  |
 //! | session panic               | `Corrupt`  | `poisoned`      | none     |
 //! | unparsable / truncated trace| `Corrupt`  | `corrupt`       | none     |
 //! | bad option spec             | `Usage`    | `usage`         | none     |
@@ -626,11 +626,10 @@ fn run_session(shared: &Shared, job: &Job) -> (Verdict, String) {
             panic!("injected serve session panic (session {})", job.id);
         }
     }
-    let mut budget = ResourceBudget::default();
-    if let Some(mb) = opts.max_shadow_mb {
-        budget = budget.with_shadow_mb(mb);
-    }
-    budget.max_intervals = opts.max_intervals;
+    let budget = ResourceBudget {
+        max_intervals: opts.max_intervals,
+        ..ResourceBudget::default()
+    };
     let timeout = Duration::from_millis(opts.timeout_ms.unwrap_or(shared.cfg.default_timeout_ms));
     let limits = SessionLimits {
         budget,

@@ -51,8 +51,8 @@ USAGE:
         [--health] [--shutdown] [FILE...]
   stint-serve journal inspect|replay PATH
 
-Session opts (DETECT frames): shards=K, timeout-ms=N, max-shadow-mb=N,
-max-intervals=N, stall-ms=N, witness=0|1.
+Session opts (DETECT frames): shards=K, timeout-ms=N, max-intervals=N,
+stall-ms=N, witness=0|1.
 
 Response statuses: 0 ok, 1 racy, 2 usage, 3 degraded, 4 corrupt (kind
 corrupt|poisoned), 5 busy (retry-after-ms hint), 6 bye.

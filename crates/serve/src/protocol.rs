@@ -318,7 +318,6 @@ impl std::error::Error for OptParseError {}
 /// |--------------------|--------------------------------------------------|
 /// | `shards=K`         | address shards for the batch fan-out (default 4) |
 /// | `timeout-ms=N`     | wall-clock budget; 0 = already expired (testing) |
-/// | `max-shadow-mb=N`  | shadow-memory budget of the session's coalescer  |
 /// | `max-intervals=N`  | interval-store budget per shard detector         |
 /// | `stall-ms=N`       | sleep before detecting, at most until the        |
 /// |                    | deadline — deterministic slow-session simulation |
@@ -330,7 +329,6 @@ impl std::error::Error for OptParseError {}
 pub struct SessionOpts {
     pub shards: Option<usize>,
     pub timeout_ms: Option<u64>,
-    pub max_shadow_mb: Option<u64>,
     pub max_intervals: Option<u64>,
     pub stall_ms: Option<u64>,
     pub witness: bool,
@@ -367,7 +365,6 @@ impl SessionOpts {
                     o.shards = Some(n as usize);
                 }
                 "timeout-ms" => o.timeout_ms = Some(num()?),
-                "max-shadow-mb" => o.max_shadow_mb = Some(num()?),
                 "max-intervals" => o.max_intervals = Some(num()?),
                 "stall-ms" => o.stall_ms = Some(num()?),
                 "witness" => {
@@ -522,11 +519,9 @@ mod tests {
     #[test]
     fn session_opts_parse_and_reject() {
         let o =
-            SessionOpts::parse(" shards=8 , timeout-ms=250,max-shadow-mb=1,stall-ms=5,witness=1 ")
-                .expect("parse");
+            SessionOpts::parse(" shards=8 , timeout-ms=250,stall-ms=5,witness=1 ").expect("parse");
         assert_eq!(o.shards, Some(8));
         assert_eq!(o.timeout_ms, Some(250));
-        assert_eq!(o.max_shadow_mb, Some(1));
         assert_eq!(o.stall_ms, Some(5));
         assert!(o.witness);
         assert!(!SessionOpts::parse("witness=0").expect("parse").witness);
@@ -538,6 +533,7 @@ mod tests {
             ("timeout-ms", "timeout-ms"),
             ("shards=2,waldo=9", "waldo=9"),
             ("witness=2", "witness=2"),
+            ("max-shadow-mb=1", "max-shadow-mb=1"),
         ] {
             let e = SessionOpts::parse(spec).expect_err(spec);
             assert_eq!(e.token, tok, "spec {spec:?}");

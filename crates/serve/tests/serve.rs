@@ -480,7 +480,7 @@ fn malformed_frame_answers_usage_and_abandons_the_stream() {
 fn session_opts_reject_is_stable_through_the_wire() {
     // Round-trip guard: the opts grammar the server parses is the one the
     // client helpers document.
-    let spec = "shards=2,timeout-ms=50,max-shadow-mb=8,max-intervals=1000,stall-ms=0";
+    let spec = "shards=2,timeout-ms=50,max-intervals=1000,stall-ms=0";
     let o = SessionOpts::parse(spec).expect("parse");
     assert_eq!(o.shards, Some(2));
     assert_eq!(o.timeout_ms, Some(50));

@@ -18,7 +18,10 @@
 # layout, and cargo hashes the directory of every path dependency into its
 # symbol names, so one source built in two directories gets two layouts
 # (.text differing by 1-2 KiB). Exits non-zero if any pair had a failed
-# operation or a metric worse than its bound.
+# operation or a metric worse than its bound. The last line says whether the
+# working tree's benchmark/ and BENCHMARK.json are PARENT_REF's, and names
+# any path that is not: a benchmark build inside a checkout rewrites
+# benchmark/Cargo.lock, and a change must leave those files as they are.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -144,4 +147,7 @@ for w in $WORKLOADS; do
     done
 done
 echo "bench_pair: $EXCESS excess(es) over all pairs"
+edited=$({ git diff --name-only "$PARENT_REF" -- benchmark BENCHMARK.json
+    git ls-files -o --exclude-standard -- benchmark BENCHMARK.json; } | sort -u | paste -sd' ' -)
+echo "benchmark files: ${edited:+differ from $PARENT_REF: }${edited:-identical to $PARENT_REF}"
 [ "$EXCESS" = 0 ]
