@@ -346,10 +346,10 @@ pub struct BatchOutcome {
 
 /// Load **and validate** a whole trace stream (either the `STINT-TRACE v1`
 /// text format or the compressed chunked v2 format), for a caller that needs
-/// every event at once (`witness verify`): [`PortableTrace::load_any`], which
-/// checks every run it reads. Truncated, bit-flipped, or wrong-version input
-/// comes back as a structured [`DetectorError::CorruptTrace`] (exit code 4),
-/// never a panic.
+/// every event at once (the repo benchmark's serve mix and the tests):
+/// [`PortableTrace::load_any`], which checks every run it reads. Truncated,
+/// bit-flipped, or wrong-version input comes back as a structured
+/// [`DetectorError::CorruptTrace`] (exit code 4), never a panic.
 pub fn load_trace<R: std::io::BufRead>(r: R) -> Result<PortableTrace, DetectorError> {
     PortableTrace::load_any(r).map_err(DetectorError::corrupt)
 }

@@ -23,9 +23,9 @@
 //! only support the weaker `+2` form).
 //!
 //! Flags: `--scale {test|s|m|paper}` (default `s`), `--bench NAME`,
-//! `--out PATH` (default `BENCH_space.json`). Any Lemma violation is a hard
-//! failure (exit 1) — `scripts/perfgate.sh` regenerates this file and stops
-//! on that exit.
+//! `--out PATH` (default `BENCH_space.json`); anything else exits 2 before
+//! the file is written. Any Lemma violation is a hard failure (exit 1) —
+//! `scripts/perfgate.sh` regenerates this file and stops on that exit.
 
 use stint::{IntervalStore, Outcome, Variant};
 use stint_bench::*;
@@ -51,7 +51,7 @@ struct Args {
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().collect();
     let mut a = Args {
-        scale: scale_from_args(),
+        scale: Scale::S,
         out: "BENCH_space.json".to_string(),
         bench: None,
     };
@@ -72,11 +72,26 @@ fn parse_args() -> Args {
                 }));
                 i += 1;
             }
-            _ => {}
+            "--scale" => {
+                i += 1;
+                a.scale = scale(argv.get(i).map_or("", String::as_str));
+            }
+            arg if arg.starts_with("--scale=") => a.scale = scale(&arg["--scale=".len()..]),
+            arg => {
+                eprintln!("unknown argument {arg:?}; flags: --scale S, --bench NAME, --out PATH");
+                std::process::exit(2);
+            }
         }
         i += 1;
     }
     a
+}
+
+fn scale(v: &str) -> Scale {
+    Scale::parse(v).unwrap_or_else(|| {
+        eprintln!("unknown scale {v:?}; use test|s|m|paper");
+        std::process::exit(2);
+    })
 }
 
 struct Row {

@@ -2,8 +2,9 @@
 //!
 //! Each binary (`fig1`, `fig5`, `fig6`, `fig7`, `fig8`) reproduces one
 //! table/figure of the paper's evaluation (Section 5). All accept
-//! `--scale {test|s|m|paper}` (default `s`) and print an aligned text table
-//! in the paper's layout. See EXPERIMENTS.md for paper-vs-measured records.
+//! `--scale {test|s|m|paper}` (default `s`) and nothing else, and print an
+//! aligned text table in the paper's layout. See EXPERIMENTS.md for
+//! paper-vs-measured records.
 
 use std::time::Duration;
 use stint::{Outcome, Variant};
@@ -14,28 +15,22 @@ pub mod doccheck;
 /// `stint-obs`); re-exported under the name the repo benchmark imports.
 pub use stint_obs::json;
 
-/// Parse `--scale X` from argv (default `S`).
+/// Parse the figure binaries' one option, `--scale S` or `--scale=S`
+/// (default `s`). Anything else exits 2 naming the arguments, so a mistyped
+/// flag never prints a table at the default scale.
 pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--scale" {
-            if let Some(v) = args.get(i + 1) {
-                if let Some(s) = Scale::parse(v) {
-                    return s;
-                }
-                eprintln!("unknown scale {v:?}; use test|s|m|paper");
-                std::process::exit(2);
-            }
-        }
-        if let Some(v) = args[i].strip_prefix("--scale=") {
-            if let Some(s) = Scale::parse(v) {
-                return s;
-            }
-            eprintln!("unknown scale {v:?}; use test|s|m|paper");
-            std::process::exit(2);
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let v = match args.as_slice() {
+        [] => return Scale::S,
+        [a] => a.strip_prefix("--scale="),
+        [flag, v] if flag == "--scale" => Some(v.as_str()),
+        _ => None,
+    };
+    if let Some(s) = v.and_then(Scale::parse) {
+        return s;
     }
-    Scale::S
+    eprintln!("expected one --scale test|s|m|paper, got {args:?}");
+    std::process::exit(2);
 }
 
 pub fn scale_name(s: Scale) -> &'static str {

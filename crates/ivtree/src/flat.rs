@@ -10,7 +10,7 @@
 //!
 //! The paper notes "any balanced binary search tree would work"; this store
 //! is both the differential-testing oracle for [`crate::Treap`] and the
-//! ablation baseline in the `ivtree` bench.
+//! baseline the repo benchmark times against it (`ivtree.flat_replay_s`).
 
 use crate::{Interval, IntervalStore, OpStats};
 use std::collections::BTreeMap;

@@ -22,7 +22,7 @@
 //!   descent and one left-of question, no writes to the tree's links.
 //! * [`FlatStore`] — the same semantics on a `BTreeMap` keyed by interval
 //!   start. Simpler and obviously correct; used as the differential-testing
-//!   oracle and as the "any balanced BST would work" ablation baseline.
+//!   oracle and as the "any balanced BST would work" baseline.
 //!
 //! Both are generic over the accessor type `A` (the detector instantiates
 //! `A = StrandId`); the *left-of* relation needed by read insertion is passed

@@ -22,7 +22,7 @@
 //! available the smallest enclosing power-of-two tag range whose *density* is
 //! below a geometrically decreasing threshold is relabelled uniformly. This
 //! gives O(log n) amortized insertion and O(1) queries (the OM lists are
-//! never the bottleneck — see the `om` Criterion bench).
+//! never the bottleneck — see the repo benchmark's `sporder.maint_s`).
 //!
 //! Elements are never removed (SP-Order never deletes strands), so node
 //! handles are plain indices into an arena and stay valid for the lifetime of

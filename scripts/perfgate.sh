@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
-# The pre-merge gate: style checks, warning-free rustdoc, release build, one
-# iteration of every Criterion row of every bench file of `stint-bench`, the
-# test suite in release, the wide claims row, the release binary's
-# small-address-space row and the wide hook-level routing battery, the space
-# study (the `space` binary exits 1 on a Lemma 4.1 violation), the repo
-# benchmark's self-check (expectations, oracle, catalogue ≡ BENCHMARK.json),
-# then a two-pair smoke of the repo benchmark against the parent commit. No
-# wall time is gated here: `scripts/bench_pair.sh REF 10` is the performance
-# measurement.
+# The pre-merge gate: style checks, warning-free rustdoc, release build, the
+# test suite in release (which runs every figure binary at `--scale test`),
+# the wide claims row, the release binary's small-address-space row and the
+# wide hook-level routing battery, the space study (the `space` binary exits
+# 1 on a Lemma 4.1 violation), the repo benchmark's self-check (expectations,
+# oracle, catalogue ≡ BENCHMARK.json), then a two-pair smoke of the repo
+# benchmark against the parent commit. No wall time is gated here:
+# `scripts/bench_pair.sh REF 10` is the performance measurement.
 #
 # Usage: scripts/perfgate.sh [--scale s|m|paper]
 # Arguments are forwarded to the `space` study, which overwrites
@@ -31,15 +30,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 echo "== cargo build --release"
 cargo build --release -q
 
-# Clippy only compiles the Criterion rows; this runs every row of every
-# bench file once (the shim's `--test` mode), so a bench whose set-up
-# assumption rotted fails here.
-echo "== criterion rows, one iteration each"
-cargo bench -q -p stint-bench --benches -- --test
-
 # Tier-1 in release: the fault-injection suites and CLI fault sweep, the
 # exporter / cross-document agreement tests, the witness loop, the CLI's
-# exit-code contract on every tier and the `stint-serve` daemon end to end.
+# exit-code contract on every tier, the `stint-serve` daemon end to end and
+# every figure binary (`crates/bench/tests/figures.rs`).
 echo "== cargo test --release"
 cargo test --release -q
 
@@ -64,10 +58,12 @@ cargo run --release -q -p stint-bench --bin space -- "${ARGS[@]}"
 
 # The benchmark is the only measurement system; this is its self-check. An
 # in-repo build rewrites benchmark/Cargo.lock (it predates PR 17's manifest
-# changes) and benchmark/ must stay byte-identical, so put it back.
+# changes) and benchmark/ must stay byte-identical, so put it back before
+# the smoke below checks it (and on any exit).
 echo "== repo benchmark self-check (expectations, oracle, catalogue)"
 trap 'git checkout -q benchmark/Cargo.lock' EXIT
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- check
+git checkout -q benchmark/Cargo.lock
 
 # Two alternated pairs on each of the seven workloads say nothing about a
 # gain; they catch a change that breaks a verdict or blows an end-to-end
